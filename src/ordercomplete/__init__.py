@@ -94,7 +94,24 @@ from .analysis import (
     interval_pushforward,
     nested_limit_check,
 )
-from .cli import RunConfig, load_spec, main, run_pipeline, verify
+
+# The batch front end loads on first use (PEP 562): importing it here would
+# put `ordercomplete.cli` in sys.modules before `python -m ordercomplete.cli`
+# runs it, and runpy warns about that.
+_CLI_NAMES = ("RunConfig", "load_spec", "main", "run_pipeline", "verify")
+
+
+def __getattr__(name: str):
+    if name in _CLI_NAMES:
+        from . import cli
+
+        return getattr(cli, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted([*globals(), *_CLI_NAMES])
+
 
 __all__ = [
     "ApEqCertificate",

@@ -224,39 +224,39 @@ def run_pipeline(cfg: RunConfig) -> int:
     out.mkdir(parents=True, exist_ok=True)
 
     assumption_block: dict = {"checked": not cfg.skip_assumption_check}
-    if not cfg.skip_assumption_check:
-        center = 0.5 * (system.box_lo + system.box_hi)
-        trial = np.stack(
-            [np.full(system.unknown_count, -10.0),
-             np.full(system.unknown_count, 10.0)], axis=1
-        )
-        ev = check_assumption_interior(
-            system, center, trial, rng=np.random.default_rng(cfg.seed)
-        )
-        assumption_block["interior"] = {
-            "supported": bool(ev.supported),
-            "witnessed_radius": _num(ev.witnessed_radius),
-            "margin_min": _num(ev.margin_min),
-            "directions": ev.directions,
-            "samples_used": ev.samples_used,
-            "r_min": ev.r_min,
-            "note": ev.note,
-        }
-        if not ev.supported:
-            print(
-                "construction failure: interior assumption unsupported at the "
-                f"box center (directional margin {ev.margin_min:.3e}); "
-                "the data point is not evidenced to lie inside the operator's "
-                "image over the trial jet box"
-            )
-            return 3
-
+    # a numeric fault while constructing is a construction failure too
     try:
+        if not cfg.skip_assumption_check:
+            center = 0.5 * (system.box_lo + system.box_hi)
+            trial = np.stack(
+                [np.full(system.unknown_count, -10.0),
+                 np.full(system.unknown_count, 10.0)], axis=1
+            )
+            ev = check_assumption_interior(
+                system, center, trial, rng=np.random.default_rng(cfg.seed)
+            )
+            assumption_block["interior"] = {
+                "supported": bool(ev.supported),
+                "witnessed_radius": _num(ev.witnessed_radius),
+                "margin_min": _num(ev.margin_min),
+                "directions": ev.directions,
+                "samples_used": ev.samples_used,
+                "r_min": ev.r_min,
+                "note": ev.note,
+            }
+            if not ev.supported:
+                print(
+                    "construction failure: interior assumption unsupported at the "
+                    f"box center (directional margin {ev.margin_min:.3e}); "
+                    "the data point is not evidenced to lie inside the operator's "
+                    "image over the trial jet box"
+                )
+                return 3
         gp = global_pair(system, domain, eps=cfg.gamma,
                          rng=np.random.default_rng(cfg.seed))
         scheme = run_scheme(system, domain, cfg.gamma, cfg.stages,
                             eps_max=cfg.eps_max, seed=cfg.seed)
-    except (ConstructionError, TilingError) as e:
+    except (ConstructionError, TilingError, ex.EvalDomainError) as e:
         print(f"construction failure: {e}")
         return 3
 
@@ -487,7 +487,8 @@ def verify(result_dir) -> int:
         return 2
     try:
         code = _verify_inner(out, cert, problems)
-    except (ConstructionError, TilingError, ValueError, OSError, KeyError) as e:
+    except (ConstructionError, TilingError, ValueError, OSError, KeyError,
+            TypeError) as e:
         print(f"verify: artifact inconsistency: {e}")
         return 2
     for p in problems:
@@ -515,6 +516,17 @@ def _verify_inner(out: Path, cert: dict, problems: list[str]) -> int:
                 problems.append(f"{name}: stored {stored}, recomputed {computed}")
         elif not _close(stored, computed):
             problems.append(f"{name}: stored {stored}, recomputed {computed}")
+
+    def check_oc(name: str, stored: dict, c) -> None:
+        for key in ("sup_gap", "inf_gap", "tol", "passed", "chain_ok"):
+            check(f"{name}.{key}", stored[key], getattr(c, key))
+        got, want = stored["first_violation"], _oc_dict(c)["first_violation"]
+        same = (got is None and want is None) or (
+            got is not None and want is not None
+            and list(got[:2]) == want[:2] and _close(got[2], want[2])
+        )
+        if not same:
+            problems.append(f"{name}.first_violation: stored {got}, recomputed {want}")
 
     # global pair
     g = cert["global_pair"]
@@ -630,11 +642,7 @@ def _verify_inner(out: Path, cert: dict, problems: list[str]) -> int:
         lams = [GridFunction(final_dom, f_raw[j] - gamma / n_)
                 for n_ in range(1, N + 1)]
         c = order_convergence_check(seq, lams, [f_gfs[j]] * N, f_gfs[j], tol=tol_tv)
-        stored = cert["order_convergence"]["operator"][j]
-        check(f"oc.operator[{j}].sup_gap", stored["sup_gap"], c.sup_gap)
-        check(f"oc.operator[{j}].inf_gap", stored["inf_gap"], c.inf_gap)
-        check(f"oc.operator[{j}].tol", stored["tol"], c.tol)
-        check(f"oc.operator[{j}].passed", stored["passed"], c.passed)
+        check_oc(f"oc.operator[{j}]", cert["order_convergence"]["operator"][j], c)
         oc_pass = oc_pass and c.passed
     owner_final, _ = _classify_grid(i_cells, final_dom)
     band_tol = band_tolerance(radii, N)
@@ -651,12 +659,8 @@ def _verify_inner(out: Path, cert: dict, problems: list[str]) -> int:
             lams.append(pair[0])
             mus.append(pair[1])
         c = order_convergence_check(seq, lams, mus, seq[-1], tol=band_tol)
-        stored = cert["order_convergence"]["bands"][_var_tag(i, a)]
         tag = _var_tag(i, a)
-        check(f"oc.bands[{tag}].sup_gap", stored["sup_gap"], c.sup_gap)
-        check(f"oc.bands[{tag}].inf_gap", stored["inf_gap"], c.inf_gap)
-        check(f"oc.bands[{tag}].tol", stored["tol"], c.tol)
-        check(f"oc.bands[{tag}].passed", stored["passed"], c.passed)
+        check_oc(f"oc.bands[{tag}]", cert["order_convergence"]["bands"][tag], c)
     off_f = ~final_dom.skeleton
     final_gap = max(
         float(np.max(np.abs(tv_by_stage[-1][j].values[off_f] - f_raw[j][off_f])))

@@ -17,9 +17,11 @@ Note that '-' binds at atom level, so "-x1^2" is (-x1)^2; rendering is
 canonical and parse(render(e)) reproduces e node for node.
 
 Expressions are immutable. Three evaluators share the tree: scalar point
-evaluation (domain violations raise, NaN never propagates), elementwise
-numpy evaluation over coordinate arrays, and interval evaluation via the
-natural extension with outward rounding.
+evaluation, elementwise numpy evaluation over coordinate arrays, and
+interval evaluation via the natural extension with outward rounding. The
+point and array evaluators fault on the same inputs: a domain violation
+(log or sqrt outside its domain, division by zero, a zero base with a
+negative exponent) or a node value that is not finite (overflow included).
 """
 
 from __future__ import annotations
@@ -61,7 +63,20 @@ class ParseError(ValueError):
 
 
 class EvalDomainError(ValueError):
-    """A function was evaluated outside its domain (log, sqrt, division)."""
+    """An evaluation faulted: a function outside its domain (log, sqrt,
+    division, zero to a negative power) or a non-finite value.
+
+    Raised by eval_on_arrays, it also carries `faulted`, the boolean mask of
+    the elements that faulted, and `values`, the elementwise result (its
+    faulted elements are meaningless), both of the full broadcast shape;
+    otherwise both are None.
+    """
+
+    def __init__(self, message: str, faulted: np.ndarray | None = None,
+                 values: np.ndarray | None = None) -> None:
+        super().__init__(message)
+        self.faulted = faulted
+        self.values = values
 
 
 class NondifferentiableError(ValueError):
@@ -422,16 +437,24 @@ def eval_point(
 ) -> float:
     """Evaluate at a space point with jet values supplied by a mapping.
 
-    Domain violations (log/sqrt outside domain, division by zero) raise
-    EvalDomainError; NaN is never returned.
+    Domain violations (log/sqrt outside domain, division by zero, zero to
+    a negative power) and node values that are not finite, overflow
+    included, raise EvalDomainError; the result is always finite.
     """
-    val = _eval_point(e, x, jets)
-    if math.isnan(val):
-        raise EvalDomainError(f"evaluation of {render(e)!r} produced NaN")
-    return val
+    try:
+        return _eval_point(e, x, jets)
+    except OverflowError as err:  # math.exp and float.__pow__ raise it
+        raise EvalDomainError(f"overflow in {render(e)!r}") from err
 
 
 def _eval_point(e: Expr, x, jets) -> float:
+    val = _point_node(e, x, jets)
+    if not math.isfinite(val):
+        raise EvalDomainError(f"non-finite value of {render(e)!r}")
+    return val
+
+
+def _point_node(e: Expr, x, jets) -> float:
     if isinstance(e, Num):
         return e.value
     if isinstance(e, SpaceVar):
@@ -483,63 +506,95 @@ def eval_on_arrays(
 ) -> np.ndarray:
     """Elementwise eval_point over broadcastable coordinate/jet arrays.
 
-    Same domain rules as eval_point, checked over every element. The result
+    Same fault rules as eval_point, checked over every element. The result
     always has the full broadcast shape of the inputs, even for constant
-    expressions.
+    expressions. If any element faults, the EvalDomainError raised carries
+    the faulted mask and the values, so a sampling caller can drop the
+    faulted elements instead of evaluating them one by one.
     """
     with np.errstate(all="ignore"):
-        out = np.asarray(_eval_arrays(e, x, jets), dtype=float)
-    if np.isnan(out).any():
-        raise EvalDomainError(f"evaluation of {render(e)!r} produced NaN")
+        val, faulted = _eval_arrays(e, x, jets)
     shapes = [np.shape(c) for c in x]
     if jets is not None:
         shapes.extend(np.shape(v) for v in jets.values())
     shape = np.broadcast_shapes(*shapes) if shapes else ()
+    out = np.asarray(val, dtype=float)
     if out.shape != shape:
         out = np.broadcast_to(out, shape).copy()
+    if faulted.any():
+        faulted = np.broadcast_to(faulted, shape).copy()
+        raise EvalDomainError(
+            f"evaluation of {render(e)!r} faulted at {int(faulted.sum())} "
+            f"of {faulted.size} elements",
+            faulted=faulted, values=out,
+        )
     return out
 
 
 def _eval_arrays(e: Expr, x, jets):
+    """Elementwise values of e and the mask of elements that fault.
+
+    An element faults exactly where eval_point raises EvalDomainError: some
+    node of its evaluation is outside a function domain or not finite. The
+    values of faulted elements are meaningless.
+    """
+    val, faulted = _array_node(e, x, jets)
+    nonfinite = ~np.isfinite(val)
+    return val, nonfinite if faulted is False else faulted | nonfinite
+
+
+def _array_node(e: Expr, x, jets):
+    # A non-finite value reaches the root unless an operand absorbs it:
+    # t / inf = 0, inf^k = 1 or 0 for k <= 0 (nan^0 too), exp(-inf) = 0.
+    # Only those operands go through _eval_arrays, which checks them; any
+    # other non-finite node shows in the root check.
     if isinstance(e, Num):
-        return e.value
+        return e.value, False
     if isinstance(e, SpaceVar):
-        return np.asarray(x[e.index - 1], dtype=float)
+        return np.asarray(x[e.index - 1], dtype=float), False
     if isinstance(e, JetVar):
         if jets is None:
             raise EvalDomainError(f"no jet values supplied for {render(e)!r}")
-        return np.asarray(jets[(e.component, e.alpha)], dtype=float)
+        return np.asarray(jets[(e.component, e.alpha)], dtype=float), False
     if isinstance(e, Neg):
-        return -_eval_arrays(e.operand, x, jets)
-    if isinstance(e, Add):
-        return _eval_arrays(e.left, x, jets) + _eval_arrays(e.right, x, jets)
-    if isinstance(e, Sub):
-        return _eval_arrays(e.left, x, jets) - _eval_arrays(e.right, x, jets)
-    if isinstance(e, Mul):
-        return _eval_arrays(e.left, x, jets) * _eval_arrays(e.right, x, jets)
+        val, faulted = _array_node(e.operand, x, jets)
+        return -val, faulted
     if isinstance(e, Div):
-        denom = np.asarray(_eval_arrays(e.right, x, jets))
-        if np.any(denom == 0.0):
-            raise EvalDomainError(f"division by zero in {render(e)!r}")
-        return _eval_arrays(e.left, x, jets) / denom
+        left, left_faulted = _array_node(e.left, x, jets)
+        right, right_faulted = _eval_arrays(e.right, x, jets)
+        right = np.asarray(right)  # numpy division: no ZeroDivisionError
+        return left / right, left_faulted | right_faulted | (right == 0.0)
+    if isinstance(e, BinOp):
+        left, left_faulted = _array_node(e.left, x, jets)
+        right, right_faulted = _array_node(e.right, x, jets)
+        faulted = left_faulted | right_faulted
+        if isinstance(e, Add):
+            return left + right, faulted
+        if isinstance(e, Sub):
+            return left - right, faulted
+        if isinstance(e, Mul):
+            return left * right, faulted
     if isinstance(e, Pow):
-        base = np.asarray(_eval_arrays(e.base, x, jets))
-        if e.exponent < 0 and np.any(base == 0.0):
-            raise EvalDomainError(f"zero base with negative exponent in {render(e)!r}")
-        return base**e.exponent
+        if e.exponent > 0:
+            base, faulted = _array_node(e.base, x, jets)
+        else:
+            base, faulted = _eval_arrays(e.base, x, jets)
+        base = np.asarray(base)  # numpy power: no OverflowError
+        if e.exponent < 0:
+            faulted = faulted | (base == 0.0)
+        return base**e.exponent, faulted
     if isinstance(e, Call):
-        arg = np.asarray(_eval_arrays(e.arg, x, jets))
+        if e.func == "exp":
+            arg, faulted = _eval_arrays(e.arg, x, jets)
+            return np.exp(arg), faulted
+        arg, faulted = _array_node(e.arg, x, jets)
         if e.func == "log":
-            if np.any(arg <= 0.0):
-                raise EvalDomainError("log of non-positive value")
-            return np.log(arg)
+            return np.log(arg), faulted | (arg <= 0.0)
         if e.func == "sqrt":
-            if np.any(arg < 0.0):
-                raise EvalDomainError("sqrt of negative value")
-            return np.sqrt(arg)
+            return np.sqrt(arg), faulted | (arg < 0.0)
         if e.func == "abs":
-            return np.abs(arg)
-        return getattr(np, e.func)(arg)
+            return np.abs(arg), faulted
+        return getattr(np, e.func)(arg), faulted
     raise TypeError(f"unknown node {type(e).__name__}")
 
 

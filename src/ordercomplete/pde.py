@@ -162,10 +162,13 @@ def _principal_directions(images: np.ndarray) -> np.ndarray:
 
     A degenerate image (curve or point in R^K) is flat along its smallest
     principal axis, so probing it yields a near-zero margin; random
-    directions alone can miss that when the flat axis is oblique.
+    directions alone can miss that when the flat axis is oblique. The
+    reduced SVD gives the same axes without the (S, S) left factor; with
+    fewer samples than components the full one keeps all K axes.
     """
     centered = images - images.mean(axis=0)
-    _, _, vt = np.linalg.svd(centered, full_matrices=True)
+    full = centered.shape[0] < centered.shape[1]
+    _, _, vt = np.linalg.svd(centered, full_matrices=full)
     return np.concatenate([vt, -vt], axis=0)
 
 
@@ -174,6 +177,51 @@ def _image_margins(images: np.ndarray, target: np.ndarray, dirs: np.ndarray) -> 
     rel = images - target  # (S, K)
     proj = rel @ dirs.T  # (S, D)
     return float(proj.max(axis=0).min())
+
+
+def _sample_images(sys: PdeSystem, x: Sequence, vecs: np.ndarray) -> np.ndarray:
+    """F at a batch of samples, one row each, with one evaluation per F_j.
+
+    x holds the space coordinates, one entry per axis (a scalar or one
+    value per sample); vecs holds one flat jet per row. Samples on which
+    some F_j faults are dropped: exactly those on which eval_point raises.
+    """
+    coords = list(x)
+    jets = {v: vecs[:, k] for k, v in enumerate(sys.flat_vars())}
+    images = np.empty((vecs.shape[0], sys.K))
+    kept = np.ones(vecs.shape[0], dtype=bool)
+    for j, Fj in enumerate(sys.F):
+        try:
+            images[:, j] = ex.eval_on_arrays(Fj, coords, jets)
+        except ex.EvalDomainError as err:
+            if err.faulted is None:
+                raise
+            images[:, j] = err.values
+            kept &= ~err.faulted
+    return images[kept]
+
+
+def _evidence(kind: str, images: np.ndarray, target: np.ndarray,
+              extra_directions: int, r_min: float,
+              rng: np.random.Generator) -> AssumptionEvidence:
+    """Directional ball-containment verdict of target in the sampled image."""
+    if images.shape[0] == 0:
+        return AssumptionEvidence(
+            kind=kind, supported=False, witnessed_radius=0.0,
+            margin_min=float("-inf"), directions=0, samples_used=0, r_min=r_min,
+        )
+    dirs = _directions(images.shape[1], extra_directions, rng)
+    dirs = np.concatenate([dirs, _principal_directions(images)], axis=0)
+    margin = _image_margins(images, target, dirs)
+    return AssumptionEvidence(
+        kind=kind,
+        supported=margin > r_min,
+        witnessed_radius=max(margin, 0.0),
+        margin_min=margin,
+        directions=dirs.shape[0],
+        samples_used=images.shape[0],
+        r_min=r_min,
+    )
 
 
 def check_assumption_interior(
@@ -196,43 +244,42 @@ def check_assumption_interior(
         raise ValueError("trial box must have shape (M, 2)")
     x = np.asarray(x, dtype=float)
     target = sys.rhs_at(x)
-    fv = sys.flat_vars()
-    images = []
+    vecs = rng.uniform(box[:, 0], box[:, 1], size=(samples, box.shape[0]))
+    images = _sample_images(sys, x, vecs)
+    return _evidence("interior", images, target, extra_directions, r_min, rng)
+
+
+def _unit_ball_draws(
+    rng: np.random.Generator, dims: Sequence[int], samples: int
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Uniform draws from unit balls of the given dimensions.
+
+    Sample by sample and ball by ball, draws a standard normal direction
+    and, unless its norm is below 1e-12, a uniform radius u. Returns per
+    ball the unit directions (S, d) and the radial factors u^(1/d) (S,);
+    both are 0 where the direction vanished, so that point is the center.
+    Norms and roots round as np.linalg.norm and Python's pow do on one
+    draw; numpy's row reductions and power can round differently.
+    """
+    balls = [(d, 1.0 / d, [], []) for d in dims]
     for _ in range(samples):
-        vec = rng.uniform(box[:, 0], box[:, 1])
-        jets = {v: vec[k] for k, v in enumerate(fv)}
-        try:
-            images.append([ex.eval_point(Fj, x, jets) for Fj in sys.F])
-        except ex.EvalDomainError:
-            continue
-    if not images:
-        return AssumptionEvidence(
-            kind="interior", supported=False, witnessed_radius=0.0,
-            margin_min=float("-inf"), directions=0, samples_used=0, r_min=r_min,
-        )
-    imgs = np.asarray(images)
-    dirs = _directions(sys.K, extra_directions, rng)
-    dirs = np.concatenate([dirs, _principal_directions(imgs)], axis=0)
-    margin = _image_margins(imgs, target, dirs)
-    return AssumptionEvidence(
-        kind="interior",
-        supported=margin > r_min,
-        witnessed_radius=max(margin, 0.0),
-        margin_min=margin,
-        directions=dirs.shape[0],
-        samples_used=imgs.shape[0],
-        r_min=r_min,
-    )
-
-
-def _ball_sample(center: np.ndarray, radius: float, rng: np.random.Generator) -> np.ndarray:
-    d = center.size
-    direction = rng.normal(size=d)
-    nrm = np.linalg.norm(direction)
-    if nrm < 1e-12:
-        return center.copy()
-    direction /= nrm
-    return center + radius * rng.uniform() ** (1.0 / d) * direction
+        for d, inv, normals, roots in balls:
+            z = rng.standard_normal(d)
+            normals.append(z)
+            # the computed norm is at least |z_0|, so the norm itself is
+            # needed only in the rare case |z_0| < 1e-12
+            if abs(z[0]) >= 1e-12 or np.linalg.norm(z) >= 1e-12:
+                roots.append(rng.random() ** inv)
+            else:
+                roots.append(0.0)
+    out = []
+    for d, _, normals, roots in balls:
+        z = np.array(normals).reshape(samples, d)
+        # row-wise z.dot(z) through the dot kernel np.linalg.norm uses
+        norms = np.sqrt(z[:, None, :] @ z[:, :, None]).reshape(samples, 1)
+        unit = np.divide(z, norms, out=np.zeros_like(z), where=norms >= 1e-12)
+        out.append((unit, np.array(roots)))
+    return out
 
 
 def check_assumption_open(
@@ -267,30 +314,10 @@ def check_assumption_open(
     seed_image = np.array([ex.eval_point(Fj, x, seed_jets) for Fj in sys.F])
     if float(np.max(np.abs(seed_image - target))) > 1e-6:
         raise ValueError("seed jet does not hit the probe target F(x, jet) = t")
-    images = []
-    for _ in range(samples):
-        xp = np.clip(_ball_sample(x, delta, rng), sys.box_lo, sys.box_hi)
-        vec = _ball_sample(jet_flat, eps_ball, rng)
-        jets = {v: vec[k] for k, v in enumerate(fv)}
-        try:
-            images.append([ex.eval_point(Fj, xp, jets) for Fj in sys.F])
-        except ex.EvalDomainError:
-            continue
-    if not images:
-        return AssumptionEvidence(
-            kind="openness", supported=False, witnessed_radius=0.0,
-            margin_min=float("-inf"), directions=0, samples_used=0, r_min=r_min,
-        )
-    imgs = np.asarray(images)
-    dirs = _directions(sys.K, extra_directions, rng)
-    dirs = np.concatenate([dirs, _principal_directions(imgs)], axis=0)
-    margin = _image_margins(imgs, target, dirs)
-    return AssumptionEvidence(
-        kind="openness",
-        supported=margin > r_min,
-        witnessed_radius=max(margin, 0.0),
-        margin_min=margin,
-        directions=dirs.shape[0],
-        samples_used=imgs.shape[0],
-        r_min=r_min,
+    (x_unit, x_root), (j_unit, j_root) = _unit_ball_draws(
+        rng, (x.size, jet_flat.size), samples
     )
+    xp = np.clip(x + (delta * x_root)[:, None] * x_unit, sys.box_lo, sys.box_hi)
+    vecs = jet_flat + (eps_ball * j_root)[:, None] * j_unit
+    images = _sample_images(sys, xp.T, vecs)
+    return _evidence("openness", images, target, extra_directions, r_min, rng)

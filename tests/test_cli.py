@@ -211,6 +211,43 @@ def test_run_exit3_when_skipping_straight_to_solver(tmp_path, capsys):
     assert "construction failure" in capsys.readouterr().out
 
 
+OVERFLOW_SPEC = """\
+n = 1
+K = 1
+m = 1
+box.lo = 0
+box.hi = 1
+grid = 32
+F1 = u[1,(1)] + exp(u[1,(0)]^3)
+f1 = 1 + x1
+"""
+
+
+def test_run_overflowing_operator_exits_documented(tmp_path, capsys):
+    # exp(u^3) overflows on part of the trial jet box: those samples are
+    # faults like a log of a negative value, never an uncaught OverflowError
+    out = tmp_path / "overflow"
+    code = main(["run", _write(tmp_path, OVERFLOW_SPEC), "--gamma", "0.2",
+                 "--stages", "5", "--out", str(out)])
+    assert code in (0, 2, 3)
+    capsys.readouterr()
+    if code != 3:
+        assert verify(out) == code
+        assert "all certificates reproduce" in capsys.readouterr().out
+
+
+def test_run_exit3_on_numeric_fault(tmp_path, capsys):
+    # f overflows at the box center, where the interior probe evaluates it
+    spec = _write(tmp_path, OVERFLOW_SPEC.replace("f1 = 1 + x1", "f1 = exp(2000 * x1)"))
+    out = tmp_path / "fault"
+    for extra in ([], ["--skip-assumption-check"]):
+        code = main(["run", spec, "--gamma", "0.2", "--stages", "1",
+                     "--out", str(out), *extra])
+        assert code == 3
+        assert "construction failure" in capsys.readouterr().out
+        assert not (out / "certificate.json").exists()
+
+
 def test_run_exit3_on_spec_problems(tmp_path, capsys):
     out = tmp_path / "x"
     assert main(["run", str(tmp_path / "nope.spec"), "--gamma", "0.4",
@@ -273,6 +310,21 @@ def test_verify_detects_tampered_band_tol(run_dir, tmp_path, capsys):
     assert "MISMATCH config.band_tol" in capsys.readouterr().out
 
 
+def test_verify_detects_tampered_chain(run_dir, tmp_path, capsys):
+    copy = tmp_path / "tampered_chain"
+    shutil.copytree(run_dir, copy)
+    cert = json.loads((copy / "certificate.json").read_text())
+    band = cert["order_convergence"]["bands"]["u1_a0"]
+    assert band["chain_ok"] and band["first_violation"] is None
+    band["chain_ok"] = False
+    band["first_violation"] = [1, "lambda", -0.5]
+    (copy / "certificate.json").write_text(json.dumps(cert))
+    assert verify(copy) == 2
+    out = capsys.readouterr().out
+    assert "MISMATCH oc.bands[u1_a0].chain_ok" in out
+    assert "MISMATCH oc.bands[u1_a0].first_violation" in out
+
+
 def test_verify_rejects_missing_or_foreign_dir(tmp_path, capsys):
     assert verify(tmp_path / "nothing_here") == 2
     assert "cannot read certificate" in capsys.readouterr().out
@@ -295,8 +347,10 @@ def test_console_entry_point(tmp_path):
         capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
     proc2 = subprocess.run(
         [sys.executable, "-m", "ordercomplete.cli", "verify", str(out)],
         capture_output=True, text=True,
     )
     assert proc2.returncode == 0, proc2.stdout + proc2.stderr
+    assert "RuntimeWarning" not in proc2.stderr

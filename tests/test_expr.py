@@ -154,6 +154,51 @@ def test_eval_on_arrays_domain_error():
         ex.eval_on_arrays(e, [np.array([1.0, -1.0])])
 
 
+def test_eval_on_arrays_fault_carries_mask_and_values():
+    e = ex.parse("log(x1)", SIG111)
+    xs = np.array([[1.0, -1.0], [0.0, np.e]])
+    with pytest.raises(ex.EvalDomainError) as ei:
+        ex.eval_on_arrays(e, [xs])
+    assert np.array_equal(ei.value.faulted, [[False, True], [True, False]])
+    assert ei.value.values.shape == (2, 2)
+    assert ei.value.values[0, 0] == 0.0 and ei.value.values[1, 1] == 1.0
+
+
+# inputs that cross every fault of the expressions below: zero and
+# subnormal denominators, the log/sqrt domain edges, exp(u^3) overflowing
+# just above u = 709.78^(1/3) = 8.92, and non-finite jet values
+_CROSSING = [
+    -np.inf, -1e200, -9.0, -2.0, -1e-300, -0.0, 0.0, 5e-324, 1e-310, 1e-5,
+    0.5, 1.0, 2.0, 8.9, 9.0, 1e103, 1e200, 1e308, np.inf, np.nan,
+]
+
+
+@pytest.mark.parametrize("text", [
+    "1/U", "1/(1/U)", "log(U)", "exp(log(U))", "sqrt(U)", "U^-1",
+    "(log(U))^0", "exp(-exp(U^3))", "exp(U^3)",
+    "(U^3)^0", "1/U^3", "U^3 - U^3", "sin(U^3)", "abs(-U)^-2", "U * 1e300",
+])
+def test_point_and_array_evaluators_fault_alike(text):
+    e = ex.parse(text.replace("U", "u[1,(0)]"), SIG111)
+    us = np.array(_CROSSING)
+    with np.errstate(all="ignore"):
+        vals, faulted = ex._eval_arrays(e, [np.zeros_like(us)], {(1, (0,)): us})
+    point_faults = []
+    for k, u in enumerate(us):
+        try:
+            want = ex.eval_point(e, [0.0], {(1, (0,)): u})
+        except ex.EvalDomainError:
+            point_faults.append(k)
+            continue
+        # abs covers results that underflow to subnormals
+        assert vals[k] == pytest.approx(want, rel=1e-13, abs=1e-300), u
+    assert np.flatnonzero(faulted).tolist() == point_faults
+    assert 0 < len(point_faults) < us.size
+    with pytest.raises(ex.EvalDomainError) as ei:
+        ex.eval_on_arrays(e, [np.zeros_like(us)], {(1, (0,)): us})
+    assert np.array_equal(ei.value.faulted, faulted)
+
+
 # ---------------------------------------------------------------------------
 # interval evaluation
 

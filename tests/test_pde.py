@@ -6,11 +6,15 @@ import math
 import numpy as np
 import pytest
 
+from ordercomplete import expr as ex
 from ordercomplete.expr import NondifferentiableError, render
 from ordercomplete.grids import GridDomain, GridFunction, normalize
 from ordercomplete.jets import Cell, Jet, MultiIndexSet, assemble, taylor_poly
 from ordercomplete.pde import (
     PdeSystem,
+    _directions,
+    _image_margins,
+    _principal_directions,
     apply_operator,
     apply_operator_point,
     check_assumption_interior,
@@ -254,3 +258,140 @@ def test_open_shifted_target():
         sys1, [0.5], np.array([0.0, 0.5]), 0.1, 0.25, target=[0.5]
     )
     assert ev.supported and ev.kind == "openness"
+
+
+# ---------------------------------------------------------------------------
+# batched probes against the per-sample reference
+
+
+def _reference_verdict(sys, images, target, extra_directions, rng):
+    """(samples_used, directions, margin_min) as the per-sample probes had them."""
+    if not images:
+        return 0, 0, float("-inf")
+    imgs = np.asarray(images)
+    dirs = _directions(sys.K, extra_directions, rng)
+    dirs = np.concatenate([dirs, _principal_directions(imgs)], axis=0)
+    return imgs.shape[0], dirs.shape[0], _image_margins(imgs, target, dirs)
+
+
+def _reference_interior(sys, x, box, rng, samples=400, extra_directions=32):
+    """The interior probe as one eval_point call per sample and component."""
+    target = sys.rhs_at(x)
+    fv = sys.flat_vars()
+    images = []
+    for _ in range(samples):
+        vec = rng.uniform(box[:, 0], box[:, 1])
+        jets = {v: vec[k] for k, v in enumerate(fv)}
+        try:
+            images.append([ex.eval_point(Fj, x, jets) for Fj in sys.F])
+        except ex.EvalDomainError:
+            continue
+    return _reference_verdict(sys, images, target, extra_directions, rng)
+
+
+def _reference_ball_sample(center, radius, rng):
+    d = center.size
+    direction = rng.normal(size=d)
+    nrm = np.linalg.norm(direction)
+    if nrm < 1e-12:
+        return center.copy()
+    direction /= nrm
+    return center + radius * rng.uniform() ** (1.0 / d) * direction
+
+
+def _reference_open(sys, x, jet_flat, delta, eps_ball, target, rng,
+                    samples=400, extra_directions=32):
+    """The openness probe as one eval_point call per sample and component."""
+    fv = sys.flat_vars()
+    images = []
+    for _ in range(samples):
+        xp = np.clip(_reference_ball_sample(x, delta, rng), sys.box_lo, sys.box_hi)
+        vec = _reference_ball_sample(jet_flat, eps_ball, rng)
+        jets = {v: vec[k] for k, v in enumerate(fv)}
+        try:
+            images.append([ex.eval_point(Fj, xp, jets) for Fj in sys.F])
+        except ex.EvalDomainError:
+            continue
+    return _reference_verdict(sys, images, target, extra_directions, rng)
+
+
+_PROBE_SYSTEMS = {
+    "cubic": (_cubic_system, [0.3], [0.4, -0.2]),
+    "order2": (
+        lambda: PdeSystem(1, 1, 2, ["u[1,(2)] + u[1,(1)] + u[1,(0)]^3"],
+                          ["sin(x1)"], [0.0], [3.0]),
+        [1.1], [0.5, 0.1, -0.3],
+    ),
+    # the jet ball around u = 0.2 reaches u <= 0, where log faults
+    "log": (
+        lambda: PdeSystem(1, 1, 1, ["u[1,(1)] + log(u[1,(0)])"],
+                          ["1 + x1"], [0.0], [1.0]),
+        [0.5], [0.2, 1.0],
+    ),
+    "coupled2d": (
+        lambda: PdeSystem(
+            2, 2, 1,
+            ["u[1,(1,0)] + u[2,(0,1)] + u[1,(0,0)]^3",
+             "u[2,(1,0)] - u[1,(0,1)] + u[2,(0,0)]^3"],
+            ["x1", "x2"], [0.0, 0.0], [1.0, 1.0],
+        ),
+        [0.4, 0.7], [0.3, 0.1, -0.2, -0.5, 0.6, 0.2],
+    ),
+}
+
+
+def _assert_same_evidence(ev, ref, rng, ref_rng):
+    samples_used, directions, margin_min = ref
+    assert ev.samples_used == samples_used
+    assert ev.directions == directions
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    assert ev.margin_min == pytest.approx(margin_min, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("name", sorted(_PROBE_SYSTEMS))
+def test_open_batched_matches_per_sample_reference(name, seed):
+    make, x, jet = _PROBE_SYSTEMS[name]
+    sys1 = make()
+    x = np.asarray(x, dtype=float)
+    jet = np.asarray(jet, dtype=float)
+    target = apply_operator_point(
+        sys1, x, Jet(x, jet.reshape(sys1.K, -1), sys1.mis)
+    )
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    ev = check_assumption_open(sys1, x, jet, 0.1, 0.5, rng=rng, target=target)
+    ref = _reference_open(sys1, x, jet, 0.1, 0.5, target, ref_rng)
+    _assert_same_evidence(ev, ref, rng, ref_rng)
+    if name == "log":
+        assert 0 < ev.samples_used < 400  # the faulting samples were dropped
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("name", sorted(_PROBE_SYSTEMS))
+def test_interior_batched_matches_per_sample_reference(name, seed):
+    make, x, _ = _PROBE_SYSTEMS[name]
+    sys1 = make()
+    x = np.asarray(x, dtype=float)
+    box = np.array([[-10.0, 10.0]] * sys1.unknown_count)
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    ev = check_assumption_interior(sys1, x, box, rng=rng)
+    ref = _reference_interior(sys1, x, box, ref_rng)
+    _assert_same_evidence(ev, ref, rng, ref_rng)
+    if name == "log":
+        assert 0 < ev.samples_used < 400
+
+
+def test_principal_directions_keep_all_axes_with_few_samples():
+    # one surviving sample in R^2 still yields both axes, both signs
+    assert _principal_directions(np.array([[1.0, 2.0]])).shape == (4, 2)
+    assert _principal_directions(np.ones((400, 2))).shape == (4, 2)
+
+
+def test_interior_every_sample_faults():
+    sys1 = PdeSystem(1, 1, 1, ["u[1,(1)] + log(u[1,(0)])"], ["1"], [0.0], [1.0])
+    box = np.array([[-10.0, -1.0], [-10.0, 10.0]])
+    rng, ref_rng = np.random.default_rng(3), np.random.default_rng(3)
+    ev = check_assumption_interior(sys1, [0.5], box, rng=rng)
+    assert not ev.supported and ev.margin_min == float("-inf")
+    _assert_same_evidence(ev, _reference_interior(sys1, [0.5], box, ref_rng),
+                          rng, ref_rng)
