@@ -243,7 +243,6 @@ def compare_reference(result, u_star: Sequence) -> ReferenceReport:
     only; derivatives are taken by second-order finite differences on the
     lattice. Distances are measured on the final stage's domain.
     """
-    from .jets import _classify_grid
     from .solver import _band_functions
 
     stages = result.stages
@@ -266,13 +265,11 @@ def compare_reference(result, u_star: Sequence) -> ReferenceReport:
     fv = [(i, a) for i in range(1, K + 1) for a in mis_alphas]
     for i, a in fv:
         ref[(i, a)] = _fd_derivative(u_vals[i - 1], a, spacing)
-    owner, _ = _classify_grid(result.tiling.i_cells, dom)
     off = ~dom.skeleton
     per_stage = []
     overall = 0.0
     for st in stages:
-        bands = _band_functions(st.band_lo, st.band_hi, dom,
-                                result.tiling.i_cells, owner)
+        bands = _band_functions(st.band_lo, st.band_hi, dom, result.tiling.i_cells)
         dists = {}
         for k, v in enumerate(fv):
             lo = bands[k][0].values[off]

@@ -20,12 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import expr as ex
-from .analysis import (
-    IntervalSequence,
-    compare_reference,
-    interval_pushforward,  # noqa: F401  (re-exported convenience)
-    nested_limit_check,
-)
+from .analysis import IntervalSequence, compare_reference, nested_limit_check
 from .grids import GridDomain, GridFunction, OrderInterval, order_convergence_check, write_csv
 from .jets import Cell, TilingError, _classify_grid, assemble, read_poly_json, sample_component, write_poly_json
 from .pde import PdeSystem, apply_operator, check_assumption_interior
@@ -131,7 +126,6 @@ class RunConfig:
     seed: int = 0
     skip_assumption_check: bool = False
     emit_samples: bool = True
-    verify_only: bool = False
 
     def __post_init__(self) -> None:
         if self.gamma <= 0.0:
@@ -264,15 +258,11 @@ def run_pipeline(cfg: RunConfig) -> int:
     assumption_block["note"] = "sampling evidence; not a proof"
 
     final_dom = scheme.domain
-    fv = [(i, a) for i in range(1, system.K + 1) for a in system.mis.alphas]
-    owner_final, _ = _classify_grid(scheme.tiling.i_cells, final_dom)
+    fv = system.flat_vars()
 
     # analysis blocks (diagnostic; never gate the verdict)
-    steps = []
-    for st in scheme.stages:
-        bands = _band_functions(st.band_lo, st.band_hi, final_dom,
-                                scheme.tiling.i_cells, owner_final)
-        steps.append(tuple(OrderInterval(lo, hi) for lo, hi in bands))
+    steps = [tuple(OrderInterval(lo, hi) for lo, hi in bands)
+             for bands in scheme.bands_by_stage]
     try:
         nested = nested_limit_check(IntervalSequence(steps), tol=1e-3)
         nested_block: dict = {
@@ -301,7 +291,7 @@ def run_pipeline(cfg: RunConfig) -> int:
     write_poly_json(gp.lower, out / "global_lower.json")
     write_poly_json(gp.upper, out / "global_upper.json")
     stage_blocks = []
-    for st in scheme.stages:
+    for st, tv, bands in zip(scheme.stages, scheme.tv_by_stage, scheme.bands_by_stage):
         sdir = out / f"stage{st.n}"
         sdir.mkdir(exist_ok=True)
         write_poly_json(st.v, sdir / "poly.json")
@@ -325,9 +315,6 @@ def run_pipeline(cfg: RunConfig) -> int:
             "j_cells": [_cells_list(cs) for cs in st.j_cells],
         })
         if cfg.emit_samples:
-            tv = apply_operator(system, st.v, final_dom)
-            bands = _band_functions(st.band_lo, st.band_hi, final_dom,
-                                    scheme.tiling.i_cells, owner_final)
             for j in range(system.K):
                 _write_csv_atomic(tv[j], sdir / f"tv_u{j + 1}.csv")
             for k, (i, a) in enumerate(fv):
@@ -508,7 +495,7 @@ def _verify_inner(out: Path, cert: dict, problems: list[str]) -> int:
     gamma = float(cert["config"]["gamma"])
     N = int(cert["config"]["stages"])
     domain = GridDomain(system.box_lo, system.box_hi, grid)
-    fv = [(i, a) for i in range(1, system.K + 1) for a in system.mis.alphas]
+    fv = system.flat_vars()
 
     def check(name: str, stored, computed) -> None:
         if isinstance(stored, bool) or isinstance(computed, bool):
@@ -592,16 +579,14 @@ def _verify_inner(out: Path, cert: dict, problems: list[str]) -> int:
         eq1_pass = lo_slack > 0.0 and hi_slack > 0.0
         check(f"stage{n}.eq1.passed", s["eq1"]["passed"], eq1_pass)
         owner_s, _ = _classify_grid(i_cells, smarked)
+        sel = (owner_s >= 0) & off_s
+        own = owner_s[sel]
         inner_lo = float("inf")
         inner_hi = float("inf")
         for k, (i, a) in enumerate(fv):
-            sampled = sample_component(v, i, a, smarked).values
-            for ci in range(len(i_cells)):
-                sel = (owner_s == ci) & off_s
-                if not sel.any():
-                    continue
-                inner_lo = min(inner_lo, float(np.min(sampled[sel] - band_lo[ci, k])))
-                inner_hi = min(inner_hi, float(np.min(band_hi[ci, k] - sampled[sel])))
+            sampled = sample_component(v, i, a, smarked).values[sel]
+            inner_lo = min(inner_lo, float(np.min(sampled - band_lo[own, k], initial=np.inf)))
+            inner_hi = min(inner_hi, float(np.min(band_hi[own, k] - sampled, initial=np.inf)))
         if prev_lo is None:
             outer_lo = outer_hi = float("inf")
             eq2_pass = inner_lo >= 0.0 and inner_hi >= 0.0
@@ -644,20 +629,17 @@ def _verify_inner(out: Path, cert: dict, problems: list[str]) -> int:
         c = order_convergence_check(seq, lams, [f_gfs[j]] * N, f_gfs[j], tol=tol_tv)
         check_oc(f"oc.operator[{j}]", cert["order_convergence"]["operator"][j], c)
         oc_pass = oc_pass and c.passed
-    owner_final, _ = _classify_grid(i_cells, final_dom)
     band_tol = band_tolerance(radii, N)
     check("config.band_tol", cert["config"]["band_tol"], band_tol)
+    bands_by_stage = [
+        _band_functions(np.asarray(s["band_lo"], dtype=float),
+                        np.asarray(s["band_hi"], dtype=float), final_dom, i_cells)
+        for s in cert["stages"]
+    ]
     for k, (i, a) in enumerate(fv):
         seq = [sample_component(v, i, a, final_dom) for v in stage_polys]
-        lams = []
-        mus = []
-        for s in cert["stages"]:
-            bl = np.asarray(s["band_lo"], dtype=float)
-            bh = np.asarray(s["band_hi"], dtype=float)
-            pair = _band_functions(bl[:, k:k + 1], bh[:, k:k + 1], final_dom,
-                                   i_cells, owner_final)[0]
-            lams.append(pair[0])
-            mus.append(pair[1])
+        lams = [bands[k][0] for bands in bands_by_stage]
+        mus = [bands[k][1] for bands in bands_by_stage]
         c = order_convergence_check(seq, lams, mus, seq[-1], tol=band_tol)
         tag = _var_tag(i, a)
         check_oc(f"oc.bands[{tag}]", cert["order_convergence"]["bands"][tag], c)

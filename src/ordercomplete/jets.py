@@ -16,6 +16,7 @@ and fills those values by the normalize rule from grids.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -65,6 +66,12 @@ class MultiIndexSet:
 
     def __iter__(self):
         return iter(self.alphas)
+
+
+@functools.cache
+def _multi_index_set(n: int, m: int) -> MultiIndexSet:
+    """The one MultiIndexSet per (n, m); the sets are immutable."""
+    return MultiIndexSet(n, m)
 
 
 def jet_size(K: int, mis: MultiIndexSet) -> int:
@@ -144,28 +151,40 @@ class TaylorPoly:
 
     def deriv_many(self, alpha: tuple[int, ...], points: np.ndarray) -> np.ndarray:
         """D^alpha of the polynomial at each row of points, exactly at the anchor."""
-        alpha = tuple(int(a) for a in alpha)
-        if len(alpha) != self.mis.n or any(a < 0 for a in alpha):
-            raise ValueError(f"bad multi-index {alpha}")
-        if sum(alpha) > self.mis.m:
-            raise ValueError(f"derivative order {sum(alpha)} exceeds m={self.mis.m}")
         pts = np.asarray(points, dtype=float)
-        dx = pts - self.anchor  # (npts, n)
-        out = np.zeros(pts.shape[0])
-        rem = self.mis.m - sum(alpha)
-        for gamma in MultiIndexSet(self.mis.n, rem):
-            beta = tuple(g + a for g, a in zip(gamma, alpha))
-            if beta not in self.mis:
-                continue
-            c = self.coeffs[self.mis.index(beta)]
-            if c == 0.0:
-                continue
-            mono = np.ones(pts.shape[0])
-            for d, g in enumerate(gamma):
-                if g:
-                    mono = mono * dx[:, d] ** g
-            out += (c / _factorial_alpha(gamma)) * mono
-        return out
+        return _taylor_sum(self.mis, alpha, pts - self.anchor, self.coeffs)
+
+
+def _taylor_sum(
+    mis: MultiIndexSet, alpha: tuple[int, ...], dx: np.ndarray, coeffs: np.ndarray
+) -> np.ndarray:
+    """D^alpha of anchored Taylor polynomials at offsets dx (npts, n).
+
+    coeffs holds one polynomial's coefficients, shape (count,), or one row
+    per point, shape (npts, count). Each term is (c / gamma!) * prod dx^g,
+    added in graded-lex gamma order; a zero coefficient adds nothing, as if
+    skipped, so gathering rows per point reproduces per-polynomial sums bit
+    for bit.
+    """
+    alpha = tuple(int(a) for a in alpha)
+    if len(alpha) != mis.n or any(a < 0 for a in alpha):
+        raise ValueError(f"bad multi-index {alpha}")
+    if sum(alpha) > mis.m:
+        raise ValueError(f"derivative order {sum(alpha)} exceeds m={mis.m}")
+    out = np.zeros(dx.shape[0])
+    nonzero = coeffs != 0.0
+    live = nonzero if coeffs.ndim == 1 else nonzero.any(axis=0)
+    for gamma in _multi_index_set(mis.n, mis.m - sum(alpha)):
+        k = mis.index(tuple(g + a for g, a in zip(gamma, alpha)))
+        if not live[k]:
+            continue
+        mono = np.ones(dx.shape[0])
+        for d, g in enumerate(gamma):
+            if g:
+                mono = mono * dx[:, d] ** g
+        term = (coeffs[..., k] / _factorial_alpha(gamma)) * mono
+        np.add(out, term, out=out, where=nonzero[..., k])
+    return out
 
 
 def taylor_poly(jet: Jet) -> list[TaylorPoly]:
@@ -256,6 +275,66 @@ class PiecewisePoly:
                 raise ValueError("each cell needs one polynomial per component")
 
 
+def _cell_bounds(cells: Sequence[Cell], n: int) -> tuple[np.ndarray, np.ndarray]:
+    """lo and hi of every cell as (cells, n) arrays."""
+    lo = np.array([c.lo for c in cells] or np.empty((0, n)), dtype=float)
+    hi = np.array([c.hi for c in cells] or np.empty((0, n)), dtype=float)
+    if lo.shape[1] != n:
+        raise TilingError(f"cells have dimension {lo.shape[1]}, the box has {n}")
+    if np.isnan(lo).any() or np.isnan(hi).any():
+        raise TilingError("cell bounds must not be NaN")
+    return lo, hi
+
+
+def _snap_tol(domain: GridDomain) -> np.ndarray:
+    """Per-axis snapping tolerance of the ownership classifier."""
+    return 1e-9 * (domain.hi - domain.lo)
+
+
+def _interior_ranges(
+    cells: Sequence[Cell], domain: GridDomain
+) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+    """Index ranges [start, stop) of the strictly interior lattice points,
+    and the lattice axes they index.
+
+    Along axis d the interior of a cell is lo + tol < a < hi - tol, with
+    a = domain.axis(d) and tol = 1e-9 of the box width; start and stop are
+    (cells, n) int arrays, and a cell with stop <= start on some axis holds
+    no point.
+    """
+    axes = [domain.axis(d) for d in range(domain.ndim)]
+    # searchsorted reproduces the elementwise comparisons only on sorted axes
+    assert all((a[1:] > a[:-1]).all() for a in axes), "lattice axes must increase"
+    tol = _snap_tol(domain)
+    lo, hi = _cell_bounds(cells, domain.ndim)
+    start = np.empty(lo.shape, dtype=int)
+    stop = np.empty(lo.shape, dtype=int)
+    for d, a in enumerate(axes):
+        start[:, d] = np.searchsorted(a, lo[:, d] + tol[d], "right")
+        stop[:, d] = np.searchsorted(a, hi[:, d] - tol[d], "left")
+    return start, stop, axes
+
+
+def _paint(shape: tuple[int, ...], start: np.ndarray, stop: np.ndarray,
+           weights: np.ndarray | None = None) -> np.ndarray:
+    """Sum of the weights (default 1) of the index boxes [start, stop) that
+    cover each grid point, one box per row.
+
+    An n-D difference array: +-weight at the 2^n corners of every box, then
+    a prefix sum along each axis; O(boxes * 2^n + grid points).
+    """
+    keep = np.all(stop > start, axis=1)
+    start, stop = start[keep], stop[keep]
+    w = np.ones(len(start), dtype=int) if weights is None else weights[keep]
+    diff = np.zeros(tuple(s + 1 for s in shape), dtype=int)
+    for corner in itertools.product((0, 1), repeat=len(shape)):
+        idx = tuple(stop[:, d] if c else start[:, d] for d, c in enumerate(corner))
+        np.add.at(diff, idx, -w if sum(corner) % 2 else w)
+    for d in range(len(shape)):
+        diff = np.cumsum(diff, axis=d)
+    return diff[tuple(slice(0, s) for s in shape)]
+
+
 def _classify_grid(
     cells: Sequence[Cell], domain: GridDomain
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -264,32 +343,45 @@ def _classify_grid(
     A point strictly inside exactly one cell is owned by it; a point within
     snapping tolerance of any covering cell's face is boundary. Overlapping
     interiors and uncovered points raise TilingError.
+
+    Along each axis d, with a = domain.axis(d) (strictly increasing) and
+    tol = 1e-9 of the box width, a cell's interior is lo + tol < a < hi - tol
+    and its closed range lo - tol <= a <= hi + tol, both found by
+    searchsorted; its face points are the one or two indices next to lo or
+    hi with |a - face| <= tol. Owners, interior coverage counts and face
+    slabs are painted for all cells at once (see _paint), so the cost is
+    O(cells * 2^n + lattice points), with no per-cell lattice mask.
     """
     n = domain.ndim
-    tol = 1e-9 * (domain.hi - domain.lo)
-    owner = np.full(domain.shape, -1, dtype=int)
-    boundary = np.zeros(domain.shape, dtype=bool)
-    axes = [domain.axis(d) for d in range(n)]
-    for ci, cell in enumerate(cells):
-        inside_axes = []
-        closed_axes = []
-        near_axes = []
-        for d in range(n):
-            a = axes[d]
-            inside_axes.append((a > cell.lo[d] + tol[d]) & (a < cell.hi[d] - tol[d]))
-            closed_axes.append((a >= cell.lo[d] - tol[d]) & (a <= cell.hi[d] + tol[d]))
-            near_axes.append(
-                (np.abs(a - cell.lo[d]) <= tol[d]) | (np.abs(a - cell.hi[d]) <= tol[d])
-            )
-        inside = _outer_and(inside_axes)
-        closed = _outer_and(closed_axes)
-        near = closed & _outer_or(near_axes, closed.shape)
-        clash = inside & (owner >= 0)
-        if clash.any():
-            idx = tuple(int(v) for v in np.argwhere(clash)[0])
-            raise TilingError(f"overlapping cell interiors at lattice point {idx}")
-        owner[inside] = ci
-        boundary |= near
+    start, stop, axes = _interior_ranges(cells, domain)
+    tol = _snap_tol(domain)
+    lo, hi = _cell_bounds(cells, n)
+    closed_lo = np.empty_like(start)
+    closed_hi = np.empty_like(start)
+    for d, a in enumerate(axes):
+        closed_lo[:, d] = np.searchsorted(a, lo[:, d] - tol[d], "left")
+        closed_hi[:, d] = np.searchsorted(a, hi[:, d] + tol[d], "right")
+    # face slabs: the near-face index range on one axis, closed on the others
+    slab_lo = []
+    slab_hi = []
+    for d, a in enumerate(axes):
+        for face in (lo[:, d], hi[:, d]):
+            k = np.searchsorted(a, face)  # a[k - 1] < face <= a[k]
+            below = (k >= 1) & (np.abs(a[np.maximum(k - 1, 0)] - face) <= tol[d])
+            above = (k < a.size) & (np.abs(a[np.minimum(k, a.size - 1)] - face) <= tol[d])
+            s_lo = closed_lo.copy()
+            s_hi = closed_hi.copy()
+            s_lo[:, d] = np.maximum(k - below, closed_lo[:, d])
+            s_hi[:, d] = np.minimum(k + above, closed_hi[:, d])
+            slab_lo.append(s_lo)
+            slab_hi.append(s_hi)
+    inside = _paint(domain.shape, start, stop)
+    clash = inside > 1
+    if clash.any():
+        idx = tuple(int(v) for v in np.argwhere(clash)[0])
+        raise TilingError(f"overlapping cell interiors at lattice point {idx}")
+    owner = _paint(domain.shape, start, stop, np.arange(1, len(cells) + 1)) - 1
+    boundary = _paint(domain.shape, np.concatenate(slab_lo), np.concatenate(slab_hi)) > 0
     uncovered = (owner < 0) & ~boundary
     if uncovered.any():
         idx = tuple(int(v) for v in np.argwhere(uncovered)[0])
@@ -298,32 +390,34 @@ def _classify_grid(
     return owner, boundary
 
 
-def _outer_and(axis_masks: list[np.ndarray]) -> np.ndarray:
-    out = axis_masks[0]
-    for m in axis_masks[1:]:
-        out = out[..., None] & m
-    return out
-
-
-def _outer_or(axis_masks: list[np.ndarray], shape) -> np.ndarray:
-    out = np.zeros(shape, dtype=bool)
-    n = len(axis_masks)
-    for d, m in enumerate(axis_masks):
-        idx = [None] * n
-        idx[d] = slice(None)
-        out |= m[tuple(idx)]
-    return out
-
-
 def _check_tiling(cells: Sequence[Cell], lo: np.ndarray, hi: np.ndarray) -> None:
+    """Volumes sum to the box volume and no two cell interiors overlap.
+
+    Exact for overlaps that hold no lattice point: the interiors are painted
+    on the grid of distinct face coordinates per axis, where faces closer
+    than 1e-12 of the box width count as one, and any count above 1 is an
+    overlap.
+    """
     vol = sum(c.volume() for c in cells)
     box_vol = float(np.prod(hi - lo))
     if not math.isclose(vol, box_vol, rel_tol=1e-9):
         raise TilingError(f"cell volumes sum to {vol}, box volume is {box_vol}")
-    for a, b in itertools.combinations(cells, 2):
-        if all(max(a.lo[d], b.lo[d]) < min(a.hi[d], b.hi[d]) - 1e-12 * (hi[d] - lo[d])
-               for d in range(len(a.lo))):
-            raise TilingError(f"cells {a} and {b} have overlapping interiors")
+    clo, chi = _cell_bounds(cells, len(lo))
+    start = np.empty(clo.shape, dtype=int)
+    stop = np.empty(clo.shape, dtype=int)
+    shape = []
+    for d in range(len(lo)):
+        faces = np.unique(np.concatenate([clo[:, d], chi[:, d]]))
+        # index of each distinct face, counting faces closer than tol as one
+        slot = np.concatenate([[0], np.cumsum(np.diff(faces) > 1e-12 * (hi[d] - lo[d]))])
+        start[:, d] = slot[np.searchsorted(faces, clo[:, d])]
+        stop[:, d] = slot[np.searchsorted(faces, chi[:, d])]
+        shape.append(int(slot[-1]))
+    clash = np.argwhere(_paint(tuple(shape), start, stop) > 1)
+    if clash.size:
+        p = clash[0]
+        a, b = np.nonzero(np.all((start <= p) & (p < stop), axis=1))[0][:2]
+        raise TilingError(f"cells {cells[a]} and {cells[b]} have overlapping interiors")
 
 
 def assemble(
@@ -332,7 +426,12 @@ def assemble(
     domain: GridDomain,
 ) -> tuple[PiecewisePoly, GridDomain]:
     """Glue per-cell polynomials; returns the assembly and the domain with
-    every cell-boundary lattice point marked as skeleton."""
+    every cell-boundary lattice point marked as skeleton.
+
+    The cells must tile the box (volume sum and no overlapping interiors,
+    see _check_tiling); the skeleton is the boundary mask of _classify_grid,
+    the lattice points within snapping tolerance of some cell's face.
+    """
     if not cells:
         raise TilingError("no cells supplied")
     n = domain.ndim
@@ -345,30 +444,46 @@ def assemble(
     return v, marked
 
 
+def _owned_points(
+    owner: np.ndarray, boundary: np.ndarray, domain: GridDomain
+) -> tuple[tuple[np.ndarray, ...], np.ndarray, np.ndarray]:
+    """Lattice indices, owning cells and coordinates (npts, n) of the owned
+    points of a _classify_grid result, in C order; the domain skeleton must
+    mark every boundary point."""
+    if (boundary & ~domain.skeleton).any():
+        raise ValueError("domain skeleton does not mark all cell-boundary points")
+    idx = np.nonzero(owner >= 0)
+    pts = np.stack([domain.axis(d)[idx[d]] for d in range(domain.ndim)], axis=1)
+    return idx, owner[idx], pts
+
+
+def _gathered_derivs(
+    v: PiecewisePoly, i: int, alphas, own: np.ndarray, pts: np.ndarray
+) -> list[np.ndarray]:
+    """D^alpha of component i at each point, on its owning cell's
+    polynomial; bit-identical to that polynomial's deriv_many."""
+    anchors = np.array([ps[i - 1].anchor for ps in v.polys]).reshape(-1, v.space_dim)
+    coeffs = np.array([ps[i - 1].coeffs for ps in v.polys])
+    mis = v.polys[0][i - 1].mis
+    dx = pts - anchors[own]
+    c = coeffs[own]
+    return [_taylor_sum(mis, a, dx, c) for a in alphas]
+
+
 def sample_component(
     v: PiecewisePoly, i: int, alpha: tuple[int, ...], domain: GridDomain
 ) -> GridFunction:
     """Sample D^alpha of component i on the lattice.
 
-    Owned points take their cell's polynomial derivative; skeleton points are
-    filled by the normalize rule, so the output is a normalize fixed point.
+    Owned points (see _classify_grid) take their cell's polynomial
+    derivative, gathered by owner in one pass; skeleton points are filled
+    by the normalize rule, so the output is a normalize fixed point.
     """
     if not 1 <= i <= v.components:
         raise ValueError(f"component {i} out of range 1..{v.components}")
-    owner, boundary = _classify_grid(v.cells, domain)
-    unmarked = boundary & ~domain.skeleton
-    if unmarked.any():
-        raise ValueError("domain skeleton does not mark all cell-boundary points")
-    meshes = domain.meshes()
-    flat_coords = np.stack([m.reshape(-1) for m in meshes], axis=1)
-    flat_owner = owner.reshape(-1)
-    flat_vals = np.zeros(flat_owner.shape)
-    for ci in range(len(v.cells)):
-        sel = flat_owner == ci
-        if not sel.any():
-            continue
-        flat_vals[sel] = v.polys[ci][i - 1].deriv_many(alpha, flat_coords[sel])
-    values = flat_vals.reshape(domain.shape)
+    idx, own, pts = _owned_points(*_classify_grid(v.cells, domain), domain)
+    values = np.zeros(domain.shape)
+    values[idx] = _gathered_derivs(v, i, [alpha], own, pts)[0]
     filled = skeleton_fill(domain, values)
     return GridFunction(domain, filled, normalized=True)
 

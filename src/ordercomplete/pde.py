@@ -2,9 +2,9 @@
 application to piecewise-polynomial candidates.
 
 The operator acts on jets only; applying it to an assembled candidate
-samples the candidate's jets cell by cell, evaluates F off the skeleton,
-and completes across the skeleton by the normalize rule, mirroring the
-envelope-composed extension of the operator to functions with jumps.
+samples each off-skeleton point's jets on its owning cell, evaluates F
+there, and completes across the skeleton by the normalize rule, mirroring
+the envelope-composed extension of the operator to functions with jumps.
 
 Assumption checks are sampling heuristics. Their verdicts are marked as
 evidence and carry witnessed radii; they are never proofs.
@@ -19,7 +19,14 @@ import numpy as np
 
 from . import expr as ex
 from .grids import GridDomain, GridFunction, skeleton_fill
-from .jets import Jet, MultiIndexSet, PiecewisePoly, _classify_grid
+from .jets import (
+    Jet,
+    MultiIndexSet,
+    PiecewisePoly,
+    _classify_grid,
+    _gathered_derivs,
+    _owned_points,
+)
 
 
 @dataclass(eq=False)
@@ -95,35 +102,25 @@ def apply_operator(
 ) -> list[GridFunction]:
     """Sample T_j v on the lattice, one GridFunction per component.
 
-    Off-skeleton points evaluate F on the owning cell's jets; skeleton
-    points are completed by the normalize rule. Outputs are normalized.
+    Off-skeleton points evaluate F on the jets of their owning cell (the
+    cell whose index ranges hold the point strictly inside, see
+    jets._classify_grid), gathered by owner so that each F_j is one array
+    evaluation over all owned points; skeleton points are completed by the
+    normalize rule. Outputs are normalized.
     """
     if v.components != sys.K or v.space_dim != sys.n or v.order != sys.m:
         raise ValueError("candidate signature does not match the system")
-    owner, boundary = _classify_grid(v.cells, domain)
-    if (boundary & ~domain.skeleton).any():
-        raise ValueError("domain skeleton does not mark all cell-boundary points")
-    meshes = domain.meshes()
-    flat_coords = np.stack([m.reshape(-1) for m in meshes], axis=1)
-    flat_owner = owner.reshape(-1)
-    outs = [np.zeros(flat_owner.shape) for _ in range(sys.K)]
-    for ci in range(len(v.cells)):
-        sel = flat_owner == ci
-        if not sel.any():
-            continue
-        pts = flat_coords[sel]
-        jets = {
-            (i, a): v.polys[ci][i - 1].deriv_many(a, pts)
-            for i in range(1, sys.K + 1)
-            for a in sys.mis.alphas
-        }
-        coords = [pts[:, d] for d in range(sys.n)]
-        for j, Fj in enumerate(sys.F):
-            outs[j][sel] = ex.eval_on_arrays(Fj, coords, jets)
+    idx, own, pts = _owned_points(*_classify_grid(v.cells, domain), domain)
+    jets = {}
+    for i in range(1, sys.K + 1):
+        derivs = _gathered_derivs(v, i, sys.mis.alphas, own, pts)
+        jets.update(((i, a), d) for a, d in zip(sys.mis.alphas, derivs))
+    coords = [pts[:, d] for d in range(sys.n)]
     result = []
-    for j in range(sys.K):
-        vals = skeleton_fill(domain, outs[j].reshape(domain.shape))
-        result.append(GridFunction(domain, vals, normalized=True))
+    for Fj in sys.F:
+        vals = np.zeros(domain.shape)
+        vals[idx] = ex.eval_on_arrays(Fj, coords, jets)
+        result.append(GridFunction(domain, skeleton_fill(domain, vals), normalized=True))
     return result
 
 

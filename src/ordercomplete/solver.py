@@ -32,7 +32,7 @@ from .jets import (
     TaylorPoly,
     TilingError,
     _classify_grid,
-    _outer_and,
+    _interior_ranges,
     assemble,
     taylor_poly,
 )
@@ -143,27 +143,33 @@ def tile_domain(
                           [edges[d][idx[d] + 1] for d in range(n)]))
     anchors = np.stack([c.center for c in cells], axis=0)
     if domain is not None:
-        for ci, c in enumerate(cells):
-            if not _interior_mask(domain, c).any():
-                raise TilingError(
-                    f"I-cell {ci} at lo={c.lo} holds no interior lattice point"
-                )
+        empty = _empty_interiors(domain, cells)
+        if empty.any():
+            ci = int(np.argmax(empty))
+            raise TilingError(
+                f"I-cell {ci} at lo={cells[ci].lo} holds no interior lattice point"
+            )
     return Tiling(lo, hi, float(delta), Cell(lo, hi), cells, anchors)
 
 
-def _interior_mask(domain: GridDomain, cell: Cell) -> np.ndarray:
-    # same snapping tolerance as the ownership classifier
-    tol = 1e-9 * (domain.hi - domain.lo)
-    masks = [
-        (domain.axis(d) > cell.lo[d] + tol[d]) & (domain.axis(d) < cell.hi[d] - tol[d])
-        for d in range(domain.ndim)
-    ]
-    return _outer_and(masks)
+def _empty_interiors(domain: GridDomain, cells: list[Cell]) -> np.ndarray:
+    """Per cell, whether it holds no strictly interior lattice point."""
+    start, stop, _ = _interior_ranges(cells, domain)
+    return np.any(stop <= start, axis=1)
 
 
-def _mask_points(domain: GridDomain, mask: np.ndarray) -> np.ndarray:
-    meshes = domain.meshes()
-    return np.stack([m[mask] for m in meshes], axis=1)
+def _interior_points(
+    domain: GridDomain, cell: Cell
+) -> tuple[tuple[slice, ...], np.ndarray] | None:
+    """The cell's strictly interior lattice points as a box of index slices
+    and their coordinates (npts, n) in C order, or None when it holds none.
+    Same index ranges as the ownership classifier."""
+    start, stop, axes = _interior_ranges([cell], domain)
+    if (stop <= start).any():
+        return None
+    box = tuple(slice(int(a), int(b)) for a, b in zip(start[0], stop[0]))
+    grids = np.meshgrid(*(a[s] for a, s in zip(axes, box)), indexing="ij")
+    return box, np.stack([g.reshape(-1) for g in grids], axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +381,7 @@ def _local_one_side(sys, x0, eps, domain, side, rng):
         mask = dist2 <= radius * radius
         if not mask.any():
             continue
-        pts = _mask_points(domain, mask)
+        pts = np.stack([m[mask] for m in meshes], axis=1)
         if side == "lower":
             lo_vals = [f[mask] - eps for f in f_arrays]
             hi_vals = [f[mask] for f in f_arrays]
@@ -472,19 +478,18 @@ def global_pair(
             ) from e
         p_lo = taylor_poly(jet_lo)
         p_hi = taylor_poly(jet_hi)
-        mask = _interior_mask(domain, cell)
+        interior = _interior_points(domain, cell)
         ok = True
-        if mask.any():
-            pts = _mask_points(domain, mask)
+        if interior is not None:
+            box, pts = interior
+            f_here = [f[box].reshape(-1) for f in f_arrays]
             lo_m, hi_m = _bracket_margins(
-                sys, p_lo, pts,
-                [f[mask] - eps for f in f_arrays], [f[mask] for f in f_arrays],
+                sys, p_lo, pts, [f - eps for f in f_here], f_here,
             )
             ok = lo_m > 0.0 and hi_m > 0.0
             if ok:
                 lo_m, hi_m = _bracket_margins(
-                    sys, p_hi, pts,
-                    [f[mask] for f in f_arrays], [f[mask] + eps for f in f_arrays],
+                    sys, p_hi, pts, f_here, [f + eps for f in f_here],
                 )
                 ok = lo_m > 0.0 and hi_m > 0.0
         if ok:
@@ -493,7 +498,7 @@ def global_pair(
             done_upper.append(p_hi)
             continue
         children = cell.split()
-        if any(not _interior_mask(domain, ch).any() for ch in children):
+        if _empty_interiors(domain, children).any():
             raise ConstructionError(
                 "bracket unattainable at grid resolution", cell=cell.lo
             )
@@ -579,26 +584,27 @@ class RefinementStage:
 
 def _band_functions(
     band_lo: np.ndarray, band_hi: np.ndarray, domain: GridDomain,
-    i_cells: list[Cell], owner: np.ndarray | None = None,
+    i_cells: list[Cell],
 ) -> list[tuple[GridFunction, GridFunction]]:
     """Render the bands as step GridFunctions, one pair per flat jet variable.
 
-    I-cell boundary points are a subset of the domain skeleton, so the
-    fill-from-neighbors completion assigns them the min of the adjacent
-    cell constants, which is exactly the normalize rule for step functions.
+    Each owned lattice point takes its I-cell's band constants, gathered by
+    owner index. I-cell boundary points are a subset of the domain
+    skeleton, so the fill-from-neighbors completion assigns them the min of
+    the adjacent cell constants, which is exactly the normalize rule for
+    step functions.
     """
-    if owner is None:
-        owner, _ = _classify_grid(i_cells, domain)
+    owner, _ = _classify_grid(i_cells, domain)
     if ((owner < 0) & ~domain.skeleton).any():
         raise ValueError("domain skeleton does not cover the I-cell boundaries")
+    owned = owner >= 0
+    own = owner[owned]
     out = []
     for k in range(band_lo.shape[1]):
         lo_vals = np.zeros(domain.shape)
         hi_vals = np.zeros(domain.shape)
-        for ci in range(len(i_cells)):
-            sel = owner == ci
-            lo_vals[sel] = band_lo[ci, k]
-            hi_vals[sel] = band_hi[ci, k]
+        lo_vals[owned] = band_lo[own, k]
+        hi_vals[owned] = band_hi[own, k]
         lo_vals = skeleton_fill(domain, lo_vals)
         hi_vals = skeleton_fill(domain, hi_vals)
         out.append((
@@ -619,19 +625,19 @@ def _stage_cell_ok(
     band_hi: np.ndarray,
 ) -> bool:
     """EQ1 bracket and band containment at the cell's interior lattice points."""
-    mask = _interior_mask(domain, cell)
-    if not mask.any():
+    interior = _interior_points(domain, cell)
+    if interior is None:
         return True
-    pts = _mask_points(domain, mask)
+    box, pts = interior
     coords = [pts[:, d] for d in range(pts.shape[1])]
-    fv = [(i, a) for i in range(1, sys.K + 1) for a in sys.mis.alphas]
+    fv = sys.flat_vars()
     jets = {v: polys[v[0] - 1].deriv_many(v[1], pts) for v in fv}
     for j, Fj in enumerate(sys.F):
         try:
             vals = ex.eval_on_arrays(Fj, coords, jets)
         except ex.EvalDomainError:
             return False
-        f_here = f_arrays[j][mask]
+        f_here = f_arrays[j][box].reshape(-1)
         if not (np.all(vals > f_here - gamma_n) and np.all(vals < f_here)):
             return False
     for k, v in enumerate(fv):
@@ -746,7 +752,7 @@ def refine(
                 jets_here.append(jj.flat())
                 continue
             children = jcell.split()
-            if any(not _interior_mask(domain, ch).any() for ch in children):
+            if _empty_interiors(domain, children).any():
                 raise ConstructionError(
                     "bracket unattainable at grid resolution",
                     stage=n, cell=ci,
@@ -790,18 +796,14 @@ def _check_eq2(sys, v_poly, marked, tiling, band_lo, band_hi, prev) -> Eq2Certif
     from .jets import sample_component
 
     owner, _ = _classify_grid(tiling.i_cells, marked)
-    off = ~marked.skeleton
-    fv = [(i, a) for i in range(1, sys.K + 1) for a in sys.mis.alphas]
+    sel = (owner >= 0) & ~marked.skeleton
+    own = owner[sel]
     inner_lo = float("inf")
     inner_hi = float("inf")
-    for k, (i, a) in enumerate(fv):
-        sampled = sample_component(v_poly, i, a, marked).values
-        for ci in range(len(tiling.i_cells)):
-            sel = (owner == ci) & off
-            if not sel.any():
-                continue
-            inner_lo = min(inner_lo, float(np.min(sampled[sel] - band_lo[ci, k])))
-            inner_hi = min(inner_hi, float(np.min(band_hi[ci, k] - sampled[sel])))
+    for k, (i, a) in enumerate(sys.flat_vars()):
+        sampled = sample_component(v_poly, i, a, marked).values[sel]
+        inner_lo = min(inner_lo, float(np.min(sampled - band_lo[own, k], initial=np.inf)))
+        inner_hi = min(inner_hi, float(np.min(band_hi[own, k] - sampled, initial=np.inf)))
     if prev is None:
         return Eq2Certificate(
             passed=(inner_lo >= 0.0 and inner_hi >= 0.0), vacuous=True,
@@ -841,6 +843,10 @@ class SchemeResult:
     f_samples: list[GridFunction]
     oc_operator: list[OrderConvergenceCertificate]  # one per component
     oc_bands: dict[tuple[int, tuple[int, ...]], OrderConvergenceCertificate]
+    # per stage, on the final lattice: T V_n, one GridFunction per component,
+    # and the step bands, one (lower, upper) pair per flat jet variable
+    tv_by_stage: list[list[GridFunction]]
+    bands_by_stage: list[list[tuple[GridFunction, GridFunction]]]
     final_sup_gap: float
     verdict: bool
     diagnostics: list[str]
@@ -948,19 +954,16 @@ def run_scheme(
             )
     from .jets import sample_component
 
-    owner_final, _ = _classify_grid(tiling.i_cells, final_dom)
     oc_bands: dict[tuple[int, tuple[int, ...]], OrderConvergenceCertificate] = {}
     band_tol = band_tolerance(tiling.radii, N)
-    fv = [(i, a) for i in range(1, sys.K + 1) for a in sys.mis.alphas]
-    band_gfs_by_stage = [
-        _band_functions(st.band_lo, st.band_hi, final_dom, tiling.i_cells,
-                        owner_final)
+    bands_by_stage = [
+        _band_functions(st.band_lo, st.band_hi, final_dom, tiling.i_cells)
         for st in stages
     ]
-    for k, (i, a) in enumerate(fv):
+    for k, (i, a) in enumerate(sys.flat_vars()):
         seq = [sample_component(st.v, i, a, final_dom) for st in stages]
-        lams = [bg[k][0] for bg in band_gfs_by_stage]
-        mus = [bg[k][1] for bg in band_gfs_by_stage]
+        lams = [bg[k][0] for bg in bands_by_stage]
+        mus = [bg[k][1] for bg in bands_by_stage]
         oc_bands[(i, a)] = order_convergence_check(
             seq, lams, mus, seq[-1], tol=band_tol
         )
@@ -987,6 +990,7 @@ def run_scheme(
     return SchemeResult(
         stages=stages, tiling=tiling, domain=final_dom, f_samples=f_gfs,
         oc_operator=oc_operator, oc_bands=oc_bands,
+        tv_by_stage=tv_by_stage, bands_by_stage=bands_by_stage,
         final_sup_gap=final_sup_gap, verdict=verdict,
         diagnostics=diagnostics, gamma=float(gamma), N=int(N),
     )

@@ -325,6 +325,26 @@ def test_verify_detects_tampered_chain(run_dir, tmp_path, capsys):
     assert "MISMATCH oc.bands[u1_a0].first_violation" in out
 
 
+def test_verify_detects_overlapping_j_cells(run_dir, tmp_path, capsys):
+    # translating a J-cell half its width into its neighbour keeps the volume
+    # sum, so only the overlap test can reject the tiling
+    copy = tmp_path / "tampered_tiling"
+    shutil.copytree(run_dir, copy)
+    cert = json.loads((copy / "certificate.json").read_text())
+    poly = json.loads((copy / "stage1" / "poly.json").read_text())
+    cell = poly["cells"][0]
+    shift = 0.5 * (cell["hi"][0] - cell["lo"][0])
+    assert any(c["lo"] == cell["hi"] for c in poly["cells"][1:])  # a neighbour
+    for box in (cell, cert["stages"][0]["j_cells"][0][0]):
+        box["lo"] = [box["lo"][0] + shift]
+        box["hi"] = [box["hi"][0] + shift]
+    (copy / "stage1" / "poly.json").write_text(json.dumps(poly))
+    (copy / "certificate.json").write_text(json.dumps(cert))
+    assert verify(copy) == 2
+    out = capsys.readouterr().out
+    assert "artifact inconsistency" in out and "overlapping interiors" in out
+
+
 def test_verify_rejects_missing_or_foreign_dir(tmp_path, capsys):
     assert verify(tmp_path / "nothing_here") == 2
     assert "cannot read certificate" in capsys.readouterr().out

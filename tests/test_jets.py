@@ -1,5 +1,6 @@
 """Multi-index order, Taylor jets, cells, piecewise assembly, serialization."""
 
+import itertools
 import math
 
 import numpy as np
@@ -12,6 +13,8 @@ from ordercomplete.jets import (
     MultiIndexSet,
     TaylorPoly,
     TilingError,
+    _check_tiling,
+    _classify_grid,
     assemble,
     deriv_eval,
     jet_size,
@@ -223,6 +226,189 @@ def test_assemble_rejects_overlap_and_gap():
         assemble([Cell([0.0], [0.7]), Cell([0.5], [1.0])], p, dom)
     with pytest.raises(TilingError):
         assemble([Cell([0.0], [0.25]), Cell([0.5], [1.0])], p, dom)
+    # volumes sum to 1 and the overlap [0.26, 0.3] holds no lattice point
+    sliver = [Cell([0.0], [0.5]), Cell([0.26], [0.3]), Cell([0.54], [1.0])]
+    with pytest.raises(TilingError, match="overlapping interiors"):
+        assemble(sliver, p + [[_const_poly(mis, 2.0)]], dom)
+
+
+def test_empty_cell_list_is_a_tiling_error():
+    dom = GridDomain([0.0, 0.0], [1.0, 1.0], (5, 5))
+    with pytest.raises(TilingError):
+        assemble([], [], dom)
+    with pytest.raises(TilingError):
+        _classify_grid([], dom)
+    with pytest.raises(TilingError):
+        _check_tiling([], dom.lo, dom.hi)
+
+
+# ---------------------------------------------------------------------------
+# index-arithmetic ownership against the per-cell mask reference
+
+
+def _reference_classify(cells, domain):
+    """The per-cell full-lattice mask classifier the index arithmetic replaced."""
+    n = domain.ndim
+    tol = 1e-9 * (domain.hi - domain.lo)
+    owner = np.full(domain.shape, -1, dtype=int)
+    boundary = np.zeros(domain.shape, dtype=bool)
+    axes = [domain.axis(d) for d in range(n)]
+
+    def outer_and(masks):
+        out = masks[0]
+        for m in masks[1:]:
+            out = out[..., None] & m
+        return out
+
+    for ci, cell in enumerate(cells):
+        inside = outer_and([(axes[d] > cell.lo[d] + tol[d]) & (axes[d] < cell.hi[d] - tol[d])
+                            for d in range(n)])
+        closed = outer_and([(axes[d] >= cell.lo[d] - tol[d]) & (axes[d] <= cell.hi[d] + tol[d])
+                            for d in range(n)])
+        near_any = np.zeros(domain.shape, dtype=bool)
+        for d in range(n):
+            m = (np.abs(axes[d] - cell.lo[d]) <= tol[d]) | (np.abs(axes[d] - cell.hi[d]) <= tol[d])
+            near_any |= m[tuple(slice(None) if e == d else None for e in range(n))]
+        if (inside & (owner >= 0)).any():
+            raise TilingError("overlapping cell interiors")
+        owner[inside] = ci
+        boundary |= closed & near_any
+    uncovered = (owner < 0) & ~boundary
+    if uncovered.any():
+        idx = tuple(int(v) for v in np.argwhere(uncovered)[0])
+        raise TilingError(f"tiling does not cover lattice point {idx}")
+    owner[boundary] = -1
+    return owner, boundary
+
+
+def _reference_check_tiling(cells, lo, hi):
+    """The pairwise O(cells^2) overlap test the face-grid painting replaced."""
+    vol = sum(c.volume() for c in cells)
+    box_vol = float(np.prod(hi - lo))
+    if not math.isclose(vol, box_vol, rel_tol=1e-9):
+        raise TilingError(f"cell volumes sum to {vol}, box volume is {box_vol}")
+    for a, b in itertools.combinations(cells, 2):
+        if all(max(a.lo[d], b.lo[d]) < min(a.hi[d], b.hi[d]) - 1e-12 * (hi[d] - lo[d])
+               for d in range(len(a.lo))):
+            raise TilingError(f"cells {a} and {b} have overlapping interiors")
+
+
+def _outcome(fn, *args):
+    """Result arrays, or the kind of TilingError raised (gap messages name
+    the first uncovered point in C order, so they compare in full)."""
+    try:
+        return fn(*args)
+    except TilingError as e:
+        msg = str(e)
+        if "overlapping" in msg:
+            return "overlap"
+        return "volume" if "volumes" in msg else msg
+
+
+def _random_tiling(rng, n, mutate=True):
+    """Dyadic refinements of a random grid of I-cells over a random box,
+    then (with mutate) one mutation: a shifted face, a translated, removed
+    or duplicated cell, or none."""
+    lo = rng.uniform(-1.0, 0.0, n)
+    hi = lo + rng.uniform(0.5, 2.0, n)
+    counts = rng.integers(1, 4, n)
+    edges = [np.linspace(lo[d], hi[d], counts[d] + 1) for d in range(n)]
+    cells = [Cell([edges[d][i[d]] for d in range(n)], [edges[d][i[d] + 1] for d in range(n)])
+             for i in itertools.product(*(range(c) for c in counts))]
+    for _ in range(int(rng.integers(0, 12 if n < 3 else 6))):
+        k = int(rng.integers(len(cells)))
+        cells[k:k + 1] = cells[k].split()
+    shape = tuple(int(s) for s in rng.integers(3, 41, n))
+    k = int(rng.integers(len(cells)))
+    kind = rng.integers(5) if mutate else 0
+    c = cells[k]
+    if kind == 1 or kind == 2:
+        d = int(rng.integers(n))
+        step = float(rng.choice([-1, 1]) * rng.choice([0.5, 0.25, 1.0 / shape[d], 1e-3]))
+        step *= c.widths[d]
+        new_lo, new_hi = list(c.lo), list(c.hi)
+        if kind == 1:  # shift the upper face
+            new_hi[d] += step
+        else:  # translate the cell, keeping the volume sum
+            new_lo[d] += step
+            new_hi[d] += step
+        cells[k] = Cell(new_lo, new_hi)
+    elif kind == 3:
+        del cells[k]
+    elif kind == 4:
+        cells.append(c)
+    return cells, GridDomain(lo, hi, shape)
+
+
+@pytest.mark.parametrize("n,cases", [(1, 200), (2, 200), (3, 60)])
+def test_classify_grid_matches_mask_reference(n, cases):
+    rng = np.random.default_rng(1000 + n)
+    seen = set()
+    for _ in range(cases):
+        cells, dom = _random_tiling(rng, n)
+        want = _outcome(_reference_classify, cells, dom)
+        got = _outcome(_classify_grid, cells, dom)
+        if isinstance(want, tuple):
+            assert isinstance(got, tuple), got
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+            seen.add("ok")
+        else:
+            assert got == want
+            seen.add("overlap" if want == "overlap" else "gap")
+        want = _outcome(_reference_check_tiling, cells, dom.lo, dom.hi)
+        got = _outcome(_check_tiling, cells, dom.lo, dom.hi)
+        assert got == want
+        seen.add(f"tiling {want}")
+    # the mutations reach every branch of both checks
+    assert seen == {"ok", "overlap", "gap", "tiling None", "tiling overlap", "tiling volume"}
+
+
+def _reference_deriv_many(p, alpha, pts):
+    """Per-polynomial Taylor sum with zero coefficients skipped."""
+    dx = pts - p.anchor
+    out = np.zeros(pts.shape[0])
+    for gamma in MultiIndexSet(p.mis.n, p.mis.m - sum(alpha)):
+        c = p.coeffs[p.mis.index(tuple(g + a for g, a in zip(gamma, alpha)))]
+        if c == 0.0:
+            continue
+        mono = np.ones(pts.shape[0])
+        for d, g in enumerate(gamma):
+            if g:
+                mono = mono * dx[:, d] ** g
+        out += (c / math.prod(math.factorial(g) for g in gamma)) * mono
+    return out
+
+
+def test_gathered_sampling_is_bit_equal_to_per_cell_evaluation():
+    rng = np.random.default_rng(77)
+    checked = 0
+    for n, m in ((1, 3), (2, 2), (2, 3), (3, 2)):
+        mis = MultiIndexSet(n, m)
+        for _ in range(3):
+            cells, dom = _random_tiling(rng, n, mutate=False)
+            polys = []
+            for c in cells:
+                coeffs = rng.uniform(-5.0, 5.0, (2, mis.count))
+                coeffs[rng.random((2, mis.count)) < 0.3] = 0.0
+                anchor = c.center + rng.uniform(-0.1, 0.1, n)
+                polys.append([TaylorPoly(anchor, coeffs[i], mis) for i in range(2)])
+            try:
+                v, marked = assemble(cells, polys, dom)
+            except ValueError:  # cells finer than the lattice: dense skeleton
+                continue
+            owner, _ = _reference_classify(cells, dom)
+            coords = np.stack([g.reshape(-1) for g in marked.meshes()], axis=1)
+            flat_owner = owner.reshape(-1)
+            for i, alpha in itertools.product((1, 2), mis.alphas):
+                got = sample_component(v, i, alpha, marked).values.reshape(-1)
+                for ci in range(len(cells)):
+                    sel = flat_owner == ci
+                    p = polys[ci][i - 1]
+                    want = _reference_deriv_many(p, alpha, coords[sel])
+                    assert np.array_equal(got[sel], want)
+                    assert np.array_equal(p.deriv_many(alpha, coords[sel]), want)
+            checked += 1
+    assert checked >= 8
 
 
 def test_sample_component_single_cell_smooth():
