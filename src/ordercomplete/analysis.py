@@ -243,8 +243,6 @@ def compare_reference(result, u_star: Sequence) -> ReferenceReport:
     only; derivatives are taken by second-order finite differences on the
     lattice. Distances are measured on the final stage's domain.
     """
-    from .solver import _band_functions
-
     stages = result.stages
     sys_like_n = stages[0].v.space_dim
     K = stages[0].v.components
@@ -268,8 +266,7 @@ def compare_reference(result, u_star: Sequence) -> ReferenceReport:
     off = ~dom.skeleton
     per_stage = []
     overall = 0.0
-    for st in stages:
-        bands = _band_functions(st.band_lo, st.band_hi, dom, result.tiling.i_cells)
+    for bands in result.bands_by_stage:
         dists = {}
         for k, v in enumerate(fv):
             lo = bands[k][0].values[off]

@@ -91,6 +91,11 @@ class PdeSystem:
     def rhs_on_arrays(self, coords: Sequence[np.ndarray]) -> list[np.ndarray]:
         return [ex.eval_on_arrays(fj, coords) for fj in self.f]
 
+    def rhs_on_lattice(self, domain: GridDomain) -> list[np.ndarray]:
+        """f_j at every lattice point, one array of the lattice shape each."""
+        flat = [m.reshape(-1) for m in domain.meshes()]
+        return [a.reshape(domain.shape) for a in self.rhs_on_arrays(flat)]
+
 
 def apply_operator_point(sys: PdeSystem, x, jet: Jet) -> np.ndarray:
     """All K operator values at one point for one jet."""

@@ -5,13 +5,21 @@ scheme with its three certificates.
 Stage n produces a piecewise polynomial V_n whose operator image brackets
 the data from below within gamma/n (EQ1), whose per-cell jet bands nest
 strictly inside the previous stage's bands (EQ2), and whose band widths
-stay below 4*eps/n per cell (EQ3). All certificates are re-verified on the
-full lattice after assembly, independently of the per-cell construction.
+stay below 4*eps/n per cell (EQ3). Both the global pair and the stages are
+built by one adaptive subdivision loop (`_subdivide`).
+
+The certificates come from pure functions of the assembled polynomials,
+bands and lattice: `apeq_certificate`, `eq1_certificate`,
+`eq2_certificate`, `eq3_certificate` and `scheme_convergence`. They
+re-check every inequality on the full lattice after assembly,
+independently of the per-cell construction, and `cli.verify` recomputes
+the stored certificates through the same functions from the artifacts.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,9 +42,10 @@ from .jets import (
     _classify_grid,
     _interior_ranges,
     assemble,
+    sample_component,
     taylor_poly,
 )
-from .pde import PdeSystem, apply_operator
+from .pde import PdeSystem, apply_operator, check_assumption_open
 
 
 class ConstructionError(RuntimeError):
@@ -86,9 +95,6 @@ class Tiling:
     i_cells: list[Cell]
     anchors: np.ndarray  # (num_cells, n), cell centers
     radii: np.ndarray | None = None
-
-    def initial_j_cells(self) -> list[list[Cell]]:
-        return [[c] for c in self.i_cells]
 
     def with_radii(self, radii) -> "Tiling":
         r = np.asarray(radii, dtype=float)
@@ -333,20 +339,20 @@ def jet_solve(
 # local bracketed solutions (single smooth polynomial around a point)
 
 
+def _jets_at(sys: PdeSystem, polys: list[TaylorPoly], pts: np.ndarray) -> dict:
+    """Every flat jet variable of the per-component polynomials at the points."""
+    return {(i, a): polys[i - 1].deriv_many(a, pts) for i, a in sys.flat_vars()}
+
+
 def _bracket_margins(
     sys: PdeSystem,
-    polys: list[TaylorPoly],
+    jets: dict,
     pts: np.ndarray,
     lo_vals: list[np.ndarray],
     hi_vals: list[np.ndarray],
 ) -> tuple[float, float]:
-    """Min slack of lo < T P < hi over the points; -inf on a domain error."""
+    """Min slack of lo < F(x, jets) < hi over the points; -inf on a domain error."""
     coords = [pts[:, d] for d in range(pts.shape[1])]
-    jets = {
-        (i, a): polys[i - 1].deriv_many(a, pts)
-        for i in range(1, sys.K + 1)
-        for a in sys.mis.alphas
-    }
     lo_m = float("inf")
     hi_m = float("inf")
     for j, Fj in enumerate(sys.F):
@@ -354,8 +360,8 @@ def _bracket_margins(
             vals = ex.eval_on_arrays(Fj, coords, jets)
         except ex.EvalDomainError:
             return float("-inf"), float("-inf")
-        lo_m = min(lo_m, float(np.min(vals - lo_vals[j])))
-        hi_m = min(hi_m, float(np.min(hi_vals[j] - vals)))
+        lo_m = min(lo_m, float((vals - lo_vals[j]).min()))
+        hi_m = min(hi_m, float((hi_vals[j] - vals).min()))
     return lo_m, hi_m
 
 
@@ -369,8 +375,7 @@ def _local_one_side(sys, x0, eps, domain, side, rng):
     polys = taylor_poly(jet)
     meshes = domain.meshes()
     dist2 = sum((m - x0[d]) ** 2 for d, m in enumerate(meshes))
-    f_arrays = sys.rhs_on_arrays([m.reshape(-1) for m in meshes])
-    f_arrays = [a.reshape(domain.shape) for a in f_arrays]
+    f_arrays = sys.rhs_on_lattice(domain)
     h = float(np.max(domain.spacing))
     diam = float(np.linalg.norm(domain.hi - domain.lo))
     k_max = 0
@@ -388,7 +393,8 @@ def _local_one_side(sys, x0, eps, domain, side, rng):
         else:
             lo_vals = [f[mask] for f in f_arrays]
             hi_vals = [f[mask] + eps for f in f_arrays]
-        lo_m, hi_m = _bracket_margins(sys, polys, pts, lo_vals, hi_vals)
+        lo_m, hi_m = _bracket_margins(sys, _jets_at(sys, polys, pts), pts,
+                                      lo_vals, hi_vals)
         if lo_m > 0.0 and hi_m > 0.0:
             return jet, polys, radius
     raise ConstructionError(
@@ -410,6 +416,38 @@ def local_upper(sys: PdeSystem, x0, eps: float, domain: GridDomain,
 
 
 # ---------------------------------------------------------------------------
+# adaptive subdivision
+
+
+def _subdivide(work, accept, domain: GridDomain, max_cells: int, *,
+               stage: int | None = None, cell=None) -> list[tuple[Cell, object]]:
+    """Accepted (cell, accept(cell)) pairs, popping first in, first out and
+    splitting every cell whose accept returns None. Errors name stage and
+    cell (default: the split cell's lower corner) when more than max_cells
+    cells accumulate or a child would hold no interior lattice point."""
+    work = deque(work)
+    done: list[tuple[Cell, object]] = []
+    while work:
+        c = work.popleft()
+        if len(done) + len(work) > max_cells:
+            raise ConstructionError(
+                "cell budget exhausted while subdividing", stage=stage, cell=cell
+            )
+        payload = accept(c)
+        if payload is not None:
+            done.append((c, payload))
+            continue
+        children = c.split()
+        if _empty_interiors(domain, children).any():
+            raise ConstructionError(
+                "bracket unattainable at grid resolution",
+                stage=stage, cell=c.lo if cell is None else cell,
+            )
+        work.extend(children)
+    return done
+
+
+# ---------------------------------------------------------------------------
 # global approximate pair
 
 
@@ -427,6 +465,32 @@ class ApEqCertificate:
     lower_strict: float
     upper_strict: float
     upper_gap: float
+
+
+def _min_slack(lower, upper, off: np.ndarray) -> float:
+    """min of upper - lower over the components and the points in off."""
+    return min(float(np.min(hi[off] - lo[off])) for lo, hi in zip(lower, upper))
+
+
+def apeq_certificate(
+    sys: PdeSystem, u: PiecewisePoly, v: PiecewisePoly, domain: GridDomain,
+    eps: float,
+) -> ApEqCertificate:
+    """ApEq margins of the pair (u, v) off the skeleton of `domain`, which
+    must mark every cell boundary of both (see jets.assemble)."""
+    f = sys.rhs_on_lattice(domain)
+    tu = [g.values for g in apply_operator(sys, u, domain)]
+    tv = [g.values for g in apply_operator(sys, v, domain)]
+    off = ~domain.skeleton
+    m1 = _min_slack([fj - eps for fj in f], tu, off)
+    m2 = _min_slack(tu, f, off)
+    m3 = _min_slack(f, tv, off)
+    m4 = _min_slack(tv, [fj + eps for fj in f], off)
+    return ApEqCertificate(
+        eps=float(eps),
+        passed=(m1 > 0.0 and m2 > 0.0 and m3 > 0.0 and m4 > 0.0),
+        lower_gap=m1, lower_strict=m2, upper_strict=m3, upper_gap=m4,
+    )
 
 
 @dataclass(eq=False)
@@ -450,23 +514,14 @@ def global_pair(
 
     One shared adaptive tiling: start from the whole box, solve both anchor
     jets per cell, and split any cell whose bracket fails at an interior
-    lattice point. A split that would strand a child without interior
-    lattice points is an error: the bracket is unattainable at this grid.
+    lattice point (see _subdivide).
     """
     if eps <= 0.0:
         raise ValueError("eps must be positive")
     rng = rng or np.random.default_rng(0)
-    meshes = domain.meshes()
-    f_arrays = [a.reshape(domain.shape)
-                for a in sys.rhs_on_arrays([m.reshape(-1) for m in meshes])]
-    work = [Cell(domain.lo, domain.hi)]
-    done_cells: list[Cell] = []
-    done_lower: list[list[TaylorPoly]] = []
-    done_upper: list[list[TaylorPoly]] = []
-    while work:
-        cell = work.pop(0)
-        if len(done_cells) + len(work) > max_cells:
-            raise ConstructionError("cell budget exhausted while subdividing")
+    f_arrays = sys.rhs_on_lattice(domain)
+
+    def accept(cell: Cell):
         a = cell.center
         f0 = sys.rhs_at(a)
         try:
@@ -479,49 +534,26 @@ def global_pair(
         p_lo = taylor_poly(jet_lo)
         p_hi = taylor_poly(jet_hi)
         interior = _interior_points(domain, cell)
-        ok = True
         if interior is not None:
             box, pts = interior
             f_here = [f[box].reshape(-1) for f in f_arrays]
-            lo_m, hi_m = _bracket_margins(
-                sys, p_lo, pts, [f - eps for f in f_here], f_here,
-            )
-            ok = lo_m > 0.0 and hi_m > 0.0
-            if ok:
+            for polys, lo_vals, hi_vals in (
+                (p_lo, [f - eps for f in f_here], f_here),
+                (p_hi, f_here, [f + eps for f in f_here]),
+            ):
                 lo_m, hi_m = _bracket_margins(
-                    sys, p_hi, pts, f_here, [f + eps for f in f_here],
+                    sys, _jets_at(sys, polys, pts), pts, lo_vals, hi_vals
                 )
-                ok = lo_m > 0.0 and hi_m > 0.0
-        if ok:
-            done_cells.append(cell)
-            done_lower.append(p_lo)
-            done_upper.append(p_hi)
-            continue
-        children = cell.split()
-        if _empty_interiors(domain, children).any():
-            raise ConstructionError(
-                "bracket unattainable at grid resolution", cell=cell.lo
-            )
-        work.extend(children)
-    u_poly, marked = assemble(done_cells, done_lower, domain)
-    v_poly, _ = assemble(done_cells, done_upper, domain)
-    tu = apply_operator(sys, u_poly, marked)
-    tv = apply_operator(sys, v_poly, marked)
-    off = ~marked.skeleton
-    m1 = min(float(np.min(tu[j].values[off] - (f_arrays[j][off] - eps)))
-             for j in range(sys.K))
-    m2 = min(float(np.min(f_arrays[j][off] - tu[j].values[off]))
-             for j in range(sys.K))
-    m3 = min(float(np.min(tv[j].values[off] - f_arrays[j][off]))
-             for j in range(sys.K))
-    m4 = min(float(np.min(f_arrays[j][off] + eps - tv[j].values[off]))
-             for j in range(sys.K))
-    cert = ApEqCertificate(
-        eps=float(eps),
-        passed=(m1 > 0.0 and m2 > 0.0 and m3 > 0.0 and m4 > 0.0),
-        lower_gap=m1, lower_strict=m2, upper_strict=m3, upper_gap=m4,
-    )
-    return GlobalPairResult(u_poly, v_poly, marked, cert, list(done_cells))
+                if not (lo_m > 0.0 and hi_m > 0.0):
+                    return None
+        return p_lo, p_hi
+
+    done = _subdivide([Cell(domain.lo, domain.hi)], accept, domain, max_cells)
+    cells = [c for c, _ in done]
+    u_poly, marked = assemble(cells, [lo for _, (lo, _) in done], domain)
+    v_poly, _ = assemble(cells, [hi for _, (_, hi) in done], domain)
+    cert = apeq_certificate(sys, u_poly, v_poly, marked, eps)
+    return GlobalPairResult(u_poly, v_poly, marked, cert, cells)
 
 
 # ---------------------------------------------------------------------------
@@ -561,6 +593,62 @@ class Eq3Certificate:
     passed: bool
     max_ratio: float
     widths: tuple[tuple[float, ...], ...]  # per I-cell, per flat jet variable
+
+
+def eq1_certificate(
+    sys: PdeSystem, v: PiecewisePoly, domain: GridDomain, gamma: float, n: int
+) -> Eq1Certificate:
+    """EQ1 slacks of T V_n against f - gamma/n and f off the skeleton of
+    `domain`, which must mark every cell boundary of v."""
+    f = sys.rhs_on_lattice(domain)
+    tv = [g.values for g in apply_operator(sys, v, domain)]
+    off = ~domain.skeleton
+    lower = _min_slack([fj - gamma / n for fj in f], tv, off)
+    upper = _min_slack(tv, f, off)
+    return Eq1Certificate(passed=(lower > 0.0 and upper > 0.0),
+                          lower_slack=lower, upper_slack=upper)
+
+
+def eq2_certificate(
+    sys: PdeSystem, v: PiecewisePoly, domain: GridDomain, i_cells: list[Cell],
+    band_lo: np.ndarray, band_hi: np.ndarray,
+    prev_bands: tuple[np.ndarray, np.ndarray] | None,
+) -> Eq2Certificate:
+    """EQ2: the jets of v inside the stage bands of their I-cell off the
+    skeleton of `domain`, and the bands strictly inside prev_bands, the
+    previous stage's (band_lo, band_hi); None at stage 1 (vacuous)."""
+    owner, _ = _classify_grid(i_cells, domain)
+    sel = (owner >= 0) & ~domain.skeleton
+    own = owner[sel]
+    inner_lo = float("inf")
+    inner_hi = float("inf")
+    for k, (i, a) in enumerate(sys.flat_vars()):
+        sampled = sample_component(v, i, a, domain).values[sel]
+        inner_lo = min(inner_lo, float(np.min(sampled - band_lo[own, k], initial=np.inf)))
+        inner_hi = min(inner_hi, float(np.min(band_hi[own, k] - sampled, initial=np.inf)))
+    outer_lo = outer_hi = float("inf")
+    if prev_bands is not None:
+        outer_lo = float(np.min(band_lo - prev_bands[0]))
+        outer_hi = float(np.min(prev_bands[1] - band_hi))
+    return Eq2Certificate(
+        passed=(outer_lo > 0.0 and outer_hi > 0.0
+                and inner_lo >= 0.0 and inner_hi >= 0.0),
+        vacuous=prev_bands is None,
+        outer_lower=outer_lo, outer_upper=outer_hi,
+        inner_lower=inner_lo, inner_upper=inner_hi,
+    )
+
+
+def eq3_certificate(radii, band_lo: np.ndarray, band_hi: np.ndarray,
+                    n: int) -> Eq3Certificate:
+    """EQ3: every band width below 4 radii/n, one radius per I-cell."""
+    widths = band_hi - band_lo
+    ratios = widths * n / (4.0 * np.asarray(radii, dtype=float)[:, None])
+    return Eq3Certificate(
+        passed=bool(np.all(ratios < 1.0)),
+        max_ratio=float(np.max(ratios)),
+        widths=tuple(tuple(float(w) for w in row) for row in widths),
+    )
 
 
 @dataclass(eq=False)
@@ -629,21 +717,15 @@ def _stage_cell_ok(
     if interior is None:
         return True
     box, pts = interior
-    coords = [pts[:, d] for d in range(pts.shape[1])]
-    fv = sys.flat_vars()
-    jets = {v: polys[v[0] - 1].deriv_many(v[1], pts) for v in fv}
-    for j, Fj in enumerate(sys.F):
-        try:
-            vals = ex.eval_on_arrays(Fj, coords, jets)
-        except ex.EvalDomainError:
-            return False
-        f_here = f_arrays[j][box].reshape(-1)
-        if not (np.all(vals > f_here - gamma_n) and np.all(vals < f_here)):
-            return False
-    for k, v in enumerate(fv):
-        if np.any(jets[v] < band_lo[k]) or np.any(jets[v] > band_hi[k]):
-            return False
-    return True
+    jets = _jets_at(sys, polys, pts)
+    f_here = [f[box].reshape(-1) for f in f_arrays]
+    lo_m, hi_m = _bracket_margins(
+        sys, jets, pts, [f - gamma_n for f in f_here], f_here
+    )
+    if not (lo_m > 0.0 and hi_m > 0.0):
+        return False
+    flat = np.stack([jets[v] for v in sys.flat_vars()], axis=1)
+    return not ((flat < band_lo).any() or (flat > band_hi).any())
 
 
 def refine(
@@ -660,7 +742,7 @@ def refine(
     """Build stage n: anchor jets at target f - gamma/(2n), bands of
     halfwidth (2 eps/n)(15/16) clipped strictly inside the previous bands,
     and J-cells subdivided until the EQ1 bracket and band containment hold
-    at every interior lattice point."""
+    at every interior lattice point (see _subdivide)."""
     if n < 1:
         raise ValueError("stage index must be at least 1")
     if (prev is None) != (n == 1):
@@ -670,9 +752,7 @@ def refine(
     rng = rng or np.random.default_rng(0)
     m_flat = sys.unknown_count
     num_i = len(tiling.i_cells)
-    meshes = domain.meshes()
-    f_arrays = [a.reshape(domain.shape)
-                for a in sys.rhs_on_arrays([m.reshape(-1) for m in meshes])]
+    f_arrays = sys.rhs_on_lattice(domain)
     band_lo = np.zeros((num_i, m_flat))
     band_hi = np.zeros((num_i, m_flat))
     i_jets = np.zeros((num_i, m_flat))
@@ -724,15 +804,8 @@ def refine(
                 raise ConstructionError(
                     "J-cell constraint box is empty", stage=n, cell=ci
                 )
-        work = list(prev.j_cells[ci]) if prev is not None else [icell]
-        cells_here: list[Cell] = []
-        jets_here: list[np.ndarray] = []
-        while work:
-            jcell = work.pop(0)
-            if len(cells_here) + len(work) > max_cells:
-                raise ConstructionError(
-                    "cell budget exhausted while subdividing", stage=n, cell=ci
-                )
+
+        def accept(jcell: Cell) -> np.ndarray | None:
             aj = jcell.center
             tj = sys.rhs_at(aj) - gamma / (2.0 * n)
             try:
@@ -745,21 +818,14 @@ def refine(
                     f"(openness radius overestimated?): {e}",
                     stage=n, cell=ci,
                 ) from e
-            polys = taylor_poly(jj)
-            if _stage_cell_ok(sys, polys, jcell, domain, f_arrays,
-                              gamma_n, lo_b, hi_b):
-                cells_here.append(jcell)
-                jets_here.append(jj.flat())
-                continue
-            children = jcell.split()
-            if _empty_interiors(domain, children).any():
-                raise ConstructionError(
-                    "bracket unattainable at grid resolution",
-                    stage=n, cell=ci,
-                )
-            work.extend(children)
-        all_j_cells.append(cells_here)
-        all_j_jets.append(jets_here)
+            ok = _stage_cell_ok(sys, taylor_poly(jj), jcell, domain, f_arrays,
+                                gamma_n, lo_b, hi_b)
+            return jj.flat() if ok else None
+
+        work = prev.j_cells[ci] if prev is not None else [icell]
+        done = _subdivide(work, accept, domain, max_cells, stage=n, cell=ci)
+        all_j_cells.append([c for c, _ in done])
+        all_j_jets.append([w for _, w in done])
     flat_cells = [c for cs in all_j_cells for c in cs]
     flat_polys = [
         taylor_poly(Jet.from_flat(np.asarray(c.center), sys.K, sys.mis, w))
@@ -767,91 +833,19 @@ def refine(
         for c, w in zip(cs, ws)
     ]
     v_poly, marked = assemble(flat_cells, flat_polys, domain)
-    stage = RefinementStage(
+    return RefinementStage(
         n=n, gamma=float(gamma), v=v_poly, domain=marked,
         band_lo=band_lo, band_hi=band_hi, i_jets=i_jets,
         j_cells=all_j_cells, j_jets=all_j_jets,
-        eq1=_check_eq1(sys, v_poly, marked, f_arrays, gamma, n),
-        eq2=_check_eq2(sys, v_poly, marked, tiling, band_lo, band_hi, prev),
-        eq3=_check_eq3(tiling, band_lo, band_hi, n),
-    )
-    return stage
-
-
-def _check_eq1(sys, v_poly, marked, f_arrays, gamma, n) -> Eq1Certificate:
-    tv = apply_operator(sys, v_poly, marked)
-    off = ~marked.skeleton
-    lower = min(
-        float(np.min(tv[j].values[off] - (f_arrays[j][off] - gamma / n)))
-        for j in range(sys.K)
-    )
-    upper = min(
-        float(np.min(f_arrays[j][off] - tv[j].values[off])) for j in range(sys.K)
-    )
-    return Eq1Certificate(passed=(lower > 0.0 and upper > 0.0),
-                          lower_slack=lower, upper_slack=upper)
-
-
-def _check_eq2(sys, v_poly, marked, tiling, band_lo, band_hi, prev) -> Eq2Certificate:
-    from .jets import sample_component
-
-    owner, _ = _classify_grid(tiling.i_cells, marked)
-    sel = (owner >= 0) & ~marked.skeleton
-    own = owner[sel]
-    inner_lo = float("inf")
-    inner_hi = float("inf")
-    for k, (i, a) in enumerate(sys.flat_vars()):
-        sampled = sample_component(v_poly, i, a, marked).values[sel]
-        inner_lo = min(inner_lo, float(np.min(sampled - band_lo[own, k], initial=np.inf)))
-        inner_hi = min(inner_hi, float(np.min(band_hi[own, k] - sampled, initial=np.inf)))
-    if prev is None:
-        return Eq2Certificate(
-            passed=(inner_lo >= 0.0 and inner_hi >= 0.0), vacuous=True,
-            outer_lower=float("inf"), outer_upper=float("inf"),
-            inner_lower=inner_lo, inner_upper=inner_hi,
-        )
-    outer_lo = float(np.min(band_lo - prev.band_lo))
-    outer_hi = float(np.min(prev.band_hi - band_hi))
-    return Eq2Certificate(
-        passed=(outer_lo > 0.0 and outer_hi > 0.0
-                and inner_lo >= 0.0 and inner_hi >= 0.0),
-        vacuous=False,
-        outer_lower=outer_lo, outer_upper=outer_hi,
-        inner_lower=inner_lo, inner_upper=inner_hi,
-    )
-
-
-def _check_eq3(tiling, band_lo, band_hi, n) -> Eq3Certificate:
-    widths = band_hi - band_lo
-    ratios = widths * n / (4.0 * tiling.radii[:, None])
-    return Eq3Certificate(
-        passed=bool(np.all(ratios < 1.0)),
-        max_ratio=float(np.max(ratios)),
-        widths=tuple(tuple(float(w) for w in row) for row in widths),
+        eq1=eq1_certificate(sys, v_poly, marked, gamma, n),
+        eq2=eq2_certificate(sys, v_poly, marked, tiling.i_cells, band_lo, band_hi,
+                            None if prev is None else (prev.band_lo, prev.band_hi)),
+        eq3=eq3_certificate(tiling.radii, band_lo, band_hi, n),
     )
 
 
 # ---------------------------------------------------------------------------
 # the full scheme
-
-
-@dataclass(eq=False)
-class SchemeResult:
-    stages: list[RefinementStage]
-    tiling: Tiling
-    domain: GridDomain  # final stage lattice with full skeleton
-    f_samples: list[GridFunction]
-    oc_operator: list[OrderConvergenceCertificate]  # one per component
-    oc_bands: dict[tuple[int, tuple[int, ...]], OrderConvergenceCertificate]
-    # per stage, on the final lattice: T V_n, one GridFunction per component,
-    # and the step bands, one (lower, upper) pair per flat jet variable
-    tv_by_stage: list[list[GridFunction]]
-    bands_by_stage: list[list[tuple[GridFunction, GridFunction]]]
-    final_sup_gap: float
-    verdict: bool
-    diagnostics: list[str]
-    gamma: float
-    N: int
 
 
 def band_tolerance(radii, N: int) -> float:
@@ -865,6 +859,91 @@ def band_tolerance(radii, N: int) -> float:
     band order convergence.
     """
     return 4.0 * float(np.max(radii)) / int(N)
+
+
+@dataclass(eq=False)
+class SchemeConvergence:
+    """Order convergence of stages 1..N, measured on the final lattice."""
+
+    gamma: float
+    N: int
+    f_samples: list[GridFunction]  # f, one GridFunction per component
+    oc_operator: list[OrderConvergenceCertificate]  # one per component
+    oc_bands: dict[tuple[int, tuple[int, ...]], OrderConvergenceCertificate]
+    # per stage: T V_n, one GridFunction per component; the step bands, one
+    # (lower, upper) pair per flat jet variable; and the sampled jets of V_n,
+    # one GridFunction per flat jet variable
+    tv_by_stage: list[list[GridFunction]]
+    bands_by_stage: list[list[tuple[GridFunction, GridFunction]]]
+    samples_by_stage: list[list[GridFunction]]
+    final_sup_gap: float
+
+    @property
+    def passed(self) -> bool:
+        """Operator order convergence and a final sup gap below gamma/N; the
+        band certificates are recorded but do not gate (see band_tolerance)."""
+        return (all(c.passed for c in self.oc_operator)
+                and self.final_sup_gap < self.gamma / self.N)
+
+
+def scheme_convergence(
+    sys: PdeSystem,
+    polys: list[PiecewisePoly],
+    bands: list[tuple[np.ndarray, np.ndarray]],
+    i_cells: list[Cell],
+    radii,
+    final_domain: GridDomain,
+    gamma: float,
+) -> SchemeConvergence:
+    """Order convergence of T V_n to f (lower bounds f - gamma/n) and of
+    the jets of V_n inside their step bands (tolerance band_tolerance), and
+    the final sup gap. polys and bands hold V_n and its (band_lo, band_hi)
+    per stage; final_domain must mark every cell boundary of the last one."""
+    N = len(polys)
+    f_raw = sys.rhs_on_lattice(final_domain)
+    f_gfs = [GridFunction(final_domain, arr) for arr in f_raw]
+    tv_by_stage = [apply_operator(sys, v, final_domain) for v in polys]
+    tol_tv = gamma / N * (1.0 + 1e-9)
+    oc_operator = [
+        order_convergence_check(
+            [tv[j] for tv in tv_by_stage],
+            [GridFunction(final_domain, f_raw[j] - gamma / n) for n in range(1, N + 1)],
+            [f_gfs[j]] * N, f_gfs[j], tol=tol_tv,
+        )
+        for j in range(sys.K)
+    ]
+    fv = sys.flat_vars()
+    band_tol = band_tolerance(radii, N)
+    bands_by_stage = [_band_functions(lo, hi, final_domain, i_cells)
+                      for lo, hi in bands]
+    samples_by_stage = [[sample_component(v, i, a, final_domain) for i, a in fv]
+                        for v in polys]
+    oc_bands = {}
+    for k, var in enumerate(fv):
+        seq = [samples[k] for samples in samples_by_stage]
+        lams = [bg[k][0] for bg in bands_by_stage]
+        mus = [bg[k][1] for bg in bands_by_stage]
+        oc_bands[var] = order_convergence_check(seq, lams, mus, seq[-1], tol=band_tol)
+    off = ~final_domain.skeleton
+    final_sup_gap = max(
+        float(np.max(np.abs(tv_by_stage[-1][j].values[off] - f_raw[j][off])))
+        for j in range(sys.K)
+    )
+    return SchemeConvergence(
+        gamma=float(gamma), N=N, f_samples=f_gfs,
+        oc_operator=oc_operator, oc_bands=oc_bands,
+        tv_by_stage=tv_by_stage, bands_by_stage=bands_by_stage,
+        samples_by_stage=samples_by_stage, final_sup_gap=final_sup_gap,
+    )
+
+
+@dataclass(eq=False)
+class SchemeResult(SchemeConvergence):
+    stages: list[RefinementStage]
+    tiling: Tiling
+    domain: GridDomain  # final stage lattice with full skeleton
+    verdict: bool
+    diagnostics: list[str]
 
 
 def run_scheme(
@@ -899,8 +978,6 @@ def run_scheme(
     if delta is None:
         delta = diam / 16.0
     tiling = tile_domain(domain.lo, domain.hi, delta, 2, domain)
-    from .pde import check_assumption_open
-
     radii = np.zeros(len(tiling.i_cells))
     for ci, cell in enumerate(tiling.i_cells):
         a = tiling.anchors[ci]
@@ -931,66 +1008,28 @@ def run_scheme(
         stages.append(st)
         prev = st
     final_dom = stages[-1].domain
-    meshes = final_dom.meshes()
-    f_raw = [a.reshape(final_dom.shape)
-             for a in sys.rhs_on_arrays([m.reshape(-1) for m in meshes])]
-    f_gfs = [GridFunction(final_dom, arr) for arr in f_raw]
-    diagnostics: list[str] = []
-    oc_operator = []
-    tv_by_stage = [apply_operator(sys, st.v, final_dom) for st in stages]
-    tol_tv = gamma / N * (1.0 + 1e-9)
-    for j in range(sys.K):
-        seq = [tv[j] for tv in tv_by_stage]
-        lams = [GridFunction(final_dom, f_raw[j] - gamma / n_)
-                for n_ in range(1, N + 1)]
-        mus = [f_gfs[j]] * N
-        cert = order_convergence_check(seq, lams, mus, f_gfs[j], tol=tol_tv)
-        oc_operator.append(cert)
-        if not cert.passed:
-            diagnostics.append(
-                f"operator image of component {j + 1} fails order convergence "
-                f"(first violation {cert.first_violation}, "
-                f"gaps {cert.sup_gap:.3e}/{cert.inf_gap:.3e})"
-            )
-    from .jets import sample_component
-
-    oc_bands: dict[tuple[int, tuple[int, ...]], OrderConvergenceCertificate] = {}
-    band_tol = band_tolerance(tiling.radii, N)
-    bands_by_stage = [
-        _band_functions(st.band_lo, st.band_hi, final_dom, tiling.i_cells)
-        for st in stages
-    ]
-    for k, (i, a) in enumerate(sys.flat_vars()):
-        seq = [sample_component(st.v, i, a, final_dom) for st in stages]
-        lams = [bg[k][0] for bg in bands_by_stage]
-        mus = [bg[k][1] for bg in bands_by_stage]
-        oc_bands[(i, a)] = order_convergence_check(
-            seq, lams, mus, seq[-1], tol=band_tol
-        )
-    off = ~final_dom.skeleton
-    final_sup_gap = max(
-        float(np.max(np.abs(tv_by_stage[-1][j].values[off] - f_raw[j][off])))
-        for j in range(sys.K)
+    conv = scheme_convergence(
+        sys, [st.v for st in stages], [(st.band_lo, st.band_hi) for st in stages],
+        tiling.i_cells, tiling.radii, final_dom, gamma,
     )
+    diagnostics = [
+        f"operator image of component {j + 1} fails order convergence "
+        f"(first violation {cert.first_violation}, "
+        f"gaps {cert.sup_gap:.3e}/{cert.inf_gap:.3e})"
+        for j, cert in enumerate(conv.oc_operator) if not cert.passed
+    ]
     for st in stages:
         if not st.certificates_pass():
             diagnostics.append(
                 f"stage {st.n} certificates: eq1={st.eq1.passed} "
                 f"eq2={st.eq2.passed} eq3={st.eq3.passed}"
             )
-    if not final_sup_gap < gamma / N:
+    if not conv.final_sup_gap < gamma / N:
         diagnostics.append(
-            f"final sup gap {final_sup_gap:.3e} not below gamma/N={gamma / N:.3e}"
+            f"final sup gap {conv.final_sup_gap:.3e} not below gamma/N={gamma / N:.3e}"
         )
-    verdict = (
-        all(st.certificates_pass() for st in stages)
-        and all(c.passed for c in oc_operator)
-        and final_sup_gap < gamma / N
-    )
+    verdict = all(st.certificates_pass() for st in stages) and conv.passed
     return SchemeResult(
-        stages=stages, tiling=tiling, domain=final_dom, f_samples=f_gfs,
-        oc_operator=oc_operator, oc_bands=oc_bands,
-        tv_by_stage=tv_by_stage, bands_by_stage=bands_by_stage,
-        final_sup_gap=final_sup_gap, verdict=verdict,
-        diagnostics=diagnostics, gamma=float(gamma), N=int(N),
+        **vars(conv), stages=stages, tiling=tiling, domain=final_dom,
+        verdict=verdict, diagnostics=diagnostics,
     )

@@ -2,6 +2,7 @@
 and independent re-verification."""
 
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -13,6 +14,7 @@ from ordercomplete.cli import RunConfig, load_spec, main, run_pipeline, verify
 from ordercomplete.expr import render
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 GOOD_SPEC = """\
 n = 1
@@ -325,6 +327,61 @@ def test_verify_detects_tampered_chain(run_dir, tmp_path, capsys):
     assert "MISMATCH oc.bands[u1_a0].first_violation" in out
 
 
+def test_verify_detects_flipped_vacuous_flag(run_dir, tmp_path, capsys):
+    copy = tmp_path / "tampered_vacuous"
+    shutil.copytree(run_dir, copy)
+    cert = json.loads((copy / "certificate.json").read_text())
+    assert cert["stages"][0]["eq2"]["vacuous"] is True
+    cert["stages"][0]["eq2"]["vacuous"] = False
+    (copy / "certificate.json").write_text(json.dumps(cert))
+    assert verify(copy) == 2
+    assert "MISMATCH stage1.eq2.vacuous" in capsys.readouterr().out
+
+
+def _cut_band_rows(cert):
+    for s in cert["stages"]:
+        s["band_lo"] = [row[:1] for row in s["band_lo"]]
+
+
+def _drop_band_row(cert):
+    cert["stages"][0]["band_lo"].pop()
+
+
+def _no_stages(cert):
+    cert["stages"] = []
+
+
+def _zero_stage_count(cert):
+    cert["config"]["stages"] = 0
+    cert["stages"] = []
+
+
+def _no_operator_certificates(cert):
+    cert["order_convergence"]["operator"] = []
+
+
+def _renamed_band_tag(cert):
+    bands = cert["order_convergence"]["bands"]
+    bands["u1_a9"] = bands.pop("u1_a1")
+
+
+@pytest.mark.parametrize(
+    "tamper",
+    [_cut_band_rows, _drop_band_row, _no_stages, _zero_stage_count,
+     _no_operator_certificates, _renamed_band_tag],
+    ids=lambda f: f.__name__.strip("_"),
+)
+def test_verify_malformed_certificate_exits_2(run_dir, tmp_path, capsys, tamper):
+    # wrong shapes and counts are reported, never raised as a traceback
+    copy = tmp_path / "malformed"
+    shutil.copytree(run_dir, copy)
+    cert = json.loads((copy / "certificate.json").read_text())
+    tamper(cert)
+    (copy / "certificate.json").write_text(json.dumps(cert))
+    assert verify(copy) == 2
+    assert "artifact inconsistency" in capsys.readouterr().out
+
+
 def test_verify_detects_overlapping_j_cells(run_dir, tmp_path, capsys):
     # translating a J-cell half its width into its neighbour keeps the volume
     # sum, so only the overlap test can reject the tiling
@@ -358,19 +415,24 @@ def test_verify_rejects_missing_or_foreign_dir(tmp_path, capsys):
 
 
 def test_console_entry_point(tmp_path):
+    # the child finds the package where this test process does, installed
+    # or not
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ,
+           "PYTHONPATH": str(SRC) + (os.pathsep + path if path else "")}
     spec = tmp_path / "prob.spec"
     spec.write_text(GOOD_SPEC)
     out = tmp_path / "out"
     proc = subprocess.run(
         [sys.executable, "-m", "ordercomplete.cli", "run", str(spec),
          "--gamma", "0.4", "--stages", "1", "--out", str(out)],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "RuntimeWarning" not in proc.stderr
     proc2 = subprocess.run(
         [sys.executable, "-m", "ordercomplete.cli", "verify", str(out)],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert proc2.returncode == 0, proc2.stdout + proc2.stderr
     assert "RuntimeWarning" not in proc2.stderr

@@ -215,6 +215,13 @@ def test_global_pair_manufactured_certificate():
     assert np.all(tv.values[off] < f[off] + 0.1)
 
 
+def test_global_pair_cell_budget():
+    # the cubic pair needs about 30 cells on this lattice
+    dom = GridDomain([0.0], [3.0], (257,))
+    with pytest.raises(ConstructionError, match="cell budget"):
+        global_pair(_cubic(), dom, 0.1, max_cells=1)
+
+
 def test_global_pair_eps_below_float_scale():
     sys1 = _cubic()
     dom = GridDomain([0.0], [3.0], (65,))
@@ -244,6 +251,15 @@ def test_refine_needs_radii():
     tiling = tile_domain([0.0], [1.0], 0.5, domain=dom)
     with pytest.raises(ValueError):
         refine(sys1, dom, tiling, None, 1, 0.4)
+
+
+def test_refine_cell_budget():
+    # one I-cell over the whole box: the EQ1 bracket needs about 9 J-cells
+    sys1 = _cubic()
+    dom = GridDomain([0.0], [3.0], (129,))
+    tiling = tile_domain([0.0], [3.0], 3.0, domain=dom).with_radii([1.0])
+    with pytest.raises(ConstructionError, match="cell budget"):
+        refine(sys1, dom, tiling, None, 1, 0.4, max_cells=1)
 
 
 @pytest.fixture(scope="module")
