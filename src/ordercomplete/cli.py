@@ -230,7 +230,11 @@ def run_pipeline(cfg: RunConfig) -> int:
     if res < 8:
         print("spec error: grid resolution must be at least 8 per axis")
         return 3
-    domain = GridDomain(system.box_lo, system.box_hi, (res,) * system.n)
+    try:
+        domain = GridDomain(system.box_lo, system.box_hi, (res,) * system.n)
+    except ValueError as e:
+        print(f"spec error: {e}")
+        return 3
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
 

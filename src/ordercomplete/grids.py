@@ -84,6 +84,16 @@ class GridDomain:
         self.lo.setflags(write=False)
         self.hi.setflags(write=False)
         self.skeleton.setflags(write=False)
+        self._axes = tuple(
+            np.linspace(self.lo[d], self.hi[d], self.shape[d]) for d in range(self.ndim)
+        )
+        # the classifiers' searchsorted matches elementwise comparison only
+        # on strictly increasing axes
+        for a in self._axes:
+            if not (a[1:] > a[:-1]).all():
+                raise ValueError("lattice axes must increase strictly; the box is "
+                                 "too narrow for the resolution")
+            a.setflags(write=False)
 
     @property
     def ndim(self) -> int:
@@ -94,7 +104,8 @@ class GridDomain:
         return (self.hi - self.lo) / (np.asarray(self.shape, dtype=float) - 1.0)
 
     def axis(self, d: int) -> np.ndarray:
-        return np.linspace(self.lo[d], self.hi[d], self.shape[d])
+        """Lattice coordinates along axis d (read-only, built once)."""
+        return self._axes[d]
 
     def meshes(self) -> list[np.ndarray]:
         """Coordinate arrays of the full lattice, one per axis, grid-shaped."""
@@ -446,18 +457,26 @@ def _parse_value(s: str) -> float:
 
 
 def write_csv(gf: GridFunction, path) -> None:
-    """One row per lattice point in C order: coordinates, value, skeleton flag."""
-    n = gf.domain.ndim
+    """One row per lattice point in C order: coordinates, value, skeleton flag.
+
+    Formatted a column at a time, in the bytes csv.writer gives: fields
+    joined by "," and rows ended by "\r\n" (no field needs quoting).
+    """
+    dom = gf.domain
+    n = dom.ndim
+    idx = np.indices(dom.shape).reshape(n, -1)
+    cols = [np.array([repr(v) for v in dom.axis(d).tolist()], dtype=object)[idx[d]].tolist()
+            for d in range(n)]
+    values = gf.values.reshape(-1)
+    text = list(map(repr, values.tolist()))
+    for k in np.flatnonzero(np.isinf(values)):
+        text[k] = _format_value(float(values[k]))
+    cols.append(text)
+    cols.append(np.where(dom.skeleton.reshape(-1), "1", "0").tolist())
     header = [f"x{d + 1}" for d in range(n)] + ["value", "skeleton"]
-    axes = [gf.domain.axis(d) for d in range(n)]
+    lines = [",".join(header), *map(",".join, zip(*cols))]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for idx in np.ndindex(gf.domain.shape):
-            coords = [repr(float(axes[d][idx[d]])) for d in range(n)]
-            writer.writerow(
-                coords + [_format_value(float(gf.values[idx])), int(gf.domain.skeleton[idx])]
-            )
+        fh.write("\r\n".join(lines) + "\r\n")
 
 
 def read_csv(path) -> GridFunction:

@@ -298,13 +298,11 @@ def _interior_ranges(
     and the lattice axes they index.
 
     Along axis d the interior of a cell is lo + tol < a < hi - tol, with
-    a = domain.axis(d) and tol = 1e-9 of the box width; start and stop are
-    (cells, n) int arrays, and a cell with stop <= start on some axis holds
-    no point.
+    a = domain.axis(d), which GridDomain keeps strictly increasing, and
+    tol = 1e-9 of the box width; start and stop are (cells, n) int arrays,
+    and a cell with stop <= start on some axis holds no point.
     """
     axes = [domain.axis(d) for d in range(domain.ndim)]
-    # searchsorted reproduces the elementwise comparisons only on sorted axes
-    assert all((a[1:] > a[:-1]).all() for a in axes), "lattice axes must increase"
     tol = _snap_tol(domain)
     lo, hi = _cell_bounds(cells, domain.ndim)
     start = np.empty(lo.shape, dtype=int)
@@ -457,14 +455,22 @@ def _owned_points(
     return idx, owner[idx], pts
 
 
-def _gathered_derivs(
-    v: PiecewisePoly, i: int, alphas, own: np.ndarray, pts: np.ndarray
-) -> list[np.ndarray]:
-    """D^alpha of component i at each point, on its owning cell's
-    polynomial; bit-identical to that polynomial's deriv_many."""
+def _component_arrays(
+    v: PiecewisePoly, i: int
+) -> tuple[MultiIndexSet, np.ndarray, np.ndarray]:
+    """Multi-index set, anchors (cells, n) and coefficients (cells, count)
+    of component i over the cells of v."""
     anchors = np.array([ps[i - 1].anchor for ps in v.polys]).reshape(-1, v.space_dim)
     coeffs = np.array([ps[i - 1].coeffs for ps in v.polys])
-    mis = v.polys[0][i - 1].mis
+    return v.polys[0][i - 1].mis, anchors, coeffs
+
+
+def _gathered_derivs(
+    mis: MultiIndexSet, anchors: np.ndarray, coeffs: np.ndarray, alphas,
+    own: np.ndarray, pts: np.ndarray,
+) -> list[np.ndarray]:
+    """D^alpha at each point of the polynomial (anchors[own], coeffs[own])
+    of its own cell; bit-identical to that polynomial's deriv_many."""
     dx = pts - anchors[own]
     c = coeffs[own]
     return [_taylor_sum(mis, a, dx, c) for a in alphas]
@@ -483,7 +489,7 @@ def sample_component(
         raise ValueError(f"component {i} out of range 1..{v.components}")
     idx, own, pts = _owned_points(*_classify_grid(v.cells, domain), domain)
     values = np.zeros(domain.shape)
-    values[idx] = _gathered_derivs(v, i, [alpha], own, pts)[0]
+    values[idx] = _gathered_derivs(*_component_arrays(v, i), [alpha], own, pts)[0]
     filled = skeleton_fill(domain, values)
     return GridFunction(domain, filled, normalized=True)
 

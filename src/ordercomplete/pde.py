@@ -24,6 +24,7 @@ from .jets import (
     MultiIndexSet,
     PiecewisePoly,
     _classify_grid,
+    _component_arrays,
     _gathered_derivs,
     _owned_points,
 )
@@ -65,6 +66,7 @@ class PdeSystem:
         self.box_hi.setflags(write=False)
         self.mis = MultiIndexSet(self.n, self.m)
         self._jacobian: list[list[ex.Expr]] | None = None
+        self._rhs_lattice: dict[tuple, list[np.ndarray]] = {}
 
     @property
     def unknown_count(self) -> int:
@@ -92,9 +94,17 @@ class PdeSystem:
         return [ex.eval_on_arrays(fj, coords) for fj in self.f]
 
     def rhs_on_lattice(self, domain: GridDomain) -> list[np.ndarray]:
-        """f_j at every lattice point, one array of the lattice shape each."""
-        flat = [m.reshape(-1) for m in domain.meshes()]
-        return [a.reshape(domain.shape) for a in self.rhs_on_arrays(flat)]
+        """f_j at every lattice point, one read-only array of the lattice
+        shape each; evaluated once per lattice (box and shape, whatever the
+        skeleton). A fault raises EvalDomainError and is not remembered."""
+        key = (domain.lo.tobytes(), domain.hi.tobytes(), domain.shape)
+        if key not in self._rhs_lattice:
+            flat = [m.reshape(-1) for m in domain.meshes()]
+            arrays = [a.reshape(domain.shape) for a in self.rhs_on_arrays(flat)]
+            for a in arrays:
+                a.setflags(write=False)
+            self._rhs_lattice[key] = arrays
+        return list(self._rhs_lattice[key])
 
 
 def apply_operator_point(sys: PdeSystem, x, jet: Jet) -> np.ndarray:
@@ -118,7 +128,7 @@ def apply_operator(
     idx, own, pts = _owned_points(*_classify_grid(v.cells, domain), domain)
     jets = {}
     for i in range(1, sys.K + 1):
-        derivs = _gathered_derivs(v, i, sys.mis.alphas, own, pts)
+        derivs = _gathered_derivs(*_component_arrays(v, i), sys.mis.alphas, own, pts)
         jets.update(((i, a), d) for a, d in zip(sys.mis.alphas, derivs))
     coords = [pts[:, d] for d in range(sys.n)]
     result = []

@@ -19,7 +19,6 @@ the stored certificates through the same functions from the artifacts.
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,9 +36,9 @@ from .jets import (
     Cell,
     Jet,
     PiecewisePoly,
-    TaylorPoly,
     TilingError,
     _classify_grid,
+    _gathered_derivs,
     _interior_ranges,
     assemble,
     sample_component,
@@ -162,20 +161,6 @@ def _empty_interiors(domain: GridDomain, cells: list[Cell]) -> np.ndarray:
     """Per cell, whether it holds no strictly interior lattice point."""
     start, stop, _ = _interior_ranges(cells, domain)
     return np.any(stop <= start, axis=1)
-
-
-def _interior_points(
-    domain: GridDomain, cell: Cell
-) -> tuple[tuple[slice, ...], np.ndarray] | None:
-    """The cell's strictly interior lattice points as a box of index slices
-    and their coordinates (npts, n) in C order, or None when it holds none.
-    Same index ranges as the ownership classifier."""
-    start, stop, axes = _interior_ranges([cell], domain)
-    if (stop <= start).any():
-        return None
-    box = tuple(slice(int(a), int(b)) for a, b in zip(start[0], stop[0]))
-    grids = np.meshgrid(*(a[s] for a, s in zip(axes, box)), indexing="ij")
-    return box, np.stack([g.reshape(-1) for g in grids], axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -339,9 +324,18 @@ def jet_solve(
 # local bracketed solutions (single smooth polynomial around a point)
 
 
-def _jets_at(sys: PdeSystem, polys: list[TaylorPoly], pts: np.ndarray) -> dict:
-    """Every flat jet variable of the per-component polynomials at the points."""
-    return {(i, a): polys[i - 1].deriv_many(a, pts) for i, a in sys.flat_vars()}
+def _jets_at(sys: PdeSystem, jets: list[Jet], own: np.ndarray,
+             pts: np.ndarray) -> dict:
+    """Every flat jet variable at each point, on the Taylor polynomials of
+    the jet jets[own] of that point."""
+    anchors = np.array([j.base_point for j in jets]).reshape(-1, sys.n)
+    coeffs = np.array([j.values for j in jets])
+    out = {}
+    for i in range(1, sys.K + 1):
+        derivs = _gathered_derivs(sys.mis, anchors, coeffs[:, i - 1], sys.mis.alphas,
+                                  own, pts)
+        out.update(((i, a), d) for a, d in zip(sys.mis.alphas, derivs))
+    return out
 
 
 def _bracket_margins(
@@ -350,18 +344,26 @@ def _bracket_margins(
     pts: np.ndarray,
     lo_vals: list[np.ndarray],
     hi_vals: list[np.ndarray],
-) -> tuple[float, float]:
-    """Min slack of lo < F(x, jets) < hi over the points; -inf on a domain error."""
+    starts: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Min slack of lo < F(x, jets) < hi per segment of the points, segment
+    k being the rows from starts[k] (strictly increasing, each segment
+    non-empty) to the next start; -inf on a segment where some F_j faults."""
     coords = [pts[:, d] for d in range(pts.shape[1])]
-    lo_m = float("inf")
-    hi_m = float("inf")
+    lo_m = np.full(len(starts), np.inf)
+    hi_m = np.full(len(starts), np.inf)
+    faulted = np.zeros(len(pts), dtype=bool)
     for j, Fj in enumerate(sys.F):
         try:
             vals = ex.eval_on_arrays(Fj, coords, jets)
-        except ex.EvalDomainError:
-            return float("-inf"), float("-inf")
-        lo_m = min(lo_m, float((vals - lo_vals[j]).min()))
-        hi_m = min(hi_m, float((hi_vals[j] - vals).min()))
+        except ex.EvalDomainError as e:  # faulted elements hold no value
+            vals = np.where(e.faulted, 0.0, e.values)
+            faulted |= e.faulted
+        lo_m = np.minimum(lo_m, np.minimum.reduceat(vals - lo_vals[j], starts))
+        hi_m = np.minimum(hi_m, np.minimum.reduceat(hi_vals[j] - vals, starts))
+    bad = np.logical_or.reduceat(faulted, starts)
+    lo_m[bad] = -np.inf
+    hi_m[bad] = -np.inf
     return lo_m, hi_m
 
 
@@ -393,9 +395,10 @@ def _local_one_side(sys, x0, eps, domain, side, rng):
         else:
             lo_vals = [f[mask] for f in f_arrays]
             hi_vals = [f[mask] + eps for f in f_arrays]
-        lo_m, hi_m = _bracket_margins(sys, _jets_at(sys, polys, pts), pts,
-                                      lo_vals, hi_vals)
-        if lo_m > 0.0 and hi_m > 0.0:
+        own = np.zeros(len(pts), dtype=int)
+        lo_m, hi_m = _bracket_margins(sys, _jets_at(sys, [jet], own, pts), pts,
+                                      lo_vals, hi_vals, np.zeros(1, dtype=int))
+        if lo_m[0] > 0.0 and hi_m[0] > 0.0:
             return jet, polys, radius
     raise ConstructionError(
         f"{side} bracket fails even at radius one grid cell around x0={tuple(x0)}"
@@ -419,31 +422,106 @@ def local_upper(sys: PdeSystem, x0, eps: float, domain: GridDomain,
 # adaptive subdivision
 
 
-def _subdivide(work, accept, domain: GridDomain, max_cells: int, *,
+def _interior_gather(
+    domain: GridDomain, cells: list[Cell]
+) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...], np.ndarray]:
+    """The strictly interior lattice points of every cell, cell by cell and
+    in C order within a cell: per-cell point counts, the owning cell and
+    lattice index tuple of each point, and its coordinates (npts, n). Same
+    index ranges as the ownership classifier."""
+    start, stop, axes = _interior_ranges(cells, domain)
+    extent = np.maximum(stop - start, 0)
+    counts = np.prod(extent, axis=1)
+    own = np.repeat(np.arange(len(cells)), counts)
+    rank = np.arange(own.size) - (np.cumsum(counts) - counts)[own]
+    idx = []
+    for d in reversed(range(domain.ndim)):
+        idx.append(start[own, d] + rank % extent[own, d])
+        rank = rank // extent[own, d]
+    idx = tuple(reversed(idx))
+    pts = np.stack([axes[d][i] for d, i in enumerate(idx)], axis=1)
+    return counts, own, idx, pts
+
+
+def _generation_ok(sys: PdeSystem, domain: GridDomain, cells: list[Cell],
+                   brackets, band=None) -> np.ndarray:
+    """Per cell, whether lower < F(x, P) < upper holds strictly at each of
+    its strictly interior lattice points for every (jets, lower, upper) in
+    brackets, P the Taylor polynomials of the cell's jet and lower, upper
+    lists of lattice arrays; and, with band = (band_lo, band_hi), whether
+    every flat jet variable of P stays inside the band there. A fault of F
+    fails the cell; a cell without interior lattice points passes."""
+    counts, own, idx, pts = _interior_gather(domain, cells)
+    ok = np.ones(len(cells), dtype=bool)
+    held = counts > 0
+    if not held.any():
+        return ok
+    starts = (np.cumsum(counts) - counts)[held]
+    good = np.ones(len(starts), dtype=bool)
+    for jets, lower, upper in brackets:
+        jv = _jets_at(sys, jets, own, pts)
+        lo_m, hi_m = _bracket_margins(sys, jv, pts, [a[idx] for a in lower],
+                                      [a[idx] for a in upper], starts)
+        good &= (lo_m > 0.0) & (hi_m > 0.0)
+        if band is not None:
+            flat = np.stack([jv[v] for v in sys.flat_vars()], axis=1)
+            exits = ((flat < band[0]) | (flat > band[1])).any(axis=1)
+            good &= ~np.logical_or.reduceat(exits, starts)
+    ok[held] = good
+    return ok
+
+
+def _subdivide(work, solve, check, domain: GridDomain, max_cells: int, *,
                stage: int | None = None, cell=None) -> list[tuple[Cell, object]]:
-    """Accepted (cell, accept(cell)) pairs, popping first in, first out and
-    splitting every cell whose accept returns None. Errors name stage and
-    cell (default: the split cell's lower corner) when more than max_cells
-    cells accumulate or a child would hold no interior lattice point."""
-    work = deque(work)
+    """Accepted (cell, solve(cell)) pairs of an adaptive subdivision.
+
+    A generation (the cells pending at once) is solved one cell at a time,
+    in order, then checked in one call, check(cells, payloads) -> bool per
+    cell; the failed cells are split and their children, in order, form
+    the next generation. That is the first-in, first-out loop that solves,
+    checks and splits one cell at a time, with the same solves in the same
+    order (so the same random draws) and the same error at the same cell:
+    when more than max_cells cells accumulate, when a solve raises, or when
+    a child would hold no interior lattice point. Errors name stage and
+    cell (default: the split cell's lower corner).
+    """
     done: list[tuple[Cell, object]] = []
-    while work:
-        c = work.popleft()
-        if len(done) + len(work) > max_cells:
-            raise ConstructionError(
-                "cell budget exhausted while subdividing", stage=stage, cell=cell
-            )
-        payload = accept(c)
-        if payload is not None:
-            done.append((c, payload))
-            continue
-        children = c.split()
-        if _empty_interiors(domain, children).any():
-            raise ConstructionError(
-                "bracket unattainable at grid resolution",
-                stage=stage, cell=c.lo if cell is None else cell,
-            )
-        work.extend(children)
+    gen = list(work)
+    while gen:
+        payloads = []
+        failure = None
+        for c in gen:
+            try:
+                payloads.append(solve(c))
+            except Exception as e:  # raised below, once the loop gets there
+                failure = e
+                break
+        ok = check(gen[:len(payloads)], payloads)
+        split = [c.split() for c, good in zip(gen, ok) if not good]
+        stranded = []
+        if split:
+            stranded = _empty_interiors(domain, [k for ks in split for k in ks])
+            stranded = stranded.reshape(len(split), -1).any(axis=1)
+        rejected = zip(split, stranded)
+        nxt: list[Cell] = []
+        for i, c in enumerate(gen):
+            if len(done) + len(gen) - i - 1 + len(nxt) > max_cells:
+                raise ConstructionError(
+                    "cell budget exhausted while subdividing", stage=stage, cell=cell
+                )
+            if i == len(payloads):
+                raise failure
+            if ok[i]:
+                done.append((c, payloads[i]))
+                continue
+            children, empty = next(rejected)
+            if empty:
+                raise ConstructionError(
+                    "bracket unattainable at grid resolution",
+                    stage=stage, cell=c.lo if cell is None else cell,
+                )
+            nxt.extend(children)
+        gen = nxt
     return done
 
 
@@ -519,39 +597,31 @@ def global_pair(
     if eps <= 0.0:
         raise ValueError("eps must be positive")
     rng = rng or np.random.default_rng(0)
-    f_arrays = sys.rhs_on_lattice(domain)
+    f = sys.rhs_on_lattice(domain)
+    below = [fj - eps for fj in f]
+    above = [fj + eps for fj in f]
 
-    def accept(cell: Cell):
+    def solve(cell: Cell) -> tuple[Jet, Jet]:
         a = cell.center
         f0 = sys.rhs_at(a)
         try:
-            jet_lo = jet_solve(sys, a, f0 - 0.5 * eps, rng=rng)
-            jet_hi = jet_solve(sys, a, f0 + 0.5 * eps, rng=rng)
+            return (jet_solve(sys, a, f0 - 0.5 * eps, rng=rng),
+                    jet_solve(sys, a, f0 + 0.5 * eps, rng=rng))
         except NoSolutionError as e:
             raise ConstructionError(
                 f"anchor jet unsolvable: {e}", cell=cell.lo
             ) from e
-        p_lo = taylor_poly(jet_lo)
-        p_hi = taylor_poly(jet_hi)
-        interior = _interior_points(domain, cell)
-        if interior is not None:
-            box, pts = interior
-            f_here = [f[box].reshape(-1) for f in f_arrays]
-            for polys, lo_vals, hi_vals in (
-                (p_lo, [f - eps for f in f_here], f_here),
-                (p_hi, f_here, [f + eps for f in f_here]),
-            ):
-                lo_m, hi_m = _bracket_margins(
-                    sys, _jets_at(sys, polys, pts), pts, lo_vals, hi_vals
-                )
-                if not (lo_m > 0.0 and hi_m > 0.0):
-                    return None
-        return p_lo, p_hi
 
-    done = _subdivide([Cell(domain.lo, domain.hi)], accept, domain, max_cells)
+    def check(cells: list[Cell], pairs: list[tuple[Jet, Jet]]) -> np.ndarray:
+        return _generation_ok(sys, domain, cells, [
+            ([lo for lo, _ in pairs], below, f),
+            ([hi for _, hi in pairs], f, above),
+        ])
+
+    done = _subdivide([Cell(domain.lo, domain.hi)], solve, check, domain, max_cells)
     cells = [c for c, _ in done]
-    u_poly, marked = assemble(cells, [lo for _, (lo, _) in done], domain)
-    v_poly, _ = assemble(cells, [hi for _, (_, hi) in done], domain)
+    u_poly, marked = assemble(cells, [taylor_poly(lo) for _, (lo, _) in done], domain)
+    v_poly, _ = assemble(cells, [taylor_poly(hi) for _, (_, hi) in done], domain)
     cert = apeq_certificate(sys, u_poly, v_poly, marked, eps)
     return GlobalPairResult(u_poly, v_poly, marked, cert, cells)
 
@@ -702,32 +772,6 @@ def _band_functions(
     return out
 
 
-def _stage_cell_ok(
-    sys: PdeSystem,
-    polys: list[TaylorPoly],
-    cell: Cell,
-    domain: GridDomain,
-    f_arrays: list[np.ndarray],
-    gamma_n: float,
-    band_lo: np.ndarray,
-    band_hi: np.ndarray,
-) -> bool:
-    """EQ1 bracket and band containment at the cell's interior lattice points."""
-    interior = _interior_points(domain, cell)
-    if interior is None:
-        return True
-    box, pts = interior
-    jets = _jets_at(sys, polys, pts)
-    f_here = [f[box].reshape(-1) for f in f_arrays]
-    lo_m, hi_m = _bracket_margins(
-        sys, jets, pts, [f - gamma_n for f in f_here], f_here
-    )
-    if not (lo_m > 0.0 and hi_m > 0.0):
-        return False
-    flat = np.stack([jets[v] for v in sys.flat_vars()], axis=1)
-    return not ((flat < band_lo).any() or (flat > band_hi).any())
-
-
 def refine(
     sys: PdeSystem,
     domain: GridDomain,
@@ -752,13 +796,12 @@ def refine(
     rng = rng or np.random.default_rng(0)
     m_flat = sys.unknown_count
     num_i = len(tiling.i_cells)
-    f_arrays = sys.rhs_on_lattice(domain)
+    f = sys.rhs_on_lattice(domain)
+    below = [fj - gamma / n for fj in f]
     band_lo = np.zeros((num_i, m_flat))
     band_hi = np.zeros((num_i, m_flat))
     i_jets = np.zeros((num_i, m_flat))
-    all_j_cells: list[list[Cell]] = []
-    all_j_jets: list[list[np.ndarray]] = []
-    gamma_n = gamma / n
+    accepted: list[list[tuple[Cell, Jet]]] = []
     for ci, icell in enumerate(tiling.i_cells):
         eps_c = float(tiling.radii[ci])
         a = tiling.anchors[ci]
@@ -805,38 +848,33 @@ def refine(
                     "J-cell constraint box is empty", stage=n, cell=ci
                 )
 
-        def accept(jcell: Cell) -> np.ndarray | None:
+        def solve(jcell: Cell) -> Jet:
             aj = jcell.center
             tj = sys.rhs_at(aj) - gamma / (2.0 * n)
             try:
-                jj = jet_solve(
-                    sys, aj, tj, seed=center, constraint_box=j_box, rng=rng
-                )
+                return jet_solve(sys, aj, tj, seed=center, constraint_box=j_box, rng=rng)
             except NoSolutionError as e:
                 raise ConstructionError(
                     f"constrained jet unsolvable "
                     f"(openness radius overestimated?): {e}",
                     stage=n, cell=ci,
                 ) from e
-            ok = _stage_cell_ok(sys, taylor_poly(jj), jcell, domain, f_arrays,
-                                gamma_n, lo_b, hi_b)
-            return jj.flat() if ok else None
+
+        def check(jcells: list[Cell], jets: list[Jet]) -> np.ndarray:
+            return _generation_ok(sys, domain, jcells, [(jets, below, f)],
+                                  band=(lo_b, hi_b))
 
         work = prev.j_cells[ci] if prev is not None else [icell]
-        done = _subdivide(work, accept, domain, max_cells, stage=n, cell=ci)
-        all_j_cells.append([c for c, _ in done])
-        all_j_jets.append([w for _, w in done])
-    flat_cells = [c for cs in all_j_cells for c in cs]
-    flat_polys = [
-        taylor_poly(Jet.from_flat(np.asarray(c.center), sys.K, sys.mis, w))
-        for cs, ws in zip(all_j_cells, all_j_jets)
-        for c, w in zip(cs, ws)
-    ]
+        accepted.append(_subdivide(work, solve, check, domain, max_cells,
+                                   stage=n, cell=ci))
+    flat_cells = [c for done in accepted for c, _ in done]
+    flat_polys = [taylor_poly(jj) for done in accepted for _, jj in done]
     v_poly, marked = assemble(flat_cells, flat_polys, domain)
     return RefinementStage(
         n=n, gamma=float(gamma), v=v_poly, domain=marked,
         band_lo=band_lo, band_hi=band_hi, i_jets=i_jets,
-        j_cells=all_j_cells, j_jets=all_j_jets,
+        j_cells=[[c for c, _ in done] for done in accepted],
+        j_jets=[[jj.flat() for _, jj in done] for done in accepted],
         eq1=eq1_certificate(sys, v_poly, marked, gamma, n),
         eq2=eq2_certificate(sys, v_poly, marked, tiling.i_cells, band_lo, band_hi,
                             None if prev is None else (prev.band_lo, prev.band_hi)),

@@ -262,6 +262,16 @@ def test_run_exit3_on_spec_problems(tmp_path, capsys):
                  "--grid", "4", "--out", str(out)]) == 3
 
 
+def test_run_exit3_on_box_too_narrow_for_grid(tmp_path, capsys):
+    # 64 points across 4 units at 1e16 (one ulp is 2) cannot increase strictly
+    spec = _write(tmp_path, GOOD_SPEC.replace("box.lo = 0", "box.lo = 1e16")
+                  .replace("box.hi = 3", "box.hi = 1.0000000000000004e16"))
+    out = tmp_path / "narrow"
+    assert main(["run", spec, "--gamma", "0.4", "--stages", "1",
+                 "--out", str(out)]) == 3
+    assert "spec error: lattice axes must increase" in capsys.readouterr().out
+
+
 # ---------------------------------------------------------------------------
 # verification
 

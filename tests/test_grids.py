@@ -6,7 +6,9 @@ in the smallest Chebyshev window that contains an unmarked point". The
 vectorized implementation must agree with it exactly.
 """
 
+import csv
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -354,3 +356,62 @@ def test_csv_round_trip_exact_floats(tmp_path):
     p = tmp_path / "v.csv"
     write_csv(u, p)
     assert np.array_equal(read_csv(p).values, vals)
+
+
+def _reference_write_csv(gf, path):
+    """The csv.writer row loop that whole-column formatting replaced."""
+    n = gf.domain.ndim
+    axes = [np.linspace(gf.domain.lo[d], gf.domain.hi[d], gf.domain.shape[d])
+            for d in range(n)]
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([f"x{d + 1}" for d in range(n)] + ["value", "skeleton"])
+        for idx in np.ndindex(gf.domain.shape):
+            v = float(gf.values[idx])
+            value = ("+inf" if v > 0 else "-inf") if math.isinf(v) else repr(v)
+            writer.writerow([repr(float(axes[d][idx[d]])) for d in range(n)]
+                            + [value, int(gf.domain.skeleton[idx])])
+
+
+@pytest.mark.parametrize("ndim", [1, 2, 3])
+def test_csv_bytes_match_csv_writer_reference(tmp_path, ndim):
+    rng = np.random.default_rng(90 + ndim)
+    for _ in range(3):
+        shape = tuple(int(2 * rng.integers(3, 7) + 1) for _ in range(ndim))
+        lo = rng.uniform(-2.0, 0.0, ndim)
+        lo[0] = -1.0  # with hi = 1 and an odd shape, 0.0 is on the first axis
+        hi = lo + rng.uniform(0.5, 3.0, ndim)
+        hi[0] = 1.0
+        # every third diagonal: mixed flags, nowhere dense
+        skel = np.indices(shape).sum(axis=0) % 3 == 0
+        dom = GridDomain(lo, hi, shape, skel)
+        vals = rng.normal(size=shape) * 10.0 ** rng.integers(-5, 5, shape)
+        flat = vals.reshape(-1)
+        on = np.flatnonzero(skel.reshape(-1))
+        off = np.flatnonzero(~skel.reshape(-1))
+        flat[off[:4]] = [-0.0, 5e-324, 1e300, -1e300]
+        flat[on[::2]] = np.inf
+        flat[on[1::2]] = -np.inf
+        u = GridFunction(dom, vals)
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        write_csv(u, got)
+        _reference_write_csv(u, want)
+        assert got.read_bytes() == want.read_bytes()
+
+
+def test_axis_is_linspace_and_read_only():
+    dom = GridDomain([-1.0, 0.1, 1e-3], [1.0, 0.7, 2e-3], (7, 33, 5))
+    for d in range(dom.ndim):
+        a = dom.axis(d)
+        want = np.linspace(dom.lo[d], dom.hi[d], dom.shape[d])
+        assert a.dtype == want.dtype and a.tobytes() == want.tobytes()
+        with pytest.raises(ValueError):
+            a[0] = 5.0
+        assert dom.axis(d) is a  # built once
+    assert dom.with_skeleton(dom.skeleton).axis(1).tobytes() == dom.axis(1).tobytes()
+
+
+def test_domain_rejects_axes_that_do_not_increase():
+    # 64 points across 4 units at 1e16, where one ulp is 2
+    with pytest.raises(ValueError, match="increase strictly"):
+        GridDomain([1e16], [1e16 + 4.0], (64,))

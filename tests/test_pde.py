@@ -54,6 +54,34 @@ def test_box_validation():
         PdeSystem(2, 1, 1, ["u[1,(0,0)]"], ["0"], [0.0], [1.0, 2.0])
 
 
+def test_rhs_on_lattice_evaluated_once_per_lattice(monkeypatch):
+    sys1 = _cubic_system()
+    calls = []
+    real = ex.eval_on_arrays
+    monkeypatch.setattr(ex, "eval_on_arrays", lambda *a: calls.append(1) or real(*a))
+    dom = GridDomain([0.0], [3.0], (33,))
+    (f,) = sys1.rhs_on_lattice(dom)
+    x = np.linspace(0.0, 3.0, 33)
+    assert f.tobytes() == real(sys1.f[0], [x]).tobytes()
+    with pytest.raises(ValueError):
+        f[0] = 1.0
+    skel = np.zeros(33, dtype=bool)
+    skel[16] = True
+    # the skeleton plays no part; another shape is another lattice
+    assert sys1.rhs_on_lattice(dom.with_skeleton(skel))[0] is f
+    assert len(calls) == 1
+    sys1.rhs_on_lattice(GridDomain([0.0], [3.0], (17,)))
+    assert len(calls) == 2
+
+
+def test_rhs_on_lattice_fault_is_not_remembered():
+    sys1 = PdeSystem(1, 1, 1, ["u[1,(1)]"], ["log(x1)"], [0.0], [1.0])
+    dom = GridDomain([0.0], [1.0], (9,))
+    for _ in range(2):
+        with pytest.raises(ex.EvalDomainError):
+            sys1.rhs_on_lattice(dom)
+
+
 def test_flat_vars_component_major():
     sys2 = PdeSystem(
         1, 2, 1,

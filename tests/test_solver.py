@@ -2,17 +2,29 @@
 refinement scheme."""
 
 import math
+from collections import deque
 
 import numpy as np
 import pytest
 
+from ordercomplete import expr as ex
 from ordercomplete.grids import GridDomain
-from ordercomplete.jets import MultiIndexSet, TilingError, sample_component
+from ordercomplete.jets import (
+    Cell,
+    Jet,
+    MultiIndexSet,
+    TilingError,
+    sample_component,
+    taylor_poly,
+)
 from ordercomplete.pde import PdeSystem, apply_operator
 from ordercomplete.solver import (
     ConstructionError,
     NoSolutionError,
     _band_functions,
+    _empty_interiors,
+    _generation_ok,
+    _subdivide,
     global_pair,
     jet_solve,
     local_lower,
@@ -177,6 +189,274 @@ def test_tiling_radii_guarded():
         t.with_radii([1.0, 1.0, -1.0, 1.0])
     t2 = t.with_radii([1.0, 2.0, 3.0, 4.0])
     assert np.array_equal(t2.radii, [1.0, 2.0, 3.0, 4.0])
+
+
+# ---------------------------------------------------------------------------
+# the generation check and the subdivision loop
+
+
+def _reference_interior(domain, cell):
+    """Index box and coordinates (npts, n), in C order, of the cell's strictly
+    interior lattice points, found by elementwise comparison; None if none."""
+    tol = 1e-9 * (domain.hi - domain.lo)
+    keep = [np.nonzero((domain.axis(d) > cell.lo[d] + tol[d])
+                       & (domain.axis(d) < cell.hi[d] - tol[d]))[0]
+            for d in range(domain.ndim)]
+    if any(k.size == 0 for k in keep):
+        return None
+    grids = np.meshgrid(*(domain.axis(d)[k] for d, k in enumerate(keep)), indexing="ij")
+    return np.ix_(*keep), np.stack([g.reshape(-1) for g in grids], axis=1)
+
+
+def _reference_cell_ok(sys, domain, cell, brackets, band=None):
+    """The per-cell check the generation check replaced: at the cell's
+    strictly interior lattice points, the Taylor polynomials of each jet,
+    lower < F < upper as positive minimum slacks, and the jets inside the
+    band; a fault of F fails the cell."""
+    interior = _reference_interior(domain, cell)
+    if interior is None:
+        return True
+    box, pts = interior
+    coords = [pts[:, d] for d in range(domain.ndim)]
+    for jet, lower, upper in brackets:
+        polys = taylor_poly(jet)
+        jets = {(i, a): polys[i - 1].deriv_many(a, pts) for i, a in sys.flat_vars()}
+        for j, Fj in enumerate(sys.F):
+            try:
+                vals = ex.eval_on_arrays(Fj, coords, jets)
+            except ex.EvalDomainError:
+                return False
+            if not (float((vals - lower[j][box].reshape(-1)).min()) > 0.0
+                    and float((upper[j][box].reshape(-1) - vals).min()) > 0.0):
+                return False
+        if band is not None:
+            flat = np.stack([jets[v] for v in sys.flat_vars()], axis=1)
+            if (flat < band[0]).any() or (flat > band[1]).any():
+                return False
+    return True
+
+
+def _transport(n, log=False):
+    """sum_d u_{x_d} + u^3 (or + log u) = f on [0, 1]^n, u = sum_d sin x_d."""
+    F = " + ".join(f"u[1,({','.join('1' if e == d else '0' for e in range(n))})]"
+                   for d in range(n))
+    u0 = f"u[1,({','.join('0' * n)})]"
+    u = " + ".join(f"sin(x{d + 1})" for d in range(n))
+    du = " + ".join(f"cos(x{d + 1})" for d in range(n))
+    if log:
+        return PdeSystem(n, 1, 1, [f"{F} + log({u0})"], ["1"], [0.0] * n, [1.0] * n)
+    return PdeSystem(n, 1, 1, [f"{F} + {u0}^3"], [f"{du} + ({u})^3"],
+                     [0.0] * n, [1.0] * n)
+
+
+def _random_cells(rng, domain, count):
+    """Dyadic cells of random level and position: the coarse ones hold many
+    lattice points, the finest none."""
+    n = domain.ndim
+    finest = np.log2(np.array(domain.shape) - 1).astype(int) + 1
+    cells = []
+    for _ in range(count):
+        level = rng.integers(0, finest + 1)
+        pos = [int(rng.integers(0, 2 ** lv)) for lv in level]
+        w = (domain.hi - domain.lo) / 2.0 ** level
+        lo = domain.lo + np.array(pos) * w
+        cells.append(Cell(lo, lo + w))
+    return cells
+
+
+def _random_jets(rng, sys, cells, shift, noise, value=None):
+    """Per cell, the jet of u = sum sin x_d at the center, its derivatives
+    shifted by `shift`, plus uniform noise; `value` replaces the value."""
+    jets = []
+    for c in cells:
+        x0 = c.center
+        vals = []
+        for a in sys.mis.alphas:
+            if sum(a) == 0:
+                vals.append(np.sin(x0).sum() if value is None else value(rng))
+            else:
+                vals.append(np.cos(x0[a.index(1)]) + shift)
+        vals = np.array(vals) + rng.uniform(-noise, noise, len(vals))
+        jets.append(Jet(x0, vals[None, :], sys.mis))
+    return jets
+
+
+@pytest.mark.parametrize("n,size", [(1, 65), (2, 17), (3, 9)])
+def test_generation_check_matches_per_cell_reference(n, size):
+    rng = np.random.default_rng(40 + n)
+    sys = _transport(n)
+    dom = GridDomain([0.0] * n, [1.0] * n, (size,) * n)
+    f = sys.rhs_on_lattice(dom)
+    seen = set()
+    for _ in range(12):
+        cells = _random_cells(rng, dom, int(rng.integers(1, 40)))
+        eps = float(rng.uniform(0.05, 1.0))
+        noise = float(rng.uniform(0.0, eps))
+        # refine's form: EQ1 bracket (f - eps, f) and band containment
+        jets = _random_jets(rng, sys, cells, -eps / (2 * n), noise)
+        centre = np.array([np.sin(0.5) * n] + [np.cos(0.5) - eps / (2 * n)] * n)
+        half = float(rng.uniform(0.2, 2.0))
+        band = (centre - half, centre + half)
+        below = [fj - eps for fj in f]
+        got = _generation_ok(sys, dom, cells, [(jets, below, f)], band=band)
+        want = [_reference_cell_ok(sys, dom, c, [(j, below, f)], band)
+                for c, j in zip(cells, jets)]
+        assert got.tolist() == want
+        eq1 = [_reference_cell_ok(sys, dom, c, [(j, below, f)]) for c, j in zip(cells, jets)]
+        seen.update("eq1 split" if not e else "band exit" if not w else "accept"
+                    for e, w in zip(eq1, want))
+        seen.update("empty" for e in _empty_interiors(dom, cells) if e)
+        # global_pair's form: both brackets
+        lo_jets = _random_jets(rng, sys, cells, -eps / (2 * n), noise)
+        hi_jets = _random_jets(rng, sys, cells, eps / (2 * n), noise)
+        above = [fj + eps for fj in f]
+        got = _generation_ok(sys, dom, cells, [(lo_jets, below, f), (hi_jets, f, above)])
+        want = [_reference_cell_ok(sys, dom, c, [(lo, below, f), (hi, f, above)])
+                for c, lo, hi in zip(cells, lo_jets, hi_jets)]
+        assert got.tolist() == want
+        seen.update("pair " + ("accept" if w else "split") for w in want)
+    assert seen >= {"accept", "eq1 split", "band exit", "empty",
+                    "pair accept", "pair split"}
+
+
+@pytest.mark.parametrize("n,size", [(1, 65), (2, 17), (3, 9)])
+def test_generation_check_fails_cells_where_log_faults(n, size):
+    # u crosses zero inside some cells: log(u) faults on part of them only
+    rng = np.random.default_rng(70 + n)
+    sys = _transport(n, log=True)
+    dom = GridDomain([0.0] * n, [1.0] * n, (size,) * n)
+    f = sys.rhs_on_lattice(dom)
+    wide = ([fj - 1e6 for fj in f], [fj + 1e6 for fj in f])
+    partial = accepted = 0
+    for _ in range(12):
+        cells = _random_cells(rng, dom, 30)
+        jets = _random_jets(rng, sys, cells, 0.0, 3.0,
+                            value=lambda r: r.uniform(-0.5, 1.0))
+        got = _generation_ok(sys, dom, cells, [(jets, *wide)])
+        want = [_reference_cell_ok(sys, dom, c, [(j, *wide)]) for c, j in zip(cells, jets)]
+        assert got.tolist() == want
+        for c, j, ok in zip(cells, jets, want):
+            interior = _reference_interior(dom, c)
+            if interior is not None:
+                u = taylor_poly(j)[0].deriv_many((0,) * n, interior[1])
+                partial += bool((u > 0).any() and (u <= 0).any())
+                accepted += ok
+    assert partial and accepted
+
+
+def _subdivide_outcome(loop, work, solve, check, domain, max_cells, **kw):
+    """Accepted pairs, or (class, message, stage, cell) of the error raised."""
+    try:
+        return loop(work, solve, check, domain, max_cells, **kw)
+    except ConstructionError as e:
+        return type(e), str(e), e.stage, e.cell
+
+
+def _reference_subdivide(work, solve, check, domain, max_cells, *, stage=None, cell=None):
+    """The first-in, first-out loop that solves, checks and splits one cell
+    at a time, which the generation loop replaced."""
+    work = deque(work)
+    done = []
+    while work:
+        c = work.popleft()
+        if len(done) + len(work) > max_cells:
+            raise ConstructionError("cell budget exhausted while subdividing",
+                                    stage=stage, cell=cell)
+        payload = solve(c)
+        if check([c], [payload])[0]:
+            done.append((c, payload))
+            continue
+        children = c.split()
+        if _empty_interiors(domain, children).any():
+            raise ConstructionError("bracket unattainable at grid resolution",
+                                    stage=stage, cell=c.lo if cell is None else cell)
+        work.extend(children)
+    return done
+
+
+def _synthetic(accept_width, fail_at=()):
+    """A solve that logs each cell and raises at the cells whose lower
+    corners are in fail_at, and a check accepting a cell when it is no
+    wider than accept_width(center)."""
+    log = []
+
+    def solve(c):
+        log.append(c)
+        if c.lo in fail_at:
+            raise ConstructionError("constrained jet unsolvable", stage=4, cell=c.lo)
+        return len(log)
+
+    def check(cells, payloads):
+        assert len(cells) == len(payloads)
+        return np.array([max(c.widths) <= accept_width(c.center) for c in cells],
+                        dtype=bool)
+
+    return log, solve, check
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_subdivide_accepts_like_reference_loop(n):
+    dom = GridDomain([0.0] * n, [1.0] * n, (65,) * n)
+    width = lambda x: 1 / 8 if x[0] < 0.5 else 1 / 32  # noqa: E731
+    runs = []
+    for loop in (_reference_subdivide, _subdivide):
+        log, solve, check = _synthetic(width)
+        runs.append((_subdivide_outcome(loop, [Cell(dom.lo, dom.hi)], solve, check,
+                                        dom, 10_000), log))
+    (want, want_log), (got, got_log) = runs
+    assert isinstance(want, list) and len(want) > 10
+    assert got == want  # same cells, same payloads, same order
+    assert got_log == want_log  # the same solves in the same order
+
+
+def test_subdivide_budget_errors_like_reference_loop():
+    # 65 points: every split succeeds, or the solve at [3/4, 1] fails after
+    # three splits in its generation; 9 points: [0, 1/4] is stranded in the
+    # third generation. A budget met first, even in the middle of a
+    # generation, must win over a later stranded cell or solve failure.
+    width = lambda x: 1 / 8 if x[0] < 0.5 else 1 / 32  # noqa: E731
+    setups = [(65, width, ()), (65, width, ((0.75,),)),
+              (9, lambda x: 0.0, ((0.75,),))]
+    kinds = set()
+    for size, width, fail_at in setups:
+        dom = GridDomain([0.0], [1.0], (size,))
+        for max_cells in range(0, 24):
+            for kw in ({}, {"stage": 2, "cell": 5}):
+                outs = [_subdivide_outcome(loop, [Cell([0.0], [1.0])],
+                                           *_synthetic(width, fail_at)[1:],
+                                           dom, max_cells, **kw)
+                        for loop in (_reference_subdivide, _subdivide)]
+                assert outs[0] == outs[1]
+                kinds.add("ok" if isinstance(outs[0], list) else outs[0][1].split(";")[0])
+    assert kinds == {"ok", "cell budget exhausted while subdividing",
+                     "bracket unattainable at grid resolution",
+                     "constrained jet unsolvable"}
+
+
+def test_subdivide_stranded_child_like_reference_loop():
+    # 9 points on [0, 1]: a cell of width 1/8 holds no interior point
+    dom = GridDomain([0.0], [1.0], (9,))
+    width = lambda x: 1 / 2 if x[0] > 0.25 else 0.0  # noqa: E731
+    for kw in ({}, {"stage": 3, "cell": 1}):
+        outs = [_subdivide_outcome(loop, [Cell([0.0], [1.0])], *_synthetic(width)[1:],
+                                   dom, 100, **kw)
+                for loop in (_reference_subdivide, _subdivide)]
+        assert outs[0] == outs[1]
+        assert "bracket unattainable" in outs[0][1]
+    assert outs[0][3] == 1
+
+
+def test_subdivide_solve_failure_after_stranded_cell_like_reference_loop():
+    # third generation: [0, 1/4] is stranded before [3/4, 1] fails to solve
+    dom = GridDomain([0.0], [1.0], (9,))
+    width = lambda x: 0.0  # noqa: E731
+    for fail_at, expect in ((((0.75,),), "bracket unattainable"),
+                            (((0.5,),), "constrained jet unsolvable")):
+        outs = [_subdivide_outcome(loop, [Cell([0.0], [1.0])],
+                                   *_synthetic(width, fail_at)[1:], dom, 100)
+                for loop in (_reference_subdivide, _subdivide)]
+        assert outs[0] == outs[1]
+        assert outs[0][0] is ConstructionError and expect in outs[0][1]
 
 
 # ---------------------------------------------------------------------------
