@@ -135,12 +135,16 @@ class RunConfig:
     emit_samples: bool = True
 
     def __post_init__(self) -> None:
-        if self.gamma <= 0.0:
-            raise ValueError("gamma must be positive")
+        if not (math.isfinite(self.gamma) and self.gamma > 0.0):
+            raise ValueError("gamma must be finite and positive")
         if self.stages < 1:
             raise ValueError("stages must be at least 1")
         if self.grid is not None and self.grid < 8:
             raise ValueError("grid resolution must be at least 8 per axis")
+        if not (math.isfinite(self.eps_max) and self.eps_max > 0.0):
+            raise ValueError("eps_max must be finite and positive")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
 
 
 # ---------------------------------------------------------------------------
@@ -509,6 +513,9 @@ def verify(result_dir) -> int:
         cert = json.loads((out / "certificate.json").read_text())
     except (OSError, json.JSONDecodeError) as e:
         print(f"verify: cannot read certificate: {e}")
+        return 2
+    if not isinstance(cert, dict):
+        print("verify: artifact inconsistency: certificate is not a JSON object")
         return 2
     if cert.get("schema") != _SCHEMA:
         print(f"verify: unsupported schema {cert.get('schema')!r}")

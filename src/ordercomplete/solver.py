@@ -90,10 +90,16 @@ class Tiling:
     lo: np.ndarray
     hi: np.ndarray
     delta: float
-    level0: Cell
+    shape: tuple[int, ...]  # I-cells per axis; i_cells is this grid in C order
     i_cells: list[Cell]
     anchors: np.ndarray  # (num_cells, n), cell centers
     radii: np.ndarray | None = None
+
+    def index_of(self, points) -> np.ndarray:
+        """Index of the I-cell strictly holding each point (..., n)."""
+        width = (self.hi - self.lo) / self.shape
+        idx = np.floor((np.asarray(points) - self.lo) / width).astype(int)
+        return np.ravel_multi_index(tuple(np.moveaxis(idx, -1, 0)), self.shape)
 
     def with_radii(self, radii) -> "Tiling":
         r = np.asarray(radii, dtype=float)
@@ -101,7 +107,7 @@ class Tiling:
             raise ValueError("one radius per I-cell required")
         if np.any(r <= 0.0):
             raise ValueError("openness radii must be positive")
-        return Tiling(self.lo, self.hi, self.delta, self.level0,
+        return Tiling(self.lo, self.hi, self.delta, self.shape,
                       self.i_cells, self.anchors, r)
 
 
@@ -154,7 +160,7 @@ def tile_domain(
             raise TilingError(
                 f"I-cell {ci} at lo={cells[ci].lo} holds no interior lattice point"
             )
-    return Tiling(lo, hi, float(delta), Cell(lo, hi), cells, anchors)
+    return Tiling(lo, hi, float(delta), tuple(int(c) for c in counts), cells, anchors)
 
 
 def _empty_interiors(domain: GridDomain, cells: list[Cell]) -> np.ndarray:
@@ -448,9 +454,9 @@ def _generation_ok(sys: PdeSystem, domain: GridDomain, cells: list[Cell],
     """Per cell, whether lower < F(x, P) < upper holds strictly at each of
     its strictly interior lattice points for every (jets, lower, upper) in
     brackets, P the Taylor polynomials of the cell's jet and lower, upper
-    lists of lattice arrays; and, with band = (band_lo, band_hi), whether
-    every flat jet variable of P stays inside the band there. A fault of F
-    fails the cell; a cell without interior lattice points passes."""
+    lists of lattice arrays; and, with band = (band_lo, band_hi) (cells, M),
+    whether every flat jet variable of P stays inside the cell's band row
+    there. A fault of F fails the cell; a cell without interior points passes."""
     counts, own, idx, pts = _interior_gather(domain, cells)
     ok = np.ones(len(cells), dtype=bool)
     held = counts > 0
@@ -465,14 +471,14 @@ def _generation_ok(sys: PdeSystem, domain: GridDomain, cells: list[Cell],
         good &= (lo_m > 0.0) & (hi_m > 0.0)
         if band is not None:
             flat = np.stack([jv[v] for v in sys.flat_vars()], axis=1)
-            exits = ((flat < band[0]) | (flat > band[1])).any(axis=1)
+            exits = ((flat < band[0][own]) | (flat > band[1][own])).any(axis=1)
             good &= ~np.logical_or.reduceat(exits, starts)
     ok[held] = good
     return ok
 
 
 def _subdivide(work, solve, check, domain: GridDomain, max_cells: int, *,
-               stage: int | None = None, cell=None) -> list[tuple[Cell, object]]:
+               stage: int | None = None) -> list[tuple[Cell, object]]:
     """Accepted (cell, solve(cell)) pairs of an adaptive subdivision.
 
     A generation (the cells pending at once) is solved one cell at a time,
@@ -482,8 +488,8 @@ def _subdivide(work, solve, check, domain: GridDomain, max_cells: int, *,
     checks and splits one cell at a time, with the same solves in the same
     order (so the same random draws) and the same error at the same cell:
     when more than max_cells cells accumulate, when a solve raises, or when
-    a child would hold no interior lattice point. Errors name stage and
-    cell (default: the split cell's lower corner).
+    a child would hold no interior lattice point. Errors name the stage,
+    and a stranded child also the split cell's lower corner.
     """
     done: list[tuple[Cell, object]] = []
     gen = list(work)
@@ -507,7 +513,7 @@ def _subdivide(work, solve, check, domain: GridDomain, max_cells: int, *,
         for i, c in enumerate(gen):
             if len(done) + len(gen) - i - 1 + len(nxt) > max_cells:
                 raise ConstructionError(
-                    "cell budget exhausted while subdividing", stage=stage, cell=cell
+                    "cell budget exhausted while subdividing", stage=stage
                 )
             if i == len(payloads):
                 raise failure
@@ -517,8 +523,7 @@ def _subdivide(work, solve, check, domain: GridDomain, max_cells: int, *,
             children, empty = next(rejected)
             if empty:
                 raise ConstructionError(
-                    "bracket unattainable at grid resolution",
-                    stage=stage, cell=c.lo if cell is None else cell,
+                    "bracket unattainable at grid resolution", stage=stage, cell=c.lo
                 )
             nxt.extend(children)
         gen = nxt
@@ -730,8 +735,7 @@ class RefinementStage:
     band_lo: np.ndarray  # (num_i_cells, M)
     band_hi: np.ndarray
     i_jets: np.ndarray  # (num_i_cells, M)
-    j_cells: list[list[Cell]]
-    j_jets: list[list[np.ndarray]]
+    j_cells: list[list[Cell]]  # per I-cell
     eq1: Eq1Certificate
     eq2: Eq2Certificate
     eq3: Eq3Certificate
@@ -785,8 +789,9 @@ def refine(
 ) -> RefinementStage:
     """Build stage n: anchor jets at target f - gamma/(2n), bands of
     halfwidth (2 eps/n)(15/16) clipped strictly inside the previous bands,
-    and J-cells subdivided until the EQ1 bracket and band containment hold
-    at every interior lattice point (see _subdivide)."""
+    and all J-cells of the stage subdivided in one loop (see _subdivide,
+    max_cells bounds the stage) until the EQ1 bracket and band containment
+    hold at every interior lattice point."""
     if n < 1:
         raise ValueError("stage index must be at least 1")
     if (prev is None) != (n == 1):
@@ -794,87 +799,68 @@ def refine(
     if tiling.radii is None:
         raise ValueError("tiling has no openness radii; run the probe first")
     rng = rng or np.random.default_rng(0)
-    m_flat = sys.unknown_count
     num_i = len(tiling.i_cells)
     f = sys.rhs_on_lattice(domain)
     below = [fj - gamma / n for fj in f]
-    band_lo = np.zeros((num_i, m_flat))
-    band_hi = np.zeros((num_i, m_flat))
-    i_jets = np.zeros((num_i, m_flat))
-    accepted: list[list[tuple[Cell, Jet]]] = []
-    for ci, icell in enumerate(tiling.i_cells):
-        eps_c = float(tiling.radii[ci])
-        a = tiling.anchors[ci]
-        target = sys.rhs_at(a) - gamma / (2.0 * n)
-        if prev is not None:
-            margin = (prev.band_hi[ci] - prev.band_lo[ci]) / 8.0
-            i_box = np.stack(
-                [prev.band_lo[ci] + margin, prev.band_hi[ci] - margin], axis=1
-            )
-            seed = prev.i_jets[ci]
-        else:
-            margin = None
-            i_box = None
-            seed = np.zeros(m_flat)
+    if prev is None:
+        seeds = np.zeros((num_i, sys.unknown_count))
+        i_boxes = [None] * num_i
+    else:
+        seeds = prev.i_jets
+        margin = (prev.band_hi - prev.band_lo) / 8.0
+        i_boxes = np.stack([prev.band_lo + margin, prev.band_hi - margin], axis=2)
+
+    def solve_at(x, ci: int, seed, box, what: str) -> Jet:
         try:
-            ji = jet_solve(sys, a, target, seed=seed, constraint_box=i_box, rng=rng)
+            return jet_solve(sys, x, sys.rhs_at(x) - gamma / (2.0 * n), seed=seed,
+                             constraint_box=box, rng=rng)
         except NoSolutionError as e:
             raise ConstructionError(
-                f"anchor jet unsolvable (openness radius overestimated?): {e}",
+                f"{what} jet unsolvable (openness radius overestimated?): {e}",
                 stage=n, cell=ci,
             ) from e
-        center = ji.flat()
-        hw = (2.0 * eps_c / n) * (15.0 / 16.0)
-        lo_b = center - hw
-        hi_b = center + hw
-        if prev is not None:
-            lo_b = np.maximum(lo_b, prev.band_lo[ci] + 0.5 * margin)
-            hi_b = np.minimum(hi_b, prev.band_hi[ci] - 0.5 * margin)
-        if np.any(lo_b >= hi_b):
-            raise ConstructionError(
-                "clipped band is empty; previous bands too narrow",
-                stage=n, cell=ci,
-            )
-        band_lo[ci] = lo_b
-        band_hi[ci] = hi_b
-        i_jets[ci] = center
-        inner = (hi_b - lo_b) / 8.0
-        j_box = np.stack([lo_b + inner, hi_b - inner], axis=1)
-        if prev is not None:
-            j_box[:, 0] = np.maximum(j_box[:, 0], prev.band_lo[ci] + margin)
-            j_box[:, 1] = np.minimum(j_box[:, 1], prev.band_hi[ci] - margin)
-            if np.any(j_box[:, 1] <= j_box[:, 0]):
-                raise ConstructionError(
-                    "J-cell constraint box is empty", stage=n, cell=ci
-                )
 
-        def solve(jcell: Cell) -> Jet:
-            aj = jcell.center
-            tj = sys.rhs_at(aj) - gamma / (2.0 * n)
-            try:
-                return jet_solve(sys, aj, tj, seed=center, constraint_box=j_box, rng=rng)
-            except NoSolutionError as e:
-                raise ConstructionError(
-                    f"constrained jet unsolvable "
-                    f"(openness radius overestimated?): {e}",
-                    stage=n, cell=ci,
-                ) from e
+    i_jets = np.array([solve_at(a, ci, seeds[ci], i_boxes[ci], "anchor").flat()
+                       for ci, a in enumerate(tiling.anchors)])
+    hw = (2.0 * tiling.radii / n) * (15.0 / 16.0)
+    band_lo = i_jets - hw[:, None]
+    band_hi = i_jets + hw[:, None]
+    if prev is not None:
+        band_lo = np.maximum(band_lo, prev.band_lo + 0.5 * margin)
+        band_hi = np.minimum(band_hi, prev.band_hi - 0.5 * margin)
+    empty = np.any(band_lo >= band_hi, axis=1)
+    if empty.any():
+        raise ConstructionError("clipped band is empty; previous bands too narrow",
+                                stage=n, cell=int(np.argmax(empty)))
+    inner = (band_hi - band_lo) / 8.0
+    j_boxes = np.stack([band_lo + inner, band_hi - inner], axis=2)
+    if prev is not None:
+        j_boxes[..., 0] = np.maximum(j_boxes[..., 0], prev.band_lo + margin)
+        j_boxes[..., 1] = np.minimum(j_boxes[..., 1], prev.band_hi - margin)
+        empty = np.any(j_boxes[..., 1] <= j_boxes[..., 0], axis=1)
+        if empty.any():
+            raise ConstructionError("J-cell constraint box is empty",
+                                    stage=n, cell=int(np.argmax(empty)))
 
-        def check(jcells: list[Cell], jets: list[Jet]) -> np.ndarray:
-            return _generation_ok(sys, domain, jcells, [(jets, below, f)],
-                                  band=(lo_b, hi_b))
+    def solve(jcell: Cell) -> tuple[int, Jet]:
+        ci = int(tiling.index_of(jcell.center))
+        return ci, solve_at(jcell.center, ci, i_jets[ci], j_boxes[ci], "constrained")
 
-        work = prev.j_cells[ci] if prev is not None else [icell]
-        accepted.append(_subdivide(work, solve, check, domain, max_cells,
-                                   stage=n, cell=ci))
-    flat_cells = [c for done in accepted for c, _ in done]
-    flat_polys = [taylor_poly(jj) for done in accepted for _, jj in done]
-    v_poly, marked = assemble(flat_cells, flat_polys, domain)
+    def check(jcells: list[Cell], solved: list[tuple[int, Jet]]) -> np.ndarray:
+        own = [ci for ci, _ in solved]
+        return _generation_ok(sys, domain, jcells, [([jj for _, jj in solved], below, f)],
+                              band=(band_lo[own], band_hi[own]))
+
+    work = tiling.i_cells if prev is None else [c for cs in prev.j_cells for c in cs]
+    done = _subdivide(work, solve, check, domain, max_cells, stage=n)
+    done.sort(key=lambda d: d[1][0])  # stable: by I-cell, in order of acceptance
+    j_cells = [[c for c, _ in group]
+               for _, group in itertools.groupby(done, key=lambda d: d[1][0])]
+    v_poly, marked = assemble([c for c, _ in done],
+                              [taylor_poly(jj) for _, (_, jj) in done], domain)
     return RefinementStage(
         n=n, gamma=float(gamma), v=v_poly, domain=marked,
-        band_lo=band_lo, band_hi=band_hi, i_jets=i_jets,
-        j_cells=[[c for c, _ in done] for done in accepted],
-        j_jets=[[jj.flat() for _, jj in done] for done in accepted],
+        band_lo=band_lo, band_hi=band_hi, i_jets=i_jets, j_cells=j_cells,
         eq1=eq1_certificate(sys, v_poly, marked, gamma, n),
         eq2=eq2_certificate(sys, v_poly, marked, tiling.i_cells, band_lo, band_hi,
                             None if prev is None else (prev.band_lo, prev.band_hi)),

@@ -108,6 +108,19 @@ def test_run_config_validation(tmp_path):
         RunConfig(spec="s", gamma=0.4, stages=2, grid=4, out="o")
 
 
+@pytest.mark.parametrize("flag", ["--gamma=nan", "--gamma=inf", "--gamma=-inf",
+                                  "--eps-max=0", "--eps-max=-1", "--eps-max=nan",
+                                  "--eps-max=inf", "--seed=-1"])
+def test_run_exit3_on_bad_numeric_flag(tmp_path, capsys, flag):
+    # the last --gamma on the command line wins
+    out = tmp_path / "out"
+    code = main(["run", str(DEMOS / "manufactured_1d.spec"), "--gamma", "0.2",
+                 "--stages", "1", "--out", str(out), flag])
+    assert code == 3
+    assert "config error" in capsys.readouterr().out
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # pipeline runs
 
@@ -375,10 +388,19 @@ def _renamed_band_tag(cert):
     bands["u1_a9"] = bands.pop("u1_a1")
 
 
+def _list_certificate(cert):
+    return []
+
+
+def _string_certificate(cert):
+    return "x"
+
+
 @pytest.mark.parametrize(
     "tamper",
     [_cut_band_rows, _drop_band_row, _no_stages, _zero_stage_count,
-     _no_operator_certificates, _renamed_band_tag],
+     _no_operator_certificates, _renamed_band_tag, _list_certificate,
+     _string_certificate],
     ids=lambda f: f.__name__.strip("_"),
 )
 def test_verify_malformed_certificate_exits_2(run_dir, tmp_path, capsys, tamper):
@@ -386,8 +408,8 @@ def test_verify_malformed_certificate_exits_2(run_dir, tmp_path, capsys, tamper)
     copy = tmp_path / "malformed"
     shutil.copytree(run_dir, copy)
     cert = json.loads((copy / "certificate.json").read_text())
-    tamper(cert)
-    (copy / "certificate.json").write_text(json.dumps(cert))
+    replaced = tamper(cert)  # in place, or a whole new document
+    (copy / "certificate.json").write_text(json.dumps(cert if replaced is None else replaced))
     assert verify(copy) == 2
     assert "artifact inconsistency" in capsys.readouterr().out
 

@@ -14,6 +14,7 @@ from ordercomplete.jets import (
     Jet,
     MultiIndexSet,
     TilingError,
+    assemble,
     sample_component,
     taylor_poly,
 )
@@ -21,10 +22,14 @@ from ordercomplete.pde import PdeSystem, apply_operator
 from ordercomplete.solver import (
     ConstructionError,
     NoSolutionError,
+    RefinementStage,
     _band_functions,
     _empty_interiors,
     _generation_ok,
     _subdivide,
+    eq1_certificate,
+    eq2_certificate,
+    eq3_certificate,
     global_pair,
     jet_solve,
     local_lower,
@@ -191,6 +196,27 @@ def test_tiling_radii_guarded():
     assert np.array_equal(t2.radii, [1.0, 2.0, 3.0, 4.0])
 
 
+@pytest.mark.parametrize("lo,hi,delta,arity", [
+    ([0.0], [3.0], 0.1, 2), ([-1.0], [2.5], 0.05, 3),
+    ([0.0, -1.0], [2.0, 1.0], 0.2, 2), ([0.1, 0.0], [1.0, 7.0], 0.9, 3),
+    ([0.0, 0.0, 0.0], [1.0, 1.0, 1.0], 0.5, 2), ([-2.0, 0.0, 1.0], [1.0, 0.5, 4.0], 1.1, 3)])
+def test_tiling_index_of_finds_parent_of_descendants(lo, hi, delta, arity):
+    rng = np.random.default_rng(int(delta * 100) + arity)
+    t = tile_domain(lo, hi, delta, arity=arity)
+    assert int(np.prod(t.shape)) == len(t.i_cells) > 1
+    assert np.array_equal(t.index_of(t.anchors), np.arange(len(t.i_cells)))
+    centers, parents = [], []
+    for ci, cell in enumerate(t.i_cells):
+        for depth in range(7):  # one random dyadic descendant per depth
+            c = cell
+            for _ in range(depth):
+                c = c.split()[int(rng.integers(2 ** c.ndim))]
+            assert t.index_of(c.center) == ci
+            centers.append(c.center)
+            parents.append(ci)
+    assert np.array_equal(t.index_of(np.array(centers)), parents)
+
+
 # ---------------------------------------------------------------------------
 # the generation check and the subdivision loop
 
@@ -298,7 +324,8 @@ def test_generation_check_matches_per_cell_reference(n, size):
         half = float(rng.uniform(0.2, 2.0))
         band = (centre - half, centre + half)
         below = [fj - eps for fj in f]
-        got = _generation_ok(sys, dom, cells, [(jets, below, f)], band=band)
+        rows = tuple(np.tile(b, (len(cells), 1)) for b in band)
+        got = _generation_ok(sys, dom, cells, [(jets, below, f)], band=rows)
         want = [_reference_cell_ok(sys, dom, c, [(j, below, f)], band)
                 for c, j in zip(cells, jets)]
         assert got.tolist() == want
@@ -352,7 +379,7 @@ def _subdivide_outcome(loop, work, solve, check, domain, max_cells, **kw):
         return type(e), str(e), e.stage, e.cell
 
 
-def _reference_subdivide(work, solve, check, domain, max_cells, *, stage=None, cell=None):
+def _reference_subdivide(work, solve, check, domain, max_cells, *, stage=None):
     """The first-in, first-out loop that solves, checks and splits one cell
     at a time, which the generation loop replaced."""
     work = deque(work)
@@ -361,7 +388,7 @@ def _reference_subdivide(work, solve, check, domain, max_cells, *, stage=None, c
         c = work.popleft()
         if len(done) + len(work) > max_cells:
             raise ConstructionError("cell budget exhausted while subdividing",
-                                    stage=stage, cell=cell)
+                                    stage=stage)
         payload = solve(c)
         if check([c], [payload])[0]:
             done.append((c, payload))
@@ -369,7 +396,7 @@ def _reference_subdivide(work, solve, check, domain, max_cells, *, stage=None, c
         children = c.split()
         if _empty_interiors(domain, children).any():
             raise ConstructionError("bracket unattainable at grid resolution",
-                                    stage=stage, cell=c.lo if cell is None else cell)
+                                    stage=stage, cell=c.lo)
         work.extend(children)
     return done
 
@@ -421,7 +448,7 @@ def test_subdivide_budget_errors_like_reference_loop():
     for size, width, fail_at in setups:
         dom = GridDomain([0.0], [1.0], (size,))
         for max_cells in range(0, 24):
-            for kw in ({}, {"stage": 2, "cell": 5}):
+            for kw in ({}, {"stage": 2}):
                 outs = [_subdivide_outcome(loop, [Cell([0.0], [1.0])],
                                            *_synthetic(width, fail_at)[1:],
                                            dom, max_cells, **kw)
@@ -437,13 +464,13 @@ def test_subdivide_stranded_child_like_reference_loop():
     # 9 points on [0, 1]: a cell of width 1/8 holds no interior point
     dom = GridDomain([0.0], [1.0], (9,))
     width = lambda x: 1 / 2 if x[0] > 0.25 else 0.0  # noqa: E731
-    for kw in ({}, {"stage": 3, "cell": 1}):
+    for kw in ({}, {"stage": 3}):
         outs = [_subdivide_outcome(loop, [Cell([0.0], [1.0])], *_synthetic(width)[1:],
                                    dom, 100, **kw)
                 for loop in (_reference_subdivide, _subdivide)]
         assert outs[0] == outs[1]
         assert "bracket unattainable" in outs[0][1]
-    assert outs[0][3] == 1
+    assert outs[0][2:] == (3, (0.0,))  # the stage and the split cell's corner
 
 
 def test_subdivide_solve_failure_after_stranded_cell_like_reference_loop():
@@ -540,6 +567,108 @@ def test_refine_cell_budget():
     tiling = tile_domain([0.0], [3.0], 3.0, domain=dom).with_radii([1.0])
     with pytest.raises(ConstructionError, match="cell budget"):
         refine(sys1, dom, tiling, None, 1, 0.4, max_cells=1)
+
+
+def _reference_refine(sys, domain, tiling, prev, n, gamma, *, rng, max_cells=100_000):
+    """The per-I-cell loop that refine replaced: each I-cell solves its
+    anchor, builds its bands and subdivides its own J-cells in turn."""
+    m_flat = sys.unknown_count
+    num_i = len(tiling.i_cells)
+    f = sys.rhs_on_lattice(domain)
+    below = [fj - gamma / n for fj in f]
+    band_lo = np.zeros((num_i, m_flat))
+    band_hi = np.zeros((num_i, m_flat))
+    i_jets = np.zeros((num_i, m_flat))
+    accepted = []
+    for ci, icell in enumerate(tiling.i_cells):
+        eps_c = float(tiling.radii[ci])
+        a = tiling.anchors[ci]
+        target = sys.rhs_at(a) - gamma / (2.0 * n)
+        if prev is not None:
+            margin = (prev.band_hi[ci] - prev.band_lo[ci]) / 8.0
+            i_box = np.stack([prev.band_lo[ci] + margin, prev.band_hi[ci] - margin], axis=1)
+            seed = prev.i_jets[ci]
+        else:
+            i_box = None
+            seed = np.zeros(m_flat)
+        center = jet_solve(sys, a, target, seed=seed, constraint_box=i_box, rng=rng).flat()
+        hw = (2.0 * eps_c / n) * (15.0 / 16.0)
+        lo_b = center - hw
+        hi_b = center + hw
+        if prev is not None:
+            lo_b = np.maximum(lo_b, prev.band_lo[ci] + 0.5 * margin)
+            hi_b = np.minimum(hi_b, prev.band_hi[ci] - 0.5 * margin)
+        assert np.all(lo_b < hi_b)
+        band_lo[ci] = lo_b
+        band_hi[ci] = hi_b
+        i_jets[ci] = center
+        inner = (hi_b - lo_b) / 8.0
+        j_box = np.stack([lo_b + inner, hi_b - inner], axis=1)
+        if prev is not None:
+            j_box[:, 0] = np.maximum(j_box[:, 0], prev.band_lo[ci] + margin)
+            j_box[:, 1] = np.minimum(j_box[:, 1], prev.band_hi[ci] - margin)
+
+        def solve(jcell):
+            aj = jcell.center
+            tj = sys.rhs_at(aj) - gamma / (2.0 * n)
+            return jet_solve(sys, aj, tj, seed=center, constraint_box=j_box, rng=rng)
+
+        def check(jcells, jets):
+            rows = tuple(np.tile(b, (len(jcells), 1)) for b in (lo_b, hi_b))
+            return _generation_ok(sys, domain, jcells, [(jets, below, f)], band=rows)
+
+        work = prev.j_cells[ci] if prev is not None else [icell]
+        accepted.append(_subdivide(work, solve, check, domain, max_cells, stage=n))
+    flat_cells = [c for done in accepted for c, _ in done]
+    flat_polys = [taylor_poly(jj) for done in accepted for _, jj in done]
+    v_poly, marked = assemble(flat_cells, flat_polys, domain)
+    return RefinementStage(
+        n=n, gamma=float(gamma), v=v_poly, domain=marked,
+        band_lo=band_lo, band_hi=band_hi, i_jets=i_jets,
+        j_cells=[[c for c, _ in done] for done in accepted],
+        eq1=eq1_certificate(sys, v_poly, marked, gamma, n),
+        eq2=eq2_certificate(sys, v_poly, marked, tiling.i_cells, band_lo, band_hi,
+                            None if prev is None else (prev.band_lo, prev.band_hi)),
+        eq3=eq3_certificate(tiling.radii, band_lo, band_hi, n),
+    )
+
+
+@pytest.mark.parametrize("n,size,per_axis,radius,gamma", [
+    (1, 129, 4, 0.2, 0.05), (2, 33, 4, 1.0, 0.4), (3, 9, 2, 4.0, 0.4)])
+def test_refine_matches_per_i_cell_reference(n, size, per_axis, radius, gamma):
+    sys = _transport(n)
+    dom = GridDomain([0.0] * n, [1.0] * n, (size,) * n)
+    tiling = tile_domain(dom.lo, dom.hi, math.sqrt(n) / per_axis, domain=dom)
+    tiling = tiling.with_radii(np.full(len(tiling.i_cells), radius))
+    got = want = None
+    rng_got, rng_want = np.random.default_rng(5), np.random.default_rng(5)
+    for stage in (1, 2, 3):
+        got = refine(sys, dom, tiling, got, stage, gamma, rng=rng_got)
+        want = _reference_refine(sys, dom, tiling, want, stage, gamma, rng=rng_want)
+        assert got.j_cells == want.j_cells
+        for key in ("i_jets", "band_lo", "band_hi"):
+            assert np.array_equal(getattr(got, key), getattr(want, key)), key
+        assert [c.lo + c.hi for c in got.v.cells] == [c.lo + c.hi for c in want.v.cells]
+        for pg, pw in zip(got.v.polys, want.v.polys):
+            for tg, tw in zip(pg, pw):
+                assert np.array_equal(tg.anchor, tw.anchor)
+                assert np.array_equal(tg.coeffs, tw.coeffs)
+        assert (got.eq1, got.eq2, got.eq3) == (want.eq1, want.eq2, want.eq3)
+    assert sum(map(len, got.j_cells)) > len(tiling.i_cells)  # the stages split
+
+
+def test_refine_cell_budget_bounds_whole_stage():
+    sys = _transport(1)
+    dom = GridDomain([0.0], [1.0], (129,))
+    tiling = tile_domain(dom.lo, dom.hi, 0.25, domain=dom).with_radii(np.full(4, 0.2))
+    st = refine(sys, dom, tiling, None, 1, 0.05)
+    total = sum(map(len, st.j_cells))
+    assert max(map(len, st.j_cells)) <= total - 2  # each I-cell fits the budget
+    assert sum(map(len, refine(sys, dom, tiling, None, 1, 0.05,
+                               max_cells=total).j_cells)) == total
+    with pytest.raises(ConstructionError, match="cell budget") as exc:
+        refine(sys, dom, tiling, None, 1, 0.05, max_cells=total - 2)
+    assert (exc.value.stage, exc.value.cell) == (1, None)
 
 
 @pytest.fixture(scope="module")
