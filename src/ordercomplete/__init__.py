@@ -53,7 +53,7 @@ from .jets import (
     poly_from_dict,
     poly_to_dict,
     read_poly_json,
-    sample_component,
+    sample_jets,
     taylor_poly,
     write_poly_json,
 )
@@ -189,7 +189,7 @@ __all__ = [
     "render",
     "run_pipeline",
     "run_scheme",
-    "sample_component",
+    "sample_jets",
     "skeleton_fill",
     "taylor_poly",
     "tile_domain",

@@ -303,10 +303,10 @@ def baire_upper(u: GridFunction) -> GridFunction:
 
 
 def normalize(u: GridFunction) -> GridFunction:
-    """Lower-of-upper composition; exactly idempotent on any input."""
-    upper = baire_upper(u)
-    lower = baire_lower(upper)
-    return GridFunction(u.domain, lower.values, normalized=True)
+    """baire_lower(baire_upper(u)), exactly idempotent. At a skeleton point
+    that is min(max(u, nbr_max), nbr_min) = nbr_min, both extrema over the
+    same unmarked neighbours: the one pass of skeleton_fill."""
+    return GridFunction(u.domain, skeleton_fill(u.domain, u.values), normalized=True)
 
 
 def lattice_sup(u: GridFunction, v: GridFunction) -> GridFunction:

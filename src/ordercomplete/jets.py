@@ -442,56 +442,55 @@ def assemble(
     return v, marked
 
 
-def _owned_points(
-    owner: np.ndarray, boundary: np.ndarray, domain: GridDomain
-) -> tuple[tuple[np.ndarray, ...], np.ndarray, np.ndarray]:
-    """Lattice indices, owning cells and coordinates (npts, n) of the owned
-    points of a _classify_grid result, in C order; the domain skeleton must
-    mark every boundary point."""
+def _gathered_jets(
+    mis: MultiIndexSet, anchors: np.ndarray, coeffs: np.ndarray,
+    own: np.ndarray, pts: np.ndarray,
+) -> list[np.ndarray]:
+    """Every flat jet variable (i, alpha), in flat order (component-major,
+    graded-lex within), at each point, on the polynomials of its own cell:
+    anchors (cells, K, n) and coefficients (cells, K, count) per cell and
+    component, own the cell of each point. Bit-identical to each
+    polynomial's deriv_many."""
+    out = []
+    for i in range(coeffs.shape[1]):
+        dx = pts - anchors[own, i]
+        c = coeffs[own, i]
+        out.extend(_taylor_sum(mis, a, dx, c) for a in mis.alphas)
+    return out
+
+
+def _lattice_jets(
+    v: PiecewisePoly, domain: GridDomain
+) -> tuple[tuple[np.ndarray, ...], np.ndarray, list[np.ndarray]]:
+    """Lattice indices and coordinates (npts, n), in C order, of the points
+    owned by a cell of v (see _classify_grid), and every flat jet variable
+    there on the owning cell's polynomials (see _gathered_jets). The domain
+    skeleton must mark every cell-boundary point."""
+    owner, boundary = _classify_grid(v.cells, domain)
     if (boundary & ~domain.skeleton).any():
         raise ValueError("domain skeleton does not mark all cell-boundary points")
     idx = np.nonzero(owner >= 0)
     pts = np.stack([domain.axis(d)[idx[d]] for d in range(domain.ndim)], axis=1)
-    return idx, owner[idx], pts
+    anchors = np.array([[p.anchor for p in ps] for ps in v.polys])
+    coeffs = np.array([[p.coeffs for p in ps] for ps in v.polys])
+    return idx, pts, _gathered_jets(v.polys[0][0].mis, anchors, coeffs, owner[idx], pts)
 
 
-def _component_arrays(
-    v: PiecewisePoly, i: int
-) -> tuple[MultiIndexSet, np.ndarray, np.ndarray]:
-    """Multi-index set, anchors (cells, n) and coefficients (cells, count)
-    of component i over the cells of v."""
-    anchors = np.array([ps[i - 1].anchor for ps in v.polys]).reshape(-1, v.space_dim)
-    coeffs = np.array([ps[i - 1].coeffs for ps in v.polys])
-    return v.polys[0][i - 1].mis, anchors, coeffs
-
-
-def _gathered_derivs(
-    mis: MultiIndexSet, anchors: np.ndarray, coeffs: np.ndarray, alphas,
-    own: np.ndarray, pts: np.ndarray,
-) -> list[np.ndarray]:
-    """D^alpha at each point of the polynomial (anchors[own], coeffs[own])
-    of its own cell; bit-identical to that polynomial's deriv_many."""
-    dx = pts - anchors[own]
-    c = coeffs[own]
-    return [_taylor_sum(mis, a, dx, c) for a in alphas]
-
-
-def sample_component(
-    v: PiecewisePoly, i: int, alpha: tuple[int, ...], domain: GridDomain
-) -> GridFunction:
-    """Sample D^alpha of component i on the lattice.
+def sample_jets(v: PiecewisePoly, domain: GridDomain) -> list[GridFunction]:
+    """Sample every flat jet variable of v on the lattice, one GridFunction
+    each in flat order (PdeSystem.flat_vars).
 
     Owned points (see _classify_grid) take their cell's polynomial
-    derivative, gathered by owner in one pass; skeleton points are filled
-    by the normalize rule, so the output is a normalize fixed point.
+    derivatives, gathered by owner in one pass; skeleton points are filled
+    by the normalize rule, so the outputs are normalize fixed points.
     """
-    if not 1 <= i <= v.components:
-        raise ValueError(f"component {i} out of range 1..{v.components}")
-    idx, own, pts = _owned_points(*_classify_grid(v.cells, domain), domain)
-    values = np.zeros(domain.shape)
-    values[idx] = _gathered_derivs(*_component_arrays(v, i), [alpha], own, pts)[0]
-    filled = skeleton_fill(domain, values)
-    return GridFunction(domain, filled, normalized=True)
+    idx, _, derivs = _lattice_jets(v, domain)
+    out = []
+    for d in derivs:
+        values = np.zeros(domain.shape)
+        values[idx] = d
+        out.append(GridFunction(domain, skeleton_fill(domain, values), normalized=True))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -19,15 +19,7 @@ import numpy as np
 
 from . import expr as ex
 from .grids import GridDomain, GridFunction, skeleton_fill
-from .jets import (
-    Jet,
-    MultiIndexSet,
-    PiecewisePoly,
-    _classify_grid,
-    _component_arrays,
-    _gathered_derivs,
-    _owned_points,
-)
+from .jets import Jet, MultiIndexSet, PiecewisePoly, _lattice_jets
 
 
 @dataclass(eq=False)
@@ -125,11 +117,8 @@ def apply_operator(
     """
     if v.components != sys.K or v.space_dim != sys.n or v.order != sys.m:
         raise ValueError("candidate signature does not match the system")
-    idx, own, pts = _owned_points(*_classify_grid(v.cells, domain), domain)
-    jets = {}
-    for i in range(1, sys.K + 1):
-        derivs = _gathered_derivs(*_component_arrays(v, i), sys.mis.alphas, own, pts)
-        jets.update(((i, a), d) for a, d in zip(sys.mis.alphas, derivs))
+    idx, pts, derivs = _lattice_jets(v, domain)
+    jets = dict(zip(sys.flat_vars(), derivs))
     coords = [pts[:, d] for d in range(sys.n)]
     result = []
     for Fj in sys.F:

@@ -38,10 +38,10 @@ from .jets import (
     PiecewisePoly,
     TilingError,
     _classify_grid,
-    _gathered_derivs,
+    _gathered_jets,
     _interior_ranges,
     assemble,
-    sample_component,
+    sample_jets,
     taylor_poly,
 )
 from .pde import PdeSystem, apply_operator, check_assumption_open
@@ -182,6 +182,15 @@ def _lhs_starts(box: np.ndarray, count: int, rng: np.random.Generator) -> np.nda
     return box[:, 0] + unit * (box[:, 1] - box[:, 0])
 
 
+# jet_solve: max-norm residual tolerance, Gauss-Newton steps per start,
+# multistart count, and the half-width of the multistart box when no
+# constraint box is given
+_TOL_RESIDUAL = 1e-9
+_MAX_ITER = 80
+_MULTISTARTS = 16
+_BOX_RADIUS = 10.0
+
+
 def jet_solve(
     sys: PdeSystem,
     x0,
@@ -189,10 +198,6 @@ def jet_solve(
     seed=None,
     constraint_box=None,
     *,
-    tol_residual: float = 1e-9,
-    max_iter: int = 80,
-    multistarts: int = 16,
-    box_radius: float = 10.0,
     rng: np.random.Generator | None = None,
 ) -> Jet:
     """Solve F(x0, xi) = target for a jet xi, optionally inside a box.
@@ -200,8 +205,8 @@ def jet_solve(
     Damped Gauss-Newton from the seed (least-squares steps, halving line
     search, projection onto the box), Latin-hypercube multistart when the
     direct run stalls, and a derivative-free polytope fallback when F has
-    no jet derivative. Among solutions within tolerance the minimal-norm
-    one wins, then lexicographic order.
+    no jet derivative. Among solutions within tolerance (max-norm residual
+    below _TOL_RESIDUAL) the minimal-norm one wins, then lexicographic order.
     """
     x0 = np.asarray(x0, dtype=float)
     target = np.atleast_1d(np.asarray(target, dtype=float))
@@ -250,8 +255,8 @@ def jet_solve(
         note(r)
         if r is None:
             return None
-        for _ in range(max_iter):
-            if float(np.max(np.abs(r))) < tol_residual:
+        for _ in range(_MAX_ITER):
+            if float(np.max(np.abs(r))) < _TOL_RESIDUAL:
                 return v
             jets = dict(zip(fv, v))
             try:
@@ -279,8 +284,8 @@ def jet_solve(
                     break
                 t *= 0.5
             if not moved:
-                return v if float(np.max(np.abs(r))) < tol_residual else None
-        return v if float(np.max(np.abs(r))) < tol_residual else None
+                return v if float(np.max(np.abs(r))) < _TOL_RESIDUAL else None
+        return v if float(np.max(np.abs(r))) < _TOL_RESIDUAL else None
 
     def run_polytope(v0: np.ndarray) -> np.ndarray | None:
         def cost(v: np.ndarray) -> float:
@@ -296,7 +301,7 @@ def jet_solve(
         )
         v = clamp(res.x)
         r = residual(v)
-        if r is not None and float(np.max(np.abs(r))) < tol_residual:
+        if r is not None and float(np.max(np.abs(r))) < _TOL_RESIDUAL:
             return v
         return None
 
@@ -314,9 +319,9 @@ def jet_solve(
     if not candidates:
         rng = rng or np.random.default_rng(0)
         search_box = box if box is not None else np.stack(
-            [np.full(m_flat, -box_radius), np.full(m_flat, box_radius)], axis=1
+            [np.full(m_flat, -_BOX_RADIUS), np.full(m_flat, _BOX_RADIUS)], axis=1
         )
-        for start in _lhs_starts(search_box, multistarts, rng):
+        for start in _lhs_starts(search_box, _MULTISTARTS, rng):
             got = attempt(start)
             if got is not None:
                 candidates.append(got)
@@ -334,14 +339,9 @@ def _jets_at(sys: PdeSystem, jets: list[Jet], own: np.ndarray,
              pts: np.ndarray) -> dict:
     """Every flat jet variable at each point, on the Taylor polynomials of
     the jet jets[own] of that point."""
-    anchors = np.array([j.base_point for j in jets]).reshape(-1, sys.n)
+    anchors = np.array([[j.base_point] * sys.K for j in jets])
     coeffs = np.array([j.values for j in jets])
-    out = {}
-    for i in range(1, sys.K + 1):
-        derivs = _gathered_derivs(sys.mis, anchors, coeffs[:, i - 1], sys.mis.alphas,
-                                  own, pts)
-        out.update(((i, a), d) for a, d in zip(sys.mis.alphas, derivs))
-    return out
+    return dict(zip(sys.flat_vars(), _gathered_jets(sys.mis, anchors, coeffs, own, pts)))
 
 
 def _bracket_margins(
@@ -552,7 +552,8 @@ class ApEqCertificate:
 
 def _min_slack(lower, upper, off: np.ndarray) -> float:
     """min of upper - lower over the components and the points in off."""
-    return min(float(np.min(hi[off] - lo[off])) for lo, hi in zip(lower, upper))
+    return min(float(np.min(hi[off] - lo[off]))
+               for lo, hi in zip(lower, upper, strict=True))
 
 
 def apeq_certificate(
@@ -690,17 +691,16 @@ def eq2_certificate(
     prev_bands: tuple[np.ndarray, np.ndarray] | None,
 ) -> Eq2Certificate:
     """EQ2: the jets of v inside the stage bands of their I-cell off the
-    skeleton of `domain`, and the bands strictly inside prev_bands, the
-    previous stage's (band_lo, band_hi); None at stage 1 (vacuous)."""
-    owner, _ = _classify_grid(i_cells, domain)
-    sel = (owner >= 0) & ~domain.skeleton
-    own = owner[sel]
-    inner_lo = float("inf")
-    inner_hi = float("inf")
-    for k, (i, a) in enumerate(sys.flat_vars()):
-        sampled = sample_component(v, i, a, domain).values[sel]
-        inner_lo = min(inner_lo, float(np.min(sampled - band_lo[own, k], initial=np.inf)))
-        inner_hi = min(inner_hi, float(np.min(band_hi[own, k] - sampled, initial=np.inf)))
+    skeleton of `domain`, which must mark every cell boundary of v and of
+    the I-cells, and the bands strictly inside prev_bands, the previous
+    stage's (band_lo, band_hi); None at stage 1 (vacuous)."""
+    if (v.components, v.space_dim, v.order) != (sys.K, sys.n, sys.m):
+        raise ValueError("candidate signature does not match the system")
+    (bands,) = _band_functions([(band_lo, band_hi)], domain, i_cells)
+    sampled = [g.values for g in sample_jets(v, domain)]
+    off = ~domain.skeleton
+    inner_lo = _min_slack([lo.values for lo, _ in bands], sampled, off)
+    inner_hi = _min_slack(sampled, [hi.values for _, hi in bands], off)
     outer_lo = outer_hi = float("inf")
     if prev_bands is not None:
         outer_lo = float(np.min(band_lo - prev_bands[0]))
@@ -745,10 +745,11 @@ class RefinementStage:
 
 
 def _band_functions(
-    band_lo: np.ndarray, band_hi: np.ndarray, domain: GridDomain,
+    bands: list[tuple[np.ndarray, np.ndarray]], domain: GridDomain,
     i_cells: list[Cell],
-) -> list[tuple[GridFunction, GridFunction]]:
-    """Render the bands as step GridFunctions, one pair per flat jet variable.
+) -> list[list[tuple[GridFunction, GridFunction]]]:
+    """Render each stage's (band_lo, band_hi) as step GridFunctions, one
+    (lower, upper) pair per flat jet variable, classifying the I-cells once.
 
     Each owned lattice point takes its I-cell's band constants, gathered by
     owner index. I-cell boundary points are a subset of the domain
@@ -761,19 +762,14 @@ def _band_functions(
         raise ValueError("domain skeleton does not cover the I-cell boundaries")
     owned = owner >= 0
     own = owner[owned]
-    out = []
-    for k in range(band_lo.shape[1]):
-        lo_vals = np.zeros(domain.shape)
-        hi_vals = np.zeros(domain.shape)
-        lo_vals[owned] = band_lo[own, k]
-        hi_vals[owned] = band_hi[own, k]
-        lo_vals = skeleton_fill(domain, lo_vals)
-        hi_vals = skeleton_fill(domain, hi_vals)
-        out.append((
-            GridFunction(domain, lo_vals, normalized=True),
-            GridFunction(domain, hi_vals, normalized=True),
-        ))
-    return out
+
+    def step(consts: np.ndarray) -> GridFunction:
+        vals = np.zeros(domain.shape)
+        vals[owned] = consts[own]
+        return GridFunction(domain, skeleton_fill(domain, vals), normalized=True)
+
+    return [[(step(lo[:, k]), step(hi[:, k])) for k in range(lo.shape[1])]
+            for lo, hi in bands]
 
 
 def refine(
@@ -938,10 +934,8 @@ def scheme_convergence(
     ]
     fv = sys.flat_vars()
     band_tol = band_tolerance(radii, N)
-    bands_by_stage = [_band_functions(lo, hi, final_domain, i_cells)
-                      for lo, hi in bands]
-    samples_by_stage = [[sample_component(v, i, a, final_domain) for i, a in fv]
-                        for v in polys]
+    bands_by_stage = _band_functions(bands, final_domain, i_cells)
+    samples_by_stage = [sample_jets(v, final_domain) for v in polys]
     oc_bands = {}
     for k, var in enumerate(fv):
         seq = [samples[k] for samples in samples_by_stage]
@@ -978,13 +972,12 @@ def run_scheme(
     *,
     eps_max: float = 1.0,
     seed: int = 0,
-    delta: float | None = None,
-    probe_samples: int = 400,
 ) -> SchemeResult:
     """Chain refinement stages 1..N and certify the outcome.
 
-    Openness radii come from the sampling probe at each anchor (capped at
-    eps_max). The verdict requires every stage certificate, order
+    The I-cells have diameter at most a sixteenth of the box diagonal, and
+    their openness radii come from the sampling probe at each anchor
+    (capped at eps_max). The verdict requires every stage certificate, order
     convergence of the operator images to f, and a final sup gap below
     gamma/N. Band order-convergence certificates are recorded per jet
     variable but do not gate the verdict; their terminal gaps scale with
@@ -998,9 +991,7 @@ def run_scheme(
     if eps_max <= 0.0:
         raise ValueError("eps_max must be positive")
     rng = np.random.default_rng(seed)
-    diam = float(np.linalg.norm(domain.hi - domain.lo))
-    if delta is None:
-        delta = diam / 16.0
+    delta = float(np.linalg.norm(domain.hi - domain.lo)) / 16.0
     tiling = tile_domain(domain.lo, domain.hi, delta, 2, domain)
     radii = np.zeros(len(tiling.i_cells))
     for ci, cell in enumerate(tiling.i_cells):
@@ -1015,7 +1006,7 @@ def run_scheme(
             ) from e
         ev = check_assumption_open(
             sys, a, ji.flat(), delta=cell.diameter() / 2.0, eps_ball=eps_max,
-            samples=probe_samples, rng=rng, target=target,
+            rng=rng, target=target,
         )
         if not ev.supported:
             raise ConstructionError(

@@ -226,6 +226,23 @@ def test_run_exit3_when_skipping_straight_to_solver(tmp_path, capsys):
     assert "construction failure" in capsys.readouterr().out
 
 
+def test_run_skip_assumption_check_passes(tmp_path, capsys):
+    spec = tmp_path / "prob.spec"
+    spec.write_text(GOOD_SPEC)
+    out = tmp_path / "skipped"
+    code = main([
+        "run", str(spec), "--gamma", "0.4", "--stages", "1",
+        "--out", str(out), "--skip-assumption-check",
+    ])
+    assert code == 0
+    cert = json.loads((out / "certificate.json").read_text())
+    assert cert["assumption"]["checked"] is False
+    assert "interior" not in cert["assumption"]
+    assert "check skipped by flag" in (out / "summary.txt").read_text()
+    assert verify(out) == 0
+    assert "all certificates reproduce" in capsys.readouterr().out
+
+
 OVERFLOW_SPEC = """\
 n = 1
 K = 1
@@ -444,6 +461,17 @@ def test_verify_rejects_missing_or_foreign_dir(tmp_path, capsys):
 
 # ---------------------------------------------------------------------------
 # installed entry point
+
+
+def test_package_exports_resolve():
+    # every exported name resolves, the lazily loaded CLI names included,
+    # so a renamed or removed function cannot linger in __all__
+    import ordercomplete
+
+    assert len(set(ordercomplete.__all__)) == len(ordercomplete.__all__)
+    for name in ordercomplete.__all__:
+        assert getattr(ordercomplete, name) is not None, name
+    assert set(ordercomplete.__all__) <= set(dir(ordercomplete))
 
 
 def test_console_entry_point(tmp_path):

@@ -162,6 +162,43 @@ def test_normalize_idempotent_randomized():
         assert np.all(np.isfinite(once.values))
 
 
+def _marked_edge_domain(rng, ndim):
+    """A random skeleton whose first two slabs along axis 0 are marked too,
+    so the points of the outer slab have no unmarked ring-1 neighbour and
+    take the ring search."""
+    dom = _random_domain(rng, ndim)
+    skel = np.array(dom.skeleton)
+    skel[:2] = True
+    skel[2] = False  # every 2-block across slabs 1 and 2 keeps a free point
+    return dom.with_skeleton(skel)
+
+
+def test_normalize_is_lower_of_upper_bit_for_bit():
+    rng = np.random.default_rng(59)
+    for trial in range(120):
+        ndim = 1 + trial % 3
+        dom = _random_domain(rng, ndim) if trial % 4 else _marked_edge_domain(rng, ndim)
+        # signed zeros make equal neighbour extrema of either sign
+        vals = rng.choice([-1.0, -0.0, 0.0, 1.0, 2.5], size=dom.shape) if trial % 5 == 0 \
+            else rng.normal(size=dom.shape)
+        marked = np.argwhere(dom.skeleton)
+        for pt in marked[rng.random(len(marked)) < 0.3]:
+            vals[tuple(pt)] = rng.choice([np.inf, -np.inf])
+        u = GridFunction(dom, vals)
+        got = normalize(u)
+        want = baire_lower(baire_upper(u))
+        assert got.values.tobytes() == want.values.tobytes()
+        assert got.normalized
+    # no unmarked point to borrow from: both raise the same error
+    dom = GridDomain([0.0, 0.0], [1.0, 1.0], (3, 3), skeleton=np.ones((3, 3), bool))
+    u = GridFunction(dom, np.full((3, 3), np.inf))
+    with pytest.raises(ValueError, match="no unmarked points") as got:
+        normalize(u)
+    with pytest.raises(ValueError, match="no unmarked points") as want:
+        baire_lower(baire_upper(u))
+    assert str(got.value) == str(want.value)
+
+
 def test_skeleton_fill_is_normalize_rule():
     rng = np.random.default_rng(53)
     for _ in range(20):

@@ -21,7 +21,7 @@ from ordercomplete.jets import (
     poly_from_dict,
     poly_to_dict,
     read_poly_json,
-    sample_component,
+    sample_jets,
     taylor_poly,
     write_poly_json,
 )
@@ -191,13 +191,12 @@ def test_assemble_two_cell_step():
     # jump point, plus the outer box boundary
     assert marked.skeleton[4] and marked.skeleton[0] and marked.skeleton[-1]
     assert marked.skeleton.sum() == 3
-    s = sample_component(v, 1, (0,), marked)
+    s, d = sample_jets(v, marked)  # (1, (0,)) and (1, (1,))
     assert s.normalized
     x = marked.axis(0)
     off = ~marked.skeleton
     assert np.array_equal(s.values[off], np.where(x[off] < 0.0, 0.0, 1.0))
     assert s.values[4] == 0.0  # normalize rule at the jump: min of sides
-    d = sample_component(v, 1, (1,), marked)
     assert np.all(d.values == 0.0)
 
 
@@ -214,8 +213,8 @@ def test_assemble_dyadic_2x2_cross():
     assert skel[0, :].all() and skel[-1, :].all()
     assert skel[:, 0].all() and skel[:, -1].all()
     assert is_nowhere_dense(skel)
-    s = sample_component(v, 1, (0, 0), marked)
-    assert np.array_equal(s.values, normalize(s).values)
+    for s in sample_jets(v, marked):
+        assert np.array_equal(s.values, normalize(s).values)
 
 
 def test_assemble_rejects_overlap_and_gap():
@@ -399,8 +398,10 @@ def test_gathered_sampling_is_bit_equal_to_per_cell_evaluation():
             owner, _ = _reference_classify(cells, dom)
             coords = np.stack([g.reshape(-1) for g in marked.meshes()], axis=1)
             flat_owner = owner.reshape(-1)
-            for i, alpha in itertools.product((1, 2), mis.alphas):
-                got = sample_component(v, i, alpha, marked).values.reshape(-1)
+            sampled = sample_jets(v, marked)
+            assert len(sampled) == 2 * mis.count
+            for k, (i, alpha) in enumerate(itertools.product((1, 2), mis.alphas)):
+                got = sampled[k].values.reshape(-1)
                 for ci in range(len(cells)):
                     sel = flat_owner == ci
                     p = polys[ci][i - 1]
@@ -411,12 +412,12 @@ def test_gathered_sampling_is_bit_equal_to_per_cell_evaluation():
     assert checked >= 8
 
 
-def test_sample_component_single_cell_smooth():
+def test_sample_jets_single_cell_smooth():
     mis = MultiIndexSet(1, 2)
     dom = GridDomain([-1.0], [1.0], (17,))
     jet = Jet([0.0], [[1.0, 2.0, 6.0]], mis)
     v, marked = assemble([Cell([-1.0], [1.0])], [taylor_poly(jet)], dom)
-    s = sample_component(v, 1, (0,), marked)
+    s = sample_jets(v, marked)[0]
     interior = ~marked.skeleton
     x = marked.axis(0)
     assert s.values[interior] == pytest.approx(1.0 + 2.0 * x[interior] + 3.0 * x[interior] ** 2)

@@ -14,8 +14,8 @@ from ordercomplete.jets import (
     Jet,
     MultiIndexSet,
     TilingError,
+    _classify_grid,
     assemble,
-    sample_component,
     taylor_poly,
 )
 from ordercomplete.pde import PdeSystem, apply_operator
@@ -703,19 +703,80 @@ def test_scheme_manufactured_small(res_cubic2):
     assert res.stages[0].eq2.vacuous and not res.stages[1].eq2.vacuous
 
 
+def _oracle_band_margins(stage, i_cells):
+    """min of D^alpha V_n - lambda and mu - D^alpha V_n over the strictly
+    interior lattice points of every J-cell, each derivative from the
+    J-cell's own TaylorPoly.deriv_many and each band row from the I-cell
+    holding the J-cell's center; no certificate code involved."""
+    dom = stage.domain
+    axes = [dom.axis(d) for d in range(dom.ndim)]
+    inner_lo = inner_hi = np.inf
+    points = 0
+    for cell, polys in zip(stage.v.cells, stage.v.polys):
+        ranges = [np.arange(np.searchsorted(a, lo, "right"), np.searchsorted(a, hi, "left"))
+                  for a, lo, hi in zip(axes, cell.lo, cell.hi)]
+        grids = np.meshgrid(*(a[r] for a, r in zip(axes, ranges)), indexing="ij")
+        pts = np.stack([g.reshape(-1) for g in grids], axis=1)
+        (ci,) = [k for k, ic in enumerate(i_cells)
+                 if all(lo < x < hi for lo, x, hi in zip(ic.lo, cell.center, ic.hi))]
+        k = 0
+        for p in polys:
+            for alpha in p.mis.alphas:
+                vals = p.deriv_many(alpha, pts)
+                inner_lo = min(inner_lo, np.min(vals - stage.band_lo[ci, k], initial=np.inf))
+                inner_hi = min(inner_hi, np.min(stage.band_hi[ci, k] - vals, initial=np.inf))
+                k += 1
+        points += len(pts)
+    assert points > 0
+    return float(inner_lo), float(inner_hi)
+
+
 def test_scheme_band_containment_oracle(res_cubic2):
-    # lambda <= sampled D^alpha V_n <= mu off skeleton, re-derived via
-    # sample_component rather than trusting the stored certificates
+    # lambda <= D^alpha V_n <= mu at every strictly interior J-cell point,
+    # re-derived from the polynomials rather than trusting the certificates
     res = res_cubic2
-    mis = MultiIndexSet(1, 1)
     for s in res.stages:
-        bands = _band_functions(s.band_lo, s.band_hi, s.domain, res.tiling.i_cells)
-        for k, alpha in enumerate(mis.alphas):
-            lo_f, hi_f = bands[k]
-            samp = sample_component(s.v, 1, alpha, s.domain)
-            off = ~s.domain.skeleton
-            assert np.all(samp.values[off] >= lo_f.values[off])
-            assert np.all(samp.values[off] <= hi_f.values[off])
+        inner_lo, inner_hi = _oracle_band_margins(s, res.tiling.i_cells)
+        assert inner_lo >= 0.0 and inner_hi >= 0.0
+        assert (s.eq2.inner_lower, s.eq2.inner_upper) == (inner_lo, inner_hi)
+
+
+def test_band_functions_stages_match_single_stage_calls():
+    rng = np.random.default_rng(41)
+    for n, size, M in ((1, 33, 2), (2, 17, 6), (3, 9, 4)):
+        dom = GridDomain([0.0] * n, [1.0] * n, (size,) * n)
+        i_cells = tile_domain(dom.lo, dom.hi, math.sqrt(n) / 2, domain=dom).i_cells
+        dom = dom.with_skeleton(_classify_grid(i_cells, dom)[1])
+        bands = []
+        for _ in range(3):
+            lo = rng.uniform(-1.0, 1.0, (len(i_cells), M))
+            bands.append((lo, lo + rng.uniform(0.1, 1.0, lo.shape)))
+        got = _band_functions(bands, dom, i_cells)
+        assert len(got) == len(bands)
+        for stage, band in zip(got, bands):
+            (want,) = _band_functions([band], dom, i_cells)
+            assert len(stage) == len(want) == M
+            for (lo_g, hi_g), (lo_w, hi_w) in zip(stage, want):
+                assert lo_g == lo_w and hi_g == hi_w
+                assert lo_g.normalized and hi_g.normalized
+
+
+def test_eq2_rejects_skeleton_missing_i_cell_face():
+    # v is one cell, so its skeleton is the box boundary alone and misses
+    # the face x = 0.5 between the two I-cells
+    sys1 = _affine()
+    dom = GridDomain([0.0], [1.0], (9,))
+    v, marked = assemble([Cell([0.0], [1.0])],
+                         [taylor_poly(Jet([0.5], [[0.0, 1.0]], sys1.mis))], dom)
+    i_cells = [Cell([0.0], [0.5]), Cell([0.5], [1.0])]
+    band_lo, band_hi = np.full((2, 2), -5.0), np.full((2, 2), 5.0)
+    with pytest.raises(ValueError, match="I-cell boundaries"):
+        eq2_certificate(sys1, v, marked, i_cells, band_lo, band_hi, None)
+    full = marked.with_skeleton(marked.skeleton | (marked.axis(0) == 0.5))
+    assert eq2_certificate(sys1, v, full, i_cells, band_lo, band_hi, None).passed
+    sys2 = PdeSystem(1, 2, 1, ["u[1,(1)]", "u[2,(1)]"], ["1", "1"], [0.0], [1.0])
+    with pytest.raises(ValueError, match="signature"):
+        eq2_certificate(sys2, v, full, i_cells, band_lo, band_hi, None)
 
 
 def test_scheme_band_nesting_strict(res_cubic2):
