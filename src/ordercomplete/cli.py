@@ -25,7 +25,7 @@ import numpy as np
 from . import expr as ex
 from .analysis import IntervalSequence, compare_reference, nested_limit_check
 from .grids import GridDomain, GridFunction, OrderInterval, write_csv
-from .jets import Cell, TilingError, assemble, read_poly_json, write_poly_json
+from .jets import Cell, TilingError, assemble, read_poly_json, sample_jets, write_poly_json
 from .pde import PdeSystem, check_assumption_interior
 from .solver import (
     ConstructionError,
@@ -236,7 +236,7 @@ def run_pipeline(cfg: RunConfig) -> int:
         return 3
     try:
         domain = GridDomain(system.box_lo, system.box_hi, (res,) * system.n)
-    except ValueError as e:
+    except (ValueError, MemoryError) as e:
         print(f"spec error: {e}")
         return 3
     out = Path(cfg.out)
@@ -504,8 +504,9 @@ def verify(result_dir) -> int:
     serialized polynomial, recomputes every certificate through the same
     solver functions `run` uses, and compares the results, serialized as
     `run` writes them, with the stored blocks at relative tolerance 1e-9.
-    Never re-runs the jet solver. Artifacts of the wrong shape or count
-    are an inconsistency (exit 2).
+    Never re-runs the jet solver. Artifacts of the wrong shape, count or
+    polynomial signature, or a lattice too large to allocate, are an
+    inconsistency (exit 2).
     """
     out = Path(result_dir)
     problems: list[str] = []
@@ -523,7 +524,7 @@ def verify(result_dir) -> int:
     try:
         code = _verify_inner(out, cert, problems)
     except (ConstructionError, TilingError, ValueError, OSError, KeyError,
-            TypeError) as e:
+            TypeError, MemoryError) as e:
         print(f"verify: artifact inconsistency: {e}")
         return 2
     for p in problems:
@@ -546,12 +547,19 @@ def _verify_inner(out: Path, cert: dict, problems: list[str]) -> int:
         raise ValueError(f"config.stages: expected at least 1, found {N}")
     domain = GridDomain(system.box_lo, system.box_hi, grid)
 
+    def read_poly(name: str):
+        v = read_poly_json(out / name)
+        _expect(f"{name} signature (space_dim, components, order)",
+                (v.space_dim, v.components, v.order), (system.n, system.K, system.m))
+        return v
+
     # global pair
     g = cert["global_pair"]
-    u_poly = read_poly_json(out / g["files"]["lower"])
-    v_poly = read_poly_json(out / g["files"]["upper"])
+    u_poly = read_poly(g["files"]["lower"])
+    v_poly = read_poly(g["files"]["upper"])
     _, marked = assemble(u_poly.cells, u_poly.polys, domain)
-    gp = apeq_certificate(system, u_poly, v_poly, marked, float(g["eps"]))
+    gp = apeq_certificate(system, sample_jets(u_poly, marked),
+                          sample_jets(v_poly, marked), float(g["eps"]))
     _compare(problems, "global_pair", g, _cert_dict(gp))
 
     # stages
@@ -559,6 +567,7 @@ def _verify_inner(out: Path, cert: dict, problems: list[str]) -> int:
     radii = np.asarray(cert["tiling"]["radii"], dtype=float)
     _expect("tiling.radii shape", radii.shape, (len(i_cells),))
     stages = cert["stages"]
+    _expect("stage count", len(stages), N)
     _expect("stage numbers", [s["n"] for s in stages], list(range(1, N + 1)))
     band_shape = (len(i_cells), system.unknown_count)
     polys = []
@@ -566,7 +575,7 @@ def _verify_inner(out: Path, cert: dict, problems: list[str]) -> int:
     stages_pass = True
     for s in stages:
         n = s["n"]
-        v = read_poly_json(out / s["file"])
+        v = read_poly(s["file"])
         stored_cells = [Cell(c["lo"], c["hi"]) for cs in s["j_cells"] for c in cs]
         if [tuple(c.lo) + tuple(c.hi) for c in stored_cells] != [
             tuple(c.lo) + tuple(c.hi) for c in v.cells
@@ -577,8 +586,9 @@ def _verify_inner(out: Path, cert: dict, problems: list[str]) -> int:
         band_hi = np.asarray(s["band_hi"], dtype=float)
         _expect(f"stage{n}.band_lo shape", band_lo.shape, band_shape)
         _expect(f"stage{n}.band_hi shape", band_hi.shape, band_shape)
-        eq1 = eq1_certificate(system, v, smarked, gamma, n)
-        eq2 = eq2_certificate(system, v, smarked, i_cells, band_lo, band_hi,
+        jets = sample_jets(v, smarked)
+        eq1 = eq1_certificate(system, jets, gamma, n)
+        eq2 = eq2_certificate(system, jets, i_cells, band_lo, band_hi,
                               bands[-1] if bands else None)
         eq3 = eq3_certificate(radii, band_lo, band_hi, n)
         for key, c in (("eq1", eq1), ("eq2", eq2), ("eq3", eq3)):

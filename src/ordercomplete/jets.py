@@ -459,34 +459,25 @@ def _gathered_jets(
     return out
 
 
-def _lattice_jets(
-    v: PiecewisePoly, domain: GridDomain
-) -> tuple[tuple[np.ndarray, ...], np.ndarray, list[np.ndarray]]:
-    """Lattice indices and coordinates (npts, n), in C order, of the points
-    owned by a cell of v (see _classify_grid), and every flat jet variable
-    there on the owning cell's polynomials (see _gathered_jets). The domain
-    skeleton must mark every cell-boundary point."""
-    owner, boundary = _classify_grid(v.cells, domain)
-    if (boundary & ~domain.skeleton).any():
-        raise ValueError("domain skeleton does not mark all cell-boundary points")
-    idx = np.nonzero(owner >= 0)
-    pts = np.stack([domain.axis(d)[idx[d]] for d in range(domain.ndim)], axis=1)
-    anchors = np.array([[p.anchor for p in ps] for ps in v.polys])
-    coeffs = np.array([[p.coeffs for p in ps] for ps in v.polys])
-    return idx, pts, _gathered_jets(v.polys[0][0].mis, anchors, coeffs, owner[idx], pts)
-
-
 def sample_jets(v: PiecewisePoly, domain: GridDomain) -> list[GridFunction]:
     """Sample every flat jet variable of v on the lattice, one GridFunction
     each in flat order (PdeSystem.flat_vars).
 
-    Owned points (see _classify_grid) take their cell's polynomial
-    derivatives, gathered by owner in one pass; skeleton points are filled
-    by the normalize rule, so the outputs are normalize fixed points.
+    The domain skeleton must mark every cell-boundary point of v (see
+    _classify_grid), so each off-skeleton point is owned by one cell and
+    takes that cell's polynomial derivatives, gathered by owner in one pass
+    (see _gathered_jets); skeleton points are filled by the normalize rule,
+    so the outputs are normalize fixed points.
     """
-    idx, _, derivs = _lattice_jets(v, domain)
+    owner, boundary = _classify_grid(v.cells, domain)
+    if (boundary & ~domain.skeleton).any():
+        raise ValueError("domain skeleton does not mark all cell-boundary points")
+    idx = np.nonzero(~domain.skeleton)
+    pts = np.stack([domain.axis(d)[idx[d]] for d in range(domain.ndim)], axis=1)
+    anchors = np.array([[p.anchor for p in ps] for ps in v.polys])
+    coeffs = np.array([[p.coeffs for p in ps] for ps in v.polys])
     out = []
-    for d in derivs:
+    for d in _gathered_jets(v.polys[0][0].mis, anchors, coeffs, owner[idx], pts):
         values = np.zeros(domain.shape)
         values[idx] = d
         out.append(GridFunction(domain, skeleton_fill(domain, values), normalized=True))

@@ -1,10 +1,10 @@
 """PDE systems T_j(x, D)u = F_j(x, u, ..., D^alpha u_i, ...) and their
 application to piecewise-polynomial candidates.
 
-The operator acts on jets only; applying it to an assembled candidate
-samples each off-skeleton point's jets on its owning cell, evaluates F
-there, and completes across the skeleton by the normalize rule, mirroring
-the envelope-composed extension of the operator to functions with jumps.
+The operator acts on jets only; applied to a candidate's sampled jets
+(jets.sample_jets), it evaluates F at each off-skeleton point and completes
+across the skeleton by the normalize rule, mirroring the envelope-composed
+extension of the operator to functions with jumps.
 
 Assumption checks are sampling heuristics. Their verdicts are marked as
 evidence and carry witnessed radii; they are never proofs.
@@ -19,7 +19,7 @@ import numpy as np
 
 from . import expr as ex
 from .grids import GridDomain, GridFunction, skeleton_fill
-from .jets import Jet, MultiIndexSet, PiecewisePoly, _lattice_jets
+from .jets import Jet, MultiIndexSet
 
 
 @dataclass(eq=False)
@@ -104,26 +104,24 @@ def apply_operator_point(sys: PdeSystem, x, jet: Jet) -> np.ndarray:
     return np.array([ex.eval_point(Fj, x, jet) for Fj in sys.F])
 
 
-def apply_operator(
-    sys: PdeSystem, v: PiecewisePoly, domain: GridDomain
-) -> list[GridFunction]:
-    """Sample T_j v on the lattice, one GridFunction per component.
+def apply_operator(sys: PdeSystem, jets: list[GridFunction]) -> list[GridFunction]:
+    """T_j on a candidate's sampled jets, one GridFunction per component.
 
-    Off-skeleton points evaluate F on the jets of their owning cell (the
-    cell whose index ranges hold the point strictly inside, see
-    jets._classify_grid), gathered by owner so that each F_j is one array
-    evaluation over all owned points; skeleton points are completed by the
+    jets holds one GridFunction per flat jet variable, in flat order and on
+    one domain (see jets.sample_jets). Each F_j is one array evaluation
+    over the off-skeleton points; skeleton points are completed by the
     normalize rule. Outputs are normalized.
     """
-    if v.components != sys.K or v.space_dim != sys.n or v.order != sys.m:
+    if len(jets) != sys.unknown_count:
         raise ValueError("candidate signature does not match the system")
-    idx, pts, derivs = _lattice_jets(v, domain)
-    jets = dict(zip(sys.flat_vars(), derivs))
-    coords = [pts[:, d] for d in range(sys.n)]
+    domain = jets[0].domain
+    off = ~domain.skeleton
+    coords = [m[off] for m in domain.meshes()]
+    values = {var: g.values[off] for var, g in zip(sys.flat_vars(), jets)}
     result = []
     for Fj in sys.F:
         vals = np.zeros(domain.shape)
-        vals[idx] = ex.eval_on_arrays(Fj, coords, jets)
+        vals[off] = ex.eval_on_arrays(Fj, coords, values)
         result.append(GridFunction(domain, skeleton_fill(domain, vals), normalized=True))
     return result
 
@@ -202,26 +200,31 @@ def _sample_images(sys: PdeSystem, x: Sequence, vecs: np.ndarray) -> np.ndarray:
     return images[kept]
 
 
+# probe draws, random directions beside the axes, and the margin support must exceed
+_SAMPLES = 400
+_EXTRA_DIRECTIONS = 32
+_R_MIN = 1e-6
+
+
 def _evidence(kind: str, images: np.ndarray, target: np.ndarray,
-              extra_directions: int, r_min: float,
               rng: np.random.Generator) -> AssumptionEvidence:
     """Directional ball-containment verdict of target in the sampled image."""
     if images.shape[0] == 0:
         return AssumptionEvidence(
             kind=kind, supported=False, witnessed_radius=0.0,
-            margin_min=float("-inf"), directions=0, samples_used=0, r_min=r_min,
+            margin_min=float("-inf"), directions=0, samples_used=0, r_min=_R_MIN,
         )
-    dirs = _directions(images.shape[1], extra_directions, rng)
+    dirs = _directions(images.shape[1], _EXTRA_DIRECTIONS, rng)
     dirs = np.concatenate([dirs, _principal_directions(images)], axis=0)
     margin = _image_margins(images, target, dirs)
     return AssumptionEvidence(
         kind=kind,
-        supported=margin > r_min,
+        supported=margin > _R_MIN,
         witnessed_radius=max(margin, 0.0),
         margin_min=margin,
         directions=dirs.shape[0],
         samples_used=images.shape[0],
-        r_min=r_min,
+        r_min=_R_MIN,
     )
 
 
@@ -229,15 +232,12 @@ def check_assumption_interior(
     sys: PdeSystem,
     x,
     trial_box: np.ndarray,
-    samples: int = 400,
-    extra_directions: int = 32,
-    r_min: float = 1e-6,
     rng: np.random.Generator | None = None,
 ) -> AssumptionEvidence:
     """Evidence that f(x) lies in the interior of {F(x, xi) : xi in trial_box}.
 
     Ball containment is probed along the 2K axis directions plus random
-    ones; support requires every directional margin to exceed r_min.
+    ones; support requires every directional margin to exceed _R_MIN.
     """
     rng = rng or np.random.default_rng(0)
     box = np.asarray(trial_box, dtype=float)
@@ -245,9 +245,9 @@ def check_assumption_interior(
         raise ValueError("trial box must have shape (M, 2)")
     x = np.asarray(x, dtype=float)
     target = sys.rhs_at(x)
-    vecs = rng.uniform(box[:, 0], box[:, 1], size=(samples, box.shape[0]))
+    vecs = rng.uniform(box[:, 0], box[:, 1], size=(_SAMPLES, box.shape[0]))
     images = _sample_images(sys, x, vecs)
-    return _evidence("interior", images, target, extra_directions, r_min, rng)
+    return _evidence("interior", images, target, rng)
 
 
 def _unit_ball_draws(
@@ -289,9 +289,6 @@ def check_assumption_open(
     jet_flat: np.ndarray,
     delta: float,
     eps_ball: float,
-    samples: int = 400,
-    extra_directions: int = 32,
-    r_min: float = 1e-6,
     rng: np.random.Generator | None = None,
     target=None,
 ) -> AssumptionEvidence:
@@ -316,9 +313,9 @@ def check_assumption_open(
     if float(np.max(np.abs(seed_image - target))) > 1e-6:
         raise ValueError("seed jet does not hit the probe target F(x, jet) = t")
     (x_unit, x_root), (j_unit, j_root) = _unit_ball_draws(
-        rng, (x.size, jet_flat.size), samples
+        rng, (x.size, jet_flat.size), _SAMPLES
     )
     xp = np.clip(x + (delta * x_root)[:, None] * x_unit, sys.box_lo, sys.box_hi)
     vecs = jet_flat + (eps_ball * j_root)[:, None] * j_unit
     images = _sample_images(sys, xp.T, vecs)
-    return _evidence("openness", images, target, extra_directions, r_min, rng)
+    return _evidence("openness", images, target, rng)

@@ -8,12 +8,12 @@ strictly inside the previous stage's bands (EQ2), and whose band widths
 stay below 4*eps/n per cell (EQ3). Both the global pair and the stages are
 built by one adaptive subdivision loop (`_subdivide`).
 
-The certificates come from pure functions of the assembled polynomials,
-bands and lattice: `apeq_certificate`, `eq1_certificate`,
-`eq2_certificate`, `eq3_certificate` and `scheme_convergence`. They
-re-check every inequality on the full lattice after assembly,
-independently of the per-cell construction, and `cli.verify` recomputes
-the stored certificates through the same functions from the artifacts.
+The certificates come from pure functions of the sampled jets, bands and
+lattice: `apeq_certificate`, `eq1_certificate`, `eq2_certificate`,
+`eq3_certificate` and `scheme_convergence`. They re-check every inequality
+on the full lattice after assembly, independently of the per-cell
+construction, and `cli.verify` recomputes the stored certificates through
+the same functions from the artifacts.
 """
 
 from __future__ import annotations
@@ -557,14 +557,15 @@ def _min_slack(lower, upper, off: np.ndarray) -> float:
 
 
 def apeq_certificate(
-    sys: PdeSystem, u: PiecewisePoly, v: PiecewisePoly, domain: GridDomain,
+    sys: PdeSystem, u_jets: list[GridFunction], v_jets: list[GridFunction],
     eps: float,
 ) -> ApEqCertificate:
-    """ApEq margins of the pair (u, v) off the skeleton of `domain`, which
-    must mark every cell boundary of both (see jets.assemble)."""
+    """ApEq margins of the pair (u, v) off the skeleton, from their jets
+    sampled on one domain (see jets.sample_jets)."""
+    domain = u_jets[0].domain
     f = sys.rhs_on_lattice(domain)
-    tu = [g.values for g in apply_operator(sys, u, domain)]
-    tv = [g.values for g in apply_operator(sys, v, domain)]
+    tu = [g.values for g in apply_operator(sys, u_jets)]
+    tv = [g.values for g in apply_operator(sys, v_jets)]
     off = ~domain.skeleton
     m1 = _min_slack([fj - eps for fj in f], tu, off)
     m2 = _min_slack(tu, f, off)
@@ -627,8 +628,10 @@ def global_pair(
     done = _subdivide([Cell(domain.lo, domain.hi)], solve, check, domain, max_cells)
     cells = [c for c, _ in done]
     u_poly, marked = assemble(cells, [taylor_poly(lo) for _, (lo, _) in done], domain)
-    v_poly, _ = assemble(cells, [taylor_poly(hi) for _, (_, hi) in done], domain)
-    cert = apeq_certificate(sys, u_poly, v_poly, marked, eps)
+    v_poly = PiecewisePoly(u_poly.space_dim, u_poly.components, u_poly.order, cells,
+                           [taylor_poly(hi) for _, (_, hi) in done])
+    cert = apeq_certificate(sys, sample_jets(u_poly, marked),
+                            sample_jets(v_poly, marked), eps)
     return GlobalPairResult(u_poly, v_poly, marked, cert, cells)
 
 
@@ -672,12 +675,13 @@ class Eq3Certificate:
 
 
 def eq1_certificate(
-    sys: PdeSystem, v: PiecewisePoly, domain: GridDomain, gamma: float, n: int
+    sys: PdeSystem, jets: list[GridFunction], gamma: float, n: int
 ) -> Eq1Certificate:
-    """EQ1 slacks of T V_n against f - gamma/n and f off the skeleton of
-    `domain`, which must mark every cell boundary of v."""
+    """EQ1 slacks of T V_n against f - gamma/n and f off the skeleton, from
+    the sampled jets of V_n (see jets.sample_jets)."""
+    domain = jets[0].domain
     f = sys.rhs_on_lattice(domain)
-    tv = [g.values for g in apply_operator(sys, v, domain)]
+    tv = [g.values for g in apply_operator(sys, jets)]
     off = ~domain.skeleton
     lower = _min_slack([fj - gamma / n for fj in f], tv, off)
     upper = _min_slack(tv, f, off)
@@ -686,18 +690,19 @@ def eq1_certificate(
 
 
 def eq2_certificate(
-    sys: PdeSystem, v: PiecewisePoly, domain: GridDomain, i_cells: list[Cell],
+    sys: PdeSystem, jets: list[GridFunction], i_cells: list[Cell],
     band_lo: np.ndarray, band_hi: np.ndarray,
     prev_bands: tuple[np.ndarray, np.ndarray] | None,
 ) -> Eq2Certificate:
-    """EQ2: the jets of v inside the stage bands of their I-cell off the
-    skeleton of `domain`, which must mark every cell boundary of v and of
-    the I-cells, and the bands strictly inside prev_bands, the previous
+    """EQ2: the sampled jets of V_n (see jets.sample_jets) inside the stage
+    bands of their I-cell off the skeleton, which must mark every I-cell
+    boundary, and the bands strictly inside prev_bands, the previous
     stage's (band_lo, band_hi); None at stage 1 (vacuous)."""
-    if (v.components, v.space_dim, v.order) != (sys.K, sys.n, sys.m):
+    if len(jets) != sys.unknown_count:
         raise ValueError("candidate signature does not match the system")
+    domain = jets[0].domain
     (bands,) = _band_functions([(band_lo, band_hi)], domain, i_cells)
-    sampled = [g.values for g in sample_jets(v, domain)]
+    sampled = [g.values for g in jets]
     off = ~domain.skeleton
     inner_lo = _min_slack([lo.values for lo, _ in bands], sampled, off)
     inner_hi = _min_slack(sampled, [hi.values for _, hi in bands], off)
@@ -854,11 +859,12 @@ def refine(
                for _, group in itertools.groupby(done, key=lambda d: d[1][0])]
     v_poly, marked = assemble([c for c, _ in done],
                               [taylor_poly(jj) for _, (_, jj) in done], domain)
+    jets = sample_jets(v_poly, marked)
     return RefinementStage(
         n=n, gamma=float(gamma), v=v_poly, domain=marked,
         band_lo=band_lo, band_hi=band_hi, i_jets=i_jets, j_cells=j_cells,
-        eq1=eq1_certificate(sys, v_poly, marked, gamma, n),
-        eq2=eq2_certificate(sys, v_poly, marked, tiling.i_cells, band_lo, band_hi,
+        eq1=eq1_certificate(sys, jets, gamma, n),
+        eq2=eq2_certificate(sys, jets, tiling.i_cells, band_lo, band_hi,
                             None if prev is None else (prev.band_lo, prev.band_hi)),
         eq3=eq3_certificate(tiling.radii, band_lo, band_hi, n),
     )
@@ -922,7 +928,8 @@ def scheme_convergence(
     N = len(polys)
     f_raw = sys.rhs_on_lattice(final_domain)
     f_gfs = [GridFunction(final_domain, arr) for arr in f_raw]
-    tv_by_stage = [apply_operator(sys, v, final_domain) for v in polys]
+    samples_by_stage = [sample_jets(v, final_domain) for v in polys]
+    tv_by_stage = [apply_operator(sys, samples) for samples in samples_by_stage]
     tol_tv = gamma / N * (1.0 + 1e-9)
     oc_operator = [
         order_convergence_check(
@@ -935,7 +942,6 @@ def scheme_convergence(
     fv = sys.flat_vars()
     band_tol = band_tolerance(radii, N)
     bands_by_stage = _band_functions(bands, final_domain, i_cells)
-    samples_by_stage = [sample_jets(v, final_domain) for v in polys]
     oc_bands = {}
     for k, var in enumerate(fv):
         seq = [samples[k] for samples in samples_by_stage]

@@ -290,6 +290,11 @@ def test_run_exit3_on_spec_problems(tmp_path, capsys):
     assert "no grid resolution" in capsys.readouterr().out
     assert main(["run", no_grid, "--gamma", "0.4", "--stages", "1",
                  "--grid", "4", "--out", str(out)]) == 3
+    capsys.readouterr()
+    # a lattice that cannot be allocated fails at once, allocating nothing
+    assert main(["run", no_grid, "--gamma", "0.4", "--stages", "1",
+                 "--grid", "10000000000000000", "--out", str(out)]) == 3
+    assert "spec error" in capsys.readouterr().out
 
 
 def test_run_exit3_on_box_too_narrow_for_grid(tmp_path, capsys):
@@ -396,6 +401,14 @@ def _zero_stage_count(cert):
     cert["stages"] = []
 
 
+def _huge_stage_count(cert):
+    cert["config"]["stages"] = 10**16
+
+
+def _huge_grid(cert):
+    cert["config"]["grid"] = [10**16]
+
+
 def _no_operator_certificates(cert):
     cert["order_convergence"]["operator"] = []
 
@@ -416,8 +429,8 @@ def _string_certificate(cert):
 @pytest.mark.parametrize(
     "tamper",
     [_cut_band_rows, _drop_band_row, _no_stages, _zero_stage_count,
-     _no_operator_certificates, _renamed_band_tag, _list_certificate,
-     _string_certificate],
+     _huge_stage_count, _huge_grid, _no_operator_certificates, _renamed_band_tag,
+     _list_certificate, _string_certificate],
     ids=lambda f: f.__name__.strip("_"),
 )
 def test_verify_malformed_certificate_exits_2(run_dir, tmp_path, capsys, tamper):
@@ -429,6 +442,24 @@ def test_verify_malformed_certificate_exits_2(run_dir, tmp_path, capsys, tamper)
     (copy / "certificate.json").write_text(json.dumps(cert if replaced is None else replaced))
     assert verify(copy) == 2
     assert "artifact inconsistency" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("name", ["stage1/poly.json", "global_upper.json"])
+def test_verify_rejects_foreign_signature_polynomial(run_dir, tmp_path, capsys, name):
+    # K=2, m=0 has as many flat jet variables as the system's K=1, m=1 in
+    # one dimension, so only the signature check tells the two apart
+    copy = tmp_path / "foreign"
+    shutil.copytree(run_dir, copy)
+    poly = json.loads((copy / name).read_text())
+    assert (poly["space_dim"], poly["components"], poly["order"]) == (1, 1, 1)
+    poly.update(components=2, order=0, alphas=[[0]])
+    for cell in poly["cells"]:
+        (p,) = cell["polys"]
+        cell["polys"] = [{"anchor": p["anchor"], "coeffs": [c]} for c in p["coeffs"]]
+    (copy / name).write_text(json.dumps(poly))
+    assert verify(copy) == 2
+    out = capsys.readouterr().out
+    assert "artifact inconsistency" in out and "signature" in out
 
 
 def test_verify_detects_overlapping_j_cells(run_dir, tmp_path, capsys):

@@ -9,7 +9,7 @@ import pytest
 from ordercomplete import expr as ex
 from ordercomplete.expr import NondifferentiableError, render
 from ordercomplete.grids import GridDomain, GridFunction, normalize
-from ordercomplete.jets import Cell, Jet, MultiIndexSet, assemble, taylor_poly
+from ordercomplete.jets import Cell, Jet, MultiIndexSet, assemble, sample_jets, taylor_poly
 from ordercomplete.pde import (
     PdeSystem,
     _directions,
@@ -143,7 +143,7 @@ def test_apply_single_cell_identity_derivative():
     jet = Jet([0.5], [[0.5, 1.0]], mis)  # Taylor data of u(x) = x
     dom = GridDomain([0.0], [1.0], (17,))
     v, marked = assemble([Cell([0.0], [1.0])], [taylor_poly(jet)], dom)
-    (tv,) = apply_operator(sys1, v, marked)
+    (tv,) = apply_operator(sys1, sample_jets(v, marked))
     assert np.all(tv.values == 1.0)
     assert tv.normalized
 
@@ -155,7 +155,7 @@ def test_apply_two_cell_step_uses_normalize_rule():
     cells = [Cell([-1.0], [0.0]), Cell([0.0], [1.0])]
     jets = [Jet([-0.5], [[2.0, 0.0]], mis), Jet([0.5], [[5.0, 0.0]], mis)]
     v, marked = assemble(cells, [taylor_poly(j) for j in jets], dom)
-    (tv,) = apply_operator(sys1, v, marked)
+    (tv,) = apply_operator(sys1, sample_jets(v, marked))
     # oracle: raw step completed by normalize
     raw = np.where(marked.axis(0) < 0.0, 2.0, 5.0)
     want = normalize(GridFunction(marked, raw))
@@ -175,7 +175,7 @@ def test_apply_matches_pointwise_off_skeleton():
     ]
     dom = GridDomain([0.0], [3.0], (31,))
     v, marked = assemble(cells, [taylor_poly(j) for j in jets], dom)
-    (tv,) = apply_operator(sys1, v, marked)
+    (tv,) = apply_operator(sys1, sample_jets(v, marked))
     x = marked.axis(0)
     owner = np.searchsorted(edges, x, side="right") - 1
     for k in np.flatnonzero(~marked.skeleton):
@@ -187,6 +187,31 @@ def test_apply_matches_pointwise_off_skeleton():
         )
         want = apply_operator_point(sys1, [x[k]], jet_here)[0]
         assert tv.values[k] == want
+
+
+def test_apply_evaluates_off_skeleton_only():
+    # u(x) = x - 0.2 is negative at the owned point x = 0.125, which the
+    # skeleton marks: log must not be evaluated there, and the point takes
+    # the normalize fill, the value of its one unmarked neighbour x = 0.25
+    sys1 = PdeSystem(1, 1, 1, ["log(u[1,(0)])"], ["0"], [0.0], [1.0])
+    mis = MultiIndexSet(1, 1)
+    dom = GridDomain([0.0], [1.0], (9,))
+    p = taylor_poly(Jet([0.5], [[0.3, 1.0]], mis))[0]
+    v, marked = assemble([Cell([0.0], [1.0])], [[p]], dom)
+    skeleton = marked.skeleton.copy()
+    skeleton[1] = True
+    dom = marked.with_skeleton(skeleton)
+    assert p.value([0.125]) < 0.0
+    (tv,) = apply_operator(sys1, sample_jets(v, dom))
+    assert tv.normalized
+    assert tv.values[1] == tv.values[2]
+    x = dom.axis(0)
+    for k in np.flatnonzero(~dom.skeleton):
+        jet_here = Jet([x[k]], [[p.deriv_many(a, x[k:k + 1, None])[0] for a in mis.alphas]],
+                       mis)
+        assert tv.values[k] == apply_operator_point(sys1, [x[k]], jet_here)[0]
+    with pytest.raises(ValueError, match="signature"):
+        apply_operator(sys1, sample_jets(v, dom)[:1])
 
 
 def _operator_sup_error(k: int) -> float:
@@ -201,7 +226,7 @@ def _operator_sup_error(k: int) -> float:
         polys.append(taylor_poly(Jet([cc], [[math.sin(cc), math.cos(cc)]], mis)))
     dom = GridDomain([0.0], [3.0], (8 * k + 1,))
     v, marked = assemble(cells, polys, dom)
-    (tv,) = apply_operator(sys1, v, marked)
+    (tv,) = apply_operator(sys1, sample_jets(v, marked))
     f = sys1.rhs_on_arrays([marked.axis(0)])[0]
     off = ~marked.skeleton
     return float(np.max(np.abs(tv.values[off] - f[off])))

@@ -16,6 +16,7 @@ from ordercomplete.jets import (
     TilingError,
     _classify_grid,
     assemble,
+    sample_jets,
     taylor_poly,
 )
 from ordercomplete.pde import PdeSystem, apply_operator
@@ -36,6 +37,7 @@ from ordercomplete.solver import (
     local_upper,
     refine,
     run_scheme,
+    scheme_convergence,
     tile_domain,
 )
 
@@ -495,8 +497,8 @@ def test_global_pair_affine_single_cell():
     sys1 = _affine()
     gp = global_pair(sys1, dom, 0.5)
     assert len(gp.cells) == 1
-    (tu,) = apply_operator(sys1, gp.lower, gp.domain)
-    (tv,) = apply_operator(sys1, gp.upper, gp.domain)
+    (tu,) = apply_operator(sys1, sample_jets(gp.lower, gp.domain))
+    (tv,) = apply_operator(sys1, sample_jets(gp.upper, gp.domain))
     assert np.all(tu.values == 0.75)  # 1 - eps/2
     assert np.all(tv.values == 1.25)  # 1 + eps/2
     c = gp.certificate
@@ -511,8 +513,8 @@ def test_global_pair_manufactured_certificate():
     gp = global_pair(sys1, dom, 0.1)
     assert gp.certificate.passed
     # oracle: the four strict inequalities re-checked from scratch
-    (tu,) = apply_operator(sys1, gp.lower, gp.domain)
-    (tv,) = apply_operator(sys1, gp.upper, gp.domain)
+    (tu,) = apply_operator(sys1, sample_jets(gp.lower, gp.domain))
+    (tv,) = apply_operator(sys1, sample_jets(gp.upper, gp.domain))
     x = gp.domain.axis(0)
     f = np.cos(x) + np.sin(x) ** 3
     off = ~gp.domain.skeleton
@@ -622,12 +624,13 @@ def _reference_refine(sys, domain, tiling, prev, n, gamma, *, rng, max_cells=100
     flat_cells = [c for done in accepted for c, _ in done]
     flat_polys = [taylor_poly(jj) for done in accepted for _, jj in done]
     v_poly, marked = assemble(flat_cells, flat_polys, domain)
+    jets = sample_jets(v_poly, marked)
     return RefinementStage(
         n=n, gamma=float(gamma), v=v_poly, domain=marked,
         band_lo=band_lo, band_hi=band_hi, i_jets=i_jets,
         j_cells=[[c for c, _ in done] for done in accepted],
-        eq1=eq1_certificate(sys, v_poly, marked, gamma, n),
-        eq2=eq2_certificate(sys, v_poly, marked, tiling.i_cells, band_lo, band_hi,
+        eq1=eq1_certificate(sys, jets, gamma, n),
+        eq2=eq2_certificate(sys, jets, tiling.i_cells, band_lo, band_hi,
                             None if prev is None else (prev.band_lo, prev.band_hi)),
         eq3=eq3_certificate(tiling.radii, band_lo, band_hi, n),
     )
@@ -671,6 +674,41 @@ def test_refine_cell_budget_bounds_whole_stage():
     assert (exc.value.stage, exc.value.cell) == (1, None)
 
 
+def test_each_candidate_classified_once_per_lattice(monkeypatch):
+    # the certificates act on the samples of one sample_jets call per
+    # polynomial and lattice: global_pair classifies its cells once in
+    # assemble and once per polynomial, refine its J-cells twice and the
+    # I-cells once, scheme_convergence each V_n once and the I-cells once
+    from ordercomplete import jets, solver
+
+    calls = []
+    classify = jets._classify_grid
+
+    def counted(cells, domain):
+        calls.append(len(cells))
+        return classify(cells, domain)
+
+    for module in (jets, solver):
+        monkeypatch.setattr(module, "_classify_grid", counted)
+    sys = _transport(1)
+    dom = GridDomain([0.0], [1.0], (129,))
+    assert global_pair(sys, dom, 0.4).certificate.passed
+    assert len(calls) <= 3
+    tiling = tile_domain(dom.lo, dom.hi, 0.25, domain=dom).with_radii(np.full(4, 0.2))
+    stages = []
+    for n in (1, 2, 3):
+        calls.clear()
+        stages.append(refine(sys, dom, tiling, stages[-1] if stages else None, n, 0.05))
+        assert stages[-1].certificates_pass()
+        assert len(calls) <= 3
+    calls.clear()
+    conv = scheme_convergence(sys, [s.v for s in stages],
+                              [(s.band_lo, s.band_hi) for s in stages],
+                              tiling.i_cells, tiling.radii, stages[-1].domain, 0.05)
+    assert conv.passed
+    assert len(calls) <= len(stages) + 1
+
+
 @pytest.fixture(scope="module")
 def res_cubic2():
     return run_scheme(_cubic(), GridDomain([0.0], [3.0], (129,)), 0.4, 2)
@@ -684,7 +722,7 @@ def test_scheme_affine_closed_forms():
     for s in res.stages:
         assert s.certificates_pass()
         # stage operator image is the constant 1 - gamma/(2n) off skeleton
-        (tv,) = apply_operator(sys1, s.v, s.domain)
+        (tv,) = apply_operator(sys1, sample_jets(s.v, s.domain))
         want = 1.0 - 0.4 / (2 * s.n)
         off = ~s.domain.skeleton
         assert np.max(np.abs(tv.values[off] - want)) <= 4 * math.ulp(1.0)
@@ -771,12 +809,13 @@ def test_eq2_rejects_skeleton_missing_i_cell_face():
     i_cells = [Cell([0.0], [0.5]), Cell([0.5], [1.0])]
     band_lo, band_hi = np.full((2, 2), -5.0), np.full((2, 2), 5.0)
     with pytest.raises(ValueError, match="I-cell boundaries"):
-        eq2_certificate(sys1, v, marked, i_cells, band_lo, band_hi, None)
+        eq2_certificate(sys1, sample_jets(v, marked), i_cells, band_lo, band_hi, None)
     full = marked.with_skeleton(marked.skeleton | (marked.axis(0) == 0.5))
-    assert eq2_certificate(sys1, v, full, i_cells, band_lo, band_hi, None).passed
+    jets = sample_jets(v, full)
+    assert eq2_certificate(sys1, jets, i_cells, band_lo, band_hi, None).passed
     sys2 = PdeSystem(1, 2, 1, ["u[1,(1)]", "u[2,(1)]"], ["1", "1"], [0.0], [1.0])
     with pytest.raises(ValueError, match="signature"):
-        eq2_certificate(sys2, v, full, i_cells, band_lo, band_hi, None)
+        eq2_certificate(sys2, jets, i_cells, band_lo, band_hi, None)
 
 
 def test_scheme_band_nesting_strict(res_cubic2):
