@@ -31,12 +31,10 @@ from .solver import (
     ConstructionError,
     apeq_certificate,
     band_tolerance,
-    eq1_certificate,
-    eq2_certificate,
-    eq3_certificate,
     global_pair,
     run_scheme,
     scheme_convergence,
+    stage_certificates,
 )
 
 _SCHEMA = 1
@@ -505,8 +503,8 @@ def verify(result_dir) -> int:
     solver functions `run` uses, and compares the results, serialized as
     `run` writes them, with the stored blocks at relative tolerance 1e-9.
     Never re-runs the jet solver. Artifacts of the wrong shape, count or
-    polynomial signature, or a lattice too large to allocate, are an
-    inconsistency (exit 2).
+    polynomial signature, a lattice too large to allocate, or a number too
+    large to convert (JSON 1e400 reads as inf), are an inconsistency (exit 2).
     """
     out = Path(result_dir)
     problems: list[str] = []
@@ -524,7 +522,7 @@ def verify(result_dir) -> int:
     try:
         code = _verify_inner(out, cert, problems)
     except (ConstructionError, TilingError, ValueError, OSError, KeyError,
-            TypeError, MemoryError) as e:
+            TypeError, MemoryError, OverflowError) as e:
         print(f"verify: artifact inconsistency: {e}")
         return 2
     for p in problems:
@@ -570,8 +568,8 @@ def _verify_inner(out: Path, cert: dict, problems: list[str]) -> int:
     _expect("stage count", len(stages), N)
     _expect("stage numbers", [s["n"] for s in stages], list(range(1, N + 1)))
     band_shape = (len(i_cells), system.unknown_count)
-    polys = []
-    bands = []
+    samples = []
+    prev_bands = None
     stages_pass = True
     for s in stages:
         n = s["n"]
@@ -586,23 +584,20 @@ def _verify_inner(out: Path, cert: dict, problems: list[str]) -> int:
         band_hi = np.asarray(s["band_hi"], dtype=float)
         _expect(f"stage{n}.band_lo shape", band_lo.shape, band_shape)
         _expect(f"stage{n}.band_hi shape", band_hi.shape, band_shape)
-        jets = sample_jets(v, smarked)
-        eq1 = eq1_certificate(system, jets, gamma, n)
-        eq2 = eq2_certificate(system, jets, i_cells, band_lo, band_hi,
-                              bands[-1] if bands else None)
-        eq3 = eq3_certificate(radii, band_lo, band_hi, n)
+        (eq1, eq2, eq3), stage_samples = stage_certificates(
+            system, v, smarked, i_cells, radii, band_lo, band_hi, prev_bands, n, gamma)
         for key, c in (("eq1", eq1), ("eq2", eq2), ("eq3", eq3)):
             _compare(problems, f"stage{n}.{key}", s[key], _cert_dict(c))
         stages_pass = stages_pass and eq1.passed and eq2.passed and eq3.passed
-        polys.append(v)
-        bands.append((band_lo, band_hi))
+        samples.append(stage_samples)
+        prev_bands = (band_lo, band_hi)
 
     # order convergence on the final lattice
     oc = cert["order_convergence"]
     _expect("operator certificates", len(oc["operator"]), system.K)
     tags = [_var_tag(i, a) for i, a in system.flat_vars()]
     _expect("band certificate tags", sorted(oc["bands"]), sorted(tags))
-    conv = scheme_convergence(system, polys, bands, i_cells, radii, smarked, gamma)
+    conv = scheme_convergence(system, samples, radii, smarked, gamma)
     for j, c in enumerate(conv.oc_operator):
         _compare(problems, f"oc.operator[{j}]", oc["operator"][j], _oc_dict(c))
     for (i, a), c in conv.oc_bands.items():

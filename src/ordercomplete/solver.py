@@ -12,8 +12,9 @@ The certificates come from pure functions of the sampled jets, bands and
 lattice: `apeq_certificate`, `eq1_certificate`, `eq2_certificate`,
 `eq3_certificate` and `scheme_convergence`. They re-check every inequality
 on the full lattice after assembly, independently of the per-cell
-construction, and `cli.verify` recomputes the stored certificates through
-the same functions from the artifacts.
+construction. `refine` and `cli.verify` share `stage_certificates`, which
+computes EQ1-EQ3 from one sampling of V_n on its own lattice, and
+`scheme_convergence` normalizes those samples onto the final skeleton.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .grids import (
     GridDomain,
     GridFunction,
     OrderConvergenceCertificate,
+    normalize,
     order_convergence_check,
     skeleton_fill,
 )
@@ -675,13 +677,13 @@ class Eq3Certificate:
 
 
 def eq1_certificate(
-    sys: PdeSystem, jets: list[GridFunction], gamma: float, n: int
+    sys: PdeSystem, tv: list[GridFunction], gamma: float, n: int
 ) -> Eq1Certificate:
-    """EQ1 slacks of T V_n against f - gamma/n and f off the skeleton, from
-    the sampled jets of V_n (see jets.sample_jets)."""
-    domain = jets[0].domain
+    """EQ1 slacks of T V_n (see pde.apply_operator), one GridFunction per
+    component, against f - gamma/n and f off the skeleton."""
+    domain = tv[0].domain
     f = sys.rhs_on_lattice(domain)
-    tv = [g.values for g in apply_operator(sys, jets)]
+    tv = [g.values for g in tv]
     off = ~domain.skeleton
     lower = _min_slack([fj - gamma / n for fj in f], tv, off)
     upper = _min_slack(tv, f, off)
@@ -690,20 +692,16 @@ def eq1_certificate(
 
 
 def eq2_certificate(
-    sys: PdeSystem, jets: list[GridFunction], i_cells: list[Cell],
+    jets: list[GridFunction], bands: list[tuple[GridFunction, GridFunction]],
     band_lo: np.ndarray, band_hi: np.ndarray,
     prev_bands: tuple[np.ndarray, np.ndarray] | None,
 ) -> Eq2Certificate:
-    """EQ2: the sampled jets of V_n (see jets.sample_jets) inside the stage
-    bands of their I-cell off the skeleton, which must mark every I-cell
-    boundary, and the bands strictly inside prev_bands, the previous
-    stage's (band_lo, band_hi); None at stage 1 (vacuous)."""
-    if len(jets) != sys.unknown_count:
-        raise ValueError("candidate signature does not match the system")
-    domain = jets[0].domain
-    (bands,) = _band_functions([(band_lo, band_hi)], domain, i_cells)
+    """EQ2: the sampled jets of V_n (see jets.sample_jets) inside bands, the
+    step functions of (band_lo, band_hi) (see _band_functions), off the
+    skeleton, and the bands strictly inside prev_bands, the previous stage's
+    (band_lo, band_hi); None at stage 1 (vacuous)."""
     sampled = [g.values for g in jets]
-    off = ~domain.skeleton
+    off = ~jets[0].domain.skeleton
     inner_lo = _min_slack([lo.values for lo, _ in bands], sampled, off)
     inner_hi = _min_slack(sampled, [hi.values for _, hi in bands], off)
     outer_lo = outer_hi = float("inf")
@@ -744,17 +742,18 @@ class RefinementStage:
     eq1: Eq1Certificate
     eq2: Eq2Certificate
     eq3: Eq3Certificate
+    samples: tuple  # (jets, T V_n, bands) on domain, see stage_certificates
 
     def certificates_pass(self) -> bool:
         return self.eq1.passed and self.eq2.passed and self.eq3.passed
 
 
 def _band_functions(
-    bands: list[tuple[np.ndarray, np.ndarray]], domain: GridDomain,
+    band_lo: np.ndarray, band_hi: np.ndarray, domain: GridDomain,
     i_cells: list[Cell],
-) -> list[list[tuple[GridFunction, GridFunction]]]:
-    """Render each stage's (band_lo, band_hi) as step GridFunctions, one
-    (lower, upper) pair per flat jet variable, classifying the I-cells once.
+) -> list[tuple[GridFunction, GridFunction]]:
+    """Render a stage's (band_lo, band_hi) as step GridFunctions, one
+    (lower, upper) pair per flat jet variable.
 
     Each owned lattice point takes its I-cell's band constants, gathered by
     owner index. I-cell boundary points are a subset of the domain
@@ -773,8 +772,22 @@ def _band_functions(
         vals[owned] = consts[own]
         return GridFunction(domain, skeleton_fill(domain, vals), normalized=True)
 
-    return [[(step(lo[:, k]), step(hi[:, k])) for k in range(lo.shape[1])]
-            for lo, hi in bands]
+    return [(step(band_lo[:, k]), step(band_hi[:, k])) for k in range(band_lo.shape[1])]
+
+
+def stage_certificates(
+    sys: PdeSystem, v: PiecewisePoly, domain: GridDomain, i_cells: list[Cell],
+    radii, band_lo: np.ndarray, band_hi: np.ndarray,
+    prev_bands: tuple[np.ndarray, np.ndarray] | None, n: int, gamma: float,
+) -> tuple[tuple[Eq1Certificate, Eq2Certificate, Eq3Certificate], tuple]:
+    """EQ1-EQ3 of stage n and the (jets, tv, bands) of V_n they read, each
+    computed once on domain, V_n's own lattice (see scheme_convergence)."""
+    jets = sample_jets(v, domain)
+    tv = apply_operator(sys, jets)
+    bands = _band_functions(band_lo, band_hi, domain, i_cells)
+    return (eq1_certificate(sys, tv, gamma, n),
+            eq2_certificate(jets, bands, band_lo, band_hi, prev_bands),
+            eq3_certificate(radii, band_lo, band_hi, n)), (jets, tv, bands)
 
 
 def refine(
@@ -859,14 +872,13 @@ def refine(
                for _, group in itertools.groupby(done, key=lambda d: d[1][0])]
     v_poly, marked = assemble([c for c, _ in done],
                               [taylor_poly(jj) for _, (_, jj) in done], domain)
-    jets = sample_jets(v_poly, marked)
+    (eq1, eq2, eq3), samples = stage_certificates(
+        sys, v_poly, marked, tiling.i_cells, tiling.radii, band_lo, band_hi,
+        None if prev is None else (prev.band_lo, prev.band_hi), n, gamma)
     return RefinementStage(
         n=n, gamma=float(gamma), v=v_poly, domain=marked,
         band_lo=band_lo, band_hi=band_hi, i_jets=i_jets, j_cells=j_cells,
-        eq1=eq1_certificate(sys, jets, gamma, n),
-        eq2=eq2_certificate(sys, jets, tiling.i_cells, band_lo, band_hi,
-                            None if prev is None else (prev.band_lo, prev.band_hi)),
-        eq3=eq3_certificate(tiling.radii, band_lo, band_hi, n),
+        eq1=eq1, eq2=eq2, eq3=eq3, samples=samples,
     )
 
 
@@ -896,9 +908,9 @@ class SchemeConvergence:
     f_samples: list[GridFunction]  # f, one GridFunction per component
     oc_operator: list[OrderConvergenceCertificate]  # one per component
     oc_bands: dict[tuple[int, tuple[int, ...]], OrderConvergenceCertificate]
-    # per stage: T V_n, one GridFunction per component; the step bands, one
-    # (lower, upper) pair per flat jet variable; and the sampled jets of V_n,
-    # one GridFunction per flat jet variable
+    # per stage, on the final lattice: T V_n, one GridFunction per component;
+    # the step bands, one (lower, upper) pair per flat jet variable; and the
+    # sampled jets of V_n, one GridFunction per flat jet variable
     tv_by_stage: list[list[GridFunction]]
     bands_by_stage: list[list[tuple[GridFunction, GridFunction]]]
     samples_by_stage: list[list[GridFunction]]
@@ -914,22 +926,29 @@ class SchemeConvergence:
 
 def scheme_convergence(
     sys: PdeSystem,
-    polys: list[PiecewisePoly],
-    bands: list[tuple[np.ndarray, np.ndarray]],
-    i_cells: list[Cell],
+    samples: list[tuple],
     radii,
     final_domain: GridDomain,
     gamma: float,
 ) -> SchemeConvergence:
     """Order convergence of T V_n to f (lower bounds f - gamma/n) and of
     the jets of V_n inside their step bands (tolerance band_tolerance), and
-    the final sup gap. polys and bands hold V_n and its (band_lo, band_hi)
-    per stage; final_domain must mark every cell boundary of the last one."""
-    N = len(polys)
+    the final sup gap, from each stage's samples (see stage_certificates)
+    moved to final_domain, whose skeleton must contain every stage's, by the
+    normalize rule: V_n is normal, so that is its sampling there."""
+    N = len(samples)
+    if any((jets[0].domain.skeleton > final_domain.skeleton).any()
+           for jets, _, _ in samples):
+        raise ValueError("final skeleton does not contain every stage skeleton")
+
+    def carry(g: GridFunction) -> GridFunction:
+        return normalize(GridFunction(final_domain, g.values))
+
     f_raw = sys.rhs_on_lattice(final_domain)
     f_gfs = [GridFunction(final_domain, arr) for arr in f_raw]
-    samples_by_stage = [sample_jets(v, final_domain) for v in polys]
-    tv_by_stage = [apply_operator(sys, samples) for samples in samples_by_stage]
+    samples_by_stage = [[carry(g) for g in jets] for jets, _, _ in samples]
+    tv_by_stage = [[carry(g) for g in tv] for _, tv, _ in samples]
+    bands_by_stage = [[(carry(lo), carry(hi)) for lo, hi in b] for _, _, b in samples]
     tol_tv = gamma / N * (1.0 + 1e-9)
     oc_operator = [
         order_convergence_check(
@@ -941,10 +960,9 @@ def scheme_convergence(
     ]
     fv = sys.flat_vars()
     band_tol = band_tolerance(radii, N)
-    bands_by_stage = _band_functions(bands, final_domain, i_cells)
     oc_bands = {}
     for k, var in enumerate(fv):
-        seq = [samples[k] for samples in samples_by_stage]
+        seq = [jets[k] for jets in samples_by_stage]
         lams = [bg[k][0] for bg in bands_by_stage]
         mus = [bg[k][1] for bg in bands_by_stage]
         oc_bands[var] = order_convergence_check(seq, lams, mus, seq[-1], tol=band_tol)
@@ -1029,10 +1047,8 @@ def run_scheme(
         stages.append(st)
         prev = st
     final_dom = stages[-1].domain
-    conv = scheme_convergence(
-        sys, [st.v for st in stages], [(st.band_lo, st.band_hi) for st in stages],
-        tiling.i_cells, tiling.radii, final_dom, gamma,
-    )
+    conv = scheme_convergence(sys, [st.samples for st in stages], tiling.radii,
+                              final_dom, gamma)
     diagnostics = [
         f"operator image of component {j + 1} fails order convergence "
         f"(first violation {cert.first_violation}, "

@@ -163,7 +163,7 @@ def test_nested_limit_on_scheme_bands():
     res = run_scheme(sys1, GridDomain([0.0], [1.0], (65,)), 0.4, 4)
     steps = []
     for s in res.stages:
-        (bands,) = _band_functions([(s.band_lo, s.band_hi)], s.domain, res.tiling.i_cells)
+        bands = _band_functions(s.band_lo, s.band_hi, s.domain, res.tiling.i_cells)
         steps.append(tuple(OrderInterval(lo, hi) for lo, hi in bands))
     seq = IntervalSequence(steps)
     rep = nested_limit_check(seq, tol=1.0)  # final width (15/16) * 4/N

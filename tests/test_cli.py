@@ -409,6 +409,31 @@ def _huge_grid(cert):
     cert["config"]["grid"] = [10**16]
 
 
+# a placeholder that the test writes into the JSON text as the literal 1e400,
+# which json reads as inf
+_OVERFLOW = "<1e400>"
+
+
+def _overflowing_stage_count(cert):
+    cert["config"]["stages"] = _OVERFLOW
+
+
+def _overflowing_grid(cert):
+    cert["config"]["grid"] = [_OVERFLOW]
+
+
+def _overflowing_dimension(cert):
+    cert["problem"]["n"] = _OVERFLOW
+
+
+def _long_int_eps(cert):
+    cert["global_pair"]["eps"] = 10**400  # too large for a float
+
+
+def _long_int_gamma(cert):
+    cert["config"]["gamma"] = 10**400
+
+
 def _no_operator_certificates(cert):
     cert["order_convergence"]["operator"] = []
 
@@ -429,8 +454,10 @@ def _string_certificate(cert):
 @pytest.mark.parametrize(
     "tamper",
     [_cut_band_rows, _drop_band_row, _no_stages, _zero_stage_count,
-     _huge_stage_count, _huge_grid, _no_operator_certificates, _renamed_band_tag,
-     _list_certificate, _string_certificate],
+     _huge_stage_count, _huge_grid, _overflowing_stage_count, _overflowing_grid,
+     _overflowing_dimension, _long_int_eps, _long_int_gamma,
+     _no_operator_certificates, _renamed_band_tag, _list_certificate,
+     _string_certificate],
     ids=lambda f: f.__name__.strip("_"),
 )
 def test_verify_malformed_certificate_exits_2(run_dir, tmp_path, capsys, tamper):
@@ -439,7 +466,8 @@ def test_verify_malformed_certificate_exits_2(run_dir, tmp_path, capsys, tamper)
     shutil.copytree(run_dir, copy)
     cert = json.loads((copy / "certificate.json").read_text())
     replaced = tamper(cert)  # in place, or a whole new document
-    (copy / "certificate.json").write_text(json.dumps(cert if replaced is None else replaced))
+    text = json.dumps(cert if replaced is None else replaced)
+    (copy / "certificate.json").write_text(text.replace(f'"{_OVERFLOW}"', "1e400"))
     assert verify(copy) == 2
     assert "artifact inconsistency" in capsys.readouterr().out
 

@@ -14,7 +14,6 @@ from ordercomplete.jets import (
     Jet,
     MultiIndexSet,
     TilingError,
-    _classify_grid,
     assemble,
     sample_jets,
     taylor_poly,
@@ -28,9 +27,6 @@ from ordercomplete.solver import (
     _empty_interiors,
     _generation_ok,
     _subdivide,
-    eq1_certificate,
-    eq2_certificate,
-    eq3_certificate,
     global_pair,
     jet_solve,
     local_lower,
@@ -38,6 +34,7 @@ from ordercomplete.solver import (
     refine,
     run_scheme,
     scheme_convergence,
+    stage_certificates,
     tile_domain,
 )
 
@@ -624,15 +621,14 @@ def _reference_refine(sys, domain, tiling, prev, n, gamma, *, rng, max_cells=100
     flat_cells = [c for done in accepted for c, _ in done]
     flat_polys = [taylor_poly(jj) for done in accepted for _, jj in done]
     v_poly, marked = assemble(flat_cells, flat_polys, domain)
-    jets = sample_jets(v_poly, marked)
+    (eq1, eq2, eq3), samples = stage_certificates(
+        sys, v_poly, marked, tiling.i_cells, tiling.radii, band_lo, band_hi,
+        None if prev is None else (prev.band_lo, prev.band_hi), n, gamma)
     return RefinementStage(
         n=n, gamma=float(gamma), v=v_poly, domain=marked,
         band_lo=band_lo, band_hi=band_hi, i_jets=i_jets,
         j_cells=[[c for c, _ in done] for done in accepted],
-        eq1=eq1_certificate(sys, jets, gamma, n),
-        eq2=eq2_certificate(sys, jets, tiling.i_cells, band_lo, band_hi,
-                            None if prev is None else (prev.band_lo, prev.band_hi)),
-        eq3=eq3_certificate(tiling.radii, band_lo, band_hi, n),
+        eq1=eq1, eq2=eq2, eq3=eq3, samples=samples,
     )
 
 
@@ -674,39 +670,62 @@ def test_refine_cell_budget_bounds_whole_stage():
     assert (exc.value.stage, exc.value.cell) == (1, None)
 
 
-def test_each_candidate_classified_once_per_lattice(monkeypatch):
+def test_each_candidate_classified_once_per_lattice(monkeypatch, tmp_path):
     # the certificates act on the samples of one sample_jets call per
     # polynomial and lattice: global_pair classifies its cells once in
     # assemble and once per polynomial, refine its J-cells twice and the
-    # I-cells once, scheme_convergence each V_n once and the I-cells once
-    from ordercomplete import jets, solver
+    # I-cells once and applies the operator once, and scheme_convergence
+    # moves the stage samples without sampling, classifying or applying T
+    from ordercomplete import cli, jets, pde, solver
 
-    calls = []
-    classify = jets._classify_grid
+    counts = dict.fromkeys(("_classify_grid", "sample_jets", "apply_operator"), 0)
 
-    def counted(cells, domain):
-        calls.append(len(cells))
-        return classify(cells, domain)
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return call
 
-    for module in (jets, solver):
-        monkeypatch.setattr(module, "_classify_grid", counted)
+    for name, home in (("_classify_grid", jets), ("sample_jets", jets),
+                       ("apply_operator", pde)):
+        wrapped = counted(name, getattr(home, name))
+        for module in (jets, pde, solver, cli):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, wrapped)
+
+    def calls():
+        got = dict(counts)
+        counts.update(dict.fromkeys(counts, 0))
+        return got
+
     sys = _transport(1)
     dom = GridDomain([0.0], [1.0], (129,))
     assert global_pair(sys, dom, 0.4).certificate.passed
-    assert len(calls) <= 3
+    assert calls()["_classify_grid"] <= 3
     tiling = tile_domain(dom.lo, dom.hi, 0.25, domain=dom).with_radii(np.full(4, 0.2))
     stages = []
     for n in (1, 2, 3):
-        calls.clear()
         stages.append(refine(sys, dom, tiling, stages[-1] if stages else None, n, 0.05))
         assert stages[-1].certificates_pass()
-        assert len(calls) <= 3
-    calls.clear()
-    conv = scheme_convergence(sys, [s.v for s in stages],
-                              [(s.band_lo, s.band_hi) for s in stages],
-                              tiling.i_cells, tiling.radii, stages[-1].domain, 0.05)
+        got = calls()
+        assert got["_classify_grid"] <= 3 and got["apply_operator"] == 1
+    conv = scheme_convergence(sys, [s.samples for s in stages], tiling.radii,
+                              stages[-1].domain, 0.05)
     assert conv.passed
-    assert len(calls) <= len(stages) + 1
+    assert calls() == dict.fromkeys(counts, 0)
+    # verify: the global pair as in run, then per stage one assemble, one
+    # sample_jets and one band rendering, and no sampling after the stages
+    spec = tmp_path / "transport.spec"
+    spec.write_text("n = 1\nK = 1\nm = 1\nbox.lo = 0\nbox.hi = 1\ngrid = 129\n"
+                    "F1 = u[1,(1)] + u[1,(0)]^3\nf1 = cos(x1) + sin(x1)^3\n")
+    N = 3
+    out = tmp_path / "out"
+    assert cli.main(["run", str(spec), "--gamma", "0.4", "--stages", str(N),
+                     "--out", str(out), "--no-samples"]) == 0
+    calls()
+    assert cli.verify(out) == 0
+    got = calls()
+    assert got["_classify_grid"] <= 3 + 3 * N and got["apply_operator"] == 2 + N
 
 
 @pytest.fixture(scope="module")
@@ -779,26 +798,6 @@ def test_scheme_band_containment_oracle(res_cubic2):
         assert (s.eq2.inner_lower, s.eq2.inner_upper) == (inner_lo, inner_hi)
 
 
-def test_band_functions_stages_match_single_stage_calls():
-    rng = np.random.default_rng(41)
-    for n, size, M in ((1, 33, 2), (2, 17, 6), (3, 9, 4)):
-        dom = GridDomain([0.0] * n, [1.0] * n, (size,) * n)
-        i_cells = tile_domain(dom.lo, dom.hi, math.sqrt(n) / 2, domain=dom).i_cells
-        dom = dom.with_skeleton(_classify_grid(i_cells, dom)[1])
-        bands = []
-        for _ in range(3):
-            lo = rng.uniform(-1.0, 1.0, (len(i_cells), M))
-            bands.append((lo, lo + rng.uniform(0.1, 1.0, lo.shape)))
-        got = _band_functions(bands, dom, i_cells)
-        assert len(got) == len(bands)
-        for stage, band in zip(got, bands):
-            (want,) = _band_functions([band], dom, i_cells)
-            assert len(stage) == len(want) == M
-            for (lo_g, hi_g), (lo_w, hi_w) in zip(stage, want):
-                assert lo_g == lo_w and hi_g == hi_w
-                assert lo_g.normalized and hi_g.normalized
-
-
 def test_eq2_rejects_skeleton_missing_i_cell_face():
     # v is one cell, so its skeleton is the box boundary alone and misses
     # the face x = 0.5 between the two I-cells
@@ -808,14 +807,57 @@ def test_eq2_rejects_skeleton_missing_i_cell_face():
                          [taylor_poly(Jet([0.5], [[0.0, 1.0]], sys1.mis))], dom)
     i_cells = [Cell([0.0], [0.5]), Cell([0.5], [1.0])]
     band_lo, band_hi = np.full((2, 2), -5.0), np.full((2, 2), 5.0)
+    radii = np.ones(2)
     with pytest.raises(ValueError, match="I-cell boundaries"):
-        eq2_certificate(sys1, sample_jets(v, marked), i_cells, band_lo, band_hi, None)
+        stage_certificates(sys1, v, marked, i_cells, radii, band_lo, band_hi, None, 1, 0.4)
     full = marked.with_skeleton(marked.skeleton | (marked.axis(0) == 0.5))
-    jets = sample_jets(v, full)
-    assert eq2_certificate(sys1, jets, i_cells, band_lo, band_hi, None).passed
+    (_, eq2, _), _ = stage_certificates(sys1, v, full, i_cells, radii, band_lo, band_hi,
+                                        None, 1, 0.4)
+    assert eq2.passed
     sys2 = PdeSystem(1, 2, 1, ["u[1,(1)]", "u[2,(1)]"], ["1", "1"], [0.0], [1.0])
     with pytest.raises(ValueError, match="signature"):
-        eq2_certificate(sys2, jets, i_cells, band_lo, band_hi, None)
+        stage_certificates(sys2, v, full, i_cells, radii, band_lo, band_hi, None, 1, 0.4)
+
+
+@pytest.mark.parametrize("sys, size, gamma, N", [
+    (_cubic(), 129, 0.4, 2),
+    (PdeSystem(1, 1, 1, ["u[1,(1)] + sin(u[1,(0)])"], ["cos(x1) + sin(sin(x1))"],
+               [0.0], [3.0]), 129, 0.4, 3),
+    (PdeSystem(2, 1, 1, ["u[1,(1,0)] + u[1,(0,1)] + exp(u[1,(0,0)])"],
+               ["cos(x1) + cos(x2) + exp(sin(x1) + sin(x2))"], [0.0, 0.0], [1.0, 1.0]),
+     65, 0.2, 2),
+], ids=["cubic_1d", "sin_1d", "exp_2d"])
+def test_scheme_moved_samples_match_final_lattice_resampling(sys, size, gamma, N):
+    # reference: V_n sampled on the final lattice, T applied there and the
+    # bands rendered there; the samples each stage took on its own lattice,
+    # moved there, equal them bit for bit, sign bits included
+    res = run_scheme(sys, GridDomain(sys.box_lo, sys.box_hi, (size,) * sys.n), gamma, N)
+    final = res.domain
+    assert any((s.domain.skeleton != final.skeleton).any() for s in res.stages)
+    for s, jets, tv, bands in zip(res.stages, res.samples_by_stage, res.tv_by_stage,
+                                  res.bands_by_stage, strict=True):
+        want_jets = sample_jets(s.v, final)
+        want_bands = _band_functions(s.band_lo, s.band_hi, final, res.tiling.i_cells)
+        got = jets + tv + [g for pair in bands for g in pair]
+        want = (want_jets + apply_operator(sys, want_jets)
+                + [g for pair in want_bands for g in pair])
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g.domain == final and g.normalized
+            assert np.array_equal(g.values.view(np.int64), w.values.view(np.int64))
+
+
+def test_scheme_convergence_rejects_stage_skeleton_outside_final(res_cubic2):
+    # a moved sample keeps its own values off the final skeleton, which are
+    # V_n's only where no cell boundary of V_n is left unmarked there
+    res = res_cubic2
+    first, last = res.stages[0], res.stages[-1]
+    assert (last.domain.skeleton & ~first.domain.skeleton).any()
+    bare = GridDomain(first.domain.lo, first.domain.hi, first.domain.shape)
+    for samples, final in (([first.samples], bare),
+                           ([s.samples for s in res.stages], first.domain)):
+        with pytest.raises(ValueError, match="does not contain every stage skeleton"):
+            scheme_convergence(_cubic(), samples, res.tiling.radii, final, 0.4)
 
 
 def test_scheme_band_nesting_strict(res_cubic2):
