@@ -9,7 +9,6 @@ and interval/convergence analysis, plus a batch CLI.
 from .expr import (
     EvalDomainError,
     Expr,
-    NondifferentiableError,
     ParseError,
     SignatureError,
     diff_jet,
@@ -78,8 +77,6 @@ from .solver import (
     Tiling,
     global_pair,
     jet_solve,
-    local_lower,
-    local_upper,
     refine,
     run_scheme,
     tile_domain,
@@ -133,7 +130,6 @@ __all__ = [
     "MultiIndexSet",
     "NestedLimitReport",
     "NoSolutionError",
-    "NondifferentiableError",
     "OrderConvergenceCertificate",
     "OrderInterval",
     "ParseError",
@@ -173,8 +169,6 @@ __all__ = [
     "lattice_sup",
     "leq_dense",
     "load_spec",
-    "local_lower",
-    "local_upper",
     "main",
     "nested_limit_check",
     "normalize",

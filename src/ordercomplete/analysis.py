@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-import scipy.ndimage
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import expr as ex
 from .grids import GridDomain, GridFunction, OrderInterval, normalize, skeleton_fill
@@ -207,9 +207,10 @@ def dilation_envelopes(
         vals = u.values
         for d in range(u.domain.ndim):
             half = max(1, int(np.floor(r / spacing[d] + 1e-12)))
-            vals = scipy.ndimage.maximum_filter1d(
-                vals, size=2 * half + 1, axis=d, mode="nearest"
-            )
+            pad = [(0, 0)] * vals.ndim
+            pad[d] = (half, half)  # edge padding: the window clips at the box
+            padded = np.pad(vals, pad, mode="edge")
+            vals = sliding_window_view(padded, 2 * half + 1, axis=d).max(axis=-1)
         out.append(GridFunction(u.domain, vals))
     return out
 

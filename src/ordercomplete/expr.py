@@ -14,7 +14,9 @@ The textual grammar (used by problem-spec files and the demos):
     func   := 'sin' | 'cos' | 'exp' | 'log' | 'abs' | 'sqrt'
 
 Note that '-' binds at atom level, so "-x1^2" is (-x1)^2; rendering is
-canonical and parse(render(e)) reproduces e node for node.
+canonical and parse(render(e)) reproduces e node for node. The one
+exception is the internal function sign, which only derivatives of abs
+contain: it renders, but the grammar does not accept it.
 
 Expressions are immutable. Three evaluators share the tree: scalar point
 evaluation, elementwise numpy evaluation over coordinate arrays, and
@@ -77,10 +79,6 @@ class EvalDomainError(ValueError):
         super().__init__(message)
         self.faulted = faulted
         self.values = values
-
-
-class NondifferentiableError(ValueError):
-    """diff_jet hit a node with no derivative expression (abs)."""
 
 
 class SignatureError(ParseError):
@@ -427,6 +425,7 @@ _SCALAR_FUNCS = {
     "cos": math.cos,
     "exp": math.exp,
     "abs": abs,
+    "sign": lambda a: float((a > 0.0) - (a < 0.0)),  # np.sign on finite floats
 }
 
 
@@ -710,9 +709,10 @@ def _pow(base: Expr, k: int) -> Expr:
 def diff_jet(e: Expr, var: tuple[int, tuple[int, ...]]) -> Expr:
     """Symbolic partial derivative with respect to one jet variable.
 
-    Space variables are treated as constants. abs has no derivative
-    expression here and raises NondifferentiableError when its argument
-    depends on the variable.
+    Space variables are treated as constants. abs(g) gets the generalized
+    derivative sign(g) * g', which is what semismooth Newton needs (Qi and
+    Sun, Math. Programming 58, 1993); sign is an internal function that the
+    evaluators know but the grammar does not.
     """
     comp, alpha = var
     target = JetVar(comp, tuple(alpha))
@@ -759,7 +759,7 @@ def _diff(e: Expr, v: JetVar) -> Expr:
             return _div(d, e.arg)
         if e.func == "sqrt":
             return _div(d, _mul(Num(2.0), Call("sqrt", e.arg)))
-        raise NondifferentiableError(
-            f"{e.func} has no derivative expression; use a derivative-free solve"
-        )
+        if e.func == "abs":
+            return _mul(Call("sign", e.arg), d)
+        raise TypeError(f"no derivative rule for {e.func}")
     raise TypeError(f"unknown node {type(e).__name__}")

@@ -69,11 +69,8 @@ class PdeSystem:
         return [(i, a) for i in range(1, self.K + 1) for a in self.mis.alphas]
 
     def jet_jacobian(self) -> list[list[ex.Expr]]:
-        """d F_j / d xi_v for every operator body and flat jet variable.
-
-        Raises NondifferentiableError when some body has no derivative
-        expression (abs); callers fall back to derivative-free search.
-        """
+        """d F_j / d xi_v for every operator body and flat jet variable;
+        abs contributes its generalized derivative (see expr.diff_jet)."""
         if self._jacobian is None:
             fv = self.flat_vars()
             self._jacobian = [[ex.diff_jet(Fj, v) for v in fv] for Fj in self.F]

@@ -1,6 +1,6 @@
-"""Constructive engine: pointwise jet solving, validated local brackets,
-hierarchical tilings, global lower/upper pairs, and the staged refinement
-scheme with its three certificates.
+"""Constructive engine: pointwise jet solving, hierarchical tilings, global
+lower/upper pairs, and the staged refinement scheme with its three
+certificates.
 
 Stage n produces a piecewise polynomial V_n whose operator image brackets
 the data from below within gamma/n (EQ1), whose per-cell jet bands nest
@@ -23,7 +23,6 @@ import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.optimize
 
 from . import expr as ex
 from .grids import (
@@ -205,10 +204,11 @@ def jet_solve(
     """Solve F(x0, xi) = target for a jet xi, optionally inside a box.
 
     Damped Gauss-Newton from the seed (least-squares steps, halving line
-    search, projection onto the box), Latin-hypercube multistart when the
-    direct run stalls, and a derivative-free polytope fallback when F has
-    no jet derivative. Among solutions within tolerance (max-norm residual
-    below _TOL_RESIDUAL) the minimal-norm one wins, then lexicographic order.
+    search, projection onto the box), then Latin-hypercube multistart when
+    the direct run stalls. Where F has abs of a jet expression, the
+    Jacobian holds its generalized derivative, which makes this semismooth
+    Newton. Among solutions within tolerance (max-norm residual below
+    _TOL_RESIDUAL) the minimal-norm one wins, then lexicographic order.
     """
     x0 = np.asarray(x0, dtype=float)
     target = np.atleast_1d(np.asarray(target, dtype=float))
@@ -244,12 +244,7 @@ def jet_solve(
         if r is not None:
             best_seen = min(best_seen, float(np.max(np.abs(r))))
 
-    try:
-        jac = sys.jet_jacobian()
-        derivative_free = False
-    except ex.NondifferentiableError:
-        jac = None
-        derivative_free = True
+    jac = sys.jet_jacobian()
 
     def run_newton(v0: np.ndarray) -> np.ndarray | None:
         v = clamp(np.asarray(v0, dtype=float))
@@ -289,25 +284,6 @@ def jet_solve(
                 return v if float(np.max(np.abs(r))) < _TOL_RESIDUAL else None
         return v if float(np.max(np.abs(r))) < _TOL_RESIDUAL else None
 
-    def run_polytope(v0: np.ndarray) -> np.ndarray | None:
-        def cost(v: np.ndarray) -> float:
-            r = residual(v)
-            note(r)
-            return 1e30 if r is None else float(np.dot(r, r))
-
-        bounds = [tuple(b) for b in box] if box is not None else None
-        res = scipy.optimize.minimize(
-            cost, clamp(np.asarray(v0, dtype=float)), method="Nelder-Mead",
-            bounds=bounds,
-            options={"maxiter": 400 * m_flat, "xatol": 1e-12, "fatol": 1e-24},
-        )
-        v = clamp(res.x)
-        r = residual(v)
-        if r is not None and float(np.max(np.abs(r))) < _TOL_RESIDUAL:
-            return v
-        return None
-
-    attempt = run_polytope if derivative_free else run_newton
     if seed is None:
         v0 = box.mean(axis=1) if box is not None else np.zeros(m_flat)
     elif isinstance(seed, Jet):
@@ -315,7 +291,7 @@ def jet_solve(
     else:
         v0 = np.asarray(seed, dtype=float)
     candidates = []
-    first = attempt(v0)
+    first = run_newton(v0)
     if first is not None:
         candidates.append(first)
     if not candidates:
@@ -324,7 +300,7 @@ def jet_solve(
             [np.full(m_flat, -_BOX_RADIUS), np.full(m_flat, _BOX_RADIUS)], axis=1
         )
         for start in _lhs_starts(search_box, _MULTISTARTS, rng):
-            got = attempt(start)
+            got = run_newton(start)
             if got is not None:
                 candidates.append(got)
     if not candidates:
@@ -334,7 +310,7 @@ def jet_solve(
 
 
 # ---------------------------------------------------------------------------
-# local bracketed solutions (single smooth polynomial around a point)
+# adaptive subdivision
 
 
 def _jets_at(sys: PdeSystem, jets: list[Jet], own: np.ndarray,
@@ -373,61 +349,6 @@ def _bracket_margins(
     lo_m[bad] = -np.inf
     hi_m[bad] = -np.inf
     return lo_m, hi_m
-
-
-def _local_one_side(sys, x0, eps, domain, side, rng):
-    if eps <= 0.0:
-        raise ValueError("eps must be positive")
-    x0 = np.asarray(x0, dtype=float)
-    f0 = sys.rhs_at(x0)
-    target = f0 - 0.5 * eps if side == "lower" else f0 + 0.5 * eps
-    jet = jet_solve(sys, x0, target, rng=rng)
-    polys = taylor_poly(jet)
-    meshes = domain.meshes()
-    dist2 = sum((m - x0[d]) ** 2 for d, m in enumerate(meshes))
-    f_arrays = sys.rhs_on_lattice(domain)
-    h = float(np.max(domain.spacing))
-    diam = float(np.linalg.norm(domain.hi - domain.lo))
-    k_max = 0
-    while h * 2**k_max < diam:
-        k_max += 1
-    for k in range(k_max, -1, -1):
-        radius = h * 2**k
-        mask = dist2 <= radius * radius
-        if not mask.any():
-            continue
-        pts = np.stack([m[mask] for m in meshes], axis=1)
-        if side == "lower":
-            lo_vals = [f[mask] - eps for f in f_arrays]
-            hi_vals = [f[mask] for f in f_arrays]
-        else:
-            lo_vals = [f[mask] for f in f_arrays]
-            hi_vals = [f[mask] + eps for f in f_arrays]
-        own = np.zeros(len(pts), dtype=int)
-        lo_m, hi_m = _bracket_margins(sys, _jets_at(sys, [jet], own, pts), pts,
-                                      lo_vals, hi_vals, np.zeros(1, dtype=int))
-        if lo_m[0] > 0.0 and hi_m[0] > 0.0:
-            return jet, polys, radius
-    raise ConstructionError(
-        f"{side} bracket fails even at radius one grid cell around x0={tuple(x0)}"
-    )
-
-
-def local_lower(sys: PdeSystem, x0, eps: float, domain: GridDomain,
-                rng: np.random.Generator | None = None):
-    """Jet at target f(x0) - eps/2, its Taylor polynomials, and the largest
-    dyadic lattice radius on which f - eps < T P < f holds strictly."""
-    return _local_one_side(sys, x0, eps, domain, "lower", rng)
-
-
-def local_upper(sys: PdeSystem, x0, eps: float, domain: GridDomain,
-                rng: np.random.Generator | None = None):
-    """Mirror image of local_lower: target f(x0) + eps/2, bracket (f, f + eps)."""
-    return _local_one_side(sys, x0, eps, domain, "upper", rng)
-
-
-# ---------------------------------------------------------------------------
-# adaptive subdivision
 
 
 def _interior_gather(
@@ -942,6 +863,8 @@ def scheme_convergence(
         raise ValueError("final skeleton does not contain every stage skeleton")
 
     def carry(g: GridFunction) -> GridFunction:
+        if g.normalized and g.domain == final_domain:  # stage N: already there
+            return g
         return normalize(GridFunction(final_domain, g.values))
 
     f_raw = sys.rhs_on_lattice(final_domain)

@@ -212,6 +212,42 @@ def test_dilation_envelopes_monotone_and_localized():
     assert np.all(np.abs(busy - jump) <= 1)
 
 
+@pytest.mark.parametrize("shape, r0", [((40,), 0.04), ((40,), 0.3), ((40,), 5.0),
+                                       ((9, 13), 0.1), ((9, 13), 0.35), ((9, 13), 4.0),
+                                       ((5, 7, 6), 0.2), ((5, 7, 6), 3.0)])
+def test_dilation_envelopes_match_brute_force_window_max(shape, r0):
+    # oracle: the max over each index window clipped to the box, of
+    # half-width max(1, floor(r / h_d)) along axis d; r0 >= 3 is wider than
+    # every axis. The skeleton (points whose indices are all multiples of 3,
+    # at random) carries -inf entries. When every window is one cell wide, a
+    # +inf sits in the box corner, whose one-cell block is marked, so the
+    # dilated +inf stays on the skeleton
+    rng = np.random.default_rng(sum(shape))
+    n = len(shape)
+    dom = GridDomain([0.0] * n, [1.0] * n, shape)
+    h = dom.spacing
+    halves = [[max(1, int(np.floor(max(r0 / k, float(np.max(h))) / h[d] + 1e-12)))
+               for d in range(n)] for k in (1, 2, 3)]
+    skel = rng.random(shape) < 0.5
+    for d in range(n):
+        skel &= (np.arange(shape[d]) % 3 == 0).reshape([-1 if e == d else 1 for e in range(n)])
+    hot_corner = all(w == 1 for ws in halves for w in ws)
+    if hot_corner:
+        skel[(slice(0, 2),) * n] = True
+    dom = dom.with_skeleton(skel)
+    vals = rng.integers(-4, 5, shape).astype(float)  # integers: many ties
+    vals[skel] = rng.choice([-np.inf, 7.0], int(skel.sum()))
+    if hot_corner:
+        vals[(0,) * n] = np.inf
+    envs = dilation_envelopes(GridFunction(dom, vals), 3, r0)
+    for half, env in zip(halves, envs, strict=True):
+        want = np.empty(shape)
+        for idx in np.ndindex(*shape):
+            window = tuple(slice(max(0, i - w), i + w + 1) for i, w in zip(idx, half))
+            want[idx] = vals[window].max()
+        assert np.array_equal(env.values, want)
+
+
 def test_dilation_envelopes_validation():
     dom = GridDomain([0.0], [1.0], (9,))
     u = GridFunction(dom, np.zeros(dom.shape))

@@ -307,6 +307,32 @@ def test_run_exit3_on_box_too_narrow_for_grid(tmp_path, capsys):
     assert "spec error: lattice axes must increase" in capsys.readouterr().out
 
 
+ABS_SPEC = """\
+n = 1
+K = 1
+m = 1
+box.lo = 0
+box.hi = 3
+grid = 128
+F1 = u[1,(1)] + abs(u[1,(0)])
+f1 = cos(x1 + 0.3) + abs(sin(x1 + 0.3))
+exact1 = sin(x1 + 0.3)
+"""
+
+
+def test_run_and_verify_abs_operator(tmp_path, capsys):
+    # u = sin(x + 0.3) crosses zero at x = pi - 0.3, inside the box, so the
+    # jet solves meet the kink of abs, where the Jacobian uses sign(u)
+    spec = tmp_path / "abs.spec"
+    spec.write_text(ABS_SPEC)
+    out = tmp_path / "abs"
+    code = main(["run", str(spec), "--gamma", "0.2", "--stages", "3",
+                 "--out", str(out), "--no-samples"])
+    assert code == 0
+    assert verify(out) == 0
+    assert "all certificates reproduce" in capsys.readouterr().out
+
+
 # ---------------------------------------------------------------------------
 # verification
 
@@ -533,12 +559,15 @@ def test_package_exports_resolve():
     assert set(ordercomplete.__all__) <= set(dir(ordercomplete))
 
 
-def test_console_entry_point(tmp_path):
+def _child_env():
     # the child finds the package where this test process does, installed
     # or not
     path = os.environ.get("PYTHONPATH")
-    env = {**os.environ,
-           "PYTHONPATH": str(SRC) + (os.pathsep + path if path else "")}
+    return {**os.environ, "PYTHONPATH": str(SRC) + (os.pathsep + path if path else "")}
+
+
+def test_console_entry_point(tmp_path):
+    env = _child_env()
     spec = tmp_path / "prob.spec"
     spec.write_text(GOOD_SPEC)
     out = tmp_path / "out"
@@ -555,3 +584,15 @@ def test_console_entry_point(tmp_path):
     )
     assert proc2.returncode == 0, proc2.stdout + proc2.stderr
     assert "RuntimeWarning" not in proc2.stderr
+
+
+def test_cli_import_loads_no_scipy():
+    # numpy is the only runtime dependency: a fresh interpreter that imports
+    # the CLI has loaded no scipy module
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, ordercomplete.cli; "
+         "print(sorted(m for m in sys.modules if m.startswith('scipy')))"],
+        capture_output=True, text=True, env=_child_env(),
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -293,9 +293,24 @@ def test_diff_chain_rule_fd_oracle():
 
 
 def test_diff_abs_raises():
-    e = ex.parse("abs(u[1,(0)])", SIG111)
-    with pytest.raises(ex.NondifferentiableError):
-        ex.diff_jet(e, (1, (0,)))
+    # abs(g) differentiates to sign(g) g', with sign(0) = 0. sign is internal,
+    # so the rendered derivative raises when parsed back
+    d = ex.diff_jet(ex.parse("abs(u[1,(0)])", SIG111), (1, (0,)))
+    assert ex.render(d) == "sign(u[1,(0)])"
+    with pytest.raises(ex.ParseError):
+        ex.parse(ex.render(d), SIG111)
+    for u0, want in ((-2.5, -1.0), (0.0, 0.0), (1e-300, 1.0)):
+        assert ex.eval_point(d, [0.0], {(1, (0,)): u0}) == want
+        arr = ex.eval_on_arrays(d, [np.zeros(1)], {(1, (0,)): np.array([u0])})
+        assert arr[0] == want
+    cube = ex.parse("abs(u[1,(0)])^3", SIG111)
+    d3 = ex.diff_jet(cube, (1, (0,)))
+    rng = np.random.default_rng(41)
+    for u0 in rng.uniform(-3, 3, 50):
+        jets = {(1, (0,)): u0}
+        assert ex.eval_point(d3, [0.0], jets) == pytest.approx(
+            _fd(cube, (1, (0,)), [0.0], jets), rel=1e-5, abs=1e-6
+        )
 
 
 def test_jet_vars_collection():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from ordercomplete import expr as ex
-from ordercomplete.expr import NondifferentiableError, render
+from ordercomplete.expr import render
 from ordercomplete.grids import GridDomain, GridFunction, normalize
 from ordercomplete.jets import Cell, Jet, MultiIndexSet, assemble, sample_jets, taylor_poly
 from ordercomplete.pde import (
@@ -97,9 +97,9 @@ def test_jet_jacobian_symbolic():
     sys1 = _cubic_system()
     jac = sys1.jet_jacobian()
     assert [render(e) for e in jac[0]] == ["3 * u[1,(0)]^2", "1"]
-    bad = PdeSystem(1, 1, 1, ["abs(u[1,(0)])"], ["0"], [0.0], [1.0])
-    with pytest.raises(NondifferentiableError):
-        bad.jet_jacobian()
+    # abs has the generalized derivative sign(g) g'
+    kink = PdeSystem(1, 1, 1, ["abs(u[1,(0)])"], ["0"], [0.0], [1.0])
+    assert [render(e) for e in kink.jet_jacobian()[0]] == ["sign(u[1,(0)])", "0"]
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,4 @@
-"""Jet solving, local brackets, tiling, the global pair, and the staged
-refinement scheme."""
+"""Jet solving, tiling, the global pair, and the staged refinement scheme."""
 
 import math
 from collections import deque
@@ -12,7 +11,6 @@ from ordercomplete.grids import GridDomain
 from ordercomplete.jets import (
     Cell,
     Jet,
-    MultiIndexSet,
     TilingError,
     assemble,
     sample_jets,
@@ -20,6 +18,7 @@ from ordercomplete.jets import (
 )
 from ordercomplete.pde import PdeSystem, apply_operator
 from ordercomplete.solver import (
+    _TOL_RESIDUAL,
     ConstructionError,
     NoSolutionError,
     RefinementStage,
@@ -29,8 +28,6 @@ from ordercomplete.solver import (
     _subdivide,
     global_pair,
     jet_solve,
-    local_lower,
-    local_upper,
     refine,
     run_scheme,
     scheme_convergence,
@@ -83,6 +80,24 @@ def test_jet_solve_unreachable_target():
     assert isinstance(exc.value, ConstructionError)
 
 
+@pytest.mark.parametrize("body, target, box", [
+    # u' is boxed, so the root needs |u| >= 1.5: the zero seed stalls where
+    # sign(u) = 0, and the multistart in the box finds a root
+    ("u[1,(1)] + abs(u[1,(0)])", 2.0, [[-10.0, 10.0], [-0.5, 0.5]]),
+    # every root has |u| = 2; the Jacobian vanishes at the zero seed
+    ("abs(u[1,(0)])^3", 8.0, None),
+])
+def test_jet_solve_abs_operators(body, target, box):
+    # abs has the generalized derivative sign(g) g', so Gauss-Newton is
+    # semismooth Newton on these operators
+    sys1 = PdeSystem(1, 1, 1, [body], ["0"], [0.0], [1.0])
+    jet = jet_solve(sys1, [0.5], [target], seed=np.zeros(2),
+                    constraint_box=None if box is None else np.array(box))
+    values = dict(zip(sys1.flat_vars(), jet.flat()))
+    assert abs(values[(1, (0,))]) > 1.0
+    assert abs(ex.eval_point(sys1.F[0], [0.5], values) - target) < _TOL_RESIDUAL
+
+
 def test_jet_solve_input_validation():
     sys1 = _affine()
     with pytest.raises(ValueError):
@@ -91,49 +106,6 @@ def test_jet_solve_input_validation():
         jet_solve(sys1, [0.5], [np.inf])
     with pytest.raises(ValueError):
         jet_solve(sys1, [0.5], [1.0], constraint_box=np.array([[1.0, 0.0], [0.0, 1.0]]))
-
-
-# ---------------------------------------------------------------------------
-# local one-sided brackets
-
-
-def test_local_lower_affine_closed_form():
-    dom = GridDomain([0.0], [1.0], (17,))
-    jet, polys, radius = local_lower(_affine(), [0.5], 0.1, dom)
-    assert jet[(1, (1,))] == pytest.approx(0.95)
-    assert jet[(1, (0,))] == pytest.approx(0.0, abs=1e-9)
-    assert radius == 1.0  # bracket holds across the whole box
-
-
-def test_local_upper_affine_closed_form():
-    dom = GridDomain([0.0], [1.0], (17,))
-    jet, polys, radius = local_upper(_affine(), [0.5], 0.1, dom)
-    assert jet[(1, (1,))] == pytest.approx(1.05)
-    assert radius == 1.0
-
-
-def test_local_lower_manufactured_bracket_holds_pointwise():
-    sys1 = _cubic()
-    dom = GridDomain([0.0], [3.0], (257,))
-    jet, polys, radius = local_lower(sys1, [0.5], 0.1, dom)
-    assert radius > 0.0
-    # oracle: re-evaluate T P and f on the ball and check strictness directly
-    x = dom.axis(0)
-    mask = np.abs(x - 0.5) <= radius
-    pts = x[mask].reshape(-1, 1)
-    mis = MultiIndexSet(1, 1)
-    jets = {(1, a): polys[0].deriv_many(a, pts) for a in mis.alphas}
-    tp = jets[(1, (1,))] + jets[(1, (0,))] ** 3
-    f = np.cos(x[mask]) + np.sin(x[mask]) ** 3
-    assert np.all(tp > f - 0.1) and np.all(tp < f)
-
-
-def test_local_bracket_rejects_nonpositive_eps():
-    dom = GridDomain([0.0], [1.0], (17,))
-    with pytest.raises(ValueError):
-        local_lower(_affine(), [0.5], 0.0, dom)
-    with pytest.raises(ValueError):
-        local_upper(_affine(), [0.5], -0.1, dom)
 
 
 # ---------------------------------------------------------------------------
@@ -858,6 +830,19 @@ def test_scheme_convergence_rejects_stage_skeleton_outside_final(res_cubic2):
                            ([s.samples for s in res.stages], first.domain)):
         with pytest.raises(ValueError, match="does not contain every stage skeleton"):
             scheme_convergence(_cubic(), samples, res.tiling.radii, final, 0.4)
+
+
+def test_scheme_convergence_keeps_final_stage_samples(res_cubic2):
+    # stage N's samples already live, normalized, on the final lattice, so
+    # scheme_convergence hands them on as they are; earlier stages are moved
+    res = res_cubic2
+    jets, tv, bands = res.stages[-1].samples
+    assert all(g is h for g, h in zip(res.samples_by_stage[-1], jets, strict=True))
+    assert all(g is h for g, h in zip(res.tv_by_stage[-1], tv, strict=True))
+    assert all(g is h for got, want in zip(res.bands_by_stage[-1], bands, strict=True)
+               for g, h in zip(got, want, strict=True))
+    assert all(g is not h for g, h in zip(res.samples_by_stage[0],
+                                          res.stages[0].samples[0], strict=True))
 
 
 def test_scheme_band_nesting_strict(res_cubic2):
