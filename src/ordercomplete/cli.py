@@ -4,11 +4,14 @@ certificates and data files.
 
 Artifacts are deterministic for a fixed config and seed (no timestamps,
 sorted keys, repr floats) and every file is written atomically via a
-temporary sibling and rename. `verify` rebuilds the polynomials and bands
-from the artifacts alone, recomputes every certificate through the
-solver's certificate functions that `run` uses, and compares the stored
-blocks with the recomputed ones serialized the same way; it never
-re-solves.
+temporary sibling and rename. The seed feeds the interior probe's
+generator and, through the solver's per-cell streams (`solver._stream`),
+each openness probe and each multistart fallback, so no draw depends on
+the order in which cells are handled. `verify` rebuilds the tiling from
+the box and the lattice and the polynomials and bands from the artifacts,
+recomputes every certificate through the solver's certificate functions
+that `run` uses, and compares the stored blocks with the recomputed ones
+serialized the same way; it never re-solves.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ from .solver import (
     global_pair,
     run_scheme,
     scheme_convergence,
+    scheme_tiling,
     stage_certificates,
 )
 
@@ -269,8 +273,7 @@ def run_pipeline(cfg: RunConfig) -> int:
                     "image over the trial jet box"
                 )
                 return 3
-        gp = global_pair(system, domain, eps=cfg.gamma,
-                         rng=np.random.default_rng(cfg.seed))
+        gp = global_pair(system, domain, eps=cfg.gamma, seed=cfg.seed)
         scheme = run_scheme(system, domain, cfg.gamma, cfg.stages,
                             eps_max=cfg.eps_max, seed=cfg.seed)
     except (ConstructionError, TilingError, ex.EvalDomainError) as e:
@@ -498,7 +501,10 @@ def _expect(what: str, found, expected) -> None:
 def verify(result_dir) -> int:
     """Re-check every certificate from the artifacts alone.
 
-    Rebuilds the system from the embedded problem block, reassembles each
+    Rebuilds the system from the embedded problem block, derives the
+    tiling from the box and the lattice as `run` does (scheme_tiling) and
+    compares its delta, I-cells and anchors exactly with the stored ones,
+    and the stored openness radii with tiling.radii. Then reassembles each
     serialized polynomial, recomputes every certificate through the same
     solver functions `run` uses, and compares the results, serialized as
     `run` writes them, with the stored blocks at relative tolerance 1e-9.
@@ -560,10 +566,23 @@ def _verify_inner(out: Path, cert: dict, problems: list[str]) -> int:
                           sample_jets(v_poly, marked), float(g["eps"]))
     _compare(problems, "global_pair", g, _cert_dict(gp))
 
-    # stages
-    i_cells = [Cell(c["lo"], c["hi"]) for c in cert["tiling"]["i_cells"]]
-    radii = np.asarray(cert["tiling"]["radii"], dtype=float)
+    # the tiling, derived from the box and the lattice as run derives it
+    t = cert["tiling"]
+    tiling = scheme_tiling(domain)
+    for key, want in (("delta", float(tiling.delta)),
+                      ("i_cells", _cells_list(tiling.i_cells)),
+                      ("anchors", _floats2d(tiling.anchors))):
+        if t[key] != want:
+            problems.append(f"tiling.{key}: stored value differs from the tiling "
+                            "of the box and the lattice")
+    if cert["assumption"]["openness_radii"] != t["radii"]:
+        problems.append("assumption.openness_radii: stored value differs from "
+                        "tiling.radii")
+    i_cells = tiling.i_cells
+    radii = np.asarray(t["radii"], dtype=float)
     _expect("tiling.radii shape", radii.shape, (len(i_cells),))
+
+    # stages
     stages = cert["stages"]
     _expect("stage count", len(stages), N)
     _expect("stage numbers", [s["n"] for s in stages], list(range(1, N + 1)))

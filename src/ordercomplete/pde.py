@@ -252,31 +252,19 @@ def _unit_ball_draws(
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """Uniform draws from unit balls of the given dimensions.
 
-    Sample by sample and ball by ball, draws a standard normal direction
-    and, unless its norm is below 1e-12, a uniform radius u. Returns per
-    ball the unit directions (S, d) and the radial factors u^(1/d) (S,);
-    both are 0 where the direction vanished, so that point is the center.
-    Norms and roots round as np.linalg.norm and Python's pow do on one
-    draw; numpy's row reductions and power can round differently.
+    Ball by ball, draws a (samples, d) block of standard normal directions
+    and then samples uniform radii u. Returns per ball the unit directions
+    (S, d) and the radial factors u^(1/d) (S,); both are 0 on a row whose
+    direction has norm below 1e-12, so that point is the center.
     """
-    balls = [(d, 1.0 / d, [], []) for d in dims]
-    for _ in range(samples):
-        for d, inv, normals, roots in balls:
-            z = rng.standard_normal(d)
-            normals.append(z)
-            # the computed norm is at least |z_0|, so the norm itself is
-            # needed only in the rare case |z_0| < 1e-12
-            if abs(z[0]) >= 1e-12 or np.linalg.norm(z) >= 1e-12:
-                roots.append(rng.random() ** inv)
-            else:
-                roots.append(0.0)
     out = []
-    for d, _, normals, roots in balls:
-        z = np.array(normals).reshape(samples, d)
-        # row-wise z.dot(z) through the dot kernel np.linalg.norm uses
-        norms = np.sqrt(z[:, None, :] @ z[:, :, None]).reshape(samples, 1)
-        unit = np.divide(z, norms, out=np.zeros_like(z), where=norms >= 1e-12)
-        out.append((unit, np.array(roots)))
+    for d in dims:
+        z = rng.standard_normal((samples, d))
+        u = rng.random(samples)
+        norms = np.linalg.norm(z, axis=1, keepdims=True)
+        kept = norms >= 1e-12
+        unit = np.divide(z, norms, out=np.zeros_like(z), where=kept)
+        out.append((unit, np.where(kept[:, 0], u ** (1.0 / d), 0.0)))
     return out
 
 
@@ -294,7 +282,9 @@ def check_assumption_open(
     target defaults to f(x); the refinement scheme probes shifted targets
     f(x) - gamma/(2n). Requires the seed jet to hit the target closely.
     The witnessed ball radius (minimal directional margin) is what the
-    scheme uses as a cell openness radius.
+    scheme uses as a cell openness radius. rng gives the point ball's
+    samples, then the jet ball's (see _unit_ball_draws), then the random
+    directions; the scheme hands each anchor its own stream.
     """
     rng = rng or np.random.default_rng(0)
     x = np.asarray(x, dtype=float)

@@ -15,12 +15,20 @@ on the full lattice after assembly, independently of the per-cell
 construction. `refine` and `cli.verify` share `stage_certificates`, which
 computes EQ1-EQ3 from one sampling of V_n on its own lattice, and
 `scheme_convergence` normalizes those samples onto the final skeleton.
+
+Every random draw comes from a stream of its own (`_stream`), keyed by the
+run seed and by what it is drawn for: the openness probe at an I-cell, or
+the multistart fallback of one anchor, J-cell or global-pair solve. So a
+cell's result depends on its own inputs alone, not on which cells were
+solved before it, and the order in which cells are solved is free.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -77,15 +85,39 @@ class NoSolutionError(ConstructionError):
 
 
 # ---------------------------------------------------------------------------
+# random streams
+
+# the first key entry of a stream: what its draws are for (see _stream)
+PROBE, ANCHOR, JCELL, GLOBAL = range(4)
+
+
+def _stream(seed: int, *key: int) -> np.random.Generator:
+    """The random stream of one draw site, a function of the run seed and
+    the key alone: (PROBE, ci) for the openness probe at I-cell ci,
+    (ANCHOR, n, ci) for the stage-n anchor solve there, (JCELL, n, ci,
+    *_cell_key(cell)) for a J-cell solve of stage n, and (GLOBAL, side,
+    *_cell_key(cell)) for the lower (side 0) or upper (1) jet of a
+    global-pair cell."""
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
+
+
+def _cell_key(cell: Cell) -> tuple[int, ...]:
+    """The bit patterns of a cell's lo and then hi bounds, as stream key
+    entries."""
+    return tuple(int(b) for b in np.array(cell.lo + cell.hi).view(np.uint64))
+
+
+# ---------------------------------------------------------------------------
 # tiling
 
 
 @dataclass(eq=False)
 class Tiling:
-    """Level-0 box, its I-cells with anchors, and per-cell openness radii.
+    """Level-0 box, its I-cells with anchors, and what the openness probe
+    found there: per-cell radii and the stage-1 anchor jets it probed at.
 
-    J-cells start equal to the I-cells and are refined per stage; radii are
-    data discovered by the openness probe, not part of the geometry.
+    J-cells start equal to the I-cells and are refined per stage; radii and
+    jets are data discovered by the probe, not part of the geometry.
     """
 
     lo: np.ndarray
@@ -95,6 +127,7 @@ class Tiling:
     i_cells: list[Cell]
     anchors: np.ndarray  # (num_cells, n), cell centers
     radii: np.ndarray | None = None
+    jets: np.ndarray | None = None  # (num_cells, M), stage-1 anchor jets
 
     def index_of(self, points) -> np.ndarray:
         """Index of the I-cell strictly holding each point (..., n)."""
@@ -102,14 +135,19 @@ class Tiling:
         idx = np.floor((np.asarray(points) - self.lo) / width).astype(int)
         return np.ravel_multi_index(tuple(np.moveaxis(idx, -1, 0)), self.shape)
 
-    def with_radii(self, radii) -> "Tiling":
+    def with_radii(self, radii, jets) -> "Tiling":
+        """This tiling with the probe's radii and stage-1 anchor jets, one
+        radius and one flat jet row per I-cell."""
         r = np.asarray(radii, dtype=float)
         if r.shape != (len(self.i_cells),):
             raise ValueError("one radius per I-cell required")
         if np.any(r <= 0.0):
             raise ValueError("openness radii must be positive")
+        j = np.array(jets, dtype=float)
+        if j.ndim != 2 or j.shape[0] != len(self.i_cells):
+            raise ValueError("one anchor jet per I-cell required")
         return Tiling(self.lo, self.hi, self.delta, self.shape,
-                      self.i_cells, self.anchors, r)
+                      self.i_cells, self.anchors, r, j)
 
 
 def tile_domain(
@@ -164,6 +202,13 @@ def tile_domain(
     return Tiling(lo, hi, float(delta), tuple(int(c) for c in counts), cells, anchors)
 
 
+def scheme_tiling(domain: GridDomain) -> Tiling:
+    """The I-cells of the refinement scheme on a lattice: dyadic cells of
+    diameter at most a sixteenth of the box diagonal (see tile_domain)."""
+    delta = float(np.linalg.norm(domain.hi - domain.lo)) / 16.0
+    return tile_domain(domain.lo, domain.hi, delta, 2, domain)
+
+
 def _empty_interiors(domain: GridDomain, cells: list[Cell]) -> np.ndarray:
     """Per cell, whether it holds no strictly interior lattice point."""
     start, stop, _ = _interior_ranges(cells, domain)
@@ -199,7 +244,7 @@ def jet_solve(
     seed=None,
     constraint_box=None,
     *,
-    rng: np.random.Generator | None = None,
+    stream: Callable[[], np.random.Generator] | None = None,
 ) -> Jet:
     """Solve F(x0, xi) = target for a jet xi, optionally inside a box.
 
@@ -209,6 +254,9 @@ def jet_solve(
     Jacobian holds its generalized derivative, which makes this semismooth
     Newton. Among solutions within tolerance (max-norm residual below
     _TOL_RESIDUAL) the minimal-norm one wins, then lexicographic order.
+    The multistart draws from stream(), called only when the direct run
+    stalls (default: a stream seeded with 0), so a solve that needs no
+    fallback builds no Generator.
     """
     x0 = np.asarray(x0, dtype=float)
     target = np.atleast_1d(np.asarray(target, dtype=float))
@@ -295,7 +343,9 @@ def jet_solve(
     if first is not None:
         candidates.append(first)
     if not candidates:
-        rng = rng or np.random.default_rng(0)
+        # the default is built here: naming np.random in the signature
+        # would load numpy.random on `import ordercomplete`
+        rng = stream() if stream is not None else np.random.default_rng(0)
         search_box = box if box is not None else np.stack(
             [np.full(m_flat, -_BOX_RADIUS), np.full(m_flat, _BOX_RADIUS)], axis=1
         )
@@ -407,12 +457,13 @@ def _subdivide(work, solve, check, domain: GridDomain, max_cells: int, *,
     A generation (the cells pending at once) is solved one cell at a time,
     in order, then checked in one call, check(cells, payloads) -> bool per
     cell; the failed cells are split and their children, in order, form
-    the next generation. That is the first-in, first-out loop that solves,
-    checks and splits one cell at a time, with the same solves in the same
-    order (so the same random draws) and the same error at the same cell:
-    when more than max_cells cells accumulate, when a solve raises, or when
-    a child would hold no interior lattice point. Errors name the stage,
-    and a stranded child also the split cell's lower corner.
+    the next generation. That accepts the cells of the first-in, first-out
+    loop that solves, checks and splits one cell at a time, and raises the
+    same error at the same cell: when more than max_cells cells accumulate,
+    when a solve raises, or when a child would hold no interior lattice
+    point. Errors name the stage, and a stranded child also the split
+    cell's lower corner. A solve draws from its cell's own stream (see
+    _stream), so the order fixes no random draw.
     """
     done: list[tuple[Cell, object]] = []
     gen = list(work)
@@ -515,18 +566,18 @@ def global_pair(
     domain: GridDomain,
     eps: float,
     *,
-    rng: np.random.Generator | None = None,
+    seed: int = 0,
     max_cells: int = 100_000,
 ) -> GlobalPairResult:
     """Build U, V with f - eps < T U < f < T V < f + eps off a common skeleton.
 
     One shared adaptive tiling: start from the whole box, solve both anchor
     jets per cell, and split any cell whose bracket fails at an interior
-    lattice point (see _subdivide).
+    lattice point (see _subdivide). A solve's multistart fallback draws
+    from the stream (GLOBAL, side, *cell) of the run seed (see _stream).
     """
     if eps <= 0.0:
         raise ValueError("eps must be positive")
-    rng = rng or np.random.default_rng(0)
     f = sys.rhs_on_lattice(domain)
     below = [fj - eps for fj in f]
     above = [fj + eps for fj in f]
@@ -535,8 +586,10 @@ def global_pair(
         a = cell.center
         f0 = sys.rhs_at(a)
         try:
-            return (jet_solve(sys, a, f0 - 0.5 * eps, rng=rng),
-                    jet_solve(sys, a, f0 + 0.5 * eps, rng=rng))
+            return (jet_solve(sys, a, f0 - 0.5 * eps,
+                              stream=lambda: _stream(seed, GLOBAL, 0, *_cell_key(cell))),
+                    jet_solve(sys, a, f0 + 0.5 * eps,
+                              stream=lambda: _stream(seed, GLOBAL, 1, *_cell_key(cell))))
         except NoSolutionError as e:
             raise ConstructionError(
                 f"anchor jet unsolvable: {e}", cell=cell.lo
@@ -719,44 +772,49 @@ def refine(
     n: int,
     gamma: float,
     *,
-    rng: np.random.Generator | None = None,
+    seed: int = 0,
     max_cells: int = 100_000,
 ) -> RefinementStage:
     """Build stage n: anchor jets at target f - gamma/(2n), bands of
     halfwidth (2 eps/n)(15/16) clipped strictly inside the previous bands,
     and all J-cells of the stage subdivided in one loop (see _subdivide,
     max_cells bounds the stage) until the EQ1 bracket and band containment
-    hold at every interior lattice point."""
+    hold at every interior lattice point.
+
+    Stage 1 takes its anchor jets from the tiling, where the openness probe
+    left them (see run_scheme); a later stage solves them inside the
+    previous bands. A multistart fallback of the anchor solve at I-cell ci
+    draws from the stream (ANCHOR, n, ci) of the run seed, and that of a
+    J-cell solve from (JCELL, n, ci, *cell) (see _stream)."""
     if n < 1:
         raise ValueError("stage index must be at least 1")
     if (prev is None) != (n == 1):
         raise ValueError("prev must be given exactly when n > 1")
-    if tiling.radii is None:
-        raise ValueError("tiling has no openness radii; run the probe first")
-    rng = rng or np.random.default_rng(0)
-    num_i = len(tiling.i_cells)
+    if tiling.radii is None or tiling.jets is None:
+        raise ValueError("tiling has no openness radii or anchor jets; "
+                         "run the probe first")
     f = sys.rhs_on_lattice(domain)
     below = [fj - gamma / n for fj in f]
-    if prev is None:
-        seeds = np.zeros((num_i, sys.unknown_count))
-        i_boxes = [None] * num_i
-    else:
-        seeds = prev.i_jets
-        margin = (prev.band_hi - prev.band_lo) / 8.0
-        i_boxes = np.stack([prev.band_lo + margin, prev.band_hi - margin], axis=2)
 
-    def solve_at(x, ci: int, seed, box, what: str) -> Jet:
+    def solve_at(x, ci: int, start, box, what: str, stream) -> Jet:
         try:
-            return jet_solve(sys, x, sys.rhs_at(x) - gamma / (2.0 * n), seed=seed,
-                             constraint_box=box, rng=rng)
+            return jet_solve(sys, x, sys.rhs_at(x) - gamma / (2.0 * n), seed=start,
+                             constraint_box=box, stream=stream)
         except NoSolutionError as e:
             raise ConstructionError(
                 f"{what} jet unsolvable (openness radius overestimated?): {e}",
                 stage=n, cell=ci,
             ) from e
 
-    i_jets = np.array([solve_at(a, ci, seeds[ci], i_boxes[ci], "anchor").flat()
-                       for ci, a in enumerate(tiling.anchors)])
+    if prev is None:
+        i_jets = tiling.jets
+    else:
+        margin = (prev.band_hi - prev.band_lo) / 8.0
+        i_boxes = np.stack([prev.band_lo + margin, prev.band_hi - margin], axis=2)
+        i_jets = np.array([
+            solve_at(a, ci, prev.i_jets[ci], i_boxes[ci], "anchor",
+                     functools.partial(_stream, seed, ANCHOR, n, ci)).flat()
+            for ci, a in enumerate(tiling.anchors)])
     hw = (2.0 * tiling.radii / n) * (15.0 / 16.0)
     band_lo = i_jets - hw[:, None]
     band_hi = i_jets + hw[:, None]
@@ -779,7 +837,8 @@ def refine(
 
     def solve(jcell: Cell) -> tuple[int, Jet]:
         ci = int(tiling.index_of(jcell.center))
-        return ci, solve_at(jcell.center, ci, i_jets[ci], j_boxes[ci], "constrained")
+        return ci, solve_at(jcell.center, ci, i_jets[ci], j_boxes[ci], "constrained",
+                            lambda: _stream(seed, JCELL, n, ci, *_cell_key(jcell)))
 
     def check(jcells: list[Cell], solved: list[tuple[int, Jet]]) -> np.ndarray:
         own = [ci for ci, _ in solved]
@@ -922,14 +981,19 @@ def run_scheme(
 ) -> SchemeResult:
     """Chain refinement stages 1..N and certify the outcome.
 
-    The I-cells have diameter at most a sixteenth of the box diagonal, and
-    their openness radii come from the sampling probe at each anchor
-    (capped at eps_max). The verdict requires every stage certificate, order
-    convergence of the operator images to f, and a final sup gap below
-    gamma/N. Band order-convergence certificates are recorded per jet
-    variable but do not gate the verdict; their terminal gaps scale with
-    the cell radii, not with gamma/N, so they are checked against the EQ3
-    width bound of the final stage (see `band_tolerance`).
+    The I-cells come from scheme_tiling. At each anchor the stage-1 anchor
+    jet is solved (target f - gamma/2, zero seed, no box) and the sampling
+    probe witnesses an openness radius there (capped at eps_max); stage 1
+    takes those jets from the tiling instead of solving them again. The
+    probe at I-cell ci draws from the stream (PROBE, ci) of seed, and
+    every solve's fallback from its own stream (see _stream), so the
+    result does not depend on the order in which cells are handled. The
+    verdict requires every stage certificate, order convergence of the
+    operator images to f, and a final sup gap below gamma/N. Band
+    order-convergence certificates are recorded per jet variable but do not
+    gate the verdict; their terminal gaps scale with the cell radii, not
+    with gamma/N, so they are checked against the EQ3 width bound of the
+    final stage (see `band_tolerance`).
     """
     if gamma <= 0.0:
         raise ValueError("gamma must be positive")
@@ -937,23 +1001,24 @@ def run_scheme(
         raise ValueError("N must be at least 1")
     if eps_max <= 0.0:
         raise ValueError("eps_max must be positive")
-    rng = np.random.default_rng(seed)
-    delta = float(np.linalg.norm(domain.hi - domain.lo)) / 16.0
-    tiling = tile_domain(domain.lo, domain.hi, delta, 2, domain)
+    tiling = scheme_tiling(domain)
     radii = np.zeros(len(tiling.i_cells))
+    jets = np.zeros((len(tiling.i_cells), sys.unknown_count))
     for ci, cell in enumerate(tiling.i_cells):
         a = tiling.anchors[ci]
         target = sys.rhs_at(a) - 0.5 * gamma
         try:
-            ji = jet_solve(sys, a, target, rng=rng)
+            jets[ci] = jet_solve(
+                sys, a, target, stream=functools.partial(_stream, seed, ANCHOR, 1, ci)
+            ).flat()
         except NoSolutionError as e:
             raise ConstructionError(
                 f"stage-1 anchor jet unsolvable (interior assumption violated?): {e}",
                 stage=1, cell=ci,
             ) from e
         ev = check_assumption_open(
-            sys, a, ji.flat(), delta=cell.diameter() / 2.0, eps_ball=eps_max,
-            rng=rng, target=target,
+            sys, a, jets[ci], delta=cell.diameter() / 2.0, eps_ball=eps_max,
+            rng=_stream(seed, PROBE, ci), target=target,
         )
         if not ev.supported:
             raise ConstructionError(
@@ -962,11 +1027,11 @@ def run_scheme(
                 stage=1, cell=ci,
             )
         radii[ci] = min(ev.witnessed_radius, eps_max)
-    tiling = tiling.with_radii(radii)
+    tiling = tiling.with_radii(radii, jets)
     stages: list[RefinementStage] = []
     prev = None
     for n in range(1, N + 1):
-        st = refine(sys, domain, tiling, prev, n, gamma, rng=rng)
+        st = refine(sys, domain, tiling, prev, n, gamma, seed=seed)
         stages.append(st)
         prev = st
     final_dom = stages[-1].domain

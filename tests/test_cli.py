@@ -409,6 +409,37 @@ def test_verify_detects_flipped_vacuous_flag(run_dir, tmp_path, capsys):
     assert "MISMATCH stage1.eq2.vacuous" in capsys.readouterr().out
 
 
+def _shift_anchor(cert):
+    cert["tiling"]["anchors"][0][0] += 0.01
+
+
+def _shrink_delta(cert):
+    cert["tiling"]["delta"] *= 0.5
+
+
+def _raise_openness_radius(cert):
+    cert["assumption"]["openness_radii"][-1] *= 1.5
+
+
+@pytest.mark.parametrize("tamper, field", [
+    (_shift_anchor, "tiling.anchors"),
+    (_shrink_delta, "tiling.delta"),
+    (_raise_openness_radius, "assumption.openness_radii"),
+], ids=lambda x: x.__name__.strip("_") if callable(x) else None)
+def test_verify_derives_the_tiling(run_dir, tmp_path, capsys, tamper, field):
+    # verify derives the tiling from the box and the lattice and checks the
+    # stored radii against it; no certificate reads these fields
+    copy = tmp_path / "tampered_tiling_field"
+    shutil.copytree(run_dir, copy)
+    cert = json.loads((copy / "certificate.json").read_text())
+    tamper(cert)
+    (copy / "certificate.json").write_text(json.dumps(cert))
+    assert verify(copy) == 2
+    out = capsys.readouterr().out
+    assert f"MISMATCH {field}: stored value differs" in out
+    assert "verify: FAILED" in out
+
+
 def _cut_band_rows(cert):
     for s in cert["stages"]:
         s["band_lo"] = [row[:1] for row in s["band_lo"]]

@@ -342,24 +342,33 @@ def _reference_interior(sys, x, box, rng, samples=400, extra_directions=32):
     return _reference_verdict(sys, images, target, extra_directions, rng)
 
 
-def _reference_ball_sample(center, radius, rng):
+def _reference_ball_samples(center, radius, rng, samples):
+    """Uniform points of a ball around center: first the (samples, d) block
+    of normal directions, then the samples uniform radii; then each point
+    from its own row."""
     d = center.size
-    direction = rng.normal(size=d)
-    nrm = np.linalg.norm(direction)
-    if nrm < 1e-12:
-        return center.copy()
-    direction /= nrm
-    return center + radius * rng.uniform() ** (1.0 / d) * direction
+    normals = rng.normal(size=(samples, d))
+    uniforms = rng.uniform(size=samples)
+    points = []
+    for direction, u in zip(normals, uniforms):
+        nrm = np.linalg.norm(direction)
+        if nrm < 1e-12:
+            points.append(center.copy())
+            continue
+        points.append(center + radius * u ** (1.0 / d) * (direction / nrm))
+    return points
 
 
 def _reference_open(sys, x, jet_flat, delta, eps_ball, target, rng,
                     samples=400, extra_directions=32):
-    """The openness probe as one eval_point call per sample and component."""
+    """The openness probe as one eval_point call per sample and component,
+    drawing the point ball's samples, then the jet ball's."""
     fv = sys.flat_vars()
+    xs = _reference_ball_samples(x, delta, rng, samples)
+    vecs = _reference_ball_samples(jet_flat, eps_ball, rng, samples)
     images = []
-    for _ in range(samples):
-        xp = np.clip(_reference_ball_sample(x, delta, rng), sys.box_lo, sys.box_hi)
-        vec = _reference_ball_sample(jet_flat, eps_ball, rng)
+    for xp, vec in zip(xs, vecs):
+        xp = np.clip(xp, sys.box_lo, sys.box_hi)
         jets = {v: vec[k] for k, v in enumerate(fv)}
         try:
             images.append([ex.eval_point(Fj, xp, jets) for Fj in sys.F])

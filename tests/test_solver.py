@@ -1,5 +1,6 @@
 """Jet solving, tiling, the global pair, and the staged refinement scheme."""
 
+import functools
 import math
 from collections import deque
 
@@ -16,15 +17,20 @@ from ordercomplete.jets import (
     sample_jets,
     taylor_poly,
 )
-from ordercomplete.pde import PdeSystem, apply_operator
+from ordercomplete.pde import PdeSystem, apply_operator, check_assumption_open
 from ordercomplete.solver import (
     _TOL_RESIDUAL,
+    ANCHOR,
+    JCELL,
+    PROBE,
     ConstructionError,
     NoSolutionError,
     RefinementStage,
     _band_functions,
+    _cell_key,
     _empty_interiors,
     _generation_ok,
+    _stream,
     _subdivide,
     global_pair,
     jet_solve,
@@ -159,12 +165,16 @@ def test_tile_rejects_sub_grid_delta():
 
 def test_tiling_radii_guarded():
     t = tile_domain([0.0], [1.0], 0.3)
+    jets = np.zeros((4, 2))
     with pytest.raises(ValueError):
-        t.with_radii([1.0])
+        t.with_radii([1.0], jets)
     with pytest.raises(ValueError):
-        t.with_radii([1.0, 1.0, -1.0, 1.0])
-    t2 = t.with_radii([1.0, 2.0, 3.0, 4.0])
+        t.with_radii([1.0, 1.0, -1.0, 1.0], jets)
+    with pytest.raises(ValueError, match="anchor jet"):
+        t.with_radii([1.0, 2.0, 3.0, 4.0], jets[:3])
+    t2 = t.with_radii([1.0, 2.0, 3.0, 4.0], jets)
     assert np.array_equal(t2.radii, [1.0, 2.0, 3.0, 4.0])
+    assert np.array_equal(t2.jets, jets) and t2.jets is not jets
 
 
 @pytest.mark.parametrize("lo,hi,delta,arity", [
@@ -513,10 +523,20 @@ def test_global_pair_eps_below_float_scale():
 # refinement scheme
 
 
+def _probed(sys, tiling, gamma, radii, seed=0):
+    """The tiling with the given radii and the stage-1 anchor jets that
+    run_scheme's probe solves: target f - gamma/2, zero seed, no box, and
+    the stream (ANCHOR, 1, ci) for a fallback."""
+    jets = [jet_solve(sys, a, sys.rhs_at(a) - 0.5 * gamma,
+                      stream=functools.partial(_stream, seed, ANCHOR, 1, ci)).flat()
+            for ci, a in enumerate(tiling.anchors)]
+    return tiling.with_radii(radii, jets)
+
+
 def test_refine_requires_prev_exactly_when_late():
     sys1 = _affine()
     dom = GridDomain([0.0], [1.0], (65,))
-    tiling = tile_domain([0.0], [1.0], 0.5, domain=dom).with_radii([1.0, 1.0])
+    tiling = _probed(sys1, tile_domain([0.0], [1.0], 0.5, domain=dom), 0.4, [1.0, 1.0])
     with pytest.raises(ValueError):
         refine(sys1, dom, tiling, None, 2, 0.4)
     with pytest.raises(ValueError):
@@ -535,14 +555,16 @@ def test_refine_cell_budget():
     # one I-cell over the whole box: the EQ1 bracket needs about 9 J-cells
     sys1 = _cubic()
     dom = GridDomain([0.0], [3.0], (129,))
-    tiling = tile_domain([0.0], [3.0], 3.0, domain=dom).with_radii([1.0])
+    tiling = _probed(sys1, tile_domain([0.0], [3.0], 3.0, domain=dom), 0.4, [1.0])
     with pytest.raises(ConstructionError, match="cell budget"):
         refine(sys1, dom, tiling, None, 1, 0.4, max_cells=1)
 
 
-def _reference_refine(sys, domain, tiling, prev, n, gamma, *, rng, max_cells=100_000):
+def _reference_refine(sys, domain, tiling, prev, n, gamma, *, seed, max_cells=100_000):
     """The per-I-cell loop that refine replaced: each I-cell solves its
-    anchor, builds its bands and subdivides its own J-cells in turn."""
+    anchor, builds its bands and subdivides its own J-cells in turn. An
+    anchor solve falls back on the stream (ANCHOR, n, ci) and a J-cell solve
+    on (JCELL, n, ci, lo and hi bit patterns)."""
     m_flat = sys.unknown_count
     num_i = len(tiling.i_cells)
     f = sys.rhs_on_lattice(domain)
@@ -558,11 +580,12 @@ def _reference_refine(sys, domain, tiling, prev, n, gamma, *, rng, max_cells=100
         if prev is not None:
             margin = (prev.band_hi[ci] - prev.band_lo[ci]) / 8.0
             i_box = np.stack([prev.band_lo[ci] + margin, prev.band_hi[ci] - margin], axis=1)
-            seed = prev.i_jets[ci]
+            start = prev.i_jets[ci]
         else:
             i_box = None
-            seed = np.zeros(m_flat)
-        center = jet_solve(sys, a, target, seed=seed, constraint_box=i_box, rng=rng).flat()
+            start = np.zeros(m_flat)
+        center = jet_solve(sys, a, target, seed=start, constraint_box=i_box,
+                           stream=lambda: _stream(seed, ANCHOR, n, ci)).flat()
         hw = (2.0 * eps_c / n) * (15.0 / 16.0)
         lo_b = center - hw
         hi_b = center + hw
@@ -582,7 +605,9 @@ def _reference_refine(sys, domain, tiling, prev, n, gamma, *, rng, max_cells=100
         def solve(jcell):
             aj = jcell.center
             tj = sys.rhs_at(aj) - gamma / (2.0 * n)
-            return jet_solve(sys, aj, tj, seed=center, constraint_box=j_box, rng=rng)
+            bits = np.array([*jcell.lo, *jcell.hi]).view(np.uint64)
+            return jet_solve(sys, aj, tj, seed=center, constraint_box=j_box,
+                             stream=lambda: _stream(seed, JCELL, n, ci, *map(int, bits)))
 
         def check(jcells, jets):
             rows = tuple(np.tile(b, (len(jcells), 1)) for b in (lo_b, hi_b))
@@ -610,12 +635,11 @@ def test_refine_matches_per_i_cell_reference(n, size, per_axis, radius, gamma):
     sys = _transport(n)
     dom = GridDomain([0.0] * n, [1.0] * n, (size,) * n)
     tiling = tile_domain(dom.lo, dom.hi, math.sqrt(n) / per_axis, domain=dom)
-    tiling = tiling.with_radii(np.full(len(tiling.i_cells), radius))
+    tiling = _probed(sys, tiling, gamma, np.full(len(tiling.i_cells), radius), seed=5)
     got = want = None
-    rng_got, rng_want = np.random.default_rng(5), np.random.default_rng(5)
     for stage in (1, 2, 3):
-        got = refine(sys, dom, tiling, got, stage, gamma, rng=rng_got)
-        want = _reference_refine(sys, dom, tiling, want, stage, gamma, rng=rng_want)
+        got = refine(sys, dom, tiling, got, stage, gamma, seed=5)
+        want = _reference_refine(sys, dom, tiling, want, stage, gamma, seed=5)
         assert got.j_cells == want.j_cells
         for key in ("i_jets", "band_lo", "band_hi"):
             assert np.array_equal(getattr(got, key), getattr(want, key)), key
@@ -631,7 +655,8 @@ def test_refine_matches_per_i_cell_reference(n, size, per_axis, radius, gamma):
 def test_refine_cell_budget_bounds_whole_stage():
     sys = _transport(1)
     dom = GridDomain([0.0], [1.0], (129,))
-    tiling = tile_domain(dom.lo, dom.hi, 0.25, domain=dom).with_radii(np.full(4, 0.2))
+    tiling = _probed(sys, tile_domain(dom.lo, dom.hi, 0.25, domain=dom), 0.05,
+                     np.full(4, 0.2))
     st = refine(sys, dom, tiling, None, 1, 0.05)
     total = sum(map(len, st.j_cells))
     assert max(map(len, st.j_cells)) <= total - 2  # each I-cell fits the budget
@@ -674,7 +699,8 @@ def test_each_candidate_classified_once_per_lattice(monkeypatch, tmp_path):
     dom = GridDomain([0.0], [1.0], (129,))
     assert global_pair(sys, dom, 0.4).certificate.passed
     assert calls()["_classify_grid"] <= 3
-    tiling = tile_domain(dom.lo, dom.hi, 0.25, domain=dom).with_radii(np.full(4, 0.2))
+    tiling = _probed(sys, tile_domain(dom.lo, dom.hi, 0.25, domain=dom), 0.05,
+                     np.full(4, 0.2))
     stages = []
     for n in (1, 2, 3):
         stages.append(refine(sys, dom, tiling, stages[-1] if stages else None, n, 0.05))
@@ -866,3 +892,101 @@ def test_scheme_rejects_bad_parameters():
         run_scheme(sys1, dom, 0.0, 2)
     with pytest.raises(ValueError):
         run_scheme(sys1, dom, 0.4, 0)
+
+
+# ---------------------------------------------------------------------------
+# per-cell random streams
+
+
+@pytest.fixture(scope="module")
+def res_streams():
+    # F = u' is onto with unit gain, so each witnessed radius lies below the
+    # jet ball's radius eps_max = 1 and depends on its probe's draws
+    return run_scheme(_affine(), GridDomain([0.0], [1.0], (65,)), 0.4, 2, seed=7)
+
+
+def test_scheme_radius_is_a_lone_probe_on_its_own_stream(res_streams):
+    res = res_streams
+    sys1 = _affine()
+    assert np.all(res.tiling.radii < 1.0)
+    for ci in reversed(range(len(res.tiling.i_cells))):
+        a = res.tiling.anchors[ci]
+
+        def radius(rng):
+            ev = check_assumption_open(
+                sys1, a, res.tiling.jets[ci],
+                delta=res.tiling.i_cells[ci].diameter() / 2.0, eps_ball=1.0,
+                rng=rng, target=sys1.rhs_at(a) - 0.2)
+            return min(ev.witnessed_radius, 1.0)
+
+        assert radius(_stream(7, PROBE, ci)) == res.tiling.radii[ci]
+        assert radius(_stream(8, PROBE, ci)) != res.tiling.radii[ci]
+
+
+def test_stage1_takes_the_probe_jets(res_streams):
+    res = res_streams
+    sys1 = _affine()
+    assert np.array_equal(res.stages[0].i_jets, res.tiling.jets)
+    for a, jet in zip(res.tiling.anchors, res.tiling.jets, strict=True):
+        assert np.array_equal(jet_solve(sys1, a, sys1.rhs_at(a) - 0.2).flat(), jet)
+
+
+def test_jcell_multistart_depends_only_on_its_own_cell(monkeypatch):
+    # every J-cell solve starts from a NaN seed, so each one falls back to
+    # the multistart; re-solved alone, in reverse order, on the stream of
+    # its own key, each gives the jet it gave inside refine
+    from ordercomplete import solver
+
+    sys1 = _transport(1)
+    dom = GridDomain([0.0], [1.0], (129,))
+    tiling = _probed(sys1, tile_domain(dom.lo, dom.hi, 0.25, domain=dom), 0.05,
+                     np.full(4, 0.2), seed=3)
+    nan_seed = np.full(sys1.unknown_count, np.nan)
+    solved = {}
+
+    def from_nan(sys, x0, target, seed=None, constraint_box=None, **kwargs):
+        jet = jet_solve(sys, x0, target, nan_seed, constraint_box, **kwargs)
+        solved[tuple(x0)] = (target, constraint_box, jet.flat())
+        return jet
+
+    monkeypatch.setattr(solver, "jet_solve", from_nan)
+    st = refine(sys1, dom, tiling, None, 1, 0.05, seed=3)
+    monkeypatch.undo()
+    assert sum(map(len, st.j_cells)) < len(solved)  # some cells were split
+    moved = 0
+    for ci, cells in reversed(list(enumerate(st.j_cells))):
+        for c in reversed(cells):
+            target, box, want = solved[tuple(c.center)]
+
+            def alone(seed):
+                stream = functools.partial(_stream, seed, JCELL, 1, ci, *_cell_key(c))
+                return jet_solve(sys1, c.center, target, nan_seed, box, stream=stream).flat()
+
+            assert np.array_equal(alone(3), want)
+            moved += not np.array_equal(alone(4), want)
+    assert moved > 0  # the multistart's draws decide the jet
+
+
+def test_run_scheme_solves_each_stage1_anchor_once(monkeypatch):
+    # per stage, the subdivision solves every cell it ever holds: L accepted
+    # cells grown from R roots by binary splits take L + (L - R) solves; a
+    # stage n > 1 also solves its I-cell anchors, while stage 1 takes the
+    # probe's (which solved each stage-1 anchor a second time before)
+    from ordercomplete import solver
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return jet_solve(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "jet_solve", counted)
+    res = run_scheme(_cubic(), GridDomain([0.0], [3.0], (129,)), 0.4, 3)
+    num_i = len(res.tiling.i_cells)
+    want = num_i  # the probe
+    roots = num_i
+    for st in res.stages:
+        leaves = sum(map(len, st.j_cells))
+        want += (num_i if st.n > 1 else 0) + leaves + (leaves - roots)
+        roots = leaves
+    assert len(calls) == want
