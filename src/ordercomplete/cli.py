@@ -9,9 +9,10 @@ generator and, through the solver's per-cell streams (`solver._stream`),
 each openness probe and each multistart fallback, so no draw depends on
 the order in which cells are handled. `verify` rebuilds the tiling from
 the box and the lattice and the polynomials and bands from the artifacts,
-recomputes every certificate through the solver's certificate functions
-that `run` uses, and compares the stored blocks with the recomputed ones
-serialized the same way; it never re-solves.
+checks the stored anchor jets against their equation, recomputes every
+certificate through the solver's certificate functions that `run` uses,
+and compares the stored blocks with the recomputed ones serialized the
+same way; it never re-solves.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from .solver import (
     ConstructionError,
     apeq_certificate,
     band_tolerance,
+    check_anchor_jets,
     global_pair,
     run_scheme,
     scheme_convergence,
@@ -504,10 +506,12 @@ def verify(result_dir) -> int:
     Rebuilds the system from the embedded problem block, derives the
     tiling from the box and the lattice as `run` does (scheme_tiling) and
     compares its delta, I-cells and anchors exactly with the stored ones,
-    and the stored openness radii with tiling.radii. Then reassembles each
-    serialized polynomial, recomputes every certificate through the same
-    solver functions `run` uses, and compares the results, serialized as
-    `run` writes them, with the stored blocks at relative tolerance 1e-9.
+    and the stored openness radii with tiling.radii. Checks each stage's
+    stored anchor jets against their equation and, after stage 1, the box
+    their solve was confined to (solver.check_anchor_jets). Then reassembles
+    each serialized polynomial, recomputes every certificate through the
+    same solver functions `run` uses, and compares the results, serialized
+    as `run` writes them, with the stored blocks at relative tolerance 1e-9.
     Never re-runs the jet solver. Artifacts of the wrong shape, count or
     polynomial signature, a lattice too large to allocate, or a number too
     large to convert (JSON 1e400 reads as inf), are an inconsistency (exit 2).
@@ -603,6 +607,14 @@ def _verify_inner(out: Path, cert: dict, problems: list[str]) -> int:
         band_hi = np.asarray(s["band_hi"], dtype=float)
         _expect(f"stage{n}.band_lo shape", band_lo.shape, band_shape)
         _expect(f"stage{n}.band_hi shape", band_hi.shape, band_shape)
+        i_jets = np.asarray(s["i_jets"], dtype=float)
+        _expect(f"stage{n}.i_jets shape", i_jets.shape, band_shape)
+        for held, what in zip(
+            check_anchor_jets(system, tiling.anchors, i_jets, prev_bands, n, gamma),
+            ("does not solve its equation", "lies outside the previous bands' inner box"),
+        ):
+            if not held.all():
+                problems.append(f"stage{n}.i_jets: anchor jet {int(np.argmin(held))} {what}")
         (eq1, eq2, eq3), stage_samples = stage_certificates(
             system, v, smarked, i_cells, radii, band_lo, band_hi, prev_bands, n, gamma)
         for key, c in (("eq1", eq1), ("eq2", eq2), ("eq3", eq3)):

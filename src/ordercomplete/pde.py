@@ -175,26 +175,36 @@ def _image_margins(images: np.ndarray, target: np.ndarray, dirs: np.ndarray) -> 
     return float(proj.max(axis=0).min())
 
 
-def _sample_images(sys: PdeSystem, x: Sequence, vecs: np.ndarray) -> np.ndarray:
-    """F at a batch of samples, one row each, with one evaluation per F_j.
+def eval_rows(sys: PdeSystem, exprs: Sequence[ex.Expr], x: Sequence,
+              vecs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Expressions of the space and jet variables on rows, one array
+    evaluation per expression.
 
     x holds the space coordinates, one entry per axis (a scalar or one
-    value per sample); vecs holds one flat jet per row. Samples on which
-    some F_j faults are dropped: exactly those on which eval_point raises.
+    value per row); vecs holds one flat jet per row, handed on as one
+    contiguous column per jet variable. Returns the values (rows,
+    len(exprs)) and the rows on which some expression faults, where the
+    values mean nothing: exactly the rows on which eval_point raises.
     """
-    coords = list(x)
-    jets = {v: vecs[:, k] for k, v in enumerate(sys.flat_vars())}
-    images = np.empty((vecs.shape[0], sys.K))
-    kept = np.ones(vecs.shape[0], dtype=bool)
-    for j, Fj in enumerate(sys.F):
+    jets = dict(zip(sys.flat_vars(), np.ascontiguousarray(vecs.T)))
+    values = np.empty((vecs.shape[0], len(exprs)))
+    faulted = np.zeros(vecs.shape[0], dtype=bool)
+    for j, e in enumerate(exprs):
         try:
-            images[:, j] = ex.eval_on_arrays(Fj, coords, jets)
+            values[:, j] = ex.eval_on_arrays(e, list(x), jets)
         except ex.EvalDomainError as err:
             if err.faulted is None:
                 raise
-            images[:, j] = err.values
-            kept &= ~err.faulted
-    return images[kept]
+            values[:, j] = err.values
+            faulted |= err.faulted
+    return values, faulted
+
+
+def _sample_images(sys: PdeSystem, x: Sequence, vecs: np.ndarray) -> np.ndarray:
+    """F at a batch of samples, one row each (see eval_rows); samples on
+    which some F_j faults are dropped."""
+    images, faulted = eval_rows(sys, sys.F, x, vecs)
+    return images[~faulted]
 
 
 # probe draws, random directions beside the axes, and the margin support must exceed
@@ -280,7 +290,8 @@ def check_assumption_open(
     """Evidence that F maps B_delta(x) x B_eps(jet) onto a ball around target.
 
     target defaults to f(x); the refinement scheme probes shifted targets
-    f(x) - gamma/(2n). Requires the seed jet to hit the target closely.
+    f(x) - gamma/(2n). Requires the seed jet to hit the target closely under
+    the array evaluator, the one jet_solve converges under.
     The witnessed ball radius (minimal directional margin) is what the
     scheme uses as a cell openness radius. rng gives the point ball's
     samples, then the jet ball's (see _unit_ball_draws), then the random
@@ -289,15 +300,13 @@ def check_assumption_open(
     rng = rng or np.random.default_rng(0)
     x = np.asarray(x, dtype=float)
     jet_flat = np.asarray(jet_flat, dtype=float)
-    fv = sys.flat_vars()
-    if jet_flat.size != len(fv):
+    if jet_flat.size != sys.unknown_count:
         raise ValueError("flat jet length must be K*count")
     target = sys.rhs_at(x) if target is None else np.asarray(target, dtype=float)
     if target.shape != (sys.K,):
         raise ValueError("target must hold one value per component")
-    seed_jets = {v: jet_flat[k] for k, v in enumerate(fv)}
-    seed_image = np.array([ex.eval_point(Fj, x, seed_jets) for Fj in sys.F])
-    if float(np.max(np.abs(seed_image - target))) > 1e-6:
+    seed_image = _sample_images(sys, x, jet_flat.reshape(1, -1))
+    if seed_image.shape[0] == 0 or float(np.max(np.abs(seed_image - target))) > 1e-6:
         raise ValueError("seed jet does not hit the probe target F(x, jet) = t")
     (x_unit, x_root), (j_unit, j_root) = _unit_ball_draws(
         rng, (x.size, jet_flat.size), _SAMPLES

@@ -1,5 +1,5 @@
-"""Constructive engine: pointwise jet solving, hierarchical tilings, global
-lower/upper pairs, and the staged refinement scheme with its three
+"""Constructive engine: row-batched jet solving, hierarchical tilings,
+global lower/upper pairs, and the staged refinement scheme with its three
 certificates.
 
 Stage n produces a piecewise polynomial V_n whose operator image brackets
@@ -20,7 +20,8 @@ Every random draw comes from a stream of its own (`_stream`), keyed by the
 run seed and by what it is drawn for: the openness probe at an I-cell, or
 the multistart fallback of one anchor, J-cell or global-pair solve. So a
 cell's result depends on its own inputs alone, not on which cells were
-solved before it, and the order in which cells are solved is free.
+solved before it, and the order in which cells are solved is free: each
+subdivision generation is solved as the rows of one `jet_solve` call.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ from .jets import (
     sample_jets,
     taylor_poly,
 )
-from .pde import PdeSystem, apply_operator, check_assumption_open
+from .pde import PdeSystem, apply_operator, check_assumption_open, eval_rows
 
 
 class ConstructionError(RuntimeError):
@@ -71,17 +72,25 @@ class ConstructionError(RuntimeError):
 
 
 class NoSolutionError(ConstructionError):
-    """Jet solver exhausted its budget without meeting the residual tolerance."""
+    """The jet solver exhausted its budget on some rows without meeting the
+    residual tolerance. `failed` marks those rows, `best` holds each row's
+    best max-norm residual (nan where none was finite) and `jets` each
+    row's jet (meaningless on a failed row); `row` is the first failed row,
+    which the message names."""
 
-    def __init__(self, x0, best_residual: float, stage=None, cell=None):
+    def __init__(self, x0, best, failed, jets):
         self.x0 = np.asarray(x0, dtype=float)
-        self.best_residual = float(best_residual)
-        super().__init__(
-            f"no jet solution at x0={tuple(self.x0)}; "
-            f"best residual {self.best_residual:.3e}",
-            stage=stage,
-            cell=cell,
-        )
+        self.best = np.asarray(best, dtype=float)
+        self.failed = np.asarray(failed, dtype=bool)
+        self.jets = jets
+        self.row = int(np.argmax(self.failed))
+        self.best_residual = float(self.best[self.row])
+        super().__init__(self.about(self.row))
+
+    def about(self, row: int) -> str:
+        """The point and best residual of one row."""
+        return (f"no jet solution at x0={tuple(float(a) for a in self.x0[row])}; "
+                f"best residual {self.best[row]:.3e}")
 
 
 # ---------------------------------------------------------------------------
@@ -237,6 +246,92 @@ _MULTISTARTS = 16
 _BOX_RADIUS = 10.0
 
 
+def _columns(a: np.ndarray) -> list[np.ndarray]:
+    """The columns of a (rows, k) array, each contiguous."""
+    return list(np.ascontiguousarray(a.T))
+
+
+def _rhs_rows(sys: PdeSystem, points: np.ndarray) -> np.ndarray:
+    """f at each point (rows, n), one row (K,) per point."""
+    return np.stack(sys.rhs_on_arrays(_columns(points)), axis=1)
+
+
+def _stage_targets(sys: PdeSystem, points: np.ndarray, gamma: float, n: int) -> np.ndarray:
+    """f(x) - gamma/(2n) at each point: the target of a stage-n solve."""
+    return _rhs_rows(sys, points) - gamma / (2.0 * n)
+
+
+def _row_residuals(sys: PdeSystem, coords: list[np.ndarray], v: np.ndarray,
+                   target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """F(x, v) - target per row (rows, K) and the rows on which F faults;
+    coords holds one column per space axis. Each row's values depend on
+    that row alone, so a row solved in any batch is solved alike."""
+    images, faulted = eval_rows(sys, sys.F, coords, v)
+    return images - target, faulted
+
+
+def _newton(sys: PdeSystem, coords: list[np.ndarray], target: np.ndarray,
+            v0: np.ndarray, box: np.ndarray | None):
+    """Damped Gauss-Newton on every row at once: the final jets (rows, M),
+    which rows converged, and each row's best max-norm residual seen.
+
+    Per row: project the start onto its box, then take minimum-norm steps
+    -pinv(J) r (singular values up to eps max(K, M) of the largest count as
+    zero, the cutoff of lstsq) with a halving line search from t = 1 that
+    accepts |r_t| <= (1 - 1e-4 t)|r|. A row leaves the loop when its
+    residual is below _TOL_RESIDUAL (converged), when F or its Jacobian
+    faults, or when the line search stalls (failed). The rows halve in
+    lockstep, so the line search is one vector loop.
+    """
+    rows_total, m = v0.shape
+    jac = [d for row in sys.jet_jacobian() for d in row]
+    rcond = np.finfo(float).eps * max(sys.K, m)
+    best = np.full(rows_total, np.inf)
+
+    def clamp(v: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        return v if box is None else np.clip(v, box[rows, :, 0], box[rows, :, 1])
+
+    def residual(v: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        r, bad = _row_residuals(sys, [c[rows] for c in coords], v, target[rows])
+        best[rows] = np.minimum(best[rows], np.where(bad, np.inf, np.max(np.abs(r), axis=1)))
+        return r, bad
+
+    every = np.arange(rows_total)
+    v = clamp(np.array(v0, dtype=float), every)
+    r, bad = residual(v, every)
+    live = ~bad
+    ok = np.zeros(rows_total, dtype=bool)
+    for _ in range(_MAX_ITER):
+        met = live & (np.max(np.abs(r), axis=1) < _TOL_RESIDUAL)
+        ok |= met
+        live &= ~met
+        rows = np.flatnonzero(live)
+        if rows.size == 0:
+            break
+        J, bad = eval_rows(sys, jac, [c[rows] for c in coords], v[rows])
+        J = J.reshape(-1, sys.K, m)
+        step = np.zeros((rows.size, m))
+        if not bad.all():
+            step[~bad] = -(np.linalg.pinv(J[~bad], rcond=rcond)
+                           @ r[rows[~bad], :, None])[..., 0]
+        bad |= ~np.all(np.isfinite(step), axis=1)
+        live[rows[bad]] = False
+        rows, step = rows[~bad], step[~bad]
+        rn = np.linalg.norm(r[rows], axis=1)
+        t = 1.0
+        while t >= 1e-10 and rows.size:
+            vt = clamp(v[rows] + t * step, rows)
+            rt, bad = residual(vt, rows)
+            moved = ~bad & (np.linalg.norm(rt, axis=1) <= (1.0 - 1e-4 * t) * rn)
+            v[rows[moved]] = vt[moved]
+            r[rows[moved]] = rt[moved]
+            rows, step, rn = rows[~moved], step[~moved], rn[~moved]
+            t *= 0.5
+        live[rows] = False  # stalled above the tolerance
+    ok |= live & (np.max(np.abs(r), axis=1) < _TOL_RESIDUAL)
+    return v, ok, best
+
+
 def jet_solve(
     sys: PdeSystem,
     x0,
@@ -244,119 +339,73 @@ def jet_solve(
     seed=None,
     constraint_box=None,
     *,
-    stream: Callable[[], np.random.Generator] | None = None,
-) -> Jet:
-    """Solve F(x0, xi) = target for a jet xi, optionally inside a box.
+    stream: Callable[[int], np.random.Generator] | None = None,
+) -> np.ndarray:
+    """Solve F(x0[c], xi) = target[c] for a flat jet xi on every row c at
+    once, each optionally inside its box; returns the jets (rows, M).
 
-    Damped Gauss-Newton from the seed (least-squares steps, halving line
-    search, projection onto the box), then Latin-hypercube multistart when
-    the direct run stalls. Where F has abs of a jet expression, the
-    Jacobian holds its generalized derivative, which makes this semismooth
-    Newton. Among solutions within tolerance (max-norm residual below
-    _TOL_RESIDUAL) the minimal-norm one wins, then lexicographic order.
-    The multistart draws from stream(), called only when the direct run
-    stalls (default: a stream seeded with 0), so a solve that needs no
-    fallback builds no Generator.
+    x0 is (rows, n), target (rows, K), seed (rows, M) start jets (default:
+    the box centres, or zero) and constraint_box (rows, M, 2). Damped
+    Gauss-Newton runs on all rows together (see _newton). Where F has abs of
+    a jet expression, the Jacobian holds its generalized derivative, which
+    makes this semismooth Newton. A row whose direct run fails falls back
+    to _MULTISTARTS Latin-hypercube starts in its box (or a cube of
+    half-width _BOX_RADIUS), run as rows of the same Newton loop; among its
+    solutions within tolerance (max-norm residual below _TOL_RESIDUAL) the
+    minimal-norm one wins, then lexicographic order. The starts of row c
+    draw from stream(c), called only for a row that reaches the multistart
+    (default: a stream seeded with 0). Every row depends on its own inputs
+    alone, so it gives the same jet in any batch, alone included.
+    Raises NoSolutionError when some row finds no solution.
     """
     x0 = np.asarray(x0, dtype=float)
-    target = np.atleast_1d(np.asarray(target, dtype=float))
-    if target.shape != (sys.K,):
-        raise ValueError(f"target must have {sys.K} components")
+    if x0.ndim != 2 or x0.shape[1] != sys.n:
+        raise ValueError(f"x0 must have shape (rows, {sys.n})")
+    rows_total, m = x0.shape[0], sys.unknown_count
+    target = np.asarray(target, dtype=float)
+    if target.shape != (rows_total, sys.K):
+        raise ValueError(f"target must have {sys.K} components per row")
     if not np.all(np.isfinite(target)):
         raise ValueError("target must be finite")
-    m_flat = sys.unknown_count
     box = None
     if constraint_box is not None:
         box = np.asarray(constraint_box, dtype=float)
-        if box.shape != (m_flat, 2):
-            raise ValueError("constraint box must have shape (M, 2)")
-        if np.any(box[:, 1] < box[:, 0]):
+        if box.shape != (rows_total, m, 2):
+            raise ValueError("constraint box must have shape (rows, M, 2)")
+        if np.any(box[..., 1] < box[..., 0]):
             raise ValueError("constraint box is empty")
-    fv = sys.flat_vars()
-
-    def clamp(v: np.ndarray) -> np.ndarray:
-        return np.clip(v, box[:, 0], box[:, 1]) if box is not None else v
-
-    def residual(v: np.ndarray) -> np.ndarray | None:
-        jets = dict(zip(fv, v))
-        try:
-            out = np.array([ex.eval_point(Fj, x0, jets) for Fj in sys.F])
-        except ex.EvalDomainError:
-            return None
-        return out - target
-
-    best_seen = float("inf")
-
-    def note(r: np.ndarray | None) -> None:
-        nonlocal best_seen
-        if r is not None:
-            best_seen = min(best_seen, float(np.max(np.abs(r))))
-
-    jac = sys.jet_jacobian()
-
-    def run_newton(v0: np.ndarray) -> np.ndarray | None:
-        v = clamp(np.asarray(v0, dtype=float))
-        r = residual(v)
-        note(r)
-        if r is None:
-            return None
-        for _ in range(_MAX_ITER):
-            if float(np.max(np.abs(r))) < _TOL_RESIDUAL:
-                return v
-            jets = dict(zip(fv, v))
-            try:
-                J = np.array(
-                    [[ex.eval_point(jac[j][k], x0, jets) for k in range(m_flat)]
-                     for j in range(sys.K)]
-                )
-            except ex.EvalDomainError:
-                return None
-            if not np.all(np.isfinite(J)):
-                return None
-            step, *_ = np.linalg.lstsq(J, -r, rcond=None)
-            if not np.all(np.isfinite(step)):
-                return None
-            rn = float(np.linalg.norm(r))
-            t = 1.0
-            moved = False
-            while t >= 1e-10:
-                vt = clamp(v + t * step)
-                rt = residual(vt)
-                note(rt)
-                if rt is not None and float(np.linalg.norm(rt)) <= (1.0 - 1e-4 * t) * rn:
-                    v, r = vt, rt
-                    moved = True
-                    break
-                t *= 0.5
-            if not moved:
-                return v if float(np.max(np.abs(r))) < _TOL_RESIDUAL else None
-        return v if float(np.max(np.abs(r))) < _TOL_RESIDUAL else None
-
     if seed is None:
-        v0 = box.mean(axis=1) if box is not None else np.zeros(m_flat)
-    elif isinstance(seed, Jet):
-        v0 = seed.flat()
+        v0 = box.mean(axis=2) if box is not None else np.zeros((rows_total, m))
     else:
         v0 = np.asarray(seed, dtype=float)
-    candidates = []
-    first = run_newton(v0)
-    if first is not None:
-        candidates.append(first)
-    if not candidates:
-        # the default is built here: naming np.random in the signature
-        # would load numpy.random on `import ordercomplete`
-        rng = stream() if stream is not None else np.random.default_rng(0)
-        search_box = box if box is not None else np.stack(
-            [np.full(m_flat, -_BOX_RADIUS), np.full(m_flat, _BOX_RADIUS)], axis=1
-        )
-        for start in _lhs_starts(search_box, _MULTISTARTS, rng):
-            got = run_newton(start)
-            if got is not None:
-                candidates.append(got)
-    if not candidates:
-        raise NoSolutionError(x0, best_seen if np.isfinite(best_seen) else float("nan"))
-    chosen = min(candidates, key=lambda v: (float(np.linalg.norm(v)), tuple(v)))
-    return Jet.from_flat(x0, sys.K, sys.mis, chosen)
+        if v0.shape != (rows_total, m):
+            raise ValueError("seed must have shape (rows, M)")
+    coords = _columns(x0)
+    v, ok, best = _newton(sys, coords, target, v0, box)
+    failed = np.flatnonzero(~ok)
+    if failed.size:
+        starts = []
+        for c in failed:
+            # the default is built here: naming np.random in the signature
+            # would load numpy.random on `import ordercomplete`
+            rng = stream(int(c)) if stream is not None else np.random.default_rng(0)
+            search = box[c] if box is not None else np.stack(
+                [np.full(m, -_BOX_RADIUS), np.full(m, _BOX_RADIUS)], axis=1)
+            starts.append(_lhs_starts(search, _MULTISTARTS, rng))
+        owner = np.repeat(failed, _MULTISTARTS)
+        sv, sok, sbest = _newton(sys, [c[owner] for c in coords], target[owner],
+                                 np.concatenate(starts),
+                                 None if box is None else box[owner])
+        best[failed] = np.minimum(best[failed], sbest.reshape(-1, _MULTISTARTS).min(axis=1))
+        norms = np.linalg.norm(sv, axis=1)
+        for k, c in enumerate(failed):
+            got = [i for i in range(k * _MULTISTARTS, (k + 1) * _MULTISTARTS) if sok[i]]
+            if got:
+                v[c] = sv[min(got, key=lambda i: (norms[i], tuple(sv[i])))]
+                ok[c] = True
+    if not ok.all():
+        raise NoSolutionError(x0, np.where(np.isfinite(best), best, np.nan), ~ok, v)
+    return v
 
 
 # ---------------------------------------------------------------------------
@@ -452,30 +501,26 @@ def _generation_ok(sys: PdeSystem, domain: GridDomain, cells: list[Cell],
 
 def _subdivide(work, solve, check, domain: GridDomain, max_cells: int, *,
                stage: int | None = None) -> list[tuple[Cell, object]]:
-    """Accepted (cell, solve(cell)) pairs of an adaptive subdivision.
+    """Accepted (cell, payload) pairs of an adaptive subdivision.
 
-    A generation (the cells pending at once) is solved one cell at a time,
-    in order, then checked in one call, check(cells, payloads) -> bool per
-    cell; the failed cells are split and their children, in order, form
-    the next generation. That accepts the cells of the first-in, first-out
-    loop that solves, checks and splits one cell at a time, and raises the
-    same error at the same cell: when more than max_cells cells accumulate,
-    when a solve raises, or when a child would hold no interior lattice
+    A generation (the cells pending at once) is solved in one call,
+    solve(cells) -> (payloads, failure): the payloads of the cells before
+    the first one that could not be solved, in order, and the error to
+    raise at that cell (None when every cell was solved). The solved cells
+    are checked in one call, check(cells, payloads) -> bool per cell; the
+    failed cells are split and their children, in order, form the next
+    generation. That accepts the cells of the first-in, first-out loop
+    that solves, checks and splits one cell at a time, and raises the same
+    error at the same cell: when more than max_cells cells accumulate, when
+    a cell cannot be solved, or when a child would hold no interior lattice
     point. Errors name the stage, and a stranded child also the split
     cell's lower corner. A solve draws from its cell's own stream (see
-    _stream), so the order fixes no random draw.
+    _stream), so solving a whole generation at once fixes no random draw.
     """
     done: list[tuple[Cell, object]] = []
     gen = list(work)
     while gen:
-        payloads = []
-        failure = None
-        for c in gen:
-            try:
-                payloads.append(solve(c))
-            except Exception as e:  # raised below, once the loop gets there
-                failure = e
-                break
+        payloads, failure = solve(gen)
         ok = check(gen[:len(payloads)], payloads)
         split = [c.split() for c, good in zip(gen, ok) if not good]
         stranded = []
@@ -582,18 +627,28 @@ def global_pair(
     below = [fj - eps for fj in f]
     above = [fj + eps for fj in f]
 
-    def solve(cell: Cell) -> tuple[Jet, Jet]:
-        a = cell.center
-        f0 = sys.rhs_at(a)
+    def solve(cells: list[Cell]):
+        # rows: the lower jets of the cells, then their upper jets
+        a = np.array([c.center for c in cells])
+        f0 = _rhs_rows(sys, a)
+        count = len(cells)
+        failure = None
         try:
-            return (jet_solve(sys, a, f0 - 0.5 * eps,
-                              stream=lambda: _stream(seed, GLOBAL, 0, *_cell_key(cell))),
-                    jet_solve(sys, a, f0 + 0.5 * eps,
-                              stream=lambda: _stream(seed, GLOBAL, 1, *_cell_key(cell))))
+            flat = jet_solve(sys, np.concatenate([a, a]),
+                             np.concatenate([f0 - 0.5 * eps, f0 + 0.5 * eps]),
+                             stream=lambda row: _stream(seed, GLOBAL, row // len(cells),
+                                                        *_cell_key(cells[row % len(cells)])))
         except NoSolutionError as e:
-            raise ConstructionError(
-                f"anchor jet unsolvable: {e}", cell=cell.lo
-            ) from e
+            flat = e.jets
+            sides = e.failed.reshape(2, -1)
+            count = int(np.argmax(sides.any(axis=0)))
+            row = count if sides[0, count] else len(cells) + count
+            failure = ConstructionError(f"anchor jet unsolvable: {e.about(row)}",
+                                        cell=cells[count].lo)
+        pairs = [(Jet.from_flat(a[i], sys.K, sys.mis, flat[i]),
+                  Jet.from_flat(a[i], sys.K, sys.mis, flat[len(cells) + i]))
+                 for i in range(count)]
+        return pairs, failure
 
     def check(cells: list[Cell], pairs: list[tuple[Jet, Jet]]) -> np.ndarray:
         return _generation_ok(sys, domain, cells, [
@@ -764,6 +819,33 @@ def stage_certificates(
             eq3_certificate(radii, band_lo, band_hi, n)), (jets, tv, bands)
 
 
+def _inner_boxes(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The boxes [lo + w/8, hi - w/8], w = hi - lo, of bands (lo, hi)
+    (rows, M), as (rows, M, 2): a stage solves its anchor jets in the
+    previous stage's inner boxes and its J-cell jets in its own."""
+    margin = (hi - lo) / 8.0
+    return np.stack([lo + margin, hi - margin], axis=2)
+
+
+def check_anchor_jets(
+    sys: PdeSystem, anchors: np.ndarray, i_jets: np.ndarray,
+    prev_bands: tuple[np.ndarray, np.ndarray] | None, n: int, gamma: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per anchor, whether its stage-n jet (a row of i_jets) solves
+    F(a, xi) = f(a) - gamma/(2n) to a max-norm residual below _TOL_RESIDUAL,
+    in the arithmetic jet_solve accepted it by, and whether it lies in the
+    box its solve was confined to: the inner box of prev_bands, the previous
+    stage's (band_lo, band_hi) (see _inner_boxes); None at stage 1 (no box)."""
+    r, faulted = _row_residuals(sys, _columns(anchors), i_jets,
+                                _stage_targets(sys, anchors, gamma, n))
+    solves = ~faulted & (np.max(np.abs(r), axis=1) < _TOL_RESIDUAL)
+    inside = np.ones(len(anchors), dtype=bool)
+    if prev_bands is not None:
+        box = _inner_boxes(*prev_bands)
+        inside = np.all((box[..., 0] <= i_jets) & (i_jets <= box[..., 1]), axis=1)
+    return solves, inside
+
+
 def refine(
     sys: PdeSystem,
     domain: GridDomain,
@@ -783,9 +865,11 @@ def refine(
 
     Stage 1 takes its anchor jets from the tiling, where the openness probe
     left them (see run_scheme); a later stage solves them inside the
-    previous bands. A multistart fallback of the anchor solve at I-cell ci
-    draws from the stream (ANCHOR, n, ci) of the run seed, and that of a
-    J-cell solve from (JCELL, n, ci, *cell) (see _stream)."""
+    previous bands (see _inner_boxes), all I-cells in one jet_solve call.
+    Each generation of J-cells is one more call, after one index_of call
+    finds their I-cells. A multistart fallback of the anchor solve at
+    I-cell ci draws from the stream (ANCHOR, n, ci) of the run seed, and
+    that of a J-cell solve from (JCELL, n, ci, *cell) (see _stream)."""
     if n < 1:
         raise ValueError("stage index must be at least 1")
     if (prev is None) != (n == 1):
@@ -796,25 +880,23 @@ def refine(
     f = sys.rhs_on_lattice(domain)
     below = [fj - gamma / n for fj in f]
 
-    def solve_at(x, ci: int, start, box, what: str, stream) -> Jet:
-        try:
-            return jet_solve(sys, x, sys.rhs_at(x) - gamma / (2.0 * n), seed=start,
-                             constraint_box=box, stream=stream)
-        except NoSolutionError as e:
-            raise ConstructionError(
-                f"{what} jet unsolvable (openness radius overestimated?): {e}",
-                stage=n, cell=ci,
-            ) from e
+    def unsolvable(what: str, e: NoSolutionError, ci: int) -> ConstructionError:
+        return ConstructionError(
+            f"{what} jet unsolvable (openness radius overestimated?): {e}",
+            stage=n, cell=ci)
 
     if prev is None:
         i_jets = tiling.jets
     else:
         margin = (prev.band_hi - prev.band_lo) / 8.0
-        i_boxes = np.stack([prev.band_lo + margin, prev.band_hi - margin], axis=2)
-        i_jets = np.array([
-            solve_at(a, ci, prev.i_jets[ci], i_boxes[ci], "anchor",
-                     functools.partial(_stream, seed, ANCHOR, n, ci)).flat()
-            for ci, a in enumerate(tiling.anchors)])
+        i_boxes = _inner_boxes(prev.band_lo, prev.band_hi)
+        try:
+            i_jets = jet_solve(sys, tiling.anchors,
+                               _stage_targets(sys, tiling.anchors, gamma, n),
+                               prev.i_jets, i_boxes,
+                               stream=functools.partial(_stream, seed, ANCHOR, n))
+        except NoSolutionError as e:
+            raise unsolvable("anchor", e, e.row) from e
     hw = (2.0 * tiling.radii / n) * (15.0 / 16.0)
     band_lo = i_jets - hw[:, None]
     band_hi = i_jets + hw[:, None]
@@ -825,20 +907,30 @@ def refine(
     if empty.any():
         raise ConstructionError("clipped band is empty; previous bands too narrow",
                                 stage=n, cell=int(np.argmax(empty)))
-    inner = (band_hi - band_lo) / 8.0
-    j_boxes = np.stack([band_lo + inner, band_hi - inner], axis=2)
+    j_boxes = _inner_boxes(band_lo, band_hi)
     if prev is not None:
-        j_boxes[..., 0] = np.maximum(j_boxes[..., 0], prev.band_lo + margin)
-        j_boxes[..., 1] = np.minimum(j_boxes[..., 1], prev.band_hi - margin)
+        j_boxes[..., 0] = np.maximum(j_boxes[..., 0], i_boxes[..., 0])
+        j_boxes[..., 1] = np.minimum(j_boxes[..., 1], i_boxes[..., 1])
         empty = np.any(j_boxes[..., 1] <= j_boxes[..., 0], axis=1)
         if empty.any():
             raise ConstructionError("J-cell constraint box is empty",
                                     stage=n, cell=int(np.argmax(empty)))
 
-    def solve(jcell: Cell) -> tuple[int, Jet]:
-        ci = int(tiling.index_of(jcell.center))
-        return ci, solve_at(jcell.center, ci, i_jets[ci], j_boxes[ci], "constrained",
-                            lambda: _stream(seed, JCELL, n, ci, *_cell_key(jcell)))
+    def solve(jcells: list[Cell]):
+        centers = np.array([c.center for c in jcells])
+        own = tiling.index_of(centers)
+        count = len(jcells)
+        failure = None
+        try:
+            flat = jet_solve(sys, centers, _stage_targets(sys, centers, gamma, n),
+                             i_jets[own], j_boxes[own],
+                             stream=lambda row: _stream(seed, JCELL, n, int(own[row]),
+                                                        *_cell_key(jcells[row])))
+        except NoSolutionError as e:
+            flat, count = e.jets, e.row
+            failure = unsolvable("constrained", e, int(own[e.row]))
+        return [(int(own[k]), Jet.from_flat(centers[k], sys.K, sys.mis, flat[k]))
+                for k in range(count)], failure
 
     def check(jcells: list[Cell], solved: list[tuple[int, Jet]]) -> np.ndarray:
         own = [ci for ci, _ in solved]
@@ -981,13 +1073,14 @@ def run_scheme(
 ) -> SchemeResult:
     """Chain refinement stages 1..N and certify the outcome.
 
-    The I-cells come from scheme_tiling. At each anchor the stage-1 anchor
-    jet is solved (target f - gamma/2, zero seed, no box) and the sampling
-    probe witnesses an openness radius there (capped at eps_max); stage 1
-    takes those jets from the tiling instead of solving them again. The
-    probe at I-cell ci draws from the stream (PROBE, ci) of seed, and
-    every solve's fallback from its own stream (see _stream), so the
-    result does not depend on the order in which cells are handled. The
+    The I-cells come from scheme_tiling. The stage-1 anchor jets are
+    solved in one jet_solve call (target f - gamma/2, zero seed, no box),
+    then at each anchor the sampling probe witnesses an openness radius
+    (capped at eps_max); stage 1 takes those jets from the tiling instead
+    of solving them again. The probe at I-cell ci draws from the stream
+    (PROBE, ci) of seed, and every solve's fallback from its own stream
+    (see _stream), so the result does not depend on the order in which
+    cells are handled. The
     verdict requires every stage certificate, order convergence of the
     operator images to f, and a final sup gap below gamma/N. Band
     order-convergence certificates are recorded per jet variable but do not
@@ -1002,23 +1095,23 @@ def run_scheme(
     if eps_max <= 0.0:
         raise ValueError("eps_max must be positive")
     tiling = scheme_tiling(domain)
+    targets = _stage_targets(sys, tiling.anchors, gamma, 1)
+    count = len(tiling.i_cells)
+    failure = None
+    try:
+        jets = jet_solve(sys, tiling.anchors, targets,
+                         stream=functools.partial(_stream, seed, ANCHOR, 1))
+    except NoSolutionError as e:
+        jets, count = e.jets, e.row
+        failure = ConstructionError(
+            f"stage-1 anchor jet unsolvable (interior assumption violated?): {e}",
+            stage=1, cell=e.row)
     radii = np.zeros(len(tiling.i_cells))
-    jets = np.zeros((len(tiling.i_cells), sys.unknown_count))
-    for ci, cell in enumerate(tiling.i_cells):
+    for ci in range(count):  # the anchors before an unsolvable one are probed first
         a = tiling.anchors[ci]
-        target = sys.rhs_at(a) - 0.5 * gamma
-        try:
-            jets[ci] = jet_solve(
-                sys, a, target, stream=functools.partial(_stream, seed, ANCHOR, 1, ci)
-            ).flat()
-        except NoSolutionError as e:
-            raise ConstructionError(
-                f"stage-1 anchor jet unsolvable (interior assumption violated?): {e}",
-                stage=1, cell=ci,
-            ) from e
         ev = check_assumption_open(
-            sys, a, jets[ci], delta=cell.diameter() / 2.0, eps_ball=eps_max,
-            rng=_stream(seed, PROBE, ci), target=target,
+            sys, a, jets[ci], delta=tiling.i_cells[ci].diameter() / 2.0,
+            eps_ball=eps_max, rng=_stream(seed, PROBE, ci), target=targets[ci],
         )
         if not ev.supported:
             raise ConstructionError(
@@ -1027,6 +1120,8 @@ def run_scheme(
                 stage=1, cell=ci,
             )
         radii[ci] = min(ev.witnessed_radius, eps_max)
+    if failure is not None:
+        raise failure
     tiling = tiling.with_radii(radii, jets)
     stages: list[RefinementStage] = []
     prev = None

@@ -440,6 +440,38 @@ def test_verify_derives_the_tiling(run_dir, tmp_path, capsys, tamper, field):
     assert "verify: FAILED" in out
 
 
+def _shift_i_jet(cert, stage):
+    cert["stages"][stage]["i_jets"][0][0] += 0.5
+
+
+def _move_i_jet_along_its_equation(cert, stage):
+    # u' + u^3 keeps its value while u moves by 3, far outside the bands
+    row = cert["stages"][stage]["i_jets"][0]
+    u, du = row
+    row[:] = [u + 3.0, du + u**3 - (u + 3.0) ** 3]
+
+
+@pytest.mark.parametrize("tamper, stage, message", [
+    (_shift_i_jet, 0, "stage1.i_jets: anchor jet 0 does not solve its equation"),
+    (_shift_i_jet, 1, "stage2.i_jets: anchor jet 0 does not solve its equation"),
+    (_move_i_jet_along_its_equation, 1,
+     "stage2.i_jets: anchor jet 0 lies outside the previous bands' inner box"),
+], ids=["shift_stage1", "shift_stage2", "leave_box_stage2"])
+def test_verify_checks_stored_anchor_jets(run_dir, tmp_path, capsys, tamper, stage, message):
+    # no certificate reads the anchor jets, so verify checks each against
+    # its equation and, after stage 1, the box its solve was confined to
+    copy = tmp_path / "tampered_i_jets"
+    shutil.copytree(run_dir, copy)
+    cert = json.loads((copy / "certificate.json").read_text())
+    tamper(cert, stage)
+    (copy / "certificate.json").write_text(json.dumps(cert))
+    assert verify(copy) == 2
+    out = capsys.readouterr().out
+    assert f"MISMATCH {message}" in out
+    assert out.count("i_jets") == 1
+    assert "verify: FAILED" in out
+
+
 def _cut_band_rows(cert):
     for s in cert["stages"]:
         s["band_lo"] = [row[:1] for row in s["band_lo"]]

@@ -59,17 +59,24 @@ def _cubic():
 # jet_solve
 
 
+def _solve_one(sys, x0, target, seed=None, box=None, **kwargs):
+    """jet_solve on one row: the flat jet solving F(x0, xi) = target."""
+    return jet_solve(sys, np.atleast_2d(x0), np.atleast_2d(target),
+                     None if seed is None else np.atleast_2d(seed),
+                     None if box is None else np.asarray(box, dtype=float)[None],
+                     **kwargs)[0]
+
+
 def test_jet_solve_affine_minimal_norm():
-    jet = jet_solve(_affine(), [0.5], [3.0])
-    assert jet[(1, (1,))] == pytest.approx(3.0, abs=1e-9)
-    assert jet[(1, (0,))] == pytest.approx(0.0, abs=1e-9)
+    xi = _solve_one(_affine(), [0.5], [3.0])
+    assert xi[1] == pytest.approx(3.0, abs=1e-9)  # u[1,(1)]
+    assert xi[0] == pytest.approx(0.0, abs=1e-9)  # u[1,(0)]
 
 
 def test_jet_solve_cubic_respects_constraint_box():
     sys1 = _cubic()
     cbox = np.array([[0.0, 1.0], [-10.0, 10.0]])
-    jet = jet_solve(sys1, [0.5], [2.0], constraint_box=cbox)
-    xi0, xi1 = jet[(1, (0,))], jet[(1, (1,))]
+    xi0, xi1 = _solve_one(sys1, [0.5], [2.0], box=cbox)
     assert 0.0 <= xi0 <= 1.0 and -10.0 <= xi1 <= 10.0
     assert abs(xi1 + xi0**3 - 2.0) < 1e-9
     # brute-force oracle: solutions do exist inside the box
@@ -81,7 +88,7 @@ def test_jet_solve_cubic_respects_constraint_box():
 def test_jet_solve_unreachable_target():
     sys1 = PdeSystem(1, 1, 1, ["u[1,(0)]^2"], ["0"], [0.0], [1.0])
     with pytest.raises(NoSolutionError) as exc:
-        jet_solve(sys1, [0.5], [-1.0])
+        _solve_one(sys1, [0.5], [-1.0])
     assert exc.value.best_residual >= 1.0 - 1e-12
     assert isinstance(exc.value, ConstructionError)
 
@@ -97,9 +104,8 @@ def test_jet_solve_abs_operators(body, target, box):
     # abs has the generalized derivative sign(g) g', so Gauss-Newton is
     # semismooth Newton on these operators
     sys1 = PdeSystem(1, 1, 1, [body], ["0"], [0.0], [1.0])
-    jet = jet_solve(sys1, [0.5], [target], seed=np.zeros(2),
-                    constraint_box=None if box is None else np.array(box))
-    values = dict(zip(sys1.flat_vars(), jet.flat()))
+    xi = _solve_one(sys1, [0.5], [target], seed=np.zeros(2), box=box)
+    values = dict(zip(sys1.flat_vars(), xi))
     assert abs(values[(1, (0,))]) > 1.0
     assert abs(ex.eval_point(sys1.F[0], [0.5], values) - target) < _TOL_RESIDUAL
 
@@ -107,11 +113,68 @@ def test_jet_solve_abs_operators(body, target, box):
 def test_jet_solve_input_validation():
     sys1 = _affine()
     with pytest.raises(ValueError):
-        jet_solve(sys1, [0.5], [1.0, 2.0])
+        _solve_one(sys1, [0.5], [1.0, 2.0])
     with pytest.raises(ValueError):
-        jet_solve(sys1, [0.5], [np.inf])
+        _solve_one(sys1, [0.5], [np.inf])
     with pytest.raises(ValueError):
-        jet_solve(sys1, [0.5], [1.0], constraint_box=np.array([[1.0, 0.0], [0.0, 1.0]]))
+        _solve_one(sys1, [0.5], [1.0], box=[[1.0, 0.0], [0.0, 1.0]])
+    with pytest.raises(ValueError):
+        jet_solve(sys1, [0.5], [[1.0]])  # x0 is one row per solve
+    with pytest.raises(ValueError):
+        jet_solve(sys1, [[0.5]], [[1.0]], seed=np.zeros(2))
+
+
+def _coupled():
+    """u1 + u2 = t1 and u1 u2 + log(u1 + x1) = t2: the start faults where
+    u1 + x1 <= 0, and the Jacobian [[1, 1], [u2 + 1/(u1 + x1), u1]] is
+    singular where u2 + 1/(u1 + x1) = u1."""
+    return PdeSystem(1, 2, 0, ["u[1,(0)] + u[2,(0)]",
+                               "u[1,(0)] * u[2,(0)] + log(u[1,(0)] + x1)"],
+                     ["0", "0"], [-1.0], [2.0])
+
+
+def test_jet_solve_rows_are_independent(monkeypatch):
+    # each row of one batch equals that row solved alone, bit for bit; the
+    # rows cover a clamp at the box, a faulting start, a rank-deficient
+    # Jacobian at the start and a NaN start, the last two on the multistart
+    sys2 = _coupled()
+    x1 = np.array([1.0, 0.0, 1.0, 0.5, 1.0, 0.25])
+    roots = np.array([[1.5, 0.5], [0.7, 1.1], [1.2, 0.8], [0.9, -0.3], [2.0, 0.0],
+                      [1.0, 1.0]])
+    target = np.stack([roots.sum(axis=1),
+                       roots.prod(axis=1) + np.log(roots[:, 0] + x1)], axis=1)
+    wide = np.array([[-5.0, 5.0], [-5.0, 5.0]])
+    box = np.array([wide, wide, [[1.2, 1.22], [-5.0, 5.0]], wide, wide, wide])
+    seed = np.array([[1.0, 0.5],  # singular Jacobian: 0.5 + 1/2 = 1
+                     [0.0, 0.0],  # log(0) faults
+                     [3.0, 3.0],  # clamped into a box whose root lies on a face
+                     [0.8, -0.2],
+                     [np.nan, 0.0],
+                     [-2.0, 0.0]])  # log(-1.75) faults
+    x0 = x1[:, None]
+    streams = []
+
+    def stream(key):
+        streams.append(key)
+        return _stream(11, key)
+
+    def raises(*args, **kwargs):
+        raise AssertionError("jet_solve called the point evaluator")
+
+    monkeypatch.setattr(ex, "eval_point", raises)
+    batch = jet_solve(sys2, x0, target, seed, box, stream=stream)
+    fell_back = sorted(streams)
+    for c in range(len(x0)):
+        alone = jet_solve(sys2, x0[c:c + 1], target[c:c + 1], seed[c:c + 1], box[c:c + 1],
+                          stream=lambda _row, c=c: _stream(11, c))
+        assert np.array_equal(alone[0], batch[c]), c
+    assert fell_back == [1, 4, 5]  # the faulting and the NaN starts
+    assert batch[2, 0] == 1.2  # clamped on its box face, and solved there
+    assert np.all((box[..., 0] <= batch) & (batch <= box[..., 1]))
+    values = {v: batch[:, k] for k, v in enumerate(sys2.flat_vars())}
+    for j, Fj in enumerate(sys2.F):
+        assert np.all(np.abs(ex.eval_on_arrays(Fj, [x1], values) - target[:, j])
+                      < _TOL_RESIDUAL)
 
 
 # ---------------------------------------------------------------------------
@@ -352,8 +415,25 @@ def test_generation_check_fails_cells_where_log_faults(n, size):
     assert partial and accepted
 
 
+def _per_generation(solve):
+    """A generation solve for _subdivide from a per-cell one: the payloads
+    of the cells solved in order until one raises, and that error."""
+    def run(cells):
+        payloads = []
+        for c in cells:
+            try:
+                payloads.append(solve(c))
+            except ConstructionError as e:
+                return payloads, e
+        return payloads, None
+    return run
+
+
 def _subdivide_outcome(loop, work, solve, check, domain, max_cells, **kw):
-    """Accepted pairs, or (class, message, stage, cell) of the error raised."""
+    """Accepted pairs, or (class, message, stage, cell) of the error raised;
+    _subdivide gets the per-cell solve as a generation solve."""
+    if loop is _subdivide:
+        solve = _per_generation(solve)
     try:
         return loop(work, solve, check, domain, max_cells, **kw)
     except ConstructionError as e:
@@ -523,13 +603,18 @@ def test_global_pair_eps_below_float_scale():
 # refinement scheme
 
 
+def _targets(sys, points, gamma, n):
+    """f - gamma/(2n) at each point (rows, n), f as one array evaluation."""
+    f = sys.rhs_on_arrays([np.ascontiguousarray(c) for c in np.asarray(points).T])
+    return np.stack(f, axis=1) - gamma / (2.0 * n)
+
+
 def _probed(sys, tiling, gamma, radii, seed=0):
     """The tiling with the given radii and the stage-1 anchor jets that
     run_scheme's probe solves: target f - gamma/2, zero seed, no box, and
     the stream (ANCHOR, 1, ci) for a fallback."""
-    jets = [jet_solve(sys, a, sys.rhs_at(a) - 0.5 * gamma,
-                      stream=functools.partial(_stream, seed, ANCHOR, 1, ci)).flat()
-            for ci, a in enumerate(tiling.anchors)]
+    jets = jet_solve(sys, tiling.anchors, _targets(sys, tiling.anchors, gamma, 1),
+                     stream=functools.partial(_stream, seed, ANCHOR, 1))
     return tiling.with_radii(radii, jets)
 
 
@@ -562,9 +647,10 @@ def test_refine_cell_budget():
 
 def _reference_refine(sys, domain, tiling, prev, n, gamma, *, seed, max_cells=100_000):
     """The per-I-cell loop that refine replaced: each I-cell solves its
-    anchor, builds its bands and subdivides its own J-cells in turn. An
-    anchor solve falls back on the stream (ANCHOR, n, ci) and a J-cell solve
-    on (JCELL, n, ci, lo and hi bit patterns)."""
+    anchor, builds its bands and subdivides its own J-cells in turn, with
+    every cell solved as a one-row jet_solve call. An anchor solve falls
+    back on the stream (ANCHOR, n, ci) and a J-cell solve on (JCELL, n, ci,
+    lo and hi bit patterns)."""
     m_flat = sys.unknown_count
     num_i = len(tiling.i_cells)
     f = sys.rhs_on_lattice(domain)
@@ -576,7 +662,7 @@ def _reference_refine(sys, domain, tiling, prev, n, gamma, *, seed, max_cells=10
     for ci, icell in enumerate(tiling.i_cells):
         eps_c = float(tiling.radii[ci])
         a = tiling.anchors[ci]
-        target = sys.rhs_at(a) - gamma / (2.0 * n)
+        target = _targets(sys, [a], gamma, n)
         if prev is not None:
             margin = (prev.band_hi[ci] - prev.band_lo[ci]) / 8.0
             i_box = np.stack([prev.band_lo[ci] + margin, prev.band_hi[ci] - margin], axis=1)
@@ -584,8 +670,9 @@ def _reference_refine(sys, domain, tiling, prev, n, gamma, *, seed, max_cells=10
         else:
             i_box = None
             start = np.zeros(m_flat)
-        center = jet_solve(sys, a, target, seed=start, constraint_box=i_box,
-                           stream=lambda: _stream(seed, ANCHOR, n, ci)).flat()
+        center = jet_solve(sys, [a], target, seed=[start],
+                           constraint_box=None if i_box is None else i_box[None],
+                           stream=lambda _row: _stream(seed, ANCHOR, n, ci))[0]
         hw = (2.0 * eps_c / n) * (15.0 / 16.0)
         lo_b = center - hw
         hi_b = center + hw
@@ -604,17 +691,19 @@ def _reference_refine(sys, domain, tiling, prev, n, gamma, *, seed, max_cells=10
 
         def solve(jcell):
             aj = jcell.center
-            tj = sys.rhs_at(aj) - gamma / (2.0 * n)
             bits = np.array([*jcell.lo, *jcell.hi]).view(np.uint64)
-            return jet_solve(sys, aj, tj, seed=center, constraint_box=j_box,
-                             stream=lambda: _stream(seed, JCELL, n, ci, *map(int, bits)))
+            flat = jet_solve(sys, [aj], _targets(sys, [aj], gamma, n), seed=[center],
+                             constraint_box=j_box[None],
+                             stream=lambda _row: _stream(seed, JCELL, n, ci, *map(int, bits)))
+            return Jet.from_flat(aj, sys.K, sys.mis, flat[0])
 
         def check(jcells, jets):
             rows = tuple(np.tile(b, (len(jcells), 1)) for b in (lo_b, hi_b))
             return _generation_ok(sys, domain, jcells, [(jets, below, f)], band=rows)
 
         work = prev.j_cells[ci] if prev is not None else [icell]
-        accepted.append(_subdivide(work, solve, check, domain, max_cells, stage=n))
+        accepted.append(_subdivide(work, _per_generation(solve), check, domain, max_cells,
+                                   stage=n))
     flat_cells = [c for done in accepted for c, _ in done]
     flat_polys = [taylor_poly(jj) for done in accepted for _, jj in done]
     v_poly, marked = assemble(flat_cells, flat_polys, domain)
@@ -928,7 +1017,7 @@ def test_stage1_takes_the_probe_jets(res_streams):
     sys1 = _affine()
     assert np.array_equal(res.stages[0].i_jets, res.tiling.jets)
     for a, jet in zip(res.tiling.anchors, res.tiling.jets, strict=True):
-        assert np.array_equal(jet_solve(sys1, a, sys1.rhs_at(a) - 0.2).flat(), jet)
+        assert np.array_equal(jet_solve(sys1, [a], _targets(sys1, [a], 0.4, 1))[0], jet)
 
 
 def test_jcell_multistart_depends_only_on_its_own_cell(monkeypatch):
@@ -945,9 +1034,11 @@ def test_jcell_multistart_depends_only_on_its_own_cell(monkeypatch):
     solved = {}
 
     def from_nan(sys, x0, target, seed=None, constraint_box=None, **kwargs):
-        jet = jet_solve(sys, x0, target, nan_seed, constraint_box, **kwargs)
-        solved[tuple(x0)] = (target, constraint_box, jet.flat())
-        return jet
+        flat = jet_solve(sys, x0, target, np.full(np.shape(seed), np.nan), constraint_box,
+                         **kwargs)
+        for x, t, box, jet in zip(x0, target, constraint_box, flat, strict=True):
+            solved[tuple(x)] = (t, box, jet)
+        return flat
 
     monkeypatch.setattr(solver, "jet_solve", from_nan)
     st = refine(sys1, dom, tiling, None, 1, 0.05, seed=3)
@@ -959,8 +1050,10 @@ def test_jcell_multistart_depends_only_on_its_own_cell(monkeypatch):
             target, box, want = solved[tuple(c.center)]
 
             def alone(seed):
-                stream = functools.partial(_stream, seed, JCELL, 1, ci, *_cell_key(c))
-                return jet_solve(sys1, c.center, target, nan_seed, box, stream=stream).flat()
+                def stream(_row):
+                    return _stream(seed, JCELL, 1, ci, *_cell_key(c))
+                return jet_solve(sys1, [c.center], [target], [nan_seed], box[None],
+                                 stream=stream)[0]
 
             assert np.array_equal(alone(3), want)
             moved += not np.array_equal(alone(4), want)
@@ -971,13 +1064,14 @@ def test_run_scheme_solves_each_stage1_anchor_once(monkeypatch):
     # per stage, the subdivision solves every cell it ever holds: L accepted
     # cells grown from R roots by binary splits take L + (L - R) solves; a
     # stage n > 1 also solves its I-cell anchors, while stage 1 takes the
-    # probe's (which solved each stage-1 anchor a second time before)
+    # probe's (which solved each stage-1 anchor a second time before). A
+    # solve is one row of a jet_solve call.
     from ordercomplete import solver
 
     calls = []
 
     def counted(*args, **kwargs):
-        calls.append(args[1])
+        calls.extend(args[1])
         return jet_solve(*args, **kwargs)
 
     monkeypatch.setattr(solver, "jet_solve", counted)
