@@ -13,7 +13,7 @@ evidence and carry witnessed radii; they are never proofs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -142,39 +142,6 @@ class AssumptionEvidence:
     heuristic: bool = True
 
 
-def _directions(K: int, extra: int, rng: np.random.Generator) -> np.ndarray:
-    axes = np.concatenate([np.eye(K), -np.eye(K)], axis=0)
-    if extra <= 0:
-        return axes
-    raw = rng.normal(size=(extra, K))
-    norms = np.linalg.norm(raw, axis=1, keepdims=True)
-    raw = raw[norms[:, 0] > 1e-12]
-    norms = norms[norms[:, 0] > 1e-12]
-    return np.concatenate([axes, raw / norms], axis=0)
-
-
-def _principal_directions(images: np.ndarray) -> np.ndarray:
-    """Principal axes of the sampled image, both signs.
-
-    A degenerate image (curve or point in R^K) is flat along its smallest
-    principal axis, so probing it yields a near-zero margin; random
-    directions alone can miss that when the flat axis is oblique. The
-    reduced SVD gives the same axes without the (S, S) left factor; with
-    fewer samples than components the full one keeps all K axes.
-    """
-    centered = images - images.mean(axis=0)
-    full = centered.shape[0] < centered.shape[1]
-    _, _, vt = np.linalg.svd(centered, full_matrices=full)
-    return np.concatenate([vt, -vt], axis=0)
-
-
-def _image_margins(images: np.ndarray, target: np.ndarray, dirs: np.ndarray) -> float:
-    """min over directions of the farthest image reach past the target."""
-    rel = images - target  # (S, K)
-    proj = rel @ dirs.T  # (S, D)
-    return float(proj.max(axis=0).min())
-
-
 def eval_rows(sys: PdeSystem, exprs: Sequence[ex.Expr], x: Sequence,
               vecs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Expressions of the space and jet variables on rows, one array
@@ -200,39 +167,87 @@ def eval_rows(sys: PdeSystem, exprs: Sequence[ex.Expr], x: Sequence,
     return values, faulted
 
 
-def _sample_images(sys: PdeSystem, x: Sequence, vecs: np.ndarray) -> np.ndarray:
-    """F at a batch of samples, one row each (see eval_rows); samples on
-    which some F_j faults are dropped."""
-    images, faulted = eval_rows(sys, sys.F, x, vecs)
-    return images[~faulted]
-
-
 # probe draws, random directions beside the axes, and the margin support must exceed
 _SAMPLES = 400
 _EXTRA_DIRECTIONS = 32
 _R_MIN = 1e-6
+# openness-probe rows whose ball samples are drawn, evaluated and reduced
+# together: bounds the probe's temporaries to about a megabyte whatever
+# the number of rows
+_BLOCK_ROWS = 8
 
 
-def _evidence(kind: str, images: np.ndarray, target: np.ndarray,
-              rng: np.random.Generator) -> AssumptionEvidence:
-    """Directional ball-containment verdict of target in the sampled image."""
-    if images.shape[0] == 0:
-        return AssumptionEvidence(
-            kind=kind, supported=False, witnessed_radius=0.0,
-            margin_min=float("-inf"), directions=0, samples_used=0, r_min=_R_MIN,
+def _principal_directions(images: np.ndarray) -> np.ndarray:
+    """Principal axes of each probe's sampled image (A, S, K), both signs:
+    (A, 2K, K).
+
+    A degenerate image (curve or point in R^K) is flat along its smallest
+    principal axis, so probing it yields a near-zero margin; random
+    directions alone can miss that when the flat axis is oblique. The
+    reduced SVD gives the same axes without the (S, S) left factor; with
+    fewer samples than components the full one keeps all K axes.
+    """
+    centered = images - images.mean(axis=1, keepdims=True)
+    full = centered.shape[1] < centered.shape[2]
+    _, _, vt = np.linalg.svd(centered, full_matrices=full)
+    return np.concatenate([vt, -vt], axis=1)
+
+
+def _margins(images: np.ndarray, targets: np.ndarray,
+             rngs: Sequence[np.random.Generator]) -> tuple[np.ndarray, np.ndarray]:
+    """Minimal directional margins of A probes and their direction counts.
+
+    Probe a's directions are the 2K axes, _EXTRA_DIRECTIONS random ones
+    drawn from rngs[a] (a draw of norm at most 1e-12 is dropped) and the
+    principal axes of its images[a] (S, K), both signs; its margin is the
+    minimum over them of the farthest reach of its images past targets[a].
+    """
+    count, _, K = images.shape
+    axes = np.concatenate([np.eye(K), -np.eye(K)])
+    raw = np.concatenate([rng.normal(size=(_EXTRA_DIRECTIONS, K)) for rng in rngs])
+    norms = np.linalg.norm(raw, axis=1, keepdims=True)
+    kept = norms > 1e-12
+    # a dropped draw stands in as the first axis, which leaves the minimum alone
+    unit = np.divide(raw, norms, out=np.tile(axes[0], (raw.shape[0], 1)), where=kept)
+    dirs = np.concatenate([np.broadcast_to(axes, (count, 2 * K, K)),
+                           unit.reshape(count, _EXTRA_DIRECTIONS, K),
+                           _principal_directions(images)], axis=1)
+    # the (S, D) projection of one probe at a time: a block's (A, S, D) one
+    # would be the probe's one large temporary, and above malloc's mmap
+    # threshold it raised peak RSS by 1.7 MB on ode1d_batch's 1D problems
+    reach = np.stack([(rel @ d.T).max(axis=0)
+                      for rel, d in zip(images - targets[:, None, :], dirs)])
+    directions = 4 * K + kept.reshape(count, _EXTRA_DIRECTIONS).sum(axis=1)
+    return reach.min(axis=1), directions
+
+
+def _evidence(kind: str, images: np.ndarray, kept: np.ndarray, targets: np.ndarray,
+              rngs: Sequence[np.random.Generator]) -> list[AssumptionEvidence]:
+    """Directional ball-containment verdicts of A probes: targets (A, K) in
+    the sampled images (A, S, K), of which probe a keeps the samples
+    kept[a] (those on which no F_j faults).
+
+    The probes that keep every sample are reduced together. One that drops
+    some is reduced alone on the samples it keeps, so its image's mean and
+    principal axes are those of its kept samples. One that keeps none is
+    unsupported and draws no directions.
+    """
+    used = kept.sum(axis=1)
+    groups = [np.flatnonzero(used == images.shape[1])]
+    groups += [[a] for a in np.flatnonzero((used > 0) & (used < images.shape[1]))]
+    margins = np.full(len(rngs), -np.inf)
+    directions = np.zeros(len(rngs), dtype=int)
+    for group in groups:
+        if len(group):  # the probes of a group keep the same samples
+            margins[group], directions[group] = _margins(
+                images[group][:, kept[group[0]]], targets[group], [rngs[a] for a in group])
+    return [
+        AssumptionEvidence(
+            kind=kind, supported=bool(m > _R_MIN), witnessed_radius=max(float(m), 0.0),
+            margin_min=float(m), directions=int(d), samples_used=int(u), r_min=_R_MIN,
         )
-    dirs = _directions(images.shape[1], _EXTRA_DIRECTIONS, rng)
-    dirs = np.concatenate([dirs, _principal_directions(images)], axis=0)
-    margin = _image_margins(images, target, dirs)
-    return AssumptionEvidence(
-        kind=kind,
-        supported=margin > _R_MIN,
-        witnessed_radius=max(margin, 0.0),
-        margin_min=margin,
-        directions=dirs.shape[0],
-        samples_used=images.shape[0],
-        r_min=_R_MIN,
-    )
+        for m, d, u in zip(margins, directions, used)
+    ]
 
 
 def check_assumption_interior(
@@ -253,65 +268,95 @@ def check_assumption_interior(
     x = np.asarray(x, dtype=float)
     target = sys.rhs_at(x)
     vecs = rng.uniform(box[:, 0], box[:, 1], size=(_SAMPLES, box.shape[0]))
-    images = _sample_images(sys, x, vecs)
-    return _evidence("interior", images, target, rng)
+    images, faulted = eval_rows(sys, sys.F, x, vecs)
+    return _evidence("interior", images[None], ~faulted[None], target[None], [rng])[0]
 
 
-def _unit_ball_draws(
-    rng: np.random.Generator, dims: Sequence[int], samples: int
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Uniform draws from unit balls of the given dimensions.
+def _in_balls(centers: np.ndarray, radii, normals: np.ndarray,
+              uniforms: np.ndarray) -> np.ndarray:
+    """Uniform points of the balls of the given centers (R, d) and radii,
+    one per row of normals (R, d), standard normal draws, and uniforms (R,),
+    uniform ones: the unit direction scaled by radius * u^(1/d). A row
+    whose normal draw has norm below 1e-12 gives its center."""
+    norms = np.linalg.norm(normals, axis=1, keepdims=True)
+    kept = norms >= 1e-12
+    unit = np.divide(normals, norms, out=np.zeros_like(normals), where=kept)
+    root = np.where(kept[:, 0], uniforms ** (1.0 / normals.shape[1]), 0.0)
+    return centers + (radii * root)[:, None] * unit
 
-    Ball by ball, draws a (samples, d) block of standard normal directions
-    and then samples uniform radii u. Returns per ball the unit directions
-    (S, d) and the radial factors u^(1/d) (S,); both are 0 on a row whose
-    direction has norm below 1e-12, so that point is the center.
-    """
-    out = []
-    for d in dims:
-        z = rng.standard_normal((samples, d))
-        u = rng.random(samples)
-        norms = np.linalg.norm(z, axis=1, keepdims=True)
-        kept = norms >= 1e-12
-        unit = np.divide(z, norms, out=np.zeros_like(z), where=kept)
-        out.append((unit, np.where(kept[:, 0], u ** (1.0 / d), 0.0)))
-    return out
+
+def _ball_images(sys: PdeSystem, x: np.ndarray, jets: np.ndarray, delta: np.ndarray,
+                 eps_ball: float, rngs: Sequence[np.random.Generator]):
+    """F on the ball samples of the probe rows x (A, n), jets (A, M) and
+    delta (A,), row a drawing from rngs[a]: the point ball's samples (a
+    (S, n) standard normal block, then S uniforms), then the jet ball's
+    alike. Returns the images (A, S, K) and which samples fault (A, S)."""
+    draws = [(rng.standard_normal((_SAMPLES, sys.n)), rng.random(_SAMPLES),
+              rng.standard_normal((_SAMPLES, sys.unknown_count)), rng.random(_SAMPLES))
+             for rng in rngs]
+    x_normals, x_uniforms, j_normals, j_uniforms = map(np.concatenate, zip(*draws))
+    xs, ds, js = (np.repeat(a, _SAMPLES, axis=0) for a in (x, delta, jets))
+    points = np.clip(_in_balls(xs, ds, x_normals, x_uniforms), sys.box_lo, sys.box_hi)
+    vecs = _in_balls(js, eps_ball, j_normals, j_uniforms)
+    images, faulted = eval_rows(sys, sys.F, points.T, vecs)
+    return images.reshape(len(rngs), _SAMPLES, sys.K), faulted.reshape(len(rngs), _SAMPLES)
 
 
 def check_assumption_open(
     sys: PdeSystem,
     x,
-    jet_flat: np.ndarray,
-    delta: float,
+    jets,
+    delta,
     eps_ball: float,
-    rng: np.random.Generator | None = None,
+    stream: Callable[[int], np.random.Generator] | None = None,
     target=None,
-) -> AssumptionEvidence:
-    """Evidence that F maps B_delta(x) x B_eps(jet) onto a ball around target.
+) -> list[AssumptionEvidence]:
+    """Evidence, row by row, that F maps B_delta(x) x B_eps(jet) onto a
+    ball around the target; one verdict per row.
 
-    target defaults to f(x); the refinement scheme probes shifted targets
-    f(x) - gamma/(2n). Requires the seed jet to hit the target closely under
-    the array evaluator, the one jet_solve converges under.
-    The witnessed ball radius (minimal directional margin) is what the
-    scheme uses as a cell openness radius. rng gives the point ball's
-    samples, then the jet ball's (see _unit_ball_draws), then the random
-    directions; the scheme hands each anchor its own stream.
+    x holds the anchors (rows, n), jets their flat jets (rows, M), delta
+    the point-ball radii (rows,) and target the targets (rows, K), by
+    default f(x); the refinement scheme probes shifted targets
+    f(x) - gamma/(2n). Every seed jet must hit its target closely,
+    |F(x, jet) - t| <= 1e-6, under the array evaluator, the one jet_solve
+    converges under. A verdict's witnessed ball radius (its minimal
+    directional margin) is what the scheme uses as a cell openness radius.
+
+    Row r draws from stream(r) (default: a stream seeded with 0), in this
+    order: the point ball's samples (a (S, n) standard normal block, then
+    S uniforms), the jet ball's alike, and then, if some of its samples do
+    not fault, its random directions. So a row's verdict depends on its
+    own inputs and stream alone, and is the same in any batch, alone
+    included. The rows' draws are made one row after another; their
+    samples are evaluated, and their margins reduced, _BLOCK_ROWS rows at
+    a time.
     """
-    rng = rng or np.random.default_rng(0)
     x = np.asarray(x, dtype=float)
-    jet_flat = np.asarray(jet_flat, dtype=float)
-    if jet_flat.size != sys.unknown_count:
-        raise ValueError("flat jet length must be K*count")
-    target = sys.rhs_at(x) if target is None else np.asarray(target, dtype=float)
-    if target.shape != (sys.K,):
-        raise ValueError("target must hold one value per component")
-    seed_image = _sample_images(sys, x, jet_flat.reshape(1, -1))
-    if seed_image.shape[0] == 0 or float(np.max(np.abs(seed_image - target))) > 1e-6:
-        raise ValueError("seed jet does not hit the probe target F(x, jet) = t")
-    (x_unit, x_root), (j_unit, j_root) = _unit_ball_draws(
-        rng, (x.size, jet_flat.size), _SAMPLES
-    )
-    xp = np.clip(x + (delta * x_root)[:, None] * x_unit, sys.box_lo, sys.box_hi)
-    vecs = jet_flat + (eps_ball * j_root)[:, None] * j_unit
-    images = _sample_images(sys, xp.T, vecs)
-    return _evidence("openness", images, target, rng)
+    if x.ndim != 2 or x.shape[1] != sys.n:
+        raise ValueError(f"anchors must have shape (rows, {sys.n})")
+    rows = x.shape[0]
+    jets = np.asarray(jets, dtype=float)
+    if jets.shape != (rows, sys.unknown_count):
+        raise ValueError("flat jets must have shape (rows, K*count)")
+    delta = np.asarray(delta, dtype=float)
+    if delta.shape != (rows,):
+        raise ValueError("one point-ball radius per row required")
+    coords = list(x.T)
+    target = (np.stack(sys.rhs_on_arrays(coords), axis=1) if target is None
+              else np.asarray(target, dtype=float))
+    if target.shape != (rows, sys.K):
+        raise ValueError("target must hold one value per component and row")
+    seed_images, faulted = eval_rows(sys, sys.F, coords, jets)
+    missed = faulted | (np.max(np.abs(seed_images - target), axis=1) > 1e-6)
+    if missed.any():
+        raise ValueError("seed jet does not hit the probe target F(x, jet) = t "
+                         f"(row {int(np.argmax(missed))})")
+    evidence = []
+    for lo in range(0, rows, _BLOCK_ROWS):
+        block = slice(lo, lo + _BLOCK_ROWS)
+        rngs = [np.random.default_rng(0) if stream is None else stream(r)
+                for r in range(rows)[block]]
+        images, faulted = _ball_images(sys, x[block], jets[block], delta[block],
+                                       eps_ball, rngs)
+        evidence += _evidence("openness", images, ~faulted, target[block], rngs)
+    return evidence

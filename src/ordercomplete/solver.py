@@ -1075,18 +1075,20 @@ def run_scheme(
 
     The I-cells come from scheme_tiling. The stage-1 anchor jets are
     solved in one jet_solve call (target f - gamma/2, zero seed, no box),
-    then at each anchor the sampling probe witnesses an openness radius
-    (capped at eps_max); stage 1 takes those jets from the tiling instead
-    of solving them again. The probe at I-cell ci draws from the stream
-    (PROBE, ci) of seed, and every solve's fallback from its own stream
-    (see _stream), so the result does not depend on the order in which
-    cells are handled. The
-    verdict requires every stage certificate, order convergence of the
-    operator images to f, and a final sup gap below gamma/N. Band
-    order-convergence certificates are recorded per jet variable but do not
-    gate the verdict; their terminal gaps scale with the cell radii, not
-    with gamma/N, so they are checked against the EQ3 width bound of the
-    final stage (see `band_tolerance`).
+    then one call of the sampling probe, check_assumption_open with one
+    row per anchor, witnesses each anchor's openness radius (capped at
+    eps_max); an unsupported anchor fails the run, the lowest first.
+    Stage 1 takes those jets from the tiling instead of solving them
+    again. The probe's row for I-cell ci draws from the stream (PROBE, ci)
+    of seed, and every solve's fallback from its own stream (see
+    _stream), so the result does not depend on the order in which cells
+    are handled, nor on how the probe blocks its rows. The verdict
+    requires every stage certificate, order convergence of the operator
+    images to f, and a final sup gap below gamma/N. Band order-convergence
+    certificates are recorded per jet variable but do not gate the
+    verdict; their terminal gaps scale with the cell radii, not with
+    gamma/N, so they are checked against the EQ3 width bound of the final
+    stage (see `band_tolerance`).
     """
     if gamma <= 0.0:
         raise ValueError("gamma must be positive")
@@ -1106,17 +1108,18 @@ def run_scheme(
         failure = ConstructionError(
             f"stage-1 anchor jet unsolvable (interior assumption violated?): {e}",
             stage=1, cell=e.row)
+    # the anchors before an unsolvable one are probed first
+    probed = check_assumption_open(
+        sys, tiling.anchors[:count], jets[:count],
+        [c.diameter() / 2.0 for c in tiling.i_cells[:count]], eps_max,
+        stream=functools.partial(_stream, seed, PROBE), target=targets[:count],
+    )
     radii = np.zeros(len(tiling.i_cells))
-    for ci in range(count):  # the anchors before an unsolvable one are probed first
-        a = tiling.anchors[ci]
-        ev = check_assumption_open(
-            sys, a, jets[ci], delta=tiling.i_cells[ci].diameter() / 2.0,
-            eps_ball=eps_max, rng=_stream(seed, PROBE, ci), target=targets[ci],
-        )
+    for ci, ev in enumerate(probed):
         if not ev.supported:
             raise ConstructionError(
                 "openness assumption unsupported at anchor "
-                f"{tuple(a)} (margin {ev.margin_min:.3e})",
+                f"{tuple(tiling.anchors[ci])} (margin {ev.margin_min:.3e})",
                 stage=1, cell=ci,
             )
         radii[ci] = min(ev.witnessed_radius, eps_max)

@@ -12,8 +12,6 @@ from ordercomplete.grids import GridDomain, GridFunction, normalize
 from ordercomplete.jets import Cell, Jet, MultiIndexSet, assemble, sample_jets, taylor_poly
 from ordercomplete.pde import (
     PdeSystem,
-    _directions,
-    _image_margins,
     _principal_directions,
     apply_operator,
     apply_operator_point,
@@ -273,12 +271,19 @@ def test_interior_rejects_bad_box_shape():
         check_assumption_interior(sys1, [0.5], np.zeros((3, 2)))
 
 
+def _open_one(sys, x, jet, delta, eps_ball, rng=None, target=None):
+    """The openness probe of one anchor: a one-row check_assumption_open
+    call, drawing from rng."""
+    return check_assumption_open(
+        sys, [x], [jet], [delta], eps_ball,
+        stream=None if rng is None else (lambda _row: rng),
+        target=None if target is None else [target],
+    )[0]
+
+
 def test_open_cubic_radius_tracks_eps():
     sys1 = _cubic_system()
-    ev = check_assumption_open(
-        sys1, [0.0], np.array([0.0, 1.0]), 0.1, 0.5,
-        rng=np.random.default_rng(2),
-    )
+    ev = _open_one(sys1, [0.0], [0.0, 1.0], 0.1, 0.5, rng=np.random.default_rng(2))
     # the xi1 direction is onto, so the ball radius is close to eps
     assert ev.supported
     assert 0.25 < ev.witnessed_radius <= 0.66
@@ -286,7 +291,7 @@ def test_open_cubic_radius_tracks_eps():
 
 def test_open_constant_operator_unsupported():
     sys1 = PdeSystem(1, 1, 1, ["2"], ["2"], [0.0], [1.0])
-    ev = check_assumption_open(sys1, [0.5], np.zeros(2), 0.1, 0.5)
+    ev = _open_one(sys1, [0.5], np.zeros(2), 0.1, 0.5)
     assert not ev.supported
 
 
@@ -295,21 +300,19 @@ def test_open_duplicated_component_unsupported():
     sys2 = PdeSystem(
         1, 2, 1, ["u[1,(0)]", "u[1,(0)]"], ["0", "0"], [0.0], [1.0]
     )
-    ev = check_assumption_open(sys2, [0.5], np.zeros(4), 0.1, 0.5)
+    ev = _open_one(sys2, [0.5], np.zeros(4), 0.1, 0.5)
     assert not ev.supported
 
 
 def test_open_rejects_bad_seed():
     sys1 = PdeSystem(1, 1, 1, ["u[1,(1)]"], ["1"], [0.0], [1.0])
     with pytest.raises(ValueError, match="seed jet"):
-        check_assumption_open(sys1, [0.5], np.array([0.0, 5.0]), 0.1, 0.5)
+        _open_one(sys1, [0.5], [0.0, 5.0], 0.1, 0.5)
 
 
 def test_open_shifted_target():
     sys1 = PdeSystem(1, 1, 1, ["u[1,(1)]"], ["1"], [0.0], [1.0])
-    ev = check_assumption_open(
-        sys1, [0.5], np.array([0.0, 0.5]), 0.1, 0.25, target=[0.5]
-    )
+    ev = _open_one(sys1, [0.5], [0.0, 0.5], 0.1, 0.25, target=[0.5])
     assert ev.supported and ev.kind == "openness"
 
 
@@ -318,13 +321,22 @@ def test_open_shifted_target():
 
 
 def _reference_verdict(sys, images, target, extra_directions, rng):
-    """(samples_used, directions, margin_min) as the per-sample probes had them."""
+    """(samples_used, directions, margin_min) as the per-sample probes had
+    them: the 2K axes, the random directions of norm above 1e-12 and the
+    principal axes of the kept images, both signs; the margin is the least
+    over the directions of the largest projection of an image past the
+    target, one dot product at a time."""
     if not images:
         return 0, 0, float("-inf")
     imgs = np.asarray(images)
-    dirs = _directions(sys.K, extra_directions, rng)
-    dirs = np.concatenate([dirs, _principal_directions(imgs)], axis=0)
-    return imgs.shape[0], dirs.shape[0], _image_margins(imgs, target, dirs)
+    dirs = [*np.eye(sys.K), *-np.eye(sys.K)]
+    for raw in rng.normal(size=(extra_directions, sys.K)):
+        if np.linalg.norm(raw) > 1e-12:
+            dirs.append(raw / np.linalg.norm(raw))
+    _, _, vt = np.linalg.svd(imgs - imgs.mean(axis=0), full_matrices=len(imgs) < sys.K)
+    dirs += [*vt, *-vt]
+    margin = min(max(float(np.dot(img - target, d)) for img in imgs) for d in dirs)
+    return imgs.shape[0], len(dirs), margin
 
 
 def _reference_interior(sys, x, box, rng, samples=400, extra_directions=32):
@@ -421,11 +433,35 @@ def test_open_batched_matches_per_sample_reference(name, seed):
         sys1, x, Jet(x, jet.reshape(sys1.K, -1), sys1.mis)
     )
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    ev = check_assumption_open(sys1, x, jet, 0.1, 0.5, rng=rng, target=target)
+    ev = _open_one(sys1, x, jet, 0.1, 0.5, rng=rng, target=target)
     ref = _reference_open(sys1, x, jet, 0.1, 0.5, target, ref_rng)
     _assert_same_evidence(ev, ref, rng, ref_rng)
     if name == "log":
         assert 0 < ev.samples_used < 400  # the faulting samples were dropped
+
+
+@pytest.mark.parametrize("name", ["coupled2d", "log"])
+def test_open_rows_match_per_sample_reference(name, monkeypatch):
+    # one call over rows on streams of their own, in blocks that split
+    # them: each row's verdict and stream state are its reference's
+    from ordercomplete import pde
+
+    monkeypatch.setattr(pde, "_BLOCK_ROWS", 2)
+    make, x, jet = _PROBE_SYSTEMS[name]
+    sys1 = make()
+    x = np.asarray(x, dtype=float)
+    jet = np.asarray(jet, dtype=float)
+    target = apply_operator_point(
+        sys1, x, Jet(x, jet.reshape(sys1.K, -1), sys1.mis)
+    )
+    seeds = [0, 7, 11]
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    evs = check_assumption_open(sys1, [x] * 3, [jet] * 3, [0.1] * 3, 0.5,
+                                stream=rngs.__getitem__, target=[target] * 3)
+    for ev, rng, seed in zip(evs, rngs, seeds, strict=True):
+        ref_rng = np.random.default_rng(seed)
+        ref = _reference_open(sys1, x, jet, 0.1, 0.5, target, ref_rng)
+        _assert_same_evidence(ev, ref, rng, ref_rng)
 
 
 @pytest.mark.parametrize("seed", [0, 7])
@@ -445,8 +481,8 @@ def test_interior_batched_matches_per_sample_reference(name, seed):
 
 def test_principal_directions_keep_all_axes_with_few_samples():
     # one surviving sample in R^2 still yields both axes, both signs
-    assert _principal_directions(np.array([[1.0, 2.0]])).shape == (4, 2)
-    assert _principal_directions(np.ones((400, 2))).shape == (4, 2)
+    assert _principal_directions(np.array([[[1.0, 2.0]]])).shape == (1, 4, 2)
+    assert _principal_directions(np.ones((3, 400, 2))).shape == (3, 4, 2)
 
 
 def test_interior_every_sample_faults():

@@ -994,22 +994,126 @@ def res_streams():
     return run_scheme(_affine(), GridDomain([0.0], [1.0], (65,)), 0.4, 2, seed=7)
 
 
-def test_scheme_radius_is_a_lone_probe_on_its_own_stream(res_streams):
-    res = res_streams
-    sys1 = _affine()
-    assert np.all(res.tiling.radii < 1.0)
-    for ci in reversed(range(len(res.tiling.i_cells))):
-        a = res.tiling.anchors[ci]
+def _coupled_k2():
+    """u1' + u2 = f1, u2' - u1 + u2^3 = f2 with u = (sin x, cos x): K = 2."""
+    return PdeSystem(1, 2, 1, ["u[1,(1)] + u[2,(0)]", "u[2,(1)] - u[1,(0)] + u[2,(0)]^3"],
+                     ["2*cos(x1)", "-2*sin(x1) + cos(x1)^3"], [0.0], [3.0])
 
-        def radius(rng):
-            ev = check_assumption_open(
-                sys1, a, res.tiling.jets[ci],
-                delta=res.tiling.i_cells[ci].diameter() / 2.0, eps_ball=1.0,
-                rng=rng, target=sys1.rhs_at(a) - 0.2)
-            return min(ev.witnessed_radius, 1.0)
 
-        assert radius(_stream(7, PROBE, ci)) == res.tiling.radii[ci]
-        assert radius(_stream(8, PROBE, ci)) != res.tiling.radii[ci]
+def _probe_rows(sys, tiling, jets, gamma, seed, rows):
+    """The openness probe of run_scheme's stage 1 on the given I-cells, one
+    check_assumption_open call over them, each on its stream (PROBE, ci)."""
+    rows = list(rows)
+    return check_assumption_open(
+        sys, tiling.anchors[rows], jets[rows],
+        [tiling.i_cells[ci].diameter() / 2.0 for ci in rows], 1.0,
+        stream=lambda row: _stream(seed, PROBE, rows[row]),
+        target=_targets(sys, tiling.anchors[rows], gamma, 1))
+
+
+_STREAM_RUNS = {
+    # F = u' is onto with unit gain, so each witnessed radius lies below the
+    # jet ball's radius eps_max = 1 and depends on its probe's draws
+    "affine": (_affine, GridDomain([0.0], [1.0], (65,)), 2),
+    "transport2d": (lambda: _transport(2), GridDomain([0.0] * 2, [1.0] * 2, (33, 33)), 1),
+    "coupled": (_coupled_k2, GridDomain([0.0], [3.0], (129,)), 1),
+    # the jet balls of some anchors reach u <= 0, where log faults
+    "log": (lambda: _transport(1, log=True), GridDomain([0.0], [1.0], (65,)), 1),
+}
+
+
+def test_scheme_radius_is_a_lone_probe_on_its_own_stream(monkeypatch):
+    # each radius of a run, whatever the probe's block of rows, is that of
+    # the anchor's probe alone on its stream (PROBE, ci), bit for bit
+    from ordercomplete import pde
+
+    for name, (make, dom, N) in _STREAM_RUNS.items():
+        sys1 = make()
+        res = run_scheme(sys1, dom, 0.4, N, seed=7)
+        t = res.tiling
+        every = range(len(t.i_cells))
+        lone = [_probe_rows(sys1, t, t.jets, 0.4, 7, [ci])[0] for ci in reversed(every)][::-1]
+        assert np.array_equal(t.radii, [min(ev.witnessed_radius, 1.0) for ev in lone]), name
+        for block in (1, len(t.i_cells)):
+            monkeypatch.setattr(pde, "_BLOCK_ROWS", block)
+            assert _probe_rows(sys1, t, t.jets, 0.4, 7, every) == lone, (name, block)
+        monkeypatch.undo()
+        other = [_probe_rows(sys1, t, t.jets, 0.4, 8, [ci])[0] for ci in every]
+        assert all(a.margin_min != b.margin_min for a, b in zip(lone, other, strict=True))
+        if name == "affine":
+            assert np.all(t.radii < 1.0)
+        if name == "transport2d":
+            assert len(lone) == 256
+        if name == "coupled":
+            assert sys1.K == 2 and np.any(t.radii < 1.0)
+        if name == "log":
+            assert any(0 < ev.samples_used < 400 for ev in lone)
+
+
+def test_run_scheme_fails_at_the_lowest_unsupported_anchor(monkeypatch):
+    # with the 2D log system the probe finds anchors 141, 159 and 208
+    # unsupported at seed 7; the error names the lowest, as the one-anchor
+    # loop of earlier versions did, with the same message
+    from ordercomplete import solver
+
+    sys2 = _transport(2, log=True)
+    probed = []
+
+    def recorded(*args, **kwargs):
+        evidence = check_assumption_open(*args, **kwargs)
+        probed.extend(evidence)
+        return evidence
+
+    monkeypatch.setattr(solver, "check_assumption_open", recorded)
+    with pytest.raises(ConstructionError) as err:
+        run_scheme(sys2, GridDomain([0.0] * 2, [1.0] * 2, (33, 33)), 0.4, 1, seed=7)
+    assert (err.value.stage, err.value.cell) == (1, 141)
+    assert str(err.value) == (
+        "openness assumption unsupported at anchor (np.float64(0.53125), "
+        "np.float64(0.84375)) (margin -4.234e-01); stage=1; cell=141")
+    assert [ci for ci, ev in enumerate(probed) if not ev.supported] == [141, 159, 208]
+    assert sum(0 < ev.samples_used < 400 for ev in probed) > 0
+
+
+def test_run_scheme_probes_only_the_anchors_before_an_unsolvable_one(monkeypatch):
+    # u^2 + u'^2 = 0.5 - x has no solution where x > 0.5: the first such
+    # anchor is I-cell 8, and only anchors 0..7 are probed before the
+    # stage-1 error is raised
+    from ordercomplete import solver
+
+    sys1 = PdeSystem(1, 1, 1, ["u[1,(0)]^2 + u[1,(1)]^2"], ["0.7 - x1"], [0.0], [1.0])
+    rows = []
+
+    def recorded(sys, x, *args, **kwargs):
+        rows.append(len(x))
+        return check_assumption_open(sys, x, *args, **kwargs)
+
+    monkeypatch.setattr(solver, "check_assumption_open", recorded)
+    with pytest.raises(ConstructionError, match="stage-1 anchor jet unsolvable") as err:
+        run_scheme(sys1, GridDomain([0.0], [1.0], (65,)), 0.4, 1, seed=7)
+    assert (err.value.stage, err.value.cell) == (1, 8)
+    assert rows == [8]
+
+
+def test_probe_memory_is_bounded_by_its_block():
+    # all 256 anchors of a 2D problem at once measured 27 MB of temporaries
+    # (49 MB with a (256, 400, 36) projection); a block of rows stays
+    # under 1 MB
+    import tracemalloc
+
+    from ordercomplete.solver import scheme_tiling
+
+    sys2 = _transport(2)
+    tiling = scheme_tiling(GridDomain([0.0] * 2, [1.0] * 2, (33, 33)))
+    jets = jet_solve(sys2, tiling.anchors, _targets(sys2, tiling.anchors, 0.4, 1))
+    tracemalloc.start()
+    try:
+        probed = _probe_rows(sys2, tiling, jets, 0.4, 7, range(256))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(probed) == 256
+    assert peak < 3_000_000
 
 
 def test_stage1_takes_the_probe_jets(res_streams):
