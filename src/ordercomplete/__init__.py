@@ -42,7 +42,6 @@ from .grids import (
 )
 from .jets import (
     Cell,
-    Jet,
     MultiIndexSet,
     PiecewisePoly,
     TaylorPoly,
@@ -53,7 +52,6 @@ from .jets import (
     poly_to_dict,
     read_poly_json,
     sample_jets,
-    taylor_poly,
     write_poly_json,
 )
 from .pde import (
@@ -126,7 +124,6 @@ __all__ = [
     "Interval",
     "IntervalDomainError",
     "IntervalSequence",
-    "Jet",
     "MultiIndexSet",
     "NestedLimitReport",
     "NoSolutionError",
@@ -185,7 +182,6 @@ __all__ = [
     "run_scheme",
     "sample_jets",
     "skeleton_fill",
-    "taylor_poly",
     "tile_domain",
     "verify",
     "write_csv",

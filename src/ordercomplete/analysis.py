@@ -247,7 +247,7 @@ def compare_reference(result, u_star: Sequence) -> ReferenceReport:
     stages = result.stages
     sys_like_n = stages[0].v.space_dim
     K = stages[0].v.components
-    mis_alphas = stages[0].v.polys[0][0].mis.alphas
+    mis_alphas = stages[0].v.mis.alphas
     dom = result.domain
     signature = (sys_like_n, K, 0)
     exprs = [ex.parse(e, signature) if isinstance(e, str) else e for e in u_star]

@@ -29,7 +29,7 @@ import numpy as np
 from . import expr as ex
 from .analysis import IntervalSequence, compare_reference, nested_limit_check
 from .grids import GridDomain, GridFunction, OrderInterval, write_csv
-from .jets import Cell, TilingError, assemble, read_poly_json, sample_jets, write_poly_json
+from .jets import TilingError, assemble, read_poly_json, sample_jets, write_poly_json
 from .pde import PdeSystem, check_assumption_interior
 from .solver import (
     ConstructionError,
@@ -40,6 +40,7 @@ from .solver import (
     run_scheme,
     scheme_convergence,
     scheme_tiling,
+    stage_bands,
     stage_certificates,
 )
 
@@ -207,9 +208,9 @@ def _cert_dict(c) -> dict:
     return out
 
 
-def _cells_list(cells) -> list[dict]:
-    return [{"lo": [float(v) for v in c.lo], "hi": [float(v) for v in c.hi]}
-            for c in cells]
+def _cells_list(cells: np.ndarray) -> list[dict]:
+    """Cells (C, 2, n) as `run` writes them: one {"lo", "hi"} dict each."""
+    return [{"lo": lo, "hi": hi} for lo, hi in cells.tolist()]
 
 
 def _floats2d(arr: np.ndarray) -> list[list[float]]:
@@ -506,9 +507,13 @@ def verify(result_dir) -> int:
     Rebuilds the system from the embedded problem block, derives the
     tiling from the box and the lattice as `run` does (scheme_tiling) and
     compares its delta, I-cells and anchors exactly with the stored ones,
-    and the stored openness radii with tiling.radii. Checks each stage's
-    stored anchor jets against their equation and, after stage 1, the box
-    their solve was confined to (solver.check_anchor_jets). Then reassembles
+    the stored openness radii with tiling.radii, and checks every radius
+    against (0, config.eps_max]. Compares global_pair.cells exactly with
+    the cells of both global polynomial files. Checks each stage's stored
+    anchor jets against their equation and, after stage 1, the box their
+    solve was confined to (solver.check_anchor_jets), and compares its
+    stored bands exactly with the ones solver.stage_bands derives from
+    them, the radii and the previous bands. Then reassembles
     each serialized polynomial, recomputes every certificate through the
     same solver functions `run` uses, and compares the results, serialized
     as `run` writes them, with the stored blocks at relative tolerance 1e-9.
@@ -565,7 +570,13 @@ def _verify_inner(out: Path, cert: dict, problems: list[str]) -> int:
     g = cert["global_pair"]
     u_poly = read_poly(g["files"]["lower"])
     v_poly = read_poly(g["files"]["upper"])
-    _, marked = assemble(u_poly.cells, u_poly.polys, domain)
+    if g["cells"] != _cells_list(u_poly.bounds):
+        problems.append("global_pair.cells: stored cells differ from the lower "
+                        "polynomial file's")
+    if not np.array_equal(v_poly.bounds, u_poly.bounds):
+        problems.append("global_pair: the upper polynomial file's cells differ "
+                        "from the lower one's")
+    marked = assemble(u_poly, domain)
     gp = apeq_certificate(system, sample_jets(u_poly, marked),
                           sample_jets(v_poly, marked), float(g["eps"]))
     _compare(problems, "global_pair", g, _cert_dict(gp))
@@ -585,6 +596,12 @@ def _verify_inner(out: Path, cert: dict, problems: list[str]) -> int:
     i_cells = tiling.i_cells
     radii = np.asarray(t["radii"], dtype=float)
     _expect("tiling.radii shape", radii.shape, (len(i_cells),))
+    eps_max = float(cert["config"]["eps_max"])
+    outside = ~((radii > 0.0) & (radii <= eps_max))
+    if outside.any():
+        ci = int(np.argmax(outside))
+        problems.append(f"tiling.radii: radius {ci} is {float(radii[ci])!r}, outside "
+                        f"(0, eps_max={eps_max!r}]")
 
     # stages
     stages = cert["stages"]
@@ -597,18 +614,24 @@ def _verify_inner(out: Path, cert: dict, problems: list[str]) -> int:
     for s in stages:
         n = s["n"]
         v = read_poly(s["file"])
-        stored_cells = [Cell(c["lo"], c["hi"]) for cs in s["j_cells"] for c in cs]
-        if [tuple(c.lo) + tuple(c.hi) for c in stored_cells] != [
-            tuple(c.lo) + tuple(c.hi) for c in v.cells
-        ]:
+        if [c for cs in s["j_cells"] for c in cs] != _cells_list(v.bounds):
             problems.append(f"stage {n}: cell tree does not match the polynomial file")
-        _, smarked = assemble(v.cells, v.polys, domain)
+        smarked = assemble(v, domain)
         band_lo = np.asarray(s["band_lo"], dtype=float)
         band_hi = np.asarray(s["band_hi"], dtype=float)
         _expect(f"stage{n}.band_lo shape", band_lo.shape, band_shape)
         _expect(f"stage{n}.band_hi shape", band_hi.shape, band_shape)
         i_jets = np.asarray(s["i_jets"], dtype=float)
         _expect(f"stage{n}.i_jets shape", i_jets.shape, band_shape)
+        try:
+            derived = stage_bands(i_jets, radii, prev_bands, n)
+        except ConstructionError as e:  # the stored anchor jets leave no band
+            problems.append(f"stage{n} bands: {e}")
+        else:
+            for key, stored, want in zip(("band_lo", "band_hi"), (band_lo, band_hi), derived):
+                if not np.array_equal(stored, want):
+                    problems.append(f"stage{n}.{key}: stored bands differ from those of "
+                                    "the stored anchor jets, radii and previous bands")
         for held, what in zip(
             check_anchor_jets(system, tiling.anchors, i_jets, prev_bands, n, gamma),
             ("does not solve its equation", "lies outside the previous bands' inner box"),

@@ -9,9 +9,11 @@ stores exactly those values as anchored derivative coefficients,
 so derivative evaluation at the anchor returns the stored jet entry with no
 rounding at all: differentiation is an index shift, never arithmetic.
 
-A PiecewisePoly glues per-cell polynomial tuples over a tiling of the box;
-sampling it on a lattice marks every point on a cell boundary as skeleton
-and fills those values by the normalize rule from grids.
+A PiecewisePoly holds one such polynomial per cell and component over a
+tiling of the box, as arrays (cells are (C, 2, n): lower corners, then
+upper corners); assembling it on a lattice marks every point on a cell
+boundary as skeleton, and sampling fills those values by the normalize rule
+from grids.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ import json
 import math
 import os
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -87,49 +88,6 @@ def _factorial_alpha(alpha: tuple[int, ...]) -> float:
 
 
 @dataclass(eq=False)
-class Jet:
-    """Derivative data at one base point: values[i-1, a] = entry for (i, alpha_a)."""
-
-    base_point: np.ndarray
-    values: np.ndarray  # shape (K, mis.count)
-    mis: MultiIndexSet
-
-    def __init__(self, base_point, values, mis: MultiIndexSet) -> None:
-        self.base_point = np.asarray(base_point, dtype=float).copy()
-        self.values = np.asarray(values, dtype=float).copy()
-        self.mis = mis
-        if self.base_point.ndim != 1 or self.base_point.size != mis.n:
-            raise ValueError("base point dimension must match the multi-index set")
-        if self.values.ndim != 2 or self.values.shape[1] != mis.count:
-            raise ValueError("values must have shape (K, count)")
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("jet entries must be finite")
-        self.base_point.setflags(write=False)
-        self.values.setflags(write=False)
-
-    @property
-    def K(self) -> int:
-        return self.values.shape[0]
-
-    def __getitem__(self, key: tuple[int, tuple[int, ...]]) -> float:
-        i, alpha = key
-        if not 1 <= i <= self.K:
-            raise KeyError(f"component {i} out of range 1..{self.K}")
-        return float(self.values[i - 1, self.mis.index(alpha)])
-
-    def flat(self) -> np.ndarray:
-        """Component-major flattening, length K*count."""
-        return self.values.reshape(-1).copy()
-
-    @staticmethod
-    def from_flat(base_point, K: int, mis: MultiIndexSet, vec) -> "Jet":
-        vec = np.asarray(vec, dtype=float)
-        if vec.size != K * mis.count:
-            raise ValueError("flat vector length must be K*count")
-        return Jet(base_point, vec.reshape(K, mis.count), mis)
-
-
-@dataclass(eq=False)
 class TaylorPoly:
     """Polynomial anchored at x0, stored by its own derivative values there."""
 
@@ -187,11 +145,6 @@ def _taylor_sum(
     return out
 
 
-def taylor_poly(jet: Jet) -> list[TaylorPoly]:
-    """One polynomial per component, matching the jet exactly at its base point."""
-    return [TaylorPoly(jet.base_point, jet.values[i], jet.mis) for i in range(jet.K)]
-
-
 def deriv_eval(p: TaylorPoly, alpha: tuple[int, ...], x) -> float:
     """D^alpha p evaluated at x; equals the stored coefficient when x is the anchor."""
     pt = np.asarray(x, dtype=float)
@@ -204,86 +157,73 @@ def deriv_eval(p: TaylorPoly, alpha: tuple[int, ...], x) -> float:
 
 @dataclass(frozen=True)
 class Cell:
-    """Axis-aligned closed box [lo, hi]."""
+    """One cell [lo, hi] of a PiecewisePoly as tuples of floats: the element
+    type of its read-only `cells` view."""
 
     lo: tuple[float, ...]
     hi: tuple[float, ...]
-
-    def __init__(self, lo, hi) -> None:
-        lo_t = tuple(float(v) for v in np.asarray(lo, dtype=float))
-        hi_t = tuple(float(v) for v in np.asarray(hi, dtype=float))
-        if len(lo_t) != len(hi_t):
-            raise ValueError("cell lo and hi must have equal length")
-        if any(a >= b for a, b in zip(lo_t, hi_t)):
-            raise ValueError(f"cell has empty extent: lo={lo_t}, hi={hi_t}")
-        object.__setattr__(self, "lo", lo_t)
-        object.__setattr__(self, "hi", hi_t)
-
-    @property
-    def ndim(self) -> int:
-        return len(self.lo)
-
-    @property
-    def center(self) -> np.ndarray:
-        return 0.5 * (np.asarray(self.lo) + np.asarray(self.hi))
-
-    @property
-    def widths(self) -> np.ndarray:
-        return np.asarray(self.hi) - np.asarray(self.lo)
-
-    def diameter(self) -> float:
-        return float(np.linalg.norm(self.widths))
-
-    def volume(self) -> float:
-        return float(np.prod(self.widths))
-
-    def split(self) -> list["Cell"]:
-        """Dyadic split into 2^n congruent children."""
-        mids = self.center
-        out = []
-        for corner in itertools.product((0, 1), repeat=self.ndim):
-            lo = [self.lo[d] if c == 0 else mids[d] for d, c in enumerate(corner)]
-            hi = [mids[d] if c == 0 else self.hi[d] for d, c in enumerate(corner)]
-            out.append(Cell(lo, hi))
-        return out
 
 
 class TilingError(ValueError):
     """Cells fail to tile the box: overlap, gap, or grid misfit."""
 
 
+def _centers(cells: np.ndarray) -> np.ndarray:
+    """The center of each cell of a (C, 2, n) cell array, (C, n)."""
+    return 0.5 * (cells[:, 0] + cells[:, 1])
+
+
 @dataclass(eq=False)
 class PiecewisePoly:
-    """Per-cell polynomial tuples over a tiling of a box."""
+    """Per-cell Taylor polynomials over a tiling of a box, as arrays: the
+    cells (C, 2, n) as bounds, and anchors (C, K, n) and coeffs (C, K,
+    count) of component k's polynomial on cell c. __post_init__ checks
+    their shapes, that no bound is NaN and that every cell has lo < hi.
+    `cells` and `polys` are read-only views for readers outside the
+    package, built on first access.
+    """
 
-    space_dim: int
-    components: int
-    order: int
-    cells: list[Cell]
-    polys: list[list[TaylorPoly]]  # polys[c][i-1] for cell c, component i
+    bounds: np.ndarray
+    anchors: np.ndarray
+    coeffs: np.ndarray
+    mis: MultiIndexSet
 
-    def __init__(self, space_dim, components, order, cells, polys) -> None:
-        self.space_dim = int(space_dim)
-        self.components = int(components)
-        self.order = int(order)
-        self.cells = list(cells)
-        self.polys = [list(ps) for ps in polys]
-        if len(self.cells) != len(self.polys):
-            raise ValueError("one polynomial tuple required per cell")
-        for ps in self.polys:
-            if len(ps) != self.components:
-                raise ValueError("each cell needs one polynomial per component")
+    def __post_init__(self) -> None:
+        n, count = self.mis.n, self.mis.count
+        if self.bounds.ndim != 3 or self.bounds.shape[1:] != (2, n):
+            raise ValueError(f"cell bounds must have shape (cells, 2, {n})")
+        if np.isnan(self.bounds).any():
+            raise ValueError("cell bounds must not be NaN")
+        empty = np.any(self.bounds[:, 0] >= self.bounds[:, 1], axis=1)
+        if empty.any():
+            lo, hi = self.bounds[int(np.argmax(empty))].tolist()
+            raise ValueError(f"cell has empty extent: lo={tuple(lo)}, hi={tuple(hi)}")
+        shape = self.coeffs.shape
+        if (len(shape) != 3 or shape[::2] != (len(self.bounds), count)
+                or self.anchors.shape != shape[:2] + (n,)):
+            raise ValueError("anchor/coefficient sizes must match the multi-index set")
 
+    @property
+    def space_dim(self) -> int:
+        return self.mis.n
 
-def _cell_bounds(cells: Sequence[Cell], n: int) -> tuple[np.ndarray, np.ndarray]:
-    """lo and hi of every cell as (cells, n) arrays."""
-    lo = np.array([c.lo for c in cells] or np.empty((0, n)), dtype=float)
-    hi = np.array([c.hi for c in cells] or np.empty((0, n)), dtype=float)
-    if lo.shape[1] != n:
-        raise TilingError(f"cells have dimension {lo.shape[1]}, the box has {n}")
-    if np.isnan(lo).any() or np.isnan(hi).any():
-        raise TilingError("cell bounds must not be NaN")
-    return lo, hi
+    @property
+    def components(self) -> int:
+        return self.coeffs.shape[1]
+
+    @property
+    def order(self) -> int:
+        return self.mis.m
+
+    @functools.cached_property
+    def cells(self) -> list[Cell]:
+        return [Cell(tuple(lo), tuple(hi)) for lo, hi in self.bounds.tolist()]
+
+    @functools.cached_property
+    def polys(self) -> list[list[TaylorPoly]]:
+        """polys[c][i-1]: component i's polynomial on cell c."""
+        return [[TaylorPoly(a, c, self.mis) for a, c in zip(anchors, coeffs)]
+                for anchors, coeffs in zip(self.anchors, self.coeffs)]
 
 
 def _snap_tol(domain: GridDomain) -> np.ndarray:
@@ -292,19 +232,21 @@ def _snap_tol(domain: GridDomain) -> np.ndarray:
 
 
 def _interior_ranges(
-    cells: Sequence[Cell], domain: GridDomain
+    cells: np.ndarray, domain: GridDomain
 ) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
-    """Index ranges [start, stop) of the strictly interior lattice points,
-    and the lattice axes they index.
+    """Index ranges [start, stop) of the strictly interior lattice points of
+    cells (C, 2, n), and the lattice axes they index.
 
     Along axis d the interior of a cell is lo + tol < a < hi - tol, with
     a = domain.axis(d), which GridDomain keeps strictly increasing, and
     tol = 1e-9 of the box width; start and stop are (cells, n) int arrays,
     and a cell with stop <= start on some axis holds no point.
     """
+    if np.shape(cells)[1:] != (2, domain.ndim):
+        raise TilingError(f"cells must have shape (cells, 2, {domain.ndim}) in this box")
     axes = [domain.axis(d) for d in range(domain.ndim)]
     tol = _snap_tol(domain)
-    lo, hi = _cell_bounds(cells, domain.ndim)
+    lo, hi = cells[:, 0], cells[:, 1]
     start = np.empty(lo.shape, dtype=int)
     stop = np.empty(lo.shape, dtype=int)
     for d, a in enumerate(axes):
@@ -334,9 +276,9 @@ def _paint(shape: tuple[int, ...], start: np.ndarray, stop: np.ndarray,
 
 
 def _classify_grid(
-    cells: Sequence[Cell], domain: GridDomain
+    cells: np.ndarray, domain: GridDomain
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(owner index per lattice point, boundary mask).
+    """(owner index per lattice point, boundary mask) of cells (C, 2, n).
 
     A point strictly inside exactly one cell is owned by it; a point within
     snapping tolerance of any covering cell's face is boundary. Overlapping
@@ -353,7 +295,7 @@ def _classify_grid(
     n = domain.ndim
     start, stop, axes = _interior_ranges(cells, domain)
     tol = _snap_tol(domain)
-    lo, hi = _cell_bounds(cells, n)
+    lo, hi = cells[:, 0], cells[:, 1]
     closed_lo = np.empty_like(start)
     closed_hi = np.empty_like(start)
     for d, a in enumerate(axes):
@@ -388,19 +330,20 @@ def _classify_grid(
     return owner, boundary
 
 
-def _check_tiling(cells: Sequence[Cell], lo: np.ndarray, hi: np.ndarray) -> None:
-    """Volumes sum to the box volume and no two cell interiors overlap.
+def _check_tiling(cells: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> None:
+    """Volumes of cells (C, 2, n) sum to the box volume and no two cell
+    interiors overlap.
 
     Exact for overlaps that hold no lattice point: the interiors are painted
     on the grid of distinct face coordinates per axis, where faces closer
     than 1e-12 of the box width count as one, and any count above 1 is an
     overlap.
     """
-    vol = sum(c.volume() for c in cells)
+    clo, chi = cells[:, 0], cells[:, 1]
+    vol = float(np.prod(chi - clo, axis=1).sum())
     box_vol = float(np.prod(hi - lo))
     if not math.isclose(vol, box_vol, rel_tol=1e-9):
         raise TilingError(f"cell volumes sum to {vol}, box volume is {box_vol}")
-    clo, chi = _cell_bounds(cells, len(lo))
     start = np.empty(clo.shape, dtype=int)
     stop = np.empty(clo.shape, dtype=int)
     shape = []
@@ -415,31 +358,25 @@ def _check_tiling(cells: Sequence[Cell], lo: np.ndarray, hi: np.ndarray) -> None
     if clash.size:
         p = clash[0]
         a, b = np.nonzero(np.all((start <= p) & (p < stop), axis=1))[0][:2]
-        raise TilingError(f"cells {cells[a]} and {cells[b]} have overlapping interiors")
+        raise TilingError(f"cells {a} {cells[a].tolist()} and {b} {cells[b].tolist()} "
+                          "have overlapping interiors")
 
 
-def assemble(
-    cells: Sequence[Cell],
-    polys: Sequence[Sequence[TaylorPoly]],
-    domain: GridDomain,
-) -> tuple[PiecewisePoly, GridDomain]:
-    """Glue per-cell polynomials; returns the assembly and the domain with
-    every cell-boundary lattice point marked as skeleton.
+def assemble(v: PiecewisePoly, domain: GridDomain) -> GridDomain:
+    """The domain with every cell-boundary lattice point of v marked as
+    skeleton.
 
     The cells must tile the box (volume sum and no overlapping interiors,
     see _check_tiling); the skeleton is the boundary mask of _classify_grid,
     the lattice points within snapping tolerance of some cell's face.
     """
-    if not cells:
+    if not len(v.bounds):
         raise TilingError("no cells supplied")
-    n = domain.ndim
-    K = len(polys[0])
-    mis = polys[0][0].mis
-    _check_tiling(cells, domain.lo, domain.hi)
-    _, boundary = _classify_grid(cells, domain)
-    marked = domain.with_skeleton(boundary)
-    v = PiecewisePoly(n, K, mis.m, list(cells), [list(ps) for ps in polys])
-    return v, marked
+    if v.space_dim != domain.ndim:
+        raise TilingError(f"cells have dimension {v.space_dim}, the box has {domain.ndim}")
+    _check_tiling(v.bounds, domain.lo, domain.hi)
+    _, boundary = _classify_grid(v.bounds, domain)
+    return domain.with_skeleton(boundary)
 
 
 def _gathered_jets(
@@ -469,15 +406,13 @@ def sample_jets(v: PiecewisePoly, domain: GridDomain) -> list[GridFunction]:
     (see _gathered_jets); skeleton points are filled by the normalize rule,
     so the outputs are normalize fixed points.
     """
-    owner, boundary = _classify_grid(v.cells, domain)
+    owner, boundary = _classify_grid(v.bounds, domain)
     if (boundary & ~domain.skeleton).any():
         raise ValueError("domain skeleton does not mark all cell-boundary points")
     idx = np.nonzero(~domain.skeleton)
     pts = np.stack([domain.axis(d)[idx[d]] for d in range(domain.ndim)], axis=1)
-    anchors = np.array([[p.anchor for p in ps] for ps in v.polys])
-    coeffs = np.array([[p.coeffs for p in ps] for ps in v.polys])
     out = []
-    for d in _gathered_jets(v.polys[0][0].mis, anchors, coeffs, owner[idx], pts):
+    for d in _gathered_jets(v.mis, v.anchors, v.coeffs, owner[idx], pts):
         values = np.zeros(domain.shape)
         values[idx] = d
         out.append(GridFunction(domain, skeleton_fill(domain, values), normalized=True))
@@ -489,25 +424,26 @@ def sample_jets(v: PiecewisePoly, domain: GridDomain) -> list[GridFunction]:
 
 
 def poly_to_dict(v: PiecewisePoly) -> dict:
-    mis = v.polys[0][0].mis if v.polys else MultiIndexSet(v.space_dim, v.order)
     return {
         "space_dim": v.space_dim,
         "components": v.components,
         "order": v.order,
-        "alphas": [list(a) for a in mis.alphas],
+        "alphas": [list(a) for a in v.mis.alphas],
         "cells": [
-            {
-                "lo": list(cell.lo),
-                "hi": list(cell.hi),
-                "polys": [
-                    {"anchor": [float(x) for x in p.anchor],
-                     "coeffs": [float(c) for c in p.coeffs]}
-                    for p in ps
-                ],
-            }
-            for cell, ps in zip(v.cells, v.polys)
+            {"lo": lo, "hi": hi,
+             "polys": [{"anchor": a, "coeffs": c} for a, c in zip(anchors, coeffs)]}
+            for (lo, hi), anchors, coeffs in zip(
+                v.bounds.tolist(), v.anchors.tolist(), v.coeffs.tolist())
         ],
     }
+
+
+def _float_rows(rows: list, width: int, what: str) -> np.ndarray:
+    """rows of a polynomial file as a (len(rows), width) float array."""
+    a = np.array(rows, dtype=float) if rows else np.empty((0, width))
+    if a.shape != (len(rows), width):
+        raise ValueError(f"every {what} must have {width} entries")
+    return a
 
 
 def poly_from_dict(data: dict) -> PiecewisePoly:
@@ -518,15 +454,17 @@ def poly_from_dict(data: dict) -> PiecewisePoly:
     stored = [tuple(a) for a in data["alphas"]]
     if stored != list(mis.alphas):
         raise ValueError("multi-index ordering in file does not match graded-lex")
-    cells = []
-    polys = []
-    for entry in data["cells"]:
-        cells.append(Cell(entry["lo"], entry["hi"]))
-        ps = entry["polys"]
-        if len(ps) != K:
-            raise ValueError("cell polynomial count does not match component count")
-        polys.append([TaylorPoly(p["anchor"], p["coeffs"], mis) for p in ps])
-    return PiecewisePoly(n, K, m, cells, polys)
+    entries = data["cells"]
+    if any(len(entry["polys"]) != K for entry in entries):
+        raise ValueError("cell polynomial count does not match component count")
+    lo = _float_rows([entry["lo"] for entry in entries], n, "cell lo")
+    hi = _float_rows([entry["hi"] for entry in entries], n, "cell hi")
+    polys = [p for entry in entries for p in entry["polys"]]
+    anchors = _float_rows([p["anchor"] for p in polys], n, "anchor")
+    coeffs = _float_rows([p["coeffs"] for p in polys], mis.count, "coefficient row")
+    C = len(entries)
+    return PiecewisePoly(np.stack([lo, hi], axis=1), anchors.reshape(C, K, n),
+                         coeffs.reshape(C, K, mis.count), mis)
 
 
 def write_poly_json(v: PiecewisePoly, path) -> None:

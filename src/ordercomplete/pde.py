@@ -19,7 +19,7 @@ import numpy as np
 
 from . import expr as ex
 from .grids import GridDomain, GridFunction, skeleton_fill
-from .jets import Jet, MultiIndexSet
+from .jets import MultiIndexSet
 
 
 @dataclass(eq=False)
@@ -96,9 +96,11 @@ class PdeSystem:
         return list(self._rhs_lattice[key])
 
 
-def apply_operator_point(sys: PdeSystem, x, jet: Jet) -> np.ndarray:
-    """All K operator values at one point for one jet."""
-    return np.array([ex.eval_point(Fj, x, jet) for Fj in sys.F])
+def apply_operator_point(sys: PdeSystem, x, jet) -> np.ndarray:
+    """All K operator values at one point for one flat jet (M,), in the
+    order of sys.flat_vars()."""
+    values = dict(zip(sys.flat_vars(), np.asarray(jet, dtype=float).tolist()))
+    return np.array([ex.eval_point(Fj, x, values) for Fj in sys.F])
 
 
 def apply_operator(sys: PdeSystem, jets: list[GridFunction]) -> list[GridFunction]:

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -43,16 +43,14 @@ from .grids import (
     skeleton_fill,
 )
 from .jets import (
-    Cell,
-    Jet,
     PiecewisePoly,
     TilingError,
+    _centers,
     _classify_grid,
     _gathered_jets,
     _interior_ranges,
     assemble,
     sample_jets,
-    taylor_poly,
 )
 from .pde import PdeSystem, apply_operator, check_assumption_open, eval_rows
 
@@ -104,16 +102,16 @@ def _stream(seed: int, *key: int) -> np.random.Generator:
     """The random stream of one draw site, a function of the run seed and
     the key alone: (PROBE, ci) for the openness probe at I-cell ci,
     (ANCHOR, n, ci) for the stage-n anchor solve there, (JCELL, n, ci,
-    *_cell_key(cell)) for a J-cell solve of stage n, and (GLOBAL, side,
-    *_cell_key(cell)) for the lower (side 0) or upper (1) jet of a
-    global-pair cell."""
+    *key) for a J-cell solve of stage n, and (GLOBAL, side, *key) for the
+    lower (side 0) or upper (1) jet of a global-pair cell, key being the
+    cell's row of _cell_key."""
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
 
 
-def _cell_key(cell: Cell) -> tuple[int, ...]:
-    """The bit patterns of a cell's lo and then hi bounds, as stream key
-    entries."""
-    return tuple(int(b) for b in np.array(cell.lo + cell.hi).view(np.uint64))
+def _cell_key(cells: np.ndarray) -> list[list[int]]:
+    """Per cell of cells (C, 2, n), the bit patterns of its lo and then hi
+    bounds, as stream key entries."""
+    return np.ascontiguousarray(cells).reshape(len(cells), -1).view(np.uint64).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +131,7 @@ class Tiling:
     hi: np.ndarray
     delta: float
     shape: tuple[int, ...]  # I-cells per axis; i_cells is this grid in C order
-    i_cells: list[Cell]
+    i_cells: np.ndarray  # (num_cells, 2, n), see jets.PiecewisePoly
     anchors: np.ndarray  # (num_cells, n), cell centers
     radii: np.ndarray | None = None
     jets: np.ndarray | None = None  # (num_cells, M), stage-1 anchor jets
@@ -196,18 +194,16 @@ def tile_domain(
     else:
         raise TilingError("subdivision did not reach the requested delta")
     edges = [np.linspace(lo[d], hi[d], counts[d] + 1) for d in range(n)]
-    cells = []
-    for idx in itertools.product(*(range(c) for c in counts)):
-        cells.append(Cell([edges[d][idx[d]] for d in range(n)],
-                          [edges[d][idx[d] + 1] for d in range(n)]))
-    anchors = np.stack([c.center for c in cells], axis=0)
+    idx = np.indices(counts).reshape(n, -1)  # C order, the last axis fastest
+    cells = np.stack([np.stack([edges[d][idx[d] + k] for d in range(n)], axis=1)
+                      for k in (0, 1)], axis=1)
+    anchors = _centers(cells)
     if domain is not None:
         empty = _empty_interiors(domain, cells)
         if empty.any():
             ci = int(np.argmax(empty))
-            raise TilingError(
-                f"I-cell {ci} at lo={cells[ci].lo} holds no interior lattice point"
-            )
+            raise TilingError(f"I-cell {ci} at lo={tuple(cells[ci, 0].tolist())} "
+                              "holds no interior lattice point")
     return Tiling(lo, hi, float(delta), tuple(int(c) for c in counts), cells, anchors)
 
 
@@ -218,8 +214,9 @@ def scheme_tiling(domain: GridDomain) -> Tiling:
     return tile_domain(domain.lo, domain.hi, delta, 2, domain)
 
 
-def _empty_interiors(domain: GridDomain, cells: list[Cell]) -> np.ndarray:
-    """Per cell, whether it holds no strictly interior lattice point."""
+def _empty_interiors(domain: GridDomain, cells: np.ndarray) -> np.ndarray:
+    """Per cell of cells (C, 2, n), whether it holds no strictly interior
+    lattice point."""
     start, stop, _ = _interior_ranges(cells, domain)
     return np.any(stop <= start, axis=1)
 
@@ -412,13 +409,11 @@ def jet_solve(
 # adaptive subdivision
 
 
-def _jets_at(sys: PdeSystem, jets: list[Jet], own: np.ndarray,
-             pts: np.ndarray) -> dict:
-    """Every flat jet variable at each point, on the Taylor polynomials of
-    the jet jets[own] of that point."""
-    anchors = np.array([[j.base_point] * sys.K for j in jets])
-    coeffs = np.array([j.values for j in jets])
-    return dict(zip(sys.flat_vars(), _gathered_jets(sys.mis, anchors, coeffs, own, pts)))
+def _cell_polys(sys: PdeSystem, cells: np.ndarray, jets: np.ndarray) -> PiecewisePoly:
+    """The Taylor polynomials of flat jets (C, M), one row per cell of
+    cells (C, 2, n), anchored at the cell centers."""
+    anchors = np.repeat(_centers(cells)[:, None], sys.K, axis=1)
+    return PiecewisePoly(cells, anchors, jets.reshape(len(cells), sys.K, -1), sys.mis)
 
 
 def _bracket_margins(
@@ -451,12 +446,12 @@ def _bracket_margins(
 
 
 def _interior_gather(
-    domain: GridDomain, cells: list[Cell]
+    domain: GridDomain, cells: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...], np.ndarray]:
-    """The strictly interior lattice points of every cell, cell by cell and
-    in C order within a cell: per-cell point counts, the owning cell and
-    lattice index tuple of each point, and its coordinates (npts, n). Same
-    index ranges as the ownership classifier."""
+    """The strictly interior lattice points of every cell of cells (C, 2, n),
+    cell by cell and in C order within a cell: per-cell point counts, the
+    owning cell and lattice index tuple of each point, and its coordinates
+    (npts, n). Same index ranges as the ownership classifier."""
     start, stop, axes = _interior_ranges(cells, domain)
     extent = np.maximum(stop - start, 0)
     counts = np.prod(extent, axis=1)
@@ -471,12 +466,13 @@ def _interior_gather(
     return counts, own, idx, pts
 
 
-def _generation_ok(sys: PdeSystem, domain: GridDomain, cells: list[Cell],
+def _generation_ok(sys: PdeSystem, domain: GridDomain, cells: np.ndarray,
                    brackets, band=None) -> np.ndarray:
-    """Per cell, whether lower < F(x, P) < upper holds strictly at each of
-    its strictly interior lattice points for every (jets, lower, upper) in
-    brackets, P the Taylor polynomials of the cell's jet and lower, upper
-    lists of lattice arrays; and, with band = (band_lo, band_hi) (cells, M),
+    """Per cell of cells (C, 2, n), whether lower < F(x, P) < upper holds
+    strictly at each of its strictly interior lattice points for every
+    (jets, lower, upper) in brackets, jets (C, M) the flat jet of each cell,
+    P its Taylor polynomials anchored at the cell center, and lower, upper
+    lists of lattice arrays; and, with band = (band_lo, band_hi) (C, M),
     whether every flat jet variable of P stays inside the cell's band row
     there. A fault of F fails the cell; a cell without interior points passes."""
     counts, own, idx, pts = _interior_gather(domain, cells)
@@ -487,7 +483,8 @@ def _generation_ok(sys: PdeSystem, domain: GridDomain, cells: list[Cell],
     starts = (np.cumsum(counts) - counts)[held]
     good = np.ones(len(starts), dtype=bool)
     for jets, lower, upper in brackets:
-        jv = _jets_at(sys, jets, own, pts)
+        v = _cell_polys(sys, cells, jets)
+        jv = dict(zip(sys.flat_vars(), _gathered_jets(sys.mis, v.anchors, v.coeffs, own, pts)))
         lo_m, hi_m = _bracket_margins(sys, jv, pts, [a[idx] for a in lower],
                                       [a[idx] for a in upper], starts)
         good &= (lo_m > 0.0) & (hi_m > 0.0)
@@ -499,54 +496,74 @@ def _generation_ok(sys: PdeSystem, domain: GridDomain, cells: list[Cell],
     return ok
 
 
-def _subdivide(work, solve, check, domain: GridDomain, max_cells: int, *,
-               stage: int | None = None) -> list[tuple[Cell, object]]:
-    """Accepted (cell, payload) pairs of an adaptive subdivision.
+def _children(cells: np.ndarray) -> np.ndarray:
+    """The 2^n congruent children of each cell of cells (C, 2, n), cell by
+    cell and in itertools.product((0, 1), repeat=n) corner order, as
+    (C * 2^n, 2, n): along axis d, corner 0 takes [lo, mid] and corner 1
+    [mid, hi], with mid = 0.5 (lo + hi)."""
+    n = cells.shape[2]
+    upper = np.array(list(itertools.product((False, True), repeat=n)))[None]
+    lo, hi = cells[:, None, 0], cells[:, None, 1]
+    mid = _centers(cells)[:, None]
+    return np.stack([np.where(upper, mid, lo), np.where(upper, hi, mid)],
+                    axis=2).reshape(-1, 2, n)
+
+
+def _subdivide(work: np.ndarray, solve, check, domain: GridDomain, max_cells: int, *,
+               stage: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """The accepted cells (C, 2, n) of an adaptive subdivision of the cells
+    work, in order of acceptance, and their payload rows.
 
     A generation (the cells pending at once) is solved in one call,
-    solve(cells) -> (payloads, failure): the payloads of the cells before
-    the first one that could not be solved, in order, and the error to
-    raise at that cell (None when every cell was solved). The solved cells
-    are checked in one call, check(cells, payloads) -> bool per cell; the
-    failed cells are split and their children, in order, form the next
-    generation. That accepts the cells of the first-in, first-out loop
-    that solves, checks and splits one cell at a time, and raises the same
-    error at the same cell: when more than max_cells cells accumulate, when
-    a cell cannot be solved, or when a child would hold no interior lattice
-    point. Errors name the stage, and a stranded child also the split
-    cell's lower corner. A solve draws from its cell's own stream (see
-    _stream), so solving a whole generation at once fixes no random draw.
+    solve(cells) -> (payloads, failure): one payload row for each cell
+    before the first one that could not be solved, in order, and the error
+    to raise at that cell (None when every cell was solved). The solved
+    cells are checked in one call, check(cells, payloads) -> bool per cell;
+    the failed cells are split (see _children) and their children, in
+    order, form the next generation. That accepts the cells of the
+    first-in, first-out loop that solves, checks and splits one cell at a
+    time, and raises the same error at the same cell: when more than
+    max_cells cells accumulate, when a cell cannot be solved, or when a
+    child would hold no interior lattice point. Errors name the stage, and
+    a stranded child also the split cell's lower corner. A solve draws from
+    its cell's own stream (see _stream), so solving a whole generation at
+    once fixes no random draw.
     """
-    done: list[tuple[Cell, object]] = []
-    gen = list(work)
-    while gen:
-        payloads, failure = solve(gen)
-        ok = check(gen[:len(payloads)], payloads)
-        split = [c.split() for c, good in zip(gen, ok) if not good]
-        stranded = []
-        if split:
-            stranded = _empty_interiors(domain, [k for ks in split for k in ks])
-            stranded = stranded.reshape(len(split), -1).any(axis=1)
-        rejected = zip(split, stranded)
-        nxt: list[Cell] = []
-        for i, c in enumerate(gen):
-            if len(done) + len(gen) - i - 1 + len(nxt) > max_cells:
-                raise ConstructionError(
-                    "cell budget exhausted while subdividing", stage=stage
-                )
-            if i == len(payloads):
+    cells, payloads = [], []
+    accepted = 0
+    gen = work
+    while len(gen):
+        load, failure = solve(gen)
+        solved = len(load)
+        ok = check(gen[:solved], load)
+        split = np.flatnonzero(~ok)
+        children = _children(gen[split])
+        width = 2 ** gen.shape[2]  # children per split cell
+        stranded = split[_empty_interiors(domain, children).reshape(len(split), width)
+                         .any(axis=1)]
+        # the one-cell loop reaches cell i with the cells before it accepted
+        # or split; there it checks the budget, then whether i was solved,
+        # then whether a child of i is stranded
+        reach = np.arange(min(len(gen), solved + 1))
+        took = np.zeros(len(reach), dtype=int)
+        took[:solved] = ok
+        took = np.cumsum(took) - took
+        held = accepted + took + len(gen) - reach - 1 + width * (reach - took)
+        over = np.flatnonzero(held > max_cells)
+        first_over = over[0] if over.size else len(gen)
+        first_stranded = stranded[0] if stranded.size else len(gen)
+        if min(first_over, solved, first_stranded) < len(gen):
+            if first_over <= min(solved, first_stranded):
+                raise ConstructionError("cell budget exhausted while subdividing", stage=stage)
+            if solved < first_stranded:
                 raise failure
-            if ok[i]:
-                done.append((c, payloads[i]))
-                continue
-            children, empty = next(rejected)
-            if empty:
-                raise ConstructionError(
-                    "bracket unattainable at grid resolution", stage=stage, cell=c.lo
-                )
-            nxt.extend(children)
-        gen = nxt
-    return done
+            raise ConstructionError("bracket unattainable at grid resolution", stage=stage,
+                                    cell=tuple(gen[first_stranded, 0].tolist()))
+        cells.append(gen[ok])
+        payloads.append(load[ok])
+        accepted += len(cells[-1])
+        gen = children
+    return np.concatenate(cells), np.concatenate(payloads)
 
 
 # ---------------------------------------------------------------------------
@@ -603,7 +620,7 @@ class GlobalPairResult:
     upper: PiecewisePoly
     domain: GridDomain
     certificate: ApEqCertificate
-    cells: list[Cell] = field(default_factory=list)
+    cells: np.ndarray  # (C, 2, n), the cells of lower and upper
 
 
 def global_pair(
@@ -627,40 +644,40 @@ def global_pair(
     below = [fj - eps for fj in f]
     above = [fj + eps for fj in f]
 
-    def solve(cells: list[Cell]):
-        # rows: the lower jets of the cells, then their upper jets
-        a = np.array([c.center for c in cells])
+    m = sys.unknown_count
+
+    def solve(cells: np.ndarray):
+        # rows: the lower jets of the cells, then their upper jets; a payload
+        # row is a cell's lower jet, then its upper jet
+        a = _centers(cells)
         f0 = _rhs_rows(sys, a)
+        keys = _cell_key(cells)
         count = len(cells)
         failure = None
         try:
             flat = jet_solve(sys, np.concatenate([a, a]),
                              np.concatenate([f0 - 0.5 * eps, f0 + 0.5 * eps]),
                              stream=lambda row: _stream(seed, GLOBAL, row // len(cells),
-                                                        *_cell_key(cells[row % len(cells)])))
+                                                        *keys[row % len(cells)]))
         except NoSolutionError as e:
             flat = e.jets
             sides = e.failed.reshape(2, -1)
             count = int(np.argmax(sides.any(axis=0)))
             row = count if sides[0, count] else len(cells) + count
             failure = ConstructionError(f"anchor jet unsolvable: {e.about(row)}",
-                                        cell=cells[count].lo)
-        pairs = [(Jet.from_flat(a[i], sys.K, sys.mis, flat[i]),
-                  Jet.from_flat(a[i], sys.K, sys.mis, flat[len(cells) + i]))
-                 for i in range(count)]
-        return pairs, failure
+                                        cell=tuple(cells[count, 0].tolist()))
+        return np.concatenate([flat[:count], flat[len(cells):len(cells) + count]],
+                              axis=1), failure
 
-    def check(cells: list[Cell], pairs: list[tuple[Jet, Jet]]) -> np.ndarray:
+    def check(cells: np.ndarray, pairs: np.ndarray) -> np.ndarray:
         return _generation_ok(sys, domain, cells, [
-            ([lo for lo, _ in pairs], below, f),
-            ([hi for _, hi in pairs], f, above),
-        ])
+            (pairs[:, :m], below, f), (pairs[:, m:], f, above)])
 
-    done = _subdivide([Cell(domain.lo, domain.hi)], solve, check, domain, max_cells)
-    cells = [c for c, _ in done]
-    u_poly, marked = assemble(cells, [taylor_poly(lo) for _, (lo, _) in done], domain)
-    v_poly = PiecewisePoly(u_poly.space_dim, u_poly.components, u_poly.order, cells,
-                           [taylor_poly(hi) for _, (_, hi) in done])
+    box = np.stack([domain.lo, domain.hi])[None]
+    cells, pairs = _subdivide(box, solve, check, domain, max_cells)
+    u_poly = _cell_polys(sys, cells, pairs[:, :m])
+    v_poly = _cell_polys(sys, cells, pairs[:, m:])
+    marked = assemble(u_poly, domain)
     cert = apeq_certificate(sys, sample_jets(u_poly, marked),
                             sample_jets(v_poly, marked), eps)
     return GlobalPairResult(u_poly, v_poly, marked, cert, cells)
@@ -767,7 +784,7 @@ class RefinementStage:
     band_lo: np.ndarray  # (num_i_cells, M)
     band_hi: np.ndarray
     i_jets: np.ndarray  # (num_i_cells, M)
-    j_cells: list[list[Cell]]  # per I-cell
+    j_cells: list[np.ndarray]  # per I-cell, its J-cells (k, 2, n)
     eq1: Eq1Certificate
     eq2: Eq2Certificate
     eq3: Eq3Certificate
@@ -779,7 +796,7 @@ class RefinementStage:
 
 def _band_functions(
     band_lo: np.ndarray, band_hi: np.ndarray, domain: GridDomain,
-    i_cells: list[Cell],
+    i_cells: np.ndarray,
 ) -> list[tuple[GridFunction, GridFunction]]:
     """Render a stage's (band_lo, band_hi) as step GridFunctions, one
     (lower, upper) pair per flat jet variable.
@@ -805,7 +822,7 @@ def _band_functions(
 
 
 def stage_certificates(
-    sys: PdeSystem, v: PiecewisePoly, domain: GridDomain, i_cells: list[Cell],
+    sys: PdeSystem, v: PiecewisePoly, domain: GridDomain, i_cells: np.ndarray,
     radii, band_lo: np.ndarray, band_hi: np.ndarray,
     prev_bands: tuple[np.ndarray, np.ndarray] | None, n: int, gamma: float,
 ) -> tuple[tuple[Eq1Certificate, Eq2Certificate, Eq3Certificate], tuple]:
@@ -846,6 +863,31 @@ def check_anchor_jets(
     return solves, inside
 
 
+def stage_bands(
+    i_jets: np.ndarray, radii, prev_bands: tuple[np.ndarray, np.ndarray] | None, n: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The stage-n bands (band_lo, band_hi) (num_i_cells, M) around the
+    anchor jets i_jets: half-width (2 r/n)(15/16) for the I-cell's radius r,
+    clipped inside prev_bands, the previous stage's (band_lo, band_hi)
+    (None at stage 1), by half their inner-box margin w/8 (see
+    _inner_boxes). `refine` builds its bands here and `cli.verify`
+    recomputes the stored ones. Raises ConstructionError at the first
+    I-cell whose clipped band is empty."""
+    hw = (2.0 * np.asarray(radii, dtype=float) / n) * (15.0 / 16.0)
+    band_lo = i_jets - hw[:, None]
+    band_hi = i_jets + hw[:, None]
+    if prev_bands is not None:
+        prev_lo, prev_hi = prev_bands
+        margin = (prev_hi - prev_lo) / 8.0
+        band_lo = np.maximum(band_lo, prev_lo + 0.5 * margin)
+        band_hi = np.minimum(band_hi, prev_hi - 0.5 * margin)
+    empty = np.any(band_lo >= band_hi, axis=1)
+    if empty.any():
+        raise ConstructionError("clipped band is empty; previous bands too narrow",
+                                stage=n, cell=int(np.argmax(empty)))
+    return band_lo, band_hi
+
+
 def refine(
     sys: PdeSystem,
     domain: GridDomain,
@@ -858,10 +900,10 @@ def refine(
     max_cells: int = 100_000,
 ) -> RefinementStage:
     """Build stage n: anchor jets at target f - gamma/(2n), bands of
-    halfwidth (2 eps/n)(15/16) clipped strictly inside the previous bands,
-    and all J-cells of the stage subdivided in one loop (see _subdivide,
-    max_cells bounds the stage) until the EQ1 bracket and band containment
-    hold at every interior lattice point.
+    halfwidth (2 eps/n)(15/16) clipped strictly inside the previous bands
+    (see stage_bands), and all J-cells of the stage subdivided in one loop
+    (see _subdivide, max_cells bounds the stage) until the EQ1 bracket and
+    band containment hold at every interior lattice point.
 
     Stage 1 takes its anchor jets from the tiling, where the openness probe
     left them (see run_scheme); a later stage solves them inside the
@@ -885,11 +927,11 @@ def refine(
             f"{what} jet unsolvable (openness radius overestimated?): {e}",
             stage=n, cell=ci)
 
+    prev_bands = None if prev is None else (prev.band_lo, prev.band_hi)
     if prev is None:
         i_jets = tiling.jets
     else:
-        margin = (prev.band_hi - prev.band_lo) / 8.0
-        i_boxes = _inner_boxes(prev.band_lo, prev.band_hi)
+        i_boxes = _inner_boxes(*prev_bands)
         try:
             i_jets = jet_solve(sys, tiling.anchors,
                                _stage_targets(sys, tiling.anchors, gamma, n),
@@ -897,16 +939,7 @@ def refine(
                                stream=functools.partial(_stream, seed, ANCHOR, n))
         except NoSolutionError as e:
             raise unsolvable("anchor", e, e.row) from e
-    hw = (2.0 * tiling.radii / n) * (15.0 / 16.0)
-    band_lo = i_jets - hw[:, None]
-    band_hi = i_jets + hw[:, None]
-    if prev is not None:
-        band_lo = np.maximum(band_lo, prev.band_lo + 0.5 * margin)
-        band_hi = np.minimum(band_hi, prev.band_hi - 0.5 * margin)
-    empty = np.any(band_lo >= band_hi, axis=1)
-    if empty.any():
-        raise ConstructionError("clipped band is empty; previous bands too narrow",
-                                stage=n, cell=int(np.argmax(empty)))
+    band_lo, band_hi = stage_bands(i_jets, tiling.radii, prev_bands, n)
     j_boxes = _inner_boxes(band_lo, band_hi)
     if prev is not None:
         j_boxes[..., 0] = np.maximum(j_boxes[..., 0], i_boxes[..., 0])
@@ -916,37 +949,38 @@ def refine(
             raise ConstructionError("J-cell constraint box is empty",
                                     stage=n, cell=int(np.argmax(empty)))
 
-    def solve(jcells: list[Cell]):
-        centers = np.array([c.center for c in jcells])
+    def solve(jcells: np.ndarray):
+        centers = _centers(jcells)
         own = tiling.index_of(centers)
+        keys = _cell_key(jcells)
         count = len(jcells)
         failure = None
         try:
             flat = jet_solve(sys, centers, _stage_targets(sys, centers, gamma, n),
                              i_jets[own], j_boxes[own],
                              stream=lambda row: _stream(seed, JCELL, n, int(own[row]),
-                                                        *_cell_key(jcells[row])))
+                                                        *keys[row]))
         except NoSolutionError as e:
             flat, count = e.jets, e.row
             failure = unsolvable("constrained", e, int(own[e.row]))
-        return [(int(own[k]), Jet.from_flat(centers[k], sys.K, sys.mis, flat[k]))
-                for k in range(count)], failure
+        return flat[:count], failure
 
-    def check(jcells: list[Cell], solved: list[tuple[int, Jet]]) -> np.ndarray:
-        own = [ci for ci, _ in solved]
-        return _generation_ok(sys, domain, jcells, [([jj for _, jj in solved], below, f)],
+    def check(jcells: np.ndarray, jets: np.ndarray) -> np.ndarray:
+        own = tiling.index_of(_centers(jcells))
+        return _generation_ok(sys, domain, jcells, [(jets, below, f)],
                               band=(band_lo[own], band_hi[own]))
 
-    work = tiling.i_cells if prev is None else [c for cs in prev.j_cells for c in cs]
-    done = _subdivide(work, solve, check, domain, max_cells, stage=n)
-    done.sort(key=lambda d: d[1][0])  # stable: by I-cell, in order of acceptance
-    j_cells = [[c for c, _ in group]
-               for _, group in itertools.groupby(done, key=lambda d: d[1][0])]
-    v_poly, marked = assemble([c for c, _ in done],
-                              [taylor_poly(jj) for _, (_, jj) in done], domain)
+    work = tiling.i_cells if prev is None else np.concatenate(prev.j_cells)
+    cells, jets = _subdivide(work, solve, check, domain, max_cells, stage=n)
+    own = tiling.index_of(_centers(cells))
+    order = np.argsort(own, kind="stable")  # by I-cell, in order of acceptance
+    cells, jets, own = cells[order], jets[order], own[order]
+    j_cells = np.split(cells, np.flatnonzero(np.diff(own)) + 1)
+    v_poly = _cell_polys(sys, cells, jets)
+    marked = assemble(v_poly, domain)
     (eq1, eq2, eq3), samples = stage_certificates(
         sys, v_poly, marked, tiling.i_cells, tiling.radii, band_lo, band_hi,
-        None if prev is None else (prev.band_lo, prev.band_hi), n, gamma)
+        prev_bands, n, gamma)
     return RefinementStage(
         n=n, gamma=float(gamma), v=v_poly, domain=marked,
         band_lo=band_lo, band_hi=band_hi, i_jets=i_jets, j_cells=j_cells,
@@ -1109,9 +1143,13 @@ def run_scheme(
             f"stage-1 anchor jet unsolvable (interior assumption violated?): {e}",
             stage=1, cell=e.row)
     # the anchors before an unsolvable one are probed first
+    # the half-diagonal of each cell: sqrt(w . w) one row at a time, as
+    # np.linalg.norm(w) computes it, bit for bit (a norm along axis 1 rounds
+    # differently on some rows)
+    w = tiling.i_cells[:count, 1] - tiling.i_cells[:count, 0]
     probed = check_assumption_open(
         sys, tiling.anchors[:count], jets[:count],
-        [c.diameter() / 2.0 for c in tiling.i_cells[:count]], eps_max,
+        np.sqrt((w[:, None, :] @ w[:, :, None])[:, 0, 0]) / 2.0, eps_max,
         stream=functools.partial(_stream, seed, PROBE), target=targets[:count],
     )
     radii = np.zeros(len(tiling.i_cells))

@@ -32,7 +32,7 @@ from ordercomplete.grids import (
     normalize,
     quasi_uniform_check,
 )
-from ordercomplete.jets import Jet, MultiIndexSet, deriv_eval, sample_jets, taylor_poly
+from ordercomplete.jets import MultiIndexSet, TaylorPoly, deriv_eval, sample_jets
 from ordercomplete.pde import PdeSystem, apply_operator
 from ordercomplete.solver import global_pair, run_scheme
 
@@ -164,7 +164,7 @@ def test_criterion_3_jet_exactness():
         mis = MultiIndexSet(n, m)
         x0 = rng.uniform(-2.0, 2.0, n)
         vals = rng.uniform(-10.0, 10.0, (1, mis.count))
-        (p,) = taylor_poly(Jet(x0, vals, mis))
+        p = TaylorPoly(x0, vals[0], mis)
         for k, alpha in enumerate(mis.alphas):
             want = vals[0, k]
             got = deriv_eval(p, alpha, x0)

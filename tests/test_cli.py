@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from ordercomplete.cli import RunConfig, load_spec, main, run_pipeline, verify
@@ -597,6 +598,97 @@ def test_verify_detects_overlapping_j_cells(run_dir, tmp_path, capsys):
     assert verify(copy) == 2
     out = capsys.readouterr().out
     assert "artifact inconsistency" in out and "overlapping interiors" in out
+
+
+@pytest.fixture(scope="module")
+def demo_dir(tmp_path_factory):
+    # every openness radius of this run sits at the eps_max cap of 1.0
+    out = tmp_path_factory.mktemp("demo") / "out"
+    assert main(["run", str(DEMOS / "manufactured_1d.spec"), "--gamma", "0.2",
+                 "--stages", "3", "--no-samples", "--out", str(out)]) == 0
+    return out
+
+
+def _tampered(run, tmp_path, name, tamper):
+    """A copy of a run directory with one JSON artifact changed in place."""
+    copy = tmp_path / "tampered"
+    shutil.copytree(run, copy)
+    data = json.loads((copy / name).read_text())
+    tamper(data)
+    (copy / name).write_text(json.dumps(data))
+    return copy
+
+
+def _three_cells_one_moved(cert):
+    cells = cert["global_pair"]["cells"][:3]
+    cells[1] = {"lo": [cells[1]["lo"][0] + 0.01], "hi": [cells[1]["hi"][0] + 0.01]}
+    cert["global_pair"]["cells"] = cells
+
+
+def _nudge_upper_face(poly):
+    # the face between the first two cells of the upper file moves by far
+    # less than the lattice's snapping tolerance: same skeleton, same samples
+    left, right = poly["cells"][:2]
+    assert left["hi"] == right["lo"]
+    left["hi"] = right["lo"] = [left["hi"][0] * (1 + 1e-12)]
+
+
+@pytest.mark.parametrize("name, tamper, message", [
+    ("certificate.json", _three_cells_one_moved, "global_pair.cells"),
+    ("global_upper.json", _nudge_upper_face, "global_pair: the upper polynomial file's cells"),
+], ids=["three_cells_one_moved", "nudged_upper_face"])
+def test_verify_compares_global_pair_cells(demo_dir, tmp_path, capsys, name, tamper, message):
+    # no certificate reads these cells: verify compares them exactly with
+    # the cells of the lower polynomial file
+    copy = _tampered(demo_dir, tmp_path, name, tamper)
+    assert verify(copy) == 2
+    out = capsys.readouterr().out
+    assert f"MISMATCH {message}" in out
+    assert "verify: FAILED" in out
+
+
+def _double_radii(cert):
+    # every derived block that reads the radii is recomputed to match them
+    from ordercomplete.solver import band_tolerance, eq3_certificate
+
+    t = cert["tiling"]
+    t["radii"] = [2.0 * r for r in t["radii"]]
+    cert["assumption"]["openness_radii"] = list(t["radii"])
+    for s in cert["stages"]:
+        eq3 = eq3_certificate(t["radii"], np.array(s["band_lo"]), np.array(s["band_hi"]),
+                              s["n"])
+        s["eq3"] = {"passed": eq3.passed, "max_ratio": eq3.max_ratio,
+                    "widths": [list(w) for w in eq3.widths]}
+    tol = band_tolerance(t["radii"], len(cert["stages"]))
+    cert["config"]["band_tol"] = tol
+    for band in cert["order_convergence"]["bands"].values():
+        band["tol"] = tol
+        band["passed"] = band["chain_ok"] and band["sup_gap"] < tol and band["inf_gap"] < tol
+
+
+def test_verify_checks_radii_against_eps_max(demo_dir, tmp_path, capsys):
+    assert all(r == 1.0 for r in json.loads(
+        (demo_dir / "certificate.json").read_text())["tiling"]["radii"])
+    copy = _tampered(demo_dir, tmp_path, "certificate.json", _double_radii)
+    assert verify(copy) == 2
+    out = capsys.readouterr().out
+    assert "MISMATCH tiling.radii: radius 0 is 2.0, outside (0, eps_max=1.0]" in out
+    assert "verify: FAILED" in out
+
+
+def _shift_band_row(cert):
+    # within every stored certificate's relative tolerance of 1e-9
+    s = cert["stages"][0]
+    for key in ("band_lo", "band_hi"):
+        s[key][0] = [v + 1e-12 * max(1.0, abs(v)) for v in s[key][0]]
+
+
+def test_verify_recomputes_the_bands(demo_dir, tmp_path, capsys):
+    copy = _tampered(demo_dir, tmp_path, "certificate.json", _shift_band_row)
+    assert verify(copy) == 2
+    out = capsys.readouterr().out
+    assert "MISMATCH stage1.band_lo: stored bands differ" in out
+    assert "MISMATCH stage1.band_hi: stored bands differ" in out
 
 
 def test_verify_rejects_missing_or_foreign_dir(tmp_path, capsys):

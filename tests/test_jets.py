@@ -9,10 +9,11 @@ import pytest
 from ordercomplete.grids import GridDomain, is_nowhere_dense, normalize
 from ordercomplete.jets import (
     Cell,
-    Jet,
     MultiIndexSet,
+    PiecewisePoly,
     TaylorPoly,
     TilingError,
+    _centers,
     _check_tiling,
     _classify_grid,
     assemble,
@@ -22,9 +23,10 @@ from ordercomplete.jets import (
     poly_to_dict,
     read_poly_json,
     sample_jets,
-    taylor_poly,
     write_poly_json,
 )
+from ordercomplete.pde import PdeSystem
+from ordercomplete.solver import _cell_polys, _children
 
 
 # ---------------------------------------------------------------------------
@@ -54,14 +56,18 @@ def test_index_lookup_and_membership():
 
 
 def test_jet_accessors_and_flat_round_trip():
-    mis = MultiIndexSet(1, 1)
-    jet = Jet([0.5], [[1.0, 2.0], [3.0, 4.0]], mis)
-    assert jet.K == 2
-    assert jet[(1, (0,))] == 1.0 and jet[(2, (1,))] == 4.0
-    back = Jet.from_flat([0.5], 2, mis, jet.flat())
-    assert np.array_equal(back.values, jet.values)
-    with pytest.raises(ValueError):
-        Jet([0.5], [[np.inf, 0.0]], mis)
+    # a flat jet row (component-major, graded-lex within) is written into the
+    # coefficient array as is, anchored at its cell's center
+    sys2 = PdeSystem(1, 2, 1, ["u[1,(1)]", "u[2,(1)]"], ["0", "0"], [0.0], [1.0])
+    cells = np.array([[[0.0], [0.5]], [[0.5], [1.0]]])
+    flat = np.array([[1.0, 2.0, 3.0, 4.0], [5.0, 6.0, 7.0, 8.0]])
+    v = _cell_polys(sys2, cells, flat)
+    assert (v.space_dim, v.components, v.order) == (1, 2, 1)
+    assert np.array_equal(v.coeffs.reshape(2, -1), flat)
+    assert np.array_equal(v.anchors, [[[0.25], [0.25]], [[0.75], [0.75]]])
+    for c, i, alpha in itertools.product(range(2), (1, 2), sys2.mis.alphas):
+        k = sys2.flat_vars().index((i, alpha))
+        assert deriv_eval(v.polys[c][i - 1], alpha, _centers(cells)[c]) == flat[c, k]
 
 
 # ---------------------------------------------------------------------------
@@ -70,8 +76,7 @@ def test_jet_accessors_and_flat_round_trip():
 
 def test_taylor_1d_quadratic():
     mis = MultiIndexSet(1, 2)
-    jet = Jet([0.0], [[1.0, 2.0, 6.0]], mis)
-    (p,) = taylor_poly(jet)
+    p = TaylorPoly([0.0], [1.0, 2.0, 6.0], mis)
     # P(x) = 1 + 2x + 3x^2
     for x in (-1.0, 0.0, 0.5, 2.0):
         assert p.value([x]) == pytest.approx(1.0 + 2.0 * x + 3.0 * x * x, rel=1e-15)
@@ -81,7 +86,7 @@ def test_taylor_1d_quadratic():
 
 def test_taylor_zero_jet_is_zero():
     mis = MultiIndexSet(2, 2)
-    (p,) = taylor_poly(Jet([0.0, 0.0], np.zeros((1, mis.count)), mis))
+    p = TaylorPoly([0.0, 0.0], np.zeros(mis.count), mis)
     rng = np.random.default_rng(3)
     pts = rng.uniform(-2, 2, size=(20, 2))
     assert np.all(p.deriv_many((0, 0), pts) == 0.0)
@@ -91,8 +96,7 @@ def test_taylor_2d_plane_fd_oracle():
     # P(x,y) = 2(x-1) - (y-1); both partials checked by central differences
     mis = MultiIndexSet(2, 1)
     assert mis.alphas == ((0, 0), (0, 1), (1, 0))
-    jet = Jet([1.0, 1.0], [[0.0, -1.0, 2.0]], mis)
-    (p,) = taylor_poly(jet)
+    p = TaylorPoly([1.0, 1.0], [0.0, -1.0, 2.0], mis)
     assert p.value([2.0, 3.0]) == pytest.approx(2.0 - 2.0)
     h = 1e-6
     fd_x = (p.value([1.0 + h, 1.0]) - p.value([1.0 - h, 1.0])) / (2 * h)
@@ -138,7 +142,7 @@ def test_jet_matching_exact_at_anchor():
         mis = MultiIndexSet(n, m)
         x0 = rng.uniform(-2, 2, n)
         vals = rng.uniform(-10, 10, (1, mis.count))
-        (p,) = taylor_poly(Jet(x0, vals, mis))
+        p = TaylorPoly(x0, vals[0], mis)
         for k, alpha in enumerate(mis.alphas):
             got = deriv_eval(p, alpha, x0)
             want = vals[0, k]
@@ -149,34 +153,69 @@ def test_jet_matching_exact_at_anchor():
 # cells
 
 
+def _reference_split(cell):
+    """The per-cell dyadic split the broadcast children replaced."""
+    lo, hi = cell
+    mids = 0.5 * (lo + hi)
+    return [np.array([[lo[d] if c == 0 else mids[d] for d, c in enumerate(corner)],
+                      [mids[d] if c == 0 else hi[d] for d, c in enumerate(corner)]])
+            for corner in itertools.product((0, 1), repeat=len(lo))]
+
+
 def test_cell_geometry_and_split():
-    c = Cell([0.0, 0.0], [1.0, 2.0])
-    assert np.array_equal(c.center, [0.5, 1.0])
-    assert c.volume() == 2.0
-    assert c.diameter() == pytest.approx(math.sqrt(5.0))
-    kids = c.split()
-    assert len(kids) == 4
-    assert sum(k.volume() for k in kids) == pytest.approx(c.volume())
-    for k in kids:
-        assert np.all(np.asarray(k.lo) >= 0.0) and np.all(np.asarray(k.hi) <= 2.0)
-    with pytest.raises(ValueError):
-        Cell([0.0], [0.0])
+    c = np.array([[[0.0, 0.0], [1.0, 2.0]]])
+    assert np.array_equal(_centers(c), [[0.5, 1.0]])
+    kids = _children(c)
+    # corner order of itertools.product((0, 1), repeat=2): the last axis fastest
+    assert np.array_equal(kids[:, 0], [[0.0, 0.0], [0.0, 1.0], [0.5, 0.0], [0.5, 1.0]])
+    assert np.array_equal(kids[:, 1], [[0.5, 1.0], [0.5, 2.0], [1.0, 1.0], [1.0, 2.0]])
+    _check_tiling(kids, c[0, 0], c[0, 1])  # the children tile their parent
+    rng = np.random.default_rng(4)
+    for n in (1, 2, 3):
+        lo = rng.uniform(-3.0, 3.0, (5, n))
+        cells = np.stack([lo, lo + rng.uniform(1e-3, 2.0, (5, n))], axis=1)
+        want = [k for cell in cells for k in _reference_split(cell)]
+        assert np.array_equal(_children(cells), want)
+
+
+def _poly_file(**change):
+    """A one-cell K = 1, n = 1, m = 1 polynomial file, with entries changed."""
+    cell = {"lo": [0.0], "hi": [1.0], "polys": [{"anchor": [0.5], "coeffs": [1.0, 2.0]}]}
+    cell.update(change)
+    return {"space_dim": 1, "components": 1, "order": 1, "alphas": [[0], [1]],
+            "cells": [cell]}
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"hi": [1.0, 2.0]}, "cell hi"),
+    ({"hi": [0.0]}, "empty extent"),
+    ({"lo": [None]}, "NaN"),
+    ({"polys": [{"anchor": [0.5, 0.5], "coeffs": [1.0, 2.0]}]}, "anchor"),
+    ({"polys": [{"anchor": [0.5], "coeffs": [1.0]}]}, "coefficient"),
+    ({"polys": []}, "polynomial count"),
+], ids=["lo_hi_lengths", "empty_extent", "nan", "anchor_size", "coeff_size", "poly_count"])
+def test_poly_from_dict_rejects_malformed_cells(change, message):
+    assert poly_from_dict(_poly_file()).cells == [Cell((0.0,), (1.0,))]
+    with pytest.raises(ValueError, match=message):
+        poly_from_dict(_poly_file(**change))
 
 
 # ---------------------------------------------------------------------------
 # assembly and sampling
 
 
-def _const_poly(mis, c):
-    coeffs = np.zeros(mis.count)
-    coeffs[0] = c
-    return TaylorPoly(np.zeros(mis.n), coeffs, mis)
+def _const_polys(mis, cells, consts):
+    """One constant polynomial per cell of cells (C, 2, n), anchored at 0."""
+    coeffs = np.zeros((len(cells), 1, mis.count))
+    coeffs[:, 0, 0] = consts
+    return PiecewisePoly(np.asarray(cells, dtype=float), np.zeros((len(cells), 1, mis.n)),
+                         coeffs, mis)
 
 
 def test_assemble_single_cell_boundary_skeleton():
     mis = MultiIndexSet(1, 1)
     dom = GridDomain([0.0], [1.0], (9,))
-    v, marked = assemble([Cell([0.0], [1.0])], [[_const_poly(mis, 2.0)]], dom)
+    marked = assemble(_const_polys(mis, [[[0.0], [1.0]]], [2.0]), dom)
     expect = np.zeros(9, dtype=bool)
     expect[0] = expect[-1] = True
     assert np.array_equal(marked.skeleton, expect)
@@ -185,9 +224,8 @@ def test_assemble_single_cell_boundary_skeleton():
 def test_assemble_two_cell_step():
     mis = MultiIndexSet(1, 1)
     dom = GridDomain([-1.0], [1.0], (9,))
-    cells = [Cell([-1.0], [0.0]), Cell([0.0], [1.0])]
-    polys = [[_const_poly(mis, 0.0)], [_const_poly(mis, 1.0)]]
-    v, marked = assemble(cells, polys, dom)
+    v = _const_polys(mis, [[[-1.0], [0.0]], [[0.0], [1.0]]], [0.0, 1.0])
+    marked = assemble(v, dom)
     # jump point, plus the outer box boundary
     assert marked.skeleton[4] and marked.skeleton[0] and marked.skeleton[-1]
     assert marked.skeleton.sum() == 3
@@ -203,42 +241,42 @@ def test_assemble_two_cell_step():
 def test_assemble_dyadic_2x2_cross():
     mis = MultiIndexSet(2, 1)
     dom = GridDomain([0.0, 0.0], [1.0, 1.0], (9, 9))
-    base = Cell([0.0, 0.0], [1.0, 1.0])
-    cells = base.split()
-    polys = [[_const_poly(mis, float(k))] for k in range(4)]
-    v, marked = assemble(cells, polys, dom)
-    skel = marked.skeleton
+    cells = _children(np.array([[[0.0, 0.0], [1.0, 1.0]]]))
+    v = _const_polys(mis, cells, np.arange(4.0))
+    skel = assemble(v, dom).skeleton
     # interior cross at index 4, full frame at the box boundary
     assert skel[4, :].all() and skel[:, 4].all()
     assert skel[0, :].all() and skel[-1, :].all()
     assert skel[:, 0].all() and skel[:, -1].all()
     assert is_nowhere_dense(skel)
-    for s in sample_jets(v, marked):
+    for s in sample_jets(v, dom.with_skeleton(skel)):
         assert np.array_equal(s.values, normalize(s).values)
 
 
 def test_assemble_rejects_overlap_and_gap():
     mis = MultiIndexSet(1, 1)
     dom = GridDomain([0.0], [1.0], (9,))
-    p = [[_const_poly(mis, 0.0)], [_const_poly(mis, 1.0)]]
     with pytest.raises(TilingError):
-        assemble([Cell([0.0], [0.7]), Cell([0.5], [1.0])], p, dom)
+        assemble(_const_polys(mis, [[[0.0], [0.7]], [[0.5], [1.0]]], [0.0, 1.0]), dom)
     with pytest.raises(TilingError):
-        assemble([Cell([0.0], [0.25]), Cell([0.5], [1.0])], p, dom)
+        assemble(_const_polys(mis, [[[0.0], [0.25]], [[0.5], [1.0]]], [0.0, 1.0]), dom)
     # volumes sum to 1 and the overlap [0.26, 0.3] holds no lattice point
-    sliver = [Cell([0.0], [0.5]), Cell([0.26], [0.3]), Cell([0.54], [1.0])]
+    sliver = [[[0.0], [0.5]], [[0.26], [0.3]], [[0.54], [1.0]]]
     with pytest.raises(TilingError, match="overlapping interiors"):
-        assemble(sliver, p + [[_const_poly(mis, 2.0)]], dom)
+        assemble(_const_polys(mis, sliver, [0.0, 1.0, 2.0]), dom)
 
 
 def test_empty_cell_list_is_a_tiling_error():
     dom = GridDomain([0.0, 0.0], [1.0, 1.0], (5, 5))
+    empty = np.empty((0, 2, 2))
     with pytest.raises(TilingError):
-        assemble([], [], dom)
+        assemble(_const_polys(MultiIndexSet(2, 1), empty, []), dom)
+    with pytest.raises(TilingError):
+        _classify_grid(empty, dom)
     with pytest.raises(TilingError):
         _classify_grid([], dom)
     with pytest.raises(TilingError):
-        _check_tiling([], dom.lo, dom.hi)
+        _check_tiling(empty, dom.lo, dom.hi)
 
 
 # ---------------------------------------------------------------------------
@@ -259,14 +297,14 @@ def _reference_classify(cells, domain):
             out = out[..., None] & m
         return out
 
-    for ci, cell in enumerate(cells):
-        inside = outer_and([(axes[d] > cell.lo[d] + tol[d]) & (axes[d] < cell.hi[d] - tol[d])
+    for ci, (lo, hi) in enumerate(cells):
+        inside = outer_and([(axes[d] > lo[d] + tol[d]) & (axes[d] < hi[d] - tol[d])
                             for d in range(n)])
-        closed = outer_and([(axes[d] >= cell.lo[d] - tol[d]) & (axes[d] <= cell.hi[d] + tol[d])
+        closed = outer_and([(axes[d] >= lo[d] - tol[d]) & (axes[d] <= hi[d] + tol[d])
                             for d in range(n)])
         near_any = np.zeros(domain.shape, dtype=bool)
         for d in range(n):
-            m = (np.abs(axes[d] - cell.lo[d]) <= tol[d]) | (np.abs(axes[d] - cell.hi[d]) <= tol[d])
+            m = (np.abs(axes[d] - lo[d]) <= tol[d]) | (np.abs(axes[d] - hi[d]) <= tol[d])
             near_any |= m[tuple(slice(None) if e == d else None for e in range(n))]
         if (inside & (owner >= 0)).any():
             raise TilingError("overlapping cell interiors")
@@ -281,14 +319,15 @@ def _reference_classify(cells, domain):
 
 
 def _reference_check_tiling(cells, lo, hi):
-    """The pairwise O(cells^2) overlap test the face-grid painting replaced."""
-    vol = sum(c.volume() for c in cells)
+    """The per-cell volume sum and the pairwise O(cells^2) overlap test the
+    numpy sum and the face-grid painting replaced."""
+    vol = sum(float(np.prod(c[1] - c[0])) for c in cells)
     box_vol = float(np.prod(hi - lo))
     if not math.isclose(vol, box_vol, rel_tol=1e-9):
         raise TilingError(f"cell volumes sum to {vol}, box volume is {box_vol}")
     for a, b in itertools.combinations(cells, 2):
-        if all(max(a.lo[d], b.lo[d]) < min(a.hi[d], b.hi[d]) - 1e-12 * (hi[d] - lo[d])
-               for d in range(len(a.lo))):
+        if all(max(a[0, d], b[0, d]) < min(a[1, d], b[1, d]) - 1e-12 * (hi[d] - lo[d])
+               for d in range(a.shape[1])):
             raise TilingError(f"cells {a} and {b} have overlapping interiors")
 
 
@@ -307,16 +346,16 @@ def _outcome(fn, *args):
 def _random_tiling(rng, n, mutate=True):
     """Dyadic refinements of a random grid of I-cells over a random box,
     then (with mutate) one mutation: a shifted face, a translated, removed
-    or duplicated cell, or none."""
+    or duplicated cell, or none. Returns the cells (C, 2, n) and a lattice."""
     lo = rng.uniform(-1.0, 0.0, n)
     hi = lo + rng.uniform(0.5, 2.0, n)
     counts = rng.integers(1, 4, n)
     edges = [np.linspace(lo[d], hi[d], counts[d] + 1) for d in range(n)]
-    cells = [Cell([edges[d][i[d]] for d in range(n)], [edges[d][i[d] + 1] for d in range(n)])
+    cells = [np.array([[edges[d][i[d]] for d in range(n)], [edges[d][i[d] + 1] for d in range(n)]])
              for i in itertools.product(*(range(c) for c in counts))]
     for _ in range(int(rng.integers(0, 12 if n < 3 else 6))):
         k = int(rng.integers(len(cells)))
-        cells[k:k + 1] = cells[k].split()
+        cells[k:k + 1] = list(_children(cells[k][None]))
     shape = tuple(int(s) for s in rng.integers(3, 41, n))
     k = int(rng.integers(len(cells)))
     kind = rng.integers(5) if mutate else 0
@@ -324,19 +363,18 @@ def _random_tiling(rng, n, mutate=True):
     if kind == 1 or kind == 2:
         d = int(rng.integers(n))
         step = float(rng.choice([-1, 1]) * rng.choice([0.5, 0.25, 1.0 / shape[d], 1e-3]))
-        step *= c.widths[d]
-        new_lo, new_hi = list(c.lo), list(c.hi)
+        step *= c[1, d] - c[0, d]
+        moved = c.copy()
         if kind == 1:  # shift the upper face
-            new_hi[d] += step
+            moved[1, d] += step
         else:  # translate the cell, keeping the volume sum
-            new_lo[d] += step
-            new_hi[d] += step
-        cells[k] = Cell(new_lo, new_hi)
+            moved[:, d] += step
+        cells[k] = moved
     elif kind == 3:
         del cells[k]
     elif kind == 4:
         cells.append(c)
-    return cells, GridDomain(lo, hi, shape)
+    return np.array(cells).reshape(-1, 2, n), GridDomain(lo, hi, shape)
 
 
 @pytest.mark.parametrize("n,cases", [(1, 200), (2, 200), (3, 60)])
@@ -385,14 +423,18 @@ def test_gathered_sampling_is_bit_equal_to_per_cell_evaluation():
         mis = MultiIndexSet(n, m)
         for _ in range(3):
             cells, dom = _random_tiling(rng, n, mutate=False)
-            polys = []
+            anchors, coeffs = [], []
             for c in cells:
-                coeffs = rng.uniform(-5.0, 5.0, (2, mis.count))
-                coeffs[rng.random((2, mis.count)) < 0.3] = 0.0
-                anchor = c.center + rng.uniform(-0.1, 0.1, n)
-                polys.append([TaylorPoly(anchor, coeffs[i], mis) for i in range(2)])
+                cf = rng.uniform(-5.0, 5.0, (2, mis.count))
+                cf[rng.random((2, mis.count)) < 0.3] = 0.0
+                anchor = _centers(c[None])[0] + rng.uniform(-0.1, 0.1, n)
+                anchors.append([anchor, anchor])
+                coeffs.append(cf)
+            v = PiecewisePoly(cells, np.array(anchors), np.array(coeffs), mis)
+            polys = [[TaylorPoly(a, cf, mis) for a, cf in zip(aa, cc)]
+                     for aa, cc in zip(anchors, coeffs)]
             try:
-                v, marked = assemble(cells, polys, dom)
+                marked = assemble(v, dom)
             except ValueError:  # cells finer than the lattice: dense skeleton
                 continue
             owner, _ = _reference_classify(cells, dom)
@@ -415,8 +457,9 @@ def test_gathered_sampling_is_bit_equal_to_per_cell_evaluation():
 def test_sample_jets_single_cell_smooth():
     mis = MultiIndexSet(1, 2)
     dom = GridDomain([-1.0], [1.0], (17,))
-    jet = Jet([0.0], [[1.0, 2.0, 6.0]], mis)
-    v, marked = assemble([Cell([-1.0], [1.0])], [taylor_poly(jet)], dom)
+    v = PiecewisePoly(np.array([[[-1.0], [1.0]]]), np.zeros((1, 1, 1)),
+                      np.array([[[1.0, 2.0, 6.0]]]), mis)
+    marked = assemble(v, dom)
     s = sample_jets(v, marked)[0]
     interior = ~marked.skeleton
     x = marked.axis(0)
@@ -431,18 +474,17 @@ def test_sample_jets_single_cell_smooth():
 def test_poly_json_round_trip(tmp_path):
     mis = MultiIndexSet(2, 1)
     dom = GridDomain([0.0, 0.0], [1.0, 1.0], (9, 9))
-    cells = Cell([0.0, 0.0], [1.0, 1.0]).split()
+    cells = _children(np.array([[[0.0, 0.0], [1.0, 1.0]]]))
     rng = np.random.default_rng(71)
-    polys = [
-        [TaylorPoly(c.center, rng.normal(size=mis.count), mis) for _ in range(1)]
-        for c in cells
-    ]
-    v, _ = assemble(cells, polys, dom)
+    v = PiecewisePoly(cells, _centers(cells)[:, None], rng.normal(size=(4, 1, mis.count)), mis)
+    assemble(v, dom)
     d = poly_to_dict(v)
+    assert d["cells"][1]["lo"] == [0.0, 0.5] and d["cells"][1]["hi"] == [0.5, 1.0]
     v2 = poly_from_dict(d)
     assert v2.space_dim == v.space_dim and v2.order == v.order
-    for c1, c2 in zip(v.cells, v2.cells):
-        assert c1 == c2
+    assert v2.cells == v.cells == [Cell(tuple(lo), tuple(hi)) for lo, hi in cells.tolist()]
+    for a in ("bounds", "anchors", "coeffs"):
+        assert np.array_equal(getattr(v2, a), getattr(v, a))
     for ps1, ps2 in zip(v.polys, v2.polys):
         for p1, p2 in zip(ps1, ps2):
             assert np.array_equal(p1.coeffs, p2.coeffs)
@@ -450,7 +492,7 @@ def test_poly_json_round_trip(tmp_path):
     path = tmp_path / "v.json"
     write_poly_json(v, path)
     v3 = read_poly_json(path)
-    assert all(c1 == c3 for c1, c3 in zip(v.cells, v3.cells))
+    assert v3.cells == v.cells
     pts = rng.uniform(0, 1, size=(50, 2))
     for ci in range(len(v.cells)):
         assert np.array_equal(

@@ -9,7 +9,7 @@ import pytest
 from ordercomplete import expr as ex
 from ordercomplete.expr import render
 from ordercomplete.grids import GridDomain, GridFunction, normalize
-from ordercomplete.jets import Cell, Jet, MultiIndexSet, assemble, sample_jets, taylor_poly
+from ordercomplete.jets import MultiIndexSet, assemble, sample_jets
 from ordercomplete.pde import (
     PdeSystem,
     _principal_directions,
@@ -18,6 +18,12 @@ from ordercomplete.pde import (
     check_assumption_interior,
     check_assumption_open,
 )
+from ordercomplete.solver import _cell_polys
+
+
+def _intervals(edges):
+    """The cells [edges[i], edges[i + 1]] of a 1D box, as (C, 2, 1)."""
+    return np.stack([edges[:-1], edges[1:]], axis=1)[:, :, None]
 
 
 def _cubic_system():
@@ -106,27 +112,21 @@ def test_jet_jacobian_symbolic():
 
 def test_point_cubic_at_origin():
     sys1 = _cubic_system()
-    mis = MultiIndexSet(1, 1)
-    jet = Jet([0.0], [[0.0, 1.0]], mis)
-    assert apply_operator_point(sys1, [0.0], jet) == pytest.approx([1.0])
+    assert apply_operator_point(sys1, [0.0], [0.0, 1.0]) == pytest.approx([1.0])
 
 
 def test_point_linear_returns_derivative_slot():
     sys1 = PdeSystem(1, 1, 1, ["u[1,(1)]"], ["1"], [0.0], [1.0])
-    mis = MultiIndexSet(1, 1)
     for xi1 in (-2.0, 0.0, 3.5):
-        jet = Jet([0.3], [[7.0, xi1]], mis)
-        assert apply_operator_point(sys1, [0.3], jet)[0] == xi1
+        assert apply_operator_point(sys1, [0.3], [7.0, xi1])[0] == xi1
 
 
 def test_point_manufactured_identity():
     # jet of u* = sin at x must reproduce f(x) = cos x + sin^3 x
     sys1 = _cubic_system()
-    mis = MultiIndexSet(1, 1)
     rng = np.random.default_rng(11)
     for x in rng.uniform(0.0, 3.0, 50):
-        jet = Jet([x], [[math.sin(x), math.cos(x)]], mis)
-        got = apply_operator_point(sys1, [x], jet)[0]
+        got = apply_operator_point(sys1, [x], [math.sin(x), math.cos(x)])[0]
         want = math.cos(x) + math.sin(x) ** 3
         assert got == pytest.approx(want, rel=1e-12)
 
@@ -137,10 +137,10 @@ def test_point_manufactured_identity():
 
 def test_apply_single_cell_identity_derivative():
     sys1 = PdeSystem(1, 1, 1, ["u[1,(1)]"], ["1"], [0.0], [1.0])
-    mis = MultiIndexSet(1, 1)
-    jet = Jet([0.5], [[0.5, 1.0]], mis)  # Taylor data of u(x) = x
+    # Taylor data of u(x) = x at the cell center 0.5
+    v = _cell_polys(sys1, np.array([[[0.0], [1.0]]]), np.array([[0.5, 1.0]]))
     dom = GridDomain([0.0], [1.0], (17,))
-    v, marked = assemble([Cell([0.0], [1.0])], [taylor_poly(jet)], dom)
+    marked = assemble(v, dom)
     (tv,) = apply_operator(sys1, sample_jets(v, marked))
     assert np.all(tv.values == 1.0)
     assert tv.normalized
@@ -148,11 +148,10 @@ def test_apply_single_cell_identity_derivative():
 
 def test_apply_two_cell_step_uses_normalize_rule():
     sys1 = PdeSystem(1, 1, 1, ["u[1,(0)]"], ["0"], [-1.0], [1.0])
-    mis = MultiIndexSet(1, 1)
     dom = GridDomain([-1.0], [1.0], (9,))
-    cells = [Cell([-1.0], [0.0]), Cell([0.0], [1.0])]
-    jets = [Jet([-0.5], [[2.0, 0.0]], mis), Jet([0.5], [[5.0, 0.0]], mis)]
-    v, marked = assemble(cells, [taylor_poly(j) for j in jets], dom)
+    v = _cell_polys(sys1, _intervals(np.array([-1.0, 0.0, 1.0])),
+                    np.array([[2.0, 0.0], [5.0, 0.0]]))
+    marked = assemble(v, dom)
     (tv,) = apply_operator(sys1, sample_jets(v, marked))
     # oracle: raw step completed by normalize
     raw = np.where(marked.axis(0) < 0.0, 2.0, 5.0)
@@ -166,23 +165,15 @@ def test_apply_matches_pointwise_off_skeleton():
     mis = MultiIndexSet(1, 1)
     rng = np.random.default_rng(23)
     edges = np.linspace(0.0, 3.0, 4)
-    cells = [Cell([edges[i]], [edges[i + 1]]) for i in range(3)]
-    jets = [
-        Jet([float(c.center[0])], rng.uniform(-1, 1, (1, mis.count)), mis)
-        for c in cells
-    ]
+    v = _cell_polys(sys1, _intervals(edges), rng.uniform(-1, 1, (3, mis.count)))
     dom = GridDomain([0.0], [3.0], (31,))
-    v, marked = assemble(cells, [taylor_poly(j) for j in jets], dom)
+    marked = assemble(v, dom)
     (tv,) = apply_operator(sys1, sample_jets(v, marked))
     x = marked.axis(0)
     owner = np.searchsorted(edges, x, side="right") - 1
     for k in np.flatnonzero(~marked.skeleton):
         p = v.polys[min(owner[k], 2)][0]
-        jet_here = Jet(
-            [x[k]],
-            [[p.deriv_many(a, np.array([[x[k]]]))[0] for a in mis.alphas]],
-            mis,
-        )
+        jet_here = [p.deriv_many(a, np.array([[x[k]]]))[0] for a in mis.alphas]
         want = apply_operator_point(sys1, [x[k]], jet_here)[0]
         assert tv.values[k] == want
 
@@ -194,8 +185,9 @@ def test_apply_evaluates_off_skeleton_only():
     sys1 = PdeSystem(1, 1, 1, ["log(u[1,(0)])"], ["0"], [0.0], [1.0])
     mis = MultiIndexSet(1, 1)
     dom = GridDomain([0.0], [1.0], (9,))
-    p = taylor_poly(Jet([0.5], [[0.3, 1.0]], mis))[0]
-    v, marked = assemble([Cell([0.0], [1.0])], [[p]], dom)
+    v = _cell_polys(sys1, np.array([[[0.0], [1.0]]]), np.array([[0.3, 1.0]]))
+    (p,) = v.polys[0]
+    marked = assemble(v, dom)
     skeleton = marked.skeleton.copy()
     skeleton[1] = True
     dom = marked.with_skeleton(skeleton)
@@ -205,8 +197,7 @@ def test_apply_evaluates_off_skeleton_only():
     assert tv.values[1] == tv.values[2]
     x = dom.axis(0)
     for k in np.flatnonzero(~dom.skeleton):
-        jet_here = Jet([x[k]], [[p.deriv_many(a, x[k:k + 1, None])[0] for a in mis.alphas]],
-                       mis)
+        jet_here = [p.deriv_many(a, x[k:k + 1, None])[0] for a in mis.alphas]
         assert tv.values[k] == apply_operator_point(sys1, [x[k]], jet_here)[0]
     with pytest.raises(ValueError, match="signature"):
         apply_operator(sys1, sample_jets(v, dom)[:1])
@@ -215,15 +206,11 @@ def test_apply_evaluates_off_skeleton_only():
 def _operator_sup_error(k: int) -> float:
     # cellwise first-order Taylor data of u* = sin at cell centers
     sys1 = _cubic_system()
-    mis = MultiIndexSet(1, 1)
     edges = np.linspace(0.0, 3.0, k + 1)
-    cells = [Cell([edges[i]], [edges[i + 1]]) for i in range(k)]
-    polys = []
-    for c in cells:
-        cc = float(c.center[0])
-        polys.append(taylor_poly(Jet([cc], [[math.sin(cc), math.cos(cc)]], mis)))
+    cc = 0.5 * (edges[:-1] + edges[1:])
+    v = _cell_polys(sys1, _intervals(edges), np.stack([np.sin(cc), np.cos(cc)], axis=1))
     dom = GridDomain([0.0], [3.0], (8 * k + 1,))
-    v, marked = assemble(cells, polys, dom)
+    marked = assemble(v, dom)
     (tv,) = apply_operator(sys1, sample_jets(v, marked))
     f = sys1.rhs_on_arrays([marked.axis(0)])[0]
     off = ~marked.skeleton
@@ -429,9 +416,7 @@ def test_open_batched_matches_per_sample_reference(name, seed):
     sys1 = make()
     x = np.asarray(x, dtype=float)
     jet = np.asarray(jet, dtype=float)
-    target = apply_operator_point(
-        sys1, x, Jet(x, jet.reshape(sys1.K, -1), sys1.mis)
-    )
+    target = apply_operator_point(sys1, x, jet)
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     ev = _open_one(sys1, x, jet, 0.1, 0.5, rng=rng, target=target)
     ref = _reference_open(sys1, x, jet, 0.1, 0.5, target, ref_rng)
@@ -451,9 +436,7 @@ def test_open_rows_match_per_sample_reference(name, monkeypatch):
     sys1 = make()
     x = np.asarray(x, dtype=float)
     jet = np.asarray(jet, dtype=float)
-    target = apply_operator_point(
-        sys1, x, Jet(x, jet.reshape(sys1.K, -1), sys1.mis)
-    )
+    target = apply_operator_point(sys1, x, jet)
     seeds = [0, 7, 11]
     rngs = [np.random.default_rng(seed) for seed in seeds]
     evs = check_assumption_open(sys1, [x] * 3, [jet] * 3, [0.1] * 3, 0.5,

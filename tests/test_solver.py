@@ -10,12 +10,11 @@ import pytest
 from ordercomplete import expr as ex
 from ordercomplete.grids import GridDomain
 from ordercomplete.jets import (
-    Cell,
-    Jet,
+    TaylorPoly,
     TilingError,
+    _centers,
     assemble,
     sample_jets,
-    taylor_poly,
 )
 from ordercomplete.pde import PdeSystem, apply_operator, check_assumption_open
 from ordercomplete.solver import (
@@ -28,6 +27,8 @@ from ordercomplete.solver import (
     RefinementStage,
     _band_functions,
     _cell_key,
+    _cell_polys,
+    _children,
     _empty_interiors,
     _generation_ok,
     _stream,
@@ -183,18 +184,16 @@ def test_jet_solve_rows_are_independent(monkeypatch):
 
 def test_tile_1d_dyadic():
     t = tile_domain([0.0], [1.0], 0.3)
-    assert len(t.i_cells) == 4
-    for c in t.i_cells:
-        assert c.widths[0] == pytest.approx(0.25)
+    assert t.i_cells.shape == (4, 2, 1)
+    assert np.allclose(t.i_cells[:, 1] - t.i_cells[:, 0], 0.25)
     assert np.allclose(t.anchors[:, 0], [0.125, 0.375, 0.625, 0.875])
 
 
 def test_tile_2d_half_diameter():
     diam = math.sqrt(2.0)
     t = tile_domain([0.0, 0.0], [1.0, 1.0], diam / 2)
-    assert len(t.i_cells) == 4
-    for c in t.i_cells:
-        assert np.allclose(c.widths, [0.5, 0.5])
+    assert t.i_cells.shape == (4, 2, 2)
+    assert np.allclose(t.i_cells[:, 1] - t.i_cells[:, 0], 0.5)
 
 
 def test_tile_partition_property_random_delta():
@@ -203,16 +202,16 @@ def test_tile_partition_property_random_delta():
         # lower bound keeps the O(cells^2) disjointness oracle tractable
         delta = float(rng.uniform(0.35, 2.0))
         t = tile_domain([0.0, -1.0], [2.0, 1.0], delta, arity=int(rng.integers(2, 4)))
-        total = sum(c.volume() for c in t.i_cells)
+        total = sum(float(np.prod(hi - lo)) for lo, hi in t.i_cells)
         assert total == pytest.approx(4.0, rel=1e-12)
-        for c in t.i_cells:
-            assert c.diameter() <= delta * (1 + 1e-12)
-            assert np.all(c.center > np.asarray(c.lo)) and np.all(c.center < np.asarray(c.hi))
+        for (lo, hi), center in zip(t.i_cells, t.anchors, strict=True):
+            assert np.linalg.norm(hi - lo) <= delta * (1 + 1e-12)
+            assert np.all(center > lo) and np.all(center < hi)
         # pairwise disjoint interiors
         for i in range(len(t.i_cells)):
             for j in range(i + 1, len(t.i_cells)):
-                a, b = t.i_cells[i], t.i_cells[j]
-                overlap = np.minimum(a.hi, b.hi) - np.maximum(a.lo, b.lo)
+                (alo, ahi), (blo, bhi) = t.i_cells[i], t.i_cells[j]
+                overlap = np.minimum(ahi, bhi) - np.maximum(alo, blo)
                 assert np.min(overlap) <= 1e-12
 
 
@@ -252,11 +251,13 @@ def test_tiling_index_of_finds_parent_of_descendants(lo, hi, delta, arity):
     centers, parents = [], []
     for ci, cell in enumerate(t.i_cells):
         for depth in range(7):  # one random dyadic descendant per depth
-            c = cell
+            c = cell[None]
             for _ in range(depth):
-                c = c.split()[int(rng.integers(2 ** c.ndim))]
-            assert t.index_of(c.center) == ci
-            centers.append(c.center)
+                k = int(rng.integers(2 ** len(lo)))
+                c = _children(c)[k:k + 1]
+            (center,) = _centers(c)
+            assert t.index_of(center) == ci
+            centers.append(center)
             parents.append(ci)
     assert np.array_equal(t.index_of(np.array(centers)), parents)
 
@@ -269,8 +270,9 @@ def _reference_interior(domain, cell):
     """Index box and coordinates (npts, n), in C order, of the cell's strictly
     interior lattice points, found by elementwise comparison; None if none."""
     tol = 1e-9 * (domain.hi - domain.lo)
-    keep = [np.nonzero((domain.axis(d) > cell.lo[d] + tol[d])
-                       & (domain.axis(d) < cell.hi[d] - tol[d]))[0]
+    lo, hi = cell
+    keep = [np.nonzero((domain.axis(d) > lo[d] + tol[d])
+                       & (domain.axis(d) < hi[d] - tol[d]))[0]
             for d in range(domain.ndim)]
     if any(k.size == 0 for k in keep):
         return None
@@ -280,16 +282,16 @@ def _reference_interior(domain, cell):
 
 def _reference_cell_ok(sys, domain, cell, brackets, band=None):
     """The per-cell check the generation check replaced: at the cell's
-    strictly interior lattice points, the Taylor polynomials of each jet,
-    lower < F < upper as positive minimum slacks, and the jets inside the
-    band; a fault of F fails the cell."""
+    strictly interior lattice points, the Taylor polynomials of each flat
+    jet at the cell's center, lower < F < upper as positive minimum slacks,
+    and the jets inside the band; a fault of F fails the cell."""
     interior = _reference_interior(domain, cell)
     if interior is None:
         return True
     box, pts = interior
     coords = [pts[:, d] for d in range(domain.ndim)]
     for jet, lower, upper in brackets:
-        polys = taylor_poly(jet)
+        polys = _taylor_polys(sys, cell, jet)
         jets = {(i, a): polys[i - 1].deriv_many(a, pts) for i, a in sys.flat_vars()}
         for j, Fj in enumerate(sys.F):
             try:
@@ -319,9 +321,15 @@ def _transport(n, log=False):
                      [0.0] * n, [1.0] * n)
 
 
+def _taylor_polys(sys, cell, jet):
+    """One Taylor polynomial per component of a flat jet at the cell's center."""
+    x0 = 0.5 * (cell[0] + cell[1])
+    return [TaylorPoly(x0, row, sys.mis) for row in np.reshape(jet, (sys.K, -1))]
+
+
 def _random_cells(rng, domain, count):
-    """Dyadic cells of random level and position: the coarse ones hold many
-    lattice points, the finest none."""
+    """Dyadic cells (count, 2, n) of random level and position: the coarse
+    ones hold many lattice points, the finest none."""
     n = domain.ndim
     finest = np.log2(np.array(domain.shape) - 1).astype(int) + 1
     cells = []
@@ -330,25 +338,24 @@ def _random_cells(rng, domain, count):
         pos = [int(rng.integers(0, 2 ** lv)) for lv in level]
         w = (domain.hi - domain.lo) / 2.0 ** level
         lo = domain.lo + np.array(pos) * w
-        cells.append(Cell(lo, lo + w))
-    return cells
+        cells.append([lo, lo + w])
+    return np.array(cells)
 
 
 def _random_jets(rng, sys, cells, shift, noise, value=None):
-    """Per cell, the jet of u = sum sin x_d at the center, its derivatives
-    shifted by `shift`, plus uniform noise; `value` replaces the value."""
+    """Per cell, the flat jet of u = sum sin x_d at the center, its
+    derivatives shifted by `shift`, plus uniform noise; `value` replaces the
+    value."""
     jets = []
-    for c in cells:
-        x0 = c.center
+    for x0 in _centers(cells):
         vals = []
         for a in sys.mis.alphas:
             if sum(a) == 0:
                 vals.append(np.sin(x0).sum() if value is None else value(rng))
             else:
                 vals.append(np.cos(x0[a.index(1)]) + shift)
-        vals = np.array(vals) + rng.uniform(-noise, noise, len(vals))
-        jets.append(Jet(x0, vals[None, :], sys.mis))
-    return jets
+        jets.append(np.array(vals) + rng.uniform(-noise, noise, len(vals)))
+    return np.array(jets)
 
 
 @pytest.mark.parametrize("n,size", [(1, 65), (2, 17), (3, 9)])
@@ -409,35 +416,41 @@ def test_generation_check_fails_cells_where_log_faults(n, size):
         for c, j, ok in zip(cells, jets, want):
             interior = _reference_interior(dom, c)
             if interior is not None:
-                u = taylor_poly(j)[0].deriv_many((0,) * n, interior[1])
+                u = _taylor_polys(sys, c, j)[0].deriv_many((0,) * n, interior[1])
                 partial += bool((u > 0).any() and (u <= 0).any())
                 accepted += ok
     assert partial and accepted
 
 
 def _per_generation(solve):
-    """A generation solve for _subdivide from a per-cell one: the payloads
-    of the cells solved in order until one raises, and that error."""
+    """A generation solve for _subdivide from a per-cell one: the payload
+    rows of the cells solved in order until one raises, and that error."""
     def run(cells):
         payloads = []
+        error = None
         for c in cells:
             try:
                 payloads.append(solve(c))
             except ConstructionError as e:
-                return payloads, e
-        return payloads, None
+                error = e
+                break
+        return np.array(payloads, dtype=float).reshape(len(payloads), -1), error
     return run
 
 
 def _subdivide_outcome(loop, work, solve, check, domain, max_cells, **kw):
-    """Accepted pairs, or (class, message, stage, cell) of the error raised;
-    _subdivide gets the per-cell solve as a generation solve."""
-    if loop is _subdivide:
-        solve = _per_generation(solve)
+    """Accepted (cell bounds, payload) pairs, or (class, message, stage,
+    cell) of the error raised; _subdivide gets the per-cell solve as a
+    generation solve and its cells and payload rows are paired up."""
     try:
-        return loop(work, solve, check, domain, max_cells, **kw)
+        if loop is not _subdivide:
+            return [(tuple(c.ravel().tolist()), p)
+                    for c, p in loop(work, solve, check, domain, max_cells, **kw)]
+        cells, payloads = _subdivide(work, _per_generation(solve), check, domain,
+                                     max_cells, **kw)
     except ConstructionError as e:
         return type(e), str(e), e.stage, e.cell
+    return [(tuple(c.ravel().tolist()), float(p)) for c, (p,) in zip(cells, payloads)]
 
 
 def _reference_subdivide(work, solve, check, domain, max_cells, *, stage=None):
@@ -451,13 +464,13 @@ def _reference_subdivide(work, solve, check, domain, max_cells, *, stage=None):
             raise ConstructionError("cell budget exhausted while subdividing",
                                     stage=stage)
         payload = solve(c)
-        if check([c], [payload])[0]:
+        if check(c[None], np.array([payload]))[0]:
             done.append((c, payload))
             continue
-        children = c.split()
+        children = _children(c[None])
         if _empty_interiors(domain, children).any():
             raise ConstructionError("bracket unattainable at grid resolution",
-                                    stage=stage, cell=c.lo)
+                                    stage=stage, cell=tuple(c[0].tolist()))
         work.extend(children)
     return done
 
@@ -469,14 +482,15 @@ def _synthetic(accept_width, fail_at=()):
     log = []
 
     def solve(c):
-        log.append(c)
-        if c.lo in fail_at:
-            raise ConstructionError("constrained jet unsolvable", stage=4, cell=c.lo)
-        return len(log)
+        log.append(tuple(c.ravel().tolist()))
+        if tuple(c[0].tolist()) in fail_at:
+            raise ConstructionError("constrained jet unsolvable", stage=4,
+                                    cell=tuple(c[0].tolist()))
+        return float(len(log))
 
     def check(cells, payloads):
         assert len(cells) == len(payloads)
-        return np.array([max(c.widths) <= accept_width(c.center) for c in cells],
+        return np.array([max(hi - lo) <= accept_width(0.5 * (lo + hi)) for lo, hi in cells],
                         dtype=bool)
 
     return log, solve, check
@@ -489,7 +503,7 @@ def test_subdivide_accepts_like_reference_loop(n):
     runs = []
     for loop in (_reference_subdivide, _subdivide):
         log, solve, check = _synthetic(width)
-        runs.append((_subdivide_outcome(loop, [Cell(dom.lo, dom.hi)], solve, check,
+        runs.append((_subdivide_outcome(loop, np.array([[dom.lo, dom.hi]]), solve, check,
                                         dom, 10_000), log))
     (want, want_log), (got, got_log) = runs
     assert isinstance(want, list) and len(want) > 10
@@ -510,7 +524,7 @@ def test_subdivide_budget_errors_like_reference_loop():
         dom = GridDomain([0.0], [1.0], (size,))
         for max_cells in range(0, 24):
             for kw in ({}, {"stage": 2}):
-                outs = [_subdivide_outcome(loop, [Cell([0.0], [1.0])],
+                outs = [_subdivide_outcome(loop, np.array([[[0.0], [1.0]]]),
                                            *_synthetic(width, fail_at)[1:],
                                            dom, max_cells, **kw)
                         for loop in (_reference_subdivide, _subdivide)]
@@ -526,7 +540,7 @@ def test_subdivide_stranded_child_like_reference_loop():
     dom = GridDomain([0.0], [1.0], (9,))
     width = lambda x: 1 / 2 if x[0] > 0.25 else 0.0  # noqa: E731
     for kw in ({}, {"stage": 3}):
-        outs = [_subdivide_outcome(loop, [Cell([0.0], [1.0])], *_synthetic(width)[1:],
+        outs = [_subdivide_outcome(loop, np.array([[[0.0], [1.0]]]), *_synthetic(width)[1:],
                                    dom, 100, **kw)
                 for loop in (_reference_subdivide, _subdivide)]
         assert outs[0] == outs[1]
@@ -540,7 +554,7 @@ def test_subdivide_solve_failure_after_stranded_cell_like_reference_loop():
     width = lambda x: 0.0  # noqa: E731
     for fail_at, expect in ((((0.75,),), "bracket unattainable"),
                             (((0.5,),), "constrained jet unsolvable")):
-        outs = [_subdivide_outcome(loop, [Cell([0.0], [1.0])],
+        outs = [_subdivide_outcome(loop, np.array([[[0.0], [1.0]]]),
                                    *_synthetic(width, fail_at)[1:], dom, 100)
                 for loop in (_reference_subdivide, _subdivide)]
         assert outs[0] == outs[1]
@@ -690,30 +704,29 @@ def _reference_refine(sys, domain, tiling, prev, n, gamma, *, seed, max_cells=10
             j_box[:, 1] = np.minimum(j_box[:, 1], prev.band_hi[ci] - margin)
 
         def solve(jcell):
-            aj = jcell.center
-            bits = np.array([*jcell.lo, *jcell.hi]).view(np.uint64)
-            flat = jet_solve(sys, [aj], _targets(sys, [aj], gamma, n), seed=[center],
+            aj = 0.5 * (jcell[0] + jcell[1])
+            bits = np.ascontiguousarray(jcell).reshape(-1).view(np.uint64)
+            return jet_solve(sys, [aj], _targets(sys, [aj], gamma, n), seed=[center],
                              constraint_box=j_box[None],
-                             stream=lambda _row: _stream(seed, JCELL, n, ci, *map(int, bits)))
-            return Jet.from_flat(aj, sys.K, sys.mis, flat[0])
+                             stream=lambda _row: _stream(seed, JCELL, n, ci, *map(int, bits)))[0]
 
         def check(jcells, jets):
             rows = tuple(np.tile(b, (len(jcells), 1)) for b in (lo_b, hi_b))
             return _generation_ok(sys, domain, jcells, [(jets, below, f)], band=rows)
 
-        work = prev.j_cells[ci] if prev is not None else [icell]
+        work = prev.j_cells[ci] if prev is not None else icell[None]
         accepted.append(_subdivide(work, _per_generation(solve), check, domain, max_cells,
                                    stage=n))
-    flat_cells = [c for done in accepted for c, _ in done]
-    flat_polys = [taylor_poly(jj) for done in accepted for _, jj in done]
-    v_poly, marked = assemble(flat_cells, flat_polys, domain)
+    v_poly = _cell_polys(sys, np.concatenate([cells for cells, _ in accepted]),
+                         np.concatenate([jets for _, jets in accepted]))
+    marked = assemble(v_poly, domain)
     (eq1, eq2, eq3), samples = stage_certificates(
         sys, v_poly, marked, tiling.i_cells, tiling.radii, band_lo, band_hi,
         None if prev is None else (prev.band_lo, prev.band_hi), n, gamma)
     return RefinementStage(
         n=n, gamma=float(gamma), v=v_poly, domain=marked,
         band_lo=band_lo, band_hi=band_hi, i_jets=i_jets,
-        j_cells=[[c for c, _ in done] for done in accepted],
+        j_cells=[cells for cells, _ in accepted],
         eq1=eq1, eq2=eq2, eq3=eq3, samples=samples,
     )
 
@@ -729,14 +742,13 @@ def test_refine_matches_per_i_cell_reference(n, size, per_axis, radius, gamma):
     for stage in (1, 2, 3):
         got = refine(sys, dom, tiling, got, stage, gamma, seed=5)
         want = _reference_refine(sys, dom, tiling, want, stage, gamma, seed=5)
-        assert got.j_cells == want.j_cells
+        assert len(got.j_cells) == len(want.j_cells)
+        for g, w in zip(got.j_cells, want.j_cells):
+            assert np.array_equal(g, w)
         for key in ("i_jets", "band_lo", "band_hi"):
             assert np.array_equal(getattr(got, key), getattr(want, key)), key
-        assert [c.lo + c.hi for c in got.v.cells] == [c.lo + c.hi for c in want.v.cells]
-        for pg, pw in zip(got.v.polys, want.v.polys):
-            for tg, tw in zip(pg, pw):
-                assert np.array_equal(tg.anchor, tw.anchor)
-                assert np.array_equal(tg.coeffs, tw.coeffs)
+        for key in ("bounds", "anchors", "coeffs"):
+            assert np.array_equal(getattr(got.v, key), getattr(want.v, key)), key
         assert (got.eq1, got.eq2, got.eq3) == (want.eq1, want.eq2, want.eq3)
     assert sum(map(len, got.j_cells)) > len(tiling.i_cells)  # the stages split
 
@@ -861,8 +873,9 @@ def _oracle_band_margins(stage, i_cells):
                   for a, lo, hi in zip(axes, cell.lo, cell.hi)]
         grids = np.meshgrid(*(a[r] for a, r in zip(axes, ranges)), indexing="ij")
         pts = np.stack([g.reshape(-1) for g in grids], axis=1)
-        (ci,) = [k for k, ic in enumerate(i_cells)
-                 if all(lo < x < hi for lo, x, hi in zip(ic.lo, cell.center, ic.hi))]
+        center = [0.5 * (lo + hi) for lo, hi in zip(cell.lo, cell.hi)]
+        (ci,) = [k for k, (ilo, ihi) in enumerate(i_cells)
+                 if all(lo < x < hi for lo, x, hi in zip(ilo, center, ihi))]
         k = 0
         for p in polys:
             for alpha in p.mis.alphas:
@@ -890,9 +903,9 @@ def test_eq2_rejects_skeleton_missing_i_cell_face():
     # the face x = 0.5 between the two I-cells
     sys1 = _affine()
     dom = GridDomain([0.0], [1.0], (9,))
-    v, marked = assemble([Cell([0.0], [1.0])],
-                         [taylor_poly(Jet([0.5], [[0.0, 1.0]], sys1.mis))], dom)
-    i_cells = [Cell([0.0], [0.5]), Cell([0.5], [1.0])]
+    v = _cell_polys(sys1, np.array([[[0.0], [1.0]]]), np.array([[0.0, 1.0]]))
+    marked = assemble(v, dom)
+    i_cells = np.array([[[0.0], [0.5]], [[0.5], [1.0]]])
     band_lo, band_hi = np.full((2, 2), -5.0), np.full((2, 2), 5.0)
     radii = np.ones(2)
     with pytest.raises(ValueError, match="I-cell boundaries"):
@@ -1006,7 +1019,7 @@ def _probe_rows(sys, tiling, jets, gamma, seed, rows):
     rows = list(rows)
     return check_assumption_open(
         sys, tiling.anchors[rows], jets[rows],
-        [tiling.i_cells[ci].diameter() / 2.0 for ci in rows], 1.0,
+        [np.linalg.norm(hi - lo) / 2.0 for lo, hi in tiling.i_cells[rows]], 1.0,
         stream=lambda row: _stream(seed, PROBE, rows[row]),
         target=_targets(sys, tiling.anchors[rows], gamma, 1))
 
@@ -1073,6 +1086,34 @@ def test_run_scheme_fails_at_the_lowest_unsupported_anchor(monkeypatch):
         "np.float64(0.84375)) (margin -4.234e-01); stage=1; cell=141")
     assert [ci for ci, ev in enumerate(probed) if not ev.supported] == [141, 159, 208]
     assert sum(0 < ev.samples_used < 400 for ev in probed) > 0
+
+
+def test_run_scheme_probe_deltas_are_per_row_norms(monkeypatch):
+    # each anchor's probe radius bound is half its I-cell's diagonal, as
+    # np.linalg.norm of the one row gives it; on this box a norm along
+    # axis 1 of all rows rounds differently on some rows
+    from ordercomplete import solver
+
+    class Probed(Exception):
+        pass
+
+    deltas = []
+
+    def recorded(sys, x, jets, delta, *args, **kwargs):
+        deltas.append(np.asarray(delta))
+        raise Probed
+
+    monkeypatch.setattr(solver, "check_assumption_open", recorded)
+    lo, hi = [0.1, -0.3], [0.7, 2.9]
+    dom = GridDomain(lo, hi, (40, 40))
+    with pytest.raises(Probed):
+        run_scheme(PdeSystem(2, 1, 1, ["u[1,(1,0)] + u[1,(0,1)]"], ["1"], lo, hi),
+                   dom, 0.4, 1)
+    widths = np.diff(solver.scheme_tiling(dom).i_cells, axis=1)[:, 0]
+    want = [np.linalg.norm(w) / 2.0 for w in widths]
+    (got,) = deltas
+    assert np.array_equal(got, want)
+    assert not np.array_equal(np.linalg.norm(widths, axis=1) / 2.0, want)
 
 
 def test_run_scheme_probes_only_the_anchors_before_an_unsolvable_one(monkeypatch):
@@ -1151,12 +1192,13 @@ def test_jcell_multistart_depends_only_on_its_own_cell(monkeypatch):
     moved = 0
     for ci, cells in reversed(list(enumerate(st.j_cells))):
         for c in reversed(cells):
-            target, box, want = solved[tuple(c.center)]
+            (center,) = _centers(c[None])
+            target, box, want = solved[tuple(center)]
 
             def alone(seed):
                 def stream(_row):
-                    return _stream(seed, JCELL, 1, ci, *_cell_key(c))
-                return jet_solve(sys1, [c.center], [target], [nan_seed], box[None],
+                    return _stream(seed, JCELL, 1, ci, *_cell_key(c[None])[0])
+                return jet_solve(sys1, [center], [target], [nan_seed], box[None],
                                  stream=stream)[0]
 
             assert np.array_equal(alone(3), want)
