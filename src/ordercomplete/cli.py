@@ -3,16 +3,18 @@ the global pair, the refinement scheme, and the analysis passes, then emit
 certificates and data files.
 
 Artifacts are deterministic for a fixed config and seed (no timestamps,
-sorted keys, repr floats) and every file is written atomically via a
-temporary sibling and rename. The seed feeds the interior probe's
-generator and, through the solver's per-cell streams (`solver._stream`),
-each openness probe and each multistart fallback, so no draw depends on
-the order in which cells are handled. `verify` rebuilds the tiling from
-the box and the lattice and the polynomials and bands from the artifacts,
-checks the stored anchor jets against their equation, recomputes every
-certificate through the solver's certificate functions that `run` uses,
-and compares the stored blocks with the recomputed ones serialized the
-same way; it never re-solves.
+one line of compact JSON with sorted keys and repr floats, see
+jets.artifact_json) and every file is written atomically via a temporary
+sibling and rename. The certificate stores each fact once. The seed feeds
+the interior probe's generator and, through the solver's per-cell streams
+(`solver._stream`), each openness probe and each multistart fallback, so
+no draw depends on the order in which cells are handled. `verify` rebuilds
+the tiling from the box and the lattice and the polynomials and bands from
+the artifacts, takes the global pair's eps from config.gamma, checks the
+stored anchor jets against their equation, recomputes every certificate
+through the solver's certificate functions that `run` uses, and compares
+the stored blocks with the recomputed ones serialized the same way; it
+never re-solves.
 """
 
 from __future__ import annotations
@@ -29,7 +31,14 @@ import numpy as np
 from . import expr as ex
 from .analysis import IntervalSequence, compare_reference, nested_limit_check
 from .grids import GridDomain, GridFunction, OrderInterval, write_csv
-from .jets import TilingError, assemble, read_poly_json, sample_jets, write_poly_json
+from .jets import (
+    TilingError,
+    artifact_json,
+    assemble,
+    read_poly_json,
+    sample_jets,
+    write_poly_json,
+)
 from .pde import PdeSystem, check_assumption_interior
 from .solver import (
     ConstructionError,
@@ -44,7 +53,7 @@ from .solver import (
     stage_certificates,
 )
 
-_SCHEMA = 1
+_SCHEMA = 2
 
 
 # ---------------------------------------------------------------------------
@@ -196,25 +205,17 @@ def _oc_dict(c) -> dict:
 
 def _cert_dict(c) -> dict:
     """An ApEq or EQ1-EQ3 certificate as `run` writes it and `verify`
-    compares it: flags as they are, margins through _num, widths as lists."""
+    compares it: flags as they are, margins through _num."""
     out = {}
     for f in fields(c):
         x = getattr(c, f.name)
-        if isinstance(x, tuple):
-            x = [list(w) for w in x]
-        elif not isinstance(x, bool):
-            x = _num(x)
-        out[f.name] = x
+        out[f.name] = x if isinstance(x, bool) else _num(x)
     return out
 
 
 def _cells_list(cells: np.ndarray) -> list[dict]:
     """Cells (C, 2, n) as `run` writes them: one {"lo", "hi"} dict each."""
     return [{"lo": lo, "hi": hi} for lo, hi in cells.tolist()]
-
-
-def _floats2d(arr: np.ndarray) -> list[list[float]]:
-    return [[float(v) for v in row] for row in np.asarray(arr)]
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +284,6 @@ def run_pipeline(cfg: RunConfig) -> int:
         print(f"construction failure: {e}")
         return 3
 
-    assumption_block["openness_radii"] = [float(r) for r in scheme.tiling.radii]
     assumption_block["note"] = "sampling evidence; not a proof"
 
     fv = system.flat_vars()
@@ -330,9 +330,9 @@ def run_pipeline(cfg: RunConfig) -> int:
             "eq1": _cert_dict(st.eq1),
             "eq2": _cert_dict(st.eq2),
             "eq3": _cert_dict(st.eq3),
-            "band_lo": _floats2d(st.band_lo),
-            "band_hi": _floats2d(st.band_hi),
-            "i_jets": _floats2d(st.i_jets),
+            "band_lo": st.band_lo.tolist(),
+            "band_hi": st.band_hi.tolist(),
+            "i_jets": st.i_jets.tolist(),
             "j_cells": [_cells_list(cs) for cs in st.j_cells],
         })
         if cfg.emit_samples:
@@ -356,13 +356,12 @@ def run_pipeline(cfg: RunConfig) -> int:
             "grid": [int(res)] * system.n,
             "eps_max": float(cfg.eps_max),
             "seed": int(cfg.seed),
-            "eps_global": float(cfg.gamma),
             "band_tol": band_tolerance(scheme.tiling.radii, scheme.N),
         },
         "problem": {
             "n": system.n, "K": system.K, "m": system.m,
-            "box_lo": [float(v) for v in system.box_lo],
-            "box_hi": [float(v) for v in system.box_hi],
+            "box_lo": system.box_lo.tolist(),
+            "box_hi": system.box_hi.tolist(),
             "F": [ex.render(e) for e in system.F],
             "f": [ex.render(e) for e in system.f],
             "exact": None if exact is None else [ex.render(e) for e in exact],
@@ -370,14 +369,11 @@ def run_pipeline(cfg: RunConfig) -> int:
         "assumption": assumption_block,
         "global_pair": {
             **_cert_dict(gp.certificate),
-            "cells": _cells_list(gp.cells),
             "files": {"lower": "global_lower.json", "upper": "global_upper.json"},
         },
         "tiling": {
-            "delta": float(scheme.tiling.delta),
             "i_cells": _cells_list(scheme.tiling.i_cells),
-            "anchors": _floats2d(scheme.tiling.anchors),
-            "radii": [float(r) for r in scheme.tiling.radii],
+            "radii": scheme.tiling.radii.tolist(),
         },
         "stages": stage_blocks,
         "order_convergence": {
@@ -390,14 +386,13 @@ def run_pipeline(cfg: RunConfig) -> int:
         "verdict": "pass" if scheme.verdict and gp.certificate.passed else "fail",
         "diagnostics": list(scheme.diagnostics),
     }
-    _write_atomic_text(out / "certificate.json",
-                       json.dumps(cert, sort_keys=True, indent=1) + "\n")
-    _write_atomic_text(out / "summary.txt", _summary_text(cert))
+    _write_atomic_text(out / "certificate.json", artifact_json(cert))
+    _write_atomic_text(out / "summary.txt", _summary_text(cert, len(gp.cells)))
     print(f"verdict: {cert['verdict']} (artifacts in {out})")
     return code
 
 
-def _summary_text(cert: dict) -> str:
+def _summary_text(cert: dict, global_cells: int) -> str:
     lines = []
     prob = cert["problem"]
     lines.append(f"system: n={prob['n']} K={prob['K']} m={prob['m']} "
@@ -417,14 +412,14 @@ def _summary_text(cert: dict) -> str:
         lines.append("assumption (interior): check skipped by flag")
     lines.append(
         "openness radii (evidence, heuristic): "
-        + " ".join(f"{r:.4g}" for r in a.get("openness_radii", []))
+        + " ".join(f"{r:.4g}" for r in cert["tiling"]["radii"])
     )
     g = cert["global_pair"]
     lines.append(
         f"global pair: eps={g['eps']} passed={g['passed']} "
         f"margins=({g['lower_gap']:.3e}, {g['lower_strict']:.3e}, "
         f"{g['upper_strict']:.3e}, {g['upper_gap']:.3e}) "
-        f"cells={len(g['cells'])}"
+        f"cells={global_cells}"
     )
     for s in cert["stages"]:
         lines.append(
@@ -472,16 +467,11 @@ def _close(a, b, tol: float = 1e-9) -> bool:
 def _compare(problems: list[str], name: str, stored, want) -> None:
     """Compare a stored certificate block with the recomputed one, both in
     the form run_pipeline writes: flags exactly, numbers through _close,
-    widths elementwise (rtol 1e-9), first violations exactly on (n, leg)."""
+    first violations exactly on (n, leg)."""
     key = name.rsplit(".", 1)[-1]
     if isinstance(want, dict):
         for k, w in want.items():
             _compare(problems, f"{name}.{k}", stored[k], w)
-    elif key == "widths":
-        got = np.asarray(stored, dtype=float)
-        ref = np.asarray(want, dtype=float)
-        if got.shape != ref.shape or not np.allclose(got, ref, rtol=1e-9, atol=0.0):
-            problems.append(f"{name}: stored widths deviate")
     elif key == "first_violation":
         same = (stored is None and want is None) or (
             isinstance(stored, list) and len(stored) == 3 and want is not None
@@ -506,14 +496,14 @@ def verify(result_dir) -> int:
 
     Rebuilds the system from the embedded problem block, derives the
     tiling from the box and the lattice as `run` does (scheme_tiling) and
-    compares its delta, I-cells and anchors exactly with the stored ones,
-    the stored openness radii with tiling.radii, and checks every radius
-    against (0, config.eps_max]. Compares global_pair.cells exactly with
-    the cells of both global polynomial files. Checks each stage's stored
-    anchor jets against their equation and, after stage 1, the box their
-    solve was confined to (solver.check_anchor_jets), and compares its
-    stored bands exactly with the ones solver.stage_bands derives from
-    them, the radii and the previous bands. Then reassembles
+    compares its I-cells exactly with the stored ones, and checks every
+    radius against (0, config.eps_max]. Recomputes the global pair's
+    certificate at eps = config.gamma, the eps `run` certifies it at, and
+    checks that both global polynomial files have the same cells. Checks
+    each stage's stored anchor jets against their equation and, after
+    stage 1, the box their solve was confined to (solver.check_anchor_jets),
+    and compares its stored bands exactly with the ones solver.stage_bands
+    derives from them, the radii and the previous bands. Then reassembles
     each serialized polynomial, recomputes every certificate through the
     same solver functions `run` uses, and compares the results, serialized
     as `run` writes them, with the stored blocks at relative tolerance 1e-9.
@@ -570,29 +560,20 @@ def _verify_inner(out: Path, cert: dict, problems: list[str]) -> int:
     g = cert["global_pair"]
     u_poly = read_poly(g["files"]["lower"])
     v_poly = read_poly(g["files"]["upper"])
-    if g["cells"] != _cells_list(u_poly.bounds):
-        problems.append("global_pair.cells: stored cells differ from the lower "
-                        "polynomial file's")
     if not np.array_equal(v_poly.bounds, u_poly.bounds):
         problems.append("global_pair: the upper polynomial file's cells differ "
                         "from the lower one's")
     marked = assemble(u_poly, domain)
     gp = apeq_certificate(system, sample_jets(u_poly, marked),
-                          sample_jets(v_poly, marked), float(g["eps"]))
+                          sample_jets(v_poly, marked), gamma)
     _compare(problems, "global_pair", g, _cert_dict(gp))
 
     # the tiling, derived from the box and the lattice as run derives it
     t = cert["tiling"]
     tiling = scheme_tiling(domain)
-    for key, want in (("delta", float(tiling.delta)),
-                      ("i_cells", _cells_list(tiling.i_cells)),
-                      ("anchors", _floats2d(tiling.anchors))):
-        if t[key] != want:
-            problems.append(f"tiling.{key}: stored value differs from the tiling "
-                            "of the box and the lattice")
-    if cert["assumption"]["openness_radii"] != t["radii"]:
-        problems.append("assumption.openness_radii: stored value differs from "
-                        "tiling.radii")
+    if t["i_cells"] != _cells_list(tiling.i_cells):
+        problems.append("tiling.i_cells: stored value differs from the tiling "
+                        "of the box and the lattice")
     i_cells = tiling.i_cells
     radii = np.asarray(t["radii"], dtype=float)
     _expect("tiling.radii shape", radii.shape, (len(i_cells),))

@@ -423,26 +423,35 @@ def sample_jets(v: PiecewisePoly, domain: GridDomain) -> list[GridFunction]:
 # JSON serialization
 
 
+def artifact_json(obj) -> str:
+    """obj as one line of compact JSON with sorted keys, the text of every
+    artifact file; json.dumps, since json.dump never uses the C encoder."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+
+
 def poly_to_dict(v: PiecewisePoly) -> dict:
+    """The polynomial file of v: its signature, then the cell corners lo and
+    hi (C, n), anchors (C, K, n) and coeffs (C, K, count) as nested lists."""
     return {
         "space_dim": v.space_dim,
         "components": v.components,
         "order": v.order,
         "alphas": [list(a) for a in v.mis.alphas],
-        "cells": [
-            {"lo": lo, "hi": hi,
-             "polys": [{"anchor": a, "coeffs": c} for a, c in zip(anchors, coeffs)]}
-            for (lo, hi), anchors, coeffs in zip(
-                v.bounds.tolist(), v.anchors.tolist(), v.coeffs.tolist())
-        ],
+        "lo": v.bounds[:, 0].tolist(),
+        "hi": v.bounds[:, 1].tolist(),
+        "anchors": v.anchors.tolist(),
+        "coeffs": v.coeffs.tolist(),
     }
 
 
-def _float_rows(rows: list, width: int, what: str) -> np.ndarray:
-    """rows of a polynomial file as a (len(rows), width) float array."""
-    a = np.array(rows, dtype=float) if rows else np.empty((0, width))
-    if a.shape != (len(rows), width):
-        raise ValueError(f"every {what} must have {width} entries")
+def _float_array(data: dict, key: str, shape: tuple[int, ...]) -> np.ndarray:
+    """Entry key of a polynomial file as a float array of the given shape."""
+    try:
+        a = np.asarray(data[key], dtype=float)
+    except ValueError as e:  # ragged rows or a non-number
+        raise ValueError(f"{key}: {e}") from None
+    if a.shape != shape:
+        raise ValueError(f"{key}: expected shape {shape}, found {a.shape}")
     return a
 
 
@@ -454,24 +463,18 @@ def poly_from_dict(data: dict) -> PiecewisePoly:
     stored = [tuple(a) for a in data["alphas"]]
     if stored != list(mis.alphas):
         raise ValueError("multi-index ordering in file does not match graded-lex")
-    entries = data["cells"]
-    if any(len(entry["polys"]) != K for entry in entries):
-        raise ValueError("cell polynomial count does not match component count")
-    lo = _float_rows([entry["lo"] for entry in entries], n, "cell lo")
-    hi = _float_rows([entry["hi"] for entry in entries], n, "cell hi")
-    polys = [p for entry in entries for p in entry["polys"]]
-    anchors = _float_rows([p["anchor"] for p in polys], n, "anchor")
-    coeffs = _float_rows([p["coeffs"] for p in polys], mis.count, "coefficient row")
-    C = len(entries)
-    return PiecewisePoly(np.stack([lo, hi], axis=1), anchors.reshape(C, K, n),
-                         coeffs.reshape(C, K, mis.count), mis)
+    C = len(data["lo"])
+    lo = _float_array(data, "lo", (C, n))
+    hi = _float_array(data, "hi", (C, n))
+    anchors = _float_array(data, "anchors", (C, K, n))
+    coeffs = _float_array(data, "coeffs", (C, K, mis.count))
+    return PiecewisePoly(np.stack([lo, hi], axis=1), anchors, coeffs, mis)
 
 
 def write_poly_json(v: PiecewisePoly, path) -> None:
     tmp = f"{path}.tmp"
     with open(tmp, "w") as fh:
-        json.dump(poly_to_dict(v), fh, sort_keys=True, indent=1)
-        fh.write("\n")
+        fh.write(artifact_json(poly_to_dict(v)))
     os.replace(tmp, path)
 
 

@@ -719,7 +719,6 @@ class Eq3Certificate:
 
     passed: bool
     max_ratio: float
-    widths: tuple[tuple[float, ...], ...]  # per I-cell, per flat jet variable
 
 
 def eq1_certificate(
@@ -771,7 +770,6 @@ def eq3_certificate(radii, band_lo: np.ndarray, band_hi: np.ndarray,
     return Eq3Certificate(
         passed=bool(np.all(ratios < 1.0)),
         max_ratio=float(np.max(ratios)),
-        widths=tuple(tuple(float(w) for w in row) for row in widths),
     )
 
 

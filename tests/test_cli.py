@@ -152,7 +152,7 @@ def test_run_writes_expected_artifacts(run_dir):
                 assert (sdir / f"{prefix}_{tag}.csv").is_file()
     cert = json.loads((run_dir / "certificate.json").read_text())
     assert cert["verdict"] == "pass"
-    assert cert["schema"] == 1
+    assert cert["schema"] == 2
     assert cert["problem"]["exact"] == ["sin(x1)"]
     assert cert["assumption"]["interior"]["supported"] is True
     assert "not a proof" in cert["assumption"]["note"]
@@ -161,6 +161,16 @@ def test_run_writes_expected_artifacts(run_dir):
     summary = (run_dir / "summary.txt").read_text()
     assert "verdict: pass" in summary
     assert "EVIDENCE" in summary or "evidence" in summary
+
+
+def test_artifacts_are_one_line_of_compact_json(run_dir):
+    names = ["certificate.json", "global_lower.json", "global_upper.json",
+             "stage1/poly.json", "stage2/poly.json"]
+    for name in names:
+        text = (run_dir / name).read_text()
+        assert text.count("\n") == 1 and text.endswith("\n"), name
+        data = json.loads(text)
+        assert text == json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n", name
 
 
 def test_run_deterministic(run_dir, tmp_path):
@@ -358,7 +368,7 @@ def test_verify_detects_tampered_polynomial(run_dir, tmp_path, capsys):
     copy = tmp_path / "tampered_poly"
     shutil.copytree(run_dir, copy)
     poly = json.loads((copy / "stage1" / "poly.json").read_text())
-    poly["cells"][0]["polys"][0]["coeffs"][0] += 0.05
+    poly["coeffs"][0][0][0] += 0.05
     (copy / "stage1" / "poly.json").write_text(json.dumps(poly))
     assert verify(copy) == 2
     assert "MISMATCH" in capsys.readouterr().out
@@ -410,26 +420,17 @@ def test_verify_detects_flipped_vacuous_flag(run_dir, tmp_path, capsys):
     assert "MISMATCH stage1.eq2.vacuous" in capsys.readouterr().out
 
 
-def _shift_anchor(cert):
-    cert["tiling"]["anchors"][0][0] += 0.01
-
-
-def _shrink_delta(cert):
-    cert["tiling"]["delta"] *= 0.5
-
-
-def _raise_openness_radius(cert):
-    cert["assumption"]["openness_radii"][-1] *= 1.5
+def _move_i_cell(cert):
+    cell = cert["tiling"]["i_cells"][0]
+    cell["hi"] = [cell["hi"][0] + 0.01]
 
 
 @pytest.mark.parametrize("tamper, field", [
-    (_shift_anchor, "tiling.anchors"),
-    (_shrink_delta, "tiling.delta"),
-    (_raise_openness_radius, "assumption.openness_radii"),
+    (_move_i_cell, "tiling.i_cells"),
 ], ids=lambda x: x.__name__.strip("_") if callable(x) else None)
 def test_verify_derives_the_tiling(run_dir, tmp_path, capsys, tamper, field):
-    # verify derives the tiling from the box and the lattice and checks the
-    # stored radii against it; no certificate reads these fields
+    # verify derives the tiling from the box and the lattice; no certificate
+    # reads the stored I-cells
     copy = tmp_path / "tampered_tiling_field"
     shutil.copytree(run_dir, copy)
     cert = json.loads((copy / "certificate.json").read_text())
@@ -571,9 +572,8 @@ def test_verify_rejects_foreign_signature_polynomial(run_dir, tmp_path, capsys, 
     poly = json.loads((copy / name).read_text())
     assert (poly["space_dim"], poly["components"], poly["order"]) == (1, 1, 1)
     poly.update(components=2, order=0, alphas=[[0]])
-    for cell in poly["cells"]:
-        (p,) = cell["polys"]
-        cell["polys"] = [{"anchor": p["anchor"], "coeffs": [c]} for c in p["coeffs"]]
+    poly["anchors"] = [2 * a for a in poly["anchors"]]
+    poly["coeffs"] = [[[c] for c in p] for (p,) in poly["coeffs"]]
     (copy / name).write_text(json.dumps(poly))
     assert verify(copy) == 2
     out = capsys.readouterr().out
@@ -587,12 +587,11 @@ def test_verify_detects_overlapping_j_cells(run_dir, tmp_path, capsys):
     shutil.copytree(run_dir, copy)
     cert = json.loads((copy / "certificate.json").read_text())
     poly = json.loads((copy / "stage1" / "poly.json").read_text())
-    cell = poly["cells"][0]
-    shift = 0.5 * (cell["hi"][0] - cell["lo"][0])
-    assert any(c["lo"] == cell["hi"] for c in poly["cells"][1:])  # a neighbour
-    for box in (cell, cert["stages"][0]["j_cells"][0][0]):
-        box["lo"] = [box["lo"][0] + shift]
-        box["hi"] = [box["hi"][0] + shift]
+    shift = 0.5 * (poly["hi"][0][0] - poly["lo"][0][0])
+    assert poly["hi"][0] in poly["lo"][1:]  # a neighbour
+    j_cell = cert["stages"][0]["j_cells"][0][0]
+    for row in (poly["lo"][0], poly["hi"][0], j_cell["lo"], j_cell["hi"]):
+        row[0] += shift
     (copy / "stage1" / "poly.json").write_text(json.dumps(poly))
     (copy / "certificate.json").write_text(json.dumps(cert))
     assert verify(copy) == 2
@@ -619,27 +618,19 @@ def _tampered(run, tmp_path, name, tamper):
     return copy
 
 
-def _three_cells_one_moved(cert):
-    cells = cert["global_pair"]["cells"][:3]
-    cells[1] = {"lo": [cells[1]["lo"][0] + 0.01], "hi": [cells[1]["hi"][0] + 0.01]}
-    cert["global_pair"]["cells"] = cells
-
-
 def _nudge_upper_face(poly):
     # the face between the first two cells of the upper file moves by far
     # less than the lattice's snapping tolerance: same skeleton, same samples
-    left, right = poly["cells"][:2]
-    assert left["hi"] == right["lo"]
-    left["hi"] = right["lo"] = [left["hi"][0] * (1 + 1e-12)]
+    assert poly["hi"][0] == poly["lo"][1]
+    poly["hi"][0] = poly["lo"][1] = [poly["hi"][0][0] * (1 + 1e-12)]
 
 
 @pytest.mark.parametrize("name, tamper, message", [
-    ("certificate.json", _three_cells_one_moved, "global_pair.cells"),
     ("global_upper.json", _nudge_upper_face, "global_pair: the upper polynomial file's cells"),
-], ids=["three_cells_one_moved", "nudged_upper_face"])
+], ids=["nudged_upper_face"])
 def test_verify_compares_global_pair_cells(demo_dir, tmp_path, capsys, name, tamper, message):
-    # no certificate reads these cells: verify compares them exactly with
-    # the cells of the lower polynomial file
+    # no certificate reads the upper file's cells: verify compares them
+    # exactly with the cells of the lower polynomial file
     copy = _tampered(demo_dir, tmp_path, name, tamper)
     assert verify(copy) == 2
     out = capsys.readouterr().out
@@ -653,12 +644,10 @@ def _double_radii(cert):
 
     t = cert["tiling"]
     t["radii"] = [2.0 * r for r in t["radii"]]
-    cert["assumption"]["openness_radii"] = list(t["radii"])
     for s in cert["stages"]:
         eq3 = eq3_certificate(t["radii"], np.array(s["band_lo"]), np.array(s["band_hi"]),
                               s["n"])
-        s["eq3"] = {"passed": eq3.passed, "max_ratio": eq3.max_ratio,
-                    "widths": [list(w) for w in eq3.widths]}
+        s["eq3"] = {"passed": eq3.passed, "max_ratio": eq3.max_ratio}
     tol = band_tolerance(t["radii"], len(cert["stages"]))
     cert["config"]["band_tol"] = tol
     for band in cert["order_convergence"]["bands"].values():
@@ -691,12 +680,36 @@ def test_verify_recomputes_the_bands(demo_dir, tmp_path, capsys):
     assert "MISMATCH stage1.band_hi: stored bands differ" in out
 
 
+def test_verify_recomputes_global_pair_at_gamma(demo_dir, tmp_path, capsys):
+    # a pair certified only at twice gamma, its stored margins recomputed
+    # at that eps: verify certifies the pair at config.gamma, as run does
+    from ordercomplete.cli import _cert_dict
+    from ordercomplete.grids import GridDomain
+    from ordercomplete.jets import assemble, read_poly_json, sample_jets
+    from ordercomplete.solver import apeq_certificate
+
+    cert = json.loads((demo_dir / "certificate.json").read_text())
+    system, _, _ = load_spec(DEMOS / "manufactured_1d.spec")
+    u, v = (read_poly_json(demo_dir / f"global_{side}.json") for side in ("lower", "upper"))
+    marked = assemble(u, GridDomain(system.box_lo, system.box_hi, cert["config"]["grid"]))
+    eps = 2.0 * cert["config"]["gamma"]
+    gp = apeq_certificate(system, sample_jets(u, marked), sample_jets(v, marked), eps)
+    assert gp.passed and gp.eps == 0.4
+    copy = _tampered(demo_dir, tmp_path, "certificate.json",
+                     lambda c: c["global_pair"].update(_cert_dict(gp)))
+    assert verify(copy) == 2
+    out = capsys.readouterr().out
+    assert "MISMATCH global_pair.eps: stored 0.4, recomputed 0.2" in out
+    assert "verify: FAILED" in out
+
+
 def test_verify_rejects_missing_or_foreign_dir(tmp_path, capsys):
     assert verify(tmp_path / "nothing_here") == 2
     assert "cannot read certificate" in capsys.readouterr().out
-    (tmp_path / "certificate.json").write_text('{"schema": 99}')
-    assert verify(tmp_path) == 2
-    assert "unsupported schema" in capsys.readouterr().out
+    for schema in (1, 99):
+        (tmp_path / "certificate.json").write_text(f'{{"schema": {schema}}}')
+        assert verify(tmp_path) == 2
+        assert f"unsupported schema {schema}" in capsys.readouterr().out
 
 
 # ---------------------------------------------------------------------------

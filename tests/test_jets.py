@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -180,23 +181,25 @@ def test_cell_geometry_and_split():
 
 def _poly_file(**change):
     """A one-cell K = 1, n = 1, m = 1 polynomial file, with entries changed."""
-    cell = {"lo": [0.0], "hi": [1.0], "polys": [{"anchor": [0.5], "coeffs": [1.0, 2.0]}]}
-    cell.update(change)
-    return {"space_dim": 1, "components": 1, "order": 1, "alphas": [[0], [1]],
-            "cells": [cell]}
+    data = {"space_dim": 1, "components": 1, "order": 1, "alphas": [[0], [1]],
+            "lo": [[0.0]], "hi": [[1.0]], "anchors": [[[0.5]]], "coeffs": [[[1.0, 2.0]]]}
+    data.update(change)
+    return data
 
 
 @pytest.mark.parametrize("change, message", [
-    ({"hi": [1.0, 2.0]}, "cell hi"),
-    ({"hi": [0.0]}, "empty extent"),
-    ({"lo": [None]}, "NaN"),
-    ({"polys": [{"anchor": [0.5, 0.5], "coeffs": [1.0, 2.0]}]}, "anchor"),
-    ({"polys": [{"anchor": [0.5], "coeffs": [1.0]}]}, "coefficient"),
-    ({"polys": []}, "polynomial count"),
-], ids=["lo_hi_lengths", "empty_extent", "nan", "anchor_size", "coeff_size", "poly_count"])
+    ({"hi": [[1.0, 2.0]]}, "hi: expected shape (1, 1), found (1, 2)"),
+    ({"hi": [[0.0]]}, "empty extent"),
+    ({"lo": [[None]]}, "NaN"),
+    ({"anchors": [[[0.5, 0.5]]]}, "anchors: expected shape (1, 1, 1), found (1, 1, 2)"),
+    ({"coeffs": [[[1.0]]]}, "coeffs: expected shape (1, 1, 2), found (1, 1, 1)"),
+    ({"anchors": [[]], "coeffs": [[]]}, "anchors: expected shape (1, 1, 1), found (1, 0)"),
+    ({"lo": [[0.0], [0.0, 1.0]]}, "lo: setting an array element with a sequence"),
+], ids=["lo_hi_lengths", "empty_extent", "nan", "anchor_size", "coeff_size", "poly_count",
+        "ragged_rows"])
 def test_poly_from_dict_rejects_malformed_cells(change, message):
     assert poly_from_dict(_poly_file()).cells == [Cell((0.0,), (1.0,))]
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError, match=re.escape(message)):
         poly_from_dict(_poly_file(**change))
 
 
@@ -479,7 +482,7 @@ def test_poly_json_round_trip(tmp_path):
     v = PiecewisePoly(cells, _centers(cells)[:, None], rng.normal(size=(4, 1, mis.count)), mis)
     assemble(v, dom)
     d = poly_to_dict(v)
-    assert d["cells"][1]["lo"] == [0.0, 0.5] and d["cells"][1]["hi"] == [0.5, 1.0]
+    assert d["lo"][1] == [0.0, 0.5] and d["hi"][1] == [0.5, 1.0]
     v2 = poly_from_dict(d)
     assert v2.space_dim == v.space_dim and v2.order == v.order
     assert v2.cells == v.cells == [Cell(tuple(lo), tuple(hi)) for lo, hi in cells.tolist()]
