@@ -18,17 +18,17 @@ canonical and parse(render(e)) reproduces e node for node. The one
 exception is the internal function sign, which only derivatives of abs
 contain: it renders, but the grammar does not accept it.
 
-Expressions are immutable. Three evaluators share the tree: scalar point
-evaluation, elementwise numpy evaluation over coordinate arrays, and
-interval evaluation via the natural extension with outward rounding. The
-point and array evaluators fault on the same inputs: a domain violation
-(log or sqrt outside its domain, division by zero, a zero base with a
-negative exponent) or a node value that is not finite (overflow included).
+Expressions are immutable. Two evaluators share the tree: elementwise
+numpy evaluation over coordinate arrays, and interval evaluation via the
+natural extension with outward rounding. Point evaluation is the array
+evaluator on one-element arrays, so points and arrays give the same bits
+and fault on the same inputs by construction: a domain violation (log or
+sqrt outside its domain, division by zero, a zero base with a negative
+exponent) or a node value that is not finite (overflow included).
 """
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
@@ -68,10 +68,10 @@ class EvalDomainError(ValueError):
     """An evaluation faulted: a function outside its domain (log, sqrt,
     division, zero to a negative power) or a non-finite value.
 
-    Raised by eval_on_arrays, it also carries `faulted`, the boolean mask of
-    the elements that faulted, and `values`, the elementwise result (its
-    faulted elements are meaningless), both of the full broadcast shape;
-    otherwise both are None.
+    Raised for a fault of eval_on_arrays or eval_point, it also carries
+    `faulted`, the boolean mask of the elements that faulted, and `values`,
+    the elementwise result (its faulted elements are meaningless), both of
+    the full broadcast shape; otherwise both are None.
     """
 
     def __init__(self, message: str, faulted: np.ndarray | None = None,
@@ -418,15 +418,7 @@ def has_jet_vars(e: Expr) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# point evaluation
-
-_SCALAR_FUNCS = {
-    "sin": math.sin,
-    "cos": math.cos,
-    "exp": math.exp,
-    "abs": abs,
-    "sign": lambda a: float((a > 0.0) - (a < 0.0)),  # np.sign on finite floats
-}
+# evaluation over numpy arrays; a point is the one-element case
 
 
 def eval_point(
@@ -436,66 +428,14 @@ def eval_point(
 ) -> float:
     """Evaluate at a space point with jet values supplied by a mapping.
 
-    Domain violations (log/sqrt outside domain, division by zero, zero to
-    a negative power) and node values that are not finite, overflow
-    included, raise EvalDomainError; the result is always finite.
+    eval_on_arrays on one-element arrays, so a point gives the same bits
+    and the same faults as its element of any batch. A fault raises
+    EvalDomainError; the result is always finite.
     """
-    try:
-        return _eval_point(e, x, jets)
-    except OverflowError as err:  # math.exp and float.__pow__ raise it
-        raise EvalDomainError(f"overflow in {render(e)!r}") from err
-
-
-def _eval_point(e: Expr, x, jets) -> float:
-    val = _point_node(e, x, jets)
-    if not math.isfinite(val):
-        raise EvalDomainError(f"non-finite value of {render(e)!r}")
-    return val
-
-
-def _point_node(e: Expr, x, jets) -> float:
-    if isinstance(e, Num):
-        return e.value
-    if isinstance(e, SpaceVar):
-        return float(x[e.index - 1])
-    if isinstance(e, JetVar):
-        if jets is None:
-            raise EvalDomainError(f"no jet values supplied for {render(e)!r}")
-        return float(jets[(e.component, e.alpha)])
-    if isinstance(e, Neg):
-        return -_eval_point(e.operand, x, jets)
-    if isinstance(e, Add):
-        return _eval_point(e.left, x, jets) + _eval_point(e.right, x, jets)
-    if isinstance(e, Sub):
-        return _eval_point(e.left, x, jets) - _eval_point(e.right, x, jets)
-    if isinstance(e, Mul):
-        return _eval_point(e.left, x, jets) * _eval_point(e.right, x, jets)
-    if isinstance(e, Div):
-        denom = _eval_point(e.right, x, jets)
-        if denom == 0.0:
-            raise EvalDomainError(f"division by zero in {render(e)!r}")
-        return _eval_point(e.left, x, jets) / denom
-    if isinstance(e, Pow):
-        base = _eval_point(e.base, x, jets)
-        if e.exponent < 0 and base == 0.0:
-            raise EvalDomainError(f"zero base with negative exponent in {render(e)!r}")
-        return float(base**e.exponent)
-    if isinstance(e, Call):
-        arg = _eval_point(e.arg, x, jets)
-        if e.func == "log":
-            if arg <= 0.0:
-                raise EvalDomainError(f"log of non-positive value {arg!r}")
-            return math.log(arg)
-        if e.func == "sqrt":
-            if arg < 0.0:
-                raise EvalDomainError(f"sqrt of negative value {arg!r}")
-            return math.sqrt(arg)
-        return _SCALAR_FUNCS[e.func](arg)
-    raise TypeError(f"unknown node {type(e).__name__}")
-
-
-# ---------------------------------------------------------------------------
-# elementwise evaluation over numpy arrays
+    coords = [np.array([c], dtype=float) for c in x]
+    if jets is not None:
+        jets = {var: np.array([v], dtype=float) for var, v in jets.items()}
+    return float(eval_on_arrays(e, coords, jets)[0])
 
 
 def eval_on_arrays(
@@ -503,10 +443,12 @@ def eval_on_arrays(
     x: Sequence[np.ndarray],
     jets: Mapping[tuple[int, tuple[int, ...]], np.ndarray] | None = None,
 ) -> np.ndarray:
-    """Elementwise eval_point over broadcastable coordinate/jet arrays.
+    """Elementwise values of e over broadcastable coordinate/jet arrays.
 
-    Same fault rules as eval_point, checked over every element. The result
-    always has the full broadcast shape of the inputs, even for constant
+    An element faults when some node of its evaluation is outside a
+    function domain (log or sqrt, division by zero, a zero base with a
+    negative exponent) or not finite, overflow included. The result always
+    has the full broadcast shape of the inputs, even for constant
     expressions. If any element faults, the EvalDomainError raised carries
     the faulted mask and the values, so a sampling caller can drop the
     faulted elements instead of evaluating them one by one.
@@ -533,9 +475,10 @@ def eval_on_arrays(
 def _eval_arrays(e: Expr, x, jets):
     """Elementwise values of e and the mask of elements that fault.
 
-    An element faults exactly where eval_point raises EvalDomainError: some
-    node of its evaluation is outside a function domain or not finite. The
-    values of faulted elements are meaningless.
+    An element faults when some node of its evaluation is outside a
+    function domain or not finite; eval_point on that element's inputs
+    raises EvalDomainError by construction. The values of faulted elements
+    are meaningless.
     """
     val, faulted = _array_node(e, x, jets)
     nonfinite = ~np.isfinite(val)
@@ -619,7 +562,7 @@ def eval_interval(
 
     The result encloses {eval_point(e, p, q) : p in x, q in jets}; it is
     never an under-approximation. Operands wholly outside a function domain
-    raise EvalDomainError, same as the point evaluators.
+    raise EvalDomainError, same as eval_on_arrays.
     """
     try:
         return _eval_interval(e, x, jets)

@@ -111,9 +111,6 @@ class GridDomain:
         """Coordinate arrays of the full lattice, one per axis, grid-shaped."""
         return np.meshgrid(*(self.axis(d) for d in range(self.ndim)), indexing="ij")
 
-    def point(self, idx: tuple[int, ...]) -> np.ndarray:
-        return np.array([self.axis(d)[idx[d]] for d in range(self.ndim)])
-
     def with_skeleton(self, skeleton: np.ndarray) -> "GridDomain":
         return GridDomain(self.lo, self.hi, self.shape, skeleton)
 
@@ -151,9 +148,6 @@ class GridFunction:
         self.values = vals
         self.values.setflags(write=False)
         self.normalized = bool(normalized)
-
-    def with_values(self, values: np.ndarray, normalized: bool = False) -> "GridFunction":
-        return GridFunction(self.domain, values, normalized)
 
     def sup_norm(self) -> float:
         off = ~self.domain.skeleton

@@ -75,11 +75,6 @@ def _multi_index_set(n: int, m: int) -> MultiIndexSet:
     return MultiIndexSet(n, m)
 
 
-def jet_size(K: int, mis: MultiIndexSet) -> int:
-    """Total unknown count M for K components."""
-    return K * mis.count
-
-
 def _factorial_alpha(alpha: tuple[int, ...]) -> float:
     out = 1
     for a in alpha:

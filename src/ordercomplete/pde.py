@@ -153,7 +153,8 @@ def eval_rows(sys: PdeSystem, exprs: Sequence[ex.Expr], x: Sequence,
     value per row); vecs holds one flat jet per row, handed on as one
     contiguous column per jet variable. Returns the values (rows,
     len(exprs)) and the rows on which some expression faults, where the
-    values mean nothing: exactly the rows on which eval_point raises.
+    values mean nothing. These are the rows on which eval_point raises, by
+    construction: it runs this same array evaluation on one row.
     """
     jets = dict(zip(sys.flat_vars(), np.ascontiguousarray(vecs.T)))
     values = np.empty((vecs.shape[0], len(exprs)))

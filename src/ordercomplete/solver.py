@@ -158,15 +158,14 @@ class Tiling:
 
 
 def tile_domain(
-    box_lo, box_hi, delta: float, arity: int = 2,
-    domain: GridDomain | None = None,
+    box_lo, box_hi, delta: float, domain: GridDomain | None = None,
 ) -> Tiling:
     """Cover the box by congruent I-cells of diameter <= delta.
 
-    Axes are split repeatedly (largest current width first, lowest axis on
-    ties) by the given arity until the common cell diameter fits. With a
-    lattice supplied, delta below one grid cell is rejected and every I-cell
-    must hold at least one strictly interior lattice point.
+    Axes are halved repeatedly (largest current width first, lowest axis on
+    ties) until the common cell diameter fits. With a lattice supplied,
+    delta below one grid cell is rejected and every I-cell must hold at
+    least one strictly interior lattice point.
     """
     lo = np.asarray(box_lo, dtype=float)
     hi = np.asarray(box_hi, dtype=float)
@@ -176,9 +175,6 @@ def tile_domain(
         raise ValueError("box must have positive extent")
     if delta <= 0.0:
         raise ValueError("delta must be positive")
-    if int(arity) < 2:
-        raise ValueError("arity must be at least 2")
-    arity = int(arity)
     if domain is not None and delta < float(np.max(domain.spacing)):
         raise TilingError(
             f"delta={delta} is below one grid cell "
@@ -190,7 +186,7 @@ def tile_domain(
         widths = (hi - lo) / counts
         if float(np.linalg.norm(widths)) <= delta:
             break
-        counts[int(np.argmax(widths))] *= arity
+        counts[int(np.argmax(widths))] *= 2
     else:
         raise TilingError("subdivision did not reach the requested delta")
     edges = [np.linspace(lo[d], hi[d], counts[d] + 1) for d in range(n)]
@@ -211,7 +207,7 @@ def scheme_tiling(domain: GridDomain) -> Tiling:
     """The I-cells of the refinement scheme on a lattice: dyadic cells of
     diameter at most a sixteenth of the box diagonal (see tile_domain)."""
     delta = float(np.linalg.norm(domain.hi - domain.lo)) / 16.0
-    return tile_domain(domain.lo, domain.hi, delta, 2, domain)
+    return tile_domain(domain.lo, domain.hi, delta, domain)
 
 
 def _empty_interiors(domain: GridDomain, cells: np.ndarray) -> np.ndarray:

@@ -2,11 +2,13 @@
 
 Derived expected values are frozen from independent oracles computed in
 place: finite differences for derivatives, dense random sampling for
-interval containment.
+interval containment, and a 60-digit mpmath walk of the tree for point
+values and faults.
 """
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -133,13 +135,24 @@ def test_eval_point_missing_jet_values():
 
 
 def test_eval_on_arrays_matches_pointwise():
-    e = ex.parse("sin(x1) * u[1,(0)] + x1^2", SIG111)
-    xs = np.linspace(-2.0, 2.0, 17)
-    js = np.linspace(0.0, 1.0, 17)
-    out = ex.eval_on_arrays(e, [xs], {(1, (0,)): js})
-    for k in range(xs.size):
-        ref = ex.eval_point(e, [xs[k]], {(1, (0,)): js[k]})
-        assert out[k] == pytest.approx(ref, rel=0, abs=0)
+    # every function of the grammar, the internal sign, a negative power and
+    # a division: jet_solve and the probe rely on each element of a batch
+    # depending only on its own inputs, so a point (a one-element batch)
+    # must give the bits of its element of a long one
+    texts = ["sin(x1) * U + x1^2", "cos(U) - exp(x1 / 4)",
+             "log(2 + x1^2) / (3 + U)", "sqrt(abs(x1 * U))", "(1 + U^2)^-3 + x1^-2"]
+    exprs = [ex.parse(t.replace("U", "u[1,(0)]"), SIG111) for t in texts]
+    exprs.append(ex.diff_jet(ex.parse("x1 * abs(u[1,(0)] - x1)", SIG111), (1, (0,))))
+    assert "sign(" in ex.render(exprs[-1])
+    rng = np.random.default_rng(18)
+    xs = rng.uniform(-4.0, 4.0, 1000)
+    js = rng.uniform(-2.0, 2.0, 1000)
+    for e in exprs:
+        out = ex.eval_on_arrays(e, [xs], {(1, (0,)): js})
+        points = np.array([ex.eval_point(e, [xs[k]], {(1, (0,)): js[k]})
+                           for k in range(xs.size)])
+        np.testing.assert_array_equal(points.view(np.int64), out.view(np.int64),
+                                      err_msg=ex.render(e))
 
 
 def test_eval_on_arrays_constant_broadcasts():
@@ -164,6 +177,67 @@ def test_eval_on_arrays_fault_carries_mask_and_values():
     assert ei.value.values[0, 0] == 0.0 and ei.value.values[1, 1] == 1.0
 
 
+class _Fault(Exception):
+    pass
+
+
+_MP_FUNCS = {"sin": mpmath.sin, "cos": mpmath.cos, "exp": mpmath.exp,
+             "log": mpmath.log, "sqrt": mpmath.sqrt, "abs": abs, "sign": mpmath.sign}
+
+
+def _oracle(e, x, jets):
+    """e at one point in 60-digit arithmetic with every node rounded to a
+    double, or None where the evaluation faults: a non-finite leaf, a
+    division by 0, log of a value <= 0, sqrt of a value < 0, 0 to a
+    negative power, or a node that rounds to +-inf."""
+    with mpmath.workdps(60):
+        try:
+            return _oracle_node(e, x, jets)
+        except _Fault:
+            return None
+
+
+def _oracle_node(e, x, jets):
+    if isinstance(e, ex.Num):
+        v = e.value
+    elif isinstance(e, ex.SpaceVar):
+        v = x[e.index - 1]
+    elif isinstance(e, ex.JetVar):
+        v = jets[(e.component, e.alpha)]
+    else:
+        v = _oracle_op(e, x, jets)
+    v = float(v)
+    if not math.isfinite(v):
+        raise _Fault
+    return v
+
+
+def _oracle_op(e, x, jets):
+    if isinstance(e, ex.Neg):
+        return -_oracle_node(e.operand, x, jets)
+    if isinstance(e, ex.Call):
+        a = mpmath.mpf(_oracle_node(e.arg, x, jets))
+        if (e.func == "log" and a <= 0) or (e.func == "sqrt" and a < 0):
+            raise _Fault
+        return _MP_FUNCS[e.func](a)
+    if isinstance(e, ex.Pow):
+        base = mpmath.mpf(_oracle_node(e.base, x, jets))
+        if base == 0 and e.exponent < 0:
+            raise _Fault
+        return base**e.exponent
+    left = mpmath.mpf(_oracle_node(e.left, x, jets))
+    right = mpmath.mpf(_oracle_node(e.right, x, jets))
+    if isinstance(e, ex.Div):
+        if right == 0:
+            raise _Fault
+        return left / right
+    if isinstance(e, ex.Add):
+        return left + right
+    if isinstance(e, ex.Sub):
+        return left - right
+    return left * right
+
+
 # inputs that cross every fault of the expressions below: zero and
 # subnormal denominators, the log/sqrt domain edges, exp(u^3) overflowing
 # just above u = 709.78^(1/3) = 8.92, and non-finite jet values
@@ -183,17 +257,19 @@ def test_point_and_array_evaluators_fault_alike(text):
     us = np.array(_CROSSING)
     with np.errstate(all="ignore"):
         vals, faulted = ex._eval_arrays(e, [np.zeros_like(us)], {(1, (0,)): us})
-    point_faults = []
-    for k, u in enumerate(us):
-        try:
-            want = ex.eval_point(e, [0.0], {(1, (0,)): u})
-        except ex.EvalDomainError:
-            point_faults.append(k)
+    wants = [_oracle(e, [0.0], {(1, (0,)): u}) for u in us]
+    oracle_faults = [k for k, want in enumerate(wants) if want is None]
+    assert np.flatnonzero(faulted).tolist() == oracle_faults
+    assert 0 < len(oracle_faults) < us.size
+    for k, (u, want) in enumerate(zip(us, wants)):
+        jets = {(1, (0,)): u}
+        if want is None:
+            with pytest.raises(ex.EvalDomainError):
+                ex.eval_point(e, [0.0], jets)
             continue
         # abs covers results that underflow to subnormals
         assert vals[k] == pytest.approx(want, rel=1e-13, abs=1e-300), u
-    assert np.flatnonzero(faulted).tolist() == point_faults
-    assert 0 < len(point_faults) < us.size
+        assert ex.eval_point(e, [0.0], jets) == vals[k], u
     with pytest.raises(ex.EvalDomainError) as ei:
         ex.eval_on_arrays(e, [np.zeros_like(us)], {(1, (0,)): us})
     assert np.array_equal(ei.value.faulted, faulted)

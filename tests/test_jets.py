@@ -19,7 +19,6 @@ from ordercomplete.jets import (
     _classify_grid,
     assemble,
     deriv_eval,
-    jet_size,
     poly_from_dict,
     poly_to_dict,
     read_poly_json,
@@ -45,7 +44,6 @@ def test_count_is_binomial():
         for m in (0, 1, 2, 3):
             mis = MultiIndexSet(n, m)
             assert mis.count == math.comb(n + m, m)
-            assert jet_size(2, mis) == 2 * mis.count
 
 
 def test_index_lookup_and_membership():

@@ -201,7 +201,7 @@ def test_tile_partition_property_random_delta():
     for _ in range(20):
         # lower bound keeps the O(cells^2) disjointness oracle tractable
         delta = float(rng.uniform(0.35, 2.0))
-        t = tile_domain([0.0, -1.0], [2.0, 1.0], delta, arity=int(rng.integers(2, 4)))
+        t = tile_domain([0.0, -1.0], [2.0, 1.0], delta)
         total = sum(float(np.prod(hi - lo)) for lo, hi in t.i_cells)
         assert total == pytest.approx(4.0, rel=1e-12)
         for (lo, hi), center in zip(t.i_cells, t.anchors, strict=True):
@@ -221,8 +221,6 @@ def test_tile_rejects_sub_grid_delta():
         tile_domain([0.0], [1.0], 0.01, domain=dom)
     with pytest.raises(ValueError):
         tile_domain([0.0], [1.0], -1.0)
-    with pytest.raises(ValueError):
-        tile_domain([0.0], [1.0], 0.5, arity=1)
 
 
 def test_tiling_radii_guarded():
@@ -239,13 +237,13 @@ def test_tiling_radii_guarded():
     assert np.array_equal(t2.jets, jets) and t2.jets is not jets
 
 
-@pytest.mark.parametrize("lo,hi,delta,arity", [
+@pytest.mark.parametrize("lo,hi,delta,salt", [
     ([0.0], [3.0], 0.1, 2), ([-1.0], [2.5], 0.05, 3),
     ([0.0, -1.0], [2.0, 1.0], 0.2, 2), ([0.1, 0.0], [1.0, 7.0], 0.9, 3),
     ([0.0, 0.0, 0.0], [1.0, 1.0, 1.0], 0.5, 2), ([-2.0, 0.0, 1.0], [1.0, 0.5, 4.0], 1.1, 3)])
-def test_tiling_index_of_finds_parent_of_descendants(lo, hi, delta, arity):
-    rng = np.random.default_rng(int(delta * 100) + arity)
-    t = tile_domain(lo, hi, delta, arity=arity)
+def test_tiling_index_of_finds_parent_of_descendants(lo, hi, delta, salt):
+    rng = np.random.default_rng(int(delta * 100) + salt)
+    t = tile_domain(lo, hi, delta)
     assert int(np.prod(t.shape)) == len(t.i_cells) > 1
     assert np.array_equal(t.index_of(t.anchors), np.arange(len(t.i_cells)))
     centers, parents = [], []
