@@ -8,9 +8,11 @@ statistical one.
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
+from ordercomplete import expr as ex
 from ordercomplete.intervals import (
     Interval,
     IntervalDomainError,
@@ -21,6 +23,7 @@ from ordercomplete.intervals import (
     sin_interval,
     sqrt_interval,
 )
+from test_expr import _Fault, _oracle_op
 
 
 def _samples(iv: Interval, rng, k=50):
@@ -156,3 +159,142 @@ def test_wide_trig_clamps_to_unit():
     s = sin_interval(Interval(-100.0, 100.0))
     assert s.lo <= -1.0 and s.hi >= 1.0
     assert cos_interval(Interval(-math.inf, 0.0)) == Interval(-1.0, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# mpmath oracle: each enclosure contains the exact real image of its operands
+# (Moore, Kearfott and Cloud, Introduction to Interval Analysis, SIAM 2009)
+
+_U, _V = ex.JetVar(1, (0,)), ex.JetVar(2, (0,))
+_BINARY = [
+    (ex.Add(_U, _V), lambda a, b: a + b),
+    (ex.Sub(_U, _V), lambda a, b: a - b),
+    (ex.Mul(_U, _V), lambda a, b: a * b),
+    (ex.Div(_U, _V), lambda a, b: a / b),
+]
+_UNARY = {"abs": abs_interval, "sqrt": sqrt_interval, "exp": exp_interval,
+          "log": log_interval, "sin": sin_interval, "cos": cos_interval}
+_TINY = 5e-324  # the smallest positive double
+
+
+def _exact(node, a, b=0.0):
+    """node on the doubles a (as u[1,(0)]) and b (as u[2,(0)]) in 60-digit
+    arithmetic, not rounded to a double (test_expr's oracle), or None where
+    the operation is undefined."""
+    with mpmath.workdps(60):
+        try:
+            return _oracle_op(node, [], {(1, (0,)): a, (2, (0,)): b})
+        except _Fault:
+            return None
+
+
+def _points(iv, rng, k=6):
+    """Both endpoints, k random interior points, and the doubles nearest
+    zero that lie in iv, where divisions and negative powers blow up."""
+    lo, hi = float(iv.lo), float(iv.hi)
+    pts = [lo, hi, *rng.uniform(lo, hi, k).tolist()]
+    return pts + [p for p in (-_TINY, 0.0, _TINY) if lo <= p <= hi]
+
+
+def _assert_encloses(out, node, xs, ys=(0.0,)):
+    for a in xs:
+        for b in ys:
+            want = _exact(node, a, b)
+            if want is not None:
+                assert float(out.lo) <= want <= float(out.hi), (ex.render(node), a, b)
+
+
+def _random_interval(rng, scale):
+    """Endpoints of random sign and magnitude up to scale, down to 1/scale."""
+    mags = np.exp(rng.uniform(-np.log(scale), np.log(scale), 2))
+    return Interval(*sorted(mags * rng.choice([-1.0, 1.0], 2)))
+
+
+def test_oracle_arithmetic_random_magnitudes():
+    rng = np.random.default_rng(31)
+    for trial in range(120):
+        scale = 10.0 if trial % 2 else 1e150
+        a, b = _random_interval(rng, scale), _random_interval(rng, scale)
+        for node, op in _BINARY:
+            if isinstance(node, ex.Div) and float(b.lo) == 0.0 == float(b.hi):
+                continue
+            _assert_encloses(op(a, b), node, _points(a, rng, 3), _points(b, rng, 3))
+
+
+@pytest.mark.parametrize("num", [(1.0, 2.0), (-2.0, -1.0), (-1.0, 3.0), (0.0, 0.0),
+                                 (0.0, 1.0), (-1e150, 1e-150)])
+@pytest.mark.parametrize("den", [(0.0, 2.0), (-3.0, 0.0), (-0.0, 1e-300), (-1e-300, 0.0),
+                                 (-1.0, 1.0), (-_TINY, _TINY), (1e-150, 1e150)])
+def test_oracle_division_by_divisors_touching_zero(num, den):
+    rng = np.random.default_rng(37)
+    a, b = Interval(*num), Interval(*den)
+    _assert_encloses(a / b, ex.Div(_U, _V), _points(a, rng), _points(b, rng))
+
+
+@pytest.mark.parametrize("k", [-5, -4, -3, -2, -1, 0, 1, 2, 3, 4, 5, 7])
+def test_oracle_pow_int_negative_and_straddling(k):
+    rng = np.random.default_rng(41 + k)
+    cases = [(-3.0, -2.0), (-2.0, 1.0), (-1.0, 0.0), (0.0, 1.0), (-0.5, 0.5),
+             (-1.0, -1.0), (1e-30, 1e-20), (-7.0, 5.0)]
+    cases += [sorted(rng.uniform(-3.0, 3.0, 2)) for _ in range(20)]
+    node = ex.Pow(_U, k)
+    for lo, hi in cases:
+        iv = Interval(lo, hi)
+        _assert_encloses(iv.pow_int(k), node, _points(iv, rng))
+
+
+_UNARY_HARD = {
+    "exp": [(709.0, 709.7), (709.7, 709.78), (709.78, 709.79), (709.78, 720.0),
+            (800.0, 900.0), (-746.0, -744.0), (-800.0, -745.2), (-1e-300, 1e-300),
+            (0.0, 0.0), (1.0, 1.0)],
+    "log": [(_TINY, 1e-300), (0.0, 1e-300), (-1.0, _TINY), (1.0 - 2.0**-53, 1.0 + 2.0**-52),
+            (0.999, 1.001), (1.0, 1.0), (1e300, 1.7e308), (2.0, 2.0)],
+    "sqrt": [(0.0, 1e-300), (_TINY, 7 * _TINY), (2.0, 3.0), (-1.0, 4.0), (1e300, 1.7e308),
+             (4.0, 4.0)],
+    "abs": [(-3.0, 2.0), (-3.0, -2.0), (2.0, 3.0), (-0.0, 0.0), (-1e300, 1e-300)],
+}
+
+
+@pytest.mark.parametrize("func", sorted(_UNARY_HARD))
+def test_oracle_monotone_functions(func):
+    rng = np.random.default_rng(43)
+    node = ex.Call(func, _U)
+    cases = [Interval(*c) for c in _UNARY_HARD[func]]
+    for _ in range(60):
+        ends = rng.uniform(-20.0, 20.0, 2)
+        cases.append(Interval(*sorted(ends if func in ("abs", "exp") else np.abs(ends))))
+    for iv in cases:
+        _assert_encloses(_UNARY[func](iv), node, _points(iv, rng))
+
+
+def _extremum_inside(lo, hi, q):
+    """True when an exact q pi + 2 pi k lies in [lo, hi] (60 digits)."""
+    with mpmath.workdps(60):
+        phase = q * mpmath.pi
+        k = mpmath.ceil((mpmath.mpf(lo) - phase) / (2 * mpmath.pi))
+        return phase + 2 * mpmath.pi * k <= hi
+
+
+def _trig_cases(rng):
+    cases = [sorted(rng.uniform(-10.0, 10.0, 2)) for _ in range(40)]
+    for k in [*range(-8, 9), 10**6 + 1, 10**12 + 3, 6 * 10**14 + 1]:
+        c = k * (math.pi / 2.0)  # the double nearest a multiple of pi/2
+        for r in (0.0, math.ulp(c), 1e-12 * max(1.0, abs(c)), 1e-6, 0.1):
+            cases.append((c - r, c + r))
+    for m in (1e6, 1e10, 1e15):
+        cases += [(x, x) for x in rng.uniform(-m, m, 4)]
+        cases += [(x, x + w) for x, w in zip(rng.uniform(-m, m, 4), (1e-3, 0.5, 3.0, 6.0))]
+    return cases
+
+
+@pytest.mark.parametrize("func, top, bottom", [("sin", 0.5, -0.5), ("cos", 0.0, 1.0)])
+def test_oracle_trig_near_extrema_and_huge_arguments(func, top, bottom):
+    rng = np.random.default_rng(47)
+    node = ex.Call(func, _U)
+    for lo, hi in _trig_cases(rng):
+        out = _UNARY[func](Interval(lo, hi))
+        _assert_encloses(out, node, _points(Interval(lo, hi), rng, 4))
+        if _extremum_inside(lo, hi, top):
+            assert float(out.hi) >= 1.0, (func, lo, hi)
+        if _extremum_inside(lo, hi, bottom):
+            assert float(out.lo) <= -1.0, (func, lo, hi)
