@@ -27,9 +27,11 @@ def interval_pushforward(
     """Enclose {F_j(x, xi) : xi_v in intervals_v(x)} pointwise on the lattice.
 
     intervals holds one order interval per flat jet variable, in component-
-    major order. Output bounds are outer enclosures (interval arithmetic),
-    completed across the skeleton by the normalize rule. A jet box that
-    leaves an operand's domain entirely is reported with the point.
+    major order. Each F_j is evaluated once, in interval arithmetic over the
+    whole lattice. Output bounds are outer enclosures, completed across the
+    skeleton by the normalize rule. A jet box that leaves an operand's
+    domain entirely, or an enclosure unbounded off the skeleton, is reported
+    with the component and the first lattice point concerned.
     """
     fv = sys.flat_vars()
     if len(intervals) != len(fv):
@@ -37,35 +39,31 @@ def interval_pushforward(
     for iv in intervals:
         if iv.lower.domain != domain:
             raise ValueError("all intervals must live on the given domain")
-    meshes = domain.meshes()
-    flat = [m.reshape(-1) for m in meshes]
-    lo_out = [np.zeros(flat[0].shape) for _ in range(sys.K)]
-    hi_out = [np.zeros(flat[0].shape) for _ in range(sys.K)]
-    lo_in = [iv.lower.values.reshape(-1) for iv in intervals]
-    hi_in = [iv.upper.values.reshape(-1) for iv in intervals]
-    for p in range(flat[0].size):
-        x_ivs = [Interval.point(float(flat[d][p])) for d in range(sys.n)]
-        jet_ivs = {
-            v: Interval(float(lo_in[k][p]), float(hi_in[k][p]))
-            for k, v in enumerate(fv)
-        }
-        for j, Fj in enumerate(sys.F):
-            try:
-                out = ex.eval_interval(Fj, x_ivs, jet_ivs)
-            except (IntervalDomainError, ex.EvalDomainError) as err:
-                idx = np.unravel_index(p, domain.shape)
-                raise IntervalDomainError(
-                    f"operator component {j + 1} undefined over the jet box "
-                    f"at lattice point {tuple(int(i) for i in idx)}: {err}"
-                ) from err
-            lo_out[j][p] = out.lo
-            hi_out[j][p] = out.hi
+    x_ivs = [Interval.point(m.reshape(-1)) for m in domain.meshes()]
+    jet_ivs = {v: Interval(iv.lower.values.reshape(-1), iv.upper.values.reshape(-1))
+               for v, iv in zip(fv, intervals)}
+    off = ~domain.skeleton.reshape(-1)
     result = []
-    for j in range(sys.K):
-        lo_gf = normalize(GridFunction(domain, lo_out[j].reshape(domain.shape)))
-        hi_gf = normalize(GridFunction(domain, hi_out[j].reshape(domain.shape)))
-        result.append(OrderInterval(lo_gf, hi_gf))
+    for j, Fj in enumerate(sys.F):
+        try:
+            out = ex.eval_interval(Fj, x_ivs, jet_ivs)
+        except ex.EvalDomainError as err:
+            raise _located(j, "undefined", err.faulted, domain, str(err)) from err
+        unbounded = off & ~(np.isfinite(out.lo) & np.isfinite(out.hi))
+        if unbounded.any():
+            raise _located(j, "unbounded", unbounded, domain, "the enclosure is not finite")
+        result.append(OrderInterval(*(normalize(GridFunction(domain, v.reshape(domain.shape)))
+                                      for v in (out.lo, out.hi))))
     return tuple(result)
+
+
+def _located(j: int, what: str, faulted: np.ndarray, domain: GridDomain,
+             detail: str) -> IntervalDomainError:
+    """The error for component j at the first lattice point of faulted."""
+    idx = np.unravel_index(int(np.argmax(faulted)), domain.shape)
+    return IntervalDomainError(
+        f"operator component {j + 1} {what} over the jet box at lattice point "
+        f"{tuple(int(i) for i in idx)}: {detail}", faulted=faulted.reshape(domain.shape))
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,8 @@ contain: it renders, but the grammar does not accept it.
 
 Expressions are immutable. Two evaluators share the tree: elementwise
 numpy evaluation over coordinate arrays, and interval evaluation via the
-natural extension with outward rounding. Point evaluation is the array
+natural extension with outward rounding, elementwise over arrays of
+intervals. Point evaluation is the array
 evaluator on one-element arrays, so points and arrays give the same bits
 and fault on the same inputs by construction: a domain violation (log or
 sqrt outside its domain, division by zero, a zero base with a negative
@@ -71,7 +72,8 @@ class EvalDomainError(ValueError):
     Raised for a fault of eval_on_arrays or eval_point, it also carries
     `faulted`, the boolean mask of the elements that faulted, and `values`,
     the elementwise result (its faulted elements are meaningless), both of
-    the full broadcast shape; otherwise both are None.
+    the full broadcast shape; for a fault of eval_interval, only `faulted`.
+    Otherwise both are None.
     """
 
     def __init__(self, message: str, faulted: np.ndarray | None = None,
@@ -550,6 +552,8 @@ _INTERVAL_FUNCS = {
     "log": log_interval,
     "abs": abs_interval,
     "sqrt": sqrt_interval,
+    # sign is monotone: its values at the endpoints enclose it exactly
+    "sign": lambda x: Interval(np.sign(x.lo), np.sign(x.hi)),
 }
 
 
@@ -558,16 +562,19 @@ def eval_interval(
     x: Sequence[Interval],
     jets: Mapping[tuple[int, tuple[int, ...]], Interval] | None = None,
 ) -> Interval:
-    """Natural interval extension of e over box operands.
+    """Natural interval extension of e over box operands, elementwise.
 
-    The result encloses {eval_point(e, p, q) : p in x, q in jets}; it is
-    never an under-approximation. Operands wholly outside a function domain
-    raise EvalDomainError, same as eval_on_arrays.
+    Each element of the result, which has the operands' full broadcast
+    shape, encloses {eval_point(e, p, q) : p in x, q in jets} there: never
+    an under-approximation. Operands wholly outside a function domain raise
+    EvalDomainError, whose faulted mask has the full shape.
     """
+    shape = np.broadcast_shapes(*(v.lo.shape for v in [*x, *(jets or {}).values()]))
     try:
-        return _eval_interval(e, x, jets)
+        out = _eval_interval(e, x, jets)
     except IntervalDomainError as err:
-        raise EvalDomainError(str(err)) from err
+        raise EvalDomainError(str(err), faulted=np.broadcast_to(err.faulted, shape)) from err
+    return Interval(np.broadcast_to(out.lo, shape), np.broadcast_to(out.hi, shape))
 
 
 def _eval_interval(e: Expr, x, jets) -> Interval:

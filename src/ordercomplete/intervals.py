@@ -1,23 +1,28 @@
-"""Closed interval arithmetic with outward rounding.
+"""Closed interval arithmetic over arrays, with outward rounding.
 
-Every operation returns an interval guaranteed to contain the exact image of
-its operands: endpoints computed in floats are nudged outward by one ULP
-(two for transcendental functions, whose libm endpoints are not proven
-correctly rounded). Over-approximation is always permitted; returning an
-interval that misses a representable image point is a bug.
+An Interval holds float64 arrays lo and hi of one shape, and every
+operation works elementwise; a single interval is the shape-() case. Each
+result contains the exact real image of its operands: float endpoints are
+stepped outward with np.nextafter, infinities included (an overflowed lower
+endpoint steps down to the largest double). Over-approximation is always
+permitted; missing a real image point is a bug.
 
-Endpoints are extended reals: -inf/+inf are legal and never nudged.
+Steps, checked against a 60-digit mpmath oracle in the tests: one for
++ - * /, x**2 (numpy's x*x) and sqrt, which IEEE 754 rounds correctly; two
+for numpy's exp, log, sin and cos and for x**k with |k| >= 3, which are
+not proven correctly rounded. Endpoints are extended reals. An operand
+wholly outside a function's domain raises IntervalDomainError, whose
+faulted mask marks the elements concerned.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-_INF = math.inf
+import numpy as np
 
-# Conservative bounds on 2*pi used when locating sine/cosine extrema.
-_TWO_PI_LO = math.nextafter(2.0 * math.pi, 0.0)
+# Conservative bound on 2*pi used when locating sine/cosine extrema.
+_TWO_PI_LO = np.nextafter(2.0 * np.pi, 0.0)
 
 # Slop used when testing whether a trig extremum falls inside an interval.
 # Erring toward "inside" only widens the result, never narrows it.
@@ -25,121 +30,127 @@ _TRIG_SLOP = 1e-9
 
 
 class IntervalDomainError(ValueError):
-    """An interval operand lies wholly outside a function's domain."""
+    """An interval operand lies wholly outside a function's domain.
+
+    `faulted` is the boolean mask of the elements that fault, of the
+    faulting operand's shape (None when no mask applies).
+    """
+
+    def __init__(self, message: str, faulted: np.ndarray | None = None) -> None:
+        super().__init__(message)
+        self.faulted = faulted
 
 
-def _down(x: float) -> float:
-    if math.isinf(x):
-        return x
-    return math.nextafter(x, -_INF)
+def _check_domain(x: "Interval", faulted: np.ndarray, what: str) -> None:
+    if np.any(faulted):
+        k = np.argmax(faulted)
+        raise IntervalDomainError(
+            f"{what} [{float(x.lo.flat[k])!r}, {float(x.hi.flat[k])!r}] at "
+            f"{int(np.sum(faulted))} of {faulted.size} elements", faulted=faulted)
 
 
-def _up(x: float) -> float:
-    if math.isinf(x):
-        return x
-    return math.nextafter(x, _INF)
-
-
-def _down2(x: float) -> float:
-    return _down(_down(x))
-
-
-def _up2(x: float) -> float:
-    return _up(_up(x))
+def _outward(lo, hi, steps: int = 1):
+    """lo and hi stepped outward by `steps` doubles each."""
+    for _ in range(steps):
+        lo, hi = np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf)
+    return lo, hi
 
 
 @dataclass(frozen=True)
 class Interval:
-    """Closed interval [lo, hi] on the extended real line."""
+    """Closed intervals [lo, hi] on the extended real line, elementwise over
+    two float64 arrays broadcast to one shape."""
 
-    lo: float
-    hi: float
+    lo: np.ndarray
+    hi: np.ndarray
 
     def __post_init__(self) -> None:
-        lo = float(self.lo)
-        hi = float(self.hi)
-        if math.isnan(lo) or math.isnan(hi):
+        lo, hi = np.broadcast_arrays(np.asarray(self.lo, dtype=float),
+                                     np.asarray(self.hi, dtype=float))
+        if np.isnan(lo).any() or np.isnan(hi).any():
             raise ValueError("interval endpoints must not be NaN")
-        if lo > hi:
-            raise ValueError(f"empty constructor range: lo={lo!r} > hi={hi!r}")
+        empty = lo > hi
+        if empty.any():
+            k = np.argmax(empty)
+            raise ValueError(f"empty constructor range: lo={float(lo.flat[k])!r} > "
+                             f"hi={float(hi.flat[k])!r}")
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
 
     # ---- queries ----
 
     @property
-    def width(self) -> float:
+    def width(self) -> np.ndarray:
         return self.hi - self.lo
 
     @property
-    def mid(self) -> float:
-        if math.isinf(self.lo) or math.isinf(self.hi):
+    def mid(self) -> np.ndarray:
+        if np.isinf(self.lo).any() or np.isinf(self.hi).any():
             raise ValueError("midpoint of an unbounded interval")
         return 0.5 * (self.lo + self.hi)
 
-    def contains(self, x: float) -> bool:
-        return self.lo <= x <= self.hi
+    def contains(self, x) -> np.ndarray:
+        return (self.lo <= x) & (x <= self.hi)
 
-    def is_point(self) -> bool:
+    def is_point(self) -> np.ndarray:
         return self.lo == self.hi
 
     @staticmethod
-    def point(x: float) -> "Interval":
+    def point(x) -> "Interval":
         return Interval(x, x)
 
     # ---- lattice ----
 
     def hull(self, other: "Interval") -> "Interval":
-        return Interval(min(self.lo, other.lo), max(self.hi, other.hi))
+        return Interval(np.minimum(self.lo, other.lo), np.maximum(self.hi, other.hi))
 
     def intersect(self, other: "Interval") -> "Interval | None":
-        """Intersection, or None for the empty set.
+        """Intersection, or None when it is empty at some element.
 
         Emptiness is reported explicitly; no operation here ever produces an
         empty interval silently.
         """
-        lo = max(self.lo, other.lo)
-        hi = min(self.hi, other.hi)
-        if lo > hi:
+        lo = np.maximum(self.lo, other.lo)
+        hi = np.minimum(self.hi, other.hi)
+        if np.any(lo > hi):
             return None
         return Interval(lo, hi)
 
-    # ---- arithmetic (1 ULP outward) ----
+    # ---- arithmetic ----
 
     def __neg__(self) -> "Interval":
         return Interval(-self.hi, -self.lo)
 
+    @np.errstate(all="ignore")
     def __add__(self, other: "Interval") -> "Interval":
-        return Interval(_down(self.lo + other.lo), _up(self.hi + other.hi))
+        return Interval(*_outward(self.lo + other.lo, self.hi + other.hi))
 
+    @np.errstate(all="ignore")
     def __sub__(self, other: "Interval") -> "Interval":
-        return Interval(_down(self.lo - other.hi), _up(self.hi - other.lo))
+        return Interval(*_outward(self.lo - other.hi, self.hi - other.lo))
 
+    @np.errstate(all="ignore")
     def __mul__(self, other: "Interval") -> "Interval":
-        cands = []
-        for a in (self.lo, self.hi):
-            for b in (other.lo, other.hi):
-                p = a * b
-                # inf * 0 at an endpoint: the finite factor's sign side
-                # contributes 0, not NaN.
-                if math.isnan(p):
-                    p = 0.0
-                cands.append(p)
-        return Interval(_down(min(cands)), _up(max(cands)))
+        p = np.stack([self.lo * other.lo, self.lo * other.hi,
+                      self.hi * other.lo, self.hi * other.hi])
+        # inf * 0 at an endpoint: the finite factor's sign side contributes
+        # 0, not NaN.
+        p[np.isnan(p)] = 0.0
+        return Interval(*_outward(p.min(axis=0), p.max(axis=0)))
 
+    @np.errstate(all="ignore")
     def __truediv__(self, other: "Interval") -> "Interval":
-        if other.lo == 0.0 and other.hi == 0.0:
-            raise IntervalDomainError("division by the degenerate zero interval")
-        if other.lo < 0.0 < other.hi:
-            return Interval(-_INF, _INF)
-        if other.lo == 0.0:
-            # divisor in [0, hi]: 1/x in [1/hi, +inf]
-            return self * Interval(_down(1.0 / other.hi), _INF)
-        if other.hi == 0.0:
-            return self * Interval(-_INF, _up(1.0 / other.lo))
-        inv = Interval(_down(1.0 / other.hi), _up(1.0 / other.lo))
-        return self * inv
+        _check_domain(other, (other.lo == 0.0) & (other.hi == 0.0),
+                      "division by the degenerate zero interval")
+        # 1/x over the divisor: a half-line where it touches zero at one end,
+        # the whole line where it straddles zero
+        straddles = (other.lo < 0.0) & (other.hi > 0.0)
+        inv_lo, inv_hi = _outward(1.0 / other.hi, 1.0 / other.lo)
+        inv_lo = np.where(straddles | (other.hi == 0.0), -np.inf, inv_lo)
+        inv_hi = np.where(straddles | (other.lo == 0.0), np.inf, inv_hi)
+        return self * Interval(inv_lo, inv_hi)
 
+    @np.errstate(all="ignore")
     def pow_int(self, k: int) -> "Interval":
         """Integer power with the dedicated even-exponent case.
 
@@ -150,84 +161,62 @@ class Interval:
         if k < 0:
             return Interval(1.0, 1.0) / self.pow_int(-k)
         if k == 0:
-            return Interval(1.0, 1.0)
+            return Interval(np.ones_like(self.lo), np.ones_like(self.hi))
         if k == 1:
             return self
+        base = abs_interval(self) if k % 2 == 0 else self
+        lo, hi = _outward(base.lo**k, base.hi**k, 1 if k == 2 else 2)
         # x**k maps an exactly-zero endpoint to exactly zero; no nudge needed
-        def pw(v: float, nudge) -> float:
-            return 0.0 if v == 0.0 else nudge(v**k)
-
-        if k % 2 == 0:
-            a = abs_interval(self)
-            return Interval(pw(a.lo, _down), pw(a.hi, _up))
-        return Interval(pw(self.lo, _down), pw(self.hi, _up))
+        return Interval(np.where(base.lo == 0.0, 0.0, lo), np.where(base.hi == 0.0, 0.0, hi))
 
 
 def abs_interval(x: Interval) -> Interval:
-    if x.lo >= 0.0:
-        return x
-    if x.hi <= 0.0:
-        return Interval(-x.hi, -x.lo)
-    return Interval(0.0, max(-x.lo, x.hi))
+    return Interval(np.maximum(np.maximum(x.lo, -x.hi), 0.0), np.maximum(-x.lo, x.hi))
 
 
 def sqrt_interval(x: Interval) -> Interval:
-    if x.hi < 0.0:
-        raise IntervalDomainError(f"sqrt of wholly negative interval [{x.lo}, {x.hi}]")
-    lo = max(x.lo, 0.0)
-    lo_out = 0.0 if lo == 0.0 else max(_down2(math.sqrt(lo)), 0.0)
-    return Interval(lo_out, _up2(math.sqrt(x.hi)) if not math.isinf(x.hi) else _INF)
+    _check_domain(x, x.hi < 0.0, "sqrt of wholly negative interval")
+    lo, hi = _outward(np.sqrt(np.maximum(x.lo, 0.0)), np.sqrt(x.hi))
+    return Interval(np.maximum(lo, 0.0), hi)
 
 
+@np.errstate(all="ignore")
 def exp_interval(x: Interval) -> Interval:
-    lo = 0.0 if x.lo == -_INF else _down2(math.exp(min(x.lo, 709.0)))
-    hi = _INF if x.hi == _INF or x.hi > 709.0 else _up2(math.exp(x.hi))
-    return Interval(max(lo, 0.0), hi)
+    lo, hi = _outward(np.exp(x.lo), np.exp(x.hi), 2)
+    return Interval(np.maximum(lo, 0.0), hi)
 
 
+@np.errstate(all="ignore")
 def log_interval(x: Interval) -> Interval:
-    if x.hi <= 0.0:
-        raise IntervalDomainError(f"log of wholly non-positive interval [{x.lo}, {x.hi}]")
-    lo = -_INF if x.lo <= 0.0 else _down2(math.log(x.lo))
-    hi = _INF if x.hi == _INF else _up2(math.log(x.hi))
+    _check_domain(x, x.hi <= 0.0, "log of wholly non-positive interval")
+    return Interval(*_outward(np.log(np.maximum(x.lo, 0.0)), np.log(x.hi), 2))
+
+
+def _trig_has_extremum(x: Interval, phase: float) -> np.ndarray:
+    """True where some point phase + 2*pi*k may lie inside [x.lo, x.hi]; for
+    x narrower than 2*pi, k = floor((x.lo - phase) / (2*pi)) - 1 .. + 3."""
+    steps = np.arange(-1.0, 4.0).reshape((5,) + (1,) * x.lo.ndim)
+    t = phase + 2.0 * np.pi * (np.floor((x.lo - phase) / (2.0 * np.pi)) + steps)
+    slop = _TRIG_SLOP * (1.0 + np.maximum(np.abs(x.lo), np.abs(x.hi)))
+    return np.any((x.lo - slop <= t) & (t <= x.hi + slop), axis=0)
+
+
+@np.errstate(all="ignore")
+def _trig(x: Interval, f, top: float, bottom: float) -> Interval:
+    """f (sin or cos) over x: its endpoint values, widened to 1 where a
+    maximum top + 2*pi*k may lie inside and to -1 where a minimum
+    bottom + 2*pi*k may."""
+    a, b = f(x.lo), f(x.hi)
+    lo, hi = _outward(np.minimum(a, b), np.maximum(a, b), 2)
+    wide = np.isinf(x.lo) | np.isinf(x.hi) | (x.width >= _TWO_PI_LO)
+    hi = np.where(wide | _trig_has_extremum(x, top), 1.0, np.minimum(hi, 1.0))
+    lo = np.where(wide | _trig_has_extremum(x, bottom), -1.0, np.maximum(lo, -1.0))
     return Interval(lo, hi)
 
 
-def _trig_has_extremum(x: Interval, phase: float) -> bool:
-    """True when some point phase + 2*pi*k may lie inside [x.lo, x.hi]."""
-    if x.width >= _TWO_PI_LO:
-        return True
-    k_lo = math.floor((x.lo - phase) / (2.0 * math.pi)) - 1
-    k_hi = math.ceil((x.hi - phase) / (2.0 * math.pi)) + 1
-    slop = _TRIG_SLOP * (1.0 + max(abs(x.lo), abs(x.hi)))
-    for k in range(k_lo, k_hi + 1):
-        t = phase + 2.0 * math.pi * k
-        if x.lo - slop <= t <= x.hi + slop:
-            return True
-    return False
-
-
 def sin_interval(x: Interval) -> Interval:
-    if math.isinf(x.lo) or math.isinf(x.hi) or x.width >= _TWO_PI_LO:
-        return Interval(-1.0, 1.0)
-    vals = [math.sin(x.lo), math.sin(x.hi)]
-    lo = _down2(min(vals))
-    hi = _up2(max(vals))
-    if _trig_has_extremum(x, math.pi / 2.0):
-        hi = 1.0
-    if _trig_has_extremum(x, -math.pi / 2.0):
-        lo = -1.0
-    return Interval(max(lo, -1.0), min(hi, 1.0))
+    return _trig(x, np.sin, np.pi / 2.0, -np.pi / 2.0)
 
 
 def cos_interval(x: Interval) -> Interval:
-    if math.isinf(x.lo) or math.isinf(x.hi) or x.width >= _TWO_PI_LO:
-        return Interval(-1.0, 1.0)
-    vals = [math.cos(x.lo), math.cos(x.hi)]
-    lo = _down2(min(vals))
-    hi = _up2(max(vals))
-    if _trig_has_extremum(x, 0.0):
-        hi = 1.0
-    if _trig_has_extremum(x, math.pi):
-        lo = -1.0
-    return Interval(max(lo, -1.0), min(hi, 1.0))
+    return _trig(x, np.cos, 0.0, np.pi)

@@ -109,6 +109,36 @@ def test_pushforward_reports_domain_error_with_point():
         interval_pushforward(sys1, ivs, dom)
 
 
+def test_pushforward_names_first_faulted_point():
+    sys1 = PdeSystem(1, 1, 1, ["log(u[1,(0)])"], ["0"], [0.0], [1.0])
+    dom = GridDomain([0.0], [1.0], (9,))
+    lo = normalize(GridFunction(dom, np.where(np.arange(9) < 4, 1.0, -2.0)))
+    hi = normalize(GridFunction(dom, np.where(np.arange(9) < 4, 2.0, -1.0)))
+    ivs = [OrderInterval(lo, hi), _const_interval(dom, 0.0, 0.0)]
+    with pytest.raises(IntervalDomainError,
+                       match=r"component 1 undefined over the jet box at lattice point \(4,\)"):
+        interval_pushforward(sys1, ivs, dom)
+
+
+@pytest.mark.parametrize("text, lo, hi", [
+    ("1 / u[2,(0)]", -1.0, 1.0),          # a divisor straddling 0
+    ("exp(u[2,(0)])", 800.0, 900.0),      # above exp's overflow threshold
+    ("u[2,(0)]^2", 1e200, 1e200),         # a square past the largest double
+])
+def test_pushforward_reports_unbounded_enclosure_with_point(text, lo, hi):
+    # an enclosure may be unbounded only on the skeleton; off it the error
+    # names the component and the first point, as a domain fault does
+    sys2 = PdeSystem(1, 2, 1, ["u[1,(0)]", text], ["0", "0"], [0.0], [1.0])
+    skeleton = np.zeros(9, dtype=bool)
+    skeleton[0] = True
+    dom = GridDomain([0.0], [1.0], (9,), skeleton)
+    zero = _const_interval(dom, 0.0, 0.0)
+    ivs = [_const_interval(dom, 0.0, 1.0), zero, _const_interval(dom, lo, hi), zero]
+    with pytest.raises(IntervalDomainError,
+                       match=r"component 2 unbounded over the jet box at lattice point \(1,\)"):
+        interval_pushforward(sys2, ivs, dom)
+
+
 def test_pushforward_arity_checked():
     sys1 = PdeSystem(1, 1, 1, ["u[1,(0)]"], ["0"], [0.0], [1.0])
     dom = GridDomain([0.0], [1.0], (9,))

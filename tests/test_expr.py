@@ -306,6 +306,51 @@ def test_interval_cube_sum_brute_force():
     assert np.all(vals >= out.lo) and np.all(vals <= out.hi)
 
 
+def test_interval_sign_of_abs_derivative():
+    # sign is monotone, so [sign(lo), sign(hi)] encloses it exactly
+    e = ex.diff_jet(ex.parse("abs(u[1,(0)])", SIG111), (1, (0,)))
+    assert ex.render(e) == "sign(u[1,(0)])"
+    us = Interval(np.array([-2.0, -1.0, 0.0, 0.5, -3.0]), np.array([-1.0, 2.0, 0.0, 3.0, 0.0]))
+    out = ex.eval_interval(e, [Interval.point(0.0)], {(1, (0,)): us})
+    assert out.lo.tolist() == [-1.0, -1.0, 0.0, 1.0, -1.0]
+    assert out.hi.tolist() == [-1.0, 1.0, 0.0, 1.0, 0.0]
+
+
+def test_eval_interval_on_arrays_matches_pointwise():
+    # the pushforward evaluates a whole lattice in one call, so each element
+    # of an array eval_interval must have the bits of the shape-() evaluation
+    # of its own inputs; the expressions of test_eval_on_arrays_matches_pointwise
+    texts = ["sin(x1) * U + x1^2", "cos(U) - exp(x1 / 4)",
+             "log(2 + x1^2) / (3 + U)", "sqrt(abs(x1 * U))", "(1 + U^2)^-3 + x1^-2",
+             "U^3 - U^5 / (1 + abs(U))", "exp(U) / U"]
+    exprs = [ex.parse(t.replace("U", "u[1,(0)]"), SIG111) for t in texts]
+    exprs.append(ex.diff_jet(ex.parse("x1 * abs(u[1,(0)] - x1)", SIG111), (1, (0,))))
+    rng = np.random.default_rng(19)
+    xs = rng.uniform(-4.0, 4.0, 300)
+    lo = rng.uniform(-2.0, 2.0, 300)
+    hi = lo + rng.exponential(0.5, 300) * (rng.random(300) < 0.8)  # a fifth are points
+    x_iv, u_iv = Interval.point(xs), Interval(lo, hi)
+    for e in exprs:
+        out = ex.eval_interval(e, [x_iv], {(1, (0,)): u_iv})
+        assert out.lo.shape == (300,)
+        ones = [ex.eval_interval(e, [Interval.point(xs[k])], {(1, (0,)): Interval(lo[k], hi[k])})
+                for k in range(xs.size)]
+        for end in ("lo", "hi"):
+            points = np.array([getattr(one, end) for one in ones])
+            np.testing.assert_array_equal(points.view(np.int64),
+                                          getattr(out, end).view(np.int64),
+                                          err_msg=f"{ex.render(e)} {end}")
+
+
+def test_eval_interval_fault_carries_full_shape_mask():
+    e = ex.parse("x1 + log(u[1,(0)])", SIG111)
+    us = Interval(np.array([1.0, -2.0, 0.5, -1.0]), np.array([2.0, -1.0, 1.0, 0.0]))
+    with pytest.raises(ex.EvalDomainError) as ei:
+        ex.eval_interval(e, [Interval.point(np.zeros((3, 1)))], {(1, (0,)): us})
+    assert ei.value.faulted.shape == (3, 4)
+    assert ei.value.faulted.tolist() == [[False, True, False, True]] * 3
+
+
 def test_interval_trig_and_domain():
     e = ex.parse("sin(x1)", SIG111)
     out = ex.eval_interval(e, [Interval(0.0, math.pi)])

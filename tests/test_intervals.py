@@ -60,13 +60,15 @@ def test_arithmetic_containment_random():
     for _ in range(150):
         a = Interval(*sorted(rng.uniform(-5, 5, 2)))
         b = Interval(*sorted(rng.uniform(-5, 5, 2)))
+        add, sub, mul = a + b, a - b, a * b
+        div = None if b.contains(0.0) else a / b
         for xa in _samples(a, rng, 6):
             for xb in _samples(b, rng, 6):
-                assert (a + b).contains(xa + xb)
-                assert (a - b).contains(xa - xb)
-                assert (a * b).contains(xa * xb)
-                if not b.contains(0.0):
-                    assert (a / b).contains(xa / xb)
+                assert add.contains(xa + xb)
+                assert sub.contains(xa - xb)
+                assert mul.contains(xa * xb)
+                if div is not None:
+                    assert div.contains(xa / xb)
 
 
 def test_division_semantics():
@@ -267,6 +269,16 @@ def test_oracle_monotone_functions(func):
         _assert_encloses(_UNARY[func](iv), node, _points(iv, rng))
 
 
+def test_oracle_neg_and_sign():
+    rng = np.random.default_rng(53)
+    sign = ex.Call("sign", _U)
+    cases = [Interval(*sorted(rng.uniform(-5.0, 5.0, 2))) for _ in range(40)]
+    cases += [Interval(-1.0, 0.0), Interval(0.0, 0.0), Interval(-0.0, _TINY), Interval(2.0, 2.0)]
+    for iv in cases:
+        _assert_encloses(-iv, ex.Neg(_U), _points(iv, rng))
+        _assert_encloses(ex.eval_interval(sign, [], {(1, (0,)): iv}), sign, _points(iv, rng))
+
+
 def _extremum_inside(lo, hi, q):
     """True when an exact q pi + 2 pi k lies in [lo, hi] (60 digits)."""
     with mpmath.workdps(60):
@@ -298,3 +310,40 @@ def test_oracle_trig_near_extrema_and_huge_arguments(func, top, bottom):
             assert float(out.hi) >= 1.0, (func, lo, hi)
         if _extremum_inside(lo, hi, bottom):
             assert float(out.lo) <= -1.0, (func, lo, hi)
+
+
+def test_overflowed_endpoints_step_back_to_finite_doubles():
+    # an endpoint that overflows to +-inf steps to the largest double, so
+    # the enclosure keeps the whole real image; Python's float ** raised
+    # OverflowError and unstepped infinities gave [inf, inf] instead
+    big = np.finfo(float).max
+    cases = [
+        (Interval.point(1e200).pow_int(2), ex.Pow(_U, 2), [1e200], [0.0]),
+        (Interval(2.0, 3.0).pow_int(-2000), ex.Pow(_U, -2000), [2.0, 2.5, 3.0], [0.0]),
+        (Interval(-3.0, -2.0).pow_int(-2001), ex.Pow(_U, -2001), [-3.0, -2.0], [0.0]),
+        (Interval(1.0, 1.0) / Interval(1e-320, 1e-310), ex.Div(_U, _V), [1.0], [1e-320, 1e-310]),
+        (Interval.point(1e300) * Interval.point(1e300), ex.Mul(_U, _V), [1e300], [1e300]),
+        (Interval.point(-1e300) * Interval.point(1e300), ex.Mul(_U, _V), [-1e300], [1e300]),
+        (Interval.point(1e308) + Interval.point(1e308), ex.Add(_U, _V), [1e308], [1e308]),
+        (exp_interval(Interval(800.0, 900.0)), ex.Call("exp", _U), [800.0, 900.0], [0.0]),
+    ]
+    for out, node, xs, ys in cases:
+        _assert_encloses(out, node, xs, ys)
+        assert np.isfinite(out.lo) or np.isfinite(out.hi), ex.render(node)
+    assert cases[0][0].lo == big and cases[0][0].hi == np.inf
+    assert cases[4][0].lo == big and cases[5][0].hi == -big
+
+
+def test_domain_faults_carry_the_faulted_mask():
+    x = Interval(np.array([-2.0, 1.0, -1.0]), np.array([-1.0, 4.0, 0.0]))
+    with pytest.raises(IntervalDomainError) as ei:
+        log_interval(x)
+    assert ei.value.faulted.tolist() == [True, False, True]
+    with pytest.raises(IntervalDomainError) as ei:
+        sqrt_interval(x)
+    assert ei.value.faulted.tolist() == [True, False, False]
+    with pytest.raises(IntervalDomainError) as ei:
+        Interval.point(1.0) / Interval(np.array([0.0, 1.0]), np.array([0.0, 2.0]))
+    assert ei.value.faulted.tolist() == [True, False]
+    with pytest.raises(ValueError, match="empty constructor range"):
+        Interval(np.array([0.0, 2.0]), np.array([1.0, 1.0]))
