@@ -30,8 +30,9 @@ def interval_pushforward(
     major order. Each F_j is evaluated once, in interval arithmetic over the
     whole lattice. Output bounds are outer enclosures, completed across the
     skeleton by the normalize rule. A jet box that leaves an operand's
-    domain entirely, or an enclosure unbounded off the skeleton, is reported
-    with the component and the first lattice point concerned.
+    domain entirely is reported with the component and the first lattice
+    point where the first faulting operation of the walk faults; an
+    enclosure unbounded off the skeleton, with its first such point.
     """
     fv = sys.flat_vars()
     if len(intervals) != len(fv):
