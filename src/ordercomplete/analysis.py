@@ -28,11 +28,12 @@ def interval_pushforward(
 
     intervals holds one order interval per flat jet variable, in component-
     major order. Each F_j is evaluated once, in interval arithmetic over the
-    whole lattice. Output bounds are outer enclosures, completed across the
-    skeleton by the normalize rule. A jet box that leaves an operand's
+    off-skeleton points, as apply_operator evaluates F; the skeleton is
+    completed by the normalize rule, so its input values are never read.
+    Output bounds are outer enclosures. A jet box that leaves an operand's
     domain entirely is reported with the component and the first lattice
     point where the first faulting operation of the walk faults; an
-    enclosure unbounded off the skeleton, with its first such point.
+    enclosure that is not finite, with its first such point.
     """
     fv = sys.flat_vars()
     if len(intervals) != len(fv):
@@ -40,31 +41,38 @@ def interval_pushforward(
     for iv in intervals:
         if iv.lower.domain != domain:
             raise ValueError("all intervals must live on the given domain")
-    x_ivs = [Interval.point(m.reshape(-1)) for m in domain.meshes()]
-    jet_ivs = {v: Interval(iv.lower.values.reshape(-1), iv.upper.values.reshape(-1))
+    off = ~domain.skeleton
+    x_ivs = [Interval.point(m[off]) for m in domain.meshes()]
+    jet_ivs = {v: Interval(iv.lower.values[off], iv.upper.values[off])
                for v, iv in zip(fv, intervals)}
-    off = ~domain.skeleton.reshape(-1)
     result = []
     for j, Fj in enumerate(sys.F):
         try:
             out = ex.eval_interval(Fj, x_ivs, jet_ivs)
         except ex.EvalDomainError as err:
             raise _located(j, "undefined", err.faulted, domain, str(err)) from err
-        unbounded = off & ~(np.isfinite(out.lo) & np.isfinite(out.hi))
+        unbounded = ~(np.isfinite(out.lo) & np.isfinite(out.hi))
         if unbounded.any():
             raise _located(j, "unbounded", unbounded, domain, "the enclosure is not finite")
-        result.append(OrderInterval(*(normalize(GridFunction(domain, v.reshape(domain.shape)))
-                                      for v in (out.lo, out.hi))))
+        bounds = []
+        for v in (out.lo, out.hi):
+            vals = np.zeros(domain.shape)
+            vals[off] = v
+            bounds.append(normalize(GridFunction(domain, vals)))
+        result.append(OrderInterval(*bounds))
     return tuple(result)
 
 
 def _located(j: int, what: str, faulted: np.ndarray, domain: GridDomain,
              detail: str) -> IntervalDomainError:
-    """The error for component j at the first lattice point of faulted."""
-    idx = np.unravel_index(int(np.argmax(faulted)), domain.shape)
+    """The error for component j at the first lattice point of faulted, a
+    mask over the off-skeleton points in C order."""
+    mask = np.zeros(domain.shape, dtype=bool)
+    mask[~domain.skeleton] = faulted
+    idx = np.unravel_index(int(np.argmax(mask)), domain.shape)
     return IntervalDomainError(
         f"operator component {j + 1} {what} over the jet box at lattice point "
-        f"{tuple(int(i) for i in idx)}: {detail}", faulted=faulted.reshape(domain.shape))
+        f"{tuple(int(i) for i in idx)}: {detail}", faulted=mask)
 
 
 # ---------------------------------------------------------------------------

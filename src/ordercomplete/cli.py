@@ -31,14 +31,7 @@ import numpy as np
 from . import expr as ex
 from .analysis import IntervalSequence, compare_reference, nested_limit_check
 from .grids import GridDomain, GridFunction, OrderInterval, write_csv
-from .jets import (
-    TilingError,
-    artifact_json,
-    assemble,
-    read_poly_json,
-    sample_jets,
-    write_poly_json,
-)
+from .jets import TilingError, artifact_json, read_poly_json, write_poly_json
 from .pde import PdeSystem, check_assumption_interior
 from .solver import (
     ConstructionError,
@@ -503,10 +496,11 @@ def verify(result_dir) -> int:
     each stage's stored anchor jets against their equation and, after
     stage 1, the box their solve was confined to (solver.check_anchor_jets),
     and compares its stored bands exactly with the ones solver.stage_bands
-    derives from them, the radii and the previous bands. Then reassembles
-    each serialized polynomial, recomputes every certificate through the
-    same solver functions `run` uses, and compares the results, serialized
-    as `run` writes them, with the stored blocks at relative tolerance 1e-9.
+    derives from them, the radii and the previous bands. Then recomputes
+    every certificate from the serialized polynomials on the bare lattice
+    (sampling marks each one's skeleton) through the same solver functions
+    `run` uses, and compares the results, serialized as `run` writes them,
+    with the stored blocks at relative tolerance 1e-9.
     Never re-runs the jet solver. Artifacts of the wrong shape, count or
     polynomial signature, a lattice too large to allocate, or a number too
     large to convert (JSON 1e400 reads as inf), are an inconsistency (exit 2).
@@ -563,9 +557,7 @@ def _verify_inner(out: Path, cert: dict, problems: list[str]) -> int:
     if not np.array_equal(v_poly.bounds, u_poly.bounds):
         problems.append("global_pair: the upper polynomial file's cells differ "
                         "from the lower one's")
-    marked = assemble(u_poly, domain)
-    gp = apeq_certificate(system, sample_jets(u_poly, marked),
-                          sample_jets(v_poly, marked), gamma)
+    gp = apeq_certificate(system, u_poly, v_poly, domain, gamma)
     _compare(problems, "global_pair", g, _cert_dict(gp))
 
     # the tiling, derived from the box and the lattice as run derives it
@@ -597,7 +589,6 @@ def _verify_inner(out: Path, cert: dict, problems: list[str]) -> int:
         v = read_poly(s["file"])
         if [c for cs in s["j_cells"] for c in cs] != _cells_list(v.bounds):
             problems.append(f"stage {n}: cell tree does not match the polynomial file")
-        smarked = assemble(v, domain)
         band_lo = np.asarray(s["band_lo"], dtype=float)
         band_hi = np.asarray(s["band_hi"], dtype=float)
         _expect(f"stage{n}.band_lo shape", band_lo.shape, band_shape)
@@ -620,7 +611,7 @@ def _verify_inner(out: Path, cert: dict, problems: list[str]) -> int:
             if not held.all():
                 problems.append(f"stage{n}.i_jets: anchor jet {int(np.argmin(held))} {what}")
         (eq1, eq2, eq3), stage_samples = stage_certificates(
-            system, v, smarked, i_cells, radii, band_lo, band_hi, prev_bands, n, gamma)
+            system, v, domain, i_cells, radii, band_lo, band_hi, prev_bands, n, gamma)
         for key, c in (("eq1", eq1), ("eq2", eq2), ("eq3", eq3)):
             _compare(problems, f"stage{n}.{key}", s[key], _cert_dict(c))
         stages_pass = stages_pass and eq1.passed and eq2.passed and eq3.passed
@@ -632,7 +623,7 @@ def _verify_inner(out: Path, cert: dict, problems: list[str]) -> int:
     _expect("operator certificates", len(oc["operator"]), system.K)
     tags = [_var_tag(i, a) for i, a in system.flat_vars()]
     _expect("band certificate tags", sorted(oc["bands"]), sorted(tags))
-    conv = scheme_convergence(system, samples, radii, smarked, gamma)
+    conv = scheme_convergence(system, samples, radii, gamma)
     for j, c in enumerate(conv.oc_operator):
         _compare(problems, f"oc.operator[{j}]", oc["operator"][j], _oc_dict(c))
     for (i, a), c in conv.oc_bands.items():

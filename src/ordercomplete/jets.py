@@ -11,9 +11,12 @@ rounding at all: differentiation is an index shift, never arithmetic.
 
 A PiecewisePoly holds one such polynomial per cell and component over a
 tiling of the box, as arrays (cells are (C, 2, n): lower corners, then
-upper corners); assembling it on a lattice marks every point on a cell
-boundary as skeleton, and sampling fills those values by the normalize rule
-from grids.
+upper corners). Its cell boundaries are the closed nowhere-dense set off
+which the candidate is fixed, so the skeleton belongs to the candidate:
+sampling takes any lattice, marks every point on a cell boundary as
+skeleton as well (assemble), takes each off-skeleton point's value from the
+one cell holding it strictly inside (_interior_gather), and fills the
+skeleton by the normalize rule from grids.
 """
 
 from __future__ import annotations
@@ -250,44 +253,40 @@ def _interior_ranges(
     return start, stop, axes
 
 
-def _paint(shape: tuple[int, ...], start: np.ndarray, stop: np.ndarray,
-           weights: np.ndarray | None = None) -> np.ndarray:
-    """Sum of the weights (default 1) of the index boxes [start, stop) that
-    cover each grid point, one box per row.
+def _paint(shape: tuple[int, ...], start: np.ndarray, stop: np.ndarray) -> np.ndarray:
+    """The number of index boxes [start, stop), one per row, that cover
+    each grid point.
 
-    An n-D difference array: +-weight at the 2^n corners of every box, then
-    a prefix sum along each axis; O(boxes * 2^n + grid points).
+    An n-D difference array: +-1 at the 2^n corners of every box, then a
+    prefix sum along each axis; O(boxes * 2^n + grid points).
     """
     keep = np.all(stop > start, axis=1)
     start, stop = start[keep], stop[keep]
-    w = np.ones(len(start), dtype=int) if weights is None else weights[keep]
     diff = np.zeros(tuple(s + 1 for s in shape), dtype=int)
     for corner in itertools.product((0, 1), repeat=len(shape)):
         idx = tuple(stop[:, d] if c else start[:, d] for d, c in enumerate(corner))
-        np.add.at(diff, idx, -w if sum(corner) % 2 else w)
+        np.add.at(diff, idx, -1 if sum(corner) % 2 else 1)
     for d in range(len(shape)):
         diff = np.cumsum(diff, axis=d)
     return diff[tuple(slice(0, s) for s in shape)]
 
 
-def _classify_grid(
-    cells: np.ndarray, domain: GridDomain
-) -> tuple[np.ndarray, np.ndarray]:
-    """(owner index per lattice point, boundary mask) of cells (C, 2, n).
+def _classify_grid(cells: np.ndarray, domain: GridDomain) -> np.ndarray:
+    """The boundary mask of cells (C, 2, n): the lattice points within
+    snapping tolerance of any covering cell's face.
 
-    A point strictly inside exactly one cell is owned by it; a point within
-    snapping tolerance of any covering cell's face is boundary. Overlapping
-    interiors and uncovered points raise TilingError.
+    Overlapping interiors and points neither strictly inside a cell nor on
+    the boundary raise TilingError.
 
     Along each axis d, with a = domain.axis(d) (strictly increasing) and
     tol = 1e-9 of the box width, a cell's interior is lo + tol < a < hi - tol
     and its closed range lo - tol <= a <= hi + tol, both found by
     searchsorted; its face points are the one or two indices next to lo or
-    hi with |a - face| <= tol. Owners, interior coverage counts and face
-    slabs are painted for all cells at once (see _paint), so the cost is
-    O(cells * 2^n + lattice points), with no per-cell lattice mask.
+    hi with |a - face| <= tol. Interior coverage counts and face slabs are
+    painted for all cells at once (see _paint), so the cost is
+    O(cells * 2^n + lattice points), with no per-cell lattice mask. Which
+    cell owns a point is _interior_gather's question.
     """
-    n = domain.ndim
     start, stop, axes = _interior_ranges(cells, domain)
     tol = _snap_tol(domain)
     lo, hi = cells[:, 0], cells[:, 1]
@@ -315,14 +314,34 @@ def _classify_grid(
     if clash.any():
         idx = tuple(int(v) for v in np.argwhere(clash)[0])
         raise TilingError(f"overlapping cell interiors at lattice point {idx}")
-    owner = _paint(domain.shape, start, stop, np.arange(1, len(cells) + 1)) - 1
     boundary = _paint(domain.shape, np.concatenate(slab_lo), np.concatenate(slab_hi)) > 0
-    uncovered = (owner < 0) & ~boundary
+    uncovered = (inside == 0) & ~boundary
     if uncovered.any():
         idx = tuple(int(v) for v in np.argwhere(uncovered)[0])
         raise TilingError(f"tiling does not cover lattice point {idx}")
-    owner[boundary] = -1
-    return owner, boundary
+    return boundary
+
+
+def _interior_gather(
+    domain: GridDomain, cells: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...], np.ndarray]:
+    """The strictly interior lattice points of every cell of cells (C, 2, n),
+    cell by cell and in C order within a cell: per-cell point counts, the
+    owning cell and lattice index tuple of each point, and its coordinates
+    (npts, n). Same index ranges as _classify_grid, so on cells it accepts
+    every point off its boundary mask is among these, once."""
+    start, stop, axes = _interior_ranges(cells, domain)
+    extent = np.maximum(stop - start, 0)
+    counts = np.prod(extent, axis=1)
+    own = np.repeat(np.arange(len(cells)), counts)
+    rank = np.arange(own.size) - (np.cumsum(counts) - counts)[own]
+    idx = []
+    for d in reversed(range(domain.ndim)):
+        idx.append(start[own, d] + rank % extent[own, d])
+        rank = rank // extent[own, d]
+    idx = tuple(reversed(idx))
+    pts = np.stack([axes[d][i] for d, i in enumerate(idx)], axis=1)
+    return counts, own, idx, pts
 
 
 def _check_tiling(cells: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> None:
@@ -359,19 +378,19 @@ def _check_tiling(cells: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> None:
 
 def assemble(v: PiecewisePoly, domain: GridDomain) -> GridDomain:
     """The domain with every cell-boundary lattice point of v marked as
-    skeleton.
+    skeleton too, on top of what its skeleton already marks.
 
     The cells must tile the box (volume sum and no overlapping interiors,
-    see _check_tiling); the skeleton is the boundary mask of _classify_grid,
-    the lattice points within snapping tolerance of some cell's face.
+    see _check_tiling); v's cell boundaries are the boundary mask of
+    _classify_grid, the lattice points within snapping tolerance of some
+    cell's face.
     """
     if not len(v.bounds):
         raise TilingError("no cells supplied")
     if v.space_dim != domain.ndim:
         raise TilingError(f"cells have dimension {v.space_dim}, the box has {domain.ndim}")
     _check_tiling(v.bounds, domain.lo, domain.hi)
-    _, boundary = _classify_grid(v.bounds, domain)
-    return domain.with_skeleton(boundary)
+    return domain.with_skeleton(domain.skeleton | _classify_grid(v.bounds, domain))
 
 
 def _gathered_jets(
@@ -393,24 +412,23 @@ def _gathered_jets(
 
 def sample_jets(v: PiecewisePoly, domain: GridDomain) -> list[GridFunction]:
     """Sample every flat jet variable of v on the lattice, one GridFunction
-    each in flat order (PdeSystem.flat_vars).
+    each in flat order (PdeSystem.flat_vars), on the domain with v's cell
+    boundaries marked as well (see assemble).
 
-    The domain skeleton must mark every cell-boundary point of v (see
-    _classify_grid), so each off-skeleton point is owned by one cell and
-    takes that cell's polynomial derivatives, gathered by owner in one pass
-    (see _gathered_jets); skeleton points are filled by the normalize rule,
-    so the outputs are normalize fixed points.
+    Each off-skeleton point is strictly inside one cell (see
+    _interior_gather) and takes that cell's polynomial derivatives,
+    gathered by owner in one pass (see _gathered_jets); skeleton points are
+    filled by the normalize rule, so the outputs are normalize fixed points.
     """
-    owner, boundary = _classify_grid(v.bounds, domain)
-    if (boundary & ~domain.skeleton).any():
-        raise ValueError("domain skeleton does not mark all cell-boundary points")
-    idx = np.nonzero(~domain.skeleton)
-    pts = np.stack([domain.axis(d)[idx[d]] for d in range(domain.ndim)], axis=1)
+    marked = assemble(v, domain)
+    _, own, idx, pts = _interior_gather(marked, v.bounds)
+    off = ~marked.skeleton[idx]
+    idx = tuple(i[off] for i in idx)
     out = []
-    for d in _gathered_jets(v.mis, v.anchors, v.coeffs, owner[idx], pts):
-        values = np.zeros(domain.shape)
+    for d in _gathered_jets(v.mis, v.anchors, v.coeffs, own[off], pts[off]):
+        values = np.zeros(marked.shape)
         values[idx] = d
-        out.append(GridFunction(domain, skeleton_fill(domain, values), normalized=True))
+        out.append(GridFunction(marked, skeleton_fill(marked, values), normalized=True))
     return out
 
 

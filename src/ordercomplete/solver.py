@@ -8,13 +8,15 @@ strictly inside the previous stage's bands (EQ2), and whose band widths
 stay below 4*eps/n per cell (EQ3). Both the global pair and the stages are
 built by one adaptive subdivision loop (`_subdivide`).
 
-The certificates come from pure functions of the sampled jets, bands and
-lattice: `apeq_certificate`, `eq1_certificate`, `eq2_certificate`,
-`eq3_certificate` and `scheme_convergence`. They re-check every inequality
-on the full lattice after assembly, independently of the per-cell
-construction. `refine` and `cli.verify` share `stage_certificates`, which
-computes EQ1-EQ3 from one sampling of V_n on its own lattice, and
-`scheme_convergence` normalizes those samples onto the final skeleton.
+The certificates come from pure functions of the candidates, their
+sampled jets, bands and lattice: `apeq_certificate`, `eq1_certificate`,
+`eq2_certificate`, `eq3_certificate` and `scheme_convergence`. They
+re-check every inequality on the full lattice, off the skeleton each
+candidate's sampling marks (jets.sample_jets), independently of the
+per-cell construction. Callers pass the bare lattice. `refine` and
+`cli.verify` share `stage_certificates`, which computes EQ1-EQ3 from one
+sampling of V_n, and `scheme_convergence` normalizes those samples onto
+the last stage's skeleton.
 
 Every random draw comes from a stream of its own (`_stream`), keyed by the
 run seed and by what it is drawn for: the openness probe at an I-cell, or
@@ -46,10 +48,9 @@ from .jets import (
     PiecewisePoly,
     TilingError,
     _centers,
-    _classify_grid,
     _gathered_jets,
+    _interior_gather,
     _interior_ranges,
-    assemble,
     sample_jets,
 )
 from .pde import PdeSystem, apply_operator, check_assumption_open, eval_rows
@@ -129,7 +130,6 @@ class Tiling:
 
     lo: np.ndarray
     hi: np.ndarray
-    delta: float
     shape: tuple[int, ...]  # I-cells per axis; i_cells is this grid in C order
     i_cells: np.ndarray  # (num_cells, 2, n), see jets.PiecewisePoly
     anchors: np.ndarray  # (num_cells, n), cell centers
@@ -153,8 +153,7 @@ class Tiling:
         j = np.array(jets, dtype=float)
         if j.ndim != 2 or j.shape[0] != len(self.i_cells):
             raise ValueError("one anchor jet per I-cell required")
-        return Tiling(self.lo, self.hi, self.delta, self.shape,
-                      self.i_cells, self.anchors, r, j)
+        return Tiling(self.lo, self.hi, self.shape, self.i_cells, self.anchors, r, j)
 
 
 def tile_domain(
@@ -200,7 +199,7 @@ def tile_domain(
             ci = int(np.argmax(empty))
             raise TilingError(f"I-cell {ci} at lo={tuple(cells[ci, 0].tolist())} "
                               "holds no interior lattice point")
-    return Tiling(lo, hi, float(delta), tuple(int(c) for c in counts), cells, anchors)
+    return Tiling(lo, hi, tuple(int(c) for c in counts), cells, anchors)
 
 
 def scheme_tiling(domain: GridDomain) -> Tiling:
@@ -441,27 +440,6 @@ def _bracket_margins(
     return lo_m, hi_m
 
 
-def _interior_gather(
-    domain: GridDomain, cells: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...], np.ndarray]:
-    """The strictly interior lattice points of every cell of cells (C, 2, n),
-    cell by cell and in C order within a cell: per-cell point counts, the
-    owning cell and lattice index tuple of each point, and its coordinates
-    (npts, n). Same index ranges as the ownership classifier."""
-    start, stop, axes = _interior_ranges(cells, domain)
-    extent = np.maximum(stop - start, 0)
-    counts = np.prod(extent, axis=1)
-    own = np.repeat(np.arange(len(cells)), counts)
-    rank = np.arange(own.size) - (np.cumsum(counts) - counts)[own]
-    idx = []
-    for d in reversed(range(domain.ndim)):
-        idx.append(start[own, d] + rank % extent[own, d])
-        rank = rank // extent[own, d]
-    idx = tuple(reversed(idx))
-    pts = np.stack([axes[d][i] for d, i in enumerate(idx)], axis=1)
-    return counts, own, idx, pts
-
-
 def _generation_ok(sys: PdeSystem, domain: GridDomain, cells: np.ndarray,
                    brackets, band=None) -> np.ndarray:
     """Per cell of cells (C, 2, n), whether lower < F(x, P) < upper holds
@@ -589,16 +567,21 @@ def _min_slack(lower, upper, off: np.ndarray) -> float:
 
 
 def apeq_certificate(
-    sys: PdeSystem, u_jets: list[GridFunction], v_jets: list[GridFunction],
+    sys: PdeSystem, lower: PiecewisePoly, upper: PiecewisePoly, domain: GridDomain,
     eps: float,
 ) -> ApEqCertificate:
-    """ApEq margins of the pair (u, v) off the skeleton, from their jets
-    sampled on one domain (see jets.sample_jets)."""
-    domain = u_jets[0].domain
+    """ApEq margins of the pair (lower, upper) off their skeleton, from
+    their jets sampled on the lattice of domain (see jets.sample_jets).
+    Raises ValueError when the two mark different skeletons."""
+    u_jets = sample_jets(lower, domain)
+    v_jets = sample_jets(upper, domain)
+    marked = u_jets[0].domain
+    if v_jets[0].domain != marked:
+        raise ValueError("the lower and upper polynomials mark different skeletons")
     f = sys.rhs_on_lattice(domain)
     tu = [g.values for g in apply_operator(sys, u_jets)]
     tv = [g.values for g in apply_operator(sys, v_jets)]
-    off = ~domain.skeleton
+    off = ~marked.skeleton
     m1 = _min_slack([fj - eps for fj in f], tu, off)
     m2 = _min_slack(tu, f, off)
     m3 = _min_slack(f, tv, off)
@@ -614,7 +597,6 @@ def apeq_certificate(
 class GlobalPairResult:
     lower: PiecewisePoly
     upper: PiecewisePoly
-    domain: GridDomain
     certificate: ApEqCertificate
     cells: np.ndarray  # (C, 2, n), the cells of lower and upper
 
@@ -673,10 +655,8 @@ def global_pair(
     cells, pairs = _subdivide(box, solve, check, domain, max_cells)
     u_poly = _cell_polys(sys, cells, pairs[:, :m])
     v_poly = _cell_polys(sys, cells, pairs[:, m:])
-    marked = assemble(u_poly, domain)
-    cert = apeq_certificate(sys, sample_jets(u_poly, marked),
-                            sample_jets(v_poly, marked), eps)
-    return GlobalPairResult(u_poly, v_poly, marked, cert, cells)
+    cert = apeq_certificate(sys, u_poly, v_poly, domain, eps)
+    return GlobalPairResult(u_poly, v_poly, cert, cells)
 
 
 # ---------------------------------------------------------------------------
@@ -795,21 +775,21 @@ def _band_functions(
     """Render a stage's (band_lo, band_hi) as step GridFunctions, one
     (lower, upper) pair per flat jet variable.
 
-    Each owned lattice point takes its I-cell's band constants, gathered by
-    owner index. I-cell boundary points are a subset of the domain
-    skeleton, so the fill-from-neighbors completion assigns them the min of
-    the adjacent cell constants, which is exactly the normalize rule for
-    step functions.
+    Each lattice point strictly inside an I-cell takes its band constants,
+    gathered by owner (see jets._interior_gather). I-cell boundary points
+    are a subset of the domain skeleton, so the fill-from-neighbors
+    completion assigns them the min of the adjacent cell constants, which
+    is exactly the normalize rule for step functions.
     """
-    owner, _ = _classify_grid(i_cells, domain)
-    if ((owner < 0) & ~domain.skeleton).any():
+    _, own, idx, _ = _interior_gather(domain, i_cells)
+    unowned = np.ones(domain.shape, dtype=bool)
+    unowned[idx] = False
+    if (unowned & ~domain.skeleton).any():
         raise ValueError("domain skeleton does not cover the I-cell boundaries")
-    owned = owner >= 0
-    own = owner[owned]
 
     def step(consts: np.ndarray) -> GridFunction:
         vals = np.zeros(domain.shape)
-        vals[owned] = consts[own]
+        vals[idx] = consts[own]
         return GridFunction(domain, skeleton_fill(domain, vals), normalized=True)
 
     return [(step(band_lo[:, k]), step(band_hi[:, k])) for k in range(band_lo.shape[1])]
@@ -821,10 +801,11 @@ def stage_certificates(
     prev_bands: tuple[np.ndarray, np.ndarray] | None, n: int, gamma: float,
 ) -> tuple[tuple[Eq1Certificate, Eq2Certificate, Eq3Certificate], tuple]:
     """EQ1-EQ3 of stage n and the (jets, tv, bands) of V_n they read, each
-    computed once on domain, V_n's own lattice (see scheme_convergence)."""
+    computed once on the lattice of domain with V_n's cell boundaries
+    marked (see jets.sample_jets and scheme_convergence)."""
     jets = sample_jets(v, domain)
     tv = apply_operator(sys, jets)
-    bands = _band_functions(band_lo, band_hi, domain, i_cells)
+    bands = _band_functions(band_lo, band_hi, jets[0].domain, i_cells)
     return (eq1_certificate(sys, tv, gamma, n),
             eq2_certificate(jets, bands, band_lo, band_hi, prev_bands),
             eq3_certificate(radii, band_lo, band_hi, n)), (jets, tv, bands)
@@ -971,12 +952,11 @@ def refine(
     cells, jets, own = cells[order], jets[order], own[order]
     j_cells = np.split(cells, np.flatnonzero(np.diff(own)) + 1)
     v_poly = _cell_polys(sys, cells, jets)
-    marked = assemble(v_poly, domain)
     (eq1, eq2, eq3), samples = stage_certificates(
-        sys, v_poly, marked, tiling.i_cells, tiling.radii, band_lo, band_hi,
+        sys, v_poly, domain, tiling.i_cells, tiling.radii, band_lo, band_hi,
         prev_bands, n, gamma)
     return RefinementStage(
-        n=n, gamma=float(gamma), v=v_poly, domain=marked,
+        n=n, gamma=float(gamma), v=v_poly, domain=samples[0][0].domain,
         band_lo=band_lo, band_hi=band_hi, i_jets=i_jets, j_cells=j_cells,
         eq1=eq1, eq2=eq2, eq3=eq3, samples=samples,
     )
@@ -1028,15 +1008,16 @@ def scheme_convergence(
     sys: PdeSystem,
     samples: list[tuple],
     radii,
-    final_domain: GridDomain,
     gamma: float,
 ) -> SchemeConvergence:
     """Order convergence of T V_n to f (lower bounds f - gamma/n) and of
     the jets of V_n inside their step bands (tolerance band_tolerance), and
     the final sup gap, from each stage's samples (see stage_certificates)
-    moved to final_domain, whose skeleton must contain every stage's, by the
-    normalize rule: V_n is normal, so that is its sampling there."""
+    moved to the final domain, the last stage's, whose skeleton must contain
+    every stage's, by the normalize rule: V_n is normal, so that is its
+    sampling there."""
     N = len(samples)
+    final_domain = samples[-1][0][0].domain
     if any((jets[0].domain.skeleton > final_domain.skeleton).any()
            for jets, _, _ in samples):
         raise ValueError("final skeleton does not contain every stage skeleton")
@@ -1164,9 +1145,7 @@ def run_scheme(
         st = refine(sys, domain, tiling, prev, n, gamma, seed=seed)
         stages.append(st)
         prev = st
-    final_dom = stages[-1].domain
-    conv = scheme_convergence(sys, [st.samples for st in stages], tiling.radii,
-                              final_dom, gamma)
+    conv = scheme_convergence(sys, [st.samples for st in stages], tiling.radii, gamma)
     diagnostics = [
         f"operator image of component {j + 1} fails order convergence "
         f"(first violation {cert.first_violation}, "
@@ -1185,6 +1164,6 @@ def run_scheme(
         )
     verdict = all(st.certificates_pass() for st in stages) and conv.passed
     return SchemeResult(
-        **vars(conv), stages=stages, tiling=tiling, domain=final_dom,
+        **vars(conv), stages=stages, tiling=tiling, domain=stages[-1].domain,
         verdict=verdict, diagnostics=diagnostics,
     )

@@ -185,11 +185,11 @@ def test_criterion_4_global_pair():
     t0 = time.perf_counter()
     gp = global_pair(sys1, dom, 0.1)
     elapsed = time.perf_counter() - t0
-    (tu,) = apply_operator(sys1, sample_jets(gp.lower, gp.domain))
-    (tv,) = apply_operator(sys1, sample_jets(gp.upper, gp.domain))
-    xs = gp.domain.axis(0)
+    (tu,) = apply_operator(sys1, sample_jets(gp.lower, dom))
+    (tv,) = apply_operator(sys1, sample_jets(gp.upper, dom))
+    xs = dom.axis(0)
     f = np.cos(xs) + np.sin(xs) ** 3
-    off = ~gp.domain.skeleton
+    off = ~tu.domain.skeleton
     ok = (
         gp.certificate.passed
         and np.all(f[off] - 0.1 < tu.values[off])

@@ -120,6 +120,43 @@ def test_pushforward_names_first_faulted_point():
         interval_pushforward(sys1, ivs, dom)
 
 
+def _marked_interval(dom, lo, hi, at, skel_lo, skel_hi):
+    """[lo, hi] everywhere but at the lattice points `at`, which take
+    [skel_lo, skel_hi]; not normalized, so those values reach the
+    pushforward as given."""
+    raw_lo = np.full(dom.shape, float(lo))
+    raw_hi = np.full(dom.shape, float(hi))
+    raw_lo[at], raw_hi[at] = skel_lo, skel_hi
+    return OrderInterval(GridFunction(dom, raw_lo), GridFunction(dom, raw_hi))
+
+
+@pytest.mark.parametrize("text, skel_lo, skel_hi", [
+    ("u[1,(0)]^2", np.inf, -np.inf),   # an empty box on the skeleton
+    ("log(u[1,(0)])", -2.0, -1.0),     # a domain fault on the skeleton alone
+], ids=["empty_box", "log_fault"])
+def test_pushforward_never_reads_skeleton_values(text, skel_lo, skel_hi):
+    # normalize overwrites the skeleton, so F is evaluated off it only and
+    # the enclosure is the one of the same box with ordinary skeleton values
+    sys1 = PdeSystem(1, 1, 1, [text], ["0"], [0.0], [1.0])
+    skeleton = np.zeros(9, dtype=bool)
+    skeleton[4] = True
+    dom = GridDomain([0.0], [1.0], (9,), skeleton)
+    zero = _const_interval(dom, 0.0, 0.0)
+    (got,) = interval_pushforward(
+        sys1, [_marked_interval(dom, 1.0, 2.0, 4, skel_lo, skel_hi), zero], dom)
+    (want,) = interval_pushforward(sys1, [_const_interval(dom, 1.0, 2.0), zero], dom)
+    for g, w in ((got.lower, want.lower), (got.upper, want.upper)):
+        assert g.normalized and np.array_equal(g.values, w.values)
+    # a fault off the skeleton is still named by its lattice point
+    ivs = [_marked_interval(dom, 1.0, 2.0, [4, 6], -2.0, -1.0), zero]
+    log1 = PdeSystem(1, 1, 1, ["log(u[1,(0)])"], ["0"], [0.0], [1.0])
+    with pytest.raises(IntervalDomainError,
+                       match=r"component 1 undefined over the jet box at lattice point \(6,\)"
+                       ) as err:
+        interval_pushforward(log1, ivs, dom)
+    assert np.array_equal(np.flatnonzero(err.value.faulted), [6])
+
+
 @pytest.mark.parametrize("text, lo, hi", [
     ("1 / u[2,(0)]", -1.0, 1.0),          # a divisor straddling 0
     ("exp(u[2,(0)])", 800.0, 900.0),      # above exp's overflow threshold

@@ -685,15 +685,15 @@ def test_verify_recomputes_global_pair_at_gamma(demo_dir, tmp_path, capsys):
     # at that eps: verify certifies the pair at config.gamma, as run does
     from ordercomplete.cli import _cert_dict
     from ordercomplete.grids import GridDomain
-    from ordercomplete.jets import assemble, read_poly_json, sample_jets
+    from ordercomplete.jets import read_poly_json
     from ordercomplete.solver import apeq_certificate
 
     cert = json.loads((demo_dir / "certificate.json").read_text())
     system, _, _ = load_spec(DEMOS / "manufactured_1d.spec")
     u, v = (read_poly_json(demo_dir / f"global_{side}.json") for side in ("lower", "upper"))
-    marked = assemble(u, GridDomain(system.box_lo, system.box_hi, cert["config"]["grid"]))
+    domain = GridDomain(system.box_lo, system.box_hi, cert["config"]["grid"])
     eps = 2.0 * cert["config"]["gamma"]
-    gp = apeq_certificate(system, sample_jets(u, marked), sample_jets(v, marked), eps)
+    gp = apeq_certificate(system, u, v, domain, eps)
     assert gp.passed and gp.eps == 0.4
     copy = _tampered(demo_dir, tmp_path, "certificate.json",
                      lambda c: c["global_pair"].update(_cert_dict(gp)))

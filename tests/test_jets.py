@@ -17,6 +17,7 @@ from ordercomplete.jets import (
     _centers,
     _check_tiling,
     _classify_grid,
+    _interior_gather,
     assemble,
     deriv_eval,
     poly_from_dict,
@@ -255,16 +256,38 @@ def test_assemble_dyadic_2x2_cross():
 
 
 def test_assemble_rejects_overlap_and_gap():
+    # sample_jets, given the bare lattice, checks the tiling as assemble does
     mis = MultiIndexSet(1, 1)
     dom = GridDomain([0.0], [1.0], (9,))
-    with pytest.raises(TilingError):
-        assemble(_const_polys(mis, [[[0.0], [0.7]], [[0.5], [1.0]]], [0.0, 1.0]), dom)
-    with pytest.raises(TilingError):
-        assemble(_const_polys(mis, [[[0.0], [0.25]], [[0.5], [1.0]]], [0.0, 1.0]), dom)
-    # volumes sum to 1 and the overlap [0.26, 0.3] holds no lattice point
-    sliver = [[[0.0], [0.5]], [[0.26], [0.3]], [[0.54], [1.0]]]
-    with pytest.raises(TilingError, match="overlapping interiors"):
-        assemble(_const_polys(mis, sliver, [0.0, 1.0, 2.0]), dom)
+    for fn in (assemble, sample_jets):
+        with pytest.raises(TilingError):
+            fn(_const_polys(mis, [[[0.0], [0.7]], [[0.5], [1.0]]], [0.0, 1.0]), dom)
+        with pytest.raises(TilingError):
+            fn(_const_polys(mis, [[[0.0], [0.25]], [[0.5], [1.0]]], [0.0, 1.0]), dom)
+        # volumes sum to 1 and the overlap [0.26, 0.3] holds no lattice point
+        sliver = [[[0.0], [0.5]], [[0.26], [0.3]], [[0.54], [1.0]]]
+        with pytest.raises(TilingError, match="overlapping interiors"):
+            fn(_const_polys(mis, sliver, [0.0, 1.0, 2.0]), dom)
+
+
+def test_sample_jets_marks_its_own_skeleton():
+    # on the bare lattice, sampling marks v's cell boundaries as assemble
+    # does; marks already on the lattice stay, and where they cover v's
+    # boundaries the samples are those of the marked lattice, bit for bit
+    mis = MultiIndexSet(2, 1)
+    dom = GridDomain([0.0, 0.0], [1.0, 1.0], (9, 9))
+    cells = _children(np.array([[[0.0, 0.0], [1.0, 1.0]]]))
+    v = PiecewisePoly(cells, _centers(cells)[:, None],
+                      np.random.default_rng(5).normal(size=(4, 1, mis.count)), mis)
+    marked = assemble(v, dom)
+    bare = sample_jets(v, dom)
+    assert all(g.domain == marked for g in bare)
+    for g, h in zip(bare, sample_jets(v, marked), strict=True):
+        assert h.domain == marked and np.array_equal(g.values, h.values)
+    extra = dom.skeleton.copy()
+    extra[2, 2] = True
+    (g, *_) = sample_jets(v, dom.with_skeleton(extra))
+    assert np.array_equal(g.domain.skeleton, marked.skeleton | extra)
 
 
 def test_empty_cell_list_is_a_tiling_error():
@@ -378,27 +401,43 @@ def _random_tiling(rng, n, mutate=True):
     return np.array(cells).reshape(-1, 2, n), GridDomain(lo, hi, shape)
 
 
+def _gathered_owner(cells, domain):
+    """The owner map of _interior_gather: each strictly interior point's
+    cell, -1 elsewhere."""
+    _, own, idx, pts = _interior_gather(domain, cells)
+    owner = np.full(domain.shape, -1, dtype=int)
+    owner[idx] = own
+    assert np.array_equal(pts, np.stack([domain.axis(d)[i] for d, i in enumerate(idx)],
+                                        axis=1))
+    return owner
+
+
 @pytest.mark.parametrize("n,cases", [(1, 200), (2, 200), (3, 60)])
 def test_classify_grid_matches_mask_reference(n, cases):
+    # _classify_grid gives the reference's boundary mask and errors, and on
+    # a valid tiling (both checks pass) _interior_gather its owner map
     rng = np.random.default_rng(1000 + n)
     seen = set()
     for _ in range(cases):
         cells, dom = _random_tiling(rng, n)
         want = _outcome(_reference_classify, cells, dom)
         got = _outcome(_classify_grid, cells, dom)
+        want_tiling = _outcome(_reference_check_tiling, cells, dom.lo, dom.hi)
         if isinstance(want, tuple):
-            assert isinstance(got, tuple), got
-            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+            assert isinstance(got, np.ndarray), got
+            assert np.array_equal(got, want[1])
             seen.add("ok")
+            if want_tiling is None:
+                assert np.array_equal(_gathered_owner(cells, dom), want[0])
+                seen.add("owners")
         else:
             assert got == want
             seen.add("overlap" if want == "overlap" else "gap")
-        want = _outcome(_reference_check_tiling, cells, dom.lo, dom.hi)
-        got = _outcome(_check_tiling, cells, dom.lo, dom.hi)
-        assert got == want
-        seen.add(f"tiling {want}")
+        assert _outcome(_check_tiling, cells, dom.lo, dom.hi) == want_tiling
+        seen.add(f"tiling {want_tiling}")
     # the mutations reach every branch of both checks
-    assert seen == {"ok", "overlap", "gap", "tiling None", "tiling overlap", "tiling volume"}
+    assert seen == {"ok", "owners", "overlap", "gap", "tiling None", "tiling overlap",
+                    "tiling volume"}
 
 
 def _reference_deriv_many(p, alpha, pts):

@@ -568,8 +568,8 @@ def test_global_pair_affine_single_cell():
     sys1 = _affine()
     gp = global_pair(sys1, dom, 0.5)
     assert len(gp.cells) == 1
-    (tu,) = apply_operator(sys1, sample_jets(gp.lower, gp.domain))
-    (tv,) = apply_operator(sys1, sample_jets(gp.upper, gp.domain))
+    (tu,) = apply_operator(sys1, sample_jets(gp.lower, dom))
+    (tv,) = apply_operator(sys1, sample_jets(gp.upper, dom))
     assert np.all(tu.values == 0.75)  # 1 - eps/2
     assert np.all(tv.values == 1.25)  # 1 + eps/2
     c = gp.certificate
@@ -584,11 +584,11 @@ def test_global_pair_manufactured_certificate():
     gp = global_pair(sys1, dom, 0.1)
     assert gp.certificate.passed
     # oracle: the four strict inequalities re-checked from scratch
-    (tu,) = apply_operator(sys1, sample_jets(gp.lower, gp.domain))
-    (tv,) = apply_operator(sys1, sample_jets(gp.upper, gp.domain))
-    x = gp.domain.axis(0)
+    (tu,) = apply_operator(sys1, sample_jets(gp.lower, dom))
+    (tv,) = apply_operator(sys1, sample_jets(gp.upper, dom))
+    x = dom.axis(0)
     f = np.cos(x) + np.sin(x) ** 3
-    off = ~gp.domain.skeleton
+    off = ~tu.domain.skeleton
     assert np.all(f[off] - 0.1 < tu.values[off])
     assert np.all(tu.values[off] < f[off])
     assert np.all(f[off] < tv.values[off])
@@ -767,14 +767,16 @@ def test_refine_cell_budget_bounds_whole_stage():
 
 
 def test_each_candidate_classified_once_per_lattice(monkeypatch, tmp_path):
-    # the certificates act on the samples of one sample_jets call per
-    # polynomial and lattice: global_pair classifies its cells once in
-    # assemble and once per polynomial, refine its J-cells twice and the
-    # I-cells once and applies the operator once, and scheme_convergence
-    # moves the stage samples without sampling, classifying or applying T
+    # sample_jets marks its polynomial's skeleton itself, with the one
+    # _classify_grid call of assemble, and no caller marks one first:
+    # global_pair samples its two polynomials, refine its stage polynomial
+    # once and takes the I-cell owners by index arithmetic, and
+    # scheme_convergence moves the stage samples without sampling,
+    # classifying or applying T
     from ordercomplete import cli, jets, pde, solver
 
-    counts = dict.fromkeys(("_classify_grid", "sample_jets", "apply_operator"), 0)
+    names = ("_classify_grid", "assemble", "sample_jets", "apply_operator")
+    counts = dict.fromkeys(names, 0)
 
     def counted(name, fn):
         def call(*args, **kwargs):
@@ -782,8 +784,8 @@ def test_each_candidate_classified_once_per_lattice(monkeypatch, tmp_path):
             return fn(*args, **kwargs)
         return call
 
-    for name, home in (("_classify_grid", jets), ("sample_jets", jets),
-                       ("apply_operator", pde)):
+    for name in names:
+        home = pde if name == "apply_operator" else jets
         wrapped = counted(name, getattr(home, name))
         for module in (jets, pde, solver, cli):
             if hasattr(module, name):
@@ -794,24 +796,25 @@ def test_each_candidate_classified_once_per_lattice(monkeypatch, tmp_path):
         counts.update(dict.fromkeys(counts, 0))
         return got
 
+    def per(k):
+        return {"_classify_grid": k, "assemble": k, "sample_jets": k, "apply_operator": k}
+
     sys = _transport(1)
     dom = GridDomain([0.0], [1.0], (129,))
     assert global_pair(sys, dom, 0.4).certificate.passed
-    assert calls()["_classify_grid"] <= 3
+    assert calls() == per(2)
     tiling = _probed(sys, tile_domain(dom.lo, dom.hi, 0.25, domain=dom), 0.05,
                      np.full(4, 0.2))
     stages = []
     for n in (1, 2, 3):
         stages.append(refine(sys, dom, tiling, stages[-1] if stages else None, n, 0.05))
         assert stages[-1].certificates_pass()
-        got = calls()
-        assert got["_classify_grid"] <= 3 and got["apply_operator"] == 1
-    conv = scheme_convergence(sys, [s.samples for s in stages], tiling.radii,
-                              stages[-1].domain, 0.05)
+        assert calls() == per(1)
+    conv = scheme_convergence(sys, [s.samples for s in stages], tiling.radii, 0.05)
     assert conv.passed
-    assert calls() == dict.fromkeys(counts, 0)
-    # verify: the global pair as in run, then per stage one assemble, one
-    # sample_jets and one band rendering, and no sampling after the stages
+    assert calls() == per(0)
+    # verify: the global pair as in run, then per stage one sampling on the
+    # bare lattice, and no sampling after the stages
     spec = tmp_path / "transport.spec"
     spec.write_text("n = 1\nK = 1\nm = 1\nbox.lo = 0\nbox.hi = 1\ngrid = 129\n"
                     "F1 = u[1,(1)] + u[1,(0)]^3\nf1 = cos(x1) + sin(x1)^3\n")
@@ -821,8 +824,7 @@ def test_each_candidate_classified_once_per_lattice(monkeypatch, tmp_path):
                      "--out", str(out), "--no-samples"]) == 0
     calls()
     assert cli.verify(out) == 0
-    got = calls()
-    assert got["_classify_grid"] <= 3 + 3 * N and got["apply_operator"] == 2 + N
+    assert calls() == per(2 + N)
 
 
 @pytest.fixture(scope="module")
@@ -947,15 +949,13 @@ def test_scheme_moved_samples_match_final_lattice_resampling(sys, size, gamma, N
 
 def test_scheme_convergence_rejects_stage_skeleton_outside_final(res_cubic2):
     # a moved sample keeps its own values off the final skeleton, which are
-    # V_n's only where no cell boundary of V_n is left unmarked there
+    # V_n's only where no cell boundary of V_n is left unmarked there; the
+    # final domain is the last samples', so stages out of order must raise
     res = res_cubic2
     first, last = res.stages[0], res.stages[-1]
     assert (last.domain.skeleton & ~first.domain.skeleton).any()
-    bare = GridDomain(first.domain.lo, first.domain.hi, first.domain.shape)
-    for samples, final in (([first.samples], bare),
-                           ([s.samples for s in res.stages], first.domain)):
-        with pytest.raises(ValueError, match="does not contain every stage skeleton"):
-            scheme_convergence(_cubic(), samples, res.tiling.radii, final, 0.4)
+    with pytest.raises(ValueError, match="does not contain every stage skeleton"):
+        scheme_convergence(_cubic(), [last.samples, first.samples], res.tiling.radii, 0.4)
 
 
 def test_scheme_convergence_keeps_final_stage_samples(res_cubic2):
