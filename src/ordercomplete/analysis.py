@@ -30,10 +30,10 @@ def interval_pushforward(
     major order. Each F_j is evaluated once, in interval arithmetic over the
     off-skeleton points, as apply_operator evaluates F; the skeleton is
     completed by the normalize rule, so its input values are never read.
-    Output bounds are outer enclosures. A jet box that leaves an operand's
-    domain entirely is reported with the component and the first lattice
-    point where the first faulting operation of the walk faults; an
-    enclosure that is not finite, with its first such point.
+    Output bounds are outer enclosures. A jet box on which some operation
+    of F_j faults (its operand lies wholly outside the domain) is reported
+    with the component, the first lattice point where F_j faults and the
+    mask of all such points; an enclosure that is not finite, likewise.
     """
     fv = sys.flat_vars()
     if len(intervals) != len(fv):
@@ -196,29 +196,33 @@ def dilation_envelopes(
 ) -> list[GridFunction]:
     """Upper envelopes by morphological dilation with shrinking radius.
 
-    Step k takes the running max of u over the lattice ball of radius
-    max(r0/k, h) in the max-norm, h being one grid cell, so the radius
-    never drops below a single cell. The result is non-increasing in k and
-    bounds u from above; near a jump the envelope keeps the high side's
-    value until the radius floor, which confines the slow set to the jump's
-    grid neighborhood.
+    Step k takes running maxima over the lattice ball of radius max(r0/k, h)
+    in the max-norm, h being one grid cell, so the radius never drops below
+    a single cell: at an unmarked point over the unmarked values only, so
+    skeleton values are never read off the skeleton (as under normalize),
+    and at a skeleton point over all values. The result is non-increasing
+    in k and bounds u from above everywhere; near a jump the envelope keeps
+    the high side's value until the radius floor, which confines the slow
+    set to the jump's grid neighborhood.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
     if r0 <= 0.0:
         raise ValueError("r0 must be positive")
     spacing = u.domain.spacing
+    skel = u.domain.skeleton
     out = []
     for k in range(1, count + 1):
         r = max(r0 / k, float(np.max(spacing)))
-        vals = u.values
+        # row 0 dilates the unmarked values, row 1 all of them
+        vals = np.stack([np.where(skel, -np.inf, u.values), u.values])
         for d in range(u.domain.ndim):
             half = max(1, int(np.floor(r / spacing[d] + 1e-12)))
             pad = [(0, 0)] * vals.ndim
-            pad[d] = (half, half)  # edge padding: the window clips at the box
+            pad[d + 1] = (half, half)  # edge padding: the window clips at the box
             padded = np.pad(vals, pad, mode="edge")
-            vals = sliding_window_view(padded, 2 * half + 1, axis=d).max(axis=-1)
-        out.append(GridFunction(u.domain, vals))
+            vals = sliding_window_view(padded, 2 * half + 1, axis=d + 1).max(axis=-1)
+        out.append(GridFunction(u.domain, np.where(skel, vals[1], vals[0])))
     return out
 
 

@@ -14,22 +14,26 @@ The textual grammar (used by problem-spec files and the demos):
     func   := 'sin' | 'cos' | 'exp' | 'log' | 'abs' | 'sqrt'
 
 Note that '-' binds at atom level, so "-x1^2" is (-x1)^2; rendering is
-canonical and parse(render(e)) reproduces e node for node. The one
-exception is the internal function sign, which only derivatives of abs
-contain: it renders, but the grammar does not accept it.
+canonical and parse(render(e)) reproduces e node for node. The exceptions
+are what only derivatives contain: the internal function sign, which
+renders but the grammar does not accept, and negative constants, which
+parse back as Neg of a number.
 
-Expressions are immutable. Two evaluators share the tree: elementwise
-numpy evaluation over coordinate arrays, and interval evaluation via the
-natural extension with outward rounding, elementwise over arrays of
-intervals. Point evaluation is the array
+Expressions are immutable. One tree walk evaluates them, with one table of
+operations per backend: elementwise numpy evaluation over coordinate
+arrays, and the natural interval extension with outward rounding,
+elementwise over arrays of intervals. Each node may fault (log or sqrt
+outside its domain, division by zero, a zero base with a negative
+exponent; for numbers, also a value that is not finite, overflow
+included), and the walk ORs the nodes' fault masks up to the root, so an
+evaluation faults on the union of them. Point evaluation is the array
 evaluator on one-element arrays, so points and arrays give the same bits
-and fault on the same inputs by construction: a domain violation (log or
-sqrt outside its domain, division by zero, a zero base with a negative
-exponent) or a node value that is not finite (overflow included).
+and fault on the same inputs by construction.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
@@ -38,9 +42,9 @@ import numpy as np
 
 from .intervals import (
     Interval,
-    IntervalDomainError,
     abs_interval,
     cos_interval,
+    div_interval,
     exp_interval,
     log_interval,
     sin_interval,
@@ -67,13 +71,14 @@ class ParseError(ValueError):
 
 class EvalDomainError(ValueError):
     """An evaluation faulted: a function outside its domain (log, sqrt,
-    division, zero to a negative power) or a non-finite value.
+    division, zero to a negative power) or, for numbers, a non-finite value.
 
-    Raised for a fault of eval_on_arrays or eval_point, it also carries
-    `faulted`, the boolean mask of the elements that faulted, and `values`,
-    the elementwise result (its faulted elements are meaningless), both of
-    the full broadcast shape; for a fault of eval_interval, only `faulted`.
-    Otherwise both are None.
+    The evaluators raise it once, after the whole tree: `faulted` is the
+    union over all nodes of the masks of the elements that faulted, and
+    `values` the elementwise result (an array, or an Interval from
+    eval_interval; its faulted elements are meaningless), both of the full
+    broadcast shape. Interval operations return their masks and do not
+    raise. Without jet values to read, both are None.
     """
 
     def __init__(self, message: str, faulted: np.ndarray | None = None,
@@ -276,7 +281,10 @@ class _Parser:
             return e
         if kind == "num":
             self.advance()
-            return Num(float(value))
+            v = float(value)
+            if not np.isfinite(v):
+                raise ParseError(f"number {value} overflows a double", line, col)
+            return Num(v)
         if kind == "name":
             return self.name_atom()
         raise ParseError(f"expected an operand, found {value or 'end of input'!r}", line, col)
@@ -420,7 +428,7 @@ def has_jet_vars(e: Expr) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# evaluation over numpy arrays; a point is the one-element case
+# evaluation: one tree walk, one table of operations per backend
 
 
 def eval_point(
@@ -455,12 +463,13 @@ def eval_on_arrays(
     the faulted mask and the values, so a sampling caller can drop the
     faulted elements instead of evaluating them one by one.
     """
-    with np.errstate(all="ignore"):
-        val, faulted = _eval_arrays(e, x, jets)
-    shapes = [np.shape(c) for c in x]
+    x = [np.asarray(c, dtype=float) for c in x]
     if jets is not None:
-        shapes.extend(np.shape(v) for v in jets.values())
-    shape = np.broadcast_shapes(*shapes) if shapes else ()
+        jets = {var: np.asarray(v, dtype=float) for var, v in jets.items()}
+    with np.errstate(all="ignore"):
+        val, faulted = _walk(e, x, jets, _ARRAY_OPS)
+        faulted = _or(faulted, ~np.isfinite(val))
+    shape = np.broadcast_shapes(*(v.shape for v in [*x, *(jets or {}).values()]))
     out = np.asarray(val, dtype=float)
     if out.shape != shape:
         out = np.broadcast_to(out, shape).copy()
@@ -474,89 +483,6 @@ def eval_on_arrays(
     return out
 
 
-def _eval_arrays(e: Expr, x, jets):
-    """Elementwise values of e and the mask of elements that fault.
-
-    An element faults when some node of its evaluation is outside a
-    function domain or not finite; eval_point on that element's inputs
-    raises EvalDomainError by construction. The values of faulted elements
-    are meaningless.
-    """
-    val, faulted = _array_node(e, x, jets)
-    nonfinite = ~np.isfinite(val)
-    return val, nonfinite if faulted is False else faulted | nonfinite
-
-
-def _array_node(e: Expr, x, jets):
-    # A non-finite value reaches the root unless an operand absorbs it:
-    # t / inf = 0, inf^k = 1 or 0 for k <= 0 (nan^0 too), exp(-inf) = 0.
-    # Only those operands go through _eval_arrays, which checks them; any
-    # other non-finite node shows in the root check.
-    if isinstance(e, Num):
-        return e.value, False
-    if isinstance(e, SpaceVar):
-        return np.asarray(x[e.index - 1], dtype=float), False
-    if isinstance(e, JetVar):
-        if jets is None:
-            raise EvalDomainError(f"no jet values supplied for {render(e)!r}")
-        return np.asarray(jets[(e.component, e.alpha)], dtype=float), False
-    if isinstance(e, Neg):
-        val, faulted = _array_node(e.operand, x, jets)
-        return -val, faulted
-    if isinstance(e, Div):
-        left, left_faulted = _array_node(e.left, x, jets)
-        right, right_faulted = _eval_arrays(e.right, x, jets)
-        right = np.asarray(right)  # numpy division: no ZeroDivisionError
-        return left / right, left_faulted | right_faulted | (right == 0.0)
-    if isinstance(e, BinOp):
-        left, left_faulted = _array_node(e.left, x, jets)
-        right, right_faulted = _array_node(e.right, x, jets)
-        faulted = left_faulted | right_faulted
-        if isinstance(e, Add):
-            return left + right, faulted
-        if isinstance(e, Sub):
-            return left - right, faulted
-        if isinstance(e, Mul):
-            return left * right, faulted
-    if isinstance(e, Pow):
-        if e.exponent > 0:
-            base, faulted = _array_node(e.base, x, jets)
-        else:
-            base, faulted = _eval_arrays(e.base, x, jets)
-        base = np.asarray(base)  # numpy power: no OverflowError
-        if e.exponent < 0:
-            faulted = faulted | (base == 0.0)
-        return base**e.exponent, faulted
-    if isinstance(e, Call):
-        if e.func == "exp":
-            arg, faulted = _eval_arrays(e.arg, x, jets)
-            return np.exp(arg), faulted
-        arg, faulted = _array_node(e.arg, x, jets)
-        if e.func == "log":
-            return np.log(arg), faulted | (arg <= 0.0)
-        if e.func == "sqrt":
-            return np.sqrt(arg), faulted | (arg < 0.0)
-        if e.func == "abs":
-            return np.abs(arg), faulted
-        return getattr(np, e.func)(arg), faulted
-    raise TypeError(f"unknown node {type(e).__name__}")
-
-
-# ---------------------------------------------------------------------------
-# interval evaluation (natural extension, outward rounded)
-
-_INTERVAL_FUNCS = {
-    "sin": sin_interval,
-    "cos": cos_interval,
-    "exp": exp_interval,
-    "log": log_interval,
-    "abs": abs_interval,
-    "sqrt": sqrt_interval,
-    # sign is monotone: its values at the endpoints enclose it exactly
-    "sign": lambda x: Interval(np.sign(x.lo), np.sign(x.hi)),
-}
-
-
 def eval_interval(
     e: Expr,
     x: Sequence[Interval],
@@ -566,41 +492,109 @@ def eval_interval(
 
     Each element of the result, which has the operands' full broadcast
     shape, encloses {eval_point(e, p, q) : p in x, q in jets} there: never
-    an under-approximation. Operands wholly outside a function domain raise
-    EvalDomainError, whose faulted mask has the full shape.
+    an under-approximation. An element faults when some node's operand lies
+    wholly outside a function domain; if any does, EvalDomainError carries
+    the union of the faulted masks over all nodes and the enclosures.
     """
+    out, faulted = _walk(e, x, jets, _INTERVAL_OPS)
     shape = np.broadcast_shapes(*(v.lo.shape for v in [*x, *(jets or {}).values()]))
-    try:
-        out = _eval_interval(e, x, jets)
-    except IntervalDomainError as err:
-        raise EvalDomainError(str(err), faulted=np.broadcast_to(err.faulted, shape)) from err
-    return Interval(np.broadcast_to(out.lo, shape), np.broadcast_to(out.hi, shape))
+    out = Interval(np.broadcast_to(out.lo, shape), np.broadcast_to(out.hi, shape))
+    if faulted is not False and faulted.any():
+        faulted = np.broadcast_to(faulted, shape).copy()
+        raise EvalDomainError(
+            f"interval evaluation of {render(e)!r} faulted at {int(faulted.sum())} "
+            f"of {faulted.size} elements", faulted=faulted, values=out)
+    return out
 
 
-def _eval_interval(e: Expr, x, jets) -> Interval:
+def _or(a, b):
+    """a | b for fault masks, where False means that nothing can fault."""
+    return b if a is False else a if b is False else a | b
+
+
+def _walk(e: Expr, x, jets, ops):
+    """The value of e under the operations ops, and the union of the fault
+    masks of all its nodes (False where no node can fault)."""
     if isinstance(e, Num):
-        return Interval.point(e.value)
+        return ops[Num](e.value), False
     if isinstance(e, SpaceVar):
-        return x[e.index - 1]
+        return x[e.index - 1], False
     if isinstance(e, JetVar):
         if jets is None:
-            raise EvalDomainError(f"no jet intervals supplied for {render(e)!r}")
-        return jets[(e.component, e.alpha)]
+            raise EvalDomainError(f"no jet values supplied for {render(e)!r}")
+        return jets[(e.component, e.alpha)], False
     if isinstance(e, Neg):
-        return -_eval_interval(e.operand, x, jets)
-    if isinstance(e, Add):
-        return _eval_interval(e.left, x, jets) + _eval_interval(e.right, x, jets)
-    if isinstance(e, Sub):
-        return _eval_interval(e.left, x, jets) - _eval_interval(e.right, x, jets)
-    if isinstance(e, Mul):
-        return _eval_interval(e.left, x, jets) * _eval_interval(e.right, x, jets)
-    if isinstance(e, Div):
-        return _eval_interval(e.left, x, jets) / _eval_interval(e.right, x, jets)
+        val, faulted = _walk(e.operand, x, jets, ops)
+        return -val, faulted
+    if isinstance(e, BinOp):
+        left, left_faulted = _walk(e.left, x, jets, ops)
+        right, right_faulted = _walk(e.right, x, jets, ops)
+        val, faulted = ops[type(e)](left, right)
+        return val, _or(_or(left_faulted, right_faulted), faulted)
     if isinstance(e, Pow):
-        return _eval_interval(e.base, x, jets).pow_int(e.exponent)
+        base, base_faulted = _walk(e.base, x, jets, ops)
+        val, faulted = ops[Pow](base, e.exponent)
+        return val, _or(base_faulted, faulted)
     if isinstance(e, Call):
-        return _INTERVAL_FUNCS[e.func](_eval_interval(e.arg, x, jets))
+        arg, arg_faulted = _walk(e.arg, x, jets, ops)
+        val, faulted = ops[e.func](arg)
+        return val, _or(arg_faulted, faulted)
     raise TypeError(f"unknown node {type(e).__name__}")
+
+
+def _total(f):
+    """An operation that cannot fault, in the (value, mask) form."""
+    return lambda *args: (f(*args), False)
+
+
+def _array_div(a, b):
+    # numpy division: no ZeroDivisionError; t / inf = 0 absorbs a fault
+    b = np.asarray(b)
+    return a / b, (b == 0.0) | ~np.isfinite(b)
+
+
+def _array_pow(b, k):
+    b = np.asarray(b)  # numpy power: no OverflowError
+    if k > 0:
+        return b**k, False
+    # inf^k = 1 or 0 for k <= 0 (nan^0 too) absorbs a fault
+    return b**k, ~np.isfinite(b) | ((b == 0.0) & (k < 0))
+
+
+# + - * on numbers, arrays and intervals alike
+_ARITH = {Add: _total(operator.add), Sub: _total(operator.sub), Mul: _total(operator.mul)}
+
+# A non-finite node value reaches the root, whose check catches it, unless
+# an operation absorbs it; those operations check their own operand.
+_ARRAY_OPS = {
+    **_ARITH,
+    Num: lambda v: v,
+    Div: _array_div,
+    Pow: _array_pow,
+    "sin": _total(np.sin),
+    "cos": _total(np.cos),
+    "abs": _total(np.abs),
+    "sign": _total(np.sign),
+    "exp": lambda a: (np.exp(a), ~np.isfinite(a)),  # exp(-inf) = 0 absorbs
+    "log": lambda a: (np.log(a), a <= 0.0),
+    "sqrt": lambda a: (np.sqrt(a), a < 0.0),
+}
+
+# natural extension, outward rounded
+_INTERVAL_OPS = {
+    **_ARITH,
+    Num: Interval.point,
+    Div: div_interval,
+    Pow: Interval.pow_int,
+    "sin": _total(sin_interval),
+    "cos": _total(cos_interval),
+    "abs": _total(abs_interval),
+    # sign is monotone: its values at the endpoints enclose it exactly
+    "sign": _total(lambda x: Interval(np.sign(x.lo), np.sign(x.hi))),
+    "exp": _total(exp_interval),
+    "log": log_interval,
+    "sqrt": sqrt_interval,
+}
 
 
 # ---------------------------------------------------------------------------

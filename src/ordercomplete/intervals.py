@@ -10,9 +10,13 @@ permitted; missing a real image point is a bug.
 Steps, checked against a 60-digit mpmath oracle in the tests: one for
 + - * /, x**2 (numpy's x*x) and sqrt, which IEEE 754 rounds correctly; two
 for numpy's exp, log, sin and cos and for x**k with |k| >= 3, which are
-not proven correctly rounded. Endpoints are extended reals. An operand
-wholly outside a function's domain raises IntervalDomainError, whose
-faulted mask marks the elements concerned.
+not proven correctly rounded. Endpoints are extended reals.
+
+The operations with a restricted domain (div_interval, pow_int, sqrt_interval
+and log_interval) do not raise: each returns its result and a boolean mask
+of the elements whose operand lies wholly outside the domain, or False
+where none can. A faulted element holds some valid interval, so later
+operations see neither NaN nor lo > hi.
 """
 
 from __future__ import annotations
@@ -30,23 +34,15 @@ _TRIG_SLOP = 1e-9
 
 
 class IntervalDomainError(ValueError):
-    """An interval operand lies wholly outside a function's domain.
+    """An interval enclosure over a lattice is undefined or unbounded.
 
-    `faulted` is the boolean mask of the elements that fault, of the
-    faulting operand's shape (None when no mask applies).
+    Raised by analysis.interval_pushforward; `faulted` is the boolean mask
+    of the lattice points concerned.
     """
 
     def __init__(self, message: str, faulted: np.ndarray | None = None) -> None:
         super().__init__(message)
         self.faulted = faulted
-
-
-def _check_domain(x: "Interval", faulted: np.ndarray, what: str) -> None:
-    if np.any(faulted):
-        k = np.argmax(faulted)
-        raise IntervalDomainError(
-            f"{what} [{float(x.lo.flat[k])!r}, {float(x.hi.flat[k])!r}] at "
-            f"{int(np.sum(faulted))} of {faulted.size} elements", faulted=faulted)
 
 
 def _outward(lo, hi, steps: int = 1):
@@ -139,45 +135,47 @@ class Interval:
         return Interval(*_outward(p.min(axis=0), p.max(axis=0)))
 
     @np.errstate(all="ignore")
-    def __truediv__(self, other: "Interval") -> "Interval":
-        _check_domain(other, (other.lo == 0.0) & (other.hi == 0.0),
-                      "division by the degenerate zero interval")
-        # 1/x over the divisor: a half-line where it touches zero at one end,
-        # the whole line where it straddles zero
-        straddles = (other.lo < 0.0) & (other.hi > 0.0)
-        inv_lo, inv_hi = _outward(1.0 / other.hi, 1.0 / other.lo)
-        inv_lo = np.where(straddles | (other.hi == 0.0), -np.inf, inv_lo)
-        inv_hi = np.where(straddles | (other.lo == 0.0), np.inf, inv_hi)
-        return self * Interval(inv_lo, inv_hi)
+    def pow_int(self, k: int) -> "tuple[Interval, np.ndarray | bool]":
+        """Integer power and its fault mask, a zero base for k < 0.
 
-    @np.errstate(all="ignore")
-    def pow_int(self, k: int) -> "Interval":
-        """Integer power with the dedicated even-exponent case.
-
-        [-1,2]**2 must be [0,4], not the naive product [-2,4].
+        Even k has a dedicated case: [-1,2]**2 must be [0,4], not the naive
+        product [-2,4].
         """
         if not isinstance(k, int):
             raise TypeError("exponent must be an integer")
         if k < 0:
-            return Interval(1.0, 1.0) / self.pow_int(-k)
+            return div_interval(Interval(1.0, 1.0), self.pow_int(-k)[0])
         if k == 0:
-            return Interval(np.ones_like(self.lo), np.ones_like(self.hi))
+            return Interval(np.ones_like(self.lo), np.ones_like(self.hi)), False
         if k == 1:
-            return self
+            return self, False
         base = abs_interval(self) if k % 2 == 0 else self
         lo, hi = _outward(base.lo**k, base.hi**k, 1 if k == 2 else 2)
         # x**k maps an exactly-zero endpoint to exactly zero; no nudge needed
-        return Interval(np.where(base.lo == 0.0, 0.0, lo), np.where(base.hi == 0.0, 0.0, hi))
+        lo, hi = np.where(base.lo == 0.0, 0.0, lo), np.where(base.hi == 0.0, 0.0, hi)
+        return Interval(lo, hi), False
+
+
+@np.errstate(all="ignore")
+def div_interval(x: Interval, y: Interval) -> tuple[Interval, np.ndarray]:
+    """x / y and its fault mask, where y is the degenerate zero interval."""
+    # 1/y: a half-line where y touches zero at one end, the whole line where
+    # it straddles zero or is zero
+    straddles = (y.lo < 0.0) & (y.hi > 0.0)
+    inv_lo, inv_hi = _outward(1.0 / y.hi, 1.0 / y.lo)
+    inv_lo = np.where(straddles | (y.hi == 0.0), -np.inf, inv_lo)
+    inv_hi = np.where(straddles | (y.lo == 0.0), np.inf, inv_hi)
+    return x * Interval(inv_lo, inv_hi), (y.lo == 0.0) & (y.hi == 0.0)
 
 
 def abs_interval(x: Interval) -> Interval:
     return Interval(np.maximum(np.maximum(x.lo, -x.hi), 0.0), np.maximum(-x.lo, x.hi))
 
 
-def sqrt_interval(x: Interval) -> Interval:
-    _check_domain(x, x.hi < 0.0, "sqrt of wholly negative interval")
-    lo, hi = _outward(np.sqrt(np.maximum(x.lo, 0.0)), np.sqrt(x.hi))
-    return Interval(np.maximum(lo, 0.0), hi)
+def sqrt_interval(x: Interval) -> tuple[Interval, np.ndarray]:
+    """sqrt over x and its fault mask, where x lies wholly below 0."""
+    lo, hi = _outward(np.sqrt(np.maximum(x.lo, 0.0)), np.sqrt(np.maximum(x.hi, 0.0)))
+    return Interval(np.maximum(lo, 0.0), hi), x.hi < 0.0
 
 
 @np.errstate(all="ignore")
@@ -187,9 +185,10 @@ def exp_interval(x: Interval) -> Interval:
 
 
 @np.errstate(all="ignore")
-def log_interval(x: Interval) -> Interval:
-    _check_domain(x, x.hi <= 0.0, "log of wholly non-positive interval")
-    return Interval(*_outward(np.log(np.maximum(x.lo, 0.0)), np.log(x.hi), 2))
+def log_interval(x: Interval) -> tuple[Interval, np.ndarray]:
+    """log over x and its fault mask, where x lies wholly at or below 0."""
+    lo, hi = np.log(np.maximum(x.lo, 0.0)), np.log(np.maximum(x.hi, 0.0))
+    return Interval(*_outward(lo, hi, 2)), x.hi <= 0.0
 
 
 def _trig_has_extremum(x: Interval, phase: float) -> np.ndarray:

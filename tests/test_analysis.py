@@ -120,6 +120,22 @@ def test_pushforward_names_first_faulted_point():
         interval_pushforward(sys1, ivs, dom)
 
 
+def test_pushforward_names_first_point_where_the_component_faults():
+    # the first log faults at points 5..8 and the second at point 2: the
+    # error names the first point where F_1 faults, whichever operation it is
+    text = "log(u[1,(0)]) + log(u[2,(0)])"
+    sys2 = PdeSystem(1, 2, 1, [text, "u[2,(0)]"], ["0", "0"], [0.0], [1.0])
+    dom = GridDomain([0.0], [1.0], (9,))
+    zero = _const_interval(dom, 0.0, 0.0)
+    ivs = [_marked_interval(dom, 1.0, 2.0, [5, 6, 7, 8], -2.0, -1.0), zero,
+           _marked_interval(dom, 1.0, 2.0, 2, -2.0, -1.0), zero]
+    with pytest.raises(IntervalDomainError,
+                       match=r"component 1 undefined over the jet box at lattice point \(2,\)"
+                       ) as err:
+        interval_pushforward(sys2, ivs, dom)
+    assert np.flatnonzero(err.value.faulted).tolist() == [2, 5, 6, 7, 8]
+
+
 def _marked_interval(dom, lo, hi, at, skel_lo, skel_hi):
     """[lo, hi] everywhere but at the lattice points `at`, which take
     [skel_lo, skel_hi]; not normalized, so those values reach the
@@ -284,11 +300,12 @@ def test_dilation_envelopes_monotone_and_localized():
                                        ((5, 7, 6), 0.2), ((5, 7, 6), 3.0)])
 def test_dilation_envelopes_match_brute_force_window_max(shape, r0):
     # oracle: the max over each index window clipped to the box, of
-    # half-width max(1, floor(r / h_d)) along axis d; r0 >= 3 is wider than
-    # every axis. The skeleton (points whose indices are all multiples of 3,
-    # at random) carries -inf entries. When every window is one cell wide, a
-    # +inf sits in the box corner, whose one-cell block is marked, so the
-    # dilated +inf stays on the skeleton
+    # half-width max(1, floor(r / h_d)) along axis d, taken over the
+    # unmarked values at an unmarked point and over all values at a marked
+    # one; r0 >= 3 is wider than every axis. The skeleton (points whose
+    # indices are all multiples of 3, at random) carries -inf and 7 entries.
+    # When every window is one cell wide, a +inf sits in the box corner,
+    # whose one-cell block is marked
     rng = np.random.default_rng(sum(shape))
     n = len(shape)
     dom = GridDomain([0.0] * n, [1.0] * n, shape)
@@ -311,8 +328,22 @@ def test_dilation_envelopes_match_brute_force_window_max(shape, r0):
         want = np.empty(shape)
         for idx in np.ndindex(*shape):
             window = tuple(slice(max(0, i - w), i + w + 1) for i, w in zip(idx, half))
-            want[idx] = vals[window].max()
+            want[idx] = (vals[window] if skel[idx] else vals[window][~skel[window]]).max()
         assert np.array_equal(env.values, want)
+
+
+def test_dilation_envelopes_never_read_skeleton_values_off_it():
+    # a +inf on the skeleton within reach of unmarked points: they take the
+    # max of the unmarked values in their window, and the marked point keeps
+    # its whole window's max, so the envelope still bounds u everywhere
+    skeleton = np.zeros(9, dtype=bool)
+    skeleton[4] = True
+    dom = GridDomain([0.0], [1.0], (9,), skeleton)
+    vals = np.arange(9.0)
+    vals[4] = np.inf
+    (env,) = dilation_envelopes(GridFunction(dom, vals), 1, r0=0.125)  # one cell
+    assert env.values.tolist() == [1.0, 2.0, 3.0, 3.0, np.inf, 6.0, 7.0, 8.0, 8.0]
+    assert np.all(env.values >= vals)
 
 
 def test_dilation_envelopes_validation():

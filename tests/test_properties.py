@@ -1,0 +1,131 @@
+"""Property tests over the expression grammar: rendering round-trips, and
+the point, array and interval evaluators agree on values and faults.
+
+Trees are drawn for the signatures (n, 1, 1), n in {1, 2}, from every node
+type. The runs are derandomized, with a fixed number of examples and no
+example database, so the suite stays deterministic.
+"""
+
+import os
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.configuration import set_hypothesis_home_dir
+
+from ordercomplete import expr as ex
+from ordercomplete.intervals import Interval
+
+# Hypothesis caches the constants it reads from local source files in its
+# storage directory; no directory can be made under the null device, so the
+# cache, only a speed-up, is never written
+set_hypothesis_home_dir(os.devnull)
+_SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=120)
+
+
+def _jet_vars(n):
+    """The jet variables of order <= 1 of the one component."""
+    alphas = [(0,) * n] + [tuple(int(i == d) for i in range(n)) for d in range(n)]
+    return [ex.JetVar(1, a) for a in alphas]
+
+
+def _trees(n, funcs):
+    # number literals are finite and non-negative; a sign comes from Neg
+    leaves = st.one_of(
+        st.builds(ex.Num, st.floats(min_value=0.0, allow_infinity=False)),
+        st.sampled_from([ex.SpaceVar(i) for i in range(1, n + 1)] + _jet_vars(n)),
+    )
+
+    def extend(sub):
+        return st.one_of(
+            st.builds(ex.Neg, sub),
+            *(st.builds(op, sub, sub) for op in (ex.Add, ex.Sub, ex.Mul, ex.Div)),
+            st.builds(ex.Pow, sub, st.integers(-5, 5)),
+            st.builds(ex.Call, st.sampled_from(funcs), sub),
+        )
+
+    return st.recursive(leaves, extend, max_leaves=8)
+
+
+# per n: trees of the grammar, and trees over every function the evaluators
+# know, sign included
+_GRAMMAR = {n: _trees(n, list(ex.FUNCTIONS)) for n in (1, 2)}
+_EVALUATED = {n: _trees(n, [*ex.FUNCTIONS, "sign"]) for n in (1, 2)}
+
+
+def _cases(values):
+    """A tree over every function the evaluators know, sign included, and
+    its inputs: 1 to 6 elements of each coordinate and jet variable."""
+
+    def split(n, e, rows):
+        cols = np.array(rows).T
+        return e, list(cols[:n]), {(v.component, v.alpha): a
+                                   for v, a in zip(_jet_vars(n), cols[n:], strict=True)}
+
+    return st.one_of(*(
+        st.builds(split, st.just(n), _EVALUATED[n],
+                  st.lists(st.tuples(*[values] * (2 * n + 1)), min_size=1, max_size=6))
+        for n in (1, 2)))
+
+
+def _eval_arrays(e, x, jets):
+    try:
+        vals = ex.eval_on_arrays(e, x, jets)
+        return vals, np.zeros(vals.shape, dtype=bool)
+    except ex.EvalDomainError as err:
+        return err.values, err.faulted
+
+
+def _subtrees(e):
+    """e and every node below it."""
+    yield e
+    for child in ("operand", "left", "right", "base", "arg"):
+        if hasattr(e, child):
+            yield from _subtrees(getattr(e, child))
+
+
+@_SETTINGS
+@given(st.one_of(*(st.tuples(st.just(n), _GRAMMAR[n]) for n in (1, 2))))
+def test_render_then_parse_is_the_identity(case):
+    # each subtree also under the two atom-level parents, where the
+    # renderer's parentheses matter most
+    n, e = case
+    for sub in _subtrees(e):
+        for tree in (sub, ex.Neg(sub), ex.Pow(sub, 2)):
+            assert ex.parse(ex.render(tree), (n, 1, 1)) == tree
+
+
+@_SETTINGS
+@given(_cases(st.floats()))
+def test_point_and_array_evaluators_agree_bit_for_bit(case):
+    e, x, jets = case
+    vals, faulted = _eval_arrays(e, x, jets)
+    for k in range(vals.size):
+        point = ([float(c[k]) for c in x], {v: float(a[k]) for v, a in jets.items()})
+        if faulted[k]:
+            try:
+                ex.eval_point(e, *point)
+            except ex.EvalDomainError:
+                continue
+            raise AssertionError(f"{ex.render(e)}: only the array evaluator faults at {k}")
+        assert np.float64(ex.eval_point(e, *point)).tobytes() == vals[k].tobytes()
+
+
+# a point box holds a real: no endpoint is NaN, and +-inf ends an unbounded
+# interval but is no point of it. Every subtree is checked, so the enclosure
+# holds at each node, also below a node that faults
+@_SETTINGS
+@given(_cases(st.floats(allow_nan=False, allow_infinity=False)))
+def test_interval_evaluator_encloses_array_values_on_point_boxes(case):
+    tree, x, jets = case
+    boxes = [Interval.point(c) for c in x], {v: Interval.point(a) for v, a in jets.items()}
+    for e in _subtrees(tree):
+        vals, faulted = _eval_arrays(e, x, jets)
+        try:
+            out = ex.eval_interval(e, *boxes)
+            interval_faulted = np.zeros(vals.shape, dtype=bool)
+        except ex.EvalDomainError as err:
+            out, interval_faulted = err.values, err.faulted
+        assert not np.any(interval_faulted & ~faulted), ex.render(e)
+        ok = ~faulted
+        assert np.all(out.lo[ok] <= vals[ok]) and np.all(vals[ok] <= out.hi[ok]), ex.render(e)
