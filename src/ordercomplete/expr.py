@@ -493,8 +493,9 @@ def eval_interval(
     Each element of the result, which has the operands' full broadcast
     shape, encloses {eval_point(e, p, q) : p in x, q in jets} there: never
     an under-approximation. An element faults when some node's operand lies
-    wholly outside a function domain; if any does, EvalDomainError carries
-    the union of the faulted masks over all nodes and the enclosures.
+    wholly outside a function domain, or when an operand box it reads holds
+    no real ([inf, inf] or [-inf, -inf]); if any does, EvalDomainError
+    carries the union of the faulted masks over all nodes and the enclosures.
     """
     out, faulted = _walk(e, x, jets, _INTERVAL_OPS)
     shape = np.broadcast_shapes(*(v.lo.shape for v in [*x, *(jets or {}).values()]))
@@ -518,11 +519,11 @@ def _walk(e: Expr, x, jets, ops):
     if isinstance(e, Num):
         return ops[Num](e.value), False
     if isinstance(e, SpaceVar):
-        return x[e.index - 1], False
+        return ops["var"](x[e.index - 1])
     if isinstance(e, JetVar):
         if jets is None:
             raise EvalDomainError(f"no jet values supplied for {render(e)!r}")
-        return jets[(e.component, e.alpha)], False
+        return ops["var"](jets[(e.component, e.alpha)])
     if isinstance(e, Neg):
         val, faulted = _walk(e.operand, x, jets, ops)
         return -val, faulted
@@ -569,21 +570,34 @@ _ARITH = {Add: _total(operator.add), Sub: _total(operator.sub), Mul: _total(oper
 _ARRAY_OPS = {
     **_ARITH,
     Num: lambda v: v,
+    "var": lambda a: (a, False),
     Div: _array_div,
     Pow: _array_pow,
     "sin": _total(np.sin),
     "cos": _total(np.cos),
     "abs": _total(np.abs),
-    "sign": _total(np.sign),
+    "sign": lambda a: (np.sign(a), ~np.isfinite(a)),  # sign(inf) = 1 absorbs
     "exp": lambda a: (np.exp(a), ~np.isfinite(a)),  # exp(-inf) = 0 absorbs
     "log": lambda a: (np.log(a), a <= 0.0),
     "sqrt": lambda a: (np.sqrt(a), a < 0.0),
 }
 
+
+def _interval_var(box):
+    """An operand box and its fault mask, where it holds no real ([inf, inf]
+    or [-inf, -inf]); such an element becomes the whole line, so no later
+    operation meets inf - inf."""
+    if box.lo.max(initial=-np.inf) < np.inf and box.hi.min(initial=np.inf) > -np.inf:
+        return box, False
+    empty = (box.lo == np.inf) | (box.hi == -np.inf)
+    return Interval(np.where(empty, -np.inf, box.lo), np.where(empty, np.inf, box.hi)), empty
+
+
 # natural extension, outward rounded
 _INTERVAL_OPS = {
     **_ARITH,
     Num: Interval.point,
+    "var": _interval_var,
     Div: div_interval,
     Pow: Interval.pow_int,
     "sin": _total(sin_interval),

@@ -255,7 +255,19 @@ _CROSSING = [
     "(U^3)^0", "1/U^3", "U^3 - U^3", "sin(U^3)", "abs(-U)^-2", "U * 1e300",
 ])
 def test_point_and_array_evaluators_fault_alike(text):
-    e = ex.parse(text.replace("U", "u[1,(0)]"), SIG111)
+    _assert_faults_as_oracle(ex.parse(text.replace("U", "u[1,(0)]"), SIG111))
+
+
+@pytest.mark.parametrize("text", ["abs(U)", "abs(U + 1e308)"])
+def test_sign_faults_on_a_non_finite_operand(text):
+    # sign is internal, reached only through the derivative of abs; it maps
+    # +-inf to +-1, so it checks its own operand as exp and division do
+    d = ex.diff_jet(ex.parse(text.replace("U", "u[1,(0)]"), SIG111), (1, (0,)))
+    assert ex.render(d).startswith("sign(")
+    _assert_faults_as_oracle(d)
+
+
+def _assert_faults_as_oracle(e):
     us = np.array(_CROSSING)
     with pytest.raises(ex.EvalDomainError) as ei:
         ex.eval_on_arrays(e, [np.zeros_like(us)], {(1, (0,)): us})
@@ -352,6 +364,26 @@ def test_eval_interval_fault_carries_full_shape_mask():
     # the unfaulted elements still carry their enclosures
     assert ei.value.values.lo.shape == (3, 4)
     assert ei.value.values.contains(np.log([1.5, 1.0, 0.75, 1.0]))[:, ::2].all()
+
+
+def test_eval_interval_faults_where_a_box_holds_no_real():
+    # [inf, inf] and [-inf, -inf] hold no point: x1 - x1 faults there, as
+    # the array evaluator does, instead of computing inf - inf
+    e = ex.Sub(ex.SpaceVar(1), ex.SpaceVar(1))
+    xs = np.array([1.0, np.inf, -np.inf])
+    with pytest.raises(ex.EvalDomainError) as arrays:
+        ex.eval_on_arrays(e, [xs])
+    with pytest.raises(ex.EvalDomainError) as ei:
+        ex.eval_interval(e, [Interval.point(xs)])
+    assert ei.value.faulted.tolist() == arrays.value.faulted.tolist() == [False, True, True]
+    finite = ex.eval_interval(e, [Interval.point(1.0)])
+    assert ei.value.values.lo[0] == finite.lo and ei.value.values.hi[0] == finite.hi
+    # a box that only ends at an infinity holds reals, and a jet box faults too
+    ex.eval_interval(e, [Interval(np.array([0.0]), np.array([np.inf]))])
+    with pytest.raises(ex.EvalDomainError) as ei:
+        ex.eval_interval(ex.parse("u[1,(0)] + 1", SIG111), [Interval.point(0.0)],
+                         {(1, (0,)): Interval.point(np.array([-np.inf, 2.0]))})
+    assert ei.value.faulted.tolist() == [True, False]
 
 
 def test_interval_trig_and_domain():

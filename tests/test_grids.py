@@ -13,6 +13,7 @@ import math
 import numpy as np
 import pytest
 
+from ordercomplete import grids
 from ordercomplete.grids import (
     GridDomain,
     GridFunction,
@@ -434,6 +435,46 @@ def test_csv_bytes_match_csv_writer_reference(tmp_path, ndim):
         write_csv(u, got)
         _reference_write_csv(u, want)
         assert got.read_bytes() == want.read_bytes()
+
+
+def test_csv_distinct_values_keep_their_text_and_bits(tmp_path):
+    # the writer formats each distinct bit pattern once: -0.0 and 0.0 must
+    # keep their own text, and a handful of values repeat across most rows
+    shape = (17, 13)
+    skel = np.indices(shape).sum(axis=0) % 4 == 1  # diagonals: nowhere dense
+    dom = GridDomain([-1.0, 0.0], [1.0, 2.0], shape, skel)
+    special = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072009e-308, -1.5e-310,
+               1.7976931348623157e308, -1.7976931348623157e308, 0.1]
+    off = np.flatnonzero(~skel.reshape(-1))
+    on = np.flatnonzero(skel.reshape(-1))
+    vals = np.empty(skel.size)
+    vals[off] = np.array([1.25, -3.0, 0.0, 7e-3])[np.arange(off.size) % 4]
+    vals[off[:len(special)]] = special
+    vals[on] = np.array([np.inf, -np.inf, -0.0, 5e-324])[np.arange(on.size) % 4]
+    u = GridFunction(dom, vals.reshape(shape))
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    write_csv(u, got)
+    _reference_write_csv(u, want)
+    assert got.read_bytes() == want.read_bytes()
+    back = read_csv(got)
+    assert back.domain == u.domain
+    np.testing.assert_array_equal(back.values.view(np.int64), u.values.view(np.int64))
+
+
+def test_csv_formats_each_distinct_value_once(tmp_path, monkeypatch):
+    # a guard without timing: per-element formatting would make 4,225 calls
+    calls = []
+    format_value = grids._format_value
+
+    def counted(v):
+        calls.append(v)
+        return format_value(v)
+
+    monkeypatch.setattr(grids, "_format_value", counted)
+    dom = GridDomain([0.0, 0.0], [1.0, 1.0], (65, 65))
+    vals = np.array([0.5, -2.0, 1e-9])[np.arange(dom.skeleton.size) % 3]
+    write_csv(GridFunction(dom, vals.reshape(dom.shape)), tmp_path / "u.csv")
+    assert 0 < len(calls) <= 3
 
 
 def test_axis_is_linspace_and_read_only():

@@ -1,5 +1,7 @@
 """Property tests over the expression grammar: rendering round-trips, and
-the point, array and interval evaluators agree on values and faults.
+the point, array and interval evaluators agree on values and faults. Also
+the CSV writer: its bytes are those of the csv.writer reference, and
+read_csv gives back every value bit for bit.
 
 Trees are drawn for the signatures (n, 1, 1), n in {1, 2}, from every node
 type. The runs are derandomized, with a fixed number of examples and no
@@ -7,6 +9,8 @@ example database, so the suite stays deterministic.
 """
 
 import os
+import tempfile
+from pathlib import Path
 
 import numpy as np
 from hypothesis import given, settings
@@ -14,7 +18,9 @@ from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
 from ordercomplete import expr as ex
+from ordercomplete.grids import GridDomain, GridFunction, read_csv, write_csv
 from ordercomplete.intervals import Interval
+from test_grids import _reference_write_csv
 
 # Hypothesis caches the constants it reads from local source files in its
 # storage directory; no directory can be made under the null device, so the
@@ -129,3 +135,47 @@ def test_interval_evaluator_encloses_array_values_on_point_boxes(case):
         assert not np.any(interval_faulted & ~faulted), ex.render(e)
         ok = ~faulted
         assert np.all(out.lo[ok] <= vals[ok]) and np.all(vals[ok] <= out.hi[ok]), ex.render(e)
+
+
+# ---------------------------------------------------------------------------
+# CSV rendering of grid functions
+
+# a value pool of at most three finite doubles and their negatives, so
+# values repeat as they do where skeleton points copy a neighbour's value,
+# and a zero comes with its twin of the other sign; the edge cases of the
+# text (zero, subnormals, the largest double) are drawn often
+_EDGES = [0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308]
+_POOL = st.lists(st.one_of(st.sampled_from(_EDGES),
+                           st.floats(allow_nan=False, allow_infinity=False)),
+                 min_size=1, max_size=3).map(lambda xs: xs + [-x for x in xs])
+
+
+@st.composite
+def _grid_functions(draw):
+    """A 1D or 2D lattice function: a nowhere-dense skeleton (no point with
+    all indices even is marked, so every 2 x ... x 2 block keeps one
+    unmarked point), pool values off it, and pool values or +-inf on it."""
+    shape = tuple(draw(st.lists(st.integers(3, 9), min_size=1, max_size=2)))
+    size = int(np.prod(shape))
+    marked = np.array(draw(st.lists(st.booleans(), min_size=size, max_size=size)))
+    skel = marked.reshape(shape) & (np.indices(shape) % 2 != 0).any(axis=0)
+    pool = draw(_POOL)
+    picks = draw(st.lists(st.integers(0, len(pool) + 1), min_size=size, max_size=size))
+    vals = np.array([*pool, np.inf, -np.inf])[picks].reshape(shape)
+    vals[~skel & np.isinf(vals)] = pool[0]
+    lo = draw(st.floats(-2.0, 1.0))
+    return GridFunction(GridDomain([lo] * len(shape), [lo + 1.5] * len(shape), shape, skel),
+                        vals)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(_grid_functions())
+def test_csv_bytes_and_bits_round_trip(u):
+    with tempfile.TemporaryDirectory() as d:
+        got, want = Path(d) / "got.csv", Path(d) / "want.csv"
+        write_csv(u, got)
+        _reference_write_csv(u, want)
+        assert got.read_bytes() == want.read_bytes()
+        back = read_csv(got)
+    assert back.domain == u.domain
+    assert back.values.view(np.int64).tolist() == u.values.view(np.int64).tolist()
