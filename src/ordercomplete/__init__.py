@@ -29,6 +29,7 @@ from .grids import (
     QuasiUniformResult,
     baire_lower,
     baire_upper,
+    complete,
     is_nowhere_dense,
     lattice_inf,
     lattice_sup,
@@ -149,6 +150,7 @@ __all__ = [
     "check_assumption_interior",
     "check_assumption_open",
     "compare_reference",
+    "complete",
     "deriv_eval",
     "diff_jet",
     "dilation_envelopes",

@@ -16,7 +16,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import expr as ex
-from .grids import GridDomain, GridFunction, OrderInterval, normalize, skeleton_fill
+from .grids import GridDomain, GridFunction, OrderInterval, complete, normalize
 from .intervals import Interval, IntervalDomainError
 from .pde import PdeSystem
 
@@ -45,7 +45,7 @@ def interval_pushforward(
     x_ivs = [Interval.point(m[off]) for m in domain.meshes()]
     jet_ivs = {v: Interval(iv.lower.values[off], iv.upper.values[off])
                for v, iv in zip(fv, intervals)}
-    result = []
+    rows = []
     for j, Fj in enumerate(sys.F):
         try:
             out = ex.eval_interval(Fj, x_ivs, jet_ivs)
@@ -54,13 +54,9 @@ def interval_pushforward(
         unbounded = ~(np.isfinite(out.lo) & np.isfinite(out.hi))
         if unbounded.any():
             raise _located(j, "unbounded", unbounded, domain, "the enclosure is not finite")
-        bounds = []
-        for v in (out.lo, out.hi):
-            vals = np.zeros(domain.shape)
-            vals[off] = v
-            bounds.append(normalize(GridFunction(domain, vals)))
-        result.append(OrderInterval(*bounds))
-    return tuple(result)
+        rows += [out.lo, out.hi]
+    bounds = complete(domain, off, rows)
+    return tuple(OrderInterval(lo, hi) for lo, hi in zip(bounds[::2], bounds[1::2]))
 
 
 def _located(j: int, what: str, faulted: np.ndarray, domain: GridDomain,
@@ -140,37 +136,25 @@ def nested_limit_check(seq: IntervalSequence, tol: float) -> NestedLimitReport:
     """Per component: do the interval widths shrink below tol off-skeleton?
 
     Convergent components report the midpoint of the final interval as the
-    limit candidate; the rest report the subgrid still above tol.
+    limit candidate, all completed in one call; the rest report the subgrid
+    still above tol.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
     dom = seq.domain
     off = ~dom.skeleton
+    finals = seq.steps[-1]
+    widths = [iv.upper.values - iv.lower.values for iv in finals]
+    max_ws = [float(np.max(w[off])) if off.any() else 0.0 for w in widths]
+    conv = [c for c, w in enumerate(max_ws) if w < tol]
+    limits = dict(zip(conv, complete(dom, off, [
+        0.5 * (finals[c].lower.values[off] + finals[c].upper.values[off]) for c in conv])))
     out = []
-    for c in range(seq.components()):
-        final = seq.steps[-1][c]
-        width = final.upper.values - final.lower.values
-        max_w = float(np.max(width[off])) if off.any() else 0.0
-        if max_w < tol:
-            mid = 0.5 * (final.lower.values + final.upper.values)
-            mid = skeleton_fill(dom, mid)
-            out.append(
-                NestedLimitComponent(
-                    verdict="converges",
-                    max_final_width=max_w,
-                    limit=GridFunction(dom, mid, normalized=True),
-                    offending=None,
-                )
-            )
+    for c, w in enumerate(max_ws):
+        if c in limits:
+            out.append(NestedLimitComponent("converges", w, limits[c], None))
         else:
-            out.append(
-                NestedLimitComponent(
-                    verdict="empty/slow",
-                    max_final_width=max_w,
-                    limit=None,
-                    offending=off & (width >= tol),
-                )
-            )
+            out.append(NestedLimitComponent("empty/slow", w, None, off & (widths[c] >= tol)))
     return NestedLimitReport(tol=float(tol), components=tuple(out))
 
 
@@ -248,37 +232,33 @@ def _fd_derivative(values: np.ndarray, alpha: tuple[int, ...],
     return out
 
 
-def compare_reference(result, u_star: Sequence) -> ReferenceReport:
+def compare_reference(
+    sys: PdeSystem, u_star: Sequence,
+    bands_by_stage: Sequence[Sequence[tuple[GridFunction, GridFunction]]],
+) -> ReferenceReport:
     """Distance of a reference solution's lattice jets to every stage band.
 
     u_star holds one expression per component (string or parsed), in x
     only; derivatives are taken by second-order finite differences on the
-    lattice. Distances are measured on the final stage's domain.
+    lattice. bands_by_stage holds, per stage, one (lower, upper) pair per
+    flat jet variable, all on the final stage's domain (see
+    SchemeConvergence.bands_by_stage), where the distances are measured.
     """
-    stages = result.stages
-    sys_like_n = stages[0].v.space_dim
-    K = stages[0].v.components
-    mis_alphas = stages[0].v.mis.alphas
-    dom = result.domain
-    signature = (sys_like_n, K, 0)
-    exprs = [ex.parse(e, signature) if isinstance(e, str) else e for e in u_star]
-    if len(exprs) != K:
-        raise ValueError(f"expected {K} reference expressions, got {len(exprs)}")
+    dom = bands_by_stage[0][0][0].domain
+    exprs = [ex.parse(e, (sys.n, sys.K, 0)) if isinstance(e, str) else e for e in u_star]
+    if len(exprs) != sys.K:
+        raise ValueError(f"expected {sys.K} reference expressions, got {len(exprs)}")
     for e in exprs:
         if ex.has_jet_vars(e):
             raise ValueError("reference expressions must not use jet variables")
-    meshes = dom.meshes()
-    flat = [m.reshape(-1) for m in meshes]
+    flat = [m.reshape(-1) for m in dom.meshes()]
     u_vals = [ex.eval_on_arrays(e, flat).reshape(dom.shape) for e in exprs]
-    spacing = dom.spacing
-    ref = {}
-    fv = [(i, a) for i in range(1, K + 1) for a in mis_alphas]
-    for i, a in fv:
-        ref[(i, a)] = _fd_derivative(u_vals[i - 1], a, spacing)
+    fv = sys.flat_vars()
+    ref = {(i, a): _fd_derivative(u_vals[i - 1], a, dom.spacing) for i, a in fv}
     off = ~dom.skeleton
     per_stage = []
     overall = 0.0
-    for bands in result.bands_by_stage:
+    for bands in bands_by_stage:
         dists = {}
         for k, v in enumerate(fv):
             lo = bands[k][0].values[off]

@@ -158,15 +158,14 @@ class RunConfig:
 # serialization helpers
 
 
-def _write_atomic_text(path: Path, text: str) -> None:
+def _write_atomic(path: Path, content: str | GridFunction) -> None:
+    """Write content, text or a GridFunction as CSV, to a file beside path,
+    then move it over path."""
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
-
-
-def _write_csv_atomic(gf: GridFunction, path: Path) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    write_csv(gf, tmp)
+    if isinstance(content, GridFunction):
+        write_csv(content, tmp)
+    else:
+        tmp.write_text(content)
     os.replace(tmp, path)
 
 
@@ -219,7 +218,8 @@ def run_pipeline(cfg: RunConfig) -> int:
     """Run the full pipeline and write artifacts; returns the exit code.
 
     0 = all certificates pass, 2 = a certificate failed, 3 = the
-    construction itself failed (including unsupported assumptions).
+    construction itself failed (including unsupported assumptions) or the
+    output directory or an artifact could not be written.
     """
     try:
         system, exact, grid_file = load_spec(cfg.spec)
@@ -239,7 +239,11 @@ def run_pipeline(cfg: RunConfig) -> int:
         print(f"spec error: {e}")
         return 3
     out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        print(f"output error: {e}")
+        return 3
 
     assumption_block: dict = {"checked": not cfg.skip_assumption_check}
     # a numeric fault while constructing is a construction failure too
@@ -299,7 +303,7 @@ def run_pipeline(cfg: RunConfig) -> int:
         nested_block = {"error": str(e)}
     reference_block = None
     if exact is not None:
-        ref = compare_reference(scheme, exact)
+        ref = compare_reference(system, exact, scheme.bands_by_stage)
         reference_block = {
             "max_distance": float(ref.max_distance),
             "per_stage": [
@@ -309,37 +313,17 @@ def run_pipeline(cfg: RunConfig) -> int:
         }
 
     # artifacts
-    write_poly_json(gp.lower, out / "global_lower.json")
-    write_poly_json(gp.upper, out / "global_upper.json")
-    stage_blocks = []
-    for st, tv, bands, samples in zip(scheme.stages, scheme.tv_by_stage,
-                                      scheme.bands_by_stage, scheme.samples_by_stage):
-        sdir = out / f"stage{st.n}"
-        sdir.mkdir(exist_ok=True)
-        write_poly_json(st.v, sdir / "poly.json")
-        stage_blocks.append({
-            "n": st.n,
-            "file": f"stage{st.n}/poly.json",
-            "eq1": _cert_dict(st.eq1),
-            "eq2": _cert_dict(st.eq2),
-            "eq3": _cert_dict(st.eq3),
-            "band_lo": st.band_lo.tolist(),
-            "band_hi": st.band_hi.tolist(),
-            "i_jets": st.i_jets.tolist(),
-            "j_cells": [_cells_list(cs) for cs in st.j_cells],
-        })
-        if cfg.emit_samples:
-            for j in range(system.K):
-                _write_csv_atomic(tv[j], sdir / f"tv_u{j + 1}.csv")
-            for k, (i, a) in enumerate(fv):
-                tag = _var_tag(i, a)
-                _write_csv_atomic(samples[k], sdir / f"d_{tag}.csv")
-                _write_csv_atomic(bands[k][0], sdir / f"lo_{tag}.csv")
-                _write_csv_atomic(bands[k][1], sdir / f"hi_{tag}.csv")
-    if cfg.emit_samples:
-        for j in range(system.K):
-            _write_csv_atomic(scheme.f_samples[j], out / f"f{j + 1}.csv")
-
+    stage_blocks = [{
+        "n": st.n,
+        "file": f"stage{st.n}/poly.json",
+        "eq1": _cert_dict(st.eq1),
+        "eq2": _cert_dict(st.eq2),
+        "eq3": _cert_dict(st.eq3),
+        "band_lo": st.band_lo.tolist(),
+        "band_hi": st.band_hi.tolist(),
+        "i_jets": st.i_jets.tolist(),
+        "j_cells": [_cells_list(cs) for cs in st.j_cells],
+    } for st in scheme.stages]
     code = 0 if (gp.certificate.passed and scheme.verdict) else 2
     cert = {
         "schema": _SCHEMA,
@@ -379,10 +363,39 @@ def run_pipeline(cfg: RunConfig) -> int:
         "verdict": "pass" if scheme.verdict and gp.certificate.passed else "fail",
         "diagnostics": list(scheme.diagnostics),
     }
-    _write_atomic_text(out / "certificate.json", artifact_json(cert))
-    _write_atomic_text(out / "summary.txt", _summary_text(cert, len(gp.cells)))
+    try:
+        _write_artifacts(out, system, gp, scheme, cert, cfg.emit_samples)
+    except OSError as e:
+        print(f"output error: {e}")
+        return 3
     print(f"verdict: {cert['verdict']} (artifacts in {out})")
     return code
+
+
+def _write_artifacts(out: Path, system: PdeSystem, gp, scheme, cert: dict,
+                     emit_samples: bool) -> None:
+    """The files of a run directory: gp's and each stage's polynomials,
+    the CSV samples if emit_samples, then the certificate and its summary."""
+    write_poly_json(gp.lower, out / "global_lower.json")
+    write_poly_json(gp.upper, out / "global_upper.json")
+    tags = [_var_tag(i, a) for i, a in system.flat_vars()]
+    for st, tv, bands, samples in zip(scheme.stages, scheme.tv_by_stage,
+                                      scheme.bands_by_stage, scheme.samples_by_stage):
+        sdir = out / f"stage{st.n}"
+        sdir.mkdir(exist_ok=True)
+        write_poly_json(st.v, sdir / "poly.json")
+        if emit_samples:
+            for j in range(system.K):
+                _write_atomic(sdir / f"tv_u{j + 1}.csv", tv[j])
+            for tag, d, (lo, hi) in zip(tags, samples, bands):
+                _write_atomic(sdir / f"d_{tag}.csv", d)
+                _write_atomic(sdir / f"lo_{tag}.csv", lo)
+                _write_atomic(sdir / f"hi_{tag}.csv", hi)
+    if emit_samples:
+        for j in range(system.K):
+            _write_atomic(out / f"f{j + 1}.csv", scheme.f_samples[j])
+    _write_atomic(out / "certificate.json", artifact_json(cert))
+    _write_atomic(out / "summary.txt", _summary_text(cert, len(gp.cells)))
 
 
 def _summary_text(cert: dict, global_cells: int) -> str:

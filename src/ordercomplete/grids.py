@@ -212,9 +212,11 @@ def _require_same_domain(u: GridFunction, v: GridFunction) -> None:
 def _neighbor_extreme(domain: GridDomain, values: np.ndarray, minimize: bool) -> np.ndarray:
     """Per point: extreme of values over the nearest unmarked neighbours.
 
-    Ring-1 (Chebyshev) neighbours are handled vectorized; skeleton points
-    whose whole immediate neighbourhood is marked fall back to expanding
-    ring search. Only needed at skeleton points, computed everywhere.
+    values is lattice-shaped or a stack (..., *domain.shape), every leading
+    slice handled in the same offset pass. Ring-1 (Chebyshev) neighbours
+    are handled vectorized; skeleton points whose whole immediate
+    neighbourhood is marked fall back to expanding ring search, one slice
+    at a time. Only needed at skeleton points, computed everywhere.
     """
     skel = domain.skeleton
     n = domain.ndim
@@ -223,8 +225,8 @@ def _neighbor_extreme(domain: GridDomain, values: np.ndarray, minimize: bool) ->
     for offset in itertools.product((-1, 0, 1), repeat=n):
         if all(o == 0 for o in offset):
             continue
-        dst = []
-        src = []
+        dst = [Ellipsis]
+        src = [Ellipsis]
         for o in offset:
             if o == 1:
                 dst.append(slice(0, -1))
@@ -236,14 +238,15 @@ def _neighbor_extreme(domain: GridDomain, values: np.ndarray, minimize: bool) ->
                 dst.append(slice(None))
                 src.append(slice(None))
         dst_t, src_t = tuple(dst), tuple(src)
-        nbr_vals = np.where(skel[src_t], fill, values[src_t])
+        nbr_vals = np.where(skel[src_t[1:]], fill, values[src_t])
         if minimize:
             acc[dst_t] = np.minimum(acc[dst_t], nbr_vals)
         else:
             acc[dst_t] = np.maximum(acc[dst_t], nbr_vals)
     unresolved = skel & (acc == fill)
+    lead = values.ndim - n
     for idx in zip(*np.nonzero(unresolved)):
-        acc[idx] = _ring_extreme(domain, values, idx, minimize)
+        acc[idx] = _ring_extreme(domain, values[idx[:lead]], idx[lead:], minimize)
     return acc
 
 
@@ -266,12 +269,23 @@ def skeleton_fill(domain: GridDomain, values: np.ndarray) -> np.ndarray:
     """Replace skeleton values by the minimum nearest unmarked neighbour value.
 
     This is the normalize rule; the off-skeleton entries pass through
-    unchanged. Input array is not modified.
+    unchanged and the skeleton entries are never read. values is
+    lattice-shaped or a stack (..., *domain.shape) of such arrays, all
+    filled in one neighbour pass. Input array is not modified.
     """
-    nbr_min = _neighbor_extreme(domain, values, minimize=True)
-    out = np.array(values, dtype=float)
-    out[domain.skeleton] = nbr_min[domain.skeleton]
-    return out
+    values = np.asarray(values, dtype=float)
+    return np.where(domain.skeleton, _neighbor_extreme(domain, values, minimize=True), values)
+
+
+def complete(domain: GridDomain, where, rows) -> list[GridFunction]:
+    """Normalized GridFunctions on domain, one per row: each row scattered
+    at where (a tuple of lattice index arrays or a lattice mask), the rest
+    of the lattice completed by the normalize rule, all rows in one stacked
+    skeleton_fill. Values scattered onto skeleton points are never read."""
+    stack = np.zeros((len(rows),) + domain.shape)
+    for layer, row in zip(stack, rows):
+        layer[where] = row
+    return [GridFunction(domain, v, normalized=True) for v in skeleton_fill(domain, stack)]
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import GridDomain, GridFunction, skeleton_fill
+from .grids import GridDomain, GridFunction, complete
 
 
 @dataclass(frozen=True)
@@ -418,18 +418,14 @@ def sample_jets(v: PiecewisePoly, domain: GridDomain) -> list[GridFunction]:
     Each off-skeleton point is strictly inside one cell (see
     _interior_gather) and takes that cell's polynomial derivatives,
     gathered by owner in one pass (see _gathered_jets); skeleton points are
-    filled by the normalize rule, so the outputs are normalize fixed points.
+    filled by the normalize rule, all variables at once (see
+    grids.complete), so the outputs are normalize fixed points.
     """
     marked = assemble(v, domain)
     _, own, idx, pts = _interior_gather(marked, v.bounds)
     off = ~marked.skeleton[idx]
-    idx = tuple(i[off] for i in idx)
-    out = []
-    for d in _gathered_jets(v.mis, v.anchors, v.coeffs, own[off], pts[off]):
-        values = np.zeros(marked.shape)
-        values[idx] = d
-        out.append(GridFunction(marked, skeleton_fill(marked, values), normalized=True))
-    return out
+    return complete(marked, tuple(i[off] for i in idx),
+                    _gathered_jets(v.mis, v.anchors, v.coeffs, own[off], pts[off]))
 
 
 # ---------------------------------------------------------------------------

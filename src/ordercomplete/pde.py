@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import expr as ex
-from .grids import GridDomain, GridFunction, skeleton_fill
+from .grids import GridDomain, GridFunction, complete
 from .jets import MultiIndexSet
 
 
@@ -109,7 +109,7 @@ def apply_operator(sys: PdeSystem, jets: list[GridFunction]) -> list[GridFunctio
     jets holds one GridFunction per flat jet variable, in flat order and on
     one domain (see jets.sample_jets). Each F_j is one array evaluation
     over the off-skeleton points; skeleton points are completed by the
-    normalize rule. Outputs are normalized.
+    normalize rule, all components at once. Outputs are normalized.
     """
     if len(jets) != sys.unknown_count:
         raise ValueError("candidate signature does not match the system")
@@ -117,12 +117,7 @@ def apply_operator(sys: PdeSystem, jets: list[GridFunction]) -> list[GridFunctio
     off = ~domain.skeleton
     coords = [m[off] for m in domain.meshes()]
     values = {var: g.values[off] for var, g in zip(sys.flat_vars(), jets)}
-    result = []
-    for Fj in sys.F:
-        vals = np.zeros(domain.shape)
-        vals[off] = ex.eval_on_arrays(Fj, coords, values)
-        result.append(GridFunction(domain, skeleton_fill(domain, vals), normalized=True))
-    return result
+    return complete(domain, off, [ex.eval_on_arrays(Fj, coords, values) for Fj in sys.F])
 
 
 # ---------------------------------------------------------------------------

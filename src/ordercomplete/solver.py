@@ -40,9 +40,8 @@ from .grids import (
     GridDomain,
     GridFunction,
     OrderConvergenceCertificate,
-    normalize,
+    complete,
     order_convergence_check,
-    skeleton_fill,
 )
 from .jets import (
     PiecewisePoly,
@@ -779,20 +778,17 @@ def _band_functions(
     gathered by owner (see jets._interior_gather). I-cell boundary points
     are a subset of the domain skeleton, so the fill-from-neighbors
     completion assigns them the min of the adjacent cell constants, which
-    is exactly the normalize rule for step functions.
+    is exactly the normalize rule for step functions; all bands are
+    completed in one stacked call (see grids.complete).
     """
     _, own, idx, _ = _interior_gather(domain, i_cells)
     unowned = np.ones(domain.shape, dtype=bool)
     unowned[idx] = False
     if (unowned & ~domain.skeleton).any():
         raise ValueError("domain skeleton does not cover the I-cell boundaries")
-
-    def step(consts: np.ndarray) -> GridFunction:
-        vals = np.zeros(domain.shape)
-        vals[idx] = consts[own]
-        return GridFunction(domain, skeleton_fill(domain, vals), normalized=True)
-
-    return [(step(band_lo[:, k]), step(band_hi[:, k])) for k in range(band_lo.shape[1])]
+    M = band_lo.shape[1]
+    steps = complete(domain, idx, np.concatenate([band_lo[own], band_hi[own]], axis=1).T)
+    return list(zip(steps[:M], steps[M:]))
 
 
 def stage_certificates(
@@ -1015,23 +1011,26 @@ def scheme_convergence(
     the final sup gap, from each stage's samples (see stage_certificates)
     moved to the final domain, the last stage's, whose skeleton must contain
     every stage's, by the normalize rule: V_n is normal, so that is its
-    sampling there."""
+    sampling there. Each earlier stage moves in one stacked completion."""
     N = len(samples)
     final_domain = samples[-1][0][0].domain
     if any((jets[0].domain.skeleton > final_domain.skeleton).any()
            for jets, _, _ in samples):
         raise ValueError("final skeleton does not contain every stage skeleton")
+    off = ~final_domain.skeleton
 
-    def carry(g: GridFunction) -> GridFunction:
-        if g.normalized and g.domain == final_domain:  # stage N: already there
-            return g
-        return normalize(GridFunction(final_domain, g.values))
+    def carry(jets, tv, bands):
+        gs = [*jets, *tv, *itertools.chain.from_iterable(bands)]
+        if all(g.normalized and g.domain == final_domain for g in gs):  # stage N
+            return list(jets), list(tv), list(bands)
+        out = complete(final_domain, off, [g.values[off] for g in gs])
+        m, k = len(jets), len(jets) + len(tv)
+        return out[:m], out[m:k], list(zip(out[k::2], out[k + 1::2]))
 
     f_raw = sys.rhs_on_lattice(final_domain)
     f_gfs = [GridFunction(final_domain, arr) for arr in f_raw]
-    samples_by_stage = [[carry(g) for g in jets] for jets, _, _ in samples]
-    tv_by_stage = [[carry(g) for g in tv] for _, tv, _ in samples]
-    bands_by_stage = [[(carry(lo), carry(hi)) for lo, hi in b] for _, _, b in samples]
+    samples_by_stage, tv_by_stage, bands_by_stage = map(
+        list, zip(*(carry(*s) for s in samples)))
     tol_tv = gamma / N * (1.0 + 1e-9)
     oc_operator = [
         order_convergence_check(
@@ -1049,7 +1048,6 @@ def scheme_convergence(
         lams = [bg[k][0] for bg in bands_by_stage]
         mus = [bg[k][1] for bg in bands_by_stage]
         oc_bands[var] = order_convergence_check(seq, lams, mus, seq[-1], tol=band_tol)
-    off = ~final_domain.skeleton
     final_sup_gap = max(
         float(np.max(np.abs(tv_by_stage[-1][j].values[off] - f_raw[j][off])))
         for j in range(sys.K)

@@ -308,6 +308,25 @@ def test_run_exit3_on_spec_problems(tmp_path, capsys):
     assert "spec error" in capsys.readouterr().out
 
 
+def test_run_exit3_on_unusable_out_path(tmp_path, capsys):
+    spec = _write(tmp_path, GOOD_SPEC)
+    blocker = tmp_path / "a_file"
+    blocker.write_text("")
+    # --out names a file, or a path under one: no directory can be made
+    for out in (blocker, blocker / "sub"):
+        assert main(["run", spec, "--gamma", "0.4", "--stages", "1",
+                     "--out", str(out)]) == 3
+        text = capsys.readouterr().out
+        assert text.startswith("output error: ") and text.count("\n") == 1
+    # the directory is made, but a stage directory cannot be
+    out = tmp_path / "blocked"
+    out.mkdir()
+    (out / "stage1").write_text("")
+    assert main(["run", spec, "--gamma", "0.4", "--stages", "1", "--out", str(out)]) == 3
+    assert capsys.readouterr().out.startswith("output error: ")
+    assert not (out / "certificate.json").exists()
+
+
 def test_run_exit3_on_box_too_narrow_for_grid(tmp_path, capsys):
     # 64 points across 4 units at 1e16 (one ulp is 2) cannot increase strictly
     spec = _write(tmp_path, GOOD_SPEC.replace("box.lo = 0", "box.lo = 1e16")

@@ -19,6 +19,7 @@ from ordercomplete.grids import (
     GridFunction,
     baire_lower,
     baire_upper,
+    complete,
     is_nowhere_dense,
     lattice_inf,
     lattice_sup,
@@ -175,41 +176,60 @@ def _marked_edge_domain(rng, ndim):
 
 
 def test_normalize_is_lower_of_upper_bit_for_bit():
+    # and a stack of k fields filled in one call is its k per-slice fills
     rng = np.random.default_rng(59)
     for trial in range(120):
         ndim = 1 + trial % 3
         dom = _random_domain(rng, ndim) if trial % 4 else _marked_edge_domain(rng, ndim)
+        size = (1 + trial % 5,) + dom.shape
         # signed zeros make equal neighbour extrema of either sign
-        vals = rng.choice([-1.0, -0.0, 0.0, 1.0, 2.5], size=dom.shape) if trial % 5 == 0 \
-            else rng.normal(size=dom.shape)
+        stack = rng.choice([-1.0, -0.0, 0.0, 1.0, 2.5], size=size) if trial % 5 == 0 \
+            else rng.normal(size=size)
         marked = np.argwhere(dom.skeleton)
-        for pt in marked[rng.random(len(marked)) < 0.3]:
-            vals[tuple(pt)] = rng.choice([np.inf, -np.inf])
-        u = GridFunction(dom, vals)
-        got = normalize(u)
-        want = baire_lower(baire_upper(u))
-        assert got.values.tobytes() == want.values.tobytes()
-        assert got.normalized
-    # no unmarked point to borrow from: both raise the same error
+        for vals in stack:
+            for pt in marked[rng.random(len(marked)) < 0.3]:
+                vals[tuple(pt)] = rng.choice([np.inf, -np.inf])
+        filled = skeleton_fill(dom, stack)
+        assert filled.shape == stack.shape
+        for vals, one_call in zip(stack, filled):
+            u = GridFunction(dom, vals)
+            got = normalize(u)
+            want = baire_lower(baire_upper(u))
+            assert got.values.tobytes() == want.values.tobytes() == one_call.tobytes()
+            assert got.normalized
+    # no unmarked point to borrow from: all raise the same error
     dom = GridDomain([0.0, 0.0], [1.0, 1.0], (3, 3), skeleton=np.ones((3, 3), bool))
     u = GridFunction(dom, np.full((3, 3), np.inf))
     with pytest.raises(ValueError, match="no unmarked points") as got:
         normalize(u)
     with pytest.raises(ValueError, match="no unmarked points") as want:
         baire_lower(baire_upper(u))
-    assert str(got.value) == str(want.value)
+    with pytest.raises(ValueError, match="no unmarked points") as stacked:
+        skeleton_fill(dom, np.full((2, 3, 3), np.inf))
+    assert str(got.value) == str(want.value) == str(stacked.value)
 
 
 def test_skeleton_fill_is_normalize_rule():
+    # per slice of a stack, and through complete, which scatters the
+    # off-skeleton values of each row and fills them in one call
     rng = np.random.default_rng(53)
-    for _ in range(20):
-        dom = _random_domain(rng, 2)
-        vals = rng.normal(size=dom.shape)
-        filled = skeleton_fill(dom, vals)
-        normed = normalize(GridFunction(dom, vals)).values
-        assert np.array_equal(filled[dom.skeleton], normed[dom.skeleton])
+    for trial in range(30):
+        ndim = 1 + trial % 3
+        dom = _random_domain(rng, ndim) if trial % 3 else _marked_edge_domain(rng, ndim)
         off = ~dom.skeleton
-        assert np.array_equal(filled[off], vals[off])
+        stack = rng.normal(size=(3,) + dom.shape)
+        stack[0][off] = rng.choice([-0.0, 0.0], size=int(off.sum()))
+        filled = skeleton_fill(dom, stack)
+        completed = complete(dom, off, stack[:, off])
+        completed_at = complete(dom, np.nonzero(off), list(stack[:, off]))
+        for vals, one_call, gf, gf_at in zip(stack, filled, completed, completed_at):
+            single = skeleton_fill(dom, vals)
+            normed = normalize(GridFunction(dom, vals)).values
+            assert one_call.tobytes() == single.tobytes() == normed.tobytes()
+            assert one_call[off].tobytes() == vals[off].tobytes()
+            assert gf.normalized and gf.domain is dom
+            assert gf.values.tobytes() == gf_at.values.tobytes() == single.tobytes()
+    assert complete(dom, off, []) == []
 
 
 def test_infinite_value_off_skeleton_rejected():

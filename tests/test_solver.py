@@ -827,6 +827,36 @@ def test_each_candidate_classified_once_per_lattice(monkeypatch, tmp_path):
     assert calls() == per(2 + N)
 
 
+def test_one_skeleton_fill_per_sampling(monkeypatch):
+    # a guard without timing: a fill per field would make M calls in
+    # sample_jets and 4M + K in stage_certificates
+    from ordercomplete import grids
+
+    calls = []
+    fill = grids.skeleton_fill
+
+    def counted(domain, values):
+        calls.append(values.shape)
+        return fill(domain, values)
+
+    monkeypatch.setattr(grids, "skeleton_fill", counted)
+    dom = GridDomain([0.0], [1.0], (9,))
+    i_cells = np.array([[[0.0], [0.5]], [[0.5], [1.0]]])
+    per_stage = []
+    for sys in (_affine(), PdeSystem(1, 2, 2, ["u[1,(2)]", "u[2,(2)]"], ["1", "1"],
+                                     [0.0], [1.0])):
+        M = sys.unknown_count
+        v = _cell_polys(sys, i_cells, np.linspace(0.0, 1.0, 2 * M).reshape(2, M))
+        calls.clear()
+        assert len(sample_jets(v, dom)) == M
+        assert calls == [(M, 9)]
+        calls.clear()
+        band_lo, band_hi = np.full((2, M), -5.0), np.full((2, M), 5.0)
+        stage_certificates(sys, v, dom, i_cells, np.ones(2), band_lo, band_hi, None, 1, 0.4)
+        per_stage.append(len(calls))
+    assert per_stage == [3, 3]  # the jets, T V_n and the bands
+
+
 @pytest.fixture(scope="module")
 def res_cubic2():
     return run_scheme(_cubic(), GridDomain([0.0], [3.0], (129,)), 0.4, 2)
