@@ -13,10 +13,9 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from . import expr as ex
-from .grids import GridDomain, GridFunction, OrderInterval, complete, normalize
+from .grids import GridDomain, GridFunction, OrderInterval, _box_extreme, complete, normalize
 from .intervals import Interval, IntervalDomainError
 from .pde import PdeSystem
 
@@ -144,8 +143,9 @@ def nested_limit_check(seq: IntervalSequence, tol: float) -> NestedLimitReport:
     dom = seq.domain
     off = ~dom.skeleton
     finals = seq.steps[-1]
-    widths = [iv.upper.values - iv.lower.values for iv in finals]
-    max_ws = [float(np.max(w[off])) if off.any() else 0.0 for w in widths]
+    # off the skeleton only, where the values are finite
+    widths = [iv.upper.values[off] - iv.lower.values[off] for iv in finals]
+    max_ws = [float(np.max(w)) if w.size else 0.0 for w in widths]
     conv = [c for c, w in enumerate(max_ws) if w < tol]
     limits = dict(zip(conv, complete(dom, off, [
         0.5 * (finals[c].lower.values[off] + finals[c].upper.values[off]) for c in conv])))
@@ -154,7 +154,9 @@ def nested_limit_check(seq: IntervalSequence, tol: float) -> NestedLimitReport:
         if c in limits:
             out.append(NestedLimitComponent("converges", w, limits[c], None))
         else:
-            out.append(NestedLimitComponent("empty/slow", w, None, off & (widths[c] >= tol)))
+            offending = np.zeros(dom.shape, dtype=bool)
+            offending[off] = widths[c] >= tol
+            out.append(NestedLimitComponent("empty/slow", w, None, offending))
     return NestedLimitReport(tol=float(tol), components=tuple(out))
 
 
@@ -187,7 +189,10 @@ def dilation_envelopes(
     and at a skeleton point over all values. The result is non-increasing
     in k and bounds u from above everywhere; near a jump the envelope keeps
     the high side's value until the radius floor, which confines the slow
-    set to the jump's grid neighborhood.
+    set to the jump's grid neighborhood. Where +0.0 and -0.0 tie for the
+    maximum, the zero is the one np.maximum gives folded over the window in
+    itertools.product order of the offsets: with numpy keeping its second
+    argument on a tie, that of the last tied offset.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
@@ -195,18 +200,14 @@ def dilation_envelopes(
         raise ValueError("r0 must be positive")
     spacing = u.domain.spacing
     skel = u.domain.skeleton
+    # row 0 dilates the unmarked values, row 1 all of them
+    vals = np.stack([np.where(skel, -np.inf, u.values), u.values])
     out = []
     for k in range(1, count + 1):
         r = max(r0 / k, float(np.max(spacing)))
-        # row 0 dilates the unmarked values, row 1 all of them
-        vals = np.stack([np.where(skel, -np.inf, u.values), u.values])
-        for d in range(u.domain.ndim):
-            half = max(1, int(np.floor(r / spacing[d] + 1e-12)))
-            pad = [(0, 0)] * vals.ndim
-            pad[d + 1] = (half, half)  # edge padding: the window clips at the box
-            padded = np.pad(vals, pad, mode="edge")
-            vals = sliding_window_view(padded, 2 * half + 1, axis=d + 1).max(axis=-1)
-        out.append(GridFunction(u.domain, np.where(skel, vals[1], vals[0])))
+        halves = [max(1, int(np.floor(r / h + 1e-12))) for h in spacing]
+        dilated = _box_extreme(vals, halves, minimize=False)
+        out.append(GridFunction(u.domain, np.where(skel, dilated[1], dilated[0])))
     return out
 
 

@@ -461,34 +461,19 @@ def _summary_text(cert: dict, global_cells: int) -> str:
 # verification
 
 
-def _close(a, b, tol: float = 1e-9) -> bool:
-    if a is None or b is None:
-        return (a is None) == (b is None)
-    a, b = float(a), float(b)
-    if math.isinf(a) or math.isinf(b):
-        return a == b
-    return abs(a - b) <= tol * max(1.0, abs(a), abs(b))
-
-
 def _compare(problems: list[str], name: str, stored, want) -> None:
     """Compare a stored certificate block with the recomputed one, both in
-    the form run_pipeline writes: flags exactly, numbers through _close,
-    first violations exactly on (n, leg)."""
-    key = name.rsplit(".", 1)[-1]
+    the form run_pipeline writes, exactly: blocks key by key, lists (a
+    first violation) element by element, every leaf with ==. A stored
+    number is compared as a double, so one too large for a double is an
+    inconsistency; None equals only None."""
     if isinstance(want, dict):
         for k, w in want.items():
             _compare(problems, f"{name}.{k}", stored[k], w)
-    elif key == "first_violation":
-        same = (stored is None and want is None) or (
-            isinstance(stored, list) and len(stored) == 3 and want is not None
-            and stored[:2] == want[:2] and _close(stored[2], want[2])
-        )
-        if not same:
-            problems.append(f"{name}: stored {stored}, recomputed {want}")
-    elif isinstance(stored, bool) or isinstance(want, bool):
-        if bool(stored) != bool(want):
-            problems.append(f"{name}: stored {stored}, recomputed {want}")
-    elif not _close(stored, want):
+    elif isinstance(want, list) and isinstance(stored, list) and len(stored) == len(want):
+        for i, (s, w) in enumerate(zip(stored, want)):
+            _compare(problems, f"{name}[{i}]", s, w)
+    elif (float(stored) if isinstance(stored, (int, float)) else stored) != want:
         problems.append(f"{name}: stored {stored}, recomputed {want}")
 
 
@@ -513,7 +498,7 @@ def verify(result_dir) -> int:
     every certificate from the serialized polynomials on the bare lattice
     (sampling marks each one's skeleton) through the same solver functions
     `run` uses, and compares the results, serialized as `run` writes them,
-    with the stored blocks at relative tolerance 1e-9.
+    with the stored blocks exactly.
     Never re-runs the jet solver. Artifacts of the wrong shape, count or
     polynomial signature, a lattice too large to allocate, or a number too
     large to convert (JSON 1e400 reads as inf), are an inconsistency (exit 2).

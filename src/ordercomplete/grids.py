@@ -35,14 +35,12 @@ _INF = math.inf
 def is_nowhere_dense(mask: np.ndarray) -> bool:
     """True iff every 2 x ... x 2 block of interior points has an unmarked point."""
     mask = np.asarray(mask, dtype=bool)
-    n = mask.ndim
-    interior = mask[(slice(1, -1),) * n]
-    if any(s < 2 for s in interior.shape):
+    full = mask[(slice(1, -1),) * mask.ndim]
+    if any(s < 2 for s in full.shape):
         return True
-    full = np.ones(tuple(s - 1 for s in interior.shape), dtype=bool)
-    for offsets in itertools.product((0, 1), repeat=n):
-        sl = tuple(slice(o, s - 1 + o) for o, s in zip(offsets, interior.shape))
-        full &= interior[sl]
+    for d in range(mask.ndim):  # a block is full iff both its halves along d are
+        at = (slice(None),) * d
+        full = full[at + (slice(0, -1),)] & full[at + (slice(1, None),)]
     return not full.any()
 
 
@@ -209,40 +207,49 @@ def _require_same_domain(u: GridFunction, v: GridFunction) -> None:
 # neighbour machinery
 
 
+def _box_extreme(values: np.ndarray, halves: Sequence[int], minimize: bool) -> np.ndarray:
+    """Per point of the trailing len(halves) axes of values: the extreme over
+    the box window of index half-widths halves, clipped to the lattice.
+
+    A box window is separable: one pass per axis, from the last axis to the
+    first, each reducing the shifted views of one copy padded by the fill
+    value (which never wins), from the lowest offset to the highest.
+    """
+    op = np.minimum if minimize else np.maximum
+    fill = _INF if minimize else -_INF
+    lead = values.ndim - len(halves)
+    for d in reversed(range(len(halves))):
+        ax, h = lead + d, halves[d]
+        size, at = values.shape[ax], (slice(None),) * ax
+        shape = list(values.shape)
+        shape[ax] += 2 * h
+        padded = np.full(shape, fill)
+        padded[at + (slice(h, h + size),)] = values
+        # op breaks a tie (only +0.0 and -0.0 tie in different bits) the same
+        # way at every call (numpy returns its second argument), so the
+        # offsets of each axis taken lowest first, the last axis first, pick
+        # the tied offset that op taken over the window in itertools.product
+        # order picks: signed zeros come out as from that offset loop
+        values = op(padded[at + (slice(0, size),)], padded[at + (slice(1, size + 1),)])
+        for o in range(2, 2 * h + 1):
+            op(values, padded[at + (slice(o, o + size),)], out=values)
+    return values
+
+
 def _neighbor_extreme(domain: GridDomain, values: np.ndarray, minimize: bool) -> np.ndarray:
     """Per point: extreme of values over the nearest unmarked neighbours.
 
     values is lattice-shaped or a stack (..., *domain.shape), every leading
-    slice handled in the same offset pass. Ring-1 (Chebyshev) neighbours
-    are handled vectorized; skeleton points whose whole immediate
-    neighbourhood is marked fall back to expanding ring search, one slice
-    at a time. Only needed at skeleton points, computed everywhere.
+    slice handled in the same box pass. Ring-1 (Chebyshev) neighbours are
+    one _box_extreme pass over the values with the skeleton masked to the
+    fill value; skeleton points whose whole immediate neighbourhood is
+    marked fall back to expanding ring search, one slice at a time. Only
+    needed at skeleton points, computed everywhere.
     """
     skel = domain.skeleton
     n = domain.ndim
     fill = _INF if minimize else -_INF
-    acc = np.full(values.shape, fill)
-    for offset in itertools.product((-1, 0, 1), repeat=n):
-        if all(o == 0 for o in offset):
-            continue
-        dst = [Ellipsis]
-        src = [Ellipsis]
-        for o in offset:
-            if o == 1:
-                dst.append(slice(0, -1))
-                src.append(slice(1, None))
-            elif o == -1:
-                dst.append(slice(1, None))
-                src.append(slice(0, -1))
-            else:
-                dst.append(slice(None))
-                src.append(slice(None))
-        dst_t, src_t = tuple(dst), tuple(src)
-        nbr_vals = np.where(skel[src_t[1:]], fill, values[src_t])
-        if minimize:
-            acc[dst_t] = np.minimum(acc[dst_t], nbr_vals)
-        else:
-            acc[dst_t] = np.maximum(acc[dst_t], nbr_vals)
+    acc = _box_extreme(np.where(skel, fill, values), (1,) * n, minimize)
     unresolved = skel & (acc == fill)
     lead = values.ndim - n
     for idx in zip(*np.nonzero(unresolved)):
@@ -271,7 +278,7 @@ def skeleton_fill(domain: GridDomain, values: np.ndarray) -> np.ndarray:
     This is the normalize rule; the off-skeleton entries pass through
     unchanged and the skeleton entries are never read. values is
     lattice-shaped or a stack (..., *domain.shape) of such arrays, all
-    filled in one neighbour pass. Input array is not modified.
+    filled in one box pass. Input array is not modified.
     """
     values = np.asarray(values, dtype=float)
     return np.where(domain.skeleton, _neighbor_extreme(domain, values, minimize=True), values)
@@ -432,14 +439,13 @@ def quasi_uniform_check(
             raise ValueError(f"sequence is not non-increasing at index {k}")
     if not np.all(u.values[off] <= seq[-1].values[off]):
         raise ValueError("u is not a lower bound of the sequence")
-    diffs = np.stack([g.values - u.values for g in seq], axis=0)
-    below = diffs < eps
+    # off the skeleton only, where the values are finite
+    below = np.stack([g.values[off] - u.values[off] for g in seq]) < eps
     hit = below.any(axis=0)
-    first = below.argmax(axis=0)  # valid only where hit
-    n_map = np.where(hit, first + 1, 0).astype(int)
-    gamma = off & ~hit
-    n_map[~off] = 0
-    n_map[gamma] = 0
+    n_map = np.zeros(u.domain.shape, dtype=int)
+    n_map[off] = np.where(hit, below.argmax(axis=0) + 1, 0)
+    gamma = np.zeros(u.domain.shape, dtype=bool)
+    gamma[off] = ~hit
     gamma_ok = is_nowhere_dense(gamma)
     return QuasiUniformResult(
         gamma=gamma, n_map=n_map, nowhere_dense_ok=gamma_ok, eps=float(eps)

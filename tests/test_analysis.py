@@ -1,6 +1,8 @@
 """Interval pushforward, nested-interval diagnostics, envelopes, and
 reference comparison."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -225,6 +227,23 @@ def test_nested_limit_flags_constant_width():
     assert np.array_equal(comp.offending, ~dom.skeleton)
 
 
+def test_nested_limit_never_subtracts_skeleton_values():
+    # +inf on the skeleton: a width taken there would be inf - inf
+    skeleton = np.zeros(9, dtype=bool)
+    skeleton[4] = True
+    dom = GridDomain([0.0], [1.0], (9,), skeleton)
+    vals = np.arange(9.0)
+    vals[4] = np.inf
+    u = GridFunction(dom, vals)
+    (comp,) = nested_limit_check(IntervalSequence([(OrderInterval(u, u),)]), 1e-3).components
+    assert comp.verdict == "converges" and comp.max_final_width == 0.0
+    assert comp.limit.values.tolist() == [0.0, 1.0, 2.0, 3.0, 3.0, 5.0, 6.0, 7.0, 8.0]
+    (comp,) = nested_limit_check(IntervalSequence([(OrderInterval(u, u + 1.0),)]),
+                                 1e-3).components
+    assert comp.verdict == "empty/slow" and comp.max_final_width == 1.0
+    assert np.array_equal(comp.offending, ~skeleton)
+
+
 def test_nested_limit_rejects_bad_inputs():
     dom = GridDomain([0.0], [1.0], (17,))
     grow = [
@@ -330,6 +349,43 @@ def test_dilation_envelopes_match_brute_force_window_max(shape, r0):
             window = tuple(slice(max(0, i - w), i + w + 1) for i, w in zip(idx, half))
             want[idx] = (vals[window] if skel[idx] else vals[window][~skel[window]]).max()
         assert np.array_equal(env.values, want)
+
+
+def _dilation_loop(dom, vals, half):
+    """One dilation step as an offset loop: np.maximum of the running max
+    and each shifted view, the offsets of the window in itertools.product
+    order, over the unmarked values at an unmarked point and all values at
+    a marked one."""
+    skel = dom.skeleton
+    rows = np.stack([np.where(skel, -np.inf, vals), vals])
+    acc = np.full(rows.shape, -np.inf)
+    for offset in itertools.product(*(range(-w, w + 1) for w in half)):
+        dst = (Ellipsis,) + tuple(slice(max(0, -o), max(0, s - max(0, o)))
+                                  for o, s in zip(offset, dom.shape))
+        src = (Ellipsis,) + tuple(slice(max(0, o), max(0, s - max(0, -o)))
+                                  for o, s in zip(offset, dom.shape))
+        acc[dst] = np.maximum(acc[dst], rows[src])
+    return np.where(skel, acc[1], acc[0])
+
+
+@pytest.mark.parametrize("shape, r0", [((40,), 0.04), ((40,), 5.0), ((9, 13), 0.1),
+                                       ((9, 13), 0.35), ((5, 7, 6), 0.2), ((5, 7, 6), 3.0)])
+def test_dilation_envelopes_break_signed_zero_ties_as_the_offset_loop(shape, r0):
+    # zeros of both signs tie in every window; the skeleton carries them too
+    rng = np.random.default_rng(sum(shape) + 1)
+    n = len(shape)
+    h = GridDomain([0.0] * n, [1.0] * n, shape).spacing
+    skel = rng.random(shape) < 0.3
+    for d in range(n):
+        skel &= (np.arange(shape[d]) % 2 == 1).reshape([-1 if e == d else 1 for e in range(n)])
+    dom = GridDomain([0.0] * n, [1.0] * n, shape, skel)
+    for trial in range(5):
+        vals = rng.choice([-0.0, 0.0, -1.0] if trial % 2 else [-0.0, 0.0], shape)
+        envs = dilation_envelopes(GridFunction(dom, vals), 3, r0)
+        for k, env in enumerate(envs, start=1):
+            r = max(r0 / k, float(np.max(h)))
+            half = [max(1, int(np.floor(r / h[d] + 1e-12))) for d in range(n)]
+            assert env.values.tobytes() == _dilation_loop(dom, vals, half).tobytes()
 
 
 def test_dilation_envelopes_never_read_skeleton_values_off_it():

@@ -684,8 +684,23 @@ def test_verify_checks_radii_against_eps_max(demo_dir, tmp_path, capsys):
     assert "verify: FAILED" in out
 
 
+@pytest.mark.parametrize("key", ["lower_slack", "upper_slack"])
+def test_verify_compares_final_stage_slacks_exactly(demo_dir, tmp_path, capsys, key):
+    # a relative change of 1e-6: verify recomputes every number bit for bit
+    def nudge(cert):
+        eq1 = cert["stages"][-1]["eq1"]
+        assert eq1[key] is not None and eq1[key] != 0.0
+        eq1[key] *= 1 + 1e-6
+
+    copy = _tampered(demo_dir, tmp_path, "certificate.json", nudge)
+    assert verify(copy) == 2
+    out = capsys.readouterr().out
+    assert f"MISMATCH stage3.eq1.{key}" in out
+    assert "verify: FAILED" in out
+
+
 def _shift_band_row(cert):
-    # within every stored certificate's relative tolerance of 1e-9
+    # by a relative 1e-12: the stored bands are compared exactly
     s = cert["stages"][0]
     for key in ("band_lo", "band_hi"):
         s[key][0] = [v + 1e-12 * max(1.0, abs(v)) for v in s[key][0]]

@@ -175,20 +175,51 @@ def _marked_edge_domain(rng, ndim):
     return dom.with_skeleton(skel)
 
 
+def _offset_loop_extreme(domain, values, minimize):
+    """The neighbour pass as an offset loop: for each of the 3^n - 1 ring-1
+    offsets in itertools.product order, np.minimum (np.maximum) of the
+    running extreme and the shifted unmarked values, then the ring search
+    where no ring-1 neighbour is unmarked."""
+    skel = domain.skeleton
+    n = domain.ndim
+    fill = np.inf if minimize else -np.inf
+    op = np.minimum if minimize else np.maximum
+    acc = np.full(values.shape, fill)
+    for offset in itertools.product((-1, 0, 1), repeat=n):
+        if any(offset):
+            dst = (Ellipsis,) + tuple(slice(max(0, -o), s - max(0, o))
+                                      for o, s in zip(offset, domain.shape))
+            src = (Ellipsis,) + tuple(slice(max(0, o), s - max(0, -o))
+                                      for o, s in zip(offset, domain.shape))
+            acc[dst] = op(acc[dst], np.where(skel[src[1:]], fill, values[src]))
+    lead = values.ndim - n
+    for idx in zip(*np.nonzero(skel & (acc == fill))):
+        acc[idx] = grids._ring_extreme(domain, values[idx[:lead]], idx[lead:], minimize)
+    return acc
+
+
+# ties in different bits, infinities, subnormals and the largest doubles
+_EDGE_VALUES = [-1.0, -0.0, 0.0, 1.0, 2.5, 5e-324, -5e-324, 1e308, -1e308]
+
+
 def test_normalize_is_lower_of_upper_bit_for_bit():
-    # and a stack of k fields filled in one call is its k per-slice fills
+    # and a stack of k fields filled in one call is its k per-slice fills;
+    # the box pass gives the offset loop's bits at every skeleton point
     rng = np.random.default_rng(59)
     for trial in range(120):
         ndim = 1 + trial % 3
         dom = _random_domain(rng, ndim) if trial % 4 else _marked_edge_domain(rng, ndim)
-        size = (1 + trial % 5,) + dom.shape
+        size = (int(rng.integers(1, 7)),) + dom.shape
         # signed zeros make equal neighbour extrema of either sign
-        stack = rng.choice([-1.0, -0.0, 0.0, 1.0, 2.5], size=size) if trial % 5 == 0 \
-            else rng.normal(size=size)
+        stack = rng.choice(_EDGE_VALUES, size=size) if trial % 5 < 2 else rng.normal(size=size)
         marked = np.argwhere(dom.skeleton)
         for vals in stack:
             for pt in marked[rng.random(len(marked)) < 0.3]:
                 vals[tuple(pt)] = rng.choice([np.inf, -np.inf])
+        for minimize in (True, False):
+            box = grids._neighbor_extreme(dom, stack, minimize)[..., dom.skeleton]
+            loop = _offset_loop_extreme(dom, stack, minimize)[..., dom.skeleton]
+            assert box.tobytes() == loop.tobytes()
         filled = skeleton_fill(dom, stack)
         assert filled.shape == stack.shape
         for vals, one_call in zip(stack, filled):
@@ -211,15 +242,21 @@ def test_normalize_is_lower_of_upper_bit_for_bit():
 
 def test_skeleton_fill_is_normalize_rule():
     # per slice of a stack, and through complete, which scatters the
-    # off-skeleton values of each row and fills them in one call
+    # off-skeleton values of each row and fills them in one call; the fill
+    # is the offset loop's minimum, bit for bit
     rng = np.random.default_rng(53)
     for trial in range(30):
         ndim = 1 + trial % 3
-        dom = _random_domain(rng, ndim) if trial % 3 else _marked_edge_domain(rng, ndim)
+        dom = _random_domain(rng, ndim) if trial % 4 else _marked_edge_domain(rng, ndim)
         off = ~dom.skeleton
-        stack = rng.normal(size=(3,) + dom.shape)
+        stack = rng.normal(size=(int(rng.integers(1, 7)),) + dom.shape)
         stack[0][off] = rng.choice([-0.0, 0.0], size=int(off.sum()))
+        stack[-1][off] = rng.choice(_EDGE_VALUES, size=int(off.sum()))
+        on_skeleton = (len(stack), int(dom.skeleton.sum()))
+        stack[:, dom.skeleton] = rng.choice([np.inf, -np.inf, 0.0], size=on_skeleton)
         filled = skeleton_fill(dom, stack)
+        loop = np.where(dom.skeleton, _offset_loop_extreme(dom, stack, True), stack)
+        assert filled.tobytes() == loop.tobytes()
         completed = complete(dom, off, stack[:, off])
         completed_at = complete(dom, np.nonzero(off), list(stack[:, off]))
         for vals, one_call, gf, gf_at in zip(stack, filled, completed, completed_at):
@@ -307,6 +344,30 @@ def test_is_nowhere_dense_cases():
     assert not is_nowhere_dense(np.ones((4, 4), dtype=bool))
 
 
+def _nowhere_dense_loop(mask):
+    """is_nowhere_dense as the AND of the 2^n corner-shifted views."""
+    interior = mask[(slice(1, -1),) * mask.ndim]
+    if any(s < 2 for s in interior.shape):
+        return True
+    full = np.ones(tuple(s - 1 for s in interior.shape), dtype=bool)
+    for corner in itertools.product((0, 1), repeat=mask.ndim):
+        full &= interior[tuple(slice(c, s - 1 + c) for c, s in zip(corner, interior.shape))]
+    return not full.any()
+
+
+def test_is_nowhere_dense_is_the_corner_loop():
+    rng = np.random.default_rng(71)
+    seen = set()
+    for trial in range(400):
+        ndim = 1 + trial % 4
+        shape = tuple(int(rng.integers(1, 7)) for _ in range(ndim))
+        mask = rng.random(shape) < rng.choice([0.5, 0.8, 0.95])
+        want = _nowhere_dense_loop(mask)
+        assert is_nowhere_dense(mask) == want
+        seen.add((ndim, want))
+    assert len(seen) == 8  # both answers in every dimension
+
+
 # ---------------------------------------------------------------------------
 # order convergence
 
@@ -380,6 +441,19 @@ def test_quasi_uniform_exceptional_cell():
     off = ~dom.skeleton & ~bad
     assert np.all(res.n_map[off] == 3)
     assert res.n_map[j + 1] == 0
+
+
+def test_quasi_uniform_never_subtracts_skeleton_values():
+    # +inf on the skeleton: a difference taken there would be inf - inf
+    skeleton = np.zeros(9, dtype=bool)
+    skeleton[4] = True
+    dom = GridDomain([0.0], [1.0], (9,), skeleton)
+    vals = np.arange(9.0)
+    vals[4] = np.inf
+    u = GridFunction(dom, vals)
+    res = quasi_uniform_check([u], u, 0.5)
+    assert not res.gamma.any() and res.nowhere_dense_ok
+    assert res.n_map.tolist() == [1, 1, 1, 1, 0, 1, 1, 1, 1]
 
 
 def test_quasi_uniform_rejects_nonmonotone():

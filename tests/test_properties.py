@@ -1,7 +1,8 @@
 """Property tests over the expression grammar: rendering round-trips, and
 the point, array and interval evaluators agree on values and faults. Also
 the CSV writer: its bytes are those of the csv.writer reference, and
-read_csv gives back every value bit for bit.
+read_csv gives back every value bit for bit; and the neighbour box pass
+gives the bits of the offset loop at every skeleton point.
 
 Trees are drawn for the signatures (n, 1, 1), n in {1, 2}, from every node
 type. The runs are derandomized, with a fixed number of examples and no
@@ -15,12 +16,14 @@ from pathlib import Path
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from hypothesis.configuration import set_hypothesis_home_dir
 
 from ordercomplete import expr as ex
+from ordercomplete import grids
 from ordercomplete.grids import GridDomain, GridFunction, read_csv, write_csv
 from ordercomplete.intervals import Interval
-from test_grids import _reference_write_csv
+from test_grids import _offset_loop_extreme, _reference_write_csv
 
 # Hypothesis caches the constants it reads from local source files in its
 # storage directory; no directory can be made under the null device, so the
@@ -179,3 +182,30 @@ def test_csv_bytes_and_bits_round_trip(u):
         back = read_csv(got)
     assert back.domain == u.domain
     assert back.values.view(np.int64).tolist() == u.values.view(np.int64).tolist()
+
+
+@st.composite
+def _marked_stacks(draw):
+    """A 1-3D lattice, its skeleton any set of points but the interior ones
+    with all indices even (so the interior is nowhere dense while a marked
+    edge sends points to the ring search), and a stack of 1 to 6 fields of
+    pool values, zeros of both signs or +-inf everywhere."""
+    shape = tuple(draw(st.lists(st.integers(4, 7), min_size=1, max_size=3)))
+    idx = np.indices(shape)
+    top = np.array(shape).reshape((-1,) + (1,) * len(shape)) - 1
+    kept = ((idx % 2 == 0) & (idx > 0) & (idx < top)).all(axis=0)
+    skel = draw(hnp.arrays(bool, shape)) & ~kept
+    pool = draw(_POOL) + [0.0, -0.0, np.inf, -np.inf]
+    k = draw(st.integers(1, 6))
+    stack = draw(hnp.arrays(float, (k,) + shape, elements=st.sampled_from(pool)))
+    return GridDomain([0.0] * len(shape), [1.0] * len(shape), shape, skel), stack
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(_marked_stacks())
+def test_box_pass_is_the_offset_loop(case):
+    dom, stack = case
+    for minimize in (True, False):
+        box = grids._neighbor_extreme(dom, stack, minimize)[..., dom.skeleton]
+        loop = _offset_loop_extreme(dom, stack, minimize)[..., dom.skeleton]
+        assert box.tobytes() == loop.tobytes()
