@@ -13,7 +13,7 @@ import numpy as np
 from ordercomplete.analysis import compare_reference
 from ordercomplete.cli import load_spec
 from ordercomplete.grids import GridDomain
-from ordercomplete.solver import global_pair, run_scheme
+from ordercomplete.solver import global_pair, run_scheme, scheme_verdict
 
 system, exact, _ = load_spec("demos/manufactured_1d.spec")
 domain = GridDomain(system.box_lo, system.box_hi, (161,))
@@ -25,7 +25,8 @@ print(f"  margins: {c.lower_gap:.4f} {c.lower_strict:.4f} "
       f"{c.upper_strict:.4f} {c.upper_gap:.4f}  passed={c.passed}")
 
 res = run_scheme(system, domain, gamma=0.2, N=3)
-print(f"\nscheme verdict: {res.verdict}, final sup-gap {res.final_sup_gap:.5f}")
+verdict, _ = scheme_verdict(res.stages, res)
+print(f"\nscheme verdict: {verdict}, final sup-gap {res.final_sup_gap:.5f}")
 for s in res.stages:
     print(f"  stage {s.n}: eq1 slack ({s.eq1.lower_slack:.4f}, "
           f"{s.eq1.upper_slack:.4f}), eq3 ratio {s.eq3.max_ratio:.4f}")

@@ -59,7 +59,6 @@ from .pde import (
     AssumptionEvidence,
     PdeSystem,
     apply_operator,
-    apply_operator_point,
     check_assumption_interior,
     check_assumption_open,
 )
@@ -78,6 +77,7 @@ from .solver import (
     jet_solve,
     refine,
     run_scheme,
+    scheme_verdict,
     tile_domain,
 )
 from .analysis import (
@@ -143,7 +143,6 @@ __all__ = [
     "Tiling",
     "TilingError",
     "apply_operator",
-    "apply_operator_point",
     "assemble",
     "baire_lower",
     "baire_upper",
@@ -182,6 +181,7 @@ __all__ = [
     "render",
     "run_pipeline",
     "run_scheme",
+    "scheme_verdict",
     "sample_jets",
     "skeleton_fill",
     "tile_domain",

@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from . import expr as ex
-from .grids import GridDomain, GridFunction, OrderInterval, _box_extreme, complete, normalize
+from .grids import GridDomain, GridFunction, OrderInterval, _box_extreme, complete
 from .intervals import Interval, IntervalDomainError
 from .pde import PdeSystem
 
@@ -168,13 +168,8 @@ def envelope_sequence(u: GridFunction, count: int) -> IntervalSequence:
     """The normalized sandwich u -/+ 1/n for n = 1..count, as order intervals."""
     if count < 1:
         raise ValueError("count must be at least 1")
-    base = normalize(u)
-    steps = []
-    for n in range(1, count + 1):
-        lo = normalize(base + (-1.0 / n))
-        hi = normalize(base + (1.0 / n))
-        steps.append((OrderInterval(lo, hi),))
-    return IntervalSequence(steps)
+    return IntervalSequence([(OrderInterval(u + (-1.0 / n), u + 1.0 / n),)
+                             for n in range(1, count + 1)])
 
 
 def dilation_envelopes(

@@ -8,22 +8,24 @@ jets.artifact_json) and every file is written atomically via a temporary
 sibling and rename. The certificate stores each fact once. The seed feeds
 the interior probe's generator and, through the solver's per-cell streams
 (`solver._stream`), each openness probe and each multistart fallback, so
-no draw depends on the order in which cells are handled. `verify` rebuilds
-the tiling from the box and the lattice and the polynomials and bands from
-the artifacts, takes the global pair's eps from config.gamma, checks the
-stored anchor jets against their equation, recomputes every certificate
-through the solver's certificate functions that `run` uses, and compares
-the stored blocks with the recomputed ones serialized the same way; it
-never re-solves.
+no draw depends on the order in which cells are handled.
+
+One function builds certificate.json (`_certificate`): `run` calls it on
+what it constructed, and `verify` on what it recomputed from the
+artifacts alone through the solver functions `run` uses, then compares
+the stored document with the rebuilt one whole (`_compare`). Only the
+fields `_TAKEN_AS_STORED` names are copied from the stored document.
+`verify` reads no CSV file and not summary.txt, and never re-solves.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -37,13 +39,14 @@ from .solver import (
     ConstructionError,
     apeq_certificate,
     band_tolerance,
+    certified_stage,
     check_anchor_jets,
     global_pair,
     run_scheme,
     scheme_convergence,
     scheme_tiling,
+    scheme_verdict,
     stage_bands,
-    stage_certificates,
 )
 
 _SCHEMA = 2
@@ -181,33 +184,29 @@ def _var_tag(i: int, alpha: tuple[int, ...]) -> str:
     return f"u{i}_a" + "_".join(str(int(k)) for k in alpha)
 
 
-def _oc_dict(c) -> dict:
-    return {
-        "chain_ok": bool(c.chain_ok),
-        "first_violation": (
-            None if c.first_violation is None
-            else [c.first_violation[0], c.first_violation[1], float(c.first_violation[2])]
-        ),
-        "sup_gap": float(c.sup_gap),
-        "inf_gap": float(c.inf_gap),
-        "tol": float(c.tol),
-        "passed": bool(c.passed),
-    }
-
-
 def _cert_dict(c) -> dict:
-    """An ApEq or EQ1-EQ3 certificate as `run` writes it and `verify`
-    compares it: flags as they are, margins through _num."""
+    """A certificate as `run` writes it: flags as they are, margins through
+    _num, and an order-convergence certificate's first violation (stage,
+    leg, value) as a list, or None."""
     out = {}
     for f in fields(c):
         x = getattr(c, f.name)
-        out[f.name] = x if isinstance(x, bool) else _num(x)
+        out[f.name] = (x if isinstance(x, bool) or x is None
+                       else list(x) if isinstance(x, tuple) else _num(x))
     return out
 
 
 def _cells_list(cells: np.ndarray) -> list[dict]:
     """Cells (C, 2, n) as `run` writes them: one {"lo", "hi"} dict each."""
     return [{"lo": lo, "hi": hi} for lo, hi in cells.tolist()]
+
+
+def _stage_file(n: int) -> str:
+    """The polynomial file of stage n, relative to the run directory."""
+    return f"stage{n}/poly.json"
+
+
+_GLOBAL_FILES = {"lower": "global_lower.json", "upper": "global_upper.json"}
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +281,6 @@ def run_pipeline(cfg: RunConfig) -> int:
         return 3
 
     assumption_block["note"] = "sampling evidence; not a proof"
-
     fv = system.flat_vars()
 
     # analysis blocks (diagnostic; never gate the verdict)
@@ -312,29 +310,32 @@ def run_pipeline(cfg: RunConfig) -> int:
             ],
         }
 
-    # artifacts
-    stage_blocks = [{
-        "n": st.n,
-        "file": f"stage{st.n}/poly.json",
-        "eq1": _cert_dict(st.eq1),
-        "eq2": _cert_dict(st.eq2),
-        "eq3": _cert_dict(st.eq3),
-        "band_lo": st.band_lo.tolist(),
-        "band_hi": st.band_hi.tolist(),
-        "i_jets": st.i_jets.tolist(),
-        "j_cells": [_cells_list(cs) for cs in st.j_cells],
-    } for st in scheme.stages]
-    code = 0 if (gp.certificate.passed and scheme.verdict) else 2
-    cert = {
+    config = {"gamma": float(cfg.gamma), "stages": int(cfg.stages),
+              "grid": [int(res)] * system.n, "eps_max": float(cfg.eps_max),
+              "seed": int(cfg.seed)}
+    cert = _certificate(config, system, exact, assumption_block, gp.certificate,
+                        scheme.tiling, scheme.stages, scheme,
+                        {"nested_limit": nested_block, "reference": reference_block})
+    try:
+        _write_artifacts(out, system, gp, scheme, cert, cfg.emit_samples)
+    except OSError as e:
+        print(f"output error: {e}")
+        return 3
+    print(f"verdict: {cert['verdict']} (artifacts in {out})")
+    return 0 if cert["verdict"] == "pass" else 2
+
+
+def _certificate(config: dict, system: PdeSystem, exact, assumption: dict, gp,
+                 tiling, stages, conv, analysis: dict) -> dict:
+    """certificate.json as a dict, the one builder of the document: `run`
+    calls it on what it constructed and `verify` on what it recomputed.
+    config holds the inputs (_INPUTS), gp is the global pair's
+    ApEqCertificate, tiling carries the I-cells and the radii, stages are
+    RefinementStages and conv their SchemeConvergence."""
+    verdict, diagnostics = scheme_verdict(stages, conv, gp)
+    return {
         "schema": _SCHEMA,
-        "config": {
-            "gamma": float(cfg.gamma),
-            "stages": int(cfg.stages),
-            "grid": [int(res)] * system.n,
-            "eps_max": float(cfg.eps_max),
-            "seed": int(cfg.seed),
-            "band_tol": band_tolerance(scheme.tiling.radii, scheme.N),
-        },
+        "config": {**config, "band_tol": band_tolerance(tiling.radii, config["stages"])},
         "problem": {
             "n": system.n, "K": system.K, "m": system.m,
             "box_lo": system.box_lo.tolist(),
@@ -343,47 +344,43 @@ def run_pipeline(cfg: RunConfig) -> int:
             "f": [ex.render(e) for e in system.f],
             "exact": None if exact is None else [ex.render(e) for e in exact],
         },
-        "assumption": assumption_block,
-        "global_pair": {
-            **_cert_dict(gp.certificate),
-            "files": {"lower": "global_lower.json", "upper": "global_upper.json"},
-        },
-        "tiling": {
-            "i_cells": _cells_list(scheme.tiling.i_cells),
-            "radii": scheme.tiling.radii.tolist(),
-        },
-        "stages": stage_blocks,
+        "assumption": assumption,
+        "global_pair": {**_cert_dict(gp), "files": dict(_GLOBAL_FILES)},
+        "tiling": {"i_cells": _cells_list(tiling.i_cells), "radii": tiling.radii.tolist()},
+        "stages": [{
+            "n": st.n,
+            "file": _stage_file(st.n),
+            "eq1": _cert_dict(st.eq1),
+            "eq2": _cert_dict(st.eq2),
+            "eq3": _cert_dict(st.eq3),
+            "band_lo": st.band_lo.tolist(),
+            "band_hi": st.band_hi.tolist(),
+            "i_jets": st.i_jets.tolist(),
+            "j_cells": [_cells_list(cs) for cs in st.j_cells],
+        } for st in stages],
         "order_convergence": {
-            "operator": [_oc_dict(c) for c in scheme.oc_operator],
-            "bands": {_var_tag(i, a): _oc_dict(scheme.oc_bands[(i, a)])
-                      for (i, a) in fv},
-            "final_sup_gap": float(scheme.final_sup_gap),
+            "operator": [_cert_dict(c) for c in conv.oc_operator],
+            "bands": {_var_tag(i, a): _cert_dict(c) for (i, a), c in conv.oc_bands.items()},
+            "final_sup_gap": float(conv.final_sup_gap),
         },
-        "analysis": {"nested_limit": nested_block, "reference": reference_block},
-        "verdict": "pass" if scheme.verdict and gp.certificate.passed else "fail",
-        "diagnostics": list(scheme.diagnostics),
+        "analysis": analysis,
+        "verdict": "pass" if verdict else "fail",
+        "diagnostics": diagnostics,
     }
-    try:
-        _write_artifacts(out, system, gp, scheme, cert, cfg.emit_samples)
-    except OSError as e:
-        print(f"output error: {e}")
-        return 3
-    print(f"verdict: {cert['verdict']} (artifacts in {out})")
-    return code
 
 
 def _write_artifacts(out: Path, system: PdeSystem, gp, scheme, cert: dict,
                      emit_samples: bool) -> None:
     """The files of a run directory: gp's and each stage's polynomials,
     the CSV samples if emit_samples, then the certificate and its summary."""
-    write_poly_json(gp.lower, out / "global_lower.json")
-    write_poly_json(gp.upper, out / "global_upper.json")
+    write_poly_json(gp.lower, out / _GLOBAL_FILES["lower"])
+    write_poly_json(gp.upper, out / _GLOBAL_FILES["upper"])
     tags = [_var_tag(i, a) for i, a in system.flat_vars()]
     for st, tv, bands, samples in zip(scheme.stages, scheme.tv_by_stage,
                                       scheme.bands_by_stage, scheme.samples_by_stage):
-        sdir = out / f"stage{st.n}"
+        sdir = (out / _stage_file(st.n)).parent
         sdir.mkdir(exist_ok=True)
-        write_poly_json(st.v, sdir / "poly.json")
+        write_poly_json(st.v, out / _stage_file(st.n))
         if emit_samples:
             for j in range(system.K):
                 _write_atomic(sdir / f"tv_u{j + 1}.csv", tv[j])
@@ -461,48 +458,90 @@ def _summary_text(cert: dict, global_cells: int) -> str:
 # verification
 
 
-def _compare(problems: list[str], name: str, stored, want) -> None:
-    """Compare a stored certificate block with the recomputed one, both in
-    the form run_pipeline writes, exactly: blocks key by key, lists (a
-    first violation) element by element, every leaf with ==. A stored
-    number is compared as a double, so one too large for a double is an
-    inconsistency; None equals only None."""
+# The fields `verify` takes from the stored certificate instead of
+# deriving them, with the reason for each, as JSON paths ("[]" stands for
+# every list index). It derives every other field.
+_INPUTS = ("gamma", "stages", "grid", "eps_max", "seed")
+_TAKEN_AS_STORED = {
+    **{f"config.{key}": "an input" for key in _INPUTS},
+    "tiling.radii": "sampling evidence of the openness probe, range-checked "
+                    "against (0, config.eps_max]",
+    "stages[].i_jets": "each anchor jet is residual-checked against its equation "
+                       "and its solve's box (solver.check_anchor_jets)",
+    "assumption": "sampling evidence; re-running the interior probe in verify is "
+                  "left for a later step, for its cost",
+    "analysis": "diagnostic only, never gates the verdict; re-deriving it is left "
+                "for a later step, for its cost",
+}
+
+
+def _no_bool(node: list) -> bool:
+    """Whether no leaf under a JSON list is a bool, one pass per tree level."""
+    while node:
+        kinds = set(map(type, node))
+        if bool in kinds or not kinds & {list, dict}:
+            return bool not in kinds
+        if kinds == {dict}:
+            node = map(dict.values, node)
+        elif kinds != {list}:
+            node = [x.values() if type(x) is dict else x for x in node
+                    if type(x) in (dict, list)]
+        node = list(itertools.chain.from_iterable(node))
+    return True
+
+
+def _same(stored, want) -> bool:
+    """A stored leaf against its recomputed value: a bool equals only the
+    same bool, a number only an equal number, compared as a double (so
+    one too large for a double raises OverflowError), and None only None."""
+    if isinstance(stored, bool) or isinstance(want, bool):
+        return stored is want
+    if isinstance(want, (int, float)):
+        return isinstance(stored, (int, float)) and float(stored) == want
+    return stored == want
+
+
+def _compare(problems: list[str], at: str, stored, want) -> None:
+    """Compare the stored certificate with the recomputed one, both in the
+    form `run` writes, exactly: a missing or extra key, or a list of the
+    wrong length, raises ValueError (an artifact inconsistency), and a leaf
+    that differs (see _same) is a problem named by its JSON path at."""
     if isinstance(want, dict):
-        for k, w in want.items():
-            _compare(problems, f"{name}.{k}", stored[k], w)
-    elif isinstance(want, list) and isinstance(stored, list) and len(stored) == len(want):
-        for i, (s, w) in enumerate(zip(stored, want)):
-            _compare(problems, f"{name}[{i}]", s, w)
-    elif (float(stored) if isinstance(stored, (int, float)) else stored) != want:
-        problems.append(f"{name}: stored {stored}, recomputed {want}")
+        keys = stored.keys() if isinstance(stored, dict) else set()
+        if keys != want.keys():
+            raise ValueError(f"{at or 'certificate'}: missing keys "
+                             f"{sorted(want.keys() - keys)}, extra keys "
+                             f"{sorted(keys - want.keys())}")
+        for key, w in want.items():
+            _compare(problems, f"{at}.{key}" if at else key, stored[key], w)
+    elif isinstance(want, list):
+        if not isinstance(stored, list) or len(stored) != len(want):
+            raise ValueError(f"{at}: expected a list of {len(want)} entries, "
+                             f"found {stored!r:.60}")
+        # == takes True for 1: a list is equal whole only without bools
+        if not (_no_bool(want) and _no_bool(stored) and stored == want):
+            for i, (s, w) in enumerate(zip(stored, want)):
+                _compare(problems, f"{at}[{i}]", s, w)
+    elif not _same(stored, want):
+        problems.append(f"{at}: stored {stored}, recomputed {want}")
 
 
-def _expect(what: str, found, expected) -> None:
-    if found != expected:
-        raise ValueError(f"{what}: expected {expected}, found {found}")
+def _rows(stored, shape: tuple, name: str) -> np.ndarray:
+    """A stored array of floats, which must have the given shape."""
+    a = np.asarray(stored, dtype=float)
+    if a.shape != shape:
+        raise ValueError(f"{name}: expected shape {shape}, found {a.shape}")
+    return a
 
 
 def verify(result_dir) -> int:
-    """Re-check every certificate from the artifacts alone.
-
-    Rebuilds the system from the embedded problem block, derives the
-    tiling from the box and the lattice as `run` does (scheme_tiling) and
-    compares its I-cells exactly with the stored ones, and checks every
-    radius against (0, config.eps_max]. Recomputes the global pair's
-    certificate at eps = config.gamma, the eps `run` certifies it at, and
-    checks that both global polynomial files have the same cells. Checks
-    each stage's stored anchor jets against their equation and, after
-    stage 1, the box their solve was confined to (solver.check_anchor_jets),
-    and compares its stored bands exactly with the ones solver.stage_bands
-    derives from them, the radii and the previous bands. Then recomputes
-    every certificate from the serialized polynomials on the bare lattice
-    (sampling marks each one's skeleton) through the same solver functions
-    `run` uses, and compares the results, serialized as `run` writes them,
-    with the stored blocks exactly.
-    Never re-runs the jet solver. Artifacts of the wrong shape, count or
-    polynomial signature, a lattice too large to allocate, or a number too
-    large to convert (JSON 1e400 reads as inf), are an inconsistency (exit 2).
-    """
+    """Re-check every certificate from the artifacts alone (see the module
+    docstring); returns the exit code. Besides the whole-document compare,
+    it checks the radii against (0, config.eps_max], that both global
+    polynomial files have the same cells, and each stage's stored anchor
+    jets (solver.check_anchor_jets). Artifacts of the wrong shape, count
+    or signature, a missing or extra key, a lattice too large to allocate,
+    or a number too large to convert are an inconsistency (exit 2)."""
     out = Path(result_dir)
     problems: list[str] = []
     try:
@@ -518,7 +557,7 @@ def verify(result_dir) -> int:
         return 2
     try:
         code = _verify_inner(out, cert, problems)
-    except (ConstructionError, TilingError, ValueError, OSError, KeyError,
+    except (ConstructionError, TilingError, ValueError, OSError, LookupError,
             TypeError, MemoryError, OverflowError) as e:
         print(f"verify: artifact inconsistency: {e}")
         return 2
@@ -535,104 +574,65 @@ def _verify_inner(out: Path, cert: dict, problems: list[str]) -> int:
     prob = cert["problem"]
     system = PdeSystem(prob["n"], prob["K"], prob["m"], prob["F"], prob["f"],
                        prob["box_lo"], prob["box_hi"])
-    grid = tuple(int(g) for g in cert["config"]["grid"])
-    gamma = float(cert["config"]["gamma"])
-    N = int(cert["config"]["stages"])
+    exact = None if prob["exact"] is None else [
+        ex.parse(e, (system.n, system.K, system.m)) for e in prob["exact"]]
+    config = {key: cert["config"][key] for key in _INPUTS}
+    gamma, N = float(config["gamma"]), int(config["stages"])
     if N < 1:
         raise ValueError(f"config.stages: expected at least 1, found {N}")
-    domain = GridDomain(system.box_lo, system.box_hi, grid)
+    domain = GridDomain(system.box_lo, system.box_hi, [int(g) for g in config["grid"]])
 
     def read_poly(name: str):
         v = read_poly_json(out / name)
-        _expect(f"{name} signature (space_dim, components, order)",
-                (v.space_dim, v.components, v.order), (system.n, system.K, system.m))
+        found = (v.space_dim, v.components, v.order)
+        if found != (system.n, system.K, system.m):
+            raise ValueError(f"{name} signature (space_dim, components, order): "
+                             f"expected {(system.n, system.K, system.m)}, found {found}")
         return v
 
-    # global pair
-    g = cert["global_pair"]
-    u_poly = read_poly(g["files"]["lower"])
-    v_poly = read_poly(g["files"]["upper"])
+    u_poly, v_poly = read_poly(_GLOBAL_FILES["lower"]), read_poly(_GLOBAL_FILES["upper"])
     if not np.array_equal(v_poly.bounds, u_poly.bounds):
         problems.append("global_pair: the upper polynomial file's cells differ "
                         "from the lower one's")
     gp = apeq_certificate(system, u_poly, v_poly, domain, gamma)
-    _compare(problems, "global_pair", g, _cert_dict(gp))
 
-    # the tiling, derived from the box and the lattice as run derives it
-    t = cert["tiling"]
     tiling = scheme_tiling(domain)
-    if t["i_cells"] != _cells_list(tiling.i_cells):
-        problems.append("tiling.i_cells: stored value differs from the tiling "
-                        "of the box and the lattice")
-    i_cells = tiling.i_cells
-    radii = np.asarray(t["radii"], dtype=float)
-    _expect("tiling.radii shape", radii.shape, (len(i_cells),))
-    eps_max = float(cert["config"]["eps_max"])
+    radii = _rows(cert["tiling"]["radii"], (len(tiling.i_cells),), "tiling.radii")
+    eps_max = float(config["eps_max"])
     outside = ~((radii > 0.0) & (radii <= eps_max))
     if outside.any():
         ci = int(np.argmax(outside))
         problems.append(f"tiling.radii: radius {ci} is {float(radii[ci])!r}, outside "
                         f"(0, eps_max={eps_max!r}]")
+    tiling = replace(tiling, radii=radii)
 
-    # stages
-    stages = cert["stages"]
-    _expect("stage count", len(stages), N)
-    _expect("stage numbers", [s["n"] for s in stages], list(range(1, N + 1)))
-    band_shape = (len(i_cells), system.unknown_count)
-    samples = []
+    shape = (len(tiling.i_cells), system.unknown_count)
+    stages = []
     prev_bands = None
-    stages_pass = True
-    for s in stages:
-        n = s["n"]
-        v = read_poly(s["file"])
-        if [c for cs in s["j_cells"] for c in cs] != _cells_list(v.bounds):
-            problems.append(f"stage {n}: cell tree does not match the polynomial file")
-        band_lo = np.asarray(s["band_lo"], dtype=float)
-        band_hi = np.asarray(s["band_hi"], dtype=float)
-        _expect(f"stage{n}.band_lo shape", band_lo.shape, band_shape)
-        _expect(f"stage{n}.band_hi shape", band_hi.shape, band_shape)
-        i_jets = np.asarray(s["i_jets"], dtype=float)
-        _expect(f"stage{n}.i_jets shape", i_jets.shape, band_shape)
-        try:
-            derived = stage_bands(i_jets, radii, prev_bands, n)
-        except ConstructionError as e:  # the stored anchor jets leave no band
-            problems.append(f"stage{n} bands: {e}")
-        else:
-            for key, stored, want in zip(("band_lo", "band_hi"), (band_lo, band_hi), derived):
-                if not np.array_equal(stored, want):
-                    problems.append(f"stage{n}.{key}: stored bands differ from those of "
-                                    "the stored anchor jets, radii and previous bands")
+    for n in range(1, N + 1):
+        s, name = cert["stages"][n - 1], f"stages[{n - 1}]"
+        i_jets, band_lo, band_hi = (_rows(s[key], shape, f"{name}.{key}")
+                                    for key in ("i_jets", "band_lo", "band_hi"))
         for held, what in zip(
             check_anchor_jets(system, tiling.anchors, i_jets, prev_bands, n, gamma),
             ("does not solve its equation", "lies outside the previous bands' inner box"),
         ):
             if not held.all():
-                problems.append(f"stage{n}.i_jets: anchor jet {int(np.argmin(held))} {what}")
-        (eq1, eq2, eq3), stage_samples = stage_certificates(
-            system, v, domain, i_cells, radii, band_lo, band_hi, prev_bands, n, gamma)
-        for key, c in (("eq1", eq1), ("eq2", eq2), ("eq3", eq3)):
-            _compare(problems, f"stage{n}.{key}", s[key], _cert_dict(c))
-        stages_pass = stages_pass and eq1.passed and eq2.passed and eq3.passed
-        samples.append(stage_samples)
-        prev_bands = (band_lo, band_hi)
+                problems.append(f"{name}.i_jets: anchor jet {int(np.argmin(held))} {what}")
+        try:
+            bands = stage_bands(i_jets, radii, prev_bands, n)
+        except ConstructionError as e:  # the stored anchor jets leave no band
+            problems.append(f"{name} bands: {e}")
+            bands = band_lo, band_hi
+        stages.append(certified_stage(system, domain, tiling, read_poly(_stage_file(n)),
+                                      i_jets, *bands, prev_bands, n, gamma))
+        prev_bands = band_lo, band_hi
 
-    # order convergence on the final lattice
-    oc = cert["order_convergence"]
-    _expect("operator certificates", len(oc["operator"]), system.K)
-    tags = [_var_tag(i, a) for i, a in system.flat_vars()]
-    _expect("band certificate tags", sorted(oc["bands"]), sorted(tags))
-    conv = scheme_convergence(system, samples, radii, gamma)
-    for j, c in enumerate(conv.oc_operator):
-        _compare(problems, f"oc.operator[{j}]", oc["operator"][j], _oc_dict(c))
-    for (i, a), c in conv.oc_bands.items():
-        tag = _var_tag(i, a)
-        _compare(problems, f"oc.bands[{tag}]", oc["bands"][tag], _oc_dict(c))
-    _compare(problems, "oc.final_sup_gap", oc["final_sup_gap"], conv.final_sup_gap)
-    _compare(problems, "config.band_tol", cert["config"]["band_tol"],
-             band_tolerance(radii, N))
-    verdict = stages_pass and conv.passed and gp.passed
-    _compare(problems, "verdict", cert["verdict"] == "pass", verdict)
-    return 0 if (verdict and not problems) else 2
+    conv = scheme_convergence(system, [st.samples for st in stages], radii, gamma)
+    want = _certificate(config, system, exact, cert["assumption"], gp, tiling, stages,
+                        conv, cert["analysis"])
+    _compare(problems, "", cert, want)
+    return 0 if want["verdict"] == "pass" else 2
 
 
 # ---------------------------------------------------------------------------

@@ -153,20 +153,26 @@ class GridFunction:
             return 0.0
         return float(np.max(np.abs(self.values[off])))
 
-    def __add__(self, other: "GridFunction | float") -> "GridFunction":
+    def _off_skeleton(self, op, other) -> "GridFunction":
+        """op of self and other (a GridFunction or a number) off the
+        skeleton, completed there by the normalize rule: normalized."""
+        off = ~self.domain.skeleton
         if isinstance(other, GridFunction):
             _require_same_domain(self, other)
-            return GridFunction(self.domain, self.values + other.values)
-        return GridFunction(self.domain, self.values + float(other))
+            other = other.values[off]
+        return complete(self.domain, off, [op(self.values[off], other)])[0]
+
+    def __add__(self, other: "GridFunction | float") -> "GridFunction":
+        """self + other off the skeleton, normalized (see _off_skeleton)."""
+        return self._off_skeleton(np.add, other)
 
     def __sub__(self, other: "GridFunction | float") -> "GridFunction":
-        if isinstance(other, GridFunction):
-            _require_same_domain(self, other)
-            return GridFunction(self.domain, self.values - other.values)
-        return GridFunction(self.domain, self.values - float(other))
+        """self - other off the skeleton, normalized (see _off_skeleton)."""
+        return self._off_skeleton(np.subtract, other)
 
     def __mul__(self, c: float) -> "GridFunction":
-        return GridFunction(self.domain, self.values * float(c))
+        """c self off the skeleton, normalized (see _off_skeleton)."""
+        return self._off_skeleton(np.multiply, float(c))
 
     __rmul__ = __mul__
 

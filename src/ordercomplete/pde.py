@@ -96,13 +96,6 @@ class PdeSystem:
         return list(self._rhs_lattice[key])
 
 
-def apply_operator_point(sys: PdeSystem, x, jet) -> np.ndarray:
-    """All K operator values at one point for one flat jet (M,), in the
-    order of sys.flat_vars()."""
-    values = dict(zip(sys.flat_vars(), np.asarray(jet, dtype=float).tolist()))
-    return np.array([ex.eval_point(Fj, x, values) for Fj in sys.F])
-
-
 def apply_operator(sys: PdeSystem, jets: list[GridFunction]) -> list[GridFunction]:
     """T_j on a candidate's sampled jets, one GridFunction per component.
 

@@ -14,9 +14,11 @@ sampled jets, bands and lattice: `apeq_certificate`, `eq1_certificate`,
 re-check every inequality on the full lattice, off the skeleton each
 candidate's sampling marks (jets.sample_jets), independently of the
 per-cell construction. Callers pass the bare lattice. `refine` and
-`cli.verify` share `stage_certificates`, which computes EQ1-EQ3 from one
-sampling of V_n, and `scheme_convergence` normalizes those samples onto
-the last stage's skeleton.
+`cli.verify` build each stage through `certified_stage`, which computes
+EQ1-EQ3 from one sampling of V_n (`stage_certificates`) and groups its
+J-cells by I-cell; `scheme_convergence` normalizes those
+samples onto the last stage's skeleton, and `scheme_verdict` gives the
+verdict and its diagnostics.
 
 Every random draw comes from a stream of its own (`_stream`), keyed by the
 run seed and by what it is drawn for: the openness probe at an I-cell, or
@@ -751,7 +753,6 @@ def eq3_certificate(radii, band_lo: np.ndarray, band_hi: np.ndarray,
 @dataclass(eq=False)
 class RefinementStage:
     n: int
-    gamma: float
     v: PiecewisePoly
     domain: GridDomain
     band_lo: np.ndarray  # (num_i_cells, M)
@@ -943,17 +944,27 @@ def refine(
 
     work = tiling.i_cells if prev is None else np.concatenate(prev.j_cells)
     cells, jets = _subdivide(work, solve, check, domain, max_cells, stage=n)
-    own = tiling.index_of(_centers(cells))
-    order = np.argsort(own, kind="stable")  # by I-cell, in order of acceptance
-    cells, jets, own = cells[order], jets[order], own[order]
-    j_cells = np.split(cells, np.flatnonzero(np.diff(own)) + 1)
-    v_poly = _cell_polys(sys, cells, jets)
+    # by I-cell, in order of acceptance
+    order = np.argsort(tiling.index_of(_centers(cells)), kind="stable")
+    return certified_stage(sys, domain, tiling, _cell_polys(sys, cells[order], jets[order]),
+                           i_jets, band_lo, band_hi, prev_bands, n, gamma)
+
+
+def certified_stage(
+    sys: PdeSystem, domain: GridDomain, tiling: Tiling, v: PiecewisePoly,
+    i_jets: np.ndarray, band_lo: np.ndarray, band_hi: np.ndarray,
+    prev_bands: tuple[np.ndarray, np.ndarray] | None, n: int, gamma: float,
+) -> RefinementStage:
+    """Stage n from V_n, its cells listed I-cell by I-cell, its anchor jets
+    and bands, on a tiling with radii: EQ1-EQ3 (stage_certificates) and the
+    J-cells split where their I-cell changes. `refine` ends with it, and
+    `cli.verify` rebuilds each stored stage with it."""
     (eq1, eq2, eq3), samples = stage_certificates(
-        sys, v_poly, domain, tiling.i_cells, tiling.radii, band_lo, band_hi,
-        prev_bands, n, gamma)
+        sys, v, domain, tiling.i_cells, tiling.radii, band_lo, band_hi, prev_bands, n, gamma)
+    cuts = (np.flatnonzero(np.diff(tiling.index_of(_centers(v.bounds)))) + 1).tolist()
     return RefinementStage(
-        n=n, gamma=float(gamma), v=v_poly, domain=samples[0][0].domain,
-        band_lo=band_lo, band_hi=band_hi, i_jets=i_jets, j_cells=j_cells,
+        n=n, v=v, domain=samples[0][0].domain, band_lo=band_lo, band_hi=band_hi,
+        i_jets=i_jets, j_cells=[v.bounds[a:b] for a, b in zip([0, *cuts], [*cuts, None])],
         eq1=eq1, eq2=eq2, eq3=eq3, samples=samples,
     )
 
@@ -991,13 +1002,6 @@ class SchemeConvergence:
     bands_by_stage: list[list[tuple[GridFunction, GridFunction]]]
     samples_by_stage: list[list[GridFunction]]
     final_sup_gap: float
-
-    @property
-    def passed(self) -> bool:
-        """Operator order convergence and a final sup gap below gamma/N; the
-        band certificates are recorded but do not gate (see band_tolerance)."""
-        return (all(c.passed for c in self.oc_operator)
-                and self.final_sup_gap < self.gamma / self.N)
 
 
 def scheme_convergence(
@@ -1065,8 +1069,32 @@ class SchemeResult(SchemeConvergence):
     stages: list[RefinementStage]
     tiling: Tiling
     domain: GridDomain  # final stage lattice with full skeleton
-    verdict: bool
-    diagnostics: list[str]
+
+
+def scheme_verdict(
+    stages: list[RefinementStage], conv: SchemeConvergence,
+    global_pair: ApEqCertificate | None = None,
+) -> tuple[bool, list[str]]:
+    """The verdict of a run and its diagnostics, one for each part that
+    fails it: every stage's EQ1-EQ3, order convergence of the operator
+    images to f, a final sup gap below gamma/N, and the global pair if
+    given. The band order-convergence certificates do not gate it: their
+    terminal gaps scale with the radii, not gamma/N (see band_tolerance)."""
+    diagnostics = [
+        f"operator image of component {j + 1} fails order convergence "
+        f"(first violation {cert.first_violation}, "
+        f"gaps {cert.sup_gap:.3e}/{cert.inf_gap:.3e})"
+        for j, cert in enumerate(conv.oc_operator) if not cert.passed
+    ]
+    diagnostics += [f"stage {st.n} certificates: eq1={st.eq1.passed} "
+                    f"eq2={st.eq2.passed} eq3={st.eq3.passed}"
+                    for st in stages if not st.certificates_pass()]
+    if not conv.final_sup_gap < conv.gamma / conv.N:
+        diagnostics.append(f"final sup gap {conv.final_sup_gap:.3e} not below "
+                           f"gamma/N={conv.gamma / conv.N:.3e}")
+    if global_pair is not None and not global_pair.passed:
+        diagnostics.append(f"global pair certificate fails at eps={global_pair.eps}")
+    return not diagnostics, diagnostics
 
 
 def run_scheme(
@@ -1089,13 +1117,8 @@ def run_scheme(
     again. The probe's row for I-cell ci draws from the stream (PROBE, ci)
     of seed, and every solve's fallback from its own stream (see
     _stream), so the result does not depend on the order in which cells
-    are handled, nor on how the probe blocks its rows. The verdict
-    requires every stage certificate, order convergence of the operator
-    images to f, and a final sup gap below gamma/N. Band order-convergence
-    certificates are recorded per jet variable but do not gate the
-    verdict; their terminal gaps scale with the cell radii, not with
-    gamma/N, so they are checked against the EQ3 width bound of the final
-    stage (see `band_tolerance`).
+    are handled, nor on how the probe blocks its rows. scheme_verdict
+    gives its verdict.
     """
     if gamma <= 0.0:
         raise ValueError("gamma must be positive")
@@ -1144,24 +1167,4 @@ def run_scheme(
         stages.append(st)
         prev = st
     conv = scheme_convergence(sys, [st.samples for st in stages], tiling.radii, gamma)
-    diagnostics = [
-        f"operator image of component {j + 1} fails order convergence "
-        f"(first violation {cert.first_violation}, "
-        f"gaps {cert.sup_gap:.3e}/{cert.inf_gap:.3e})"
-        for j, cert in enumerate(conv.oc_operator) if not cert.passed
-    ]
-    for st in stages:
-        if not st.certificates_pass():
-            diagnostics.append(
-                f"stage {st.n} certificates: eq1={st.eq1.passed} "
-                f"eq2={st.eq2.passed} eq3={st.eq3.passed}"
-            )
-    if not conv.final_sup_gap < gamma / N:
-        diagnostics.append(
-            f"final sup gap {conv.final_sup_gap:.3e} not below gamma/N={gamma / N:.3e}"
-        )
-    verdict = all(st.certificates_pass() for st in stages) and conv.passed
-    return SchemeResult(
-        **vars(conv), stages=stages, tiling=tiling, domain=stages[-1].domain,
-        verdict=verdict, diagnostics=diagnostics,
-    )
+    return SchemeResult(**vars(conv), stages=stages, tiling=tiling, domain=stages[-1].domain)

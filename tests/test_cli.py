@@ -11,7 +11,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ordercomplete.cli import RunConfig, load_spec, main, run_pipeline, verify
+from ordercomplete.cli import (
+    _TAKEN_AS_STORED,
+    RunConfig,
+    load_spec,
+    main,
+    run_pipeline,
+    verify,
+)
 from ordercomplete.expr import render
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
@@ -380,7 +387,7 @@ def test_verify_detects_tampered_margin(run_dir, tmp_path, capsys):
     (copy / "certificate.json").write_text(json.dumps(cert))
     assert verify(copy) == 2
     out = capsys.readouterr().out
-    assert "MISMATCH stage2.eq1.lower_slack" in out
+    assert "MISMATCH stages[1].eq1.lower_slack" in out
 
 
 def test_verify_detects_tampered_polynomial(run_dir, tmp_path, capsys):
@@ -424,8 +431,8 @@ def test_verify_detects_tampered_chain(run_dir, tmp_path, capsys):
     (copy / "certificate.json").write_text(json.dumps(cert))
     assert verify(copy) == 2
     out = capsys.readouterr().out
-    assert "MISMATCH oc.bands[u1_a0].chain_ok" in out
-    assert "MISMATCH oc.bands[u1_a0].first_violation" in out
+    assert "MISMATCH order_convergence.bands.u1_a0.chain_ok" in out
+    assert "MISMATCH order_convergence.bands.u1_a0.first_violation" in out
 
 
 def test_verify_detects_flipped_vacuous_flag(run_dir, tmp_path, capsys):
@@ -436,8 +443,79 @@ def test_verify_detects_flipped_vacuous_flag(run_dir, tmp_path, capsys):
     cert["stages"][0]["eq2"]["vacuous"] = False
     (copy / "certificate.json").write_text(json.dumps(cert))
     assert verify(copy) == 2
-    assert "MISMATCH stage1.eq2.vacuous" in capsys.readouterr().out
+    assert "MISMATCH stages[0].eq2.vacuous" in capsys.readouterr().out
 
+
+
+def _claim_passed_as_number(cert):
+    eq1 = cert["stages"][0]["eq1"]
+    assert eq1["passed"] is True
+    eq1["passed"] = 1
+
+
+def _claim_not_vacuous_as_number(cert):
+    eq2 = cert["stages"][1]["eq2"]
+    assert eq2["vacuous"] is False
+    eq2["vacuous"] = 0
+
+
+def _claim_operator_flags_as_numbers(cert):
+    # no bool is left in the stored list, so it equals the recomputed one
+    # under == as a whole
+    (c,) = cert["order_convergence"]["operator"]
+    c["chain_ok"], c["passed"] = int(c["chain_ok"]), int(c["passed"])
+
+
+@pytest.mark.parametrize("tamper, message", [
+    (_claim_passed_as_number, "MISMATCH stages[0].eq1.passed: stored 1, recomputed True"),
+    (_claim_not_vacuous_as_number,
+     "MISMATCH stages[1].eq2.vacuous: stored 0, recomputed False"),
+    (_claim_operator_flags_as_numbers,
+     "MISMATCH order_convergence.operator[0].passed: stored 1, recomputed True"),
+], ids=["passed_1", "vacuous_0", "operator_flags"])
+def test_verify_takes_no_number_for_a_flag(run_dir, tmp_path, capsys, tamper, message):
+    # 1 == True in Python; a stored flag must be a JSON bool
+    copy = _tampered(run_dir, tmp_path, "certificate.json", tamper)
+    assert verify(copy) == 2
+    out = capsys.readouterr().out
+    assert message in out
+    assert "verify: FAILED" in out
+
+
+def _extra_top_level_key(cert):
+    cert["reviewed"] = True
+
+
+def _extra_stage_key(cert):
+    cert["stages"][0]["reviewed"] = True
+
+
+def _made_up_diagnostic(cert):
+    assert cert["diagnostics"] == []
+    cert["diagnostics"].append("stage 1 certificates: all checked by hand")
+
+
+@pytest.mark.parametrize("tamper, message", [
+    (_extra_top_level_key, "certificate: missing keys [], extra keys ['reviewed']"),
+    (_extra_stage_key, "stages[0]: missing keys [], extra keys ['reviewed']"),
+    (_made_up_diagnostic, "diagnostics: expected a list of 0 entries"),
+], ids=["top_level", "stage_block", "diagnostics"])
+def test_verify_rejects_extra_entries(run_dir, tmp_path, capsys, tamper, message):
+    copy = _tampered(run_dir, tmp_path, "certificate.json", tamper)
+    assert verify(copy) == 2
+    assert f"artifact inconsistency: {message}" in capsys.readouterr().out
+
+
+def test_verify_renders_the_problem_canonically(run_dir, tmp_path, capsys):
+    # the same expression in other text: the problem block holds the render
+    def respace(cert):
+        assert cert["problem"]["F"] == ["u[1,(1)] + u[1,(0)]^3"]
+        cert["problem"]["F"] = ["u[1,(1)]+u[1,(0)]^3"]
+
+    copy = _tampered(run_dir, tmp_path, "certificate.json", respace)
+    assert verify(copy) == 2
+    assert ("MISMATCH problem.F[0]: stored u[1,(1)]+u[1,(0)]^3, recomputed "
+            "u[1,(1)] + u[1,(0)]^3") in capsys.readouterr().out
 
 def _move_i_cell(cert):
     cell = cert["tiling"]["i_cells"][0]
@@ -457,7 +535,7 @@ def test_verify_derives_the_tiling(run_dir, tmp_path, capsys, tamper, field):
     (copy / "certificate.json").write_text(json.dumps(cert))
     assert verify(copy) == 2
     out = capsys.readouterr().out
-    assert f"MISMATCH {field}: stored value differs" in out
+    assert f"MISMATCH {field}[0].hi[0]: stored " in out
     assert "verify: FAILED" in out
 
 
@@ -473,10 +551,10 @@ def _move_i_jet_along_its_equation(cert, stage):
 
 
 @pytest.mark.parametrize("tamper, stage, message", [
-    (_shift_i_jet, 0, "stage1.i_jets: anchor jet 0 does not solve its equation"),
-    (_shift_i_jet, 1, "stage2.i_jets: anchor jet 0 does not solve its equation"),
+    (_shift_i_jet, 0, "stages[0].i_jets: anchor jet 0 does not solve its equation"),
+    (_shift_i_jet, 1, "stages[1].i_jets: anchor jet 0 does not solve its equation"),
     (_move_i_jet_along_its_equation, 1,
-     "stage2.i_jets: anchor jet 0 lies outside the previous bands' inner box"),
+     "stages[1].i_jets: anchor jet 0 lies outside the previous bands' inner box"),
 ], ids=["shift_stage1", "shift_stage2", "leave_box_stage2"])
 def test_verify_checks_stored_anchor_jets(run_dir, tmp_path, capsys, tamper, stage, message):
     # no certificate reads the anchor jets, so verify checks each against
@@ -695,7 +773,7 @@ def test_verify_compares_final_stage_slacks_exactly(demo_dir, tmp_path, capsys, 
     copy = _tampered(demo_dir, tmp_path, "certificate.json", nudge)
     assert verify(copy) == 2
     out = capsys.readouterr().out
-    assert f"MISMATCH stage3.eq1.{key}" in out
+    assert f"MISMATCH stages[2].eq1.{key}" in out
     assert "verify: FAILED" in out
 
 
@@ -710,8 +788,8 @@ def test_verify_recomputes_the_bands(demo_dir, tmp_path, capsys):
     copy = _tampered(demo_dir, tmp_path, "certificate.json", _shift_band_row)
     assert verify(copy) == 2
     out = capsys.readouterr().out
-    assert "MISMATCH stage1.band_lo: stored bands differ" in out
-    assert "MISMATCH stage1.band_hi: stored bands differ" in out
+    assert "MISMATCH stages[0].band_lo[0][0]: stored " in out
+    assert "MISMATCH stages[0].band_hi[0][0]: stored " in out
 
 
 def test_verify_recomputes_global_pair_at_gamma(demo_dir, tmp_path, capsys):
@@ -736,6 +814,62 @@ def test_verify_recomputes_global_pair_at_gamma(demo_dir, tmp_path, capsys):
     assert "MISMATCH global_pair.eps: stored 0.4, recomputed 0.2" in out
     assert "verify: FAILED" in out
 
+
+
+def _leaf_paths(node, at=()):
+    """The path of every leaf of a JSON document (an empty list counts as
+    one), through the first and the last element of every list."""
+    if isinstance(node, dict):
+        for key, child in node.items():
+            yield from _leaf_paths(child, (*at, key))
+    elif isinstance(node, list) and node:
+        for i in sorted({0, len(node) - 1}):
+            yield from _leaf_paths(node[i], (*at, i))
+    else:
+        yield at
+
+
+def _changed(leaf):
+    """leaf, changed once: a bool flipped, an int plus 1, a float times
+    (1 + 1e-6) (1e-6 for a zero), a string suffixed, an empty list
+    replaced by [1.0] and null by 1.0."""
+    if isinstance(leaf, bool):
+        return not leaf
+    if isinstance(leaf, int):
+        return leaf + 1
+    if isinstance(leaf, float):
+        return leaf * (1 + 1e-6) if leaf else 1e-6
+    if isinstance(leaf, str):
+        return leaf + " "
+    return [1.0] if leaf == [] else 1.0
+
+
+def _taken_as_stored(at) -> bool:
+    path = "".join("[]" if isinstance(k, int) else f".{k}" for k in at).lstrip(".")
+    return any(path == p or path.startswith((p + ".", p + "[")) for p in _TAKEN_AS_STORED)
+
+
+def test_verify_rejects_every_changed_derived_leaf(demo_dir, tmp_path, capsys):
+    # a small mutation analysis of verify: each leaf of certificate.json
+    # that verify derives, changed once, must fail it; a field added later
+    # fails here until verify derives it or _TAKEN_AS_STORED names it
+    cert = json.loads((demo_dir / "certificate.json").read_text())
+    run = tmp_path / "sweep"
+    shutil.copytree(demo_dir, run)
+    paths = [at for at in _leaf_paths(cert) if not _taken_as_stored(at)]
+    accepted = []
+    for at in paths:
+        doc = json.loads(json.dumps(cert))
+        node = doc
+        for key in at[:-1]:
+            node = node[key]
+        node[at[-1]] = _changed(node[at[-1]])
+        (run / "certificate.json").write_text(json.dumps(doc))
+        if verify(run) != 2:
+            accepted.append(at)
+    capsys.readouterr()
+    assert accepted == []
+    assert (len(paths), len(list(_leaf_paths(cert)))) == (95, 131)
 
 def test_verify_rejects_missing_or_foreign_dir(tmp_path, capsys):
     assert verify(tmp_path / "nothing_here") == 2

@@ -277,6 +277,44 @@ def test_infinite_value_off_skeleton_rejected():
         GridFunction(dom, vals)
 
 
+def _inf_at_skeleton():
+    # a 9-point line marked at point 4, which carries +inf
+    dom = GridDomain([0.0], [1.0], (9,), np.arange(9) == 4)
+    vals = np.linspace(-1.0, 1.0, 9)
+    vals[4] = np.inf
+    return GridFunction(dom, vals)
+
+
+def test_difference_of_self_is_zero():
+    u = _inf_at_skeleton()
+    d = u - u
+    assert d.normalized and np.all(d.values == 0.0)
+
+
+def test_sum_with_negated_self_is_zero():
+    u = _inf_at_skeleton()
+    d = u + (-1.0 * u)
+    assert d.normalized and np.all(d.values == 0.0)
+
+
+def test_zero_times_is_zero():
+    u = _inf_at_skeleton()
+    z = 0.0 * u
+    assert z.normalized and np.all(z.values == 0.0)
+
+
+def test_arithmetic_is_off_skeleton_then_normalized():
+    rng = np.random.default_rng(67)
+    for _ in range(20):
+        dom = _random_domain(rng, 2)
+        u = GridFunction(dom, rng.normal(size=dom.shape))
+        v = GridFunction(dom, rng.normal(size=dom.shape))
+        for got, raw in ((u + v, u.values + v.values), (u - v, u.values - v.values),
+                         (u + 0.5, u.values + 0.5), (2.5 * u, 2.5 * u.values)):
+            assert got.normalized
+            assert got == normalize(GridFunction(dom, raw))
+
+
 # ---------------------------------------------------------------------------
 # lattice operations
 

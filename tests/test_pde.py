@@ -14,9 +14,9 @@ from ordercomplete.pde import (
     PdeSystem,
     _principal_directions,
     apply_operator,
-    apply_operator_point,
     check_assumption_interior,
     check_assumption_open,
+    eval_rows,
 )
 from ordercomplete.solver import _cell_polys
 
@@ -110,15 +110,24 @@ def test_jet_jacobian_symbolic():
 # pointwise operator
 
 
+def _operator_at(sys, x, jet) -> np.ndarray:
+    """All K operator values at one point x for one flat jet, as one row of
+    pde.eval_rows."""
+    values, faulted = eval_rows(sys, sys.F, [float(c) for c in x],
+                                np.asarray(jet, dtype=float)[None])
+    assert not faulted.any()
+    return values[0]
+
+
 def test_point_cubic_at_origin():
     sys1 = _cubic_system()
-    assert apply_operator_point(sys1, [0.0], [0.0, 1.0]) == pytest.approx([1.0])
+    assert _operator_at(sys1, [0.0], [0.0, 1.0]) == pytest.approx([1.0])
 
 
 def test_point_linear_returns_derivative_slot():
     sys1 = PdeSystem(1, 1, 1, ["u[1,(1)]"], ["1"], [0.0], [1.0])
     for xi1 in (-2.0, 0.0, 3.5):
-        assert apply_operator_point(sys1, [0.3], [7.0, xi1])[0] == xi1
+        assert _operator_at(sys1, [0.3], [7.0, xi1])[0] == xi1
 
 
 def test_point_manufactured_identity():
@@ -126,7 +135,7 @@ def test_point_manufactured_identity():
     sys1 = _cubic_system()
     rng = np.random.default_rng(11)
     for x in rng.uniform(0.0, 3.0, 50):
-        got = apply_operator_point(sys1, [x], [math.sin(x), math.cos(x)])[0]
+        got = _operator_at(sys1, [x], [math.sin(x), math.cos(x)])[0]
         want = math.cos(x) + math.sin(x) ** 3
         assert got == pytest.approx(want, rel=1e-12)
 
@@ -174,7 +183,7 @@ def test_apply_matches_pointwise_off_skeleton():
     for k in np.flatnonzero(~marked.skeleton):
         p = v.polys[min(owner[k], 2)][0]
         jet_here = [p.deriv_many(a, np.array([[x[k]]]))[0] for a in mis.alphas]
-        want = apply_operator_point(sys1, [x[k]], jet_here)[0]
+        want = _operator_at(sys1, [x[k]], jet_here)[0]
         assert tv.values[k] == want
 
 
@@ -198,7 +207,7 @@ def test_apply_evaluates_off_skeleton_only():
     x = dom.axis(0)
     for k in np.flatnonzero(~dom.skeleton):
         jet_here = [p.deriv_many(a, x[k:k + 1, None])[0] for a in mis.alphas]
-        assert tv.values[k] == apply_operator_point(sys1, [x[k]], jet_here)[0]
+        assert tv.values[k] == _operator_at(sys1, [x[k]], jet_here)[0]
     with pytest.raises(ValueError, match="signature"):
         apply_operator(sys1, sample_jets(v, dom)[:1])
 
@@ -416,7 +425,7 @@ def test_open_batched_matches_per_sample_reference(name, seed):
     sys1 = make()
     x = np.asarray(x, dtype=float)
     jet = np.asarray(jet, dtype=float)
-    target = apply_operator_point(sys1, x, jet)
+    target = _operator_at(sys1, x, jet)
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     ev = _open_one(sys1, x, jet, 0.1, 0.5, rng=rng, target=target)
     ref = _reference_open(sys1, x, jet, 0.1, 0.5, target, ref_rng)
@@ -436,7 +445,7 @@ def test_open_rows_match_per_sample_reference(name, monkeypatch):
     sys1 = make()
     x = np.asarray(x, dtype=float)
     jet = np.asarray(jet, dtype=float)
-    target = apply_operator_point(sys1, x, jet)
+    target = _operator_at(sys1, x, jet)
     seeds = [0, 7, 11]
     rngs = [np.random.default_rng(seed) for seed in seeds]
     evs = check_assumption_open(sys1, [x] * 3, [jet] * 3, [0.1] * 3, 0.5,

@@ -38,6 +38,7 @@ from ordercomplete.solver import (
     refine,
     run_scheme,
     scheme_convergence,
+    scheme_verdict,
     stage_certificates,
     tile_domain,
 )
@@ -722,7 +723,7 @@ def _reference_refine(sys, domain, tiling, prev, n, gamma, *, seed, max_cells=10
         sys, v_poly, marked, tiling.i_cells, tiling.radii, band_lo, band_hi,
         None if prev is None else (prev.band_lo, prev.band_hi), n, gamma)
     return RefinementStage(
-        n=n, gamma=float(gamma), v=v_poly, domain=marked,
+        n=n, v=v_poly, domain=marked,
         band_lo=band_lo, band_hi=band_hi, i_jets=i_jets,
         j_cells=[cells for cells, _ in accepted],
         eq1=eq1, eq2=eq2, eq3=eq3, samples=samples,
@@ -811,7 +812,7 @@ def test_each_candidate_classified_once_per_lattice(monkeypatch, tmp_path):
         assert stages[-1].certificates_pass()
         assert calls() == per(1)
     conv = scheme_convergence(sys, [s.samples for s in stages], tiling.radii, 0.05)
-    assert conv.passed
+    assert scheme_verdict(stages, conv) == (True, [])
     assert calls() == per(0)
     # verify: the global pair as in run, then per stage one sampling on the
     # bare lattice, and no sampling after the stages
@@ -865,7 +866,7 @@ def res_cubic2():
 def test_scheme_affine_closed_forms():
     sys1 = _affine()
     res = run_scheme(sys1, GridDomain([0.0], [1.0], (65,)), 0.4, 4)
-    assert res.verdict
+    assert scheme_verdict(res.stages, res) == (True, [])
     assert abs(res.final_sup_gap - 0.05) <= 8 * math.ulp(0.05)  # gamma/(2N)
     for s in res.stages:
         assert s.certificates_pass()
@@ -878,9 +879,25 @@ def test_scheme_affine_closed_forms():
         assert s.eq3.max_ratio == pytest.approx(0.9375, rel=1e-12)
 
 
+
+def test_scheme_verdict_names_each_failure(res_cubic2):
+    from dataclasses import replace
+
+    from ordercomplete.solver import ApEqCertificate
+
+    res = res_cubic2
+    first = replace(res.stages[0], eq1=replace(res.stages[0].eq1, passed=False))
+    gp = ApEqCertificate(eps=0.4, passed=False, lower_gap=-1.0, lower_strict=1.0,
+                         upper_strict=1.0, upper_gap=1.0)
+    assert scheme_verdict([first, res.stages[1]], res, gp) == (False, [
+        "stage 1 certificates: eq1=False eq2=True eq3=True",
+        "global pair certificate fails at eps=0.4",
+    ])
+    assert scheme_verdict(res.stages, res, replace(gp, passed=True)) == (True, [])
+
 def test_scheme_manufactured_small(res_cubic2):
     res = res_cubic2
-    assert res.verdict
+    assert scheme_verdict(res.stages, res) == (True, [])
     assert res.final_sup_gap < 0.4 / 2
     assert len(res.stages) == 2
     for s in res.stages:
