@@ -25,7 +25,7 @@ print(f"  margins: {c.lower_gap:.4f} {c.lower_strict:.4f} "
       f"{c.upper_strict:.4f} {c.upper_gap:.4f}  passed={c.passed}")
 
 res = run_scheme(system, domain, gamma=0.2, N=3)
-verdict, _ = scheme_verdict(res.stages, res)
+verdict, _ = scheme_verdict(res.stages, res, c)
 print(f"\nscheme verdict: {verdict}, final sup-gap {res.final_sup_gap:.5f}")
 for s in res.stages:
     print(f"  stage {s.n}: eq1 slack ({s.eq1.lower_slack:.4f}, "

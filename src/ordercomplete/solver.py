@@ -1073,13 +1073,15 @@ class SchemeResult(SchemeConvergence):
 
 def scheme_verdict(
     stages: list[RefinementStage], conv: SchemeConvergence,
-    global_pair: ApEqCertificate | None = None,
+    global_pair: ApEqCertificate,
 ) -> tuple[bool, list[str]]:
-    """The verdict of a run and its diagnostics, one for each part that
-    fails it: every stage's EQ1-EQ3, order convergence of the operator
-    images to f, a final sup gap below gamma/N, and the global pair if
-    given. The band order-convergence certificates do not gate it: their
-    terminal gaps scale with the radii, not gamma/N (see band_tolerance)."""
+    """The verdict of a run and its diagnostics. It passes when every
+    stage's EQ1-EQ3, order convergence of the operator images to f, a
+    final sup gap below gamma/N and the global pair certificate pass.
+    There is one diagnostic for each failing part of the scheme; the global
+    pair gates the verdict without one, its margins are in its own block.
+    The band order-convergence certificates do not gate it: their terminal
+    gaps scale with the radii, not gamma/N (see band_tolerance)."""
     diagnostics = [
         f"operator image of component {j + 1} fails order convergence "
         f"(first violation {cert.first_violation}, "
@@ -1092,9 +1094,7 @@ def scheme_verdict(
     if not conv.final_sup_gap < conv.gamma / conv.N:
         diagnostics.append(f"final sup gap {conv.final_sup_gap:.3e} not below "
                            f"gamma/N={conv.gamma / conv.N:.3e}")
-    if global_pair is not None and not global_pair.passed:
-        diagnostics.append(f"global pair certificate fails at eps={global_pair.eps}")
-    return not diagnostics, diagnostics
+    return bool(global_pair.passed) and not diagnostics, diagnostics
 
 
 def run_scheme(
@@ -1118,7 +1118,7 @@ def run_scheme(
     of seed, and every solve's fallback from its own stream (see
     _stream), so the result does not depend on the order in which cells
     are handled, nor on how the probe blocks its rows. scheme_verdict
-    gives its verdict.
+    gives its verdict, together with the global pair certificate.
     """
     if gamma <= 0.0:
         raise ValueError("gamma must be positive")

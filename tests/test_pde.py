@@ -16,7 +16,6 @@ from ordercomplete.pde import (
     apply_operator,
     check_assumption_interior,
     check_assumption_open,
-    eval_rows,
 )
 from ordercomplete.solver import _cell_polys
 
@@ -111,12 +110,11 @@ def test_jet_jacobian_symbolic():
 
 
 def _operator_at(sys, x, jet) -> np.ndarray:
-    """All K operator values at one point x for one flat jet, as one row of
-    pde.eval_rows."""
-    values, faulted = eval_rows(sys, sys.F, [float(c) for c in x],
-                                np.asarray(jet, dtype=float)[None])
-    assert not faulted.any()
-    return values[0]
+    """All K operator values at one point x for one flat jet, one scalar
+    eval_point call per component: a reference independent of the array
+    evaluator apply_operator uses."""
+    values = dict(zip(sys.flat_vars(), np.asarray(jet, dtype=float).tolist()))
+    return np.array([ex.eval_point(Fj, x, values) for Fj in sys.F])
 
 
 def test_point_cubic_at_origin():

@@ -20,6 +20,7 @@ from ordercomplete.pde import PdeSystem, apply_operator, check_assumption_open
 from ordercomplete.solver import (
     _TOL_RESIDUAL,
     ANCHOR,
+    ApEqCertificate,
     JCELL,
     PROBE,
     ConstructionError,
@@ -42,6 +43,11 @@ from ordercomplete.solver import (
     stage_certificates,
     tile_domain,
 )
+
+
+# a passing global pair certificate, for verdicts of schemes run without one
+_PASSING_PAIR = ApEqCertificate(eps=0.4, passed=True, lower_gap=1.0, lower_strict=1.0,
+                                upper_strict=1.0, upper_gap=1.0)
 
 
 def _affine():
@@ -802,7 +808,8 @@ def test_each_candidate_classified_once_per_lattice(monkeypatch, tmp_path):
 
     sys = _transport(1)
     dom = GridDomain([0.0], [1.0], (129,))
-    assert global_pair(sys, dom, 0.4).certificate.passed
+    gp = global_pair(sys, dom, 0.4).certificate
+    assert gp.passed
     assert calls() == per(2)
     tiling = _probed(sys, tile_domain(dom.lo, dom.hi, 0.25, domain=dom), 0.05,
                      np.full(4, 0.2))
@@ -812,7 +819,7 @@ def test_each_candidate_classified_once_per_lattice(monkeypatch, tmp_path):
         assert stages[-1].certificates_pass()
         assert calls() == per(1)
     conv = scheme_convergence(sys, [s.samples for s in stages], tiling.radii, 0.05)
-    assert scheme_verdict(stages, conv) == (True, [])
+    assert scheme_verdict(stages, conv, gp) == (True, [])
     assert calls() == per(0)
     # verify: the global pair as in run, then per stage one sampling on the
     # bare lattice, and no sampling after the stages
@@ -866,7 +873,7 @@ def res_cubic2():
 def test_scheme_affine_closed_forms():
     sys1 = _affine()
     res = run_scheme(sys1, GridDomain([0.0], [1.0], (65,)), 0.4, 4)
-    assert scheme_verdict(res.stages, res) == (True, [])
+    assert scheme_verdict(res.stages, res, _PASSING_PAIR) == (True, [])
     assert abs(res.final_sup_gap - 0.05) <= 8 * math.ulp(0.05)  # gamma/(2N)
     for s in res.stages:
         assert s.certificates_pass()
@@ -883,21 +890,20 @@ def test_scheme_affine_closed_forms():
 def test_scheme_verdict_names_each_failure(res_cubic2):
     from dataclasses import replace
 
-    from ordercomplete.solver import ApEqCertificate
-
     res = res_cubic2
     first = replace(res.stages[0], eq1=replace(res.stages[0].eq1, passed=False))
-    gp = ApEqCertificate(eps=0.4, passed=False, lower_gap=-1.0, lower_strict=1.0,
-                         upper_strict=1.0, upper_gap=1.0)
-    assert scheme_verdict([first, res.stages[1]], res, gp) == (False, [
+    failing = replace(_PASSING_PAIR, passed=False, lower_gap=-1.0)
+    assert scheme_verdict([first, res.stages[1]], res, _PASSING_PAIR) == (False, [
         "stage 1 certificates: eq1=False eq2=True eq3=True",
-        "global pair certificate fails at eps=0.4",
     ])
-    assert scheme_verdict(res.stages, res, replace(gp, passed=True)) == (True, [])
+    # the global pair gates the verdict; its block, not a diagnostic, says why
+    assert scheme_verdict(res.stages, res, failing) == (False, [])
+    assert scheme_verdict(res.stages, res, _PASSING_PAIR) == (True, [])
+
 
 def test_scheme_manufactured_small(res_cubic2):
     res = res_cubic2
-    assert scheme_verdict(res.stages, res) == (True, [])
+    assert scheme_verdict(res.stages, res, _PASSING_PAIR) == (True, [])
     assert res.final_sup_gap < 0.4 / 2
     assert len(res.stages) == 2
     for s in res.stages:
