@@ -12,10 +12,11 @@ no draw depends on the order in which cells are handled.
 
 One function builds certificate.json (`_certificate`): `run` calls it on
 what it constructed, and `verify` on what it recomputed from the
-artifacts alone through the solver functions `run` uses, then compares
-the stored document with the rebuilt one whole (`_compare`). Only the
-fields `_TAKEN_AS_STORED` names are copied from the stored document.
-`verify` reads no CSV file and not summary.txt, and never re-solves.
+artifacts alone through the functions `run` uses, the interior probe
+included, then compares the stored document with the rebuilt one whole
+(`_compare`). Only the inputs `_TAKEN_AS_STORED` names are copied from
+the stored document. `verify` reads no CSV file nor summary.txt, and
+never re-solves.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ import argparse
 import itertools
 import json
 import math
-import os
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -32,9 +32,10 @@ import numpy as np
 
 from . import expr as ex
 from .analysis import IntervalSequence, compare_reference, nested_limit_check
-from .grids import GridDomain, GridFunction, OrderInterval, write_csv
-from .jets import TilingError, artifact_json, read_poly_json, write_poly_json
-from .pde import PdeSystem, check_assumption_interior
+from .grids import GridDomain, OrderInterval
+from .jets import (TilingError, artifact_json, float_array, read_poly_json, write_atomic,
+                   write_poly_json)
+from .pde import _R_MIN, PdeSystem, check_assumption_interior
 from .solver import (
     ConstructionError,
     apeq_certificate,
@@ -161,17 +162,6 @@ class RunConfig:
 # serialization helpers
 
 
-def _write_atomic(path: Path, content: str | GridFunction) -> None:
-    """Write content, text or a GridFunction as CSV, to a file beside path,
-    then move it over path."""
-    tmp = path.with_name(path.name + ".tmp")
-    if isinstance(content, GridFunction):
-        write_csv(content, tmp)
-    else:
-        tmp.write_text(content)
-    os.replace(tmp, path)
-
-
 def _num(x: float) -> float | None:
     """Map non-finite sentinel margins to null for strict JSON."""
     x = float(x)
@@ -244,35 +234,20 @@ def run_pipeline(cfg: RunConfig) -> int:
         print(f"output error: {e}")
         return 3
 
-    assumption_block: dict = {"checked": not cfg.skip_assumption_check}
     # a numeric fault while constructing is a construction failure too
     try:
-        if not cfg.skip_assumption_check:
-            center = 0.5 * (system.box_lo + system.box_hi)
-            trial = np.stack(
-                [np.full(system.unknown_count, -10.0),
-                 np.full(system.unknown_count, 10.0)], axis=1
+        assumption = _assumption(system, cfg.seed, not cfg.skip_assumption_check)
+        interior = assumption.get("interior")
+        if interior is not None and not interior["supported"]:
+            margin = interior["margin_min"]  # null when no sample is kept
+            print(
+                "construction failure: interior assumption unsupported at the "
+                "box center (directional margin "
+                f"{-math.inf if margin is None else margin:.3e}); "
+                "the data point is not evidenced to lie inside the operator's "
+                "image over the trial jet box"
             )
-            ev = check_assumption_interior(
-                system, center, trial, rng=np.random.default_rng(cfg.seed)
-            )
-            assumption_block["interior"] = {
-                "supported": bool(ev.supported),
-                "witnessed_radius": _num(ev.witnessed_radius),
-                "margin_min": _num(ev.margin_min),
-                "directions": ev.directions,
-                "samples_used": ev.samples_used,
-                "r_min": ev.r_min,
-                "note": ev.note,
-            }
-            if not ev.supported:
-                print(
-                    "construction failure: interior assumption unsupported at the "
-                    f"box center (directional margin {ev.margin_min:.3e}); "
-                    "the data point is not evidenced to lie inside the operator's "
-                    "image over the trial jet box"
-                )
-                return 3
+            return 3
         gp = global_pair(system, domain, eps=cfg.gamma, seed=cfg.seed)
         scheme = run_scheme(system, domain, cfg.gamma, cfg.stages,
                             eps_max=cfg.eps_max, seed=cfg.seed)
@@ -280,12 +255,47 @@ def run_pipeline(cfg: RunConfig) -> int:
         print(f"construction failure: {e}")
         return 3
 
-    assumption_block["note"] = "sampling evidence; not a proof"
-    fv = system.flat_vars()
+    config = {"gamma": float(cfg.gamma), "stages": int(cfg.stages),
+              "grid": [int(res)] * system.n, "eps_max": float(cfg.eps_max),
+              "seed": int(cfg.seed)}
+    cert = _certificate(config, system, exact, assumption, gp.certificate,
+                        scheme.tiling, scheme.stages, scheme)
+    try:
+        _write_artifacts(out, system, gp, scheme, cert, cfg.emit_samples)
+    except OSError as e:
+        print(f"output error: {e}")
+        return 3
+    print(f"verdict: {cert['verdict']} (artifacts in {out})")
+    return 0 if cert["verdict"] == "pass" else 2
 
-    # analysis blocks (diagnostic; never gate the verdict)
+
+def _assumption(system: PdeSystem, seed: int, checked: bool) -> dict:
+    """The assumption block; if checked, with the interior probe at the box
+    centre over the trial jet box [-10, 10]^M on default_rng(seed)."""
+    block: dict = {"checked": checked, "note": "sampling evidence; not a proof"}
+    if checked:
+        ev = check_assumption_interior(
+            system, 0.5 * (system.box_lo + system.box_hi),
+            np.tile([-10.0, 10.0], (system.unknown_count, 1)),
+            rng=np.random.default_rng(seed))
+        block["interior"] = {
+            "supported": bool(ev.supported),
+            "witnessed_radius": _num(ev.witnessed_radius),
+            "margin_min": _num(ev.margin_min),
+            "directions": ev.directions,
+            "samples_used": ev.samples_used,
+            "r_min": ev.r_min,
+            "note": ev.note,
+        }
+    return block
+
+
+def _analysis(system: PdeSystem, exact, bands_by_stage) -> dict:
+    """The analysis block (diagnostic; never gates the verdict): the nested
+    limit of the stage bands and their distances to the exact solutions."""
+    fv = system.flat_vars()
     steps = [tuple(OrderInterval(lo, hi) for lo, hi in bands)
-             for bands in scheme.bands_by_stage]
+             for bands in bands_by_stage]
     try:
         nested = nested_limit_check(IntervalSequence(steps), tol=1e-3)
         nested_block: dict = {
@@ -301,7 +311,7 @@ def run_pipeline(cfg: RunConfig) -> int:
         nested_block = {"error": str(e)}
     reference_block = None
     if exact is not None:
-        ref = compare_reference(system, exact, scheme.bands_by_stage)
+        ref = compare_reference(system, exact, bands_by_stage)
         reference_block = {
             "max_distance": float(ref.max_distance),
             "per_stage": [
@@ -309,29 +319,16 @@ def run_pipeline(cfg: RunConfig) -> int:
                 for dists in ref.distances
             ],
         }
-
-    config = {"gamma": float(cfg.gamma), "stages": int(cfg.stages),
-              "grid": [int(res)] * system.n, "eps_max": float(cfg.eps_max),
-              "seed": int(cfg.seed)}
-    cert = _certificate(config, system, exact, assumption_block, gp.certificate,
-                        scheme.tiling, scheme.stages, scheme,
-                        {"nested_limit": nested_block, "reference": reference_block})
-    try:
-        _write_artifacts(out, system, gp, scheme, cert, cfg.emit_samples)
-    except OSError as e:
-        print(f"output error: {e}")
-        return 3
-    print(f"verdict: {cert['verdict']} (artifacts in {out})")
-    return 0 if cert["verdict"] == "pass" else 2
+    return {"nested_limit": nested_block, "reference": reference_block}
 
 
 def _certificate(config: dict, system: PdeSystem, exact, assumption: dict, gp,
-                 tiling, stages, conv, analysis: dict) -> dict:
+                 tiling, stages, conv) -> dict:
     """certificate.json as a dict, the one builder of the document: `run`
     calls it on what it constructed and `verify` on what it recomputed.
-    config holds the inputs (_INPUTS), gp is the global pair's
-    ApEqCertificate, tiling carries the I-cells and the radii, stages are
-    RefinementStages and conv their SchemeConvergence."""
+    config holds the inputs (_INPUTS), assumption is _assumption's block,
+    gp is the global pair's ApEqCertificate, tiling carries the I-cells and
+    the radii, stages are RefinementStages and conv their SchemeConvergence."""
     verdict, diagnostics = scheme_verdict(stages, conv, gp)
     return {
         "schema": _SCHEMA,
@@ -363,7 +360,7 @@ def _certificate(config: dict, system: PdeSystem, exact, assumption: dict, gp,
             "bands": {_var_tag(i, a): _cert_dict(c) for (i, a), c in conv.oc_bands.items()},
             "final_sup_gap": float(conv.final_sup_gap),
         },
-        "analysis": analysis,
+        "analysis": _analysis(system, exact, conv.bands_by_stage),
         "verdict": "pass" if verdict else "fail",
         "diagnostics": diagnostics,
     }
@@ -383,16 +380,16 @@ def _write_artifacts(out: Path, system: PdeSystem, gp, scheme, cert: dict,
         write_poly_json(st.v, out / _stage_file(st.n))
         if emit_samples:
             for j in range(system.K):
-                _write_atomic(sdir / f"tv_u{j + 1}.csv", tv[j])
+                write_atomic(sdir / f"tv_u{j + 1}.csv", tv[j])
             for tag, d, (lo, hi) in zip(tags, samples, bands):
-                _write_atomic(sdir / f"d_{tag}.csv", d)
-                _write_atomic(sdir / f"lo_{tag}.csv", lo)
-                _write_atomic(sdir / f"hi_{tag}.csv", hi)
+                write_atomic(sdir / f"d_{tag}.csv", d)
+                write_atomic(sdir / f"lo_{tag}.csv", lo)
+                write_atomic(sdir / f"hi_{tag}.csv", hi)
     if emit_samples:
         for j in range(system.K):
-            _write_atomic(out / f"f{j + 1}.csv", scheme.f_samples[j])
-    _write_atomic(out / "certificate.json", artifact_json(cert))
-    _write_atomic(out / "summary.txt", _summary_text(cert, len(gp.cells)))
+            write_atomic(out / f"f{j + 1}.csv", scheme.f_samples[j])
+    write_atomic(out / "certificate.json", artifact_json(cert))
+    write_atomic(out / "summary.txt", _summary_text(cert, len(gp.cells)))
 
 
 def _summary_text(cert: dict, global_cells: int) -> str:
@@ -464,14 +461,11 @@ def _summary_text(cert: dict, global_cells: int) -> str:
 _INPUTS = ("gamma", "stages", "grid", "eps_max", "seed")
 _TAKEN_AS_STORED = {
     **{f"config.{key}": "an input" for key in _INPUTS},
-    "tiling.radii": "sampling evidence of the openness probe, range-checked "
-                    "against (0, config.eps_max]",
+    "tiling.radii": "sampling evidence of the openness probe; each must be a radius "
+                    "run can write: config.eps_max or in (pde._R_MIN, config.eps_max)",
     "stages[].i_jets": "each anchor jet is residual-checked against its equation "
                        "and its solve's box (solver.check_anchor_jets)",
-    "assumption": "sampling evidence; re-running the interior probe in verify is "
-                  "left for a later step, for its cost",
-    "analysis": "diagnostic only, never gates the verdict; re-deriving it is left "
-                "for a later step, for its cost",
+    "assumption.checked": "an input: false exactly when run had --skip-assumption-check",
 }
 
 
@@ -526,22 +520,35 @@ def _compare(problems: list[str], at: str, stored, want) -> None:
         problems.append(f"{at}: stored {stored}, recomputed {want}")
 
 
-def _rows(stored, shape: tuple, name: str) -> np.ndarray:
-    """A stored array of floats, which must have the given shape."""
-    a = np.asarray(stored, dtype=float)
-    if a.shape != shape:
-        raise ValueError(f"{name}: expected shape {shape}, found {a.shape}")
-    return a
+def _inputs(stored: dict) -> dict:
+    """The inputs (_INPUTS) of a stored config, of the types `run` writes
+    (ints, not bools, for stages, seed and each grid entry; floats for
+    gamma and eps_max) and within RunConfig's ranges, or a ValueError."""
+    config = {key: stored[key] for key in _INPUTS}
+    grid = config["grid"]
+    for key, ok in (("gamma", type(config["gamma"]) is float),
+                    ("eps_max", type(config["eps_max"]) is float),
+                    ("stages", type(config["stages"]) is int),
+                    ("seed", type(config["seed"]) is int),
+                    ("grid", type(grid) is list and all(type(g) is int for g in grid))):
+        if not ok:
+            raise ValueError(f"config.{key}: {config[key]!r:.60} is not of the type run writes")
+    # RunConfig takes one resolution per axis: checking the least checks them all
+    RunConfig(spec="", out="", grid=min(grid, default=None),
+              **{key: config[key] for key in _INPUTS if key != "grid"})
+    return config
 
 
 def verify(result_dir) -> int:
     """Re-check every certificate from the artifacts alone (see the module
     docstring); returns the exit code. Besides the whole-document compare,
-    it checks the radii against (0, config.eps_max], that both global
-    polynomial files have the same cells, and each stage's stored anchor
-    jets (solver.check_anchor_jets). Artifacts of the wrong shape, count
-    or signature, a missing or extra key, a lattice too large to allocate,
-    or a number too large to convert are an inconsistency (exit 2)."""
+    it checks that each radius is one `run` can write (and stops at one
+    that is not), that both global polynomial files have the same cells,
+    and each stage's stored anchor jets (solver.check_anchor_jets).
+    Artifacts of the wrong shape, count or signature, a missing or extra
+    key, an input of a type or range `run` never writes, a lattice too
+    large to allocate, or a number too large to convert are an
+    inconsistency (exit 2)."""
     out = Path(result_dir)
     problems: list[str] = []
     try:
@@ -576,11 +583,9 @@ def _verify_inner(out: Path, cert: dict, problems: list[str]) -> int:
                        prob["box_lo"], prob["box_hi"])
     exact = None if prob["exact"] is None else [
         ex.parse(e, (system.n, system.K, system.m)) for e in prob["exact"]]
-    config = {key: cert["config"][key] for key in _INPUTS}
-    gamma, N = float(config["gamma"]), int(config["stages"])
-    if N < 1:
-        raise ValueError(f"config.stages: expected at least 1, found {N}")
-    domain = GridDomain(system.box_lo, system.box_hi, [int(g) for g in config["grid"]])
+    config = _inputs(cert["config"])
+    gamma, N, eps_max = config["gamma"], config["stages"], config["eps_max"]
+    domain = GridDomain(system.box_lo, system.box_hi, config["grid"])
 
     def read_poly(name: str):
         v = read_poly_json(out / name)
@@ -597,13 +602,14 @@ def _verify_inner(out: Path, cert: dict, problems: list[str]) -> int:
     gp = apeq_certificate(system, u_poly, v_poly, domain, gamma)
 
     tiling = scheme_tiling(domain)
-    radii = _rows(cert["tiling"]["radii"], (len(tiling.i_cells),), "tiling.radii")
-    eps_max = float(config["eps_max"])
-    outside = ~((radii > 0.0) & (radii <= eps_max))
-    if outside.any():
-        ci = int(np.argmax(outside))
-        problems.append(f"tiling.radii: radius {ci} is {float(radii[ci])!r}, outside "
-                        f"(0, eps_max={eps_max!r}]")
+    radii = float_array(cert["tiling"]["radii"], (len(tiling.i_cells),), "tiling.radii")
+    # run writes min(margin, eps_max) for a margin above _R_MIN
+    written = (radii == eps_max) | ((radii > _R_MIN) & (radii < eps_max))
+    if not written.all():
+        ci = int(np.argmin(written))
+        problems.append(f"tiling.radii: radius {ci} is {float(radii[ci])!r}, neither "
+                        f"eps_max={eps_max!r} nor in (r_min={_R_MIN!r}, eps_max)")
+        return 2
     tiling = replace(tiling, radii=radii)
 
     shape = (len(tiling.i_cells), system.unknown_count)
@@ -611,7 +617,7 @@ def _verify_inner(out: Path, cert: dict, problems: list[str]) -> int:
     prev_bands = None
     for n in range(1, N + 1):
         s, name = cert["stages"][n - 1], f"stages[{n - 1}]"
-        i_jets, band_lo, band_hi = (_rows(s[key], shape, f"{name}.{key}")
+        i_jets, band_lo, band_hi = (float_array(s[key], shape, f"{name}.{key}")
                                     for key in ("i_jets", "band_lo", "band_hi"))
         for held, what in zip(
             check_anchor_jets(system, tiling.anchors, i_jets, prev_bands, n, gamma),
@@ -629,8 +635,9 @@ def _verify_inner(out: Path, cert: dict, problems: list[str]) -> int:
         prev_bands = band_lo, band_hi
 
     conv = scheme_convergence(system, [st.samples for st in stages], radii, gamma)
-    want = _certificate(config, system, exact, cert["assumption"], gp, tiling, stages,
-                        conv, cert["analysis"])
+    # a stored 1 is no true: the rebuilt false, or no probe, then differs
+    assumption = _assumption(system, config["seed"], cert["assumption"]["checked"] is True)
+    want = _certificate(config, system, exact, assumption, gp, tiling, stages, conv)
     _compare(problems, "", cert, want)
     return 0 if want["verdict"] == "pass" else 2
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import GridDomain, GridFunction, complete
+from .grids import GridDomain, GridFunction, complete, write_csv
 
 
 @dataclass(frozen=True)
@@ -453,14 +453,14 @@ def poly_to_dict(v: PiecewisePoly) -> dict:
     }
 
 
-def _float_array(data: dict, key: str, shape: tuple[int, ...]) -> np.ndarray:
-    """Entry key of a polynomial file as a float array of the given shape."""
+def float_array(stored, shape: tuple[int, ...], name: str) -> np.ndarray:
+    """A stored array as floats of the given shape, or a ValueError naming it."""
     try:
-        a = np.asarray(data[key], dtype=float)
+        a = np.asarray(stored, dtype=float)
     except ValueError as e:  # ragged rows or a non-number
-        raise ValueError(f"{key}: {e}") from None
+        raise ValueError(f"{name}: {e}") from None
     if a.shape != shape:
-        raise ValueError(f"{key}: expected shape {shape}, found {a.shape}")
+        raise ValueError(f"{name}: expected shape {shape}, found {a.shape}")
     return a
 
 
@@ -473,18 +473,27 @@ def poly_from_dict(data: dict) -> PiecewisePoly:
     if stored != list(mis.alphas):
         raise ValueError("multi-index ordering in file does not match graded-lex")
     C = len(data["lo"])
-    lo = _float_array(data, "lo", (C, n))
-    hi = _float_array(data, "hi", (C, n))
-    anchors = _float_array(data, "anchors", (C, K, n))
-    coeffs = _float_array(data, "coeffs", (C, K, mis.count))
+    lo = float_array(data["lo"], (C, n), "lo")
+    hi = float_array(data["hi"], (C, n), "hi")
+    anchors = float_array(data["anchors"], (C, K, n), "anchors")
+    coeffs = float_array(data["coeffs"], (C, K, mis.count), "coeffs")
     return PiecewisePoly(np.stack([lo, hi], axis=1), anchors, coeffs, mis)
 
 
-def write_poly_json(v: PiecewisePoly, path) -> None:
+def write_atomic(path, content: str | GridFunction) -> None:
+    """Write content, text or a GridFunction as CSV, to a file beside path,
+    then move it over path."""
     tmp = f"{path}.tmp"
-    with open(tmp, "w") as fh:
-        fh.write(artifact_json(poly_to_dict(v)))
+    if isinstance(content, GridFunction):
+        write_csv(content, tmp)
+    else:
+        with open(tmp, "w") as fh:
+            fh.write(content)
     os.replace(tmp, path)
+
+
+def write_poly_json(v: PiecewisePoly, path) -> None:
+    write_atomic(path, artifact_json(poly_to_dict(v)))
 
 
 def read_poly_json(path) -> PiecewisePoly:

@@ -622,6 +622,10 @@ def _long_int_gamma(cert):
     cert["config"]["gamma"] = 10**400
 
 
+def _negative_seed(cert):
+    cert["config"]["seed"] = -1  # outside RunConfig's range
+
+
 def _no_operator_certificates(cert):
     cert["order_convergence"]["operator"] = []
 
@@ -643,7 +647,7 @@ def _string_certificate(cert):
     "tamper",
     [_cut_band_rows, _drop_band_row, _no_stages, _zero_stage_count,
      _huge_stage_count, _huge_grid, _overflowing_stage_count, _overflowing_grid,
-     _overflowing_dimension, _long_int_eps, _long_int_gamma,
+     _overflowing_dimension, _long_int_eps, _long_int_gamma, _negative_seed,
      _no_operator_certificates, _renamed_band_tag, _list_certificate,
      _string_certificate],
     ids=lambda f: f.__name__.strip("_"),
@@ -758,8 +762,47 @@ def test_verify_checks_radii_against_eps_max(demo_dir, tmp_path, capsys):
     copy = _tampered(demo_dir, tmp_path, "certificate.json", _double_radii)
     assert verify(copy) == 2
     out = capsys.readouterr().out
-    assert "MISMATCH tiling.radii: radius 0 is 2.0, outside (0, eps_max=1.0]" in out
+    assert ("MISMATCH tiling.radii: radius 0 is 2.0, neither eps_max=1.0 nor in "
+            "(r_min=1e-06, eps_max)") in out
     assert "verify: FAILED" in out
+
+
+@pytest.mark.parametrize("radius", [1e308, 5e-324, 1e-6], ids=["huge", "subnormal", "r_min"])
+def test_verify_stops_at_a_radius_run_cannot_write(demo_dir, tmp_path, capsys, radius):
+    # run writes eps_max or a margin in (r_min, eps_max); verify reports any
+    # other radius and computes nothing with it (1e308 overflowed the bands,
+    # 5e-324 the EQ3 ratios)
+    copy = _tampered(demo_dir, tmp_path, "certificate.json",
+                     lambda c: c["tiling"]["radii"].__setitem__(0, radius))
+    assert verify(copy) == 2
+    out = capsys.readouterr().out
+    assert f"MISMATCH tiling.radii: radius 0 is {radius!r}, neither eps_max=1.0" in out
+    assert out.endswith("verify: FAILED\n")
+
+
+@pytest.mark.parametrize("key, value", [
+    ("stages", 3.5), ("seed", 5.9), ("gamma", "0.2"), ("grid", [512.0]), ("stages", True),
+], ids=["float_stages", "float_seed", "string_gamma", "float_grid", "bool_stages"])
+def test_verify_rejects_an_input_of_a_type_run_never_writes(demo_dir, tmp_path, capsys,
+                                                            key, value):
+    # int() and float() would coerce each of these to an input run can write
+    copy = _tampered(demo_dir, tmp_path, "certificate.json",
+                     lambda c: c["config"].__setitem__(key, value))
+    assert verify(copy) == 2
+    out = capsys.readouterr().out
+    assert f"artifact inconsistency: config.{key}: {value!r}" in out
+
+
+def test_verify_takes_no_number_for_the_assumption_flag(demo_dir, tmp_path, capsys):
+    # a stored 1 is not true: verify rebuilds the block without the probe
+    def checked_as_number(cert):
+        assert cert["assumption"]["checked"] is True
+        cert["assumption"]["checked"] = 1
+
+    copy = _tampered(demo_dir, tmp_path, "certificate.json", checked_as_number)
+    assert verify(copy) == 2
+    assert "artifact inconsistency: assumption: missing keys [], extra keys ['interior']" \
+        in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("key", ["lower_slack", "upper_slack"])
@@ -869,7 +912,7 @@ def test_verify_rejects_every_changed_derived_leaf(demo_dir, tmp_path, capsys):
             accepted.append(at)
     capsys.readouterr()
     assert accepted == []
-    assert (len(paths), len(list(_leaf_paths(cert)))) == (95, 131)
+    assert (len(paths), len(list(_leaf_paths(cert)))) == (115, 131)
 
 def test_verify_rejects_missing_or_foreign_dir(tmp_path, capsys):
     assert verify(tmp_path / "nothing_here") == 2
