@@ -239,6 +239,7 @@ def compare_reference(
     lattice. bands_by_stage holds, per stage, one (lower, upper) pair per
     flat jet variable, all on the final stage's domain (see
     SchemeConvergence.bands_by_stage), where the distances are measured.
+    Raises EvalDomainError where u_star faults or its differences overflow.
     """
     dom = bands_by_stage[0][0][0].domain
     exprs = [ex.parse(e, (sys.n, sys.K, 0)) if isinstance(e, str) else e for e in u_star]
@@ -250,7 +251,10 @@ def compare_reference(
     flat = [m.reshape(-1) for m in dom.meshes()]
     u_vals = [ex.eval_on_arrays(e, flat).reshape(dom.shape) for e in exprs]
     fv = sys.flat_vars()
-    ref = {(i, a): _fd_derivative(u_vals[i - 1], a, dom.spacing) for i, a in fv}
+    with np.errstate(over="ignore", invalid="ignore"):
+        ref = {(i, a): _fd_derivative(u_vals[i - 1], a, dom.spacing) for i, a in fv}
+    if not all(np.isfinite(d).all() for d in ref.values()):
+        raise ex.EvalDomainError("the reference solution's finite differences overflow")
     off = ~dom.skeleton
     per_stage = []
     overall = 0.0

@@ -33,21 +33,23 @@ import numpy as np
 from . import expr as ex
 from .analysis import IntervalSequence, compare_reference, nested_limit_check
 from .grids import GridDomain, OrderInterval
-from .jets import (TilingError, artifact_json, float_array, read_poly_json, write_atomic,
-                   write_poly_json)
+from .jets import (TilingError, _centers, artifact_json, float_array, read_poly_json,
+                   write_atomic, write_poly_json)
 from .pde import _R_MIN, PdeSystem, check_assumption_interior
 from .solver import (
     ConstructionError,
     apeq_certificate,
     band_tolerance,
+    _inner_boxes,
     certified_stage,
-    check_anchor_jets,
+    check_jets,
     global_pair,
+    jcell_boxes,
     run_scheme,
     scheme_convergence,
-    scheme_tiling,
     scheme_verdict,
     stage_bands,
+    tile_domain,
 )
 
 _SCHEMA = 2
@@ -219,11 +221,9 @@ def run_pipeline(cfg: RunConfig) -> int:
     if res is None:
         print("spec error: no grid resolution (file key 'grid' or --grid)")
         return 3
-    if res < 8:
-        print("spec error: grid resolution must be at least 8 per axis")
-        return 3
     try:
-        domain = GridDomain(system.box_lo, system.box_hi, (res,) * system.n)
+        cfg = replace(cfg, grid=res)  # RunConfig's rules hold for a file's grid too
+        domain = GridDomain(system.box_lo, system.box_hi, (cfg.grid,) * system.n)
     except (ValueError, MemoryError) as e:
         print(f"spec error: {e}")
         return 3
@@ -251,15 +251,14 @@ def run_pipeline(cfg: RunConfig) -> int:
         gp = global_pair(system, domain, eps=cfg.gamma, seed=cfg.seed)
         scheme = run_scheme(system, domain, cfg.gamma, cfg.stages,
                             eps_max=cfg.eps_max, seed=cfg.seed)
+        config = {"gamma": float(cfg.gamma), "stages": int(cfg.stages),
+                  "grid": [int(cfg.grid)] * system.n, "eps_max": float(cfg.eps_max),
+                  "seed": int(cfg.seed)}
+        cert = _certificate(config, system, exact, assumption, gp.certificate,
+                            scheme.tiling, scheme.stages, scheme)
     except (ConstructionError, TilingError, ex.EvalDomainError) as e:
         print(f"construction failure: {e}")
         return 3
-
-    config = {"gamma": float(cfg.gamma), "stages": int(cfg.stages),
-              "grid": [int(res)] * system.n, "eps_max": float(cfg.eps_max),
-              "seed": int(cfg.seed)}
-    cert = _certificate(config, system, exact, assumption, gp.certificate,
-                        scheme.tiling, scheme.stages, scheme)
     try:
         _write_artifacts(out, system, gp, scheme, cert, cfg.emit_samples)
     except OSError as e:
@@ -464,7 +463,7 @@ _TAKEN_AS_STORED = {
     "tiling.radii": "sampling evidence of the openness probe; each must be a radius "
                     "run can write: config.eps_max or in (pde._R_MIN, config.eps_max)",
     "stages[].i_jets": "each anchor jet is residual-checked against its equation "
-                       "and its solve's box (solver.check_anchor_jets)",
+                       "and its solve's box (solver.check_jets)",
     "assumption.checked": "an input: false exactly when run had --skip-assumption-check",
 }
 
@@ -544,7 +543,8 @@ def verify(result_dir) -> int:
     docstring); returns the exit code. Besides the whole-document compare,
     it checks that each radius is one `run` can write (and stops at one
     that is not), that both global polynomial files have the same cells,
-    and each stage's stored anchor jets (solver.check_anchor_jets).
+    and (solver.check_jets) each stage's stored anchor jets and the cells of
+    each polynomial file: anchored at their centers, jets that solve.
     Artifacts of the wrong shape, count or signature, a missing or extra
     key, an input of a type or range `run` never writes, a lattice too
     large to allocate, or a number too large to convert are an
@@ -595,13 +595,29 @@ def _verify_inner(out: Path, cert: dict, problems: list[str]) -> int:
                              f"expected {(system.n, system.K, system.m)}, found {found}")
         return v
 
+    def check(at: str, held: np.ndarray, what: str) -> None:
+        if not held.all():
+            problems.append(f"{at} {int(np.argmin(held))} {what}")
+
+    def check_cells(name: str, v, shift: float, boxes=None) -> None:
+        # a cell is anchored at its center; its jet solves its equation in its box
+        centers = _centers(v.bounds)
+        for held, what in zip(
+            (np.all(v.anchors == centers[:, None], axis=(1, 2)),
+             *check_jets(system, centers, v.coeffs.reshape(len(centers), -1), shift, boxes)),
+            ("is not anchored at its center", "has a jet that does not solve its equation",
+             "has a jet outside its solve's box")):
+            check(f"{name}: cell", held, what)
+
     u_poly, v_poly = read_poly(_GLOBAL_FILES["lower"]), read_poly(_GLOBAL_FILES["upper"])
     if not np.array_equal(v_poly.bounds, u_poly.bounds):
         problems.append("global_pair: the upper polynomial file's cells differ "
                         "from the lower one's")
+    check_cells(_GLOBAL_FILES["lower"], u_poly, -0.5 * gamma)
+    check_cells(_GLOBAL_FILES["upper"], v_poly, 0.5 * gamma)
     gp = apeq_certificate(system, u_poly, v_poly, domain, gamma)
 
-    tiling = scheme_tiling(domain)
+    tiling = tile_domain(domain)
     radii = float_array(cert["tiling"]["radii"], (len(tiling.i_cells),), "tiling.radii")
     # run writes min(margin, eps_max) for a margin above _R_MIN
     written = (radii == eps_max) | ((radii > _R_MIN) & (radii < eps_max))
@@ -619,19 +635,23 @@ def _verify_inner(out: Path, cert: dict, problems: list[str]) -> int:
         s, name = cert["stages"][n - 1], f"stages[{n - 1}]"
         i_jets, band_lo, band_hi = (float_array(s[key], shape, f"{name}.{key}")
                                     for key in ("i_jets", "band_lo", "band_hi"))
+        shift = -gamma / (2.0 * n)
         for held, what in zip(
-            check_anchor_jets(system, tiling.anchors, i_jets, prev_bands, n, gamma),
+            check_jets(system, tiling.anchors, i_jets, shift,
+                       None if prev_bands is None else _inner_boxes(*prev_bands)),
             ("does not solve its equation", "lies outside the previous bands' inner box"),
         ):
-            if not held.all():
-                problems.append(f"{name}.i_jets: anchor jet {int(np.argmin(held))} {what}")
+            check(f"{name}.i_jets: anchor jet", held, what)
         try:
             bands = stage_bands(i_jets, radii, prev_bands, n)
         except ConstructionError as e:  # the stored anchor jets leave no band
             problems.append(f"{name} bands: {e}")
             bands = band_lo, band_hi
-        stages.append(certified_stage(system, domain, tiling, read_poly(_stage_file(n)),
-                                      i_jets, *bands, prev_bands, n, gamma))
+        v = read_poly(_stage_file(n))
+        check_cells(_stage_file(n), v, shift, jcell_boxes(*bands, prev_bands, n)[
+            tiling.index_of(_centers(v.bounds))])
+        stages.append(certified_stage(system, domain, tiling, v, i_jets, *bands,
+                                      prev_bands, n, gamma))
         prev_bands = band_lo, band_hi
 
     conv = scheme_convergence(system, [st.samples for st in stages], radii, gamma)

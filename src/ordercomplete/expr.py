@@ -225,10 +225,6 @@ class _Parser:
             raise ParseError(f"expected {value!r}, found {got or 'end of input'!r}", line, col)
         self.advance()
 
-    def fail(self, message: str) -> ParseError:
-        _, _, line, col = self.peek()
-        return ParseError(message, line, col)
-
     def parse(self) -> Expr:
         e = self.expr()
         kind, value, line, col = self.peek()

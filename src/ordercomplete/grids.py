@@ -69,6 +69,9 @@ class GridDomain:
             raise ValueError("shape length must match box dimension")
         if np.any(self.hi <= self.lo):
             raise ValueError("box must have positive extent on every axis")
+        # so a width squared (solver.tile_domain) and a sum of bounds stay finite
+        if not np.all(np.abs(np.concatenate([self.lo, self.hi])) <= 1e150):
+            raise ValueError("box bounds must lie within +-1e+150")
         if any(s < 3 for s in self.shape):
             raise ValueError("resolution must be at least 3 points per axis")
         if skeleton is None:
@@ -146,12 +149,6 @@ class GridFunction:
         self.values = vals
         self.values.setflags(write=False)
         self.normalized = bool(normalized)
-
-    def sup_norm(self) -> float:
-        off = ~self.domain.skeleton
-        if not off.any():
-            return 0.0
-        return float(np.max(np.abs(self.values[off])))
 
     def _off_skeleton(self, op, other) -> "GridFunction":
         """op of self and other (a GridFunction or a number) off the
@@ -369,22 +366,20 @@ def order_convergence_check(
     lambdas: Sequence[GridFunction],
     mus: Sequence[GridFunction],
     u: GridFunction,
-    tol: float | None = None,
+    tol: float,
 ) -> OrderConvergenceCertificate:
     """Certify monotone bracketing and terminal gap of an order-convergent triple.
 
     Checks, exactly and off-skeleton, for every n:
     lambda_n <= lambda_{n+1} <= u_{n+1} <= mu_{n+1} <= mu_n, then measures
     the terminal gaps max(u - lambda_N) and max(mu_N - u). Passes when the
-    chain holds and both gaps are below tol (default 1e-8*(1+sup|u|)).
+    chain holds and both gaps are below tol.
     """
     if not (len(seq) == len(lambdas) == len(mus)) or not seq:
         raise ValueError("sequences must be non-empty and of equal length")
     for g in itertools.chain(seq, lambdas, mus, (u,)):
         if g.domain != u.domain:
             raise ValueError("all grid functions must share one domain")
-    if tol is None:
-        tol = 1e-8 * (1.0 + u.sup_norm())
     off = ~u.domain.skeleton
     chain_ok = True
     first_violation: tuple[int, str, float] | None = None

@@ -119,9 +119,8 @@ def apply_operator(sys: PdeSystem, jets: list[GridFunction]) -> list[GridFunctio
 
 @dataclass(frozen=True)
 class AssumptionEvidence:
-    """Sampling-based verdict; heuristic is always True, this is not a proof."""
+    """Sampling-based verdict of an assumption probe; not a proof."""
 
-    kind: str
     supported: bool
     witnessed_radius: float
     margin_min: float
@@ -129,7 +128,6 @@ class AssumptionEvidence:
     samples_used: int
     r_min: float
     note: str = "sampling evidence; not a proof"
-    heuristic: bool = True
 
 
 def eval_rows(sys: PdeSystem, exprs: Sequence[ex.Expr], x: Sequence,
@@ -176,14 +174,18 @@ def _principal_directions(images: np.ndarray) -> np.ndarray:
     principal axis, so probing it yields a near-zero margin; random
     directions alone can miss that when the flat axis is oblique. The
     reduced SVD gives the same axes without the (S, S) left factor; with
-    fewer samples than components the full one keeps all K axes.
+    fewer samples than components the full one keeps all K axes. An image
+    whose centering overflows gets NaN axes, so it supports nothing.
     """
     centered = images - images.mean(axis=1, keepdims=True)
     full = centered.shape[1] < centered.shape[2]
-    _, _, vt = np.linalg.svd(centered, full_matrices=full)
+    bad = ~np.isfinite(centered).all(axis=(1, 2))
+    _, _, vt = np.linalg.svd(np.where(bad[:, None, None], 0.0, centered), full_matrices=full)
+    vt[bad] = np.nan
     return np.concatenate([vt, -vt], axis=1)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _margins(images: np.ndarray, targets: np.ndarray,
              rngs: Sequence[np.random.Generator]) -> tuple[np.ndarray, np.ndarray]:
     """Minimal directional margins of A probes and their direction counts.
@@ -209,10 +211,10 @@ def _margins(images: np.ndarray, targets: np.ndarray,
     reach = np.stack([(rel @ d.T).max(axis=0)
                       for rel, d in zip(images - targets[:, None, :], dirs)])
     directions = 4 * K + kept.reshape(count, _EXTRA_DIRECTIONS).sum(axis=1)
-    return reach.min(axis=1), directions
+    return np.fmax(reach.min(axis=1), -np.inf), directions  # NaN: an overflowed image
 
 
-def _evidence(kind: str, images: np.ndarray, kept: np.ndarray, targets: np.ndarray,
+def _evidence(images: np.ndarray, kept: np.ndarray, targets: np.ndarray,
               rngs: Sequence[np.random.Generator]) -> list[AssumptionEvidence]:
     """Directional ball-containment verdicts of A probes: targets (A, K) in
     the sampled images (A, S, K), of which probe a keeps the samples
@@ -234,7 +236,7 @@ def _evidence(kind: str, images: np.ndarray, kept: np.ndarray, targets: np.ndarr
                 images[group][:, kept[group[0]]], targets[group], [rngs[a] for a in group])
     return [
         AssumptionEvidence(
-            kind=kind, supported=bool(m > _R_MIN), witnessed_radius=max(float(m), 0.0),
+            supported=bool(m > _R_MIN), witnessed_radius=max(float(m), 0.0),
             margin_min=float(m), directions=int(d), samples_used=int(u), r_min=_R_MIN,
         )
         for m, d, u in zip(margins, directions, used)
@@ -260,7 +262,7 @@ def check_assumption_interior(
     target = sys.rhs_at(x)
     vecs = rng.uniform(box[:, 0], box[:, 1], size=(_SAMPLES, box.shape[0]))
     images, faulted = eval_rows(sys, sys.F, x, vecs)
-    return _evidence("interior", images[None], ~faulted[None], target[None], [rng])[0]
+    return _evidence(images[None], ~faulted[None], target[None], [rng])[0]
 
 
 def _in_balls(centers: np.ndarray, radii, normals: np.ndarray,
@@ -349,5 +351,5 @@ def check_assumption_open(
                 for r in range(rows)[block]]
         images, faulted = _ball_images(sys, x[block], jets[block], delta[block],
                                        eps_ball, rngs)
-        evidence += _evidence("openness", images, ~faulted, target[block], rngs)
+        evidence += _evidence(images, ~faulted, target[block], rngs)
     return evidence

@@ -157,57 +157,34 @@ class Tiling:
         return Tiling(self.lo, self.hi, self.shape, self.i_cells, self.anchors, r, j)
 
 
-def tile_domain(
-    box_lo, box_hi, delta: float, domain: GridDomain | None = None,
-) -> Tiling:
-    """Cover the box by congruent I-cells of diameter <= delta.
+def tile_domain(domain: GridDomain) -> Tiling:
+    """The I-cells of the refinement scheme on a lattice: the box of domain
+    cut into congruent dyadic cells of diameter at most a sixteenth of its
+    diagonal, each holding at least one strictly interior lattice point.
 
     Axes are halved repeatedly (largest current width first, lowest axis on
-    ties) until the common cell diameter fits. With a lattice supplied,
-    delta below one grid cell is rejected and every I-cell must hold at
-    least one strictly interior lattice point.
+    ties) until the common cell diameter fits. A diameter below one grid
+    cell is rejected, so is a cell without an interior lattice point.
     """
-    lo = np.asarray(box_lo, dtype=float)
-    hi = np.asarray(box_hi, dtype=float)
-    if lo.shape != hi.shape or lo.ndim != 1:
-        raise ValueError("box bounds must be 1-d arrays of equal length")
-    if np.any(hi <= lo):
-        raise ValueError("box must have positive extent")
-    if delta <= 0.0:
-        raise ValueError("delta must be positive")
-    if domain is not None and delta < float(np.max(domain.spacing)):
-        raise TilingError(
-            f"delta={delta} is below one grid cell "
-            f"(spacing {tuple(domain.spacing)})"
-        )
+    lo, hi = domain.lo, domain.hi
+    delta = float(np.linalg.norm(hi - lo)) / 16.0
+    if delta < float(np.max(domain.spacing)):
+        raise TilingError(f"delta={delta} is below one grid cell "
+                          f"(spacing {tuple(domain.spacing.tolist())})")
     n = lo.size
     counts = np.ones(n, dtype=int)
-    for _ in range(10_000):
-        widths = (hi - lo) / counts
-        if float(np.linalg.norm(widths)) <= delta:
-            break
-        counts[int(np.argmax(widths))] *= 2
-    else:
-        raise TilingError("subdivision did not reach the requested delta")
+    while float(np.linalg.norm((hi - lo) / counts)) > delta:  # delta > 0: it ends
+        counts[int(np.argmax((hi - lo) / counts))] *= 2
     edges = [np.linspace(lo[d], hi[d], counts[d] + 1) for d in range(n)]
     idx = np.indices(counts).reshape(n, -1)  # C order, the last axis fastest
     cells = np.stack([np.stack([edges[d][idx[d] + k] for d in range(n)], axis=1)
                       for k in (0, 1)], axis=1)
-    anchors = _centers(cells)
-    if domain is not None:
-        empty = _empty_interiors(domain, cells)
-        if empty.any():
-            ci = int(np.argmax(empty))
-            raise TilingError(f"I-cell {ci} at lo={tuple(cells[ci, 0].tolist())} "
-                              "holds no interior lattice point")
-    return Tiling(lo, hi, tuple(int(c) for c in counts), cells, anchors)
-
-
-def scheme_tiling(domain: GridDomain) -> Tiling:
-    """The I-cells of the refinement scheme on a lattice: dyadic cells of
-    diameter at most a sixteenth of the box diagonal (see tile_domain)."""
-    delta = float(np.linalg.norm(domain.hi - domain.lo)) / 16.0
-    return tile_domain(domain.lo, domain.hi, delta, domain)
+    empty = _empty_interiors(domain, cells)
+    if empty.any():
+        ci = int(np.argmax(empty))
+        raise TilingError(f"I-cell {ci} at lo={tuple(cells[ci, 0].tolist())} "
+                          "holds no interior lattice point")
+    return Tiling(lo, hi, tuple(int(c) for c in counts), cells, _centers(cells))
 
 
 def _empty_interiors(domain: GridDomain, cells: np.ndarray) -> np.ndarray:
@@ -263,6 +240,8 @@ def _row_residuals(sys: PdeSystem, coords: list[np.ndarray], v: np.ndarray,
     return images - target, faulted
 
 
+# an overflowing step fails its row; an overflowing residual norm takes any step
+@np.errstate(over="ignore")
 def _newton(sys: PdeSystem, coords: list[np.ndarray], target: np.ndarray,
             v0: np.ndarray, box: np.ndarray | None):
     """Damped Gauss-Newton on every row at once: the final jets (rows, M),
@@ -471,6 +450,9 @@ def _generation_ok(sys: PdeSystem, domain: GridDomain, cells: np.ndarray,
     return ok
 
 
+_MAX_CELLS = 100_000  # cells a subdivision may hold: the global pair's, a stage's
+
+
 def _children(cells: np.ndarray) -> np.ndarray:
     """The 2^n congruent children of each cell of cells (C, 2, n), cell by
     cell and in itertools.product((0, 1), repeat=n) corner order, as
@@ -608,14 +590,14 @@ def global_pair(
     eps: float,
     *,
     seed: int = 0,
-    max_cells: int = 100_000,
 ) -> GlobalPairResult:
     """Build U, V with f - eps < T U < f < T V < f + eps off a common skeleton.
 
     One shared adaptive tiling: start from the whole box, solve both anchor
     jets per cell, and split any cell whose bracket fails at an interior
-    lattice point (see _subdivide). A solve's multistart fallback draws
-    from the stream (GLOBAL, side, *cell) of the run seed (see _stream).
+    lattice point (see _subdivide, at most _MAX_CELLS cells). A solve's
+    multistart fallback draws from the stream (GLOBAL, side, *cell) of the
+    run seed (see _stream).
     """
     if eps <= 0.0:
         raise ValueError("eps must be positive")
@@ -653,7 +635,7 @@ def global_pair(
             (pairs[:, :m], below, f), (pairs[:, m:], f, above)])
 
     box = np.stack([domain.lo, domain.hi])[None]
-    cells, pairs = _subdivide(box, solve, check, domain, max_cells)
+    cells, pairs = _subdivide(box, solve, check, domain, _MAX_CELLS)
     u_poly = _cell_polys(sys, cells, pairs[:, :m])
     v_poly = _cell_polys(sys, cells, pairs[:, m:])
     cert = apeq_certificate(sys, u_poly, v_poly, domain, eps)
@@ -816,23 +798,32 @@ def _inner_boxes(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return np.stack([lo + margin, hi - margin], axis=2)
 
 
-def check_anchor_jets(
-    sys: PdeSystem, anchors: np.ndarray, i_jets: np.ndarray,
-    prev_bands: tuple[np.ndarray, np.ndarray] | None, n: int, gamma: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per anchor, whether its stage-n jet (a row of i_jets) solves
-    F(a, xi) = f(a) - gamma/(2n) to a max-norm residual below _TOL_RESIDUAL,
-    in the arithmetic jet_solve accepted it by, and whether it lies in the
-    box its solve was confined to: the inner box of prev_bands, the previous
-    stage's (band_lo, band_hi) (see _inner_boxes); None at stage 1 (no box)."""
-    r, faulted = _row_residuals(sys, _columns(anchors), i_jets,
-                                _stage_targets(sys, anchors, gamma, n))
-    solves = ~faulted & (np.max(np.abs(r), axis=1) < _TOL_RESIDUAL)
-    inside = np.ones(len(anchors), dtype=bool)
+def check_jets(sys: PdeSystem, points: np.ndarray, jets: np.ndarray, shift: float,
+               boxes: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Per row, whether its jet solves F(x, xi) = f(x) + shift at its point
+    below _TOL_RESIDUAL as jet_solve accepted it (shift -gamma/(2n) at stage
+    n, -+eps/2 in the global pair), and whether it lies in its box (rows, M, 2)."""
+    r, faulted = _row_residuals(sys, _columns(points), jets, _rhs_rows(sys, points) + shift)
+    inside = np.ones(len(jets), dtype=bool) if boxes is None else np.all(
+        (boxes[..., 0] <= jets) & (jets <= boxes[..., 1]), axis=1)
+    return ~faulted & (np.max(np.abs(r), axis=1) < _TOL_RESIDUAL), inside
+
+
+def jcell_boxes(band_lo: np.ndarray, band_hi: np.ndarray,
+                prev_bands: tuple[np.ndarray, np.ndarray] | None, n: int) -> np.ndarray:
+    """The boxes (num_i_cells, M, 2) of the J-cell solves of stage n: the
+    inner boxes of its bands, after stage 1 inside those of prev_bands (see
+    _inner_boxes). Raises ConstructionError at the first empty one."""
+    j_boxes = _inner_boxes(band_lo, band_hi)
     if prev_bands is not None:
-        box = _inner_boxes(*prev_bands)
-        inside = np.all((box[..., 0] <= i_jets) & (i_jets <= box[..., 1]), axis=1)
-    return solves, inside
+        i_boxes = _inner_boxes(*prev_bands)
+        j_boxes[..., 0] = np.maximum(j_boxes[..., 0], i_boxes[..., 0])
+        j_boxes[..., 1] = np.minimum(j_boxes[..., 1], i_boxes[..., 1])
+        empty = np.any(j_boxes[..., 1] <= j_boxes[..., 0], axis=1)
+        if empty.any():
+            raise ConstructionError("J-cell constraint box is empty",
+                                    stage=n, cell=int(np.argmax(empty)))
+    return j_boxes
 
 
 def stage_bands(
@@ -869,12 +860,11 @@ def refine(
     gamma: float,
     *,
     seed: int = 0,
-    max_cells: int = 100_000,
 ) -> RefinementStage:
     """Build stage n: anchor jets at target f - gamma/(2n), bands of
     halfwidth (2 eps/n)(15/16) clipped strictly inside the previous bands
     (see stage_bands), and all J-cells of the stage subdivided in one loop
-    (see _subdivide, max_cells bounds the stage) until the EQ1 bracket and
+    (see _subdivide, _MAX_CELLS bounds the stage) until the EQ1 bracket and
     band containment hold at every interior lattice point.
 
     Stage 1 takes its anchor jets from the tiling, where the openness probe
@@ -903,23 +893,15 @@ def refine(
     if prev is None:
         i_jets = tiling.jets
     else:
-        i_boxes = _inner_boxes(*prev_bands)
         try:
             i_jets = jet_solve(sys, tiling.anchors,
                                _stage_targets(sys, tiling.anchors, gamma, n),
-                               prev.i_jets, i_boxes,
+                               prev.i_jets, _inner_boxes(*prev_bands),
                                stream=functools.partial(_stream, seed, ANCHOR, n))
         except NoSolutionError as e:
             raise unsolvable("anchor", e, e.row) from e
     band_lo, band_hi = stage_bands(i_jets, tiling.radii, prev_bands, n)
-    j_boxes = _inner_boxes(band_lo, band_hi)
-    if prev is not None:
-        j_boxes[..., 0] = np.maximum(j_boxes[..., 0], i_boxes[..., 0])
-        j_boxes[..., 1] = np.minimum(j_boxes[..., 1], i_boxes[..., 1])
-        empty = np.any(j_boxes[..., 1] <= j_boxes[..., 0], axis=1)
-        if empty.any():
-            raise ConstructionError("J-cell constraint box is empty",
-                                    stage=n, cell=int(np.argmax(empty)))
+    j_boxes = jcell_boxes(band_lo, band_hi, prev_bands, n)
 
     def solve(jcells: np.ndarray):
         centers = _centers(jcells)
@@ -943,7 +925,7 @@ def refine(
                               band=(band_lo[own], band_hi[own]))
 
     work = tiling.i_cells if prev is None else np.concatenate(prev.j_cells)
-    cells, jets = _subdivide(work, solve, check, domain, max_cells, stage=n)
+    cells, jets = _subdivide(work, solve, check, domain, _MAX_CELLS, stage=n)
     # by I-cell, in order of acceptance
     order = np.argsort(tiling.index_of(_centers(cells)), kind="stable")
     return certified_stage(sys, domain, tiling, _cell_polys(sys, cells[order], jets[order]),
@@ -1108,7 +1090,7 @@ def run_scheme(
 ) -> SchemeResult:
     """Chain refinement stages 1..N and certify the outcome.
 
-    The I-cells come from scheme_tiling. The stage-1 anchor jets are
+    The I-cells come from tile_domain. The stage-1 anchor jets are
     solved in one jet_solve call (target f - gamma/2, zero seed, no box),
     then one call of the sampling probe, check_assumption_open with one
     row per anchor, witnesses each anchor's openness radius (capped at
@@ -1126,7 +1108,7 @@ def run_scheme(
         raise ValueError("N must be at least 1")
     if eps_max <= 0.0:
         raise ValueError("eps_max must be positive")
-    tiling = scheme_tiling(domain)
+    tiling = tile_domain(domain)
     targets = _stage_targets(sys, tiling.anchors, gamma, 1)
     count = len(tiling.i_cells)
     failure = None

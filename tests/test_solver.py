@@ -1,6 +1,7 @@
 """Jet solving, tiling, the global pair, and the staged refinement scheme."""
 
 import functools
+import itertools
 import math
 from collections import deque
 
@@ -26,6 +27,7 @@ from ordercomplete.solver import (
     ConstructionError,
     NoSolutionError,
     RefinementStage,
+    Tiling,
     _band_functions,
     _cell_key,
     _cell_polys,
@@ -189,49 +191,82 @@ def test_jet_solve_rows_are_independent(monkeypatch):
 # tiling
 
 
+def _tiling(box_lo, box_hi, delta):
+    """A tiling of the box by congruent cells of diameter <= delta, by
+    tile_domain's halving rule (largest current width first, lowest axis on
+    ties), with the cells in C order: the reference tile_domain follows at
+    a sixteenth of the diagonal, and the tilings with few I-cells that the
+    refinement tests use."""
+    lo = np.asarray(box_lo, dtype=float)
+    hi = np.asarray(box_hi, dtype=float)
+    counts = [1] * lo.size
+    while np.linalg.norm((hi - lo) / counts) > delta:
+        counts[int(np.argmax((hi - lo) / counts))] *= 2
+    edges = [np.linspace(a, b, c + 1) for a, b, c in zip(lo, hi, counts)]
+    cells = np.array([[[e[i] for e, i in zip(edges, at)], [e[i + 1] for e, i in zip(edges, at)]]
+                      for at in itertools.product(*map(range, counts))])
+    return Tiling(lo, hi, tuple(counts), cells, _centers(cells))
+
+
+@pytest.mark.parametrize("lo,hi,shape", [
+    ([0.0], [3.0], (512,)), ([-1.0], [2.5], (40,)), ([0.0, -1.0], [2.0, 1.0], (33, 40)),
+    ([0.1, 0.0], [1.0, 7.0], (9, 129)), ([-2.0, 0.0, 1.0], [1.0, 0.5, 4.0], (65, 9, 33))])
+def test_tile_domain_halves_to_a_sixteenth_of_the_diagonal(lo, hi, shape):
+    dom = GridDomain(lo, hi, shape)
+    t = tile_domain(dom)
+    want = _tiling(lo, hi, float(np.linalg.norm(dom.hi - dom.lo)) / 16.0)
+    assert t.shape == want.shape
+    for key in ("lo", "hi", "i_cells", "anchors"):
+        assert getattr(t, key).tobytes() == getattr(want, key).tobytes(), key
+
+
 def test_tile_1d_dyadic():
-    t = tile_domain([0.0], [1.0], 0.3)
-    assert t.i_cells.shape == (4, 2, 1)
-    assert np.allclose(t.i_cells[:, 1] - t.i_cells[:, 0], 0.25)
-    assert np.allclose(t.anchors[:, 0], [0.125, 0.375, 0.625, 0.875])
+    t = tile_domain(GridDomain([0.0], [1.0], (129,)))
+    assert t.i_cells.shape == (16, 2, 1)
+    assert np.all(t.i_cells[:, 1] - t.i_cells[:, 0] == 0.0625)
+    assert np.array_equal(t.anchors[:, 0], (np.arange(16) + 0.5) / 16)
 
 
-def test_tile_2d_half_diameter():
-    diam = math.sqrt(2.0)
-    t = tile_domain([0.0, 0.0], [1.0, 1.0], diam / 2)
-    assert t.i_cells.shape == (4, 2, 2)
-    assert np.allclose(t.i_cells[:, 1] - t.i_cells[:, 0], 0.5)
+def test_tile_2d_sixteenth_of_the_diagonal():
+    # widths (1, 4) halve to (1/8, 1/8): diameter 0.177 against a delta of
+    # sqrt(17)/16 = 0.258, where (1/8, 1/4) still had 0.280
+    t = tile_domain(GridDomain([0.0, 0.0], [1.0, 4.0], (17, 65)))
+    assert t.shape == (8, 32) and t.i_cells.shape == (256, 2, 2)
+    assert np.all(t.i_cells[:, 1] - t.i_cells[:, 0] == 0.125)
 
 
 def test_tile_partition_property_random_delta():
+    # delta is a sixteenth of the diagonal of a random box
     rng = np.random.default_rng(17)
     for _ in range(20):
-        # lower bound keeps the O(cells^2) disjointness oracle tractable
-        delta = float(rng.uniform(0.35, 2.0))
-        t = tile_domain([0.0, -1.0], [2.0, 1.0], delta)
-        total = sum(float(np.prod(hi - lo)) for lo, hi in t.i_cells)
-        assert total == pytest.approx(4.0, rel=1e-12)
-        for (lo, hi), center in zip(t.i_cells, t.anchors, strict=True):
-            assert np.linalg.norm(hi - lo) <= delta * (1 + 1e-12)
-            assert np.all(center > lo) and np.all(center < hi)
+        lo = rng.uniform(-2.0, 1.0, 2)
+        hi = lo + rng.uniform(0.1, 3.0, 2)
+        t = tile_domain(GridDomain(lo, hi, (97, 97)))
+        delta = float(np.linalg.norm(hi - lo)) / 16.0
+        widths = t.i_cells[:, 1] - t.i_cells[:, 0]
+        assert np.sum(np.prod(widths, axis=1)) == pytest.approx(np.prod(hi - lo), rel=1e-12)
+        assert np.all(np.linalg.norm(widths, axis=1) <= delta * (1 + 1e-12))
+        assert np.all((t.anchors > t.i_cells[:, 0]) & (t.anchors < t.i_cells[:, 1]))
         # pairwise disjoint interiors
-        for i in range(len(t.i_cells)):
-            for j in range(i + 1, len(t.i_cells)):
-                (alo, ahi), (blo, bhi) = t.i_cells[i], t.i_cells[j]
-                overlap = np.minimum(ahi, bhi) - np.maximum(alo, blo)
-                assert np.min(overlap) <= 1e-12
+        overlap = (np.minimum(t.i_cells[:, None, 1], t.i_cells[None, :, 1])
+                   - np.maximum(t.i_cells[:, None, 0], t.i_cells[None, :, 0])).min(axis=2)
+        np.fill_diagonal(overlap, 0.0)
+        assert np.max(overlap) <= 1e-12
 
 
 def test_tile_rejects_sub_grid_delta():
-    dom = GridDomain([0.0], [1.0], (9,))
-    with pytest.raises(TilingError):
-        tile_domain([0.0], [1.0], 0.01, domain=dom)
-    with pytest.raises(ValueError):
-        tile_domain([0.0], [1.0], -1.0)
+    # a sixteenth of the box is below one grid cell of 9 points, and of a
+    # box whose diagonal underflows to 0
+    for dom in (GridDomain([0.0], [1.0], (9,)), GridDomain([0.0], [1e-300], (512,))):
+        with pytest.raises(TilingError, match="below one grid cell"):
+            tile_domain(dom)
+    # 17 points: each I-cell is one grid cell wide, with no interior point
+    with pytest.raises(TilingError, match="I-cell 0 at lo=\\(0.0,\\) holds no interior"):
+        tile_domain(GridDomain([0.0], [1.0], (17,)))
 
 
 def test_tiling_radii_guarded():
-    t = tile_domain([0.0], [1.0], 0.3)
+    t = _tiling([0.0], [1.0], 0.3)
     jets = np.zeros((4, 2))
     with pytest.raises(ValueError):
         t.with_radii([1.0], jets)
@@ -250,7 +285,7 @@ def test_tiling_radii_guarded():
     ([0.0, 0.0, 0.0], [1.0, 1.0, 1.0], 0.5, 2), ([-2.0, 0.0, 1.0], [1.0, 0.5, 4.0], 1.1, 3)])
 def test_tiling_index_of_finds_parent_of_descendants(lo, hi, delta, salt):
     rng = np.random.default_rng(int(delta * 100) + salt)
-    t = tile_domain(lo, hi, delta)
+    t = _tiling(lo, hi, delta)
     assert int(np.prod(t.shape)) == len(t.i_cells) > 1
     assert np.array_equal(t.index_of(t.anchors), np.arange(len(t.i_cells)))
     centers, parents = [], []
@@ -602,11 +637,14 @@ def test_global_pair_manufactured_certificate():
     assert np.all(tv.values[off] < f[off] + 0.1)
 
 
-def test_global_pair_cell_budget():
+def test_global_pair_cell_budget(monkeypatch):
     # the cubic pair needs about 30 cells on this lattice
+    from ordercomplete import solver
+
     dom = GridDomain([0.0], [3.0], (257,))
+    monkeypatch.setattr(solver, "_MAX_CELLS", 1)
     with pytest.raises(ConstructionError, match="cell budget"):
-        global_pair(_cubic(), dom, 0.1, max_cells=1)
+        global_pair(_cubic(), dom, 0.1)
 
 
 def test_global_pair_eps_below_float_scale():
@@ -640,7 +678,7 @@ def _probed(sys, tiling, gamma, radii, seed=0):
 def test_refine_requires_prev_exactly_when_late():
     sys1 = _affine()
     dom = GridDomain([0.0], [1.0], (65,))
-    tiling = _probed(sys1, tile_domain([0.0], [1.0], 0.5, domain=dom), 0.4, [1.0, 1.0])
+    tiling = _probed(sys1, _tiling([0.0], [1.0], 0.5), 0.4, [1.0, 1.0])
     with pytest.raises(ValueError):
         refine(sys1, dom, tiling, None, 2, 0.4)
     with pytest.raises(ValueError):
@@ -650,18 +688,71 @@ def test_refine_requires_prev_exactly_when_late():
 def test_refine_needs_radii():
     sys1 = _affine()
     dom = GridDomain([0.0], [1.0], (65,))
-    tiling = tile_domain([0.0], [1.0], 0.5, domain=dom)
+    tiling = _tiling([0.0], [1.0], 0.5)
     with pytest.raises(ValueError):
         refine(sys1, dom, tiling, None, 1, 0.4)
 
 
-def test_refine_cell_budget():
+def test_refine_cell_budget(monkeypatch):
     # one I-cell over the whole box: the EQ1 bracket needs about 9 J-cells
+    from ordercomplete import solver
+
     sys1 = _cubic()
     dom = GridDomain([0.0], [3.0], (129,))
-    tiling = _probed(sys1, tile_domain([0.0], [3.0], 3.0, domain=dom), 0.4, [1.0])
+    tiling = _probed(sys1, _tiling([0.0], [3.0], 3.0), 0.4, [1.0])
+    monkeypatch.setattr(solver, "_MAX_CELLS", 1)
     with pytest.raises(ConstructionError, match="cell budget"):
-        refine(sys1, dom, tiling, None, 1, 0.4, max_cells=1)
+        refine(sys1, dom, tiling, None, 1, 0.4)
+
+
+def test_refine_names_an_unsolvable_anchor():
+    # stage 2 solves u' = 0.9 at each anchor inside the previous bands'
+    # inner box; I-cell 1's is moved to u' in [5.125, 5.875]
+    from dataclasses import replace
+
+    sys1 = _affine()
+    dom = GridDomain([0.0], [1.0], (65,))
+    tiling = _probed(sys1, _tiling([0.0], [1.0], 0.5), 0.4, [1.0, 1.0])
+    first = refine(sys1, dom, tiling, None, 1, 0.4)
+    lo, hi = first.band_lo.copy(), first.band_hi.copy()
+    lo[1, 1], hi[1, 1] = 5.0, 6.0
+    with pytest.raises(ConstructionError) as exc:
+        refine(sys1, dom, tiling, replace(first, band_lo=lo, band_hi=hi), 2, 0.4)
+    assert (exc.value.stage, exc.value.cell) == (2, 1)
+    assert str(exc.value).startswith("anchor jet unsolvable (openness radius "
+                                     "overestimated?): no jet solution at x0=(0.75,)")
+
+
+def test_refine_names_an_unsolvable_j_cell():
+    # u' = x - 0.2: the anchor of I-cell 0 solves it at x = 0.25, where the
+    # bracket fails at the cell's ends, but with radius 0.01 its J-cell box
+    # holds u' only within 0.015 of 0.05, and its first child's centre needs
+    # -0.075
+    sys1 = PdeSystem(1, 1, 1, ["u[1,(1)]"], ["x1"], [0.0], [1.0])
+    tiling = _probed(sys1, _tiling([0.0], [1.0], 0.5), 0.4, [0.01, 0.01])
+    with pytest.raises(ConstructionError) as exc:
+        refine(sys1, GridDomain([0.0], [1.0], (65,)), tiling, None, 1, 0.4)
+    assert (exc.value.stage, exc.value.cell) == (1, 0)
+    assert str(exc.value).startswith("constrained jet unsolvable (openness radius "
+                                     "overestimated?): no jet solution at x0=(0.125,)")
+
+
+def test_refine_rejects_an_empty_j_cell_box():
+    # stage 2 solves u' = 1 inside the inner box [1, 7] of previous u'
+    # bands [0, 8], on its lower face. With radius 7.1e-17 the band's
+    # half-width is 0.3 ulp(1): it rounds to [1 - ulp/2, 1], its inner box
+    # rounds to itself, and that meets [1, 7] in the point 1 alone
+    from dataclasses import replace
+
+    sys1 = PdeSystem(1, 1, 1, ["u[1,(1)]"], ["1.1"], [0.0], [1.0])
+    dom = GridDomain([0.0], [1.0], (65,))
+    tiling = _probed(sys1, _tiling([0.0], [1.0], 0.5), 0.4, [1.0, 1.0])
+    first = refine(sys1, dom, tiling, None, 1, 0.4)
+    first.band_lo[:, 1], first.band_hi[:, 1] = 0.0, 8.0
+    with pytest.raises(ConstructionError) as exc:
+        refine(sys1, dom, replace(tiling, radii=np.array([1.0, 7.1e-17])), first, 2, 0.4)
+    assert (exc.value.stage, exc.value.cell) == (2, 1)
+    assert str(exc.value) == "J-cell constraint box is empty; stage=2; cell=1"
 
 
 def _reference_refine(sys, domain, tiling, prev, n, gamma, *, seed, max_cells=100_000):
@@ -741,7 +832,7 @@ def _reference_refine(sys, domain, tiling, prev, n, gamma, *, seed, max_cells=10
 def test_refine_matches_per_i_cell_reference(n, size, per_axis, radius, gamma):
     sys = _transport(n)
     dom = GridDomain([0.0] * n, [1.0] * n, (size,) * n)
-    tiling = tile_domain(dom.lo, dom.hi, math.sqrt(n) / per_axis, domain=dom)
+    tiling = _tiling(dom.lo, dom.hi, math.sqrt(n) / per_axis)
     tiling = _probed(sys, tiling, gamma, np.full(len(tiling.i_cells), radius), seed=5)
     got = want = None
     for stage in (1, 2, 3):
@@ -758,18 +849,21 @@ def test_refine_matches_per_i_cell_reference(n, size, per_axis, radius, gamma):
     assert sum(map(len, got.j_cells)) > len(tiling.i_cells)  # the stages split
 
 
-def test_refine_cell_budget_bounds_whole_stage():
+def test_refine_cell_budget_bounds_whole_stage(monkeypatch):
+    from ordercomplete import solver
+
     sys = _transport(1)
     dom = GridDomain([0.0], [1.0], (129,))
-    tiling = _probed(sys, tile_domain(dom.lo, dom.hi, 0.25, domain=dom), 0.05,
+    tiling = _probed(sys, _tiling(dom.lo, dom.hi, 0.25), 0.05,
                      np.full(4, 0.2))
     st = refine(sys, dom, tiling, None, 1, 0.05)
     total = sum(map(len, st.j_cells))
     assert max(map(len, st.j_cells)) <= total - 2  # each I-cell fits the budget
-    assert sum(map(len, refine(sys, dom, tiling, None, 1, 0.05,
-                               max_cells=total).j_cells)) == total
+    monkeypatch.setattr(solver, "_MAX_CELLS", total)
+    assert sum(map(len, refine(sys, dom, tiling, None, 1, 0.05).j_cells)) == total
+    monkeypatch.setattr(solver, "_MAX_CELLS", total - 2)
     with pytest.raises(ConstructionError, match="cell budget") as exc:
-        refine(sys, dom, tiling, None, 1, 0.05, max_cells=total - 2)
+        refine(sys, dom, tiling, None, 1, 0.05)
     assert (exc.value.stage, exc.value.cell) == (1, None)
 
 
@@ -811,7 +905,7 @@ def test_each_candidate_classified_once_per_lattice(monkeypatch, tmp_path):
     gp = global_pair(sys, dom, 0.4).certificate
     assert gp.passed
     assert calls() == per(2)
-    tiling = _probed(sys, tile_domain(dom.lo, dom.hi, 0.25, domain=dom), 0.05,
+    tiling = _probed(sys, _tiling(dom.lo, dom.hi, 0.25), 0.05,
                      np.full(4, 0.2))
     stages = []
     for n in (1, 2, 3):
@@ -895,6 +989,16 @@ def test_scheme_verdict_names_each_failure(res_cubic2):
     failing = replace(_PASSING_PAIR, passed=False, lower_gap=-1.0)
     assert scheme_verdict([first, res.stages[1]], res, _PASSING_PAIR) == (False, [
         "stage 1 certificates: eq1=False eq2=True eq3=True",
+    ])
+    # the operator images, then the stages, then a final sup gap at gamma/N
+    oc = replace(res.oc_operator[0], passed=False, first_violation=(0, "lower_bracket", -0.5),
+                 sup_gap=0.25, inf_gap=0.125)
+    broken = replace(res, oc_operator=[oc], final_sup_gap=0.2)
+    assert scheme_verdict([first, res.stages[1]], broken, _PASSING_PAIR) == (False, [
+        "operator image of component 1 fails order convergence "
+        "(first violation (0, 'lower_bracket', -0.5), gaps 2.500e-01/1.250e-01)",
+        "stage 1 certificates: eq1=False eq2=True eq3=True",
+        "final sup gap 2.000e-01 not below gamma/N=2.000e-01",
     ])
     # the global pair gates the verdict; its block, not a diagnostic, says why
     assert scheme_verdict(res.stages, res, failing) == (False, [])
@@ -1160,7 +1264,7 @@ def test_run_scheme_probe_deltas_are_per_row_norms(monkeypatch):
     with pytest.raises(Probed):
         run_scheme(PdeSystem(2, 1, 1, ["u[1,(1,0)] + u[1,(0,1)]"], ["1"], lo, hi),
                    dom, 0.4, 1)
-    widths = np.diff(solver.scheme_tiling(dom).i_cells, axis=1)[:, 0]
+    widths = np.diff(solver.tile_domain(dom).i_cells, axis=1)[:, 0]
     want = [np.linalg.norm(w) / 2.0 for w in widths]
     (got,) = deltas
     assert np.array_equal(got, want)
@@ -1193,10 +1297,8 @@ def test_probe_memory_is_bounded_by_its_block():
     # under 1 MB
     import tracemalloc
 
-    from ordercomplete.solver import scheme_tiling
-
     sys2 = _transport(2)
-    tiling = scheme_tiling(GridDomain([0.0] * 2, [1.0] * 2, (33, 33)))
+    tiling = tile_domain(GridDomain([0.0] * 2, [1.0] * 2, (33, 33)))
     jets = jet_solve(sys2, tiling.anchors, _targets(sys2, tiling.anchors, 0.4, 1))
     tracemalloc.start()
     try:
@@ -1224,7 +1326,7 @@ def test_jcell_multistart_depends_only_on_its_own_cell(monkeypatch):
 
     sys1 = _transport(1)
     dom = GridDomain([0.0], [1.0], (129,))
-    tiling = _probed(sys1, tile_domain(dom.lo, dom.hi, 0.25, domain=dom), 0.05,
+    tiling = _probed(sys1, _tiling(dom.lo, dom.hi, 0.25), 0.05,
                      np.full(4, 0.2), seed=3)
     nan_seed = np.full(sys1.unknown_count, np.nan)
     solved = {}
