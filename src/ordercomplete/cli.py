@@ -227,12 +227,6 @@ def run_pipeline(cfg: RunConfig) -> int:
     except (ValueError, MemoryError) as e:
         print(f"spec error: {e}")
         return 3
-    out = Path(cfg.out)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as e:
-        print(f"output error: {e}")
-        return 3
 
     # a numeric fault while constructing is a construction failure too
     try:
@@ -259,6 +253,7 @@ def run_pipeline(cfg: RunConfig) -> int:
     except (ConstructionError, TilingError, ex.EvalDomainError) as e:
         print(f"construction failure: {e}")
         return 3
+    out = Path(cfg.out)
     try:
         _write_artifacts(out, system, gp, scheme, cert, cfg.emit_samples)
     except OSError as e:
@@ -367,8 +362,10 @@ def _certificate(config: dict, system: PdeSystem, exact, assumption: dict, gp,
 
 def _write_artifacts(out: Path, system: PdeSystem, gp, scheme, cert: dict,
                      emit_samples: bool) -> None:
-    """The files of a run directory: gp's and each stage's polynomials,
-    the CSV samples if emit_samples, then the certificate and its summary."""
+    """The run directory out, made with its parents, and its files: gp's
+    and each stage's polynomials, the CSV samples if emit_samples, then the
+    certificate and its summary."""
+    out.mkdir(parents=True, exist_ok=True)
     write_poly_json(gp.lower, out / _GLOBAL_FILES["lower"])
     write_poly_json(gp.upper, out / _GLOBAL_FILES["upper"])
     tags = [_var_tag(i, a) for i, a in system.flat_vars()]

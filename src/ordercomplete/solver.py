@@ -73,24 +73,15 @@ class ConstructionError(RuntimeError):
 
 class NoSolutionError(ConstructionError):
     """The jet solver exhausted its budget on some rows without meeting the
-    residual tolerance. `failed` marks those rows, `best` holds each row's
-    best max-norm residual (nan where none was finite) and `jets` each
-    row's jet (meaningless on a failed row); `row` is the first failed row,
-    which the message names."""
+    residual tolerance. `row` is the first such row, which the message
+    names with its point, and `best_residual` that row's best max-norm
+    residual (nan where none was finite)."""
 
-    def __init__(self, x0, best, failed, jets):
-        self.x0 = np.asarray(x0, dtype=float)
-        self.best = np.asarray(best, dtype=float)
-        self.failed = np.asarray(failed, dtype=bool)
-        self.jets = jets
-        self.row = int(np.argmax(self.failed))
-        self.best_residual = float(self.best[self.row])
-        super().__init__(self.about(self.row))
-
-    def about(self, row: int) -> str:
-        """The point and best residual of one row."""
-        return (f"no jet solution at x0={tuple(float(a) for a in self.x0[row])}; "
-                f"best residual {self.best[row]:.3e}")
+    def __init__(self, x0, row: int, best_residual: float):
+        self.row = row
+        self.best_residual = best_residual
+        super().__init__(f"no jet solution at x0={tuple(float(a) for a in x0)}; "
+                         f"best residual {best_residual:.3e}")
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +367,9 @@ def jet_solve(
                 v[c] = sv[min(got, key=lambda i: (norms[i], tuple(sv[i])))]
                 ok[c] = True
     if not ok.all():
-        raise NoSolutionError(x0, np.where(np.isfinite(best), best, np.nan), ~ok, v)
+        row = int(np.argmin(ok))
+        raise NoSolutionError(x0[row], row,
+                              float(best[row]) if np.isfinite(best[row]) else np.nan)
     return v
 
 
@@ -466,56 +459,39 @@ def _children(cells: np.ndarray) -> np.ndarray:
                     axis=2).reshape(-1, 2, n)
 
 
-def _subdivide(work: np.ndarray, solve, check, domain: GridDomain, max_cells: int, *,
+def _subdivide(work: np.ndarray, solve, check, domain: GridDomain, *,
                stage: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """The accepted cells (C, 2, n) of an adaptive subdivision of the cells
     work, in order of acceptance, and their payload rows.
 
     A generation (the cells pending at once) is solved in one call,
-    solve(cells) -> (payloads, failure): one payload row for each cell
-    before the first one that could not be solved, in order, and the error
-    to raise at that cell (None when every cell was solved). The solved
-    cells are checked in one call, check(cells, payloads) -> bool per cell;
-    the failed cells are split (see _children) and their children, in
-    order, form the next generation. That accepts the cells of the
-    first-in, first-out loop that solves, checks and splits one cell at a
-    time, and raises the same error at the same cell: when more than
-    max_cells cells accumulate, when a cell cannot be solved, or when a
-    child would hold no interior lattice point. Errors name the stage, and
-    a stranded child also the split cell's lower corner. A solve draws from
-    its cell's own stream (see _stream), so solving a whole generation at
-    once fixes no random draw.
+    solve(cells) -> one payload row per cell, and checked in one call,
+    check(cells, payloads) -> bool per cell; the failed cells are split
+    (see _children) and their children, in order, form the next
+    generation. The generation is the unit of failure: before it is
+    solved, the subdivision fails when the accepted cells and the
+    generation together exceed _MAX_CELLS; solve raises its own
+    ConstructionError when some cell cannot be solved; and after the check,
+    the first split cell with a child that holds no interior lattice point
+    fails it, named by its lower corner. Errors name the stage. A solve
+    draws from its cell's own stream (see _stream), so solving a whole
+    generation at once fixes no random draw.
     """
     cells, payloads = [], []
     accepted = 0
     gen = work
     while len(gen):
-        load, failure = solve(gen)
-        solved = len(load)
-        ok = check(gen[:solved], load)
+        if accepted + len(gen) > _MAX_CELLS:
+            raise ConstructionError("cell budget exhausted while subdividing", stage=stage)
+        load = solve(gen)
+        ok = check(gen, load)
         split = np.flatnonzero(~ok)
         children = _children(gen[split])
-        width = 2 ** gen.shape[2]  # children per split cell
-        stranded = split[_empty_interiors(domain, children).reshape(len(split), width)
-                         .any(axis=1)]
-        # the one-cell loop reaches cell i with the cells before it accepted
-        # or split; there it checks the budget, then whether i was solved,
-        # then whether a child of i is stranded
-        reach = np.arange(min(len(gen), solved + 1))
-        took = np.zeros(len(reach), dtype=int)
-        took[:solved] = ok
-        took = np.cumsum(took) - took
-        held = accepted + took + len(gen) - reach - 1 + width * (reach - took)
-        over = np.flatnonzero(held > max_cells)
-        first_over = over[0] if over.size else len(gen)
-        first_stranded = stranded[0] if stranded.size else len(gen)
-        if min(first_over, solved, first_stranded) < len(gen):
-            if first_over <= min(solved, first_stranded):
-                raise ConstructionError("cell budget exhausted while subdividing", stage=stage)
-            if solved < first_stranded:
-                raise failure
+        stranded = split[_empty_interiors(domain, children)
+                         .reshape(len(split), 2 ** gen.shape[2]).any(axis=1)]
+        if stranded.size:
             raise ConstructionError("bracket unattainable at grid resolution", stage=stage,
-                                    cell=tuple(gen[first_stranded, 0].tolist()))
+                                    cell=tuple(gen[stranded[0], 0].tolist()))
         cells.append(gen[ok])
         payloads.append(load[ok])
         accepted += len(cells[-1])
@@ -607,35 +583,28 @@ def global_pair(
 
     m = sys.unknown_count
 
-    def solve(cells: np.ndarray):
+    def solve(cells: np.ndarray) -> np.ndarray:
         # rows: the lower jets of the cells, then their upper jets; a payload
         # row is a cell's lower jet, then its upper jet
         a = _centers(cells)
         f0 = _rhs_rows(sys, a)
         keys = _cell_key(cells)
-        count = len(cells)
-        failure = None
         try:
             flat = jet_solve(sys, np.concatenate([a, a]),
                              np.concatenate([f0 - 0.5 * eps, f0 + 0.5 * eps]),
                              stream=lambda row: _stream(seed, GLOBAL, row // len(cells),
                                                         *keys[row % len(cells)]))
         except NoSolutionError as e:
-            flat = e.jets
-            sides = e.failed.reshape(2, -1)
-            count = int(np.argmax(sides.any(axis=0)))
-            row = count if sides[0, count] else len(cells) + count
-            failure = ConstructionError(f"anchor jet unsolvable: {e.about(row)}",
-                                        cell=tuple(cells[count, 0].tolist()))
-        return np.concatenate([flat[:count], flat[len(cells):len(cells) + count]],
-                              axis=1), failure
+            raise ConstructionError(f"anchor jet unsolvable: {e}",
+                                    cell=tuple(cells[e.row % len(cells), 0].tolist())) from e
+        return np.concatenate([flat[:len(cells)], flat[len(cells):]], axis=1)
 
     def check(cells: np.ndarray, pairs: np.ndarray) -> np.ndarray:
         return _generation_ok(sys, domain, cells, [
             (pairs[:, :m], below, f), (pairs[:, m:], f, above)])
 
     box = np.stack([domain.lo, domain.hi])[None]
-    cells, pairs = _subdivide(box, solve, check, domain, _MAX_CELLS)
+    cells, pairs = _subdivide(box, solve, check, domain)
     u_poly = _cell_polys(sys, cells, pairs[:, :m])
     v_poly = _cell_polys(sys, cells, pairs[:, m:])
     cert = apeq_certificate(sys, u_poly, v_poly, domain, eps)
@@ -903,21 +872,17 @@ def refine(
     band_lo, band_hi = stage_bands(i_jets, tiling.radii, prev_bands, n)
     j_boxes = jcell_boxes(band_lo, band_hi, prev_bands, n)
 
-    def solve(jcells: np.ndarray):
+    def solve(jcells: np.ndarray) -> np.ndarray:
         centers = _centers(jcells)
         own = tiling.index_of(centers)
         keys = _cell_key(jcells)
-        count = len(jcells)
-        failure = None
         try:
-            flat = jet_solve(sys, centers, _stage_targets(sys, centers, gamma, n),
+            return jet_solve(sys, centers, _stage_targets(sys, centers, gamma, n),
                              i_jets[own], j_boxes[own],
                              stream=lambda row: _stream(seed, JCELL, n, int(own[row]),
                                                         *keys[row]))
         except NoSolutionError as e:
-            flat, count = e.jets, e.row
-            failure = unsolvable("constrained", e, int(own[e.row]))
-        return flat[:count], failure
+            raise unsolvable("constrained", e, int(own[e.row])) from e
 
     def check(jcells: np.ndarray, jets: np.ndarray) -> np.ndarray:
         own = tiling.index_of(_centers(jcells))
@@ -925,7 +890,7 @@ def refine(
                               band=(band_lo[own], band_hi[own]))
 
     work = tiling.i_cells if prev is None else np.concatenate(prev.j_cells)
-    cells, jets = _subdivide(work, solve, check, domain, _MAX_CELLS, stage=n)
+    cells, jets = _subdivide(work, solve, check, domain, stage=n)
     # by I-cell, in order of acceptance
     order = np.argsort(tiling.index_of(_centers(cells)), kind="stable")
     return certified_stage(sys, domain, tiling, _cell_polys(sys, cells[order], jets[order]),
@@ -1091,10 +1056,11 @@ def run_scheme(
     """Chain refinement stages 1..N and certify the outcome.
 
     The I-cells come from tile_domain. The stage-1 anchor jets are
-    solved in one jet_solve call (target f - gamma/2, zero seed, no box),
-    then one call of the sampling probe, check_assumption_open with one
-    row per anchor, witnesses each anchor's openness radius (capped at
-    eps_max); an unsupported anchor fails the run, the lowest first.
+    solved in one jet_solve call (target f - gamma/2, zero seed, no box);
+    an unsolvable anchor fails the run before any probe. Then one call of
+    the sampling probe, check_assumption_open with one row per anchor,
+    witnesses each anchor's openness radius (capped at eps_max); an
+    unsupported anchor fails the run, the lowest first.
     Stage 1 takes those jets from the tiling instead of solving them
     again. The probe's row for I-cell ci draws from the stream (PROBE, ci)
     of seed, and every solve's fallback from its own stream (see
@@ -1110,37 +1076,30 @@ def run_scheme(
         raise ValueError("eps_max must be positive")
     tiling = tile_domain(domain)
     targets = _stage_targets(sys, tiling.anchors, gamma, 1)
-    count = len(tiling.i_cells)
-    failure = None
     try:
         jets = jet_solve(sys, tiling.anchors, targets,
                          stream=functools.partial(_stream, seed, ANCHOR, 1))
     except NoSolutionError as e:
-        jets, count = e.jets, e.row
-        failure = ConstructionError(
+        raise ConstructionError(
             f"stage-1 anchor jet unsolvable (interior assumption violated?): {e}",
-            stage=1, cell=e.row)
-    # the anchors before an unsolvable one are probed first
+            stage=1, cell=e.row) from e
     # the half-diagonal of each cell: sqrt(w . w) one row at a time, as
     # np.linalg.norm(w) computes it, bit for bit (a norm along axis 1 rounds
     # differently on some rows)
-    w = tiling.i_cells[:count, 1] - tiling.i_cells[:count, 0]
+    w = tiling.i_cells[:, 1] - tiling.i_cells[:, 0]
     probed = check_assumption_open(
-        sys, tiling.anchors[:count], jets[:count],
-        np.sqrt((w[:, None, :] @ w[:, :, None])[:, 0, 0]) / 2.0, eps_max,
-        stream=functools.partial(_stream, seed, PROBE), target=targets[:count],
+        sys, tiling.anchors, jets, np.sqrt((w[:, None, :] @ w[:, :, None])[:, 0, 0]) / 2.0,
+        eps_max, stream=functools.partial(_stream, seed, PROBE), target=targets,
     )
     radii = np.zeros(len(tiling.i_cells))
     for ci, ev in enumerate(probed):
         if not ev.supported:
             raise ConstructionError(
                 "openness assumption unsupported at anchor "
-                f"{tuple(tiling.anchors[ci])} (margin {ev.margin_min:.3e})",
+                f"{tuple(tiling.anchors[ci].tolist())} (margin {ev.margin_min:.3e})",
                 stage=1, cell=ci,
             )
         radii[ci] = min(ev.witnessed_radius, eps_max)
-    if failure is not None:
-        raise failure
     tiling = tiling.with_radii(radii, jets)
     stages: list[RefinementStage] = []
     prev = None

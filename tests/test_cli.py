@@ -1,6 +1,8 @@
 """Problem-file loading, pipeline exit codes, artifact layout, determinism,
 and independent re-verification."""
 
+import contextlib
+import io
 import json
 import os
 import shutil
@@ -10,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ordercomplete.cli import (
     _TAKEN_AS_STORED,
@@ -231,7 +235,7 @@ def test_run_exit3_on_unsupported_assumption(tmp_path, capsys):
     assert code == 3
     msg = capsys.readouterr().out
     assert "assumption" in msg and "unsupported" in msg
-    assert not (out / "certificate.json").exists()
+    assert not out.exists()  # a failed run makes no directory
 
 
 def test_run_exit3_when_skipping_straight_to_solver(tmp_path, capsys):
@@ -983,6 +987,52 @@ def test_verify_rejects_every_changed_polynomial_field(demo_dir, tmp_path, capsy
     # re-solves, takes each jet that solves its equation in its box
     assert accepted == [("coeffs", 0, 0, 0)]
     assert len(paths) == 9
+
+
+def _node_paths(node, at=()):
+    """The path of every node of a JSON document below its root."""
+    children = (node.items() if isinstance(node, dict)
+                else enumerate(node) if isinstance(node, list) else ())
+    for key, child in children:
+        yield (*at, key)
+        yield from _node_paths(child, (*at, key))
+
+
+_DELETE = "(deleted)"
+# a deleted key or list element, or a value of another type or shape
+_CORRUPTIONS = [_DELETE, "x", None, True, [], {}, [[1.0, 2.0], [3.0]]]
+
+
+@pytest.fixture(scope="module")
+def corrupted_dir(demo_dir, tmp_path_factory):
+    """A copy of the demo run whose certificate a test may overwrite."""
+    run = tmp_path_factory.mktemp("corrupted") / "run"
+    shutil.copytree(demo_dir, run)
+    return run
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(data=st.data())
+def test_verify_exits_2_on_a_structurally_corrupted_certificate(demo_dir, corrupted_dir,
+                                                                data):
+    # never 1: no traceback, whatever node is deleted or replaced
+    text = (demo_dir / "certificate.json").read_text()
+    doc = json.loads(text)
+    at = data.draw(st.sampled_from(list(_node_paths(doc))))
+    corruption = data.draw(st.sampled_from(_CORRUPTIONS))
+    node = doc
+    for key in at[:-1]:
+        node = node[key]
+    if corruption == _DELETE:
+        del node[at[-1]]
+    else:
+        node[at[-1]] = corruption
+    changed = json.dumps(doc)
+    if changed == json.dumps(json.loads(text)):
+        return  # true over a true: the document is unchanged
+    (corrupted_dir / "certificate.json").write_text(changed)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert verify(corrupted_dir) == 2
 
 
 def test_verify_rejects_missing_or_foreign_dir(tmp_path, capsys):

@@ -2,8 +2,9 @@
 the point, array and interval evaluators agree on values and faults. Also
 the CSV writer: its bytes are those of the csv.writer reference, and
 read_csv gives back every value bit for bit; the neighbour box pass
-gives the bits of the offset loop at every skeleton point; and `run`
-exits 0, 2 or 3 on random problem files, never with a traceback.
+gives the bits of the offset loop at every skeleton point; the routines
+on lattice functions never read a skeleton value; and `run` exits 0, 2
+or 3 on random problem files, never with a traceback.
 
 Trees are drawn for the signatures (n, 1, 1), n in {1, 2}, from every node
 type. The runs are derandomized, with a fixed number of examples and no
@@ -11,8 +12,9 @@ example database, so the suite stays deterministic.
 """
 
 import contextlib
+import dataclasses
 import io
-import os
+import itertools
 import tempfile
 from pathlib import Path
 
@@ -20,19 +22,34 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
-from hypothesis.configuration import set_hypothesis_home_dir
 
 from ordercomplete import expr as ex
 from ordercomplete import grids
+from ordercomplete.analysis import (
+    IntervalSequence,
+    dilation_envelopes,
+    envelope_sequence,
+    interval_pushforward,
+    nested_limit_check,
+)
 from ordercomplete.cli import main, verify
-from ordercomplete.grids import GridDomain, GridFunction, read_csv, write_csv
-from ordercomplete.intervals import Interval
+from ordercomplete.grids import (
+    GridDomain,
+    GridFunction,
+    OrderInterval,
+    baire_lower,
+    baire_upper,
+    lattice_inf,
+    lattice_sup,
+    leq_dense,
+    normalize,
+    read_csv,
+    write_csv,
+)
+from ordercomplete.intervals import Interval, IntervalDomainError
+from ordercomplete.pde import PdeSystem
 from test_grids import _offset_loop_extreme, _reference_write_csv
 
-# Hypothesis caches the constants it reads from local source files in its
-# storage directory; no directory can be made under the null device, so the
-# cache, only a speed-up, is never written
-set_hypothesis_home_dir(os.devnull)
 _SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=120)
 
 
@@ -159,15 +176,16 @@ _POOL = st.lists(st.one_of(st.sampled_from(_EDGES),
 
 
 @st.composite
-def _grid_functions(draw):
-    """A 1D or 2D lattice function: a nowhere-dense skeleton (no point with
-    all indices even is marked, so every 2 x ... x 2 block keeps one
-    unmarked point), pool values off it, and pool values or +-inf on it."""
-    shape = tuple(draw(st.lists(st.integers(3, 9), min_size=1, max_size=2)))
+def _grid_functions(draw, dims=2, pools=_POOL):
+    """A lattice function of 1 to dims dimensions: a nowhere-dense skeleton
+    (no point with all indices even is marked, so every 2 x ... x 2 block
+    keeps one unmarked point), values of a pool drawn from pools off it,
+    and pool values or +-inf on it."""
+    shape = tuple(draw(st.lists(st.integers(3, 9), min_size=1, max_size=dims)))
     size = int(np.prod(shape))
     marked = np.array(draw(st.lists(st.booleans(), min_size=size, max_size=size)))
     skel = marked.reshape(shape) & (np.indices(shape) % 2 != 0).any(axis=0)
-    pool = draw(_POOL)
+    pool = draw(pools)
     picks = draw(st.lists(st.integers(0, len(pool) + 1), min_size=size, max_size=size))
     vals = np.array([*pool, np.inf, -np.inf])[picks].reshape(shape)
     vals[~skel & np.isinf(vals)] = pool[0]
@@ -214,6 +232,105 @@ def test_box_pass_is_the_offset_loop(case):
         box = grids._neighbor_extreme(dom, stack, minimize)[..., dom.skeleton]
         loop = _offset_loop_extreme(dom, stack, minimize)[..., dom.skeleton]
         assert box.tobytes() == loop.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# skeleton values
+
+# what the skeleton may hold instead of its values: they must never be read
+_SKELETON_FILLS = [0.0, np.inf, -np.inf, 1e308, -1e308]
+# values whose sums, products and shifts stay finite
+_MODERATE = st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=3).map(
+    lambda xs: xs + [-x for x in xs])
+
+
+@st.composite
+def _skeleton_cases(draw):
+    """A 1-3D lattice function u of moderate values, a second one v on its
+    lattice, and two fields of _SKELETON_FILLS values on it."""
+    u = draw(_grid_functions(3, _MODERATE))
+    shape = u.domain.shape
+    v = GridFunction(u.domain, draw(hnp.arrays(float, shape, elements=st.floats(-1e3, 1e3))))
+    return u, v, draw(hnp.arrays(float, (2, *shape),
+                                 elements=st.sampled_from(_SKELETON_FILLS)))
+
+
+def _bits(x):
+    """x with every float and array by its bits, so that == compares bit
+    for bit, through containers and dataclasses."""
+    if isinstance(x, np.ndarray):
+        return x.dtype.str, x.shape, x.tobytes()
+    if isinstance(x, float):
+        return np.float64(x).tobytes()
+    if isinstance(x, dict):
+        return {k: _bits(y) for k, y in x.items()}
+    if isinstance(x, (list, tuple)):
+        return tuple(_bits(y) for y in x)
+    if dataclasses.is_dataclass(x):
+        return type(x).__name__, tuple(_bits(getattr(x, f.name)) for f in dataclasses.fields(x))
+    return x
+
+
+def _skeleton_outcomes(u, v, blank):
+    """What the routines on GridFunctions give on u, v and functions made
+    from their values, every input passed through blank; baire_lower,
+    baire_upper and dilation_envelopes by their values off the skeleton,
+    where the skeleton's own values are not read, the rest whole."""
+    dom = u.domain
+    off = ~dom.skeleton
+    lo = GridFunction(dom, np.minimum(u.values, v.values))
+    hi = GridFunction(dom, np.maximum(u.values, v.values))
+
+    def shifted(g, c):
+        return blank(GridFunction(dom, g.values + c))
+
+    steps = range(1, 4)
+    iv = OrderInterval(blank(lo), blank(hi))
+    nested = IntervalSequence([(OrderInterval(shifted(lo, -1 / k), shifted(hi, 1 / k)),)
+                               for k in steps])
+    u_x, v_x = blank(u), blank(v)
+    out = {
+        "arithmetic": (u_x + v_x, u_x - v_x, u_x - u_x, u_x * 0.5, -2.0 * u_x, u_x + 1.5),
+        "normalize": normalize(u_x),
+        "lattice": (lattice_sup(u_x, v_x), lattice_inf(u_x, v_x)),
+        "leq_dense": (leq_dense(u_x, v_x), leq_dense(iv.lower, iv.upper)),
+        "baire": [g.values[off] for g in (baire_lower(u_x), baire_upper(u_x))],
+        "order": [grids.order_convergence_check(
+            [shifted(u, 1 / k) for k in steps], [shifted(lo, -1 / k) for k in steps],
+            [shifted(hi, sign / k) for k in steps], u_x, 0.75) for sign in (1, -1)],
+        "quasi_uniform": grids.quasi_uniform_check([shifted(hi, 1 / k) for k in steps],
+                                                   u_x, 0.6),
+        "nested_limit": [nested_limit_check(nested, tol) for tol in (1.0, 3e3)],
+        "dilation": [g.values[off] for g in dilation_envelopes(u_x, 3, 0.5)],
+        "envelopes": envelope_sequence(u_x, 3).steps,
+    }
+    n = dom.ndim
+    value, slope = (f"u[1,({','.join(str(int(d == i)) for d in range(n))})]"
+                    for i in (-1, 0))
+    for F in (f"{value} * {slope} + sin({value})", f"log({value}) + {slope}"):
+        system = PdeSystem(n, 1, 1, [F], ["0"], dom.lo, dom.hi)
+        try:
+            out[F] = interval_pushforward(system, [iv] * len(system.flat_vars()), dom)
+        except IntervalDomainError as e:
+            out[F] = str(e), e.faulted
+    return out
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(_skeleton_cases())
+def test_skeleton_values_are_never_read(case):
+    # the paper's generalized functions are fixed by their values off a
+    # closed nowhere-dense set: the same off the skeleton, they give the
+    # same results, bit for bit, and no warning (warnings are errors here)
+    u, v, fills = case
+    skel = u.domain.skeleton
+    taken = itertools.count()  # the inputs take the two fields in turn
+
+    def blank(g):
+        return GridFunction(g.domain, np.where(skel, fills[next(taken) % 2], g.values))
+
+    want = _skeleton_outcomes(u, v, lambda g: g)
+    assert _bits(_skeleton_outcomes(u, v, blank)) == _bits(want)
 
 
 # ---------------------------------------------------------------------------

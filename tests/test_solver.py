@@ -464,30 +464,23 @@ def test_generation_check_fails_cells_where_log_faults(n, size):
 
 def _per_generation(solve):
     """A generation solve for _subdivide from a per-cell one: the payload
-    rows of the cells solved in order until one raises, and that error."""
-    def run(cells):
-        payloads = []
-        error = None
-        for c in cells:
-            try:
-                payloads.append(solve(c))
-            except ConstructionError as e:
-                error = e
-                break
-        return np.array(payloads, dtype=float).reshape(len(payloads), -1), error
-    return run
+    rows of the cells, solved in order; the first error propagates."""
+    return lambda cells: np.array([solve(c) for c in cells],
+                                  dtype=float).reshape(len(cells), -1)
 
 
-def _subdivide_outcome(loop, work, solve, check, domain, max_cells, **kw):
+def _subdivide_outcome(loop, work, solve, check, domain, **kw):
     """Accepted (cell bounds, payload) pairs, or (class, message, stage,
     cell) of the error raised; _subdivide gets the per-cell solve as a
-    generation solve and its cells and payload rows are paired up."""
+    generation solve and its cells and payload rows are paired up, and the
+    reference loop gets the budget _MAX_CELLS."""
+    from ordercomplete import solver
+
     try:
         if loop is not _subdivide:
             return [(tuple(c.ravel().tolist()), p)
-                    for c, p in loop(work, solve, check, domain, max_cells, **kw)]
-        cells, payloads = _subdivide(work, _per_generation(solve), check, domain,
-                                     max_cells, **kw)
+                    for c, p in loop(work, solve, check, domain, solver._MAX_CELLS, **kw)]
+        cells, payloads = _subdivide(work, _per_generation(solve), check, domain, **kw)
     except ConstructionError as e:
         return type(e), str(e), e.stage, e.cell
     return [(tuple(c.ravel().tolist()), float(p)) for c, (p,) in zip(cells, payloads)]
@@ -495,7 +488,8 @@ def _subdivide_outcome(loop, work, solve, check, domain, max_cells, **kw):
 
 def _reference_subdivide(work, solve, check, domain, max_cells, *, stage=None):
     """The first-in, first-out loop that solves, checks and splits one cell
-    at a time, which the generation loop replaced."""
+    at a time, which the generation loop replaced; it accepts the same
+    cells when no error is raised."""
     work = deque(work)
     done = []
     while work:
@@ -544,35 +538,11 @@ def test_subdivide_accepts_like_reference_loop(n):
     for loop in (_reference_subdivide, _subdivide):
         log, solve, check = _synthetic(width)
         runs.append((_subdivide_outcome(loop, np.array([[dom.lo, dom.hi]]), solve, check,
-                                        dom, 10_000), log))
+                                        dom), log))
     (want, want_log), (got, got_log) = runs
     assert isinstance(want, list) and len(want) > 10
     assert got == want  # same cells, same payloads, same order
     assert got_log == want_log  # the same solves in the same order
-
-
-def test_subdivide_budget_errors_like_reference_loop():
-    # 65 points: every split succeeds, or the solve at [3/4, 1] fails after
-    # three splits in its generation; 9 points: [0, 1/4] is stranded in the
-    # third generation. A budget met first, even in the middle of a
-    # generation, must win over a later stranded cell or solve failure.
-    width = lambda x: 1 / 8 if x[0] < 0.5 else 1 / 32  # noqa: E731
-    setups = [(65, width, ()), (65, width, ((0.75,),)),
-              (9, lambda x: 0.0, ((0.75,),))]
-    kinds = set()
-    for size, width, fail_at in setups:
-        dom = GridDomain([0.0], [1.0], (size,))
-        for max_cells in range(0, 24):
-            for kw in ({}, {"stage": 2}):
-                outs = [_subdivide_outcome(loop, np.array([[[0.0], [1.0]]]),
-                                           *_synthetic(width, fail_at)[1:],
-                                           dom, max_cells, **kw)
-                        for loop in (_reference_subdivide, _subdivide)]
-                assert outs[0] == outs[1]
-                kinds.add("ok" if isinstance(outs[0], list) else outs[0][1].split(";")[0])
-    assert kinds == {"ok", "cell budget exhausted while subdividing",
-                     "bracket unattainable at grid resolution",
-                     "constrained jet unsolvable"}
 
 
 def test_subdivide_stranded_child_like_reference_loop():
@@ -581,24 +551,94 @@ def test_subdivide_stranded_child_like_reference_loop():
     width = lambda x: 1 / 2 if x[0] > 0.25 else 0.0  # noqa: E731
     for kw in ({}, {"stage": 3}):
         outs = [_subdivide_outcome(loop, np.array([[[0.0], [1.0]]]), *_synthetic(width)[1:],
-                                   dom, 100, **kw)
+                                   dom, **kw)
                 for loop in (_reference_subdivide, _subdivide)]
         assert outs[0] == outs[1]
         assert "bracket unattainable" in outs[0][1]
     assert outs[0][2:] == (3, (0.0,))  # the stage and the split cell's corner
 
 
-def test_subdivide_solve_failure_after_stranded_cell_like_reference_loop():
-    # third generation: [0, 1/4] is stranded before [3/4, 1] fails to solve
+def test_subdivide_budget_is_checked_before_each_generation(monkeypatch):
+    # 65 points: every split succeeds, or the solve at [3/4, 1] fails in
+    # the third generation. The budget error comes exactly when the
+    # accepted cells and the pending generation exceed _MAX_CELLS, before
+    # that generation is solved, and so before its solve error
+    from ordercomplete import solver
+
+    dom = GridDomain([0.0], [1.0], (65,))
+    width = lambda x: 1 / 8 if x[0] < 0.5 else 1 / 32  # noqa: E731
+    work = np.array([[[0.0], [1.0]]])
+
+    def run(fail_at):
+        """The outcome, and per generation solved the accepted cells
+        before it plus its own."""
+        _, solve, check = _synthetic(width, fail_at)
+        generation = _per_generation(solve)
+        held, accepted = [], [0]
+
+        def counted_solve(cells):
+            held.append(accepted[0] + len(cells))
+            return generation(cells)
+
+        def counted_check(cells, payloads):
+            ok = check(cells, payloads)
+            accepted[0] += int(ok.sum())
+            return ok
+
+        try:
+            _subdivide(work, counted_solve, counted_check, dom, stage=2)
+        except ConstructionError as e:
+            return str(e), held
+        return "ok", held
+
+    kinds = set()
+    for fail_at in ((), ((0.75,),)):
+        monkeypatch.setattr(solver, "_MAX_CELLS", 10_000)
+        unbounded, want = run(fail_at)
+        assert len(want) >= 3
+        for budget in range(0, max(want) + 2):
+            monkeypatch.setattr(solver, "_MAX_CELLS", budget)
+            got, held = run(fail_at)
+            over = [k for k, h in enumerate(want) if h > budget]
+            if over:
+                assert got == "cell budget exhausted while subdividing; stage=2"
+                assert held == want[:over[0]]  # that generation is not solved
+            else:
+                assert got == unbounded and held == want
+            kinds.add(got.split(";")[0])
+    assert kinds == {"ok", "cell budget exhausted while subdividing",
+                     "constrained jet unsolvable"}
+
+
+def test_subdivide_names_the_first_stranded_split_cell():
+    # 9 points, third generation [0, 1/4], [1/4, 1/2], [1/2, 3/4], [3/4, 1]:
+    # the first is accepted and the other three split into children of
+    # width 1/8 that hold no interior point; the whole generation is solved
+    # and checked, and the error names the first split cell and the stage
+    dom = GridDomain([0.0], [1.0], (9,))
+    width = lambda x: 1 / 4 if x[0] < 0.25 else 0.0  # noqa: E731
+    log, solve, check = _synthetic(width)
+    with pytest.raises(ConstructionError) as exc:
+        _subdivide(np.array([[[0.0], [1.0]]]), _per_generation(solve), check, dom, stage=3)
+    assert str(exc.value) == ("bracket unattainable at grid resolution; stage=3; "
+                              "cell=(0.25,)")
+    assert (exc.value.stage, exc.value.cell) == (3, (0.25,))
+    assert log[-4:] == [(0.0, 0.25), (0.25, 0.5), (0.5, 0.75), (0.75, 1.0)]
+
+
+def test_subdivide_raises_the_solve_error_over_a_stranded_cell():
+    # third generation: [0, 1/4] would strand its children, but the solve
+    # at [3/4, 1] fails, and the generation's solve error wins; with no
+    # solve failure the stranded cell is named
     dom = GridDomain([0.0], [1.0], (9,))
     width = lambda x: 0.0  # noqa: E731
-    for fail_at, expect in ((((0.75,),), "bracket unattainable"),
-                            (((0.5,),), "constrained jet unsolvable")):
-        outs = [_subdivide_outcome(loop, np.array([[[0.0], [1.0]]]),
-                                   *_synthetic(width, fail_at)[1:], dom, 100)
-                for loop in (_reference_subdivide, _subdivide)]
-        assert outs[0] == outs[1]
-        assert outs[0][0] is ConstructionError and expect in outs[0][1]
+    for fail_at, expect in ((((0.75,),), ("constrained jet unsolvable; stage=4; "
+                                          "cell=(0.75,)", 4, (0.75,))),
+                            ((), ("bracket unattainable at grid resolution; "
+                                  "stage=1; cell=(0.0,)", 1, (0.0,)))):
+        out = _subdivide_outcome(_subdivide, np.array([[[0.0], [1.0]]]),
+                                 *_synthetic(width, fail_at)[1:], dom, stage=1)
+        assert out == (ConstructionError, *expect)
 
 
 # ---------------------------------------------------------------------------
@@ -645,6 +685,17 @@ def test_global_pair_cell_budget(monkeypatch):
     monkeypatch.setattr(solver, "_MAX_CELLS", 1)
     with pytest.raises(ConstructionError, match="cell budget"):
         global_pair(_cubic(), dom, 0.1)
+
+
+def test_global_pair_names_the_cell_of_an_unsolvable_upper_jet():
+    # -u^2 <= 0 meets the target x - 0.8 -/+ 0.25 at the box center; the
+    # second generation's upper target 0.2 at x = 0.75 is not met, and its
+    # row, after the lower rows of both cells, names the cell [0.5, 1]
+    sys1 = PdeSystem(1, 1, 1, ["-(u[1,(0)]^2)"], ["x1 - 0.8"], [0.0], [1.0])
+    with pytest.raises(ConstructionError) as exc:
+        global_pair(sys1, GridDomain([0.0], [1.0], (17,)), 0.5)
+    assert str(exc.value).startswith("anchor jet unsolvable: no jet solution at x0=(0.75,)")
+    assert (exc.value.stage, exc.value.cell) == (None, (0.5,))
 
 
 def test_global_pair_eps_below_float_scale():
@@ -755,7 +806,7 @@ def test_refine_rejects_an_empty_j_cell_box():
     assert str(exc.value) == "J-cell constraint box is empty; stage=2; cell=1"
 
 
-def _reference_refine(sys, domain, tiling, prev, n, gamma, *, seed, max_cells=100_000):
+def _reference_refine(sys, domain, tiling, prev, n, gamma, *, seed):
     """The per-I-cell loop that refine replaced: each I-cell solves its
     anchor, builds its bands and subdivides its own J-cells in turn, with
     every cell solved as a one-row jet_solve call. An anchor solve falls
@@ -811,8 +862,7 @@ def _reference_refine(sys, domain, tiling, prev, n, gamma, *, seed, max_cells=10
             return _generation_ok(sys, domain, jcells, [(jets, below, f)], band=rows)
 
         work = prev.j_cells[ci] if prev is not None else icell[None]
-        accepted.append(_subdivide(work, _per_generation(solve), check, domain, max_cells,
-                                   stage=n))
+        accepted.append(_subdivide(work, _per_generation(solve), check, domain, stage=n))
     v_poly = _cell_polys(sys, np.concatenate([cells for cells, _ in accepted]),
                          np.concatenate([jets for _, jets in accepted]))
     marked = assemble(v_poly, domain)
@@ -1237,8 +1287,8 @@ def test_run_scheme_fails_at_the_lowest_unsupported_anchor(monkeypatch):
         run_scheme(sys2, GridDomain([0.0] * 2, [1.0] * 2, (33, 33)), 0.4, 1, seed=7)
     assert (err.value.stage, err.value.cell) == (1, 141)
     assert str(err.value) == (
-        "openness assumption unsupported at anchor (np.float64(0.53125), "
-        "np.float64(0.84375)) (margin -4.234e-01); stage=1; cell=141")
+        "openness assumption unsupported at anchor (0.53125, 0.84375) "
+        "(margin -4.234e-01); stage=1; cell=141")
     assert [ci for ci, ev in enumerate(probed) if not ev.supported] == [141, 159, 208]
     assert sum(0 < ev.samples_used < 400 for ev in probed) > 0
 
@@ -1271,10 +1321,10 @@ def test_run_scheme_probe_deltas_are_per_row_norms(monkeypatch):
     assert not np.array_equal(np.linalg.norm(widths, axis=1) / 2.0, want)
 
 
-def test_run_scheme_probes_only_the_anchors_before_an_unsolvable_one(monkeypatch):
+def test_run_scheme_fails_at_an_unsolvable_anchor_before_the_probe(monkeypatch):
     # u^2 + u'^2 = 0.5 - x has no solution where x > 0.5: the first such
-    # anchor is I-cell 8, and only anchors 0..7 are probed before the
-    # stage-1 error is raised
+    # anchor is I-cell 8, and the stage-1 error is raised before any
+    # anchor is probed
     from ordercomplete import solver
 
     sys1 = PdeSystem(1, 1, 1, ["u[1,(0)]^2 + u[1,(1)]^2"], ["0.7 - x1"], [0.0], [1.0])
@@ -1288,7 +1338,7 @@ def test_run_scheme_probes_only_the_anchors_before_an_unsolvable_one(monkeypatch
     with pytest.raises(ConstructionError, match="stage-1 anchor jet unsolvable") as err:
         run_scheme(sys1, GridDomain([0.0], [1.0], (65,)), 0.4, 1, seed=7)
     assert (err.value.stage, err.value.cell) == (1, 8)
-    assert rows == [8]
+    assert rows == []
 
 
 def test_probe_memory_is_bounded_by_its_block():
