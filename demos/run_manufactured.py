@@ -13,7 +13,8 @@ import numpy as np
 from ordercomplete.analysis import compare_reference
 from ordercomplete.cli import load_spec
 from ordercomplete.grids import GridDomain
-from ordercomplete.solver import global_pair, run_scheme, scheme_verdict
+from ordercomplete.checker import scheme_verdict
+from ordercomplete.solver import global_pair, run_scheme
 
 system, exact, _ = load_spec("demos/manufactured_1d.spec")
 domain = GridDomain(system.box_lo, system.box_hi, (161,))

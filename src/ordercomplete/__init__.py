@@ -62,23 +62,25 @@ from .pde import (
     check_assumption_interior,
     check_assumption_open,
 )
-from .solver import (
+from .checker import (
     ApEqCertificate,
     ConstructionError,
     Eq1Certificate,
     Eq2Certificate,
     Eq3Certificate,
+    RefinementStage,
+    Tiling,
+    scheme_verdict,
+    tile_domain,
+)
+from .solver import (
     GlobalPairResult,
     NoSolutionError,
-    RefinementStage,
     SchemeResult,
-    Tiling,
     global_pair,
     jet_solve,
     refine,
     run_scheme,
-    scheme_verdict,
-    tile_domain,
 )
 from .analysis import (
     IntervalSequence,

@@ -12,11 +12,11 @@ no draw depends on the order in which cells are handled.
 
 One function builds certificate.json (`_certificate`): `run` calls it on
 what it constructed, and `verify` on what it recomputed from the
-artifacts alone through the functions `run` uses, the interior probe
-included, then compares the stored document with the rebuilt one whole
-(`_compare`). Only the inputs `_TAKEN_AS_STORED` names are copied from
-the stored document. `verify` reads no CSV file nor summary.txt, and
-never re-solves.
+artifacts alone through `checker`, whose functions `run` uses too, and
+the interior probe, then compares the stored document with the rebuilt
+one whole (`_compare`) and summary.txt with its rendering. Only the
+inputs `_TAKEN_AS_STORED` names are copied from the stored document.
+`verify` reads no CSV file and runs no code of `solver`: it never re-solves.
 """
 
 from __future__ import annotations
@@ -36,21 +36,10 @@ from .grids import GridDomain, OrderInterval
 from .jets import (TilingError, _centers, artifact_json, float_array, read_poly_json,
                    write_atomic, write_poly_json)
 from .pde import _R_MIN, PdeSystem, check_assumption_interior
-from .solver import (
-    ConstructionError,
-    apeq_certificate,
-    band_tolerance,
-    _inner_boxes,
-    certified_stage,
-    check_jets,
-    global_pair,
-    jcell_boxes,
-    run_scheme,
-    scheme_convergence,
-    scheme_verdict,
-    stage_bands,
-    tile_domain,
-)
+from .checker import (ConstructionError, _inner_boxes, apeq_certificate, band_tolerance,
+                      certified_stage, check_jets, jcell_boxes, scheme_convergence,
+                      scheme_verdict, stage_bands, tile_domain)
+from .solver import global_pair, run_scheme
 
 _SCHEMA = 2
 
@@ -460,7 +449,7 @@ _TAKEN_AS_STORED = {
     "tiling.radii": "sampling evidence of the openness probe; each must be a radius "
                     "run can write: config.eps_max or in (pde._R_MIN, config.eps_max)",
     "stages[].i_jets": "each anchor jet is residual-checked against its equation "
-                       "and its solve's box (solver.check_jets)",
+                       "and its solve's box (checker.check_jets)",
     "assumption.checked": "an input: false exactly when run had --skip-assumption-check",
 }
 
@@ -540,11 +529,12 @@ def verify(result_dir) -> int:
     docstring); returns the exit code. Besides the whole-document compare,
     it checks that each radius is one `run` can write (and stops at one
     that is not), that both global polynomial files have the same cells,
-    and (solver.check_jets) each stage's stored anchor jets and the cells of
-    each polynomial file: anchored at their centers, jets that solve.
-    Artifacts of the wrong shape, count or signature, a missing or extra
-    key, an input of a type or range `run` never writes, a lattice too
-    large to allocate, or a number too large to convert are an
+    and (checker.check_jets) each stage's stored anchor jets and the cells of
+    each polynomial file: anchored at their centers, jets that solve; and
+    that summary.txt is the rebuilt document's. Artifacts of the wrong
+    shape, count or signature, a missing or unreadable file, a missing or
+    extra key, an input of a type or range `run` never writes, a lattice
+    too large to allocate, or a number too large to convert are an
     inconsistency (exit 2)."""
     out = Path(result_dir)
     problems: list[str] = []
@@ -656,6 +646,8 @@ def _verify_inner(out: Path, cert: dict, problems: list[str]) -> int:
     assumption = _assumption(system, config["seed"], cert["assumption"]["checked"] is True)
     want = _certificate(config, system, exact, assumption, gp, tiling, stages, conv)
     _compare(problems, "", cert, want)
+    if (out / "summary.txt").read_bytes() != _summary_text(want, len(u_poly.bounds)).encode():
+        problems.append("summary.txt")
     return 0 if want["verdict"] == "pass" else 2
 
 

@@ -69,7 +69,7 @@ class GridDomain:
             raise ValueError("shape length must match box dimension")
         if np.any(self.hi <= self.lo):
             raise ValueError("box must have positive extent on every axis")
-        # so a width squared (solver.tile_domain) and a sum of bounds stay finite
+        # so a width squared (checker.tile_domain) and a sum of bounds stay finite
         if not np.all(np.abs(np.concatenate([self.lo, self.hi])) <= 1e150):
             raise ValueError("box bounds must lie within +-1e+150")
         if any(s < 3 for s in self.shape):

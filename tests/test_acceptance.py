@@ -34,7 +34,8 @@ from ordercomplete.grids import (
 )
 from ordercomplete.jets import MultiIndexSet, TaylorPoly, deriv_eval, sample_jets
 from ordercomplete.pde import PdeSystem, apply_operator
-from ordercomplete.solver import ApEqCertificate, global_pair, run_scheme, scheme_verdict
+from ordercomplete.checker import ApEqCertificate, scheme_verdict
+from ordercomplete.solver import global_pair, run_scheme
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
 

@@ -22,7 +22,8 @@ from ordercomplete.grids import (
 )
 from ordercomplete.intervals import IntervalDomainError
 from ordercomplete.pde import PdeSystem
-from ordercomplete.solver import _band_functions, run_scheme
+from ordercomplete.checker import _band_functions
+from ordercomplete.solver import run_scheme
 
 
 def _const_interval(dom, lo, hi):

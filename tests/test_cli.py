@@ -1,6 +1,7 @@
 """Problem-file loading, pipeline exit codes, artifact layout, determinism,
 and independent re-verification."""
 
+import ast
 import contextlib
 import io
 import json
@@ -15,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ordercomplete import cli
 from ordercomplete.cli import (
     _TAKEN_AS_STORED,
     RunConfig,
@@ -777,7 +779,7 @@ def test_verify_compares_global_pair_cells(demo_dir, tmp_path, capsys, name, tam
 
 def _double_radii(cert):
     # every derived block that reads the radii is recomputed to match them
-    from ordercomplete.solver import band_tolerance, eq3_certificate
+    from ordercomplete.checker import band_tolerance, eq3_certificate
 
     t = cert["tiling"]
     t["radii"] = [2.0 * r for r in t["radii"]]
@@ -877,7 +879,7 @@ def test_verify_recomputes_global_pair_at_gamma(demo_dir, tmp_path, capsys):
     from ordercomplete.cli import _cert_dict
     from ordercomplete.grids import GridDomain
     from ordercomplete.jets import read_poly_json
-    from ordercomplete.solver import apeq_certificate
+    from ordercomplete.checker import apeq_certificate
 
     cert = json.loads((demo_dir / "certificate.json").read_text())
     system, _, _ = load_spec(DEMOS / "manufactured_1d.spec")
@@ -1045,6 +1047,143 @@ def test_verify_rejects_missing_or_foreign_dir(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
+# summary.txt
+
+
+def _summary_copy(run, tmp_path):
+    copy = tmp_path / "copy"
+    shutil.copytree(run, copy)
+    return copy, copy / "summary.txt"
+
+
+def test_verify_rejects_a_changed_summary_digit(demo_dir, tmp_path, capsys):
+    copy, summary = _summary_copy(demo_dir, tmp_path)
+    text = summary.read_text()
+    i = max(k for k, c in enumerate(text) if c.isdigit())
+    summary.write_text(text[:i] + str((int(text[i]) + 1) % 10) + text[i + 1:])
+    assert verify(copy) == 2
+    assert "MISMATCH summary.txt" in capsys.readouterr().out
+
+
+def test_verify_needs_the_summary(demo_dir, tmp_path, capsys):
+    copy, summary = _summary_copy(demo_dir, tmp_path)
+    summary.unlink()
+    assert verify(copy) == 2
+    assert "artifact inconsistency" in capsys.readouterr().out
+
+
+def test_verify_rejects_a_passing_summary_over_a_failing_certificate(tmp_path, monkeypatch,
+                                                                     capsys):
+    # no demo run fails, so run and verify both take the verdict from a rule
+    # that fails every scheme: verify reproduces the failing certificate, and
+    # a summary.txt that says pass over it is a mismatch
+    monkeypatch.setattr(cli, "scheme_verdict", lambda stages, conv, gp: (False, ["forced"]))
+    out = tmp_path / "out"
+    assert main(["run", str(DEMOS / "manufactured_1d.spec"), "--gamma", "0.2",
+                 "--stages", "1", "--no-samples", "--out", str(out)]) == 2
+    assert verify(out) == 2
+    assert "all certificates reproduce; verdict fail" in capsys.readouterr().out
+    summary = out / "summary.txt"
+    summary.write_text(summary.read_text().replace("verdict: fail", "verdict: pass"))
+    assert verify(out) == 2
+    assert "MISMATCH summary.txt" in capsys.readouterr().out
+
+
+# ---------------------------------------------------------------------------
+# the checker's trusted base: verify runs no construction code
+
+TRANSPORT_2D_SPEC = """\
+n = 2
+K = 1
+m = 1
+box.lo = 0 0
+box.hi = 1 1
+grid = 33
+F1 = u[1,(1,0)] + u[1,(0,1)] + u[1,(0,0)]^3
+f1 = cos(x1) + cos(x2) + (sin(x1) + sin(x2))^3
+exact1 = sin(x1) + sin(x2)
+"""
+
+
+@pytest.fixture(scope="module")
+def run_2d(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("run2d")
+    spec = tmp / "transport.spec"
+    spec.write_text(TRANSPORT_2D_SPEC)
+    out = tmp / "out"
+    assert main(["run", str(spec), "--gamma", "0.4", "--stages", "2", "--no-samples",
+                 "--out", str(out)]) == 0
+    return out
+
+
+class _Called(Exception):
+    """A replaced routine was called (see _raising_everywhere)."""
+
+
+def _raising_everywhere(monkeypatch, functions) -> set[str]:
+    """Replace each of functions at every binding in the package's modules,
+    as perfbench/tracing.py finds a traced routine, by one that raises
+    _Called with its name; returns the names of those replaced."""
+    def raiser(f):
+        def called(*args, **kwargs):
+            raise _Called(f"{f.__module__}.{f.__qualname__}")
+        return called
+
+    replaced = set()
+    for name, module in list(sys.modules.items()):
+        if name == "ordercomplete" or name.startswith("ordercomplete."):
+            for attr, value in list(vars(module).items()):
+                f = next((f for f in functions if value is f), None)
+                if f is not None:
+                    monkeypatch.setattr(module, attr, raiser(f))
+                    replaced.add(f.__name__)
+    return replaced
+
+
+def test_verify_runs_no_construction_code(demo_dir, run_2d, monkeypatch, capsys):
+    # every routine and class that solver defines, and the openness probe,
+    # raise wherever the package binds them; verify still reproduces a 1D
+    # and a 2D run, so it runs none of them
+    from ordercomplete import pde, solver
+
+    construction = [f for f in vars(solver).values()
+                    if callable(f) and getattr(f, "__module__", None) == solver.__name__]
+    replaced = _raising_everywhere(monkeypatch, [*construction, pde.check_assumption_open])
+    assert {"jet_solve", "_newton", "_subdivide", "_generation_ok", "global_pair", "refine",
+            "run_scheme", "check_assumption_open"} <= replaced
+    for run in (demo_dir, run_2d):
+        assert verify(run) == 0
+    assert capsys.readouterr().out.count("all certificates reproduce; verdict pass") == 2
+
+
+def test_verify_fails_when_a_checker_routine_raises(demo_dir, monkeypatch):
+    # the replacement above reaches what verify calls, so that test cannot
+    # pass for want of a binding replaced
+    from ordercomplete import checker
+
+    assert _raising_everywhere(monkeypatch, [checker.stage_bands]) == {"stage_bands"}
+    with pytest.raises(_Called, match="checker.stage_bands"):
+        verify(demo_dir)
+
+
+def test_checker_imports_no_solver():
+    # no import statement of checker.py, relative or absolute, at module
+    # level or inside a function, names the construction module
+    tree = ast.parse((SRC / "ordercomplete" / "checker.py").read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:  # relative, so from within the package
+                base = f"ordercomplete.{base}".rstrip(".")
+            imported.update([base, *(f"{base}.{a.name}" for a in node.names)])
+    assert "ordercomplete.pde" in imported
+    assert not any(m.split(".")[:2] == ["ordercomplete", "solver"] for m in imported)
+
+
+# ---------------------------------------------------------------------------
 # installed entry point
 
 
@@ -1088,10 +1227,11 @@ def test_console_entry_point(tmp_path):
 
 def test_cli_import_loads_no_scipy():
     # numpy is the only runtime dependency: a fresh interpreter that imports
-    # the CLI has loaded no scipy module
+    # the CLI has loaded no scipy module, and no numpy.random either, which
+    # the package loads only when it draws (see solver.jet_solve)
     proc = subprocess.run(
         [sys.executable, "-c", "import sys, ordercomplete.cli; "
-         "print(sorted(m for m in sys.modules if m.startswith('scipy')))"],
+         "print(sorted(m for m in sys.modules if m.startswith(('scipy', 'numpy.random'))))"],
         capture_output=True, text=True, env=_child_env(),
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr

@@ -1,10 +1,13 @@
 """Property tests over the expression grammar: rendering round-trips, and
-the point, array and interval evaluators agree on values and faults. Also
-the CSV writer: its bytes are those of the csv.writer reference, and
-read_csv gives back every value bit for bit; the neighbour box pass
-gives the bits of the offset loop at every skeleton point; the routines
-on lattice functions never read a skeleton value; and `run` exits 0, 2
-or 3 on random problem files, never with a traceback.
+the point, array and interval evaluators agree on values and faults. The
+interval evaluator encloses the array values on point boxes and on boxes
+around them. Also the CSV writer: its bytes are those of the csv.writer
+reference, and read_csv gives back every value bit for bit; the
+neighbour box pass gives the bits of the offset loop at every skeleton
+point; normalize is idempotent, and the stacked completion gives each
+layer's normalize; the routines on lattice functions never read a
+skeleton value; and `run` exits 0, 2 or 3 on random problem files, never
+with a traceback.
 
 Trees are drawn for the signatures (n, 1, 1), n in {1, 2}, from every node
 type. The runs are derandomized, with a fixed number of examples and no
@@ -162,6 +165,41 @@ def test_interval_evaluator_encloses_array_values_on_point_boxes(case):
         assert np.all(out.lo[ok] <= vals[ok]) and np.all(vals[ok] <= out.hi[ok]), ex.render(e)
 
 
+# each point p widened into the box [p - r, p + r], r = width * max(|p|, 1),
+# its ends clipped to finite doubles, and the array evaluator sampled at
+# every corner of the box and at p; a box straddling a function's domain
+# boundary or a zero of sign holds samples on both sides of it. Every
+# subtree is checked, alone and under one drawn function, so that each
+# function meets boxes of every kind
+@_SETTINGS
+@given(_cases(st.floats(allow_nan=False, allow_infinity=False)),
+       st.sampled_from([2.0**-20, 2.0**-4, 1.0, 4.0]),
+       st.sampled_from([*ex.FUNCTIONS, "sign"]))
+def test_interval_evaluator_encloses_array_samples_on_boxes(case, width, func):
+    tree, x, jets = case
+    points = [*x, *jets.values()]
+    big = np.finfo(float).max
+    with np.errstate(over="ignore"):
+        ends = [(np.maximum(p - r, -big), np.minimum(p + r, big))
+                for p, r in ((p, width * np.maximum(np.abs(p), 1.0)) for p in points)]
+    corners = list(itertools.product((0, 1), repeat=len(points)))
+    # per variable, its samples (corners + 1, elements), flattened
+    sampled = [np.stack([end[c[v]] for c in corners] + [points[v]]).ravel()
+               for v, end in enumerate(ends)]
+    n = len(x)
+    boxes = [Interval(*end) for end in ends]
+    for e in (t for sub in _subtrees(tree) for t in (sub, ex.Call(func, sub))):
+        vals, faulted = (a.reshape(len(corners) + 1, -1) for a in _eval_arrays(
+            e, sampled[:n], dict(zip(jets, sampled[n:], strict=True))))
+        try:
+            out = ex.eval_interval(e, boxes[:n], dict(zip(jets, boxes[n:], strict=True)))
+            interval_faulted = np.zeros(vals.shape[1], dtype=bool)
+        except ex.EvalDomainError as err:
+            out, interval_faulted = err.values, err.faulted
+        assert np.all(faulted[:, interval_faulted]), ex.render(e)
+        assert np.all(faulted | ((out.lo <= vals) & (vals <= out.hi))), ex.render(e)
+
+
 # ---------------------------------------------------------------------------
 # CSV rendering of grid functions
 
@@ -232,6 +270,38 @@ def test_box_pass_is_the_offset_loop(case):
         box = grids._neighbor_extreme(dom, stack, minimize)[..., dom.skeleton]
         loop = _offset_loop_extreme(dom, stack, minimize)[..., dom.skeleton]
         assert box.tobytes() == loop.tobytes()
+
+
+@st.composite
+def _stacks(draw):
+    """A lattice function of _grid_functions and one or two more on its
+    lattice, each holding its values off the skeleton in a drawn order,
+    negated or not (so a zero may change its sign), and its skeleton values
+    on the skeleton: 2 or 3 layers of lattice values."""
+    u = draw(_grid_functions())
+    off = ~u.domain.skeleton
+    layers = [u.values]
+    for _ in range(draw(st.integers(1, 2))):
+        v = np.array(u.values)
+        v[off] = draw(st.sampled_from([1.0, -1.0])) * np.array(
+            draw(st.permutations(u.values[off].tolist())))
+        layers.append(v)
+    return u.domain, layers
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(_stacks())
+def test_normalize_is_idempotent_and_completes_stacks_alike(case):
+    # normalize is a fixed point after one pass, and the stacked completion
+    # (grids.complete) of the values off the skeleton gives each layer's
+    # normalize, bit for bit, signed zeros included
+    dom, layers = case
+    once = [normalize(GridFunction(dom, v)) for v in layers]
+    for g in once:
+        assert normalize(g).values.tobytes() == g.values.tobytes()
+    off = ~dom.skeleton
+    stacked = grids.complete(dom, off, [v[off] for v in layers])
+    assert [g.values.tobytes() for g in stacked] == [g.values.tobytes() for g in once]
 
 
 # ---------------------------------------------------------------------------

@@ -17,22 +17,28 @@ from ordercomplete.jets import (
     assemble,
     sample_jets,
 )
-from ordercomplete.pde import PdeSystem, apply_operator, check_assumption_open
-from ordercomplete.solver import (
+from ordercomplete.checker import (
     _TOL_RESIDUAL,
-    ANCHOR,
     ApEqCertificate,
-    JCELL,
-    PROBE,
     ConstructionError,
-    NoSolutionError,
     RefinementStage,
     Tiling,
     _band_functions,
+    _empty_interiors,
+    scheme_convergence,
+    scheme_verdict,
+    stage_certificates,
+    tile_domain,
+)
+from ordercomplete.pde import PdeSystem, apply_operator, check_assumption_open
+from ordercomplete.solver import (
+    ANCHOR,
+    JCELL,
+    PROBE,
+    NoSolutionError,
     _cell_key,
     _cell_polys,
     _children,
-    _empty_interiors,
     _generation_ok,
     _stream,
     _subdivide,
@@ -40,10 +46,6 @@ from ordercomplete.solver import (
     jet_solve,
     refine,
     run_scheme,
-    scheme_convergence,
-    scheme_verdict,
-    stage_certificates,
-    tile_domain,
 )
 
 
@@ -924,7 +926,7 @@ def test_each_candidate_classified_once_per_lattice(monkeypatch, tmp_path):
     # once and takes the I-cell owners by index arithmetic, and
     # scheme_convergence moves the stage samples without sampling,
     # classifying or applying T
-    from ordercomplete import cli, jets, pde, solver
+    from ordercomplete import checker, cli, jets, pde, solver
 
     names = ("_classify_grid", "assemble", "sample_jets", "apply_operator")
     counts = dict.fromkeys(names, 0)
@@ -938,7 +940,7 @@ def test_each_candidate_classified_once_per_lattice(monkeypatch, tmp_path):
     for name in names:
         home = pde if name == "apply_operator" else jets
         wrapped = counted(name, getattr(home, name))
-        for module in (jets, pde, solver, cli):
+        for module in (jets, pde, solver, checker, cli):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, wrapped)
 
@@ -960,7 +962,7 @@ def test_each_candidate_classified_once_per_lattice(monkeypatch, tmp_path):
     stages = []
     for n in (1, 2, 3):
         stages.append(refine(sys, dom, tiling, stages[-1] if stages else None, n, 0.05))
-        assert stages[-1].certificates_pass()
+        assert stages[-1].eq1.passed and stages[-1].eq2.passed and stages[-1].eq3.passed
         assert calls() == per(1)
     conv = scheme_convergence(sys, [s.samples for s in stages], tiling.radii, 0.05)
     assert scheme_verdict(stages, conv, gp) == (True, [])
@@ -1020,7 +1022,7 @@ def test_scheme_affine_closed_forms():
     assert scheme_verdict(res.stages, res, _PASSING_PAIR) == (True, [])
     assert abs(res.final_sup_gap - 0.05) <= 8 * math.ulp(0.05)  # gamma/(2N)
     for s in res.stages:
-        assert s.certificates_pass()
+        assert s.eq1.passed and s.eq2.passed and s.eq3.passed
         # stage operator image is the constant 1 - gamma/(2n) off skeleton
         (tv,) = apply_operator(sys1, sample_jets(s.v, s.domain))
         want = 1.0 - 0.4 / (2 * s.n)
@@ -1139,7 +1141,7 @@ def test_scheme_moved_samples_match_final_lattice_resampling(sys, size, gamma, N
     # bands rendered there; the samples each stage took on its own lattice,
     # moved there, equal them bit for bit, sign bits included
     res = run_scheme(sys, GridDomain(sys.box_lo, sys.box_hi, (size,) * sys.n), gamma, N)
-    final = res.domain
+    final = res.stages[-1].domain
     assert any((s.domain.skeleton != final.skeleton).any() for s in res.stages)
     for s, jets, tv, bands in zip(res.stages, res.samples_by_stage, res.tv_by_stage,
                                   res.bands_by_stage, strict=True):
@@ -1314,7 +1316,7 @@ def test_run_scheme_probe_deltas_are_per_row_norms(monkeypatch):
     with pytest.raises(Probed):
         run_scheme(PdeSystem(2, 1, 1, ["u[1,(1,0)] + u[1,(0,1)]"], ["1"], lo, hi),
                    dom, 0.4, 1)
-    widths = np.diff(solver.tile_domain(dom).i_cells, axis=1)[:, 0]
+    widths = np.diff(tile_domain(dom).i_cells, axis=1)[:, 0]
     want = [np.linalg.norm(w) / 2.0 for w in widths]
     (got,) = deltas
     assert np.array_equal(got, want)
