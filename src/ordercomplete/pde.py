@@ -166,6 +166,12 @@ _R_MIN = 1e-6
 _BLOCK_ROWS = 8
 
 
+def _unbounded(centered: np.ndarray) -> np.ndarray:
+    """Which probes' centred images (A, S, K) are not all finite: such an
+    image supports nothing."""
+    return ~np.isfinite(centered).all(axis=(1, 2))
+
+
 def _principal_directions(images: np.ndarray) -> np.ndarray:
     """Principal axes of each probe's sampled image (A, S, K), both signs:
     (A, 2K, K).
@@ -179,10 +185,43 @@ def _principal_directions(images: np.ndarray) -> np.ndarray:
     """
     centered = images - images.mean(axis=1, keepdims=True)
     full = centered.shape[1] < centered.shape[2]
-    bad = ~np.isfinite(centered).all(axis=(1, 2))
+    bad = _unbounded(centered)
     _, _, vt = np.linalg.svd(np.where(bad[:, None, None], 0.0, centered), full_matrices=full)
     vt[bad] = np.nan
     return np.concatenate([vt, -vt], axis=1)
+
+
+def _projected_reach(images: np.ndarray, targets: np.ndarray, raw: np.ndarray,
+                     norms: np.ndarray) -> np.ndarray:
+    """Least reach of A probes' images (A, S, K) past targets (A, K) over
+    their directions: the 2K axes, the random draws raw (A *
+    _EXTRA_DIRECTIONS, K) whose norms are above 1e-12, and the principal
+    axes, both signs; NaN for an image whose centring is not finite."""
+    count, _, K = images.shape
+    axes = np.concatenate([np.eye(K), -np.eye(K)])
+    # a dropped draw stands in as the first axis, which leaves the minimum alone
+    unit = np.divide(raw, norms, out=np.tile(axes[0], (raw.shape[0], 1)), where=norms > 1e-12)
+    dirs = np.concatenate([np.broadcast_to(axes, (count, 2 * K, K)),
+                           unit.reshape(count, _EXTRA_DIRECTIONS, K),
+                           _principal_directions(images)], axis=1)
+    # the (S, D) projection of one probe at a time: a block's (A, S, D) one
+    # would be the probe's one large temporary, and above malloc's mmap
+    # threshold it raised peak RSS by 1.7 MB on ode1d_batch's 1D problems
+    reach = np.stack([(rel @ d.T).max(axis=0)
+                      for rel, d in zip(images - targets[:, None, :], dirs)])
+    return reach.min(axis=1)
+
+
+def _line_reach(images: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """_projected_reach for K = 1, bit for bit, in two reductions: every
+    direction is +1 or -1 exactly, or NaN where the image's centring is not
+    finite, so the least reach is that of the farthest reaches up and down.
+    A projection sums from +0.0, so its zero is +0.0; adding 0.0 gives
+    the branch's zeros that sign."""
+    rel = images[:, :, 0] - targets
+    reach = np.minimum(rel.max(axis=1), -rel.min(axis=1)) + 0.0
+    reach[_unbounded(images - images.mean(axis=1, keepdims=True))] = np.nan
+    return reach
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -194,24 +233,17 @@ def _margins(images: np.ndarray, targets: np.ndarray,
     drawn from rngs[a] (a draw of norm at most 1e-12 is dropped) and the
     principal axes of its images[a] (S, K), both signs; its margin is the
     minimum over them of the farthest reach of its images past targets[a].
+    For K = 1 the random directions add no reach, but they are drawn and
+    counted all the same, so each stream and direction count is that of
+    the general projection.
     """
     count, _, K = images.shape
-    axes = np.concatenate([np.eye(K), -np.eye(K)])
     raw = np.concatenate([rng.normal(size=(_EXTRA_DIRECTIONS, K)) for rng in rngs])
     norms = np.linalg.norm(raw, axis=1, keepdims=True)
-    kept = norms > 1e-12
-    # a dropped draw stands in as the first axis, which leaves the minimum alone
-    unit = np.divide(raw, norms, out=np.tile(axes[0], (raw.shape[0], 1)), where=kept)
-    dirs = np.concatenate([np.broadcast_to(axes, (count, 2 * K, K)),
-                           unit.reshape(count, _EXTRA_DIRECTIONS, K),
-                           _principal_directions(images)], axis=1)
-    # the (S, D) projection of one probe at a time: a block's (A, S, D) one
-    # would be the probe's one large temporary, and above malloc's mmap
-    # threshold it raised peak RSS by 1.7 MB on ode1d_batch's 1D problems
-    reach = np.stack([(rel @ d.T).max(axis=0)
-                      for rel, d in zip(images - targets[:, None, :], dirs)])
-    directions = 4 * K + kept.reshape(count, _EXTRA_DIRECTIONS).sum(axis=1)
-    return np.fmax(reach.min(axis=1), -np.inf), directions  # NaN: an overflowed image
+    reach = (_line_reach(images, targets) if K == 1
+             else _projected_reach(images, targets, raw, norms))
+    directions = 4 * K + (norms > 1e-12).reshape(count, _EXTRA_DIRECTIONS).sum(axis=1)
+    return np.fmax(reach, -np.inf), directions  # NaN: an overflowed image
 
 
 def _evidence(images: np.ndarray, kept: np.ndarray, targets: np.ndarray,
@@ -267,15 +299,29 @@ def check_assumption_interior(
 
 def _in_balls(centers: np.ndarray, radii, normals: np.ndarray,
               uniforms: np.ndarray) -> np.ndarray:
-    """Uniform points of the balls of the given centers (R, d) and radii,
-    one per row of normals (R, d), standard normal draws, and uniforms (R,),
-    uniform ones: the unit direction scaled by radius * u^(1/d). A row
-    whose normal draw has norm below 1e-12 gives its center."""
-    norms = np.linalg.norm(normals, axis=1, keepdims=True)
-    kept = norms >= 1e-12
-    unit = np.divide(normals, norms, out=np.zeros_like(normals), where=kept)
-    root = np.where(kept[:, 0], uniforms ** (1.0 / normals.shape[1]), 0.0)
-    return centers + (radii * root)[:, None] * unit
+    """Uniform points of A balls in R^d, S per ball, as coordinate columns
+    (d, A, S). Ball a has center centers[a] (d,) and radius radii[a] (or
+    radii for all); its s-th point takes the direction of normals[a, s]
+    (d,), a standard normal draw, and the radius fraction
+    uniforms[a, s]^(1/d), u uniform. A point whose normal draw has norm
+    below 1e-12 is its ball's center.
+
+    Every point is center + (radius * u^(1/d)) * (normal / norm) in IEEE
+    arithmetic, the norm that of np.linalg.norm along the last axis.
+    """
+    d = normals.shape[-1]
+    norms = np.linalg.norm(normals, axis=-1)
+    short = norms < 1e-12
+    if short.any():  # divided by 1, then zeroed
+        norms[short] = 1.0
+    points = np.empty((d, *norms.shape))
+    for j in range(d):
+        np.divide(normals[..., j], norms, out=points[j])
+    if short.any():
+        points[:, short] = 0.0
+    points *= np.reshape(radii, (-1, 1)) * uniforms ** (1.0 / d)
+    points += centers.T[:, :, None]
+    return points
 
 
 def _ball_images(sys: PdeSystem, x: np.ndarray, jets: np.ndarray, delta: np.ndarray,
@@ -283,16 +329,22 @@ def _ball_images(sys: PdeSystem, x: np.ndarray, jets: np.ndarray, delta: np.ndar
     """F on the ball samples of the probe rows x (A, n), jets (A, M) and
     delta (A,), row a drawing from rngs[a]: the point ball's samples (a
     (S, n) standard normal block, then S uniforms), then the jet ball's
-    alike. Returns the images (A, S, K) and which samples fault (A, S)."""
-    draws = [(rng.standard_normal((_SAMPLES, sys.n)), rng.random(_SAMPLES),
-              rng.standard_normal((_SAMPLES, sys.unknown_count)), rng.random(_SAMPLES))
-             for rng in rngs]
-    x_normals, x_uniforms, j_normals, j_uniforms = map(np.concatenate, zip(*draws))
-    xs, ds, js = (np.repeat(a, _SAMPLES, axis=0) for a in (x, delta, jets))
-    points = np.clip(_in_balls(xs, ds, x_normals, x_uniforms), sys.box_lo, sys.box_hi)
-    vecs = _in_balls(js, eps_ball, j_normals, j_uniforms)
-    images, faulted = eval_rows(sys, sys.F, points.T, vecs)
-    return images.reshape(len(rngs), _SAMPLES, sys.K), faulted.reshape(len(rngs), _SAMPLES)
+    alike, each drawn into its place in the block's arrays. Returns the
+    images (A, S, K) and which samples fault (A, S)."""
+    count, n, M = len(rngs), sys.n, sys.unknown_count
+    x_normals, j_normals = np.empty((count, _SAMPLES, n)), np.empty((count, _SAMPLES, M))
+    x_uniforms, j_uniforms = np.empty((2, count, _SAMPLES))
+    for a, rng in enumerate(rngs):
+        rng.standard_normal(out=x_normals[a])
+        rng.random(out=x_uniforms[a])
+        rng.standard_normal(out=j_normals[a])
+        rng.random(out=j_uniforms[a])
+    points = _in_balls(x, delta, x_normals, x_uniforms)
+    np.clip(points, np.reshape(sys.box_lo, (-1, 1, 1)), np.reshape(sys.box_hi, (-1, 1, 1)),
+            out=points)
+    vecs = _in_balls(jets, eps_ball, j_normals, j_uniforms).reshape(M, -1)
+    images, faulted = eval_rows(sys, sys.F, points.reshape(n, -1), vecs.T)
+    return images.reshape(count, _SAMPLES, sys.K), faulted.reshape(count, _SAMPLES)
 
 
 def check_assumption_open(

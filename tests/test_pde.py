@@ -1,12 +1,17 @@
 """System construction, operator application on piecewise candidates,
 and the sampling-based solvability checks."""
 
+import copy
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ordercomplete import expr as ex
+from ordercomplete import pde
 from ordercomplete.expr import render
 from ordercomplete.grids import GridDomain, GridFunction, normalize
 from ordercomplete.jets import MultiIndexSet, assemble, sample_jets
@@ -16,6 +21,7 @@ from ordercomplete.pde import (
     apply_operator,
     check_assumption_interior,
     check_assumption_open,
+    eval_rows,
 )
 from ordercomplete.solver import _cell_polys
 
@@ -472,6 +478,221 @@ def test_principal_directions_keep_all_axes_with_few_samples():
     # one surviving sample in R^2 still yields both axes, both signs
     assert _principal_directions(np.array([[[1.0, 2.0]]])).shape == (1, 4, 2)
     assert _principal_directions(np.ones((3, 400, 2))).shape == (3, 4, 2)
+
+
+# ---------------------------------------------------------------------------
+# the K = 1 margins and the ball sampler, bit for bit against the general
+# projection and the row-reduction sampler
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+def _general_margins(images, targets, rngs):
+    """_margins through the general projection whatever K: the random
+    directions, the axes and the principal axes, one (S, D) projection per
+    probe. The reference of the K = 1 branch."""
+    count, _, K = images.shape
+    raw = np.concatenate([rng.normal(size=(pde._EXTRA_DIRECTIONS, K)) for rng in rngs])
+    norms = np.linalg.norm(raw, axis=1, keepdims=True)
+    with np.errstate(over="ignore", invalid="ignore"):
+        reach = pde._projected_reach(images, targets, raw, norms)
+    kept = (norms[:, 0] > 1e-12).reshape(count, pde._EXTRA_DIRECTIONS)
+    return np.fmax(reach, -np.inf), 4 * K + kept.sum(axis=1)
+
+
+def _assert_line_margins(images, targets, seed=0):
+    """The K = 1 branch of _margins on images (A, S) and targets (A,)
+    against _general_margins on the same streams: margins and direction
+    counts bit for bit, and the streams left in the same states."""
+    images = np.asarray(images, dtype=float)[:, :, None]
+    targets = np.asarray(targets, dtype=float)[:, None]
+    rngs = [np.random.default_rng([seed, a]) for a in range(len(images))]
+    ref_rngs = [np.random.default_rng([seed, a]) for a in range(len(images))]
+    margins, directions = pde._margins(images, targets, rngs)
+    ref_margins, ref_directions = _general_margins(images, targets, ref_rngs)
+    assert np.array_equal(_bits(margins), _bits(ref_margins))
+    assert np.array_equal(directions, ref_directions)
+    assert [r.bit_generator.state for r in rngs] == [r.bit_generator.state for r in ref_rngs]
+    return margins
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_line_margins_match_the_projection_on_random_images(seed):
+    rng = np.random.default_rng(seed)
+    images = rng.normal(size=(8, 400)) * rng.uniform(0.1, 10.0, (8, 1))
+    targets = rng.normal(size=8) + np.array([0.0, 60.0] * 4)  # every other one outside
+    margins = _assert_line_margins(images, targets, seed)
+    assert np.any(margins > 0.0) and np.any(margins < 0.0)
+
+
+def test_line_margins_with_the_target_on_a_sample_are_exact_zeros():
+    images = np.random.default_rng(3).normal(size=(6, 400))
+    targets = np.concatenate([images[:3].max(axis=1), images[3:].min(axis=1)])
+    margins = _assert_line_margins(images, targets)
+    assert np.array_equal(_bits(margins), _bits(np.zeros(6)))
+
+
+def test_line_margins_with_signed_zeros():
+    # image -0.0 against target 0.0 is a reach of -0.0; the projections
+    # give +0.0, and so must the branch
+    images = [
+        [-0.0, -1.0, -3.0],
+        [-0.0, 0.0, -2.0],
+        [0.0, -0.0, 2.0],
+        [-0.0, -0.0, 1.0],
+        [-0.0, -0.0, -0.0],
+        [0.0, -0.0, -1.0],
+    ]
+    targets = [0.0, 0.0, -0.0, 0.0, -0.0, -0.0]
+    margins = _assert_line_margins(images, targets)
+    assert np.array_equal(_bits(margins), _bits(np.zeros(6)))
+
+
+def test_line_margins_on_constant_images():
+    images = np.full((3, 400), 2.5)
+    margins = _assert_line_margins(images, [2.5, 1.0, 4.0])
+    assert margins.tolist() == [0.0, -1.5, -1.5]
+
+
+def test_line_margins_on_overflowed_images():
+    # a non-finite sample, or a centring that overflows, supports nothing;
+    # a finite centring whose reach overflows keeps its finite side
+    images = np.ones((5, 4))
+    images[0, 2] = np.inf
+    images[1, 0] = -np.inf
+    images[2] = 1e308  # the mean's sum overflows
+    images[3] = [1.7e308, -1.7e308, -1.7e308, -1e307]  # 1.7e308 - mean overflows
+    images[4] = [4e307, 3e307, 4e307, 3e307]  # up past -1.6e308 overflows
+    margins = _assert_line_margins(images, [1.0, 1.0, 1e308, 0.0, -1.6e308])
+    assert margins[:4].tolist() == [-np.inf] * 4
+    assert margins[4] == -1.6e308 - 3e307
+
+
+def test_line_margins_on_a_probe_reduced_alone(monkeypatch):
+    # _evidence reduces the probes that keep every sample together and one
+    # that drops some alone on its kept samples: both through the branch
+    rng = np.random.default_rng(5)
+    images = rng.normal(size=(4, 400, 1))
+    kept = np.ones((4, 400), dtype=bool)
+    kept[1, ::3] = False
+    kept[3] = False
+    targets = images[:, 7] + 0.01
+    calls = []
+    real = pde._margins
+
+    def both(images, targets, rngs):
+        ref_rngs = copy.deepcopy(rngs)
+        got = real(images, targets, rngs)
+        calls.append(images.shape)
+        want = _general_margins(images, targets, ref_rngs)
+        assert np.array_equal(_bits(got[0]), _bits(want[0]))
+        assert np.array_equal(got[1], want[1])
+        assert [r.bit_generator.state for r in rngs] == [r.bit_generator.state for r in ref_rngs]
+        return got
+
+    monkeypatch.setattr(pde, "_margins", both)
+    rngs = [np.random.default_rng([9, a]) for a in range(4)]
+    evidence = pde._evidence(images, kept, targets, rngs)
+    assert calls == [(2, 400, 1), (1, 266, 1)]
+    assert [ev.samples_used for ev in evidence] == [400, 266, 400, 0]
+    assert evidence[3].directions == 0 and evidence[3].margin_min == -np.inf
+
+
+def _row_balls(centers, radii, normals, uniforms):
+    """The ball sampler on rows (R, d) by row reductions: np.linalg.norm
+    along axis 1, a masked division and a masked root."""
+    norms = np.linalg.norm(normals, axis=1, keepdims=True)
+    kept = norms >= 1e-12
+    unit = np.divide(normals, norms, out=np.zeros_like(normals), where=kept)
+    root = np.where(kept[:, 0], uniforms ** (1.0 / normals.shape[1]), 0.0)
+    return centers + (radii * root)[:, None] * unit
+
+
+# the scale of a row of normal draws: ordinary, all zero, subnormal or with
+# squares below the smallest subnormal, and around 1e200, where the sum of
+# squares overflows
+_ROW_SCALES = st.sampled_from([1.0, 1.0, 0.0, 5e-324, 1e-310, 1e-170, 1e-12, 1e200, -1e200])
+
+
+@st.composite
+def _ball_draws(draw):
+    d = draw(st.integers(1, 9))
+    balls, samples = draw(st.integers(1, 3)), draw(st.integers(1, 6))
+    finite = st.floats(-4.0, 4.0)
+    normals = np.array(draw(st.lists(finite, min_size=balls * samples * d,
+                                     max_size=balls * samples * d))).reshape(balls, samples, d)
+    scales = np.array(draw(st.lists(_ROW_SCALES, min_size=balls * samples,
+                                    max_size=balls * samples))).reshape(balls, samples, 1)
+    uniforms = np.array(draw(st.lists(st.floats(0.0, 1.0, exclude_max=True),
+                                      min_size=balls * samples, max_size=balls * samples)))
+    centers = np.array(draw(st.lists(st.sampled_from([0.0, -0.0, 0.5, -3.0, 1e10]),
+                                     min_size=balls * d, max_size=balls * d)))
+    radii = draw(st.one_of(st.floats(0.0, 2.0),
+                           st.lists(st.floats(0.0, 2.0), min_size=balls, max_size=balls)))
+    with np.errstate(under="ignore"):
+        normals = normals * scales
+    return (centers.reshape(balls, d), np.asarray(radii), normals,
+            uniforms.reshape(balls, samples))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(_ball_draws())
+# draws of norm 1e-12 exactly, which are kept
+@example((np.zeros((1, 1)), np.asarray(0.5), np.array([[[1e-12], [-1e-12]]]), np.full((1, 2), 0.5)))
+@example((np.ones((1, 2)), np.asarray([2.0]), np.array([[[0.0, -1e-12]]]), np.full((1, 1), 0.25)))
+def test_ball_sampler_is_the_row_reduction_sampler(case):
+    centers, radii, normals, uniforms = case
+    balls, samples, d = normals.shape
+    rows = np.broadcast_to(np.reshape(radii, (-1, 1)), (balls, samples)).reshape(-1)
+    with np.errstate(over="ignore", under="ignore"):
+        want = _row_balls(np.repeat(centers, samples, axis=0), rows,
+                          normals.reshape(-1, d), uniforms.reshape(-1))
+        got = pde._in_balls(centers, radii, normals, uniforms)
+    assert got.shape == (d, balls, samples)
+    assert np.array_equal(_bits(got.reshape(d, -1).T), _bits(want))
+
+
+def test_open_probe_takes_scalar_bounds_of_a_1d_system():
+    # scalar box ends are one point's coordinates, as in the 1-D bounds
+    scalar, listed = (PdeSystem(1, 1, 1, ["u[1,(1)] + u[1,(0)]^3"], ["1"], lo, hi)
+                      for lo, hi in ((0.0, 1.0), ([0.0], [1.0])))
+    x, jets = np.array([[0.02], [0.5]]), np.array([[0.3, 0.4], [-0.2, 0.1]])
+    target, _ = eval_rows(listed, listed.F, list(x.T), jets)
+    got, want = (check_assumption_open(s, x, jets, np.full(2, 0.05), 0.5,
+                                       stream=np.random.default_rng, target=target)
+                 for s in (scalar, listed))
+    assert got == want
+
+
+def _probe_peak(rows):
+    """The tracemalloc peak of one openness probe over rows anchors of a
+    2D, K = 1 system, its inputs allocated before tracing starts."""
+    sys2 = PdeSystem(2, 1, 1, ["u[1,(1,0)] + u[1,(0,1)] + u[1,(0,0)]^3"], ["1"],
+                     [0.0, 0.0], [1.0, 1.0])
+    rng = np.random.default_rng(4)
+    x = rng.uniform(0.0, 1.0, (rows, 2))
+    jets = rng.normal(size=(rows, 3))
+    target, _ = eval_rows(sys2, sys2.F, list(x.T), jets)
+    delta = np.full(rows, 0.05)
+    tracemalloc.start()
+    try:
+        evidence = check_assumption_open(sys2, x, jets, delta, 0.5,
+                                         stream=np.random.default_rng, target=target)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(evidence) == rows
+    return peak
+
+
+def test_probe_memory_stays_near_a_megabyte_whatever_the_rows():
+    # blocks of _BLOCK_ROWS rows bound the temporaries; what grows with the
+    # rows is the evidence list (0.52 and 0.76 MB measured at 64 and 1,024)
+    small, large = _probe_peak(64), _probe_peak(1024)
+    assert large < 1_250_000
+    assert large - small <= 300_000
 
 
 def test_interior_every_sample_faults():

@@ -6,8 +6,8 @@ reference, and read_csv gives back every value bit for bit; the
 neighbour box pass gives the bits of the offset loop at every skeleton
 point; normalize is idempotent, and the stacked completion gives each
 layer's normalize; the routines on lattice functions never read a
-skeleton value; and `run` exits 0, 2 or 3 on random problem files, never
-with a traceback.
+skeleton value; and `run` exits 0, 2 or 3 on random 1D and 2D problem
+files, never with a traceback.
 
 Trees are drawn for the signatures (n, 1, 1), n in {1, 2}, from every node
 type. The runs are derandomized, with a fixed number of examples and no
@@ -442,10 +442,9 @@ def _problem_files(draw):
     return "\n".join(lines) + "\n"
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=40)
-@given(_problem_files(), st.integers(1, 3), st.sampled_from(["0.2", "0.5", "3"]))
-def test_run_exits_documented_on_random_problems(spec, stages, gamma):
-    # and verify reproduces every run directory that run writes
+def _assert_run_documented(spec, stages, gamma):
+    """run exits 0, 2 or 3 on the problem file, and verify reproduces every
+    run directory that run writes."""
     with tempfile.TemporaryDirectory() as d:
         path, out = Path(d) / "prob.spec", Path(d) / "out"
         path.write_text(spec)
@@ -454,3 +453,65 @@ def test_run_exits_documented_on_random_problems(spec, stages, gamma):
                          "--no-samples", "--out", str(out)])
             assert code in (0, 2, 3)
             assert code == 3 or verify(out) == code
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(_problem_files(), st.integers(1, 3), st.sampled_from(["0.2", "0.5", "3"]))
+def test_run_exits_documented_on_random_problems(spec, stages, gamma):
+    _assert_run_documented(spec, stages, gamma)
+
+
+def _transport_2d(i, j, sign, term):
+    """u_i,x1 +- u_j,x2 + term: a 2D first-order operator of components i, j."""
+    dx, dy = ex.JetVar(i, (1, 0)), ex.JetVar(j, (0, 1))
+    return ex.Add(ex.Add(dx, dy) if sign > 0 else ex.Sub(dx, dy), term)
+
+
+def _smooth_terms(i):
+    """A few smooth terms in component i's value and the coordinates."""
+    u = ex.JetVar(i, (0, 0))
+    return st.sampled_from([u, ex.Pow(u, 3), ex.Call("sin", u), ex.Mul(ex.SpaceVar(2), u)])
+
+
+def _plane_trees(*common):
+    """Trees in x1 and x2 alone, or one of the given texts."""
+    return st.one_of(_trees(2, list(ex.FUNCTIONS), jets=False),
+                     st.sampled_from([ex.parse(t, (2, 1, 0)) for t in common]))
+
+
+@st.composite
+def _problem_files_2d(draw):
+    """A 2D, first-order problem file with K = 1 or 2. Solvable-looking
+    ones: u_x1 + u_x2 plus a smooth term, or two coupled such transports,
+    on the unit square at 25 points a side (the coarsest lattices, up to
+    17, are too coarse for the I-cells, whose diagonal is a sixteenth of
+    the box's, to hold interior points). Wild ones: a tree of the grammar
+    in u1 for F1, on 8 to 25 points a side, in a box with ends from _ENDS.
+    f and exact trees in x1 and x2 or common functions (exact also
+    absent)."""
+    K = draw(st.sampled_from([1, 2]))
+    wild = draw(st.booleans())
+    F = [draw(_GRAMMAR[2]) if wild else
+         _transport_2d(1, K, 1, draw(_smooth_terms(1)))]
+    if K == 2:
+        F.append(_transport_2d(2, 1, -1, draw(_smooth_terms(2))))
+    f = [draw(_plane_trees("cos(x1) + x2", "1 + x1*x2", "sin(x1)^3 - cos(x2)")) for _ in F]
+    exact = draw(st.none() | st.lists(_plane_trees("sin(x1) + cos(x2)", "log(x1 - 10)"),
+                                      min_size=K, max_size=K))
+    box, grid = [0.0, 0.0, 1.0, 1.0], 25
+    if wild:
+        box = draw(st.one_of(st.lists(_ENDS, min_size=4, max_size=4), st.just(box)))
+        grid = draw(st.integers(8, 25))
+    lines = ["n = 2", f"K = {K}", "m = 1", f"box.lo = {box[0]!r} {box[1]!r}",
+             f"box.hi = {box[2]!r} {box[3]!r}", f"grid = {grid}"]
+    for j in range(K):
+        lines += [f"F{j + 1} = {ex.render(F[j])}", f"f{j + 1} = {ex.render(f[j])}"]
+        if exact is not None:
+            lines.append(f"exact{j + 1} = {ex.render(exact[j])}")
+    return "\n".join(lines) + "\n"
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=25)
+@given(_problem_files_2d(), st.integers(1, 2), st.sampled_from(["0.2", "0.5", "3"]))
+def test_run_exits_documented_on_random_2d_problems(spec, stages, gamma):
+    _assert_run_documented(spec, stages, gamma)
