@@ -196,10 +196,6 @@ class OrderInterval:
     def domain(self) -> GridDomain:
         return self.lower.domain
 
-    def width(self) -> float:
-        off = ~self.domain.skeleton
-        return float(np.max(self.upper.values[off] - self.lower.values[off]))
-
 
 def _require_same_domain(u: GridFunction, v: GridFunction) -> None:
     if u.domain != v.domain:

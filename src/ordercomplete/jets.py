@@ -13,10 +13,11 @@ A PiecewisePoly holds one such polynomial per cell and component over a
 tiling of the box, as arrays (cells are (C, 2, n): lower corners, then
 upper corners). Its cell boundaries are the closed nowhere-dense set off
 which the candidate is fixed, so the skeleton belongs to the candidate:
-sampling takes any lattice, marks every point on a cell boundary as
-skeleton as well (assemble), takes each off-skeleton point's value from the
-one cell holding it strictly inside (_interior_gather), and fills the
-skeleton by the normalize rule from grids.
+sampling takes any lattice, marks every point that no cell holds strictly
+inside as skeleton as well (assemble), takes each off-skeleton point's
+value from the one cell holding it strictly inside (_interior_gather), and
+fills the skeleton by the normalize rule from grids. One rule,
+_interior_ranges, answers both questions.
 """
 
 from __future__ import annotations
@@ -272,54 +273,37 @@ def _paint(shape: tuple[int, ...], start: np.ndarray, stop: np.ndarray) -> np.nd
 
 
 def _classify_grid(cells: np.ndarray, domain: GridDomain) -> np.ndarray:
-    """The boundary mask of cells (C, 2, n): the lattice points within
-    snapping tolerance of any covering cell's face.
+    """The skeleton of cells (C, 2, n): the lattice points that no cell
+    holds strictly inside.
 
-    Overlapping interiors and points neither strictly inside a cell nor on
-    the boundary raise TilingError.
+    A point strictly inside two cells raises TilingError (overlap), and so
+    does a point outside every cell's closed range (gap).
 
     Along each axis d, with a = domain.axis(d) (strictly increasing) and
     tol = 1e-9 of the box width, a cell's interior is lo + tol < a < hi - tol
-    and its closed range lo - tol <= a <= hi + tol, both found by
-    searchsorted; its face points are the one or two indices next to lo or
-    hi with |a - face| <= tol. Interior coverage counts and face slabs are
-    painted for all cells at once (see _paint), so the cost is
-    O(cells * 2^n + lattice points), with no per-cell lattice mask. Which
-    cell owns a point is _interior_gather's question.
+    (see _interior_ranges) and its closed range lo - tol <= a <= hi + tol,
+    both found by searchsorted. Both are painted for all cells at once (see
+    _paint), so the cost is O(cells * 2^n + lattice points), with no
+    per-cell lattice mask. Which cell owns a point is _interior_gather's
+    question, on the same index ranges.
     """
     start, stop, axes = _interior_ranges(cells, domain)
-    tol = _snap_tol(domain)
-    lo, hi = cells[:, 0], cells[:, 1]
-    closed_lo = np.empty_like(start)
-    closed_hi = np.empty_like(start)
-    for d, a in enumerate(axes):
-        closed_lo[:, d] = np.searchsorted(a, lo[:, d] - tol[d], "left")
-        closed_hi[:, d] = np.searchsorted(a, hi[:, d] + tol[d], "right")
-    # face slabs: the near-face index range on one axis, closed on the others
-    slab_lo = []
-    slab_hi = []
-    for d, a in enumerate(axes):
-        for face in (lo[:, d], hi[:, d]):
-            k = np.searchsorted(a, face)  # a[k - 1] < face <= a[k]
-            below = (k >= 1) & (np.abs(a[np.maximum(k - 1, 0)] - face) <= tol[d])
-            above = (k < a.size) & (np.abs(a[np.minimum(k, a.size - 1)] - face) <= tol[d])
-            s_lo = closed_lo.copy()
-            s_hi = closed_hi.copy()
-            s_lo[:, d] = np.maximum(k - below, closed_lo[:, d])
-            s_hi[:, d] = np.minimum(k + above, closed_hi[:, d])
-            slab_lo.append(s_lo)
-            slab_hi.append(s_hi)
     inside = _paint(domain.shape, start, stop)
     clash = inside > 1
     if clash.any():
         idx = tuple(int(v) for v in np.argwhere(clash)[0])
         raise TilingError(f"overlapping cell interiors at lattice point {idx}")
-    boundary = _paint(domain.shape, np.concatenate(slab_lo), np.concatenate(slab_hi)) > 0
-    uncovered = (inside == 0) & ~boundary
+    tol = _snap_tol(domain)
+    closed_lo = np.empty_like(start)
+    closed_hi = np.empty_like(start)
+    for d, a in enumerate(axes):
+        closed_lo[:, d] = np.searchsorted(a, cells[:, 0, d] - tol[d], "left")
+        closed_hi[:, d] = np.searchsorted(a, cells[:, 1, d] + tol[d], "right")
+    uncovered = _paint(domain.shape, closed_lo, closed_hi) == 0
     if uncovered.any():
         idx = tuple(int(v) for v in np.argwhere(uncovered)[0])
         raise TilingError(f"tiling does not cover lattice point {idx}")
-    return boundary
+    return inside == 0
 
 
 def _interior_gather(
@@ -329,7 +313,7 @@ def _interior_gather(
     cell by cell and in C order within a cell: per-cell point counts, the
     owning cell and lattice index tuple of each point, and its coordinates
     (npts, n). Same index ranges as _classify_grid, so on cells it accepts
-    every point off its boundary mask is among these, once."""
+    these are exactly the points off its skeleton, each once."""
     start, stop, axes = _interior_ranges(cells, domain)
     extent = np.maximum(stop - start, 0)
     counts = np.prod(extent, axis=1)
@@ -381,9 +365,8 @@ def assemble(v: PiecewisePoly, domain: GridDomain) -> GridDomain:
     skeleton too, on top of what its skeleton already marks.
 
     The cells must tile the box (volume sum and no overlapping interiors,
-    see _check_tiling); v's cell boundaries are the boundary mask of
-    _classify_grid, the lattice points within snapping tolerance of some
-    cell's face.
+    see _check_tiling); v's cell boundaries are the skeleton of
+    _classify_grid, the lattice points that no cell holds strictly inside.
     """
     if not len(v.bounds):
         raise TilingError("no cells supplied")

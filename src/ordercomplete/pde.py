@@ -38,6 +38,8 @@ class PdeSystem:
         self.n = int(n)
         self.K = int(K)
         self.m = int(m)
+        if self.K < 1:
+            raise ValueError(f"need at least one component, got K = {self.K}")
         signature = (self.n, self.K, self.m)
         self.F = [ex.parse(e, signature) if isinstance(e, str) else e for e in F]
         self.f = [ex.parse(e, signature) if isinstance(e, str) else e for e in f]

@@ -24,7 +24,6 @@ from typing import Callable
 
 import numpy as np
 
-from . import expr as ex
 from .checker import (_TOL_RESIDUAL, ApEqCertificate, ConstructionError, RefinementStage,
                       SchemeConvergence, Tiling, _columns, _empty_interiors, _inner_boxes,
                       _rhs_rows, _row_residuals, apeq_certificate, certified_stage,
@@ -248,35 +247,6 @@ def _cell_polys(sys: PdeSystem, cells: np.ndarray, jets: np.ndarray) -> Piecewis
     return PiecewisePoly(cells, anchors, jets.reshape(len(cells), sys.K, -1), sys.mis)
 
 
-def _bracket_margins(
-    sys: PdeSystem,
-    jets: dict,
-    pts: np.ndarray,
-    lo_vals: list[np.ndarray],
-    hi_vals: list[np.ndarray],
-    starts: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Min slack of lo < F(x, jets) < hi per segment of the points, segment
-    k being the rows from starts[k] (strictly increasing, each segment
-    non-empty) to the next start; -inf on a segment where some F_j faults."""
-    coords = [pts[:, d] for d in range(pts.shape[1])]
-    lo_m = np.full(len(starts), np.inf)
-    hi_m = np.full(len(starts), np.inf)
-    faulted = np.zeros(len(pts), dtype=bool)
-    for j, Fj in enumerate(sys.F):
-        try:
-            vals = ex.eval_on_arrays(Fj, coords, jets)
-        except ex.EvalDomainError as e:  # faulted elements hold no value
-            vals = np.where(e.faulted, 0.0, e.values)
-            faulted |= e.faulted
-        lo_m = np.minimum(lo_m, np.minimum.reduceat(vals - lo_vals[j], starts))
-        hi_m = np.minimum(hi_m, np.minimum.reduceat(hi_vals[j] - vals, starts))
-    bad = np.logical_or.reduceat(faulted, starts)
-    lo_m[bad] = -np.inf
-    hi_m[bad] = -np.inf
-    return lo_m, hi_m
-
-
 def _generation_ok(sys: PdeSystem, domain: GridDomain, cells: np.ndarray,
                    brackets, band=None) -> np.ndarray:
     """Per cell of cells (C, 2, n), whether lower < F(x, P) < upper holds
@@ -292,15 +262,19 @@ def _generation_ok(sys: PdeSystem, domain: GridDomain, cells: np.ndarray,
     if not held.any():
         return ok
     starts = (np.cumsum(counts) - counts)[held]
+    anchors = np.repeat(_centers(cells)[:, None], sys.K, axis=1)
+    coords = _columns(pts)
     good = np.ones(len(starts), dtype=bool)
     for jets, lower, upper in brackets:
-        v = _cell_polys(sys, cells, jets)
-        jv = dict(zip(sys.flat_vars(), _gathered_jets(sys.mis, v.anchors, v.coeffs, own, pts)))
-        lo_m, hi_m = _bracket_margins(sys, jv, pts, [a[idx] for a in lower],
-                                      [a[idx] for a in upper], starts)
-        good &= (lo_m > 0.0) & (hi_m > 0.0)
+        flat = np.stack(_gathered_jets(sys.mis, anchors, jets.reshape(len(cells), sys.K, -1),
+                                       own, pts), axis=1)
+        vals, faulted = eval_rows(sys, sys.F, coords, flat)
+        # the least slack of lower < F < upper per row, -inf where F faults
+        slack = np.minimum(vals - np.stack([a[idx] for a in lower], axis=1),
+                           np.stack([a[idx] for a in upper], axis=1) - vals).min(axis=1)
+        slack[faulted] = -np.inf
+        good &= np.minimum.reduceat(slack, starts) > 0.0
         if band is not None:
-            flat = np.stack([jv[v] for v in sys.flat_vars()], axis=1)
             exits = ((flat < band[0][own]) | (flat > band[1][own])).any(axis=1)
             good &= ~np.logical_or.reduceat(exits, starts)
     ok[held] = good

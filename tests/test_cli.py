@@ -318,15 +318,18 @@ def test_run_exit3_on_numeric_fault(tmp_path, capsys):
     ("F1 = u[1,(1)] + u[1,(0)]^3",
      "F1 = (2.412428613329855e+307 - x1) / (-u[1,(0)] / u[1,(1)]^-1)",
      "construction failure: anchor jet unsolvable: no jet solution at x0=(1.5,)"),
+    ("K = 1", "K = 0", "spec error: need at least one component, got K = 0"),
 ], ids=["faulting_exact", "overflowing_exact_derivative", "underflowing_diagonal",
-        "infinite_box", "overflowing_probe_mean", "overflowing_residual_norm"])
+        "infinite_box", "overflowing_probe_mean", "overflowing_residual_norm",
+        "no_components"])
 def test_run_exit3_on_the_demo_with_one_line_changed(tmp_path, capsys, line, changed, message):
     # each used to end in a traceback (under warnings as errors for the
     # overflows): the reference distances evaluate exact once the stages
     # are built, and difference its values; the box diagonal's norm
     # underflows to 0, so the I-cells would be of diameter 0; an infinite
     # box has no lattice; the interior probe's mean image, and the norm of
-    # a Newton residual, overflow
+    # a Newton residual, overflow; with no component the interior probe
+    # projected onto the axes of R^0
     text = (DEMOS / "manufactured_1d.spec").read_text()
     assert line in text
     out = tmp_path / "out"

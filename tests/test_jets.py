@@ -308,7 +308,9 @@ def test_empty_cell_list_is_a_tiling_error():
 
 
 def _reference_classify(cells, domain):
-    """The per-cell full-lattice mask classifier the index arithmetic replaced."""
+    """The per-cell full-lattice mask classifier the index arithmetic
+    replaced; its boundary mask is the face rule: the points within snapping
+    tolerance of a face of some cell whose closed range holds them."""
     n = domain.ndim
     tol = 1e-9 * (domain.hi - domain.lo)
     owner = np.full(domain.shape, -1, dtype=int)
@@ -414,8 +416,10 @@ def _gathered_owner(cells, domain):
 
 @pytest.mark.parametrize("n,cases", [(1, 200), (2, 200), (3, 60)])
 def test_classify_grid_matches_mask_reference(n, cases):
-    # _classify_grid gives the reference's boundary mask and errors, and on
-    # a valid tiling (both checks pass) _interior_gather its owner map
+    # _classify_grid raises the reference's errors; its skeleton is the set
+    # of points _interior_gather gives no owner; and on a valid tiling (both
+    # checks pass) that skeleton is the reference's boundary mask and
+    # _interior_gather's owner map the reference's
     rng = np.random.default_rng(1000 + n)
     seen = set()
     for _ in range(cases):
@@ -425,10 +429,12 @@ def test_classify_grid_matches_mask_reference(n, cases):
         want_tiling = _outcome(_reference_check_tiling, cells, dom.lo, dom.hi)
         if isinstance(want, tuple):
             assert isinstance(got, np.ndarray), got
-            assert np.array_equal(got, want[1])
+            owner = _gathered_owner(cells, dom)
+            assert np.array_equal(got, owner < 0)
             seen.add("ok")
             if want_tiling is None:
-                assert np.array_equal(_gathered_owner(cells, dom), want[0])
+                assert np.array_equal(got, want[1])
+                assert np.array_equal(owner, want[0])
                 seen.add("owners")
         else:
             assert got == want
@@ -438,6 +444,27 @@ def test_classify_grid_matches_mask_reference(n, cases):
     # the mutations reach every branch of both checks
     assert seen == {"ok", "owners", "overlap", "gap", "tiling None", "tiling overlap",
                     "tiling volume"}
+
+
+def test_skeleton_differs_from_face_rule_only_where_the_tiling_check_fails():
+    # the middle cell overlaps the last on (0.75, 0.77), which holds no
+    # lattice point, so both classifiers accept: the face rule marks 0.75,
+    # the last cell's lower face, although the middle cell holds it
+    # strictly inside; the skeleton leaves it unmarked, and assemble
+    # rejects the overlap before any mark is made
+    cells = np.array([[[0.0], [0.25]], [[0.27], [0.77]], [[0.75], [1.0]]])
+    dom = GridDomain([0.0], [1.0], (9,))
+    owner, face_rule = _reference_classify(cells, dom)
+    skeleton = _classify_grid(cells, dom)
+    gathered = _gathered_owner(cells, dom)
+    assert face_rule.tolist() == [True, False, True, False, False, False, True, False, True]
+    assert skeleton.tolist() == [True, False, True, False, False, False, False, False, True]
+    assert np.array_equal(skeleton, gathered < 0)
+    assert owner[6] == -1 and gathered[6] == 1
+    mis = MultiIndexSet(1, 0)
+    v = PiecewisePoly(cells, _centers(cells)[:, None], np.zeros((3, 1, 1)), mis)
+    with pytest.raises(TilingError, match="overlapping interiors"):
+        assemble(v, dom)
 
 
 def _reference_deriv_many(p, alpha, pts):

@@ -350,17 +350,34 @@ def _reference_cell_ok(sys, domain, cell, brackets, band=None):
     return True
 
 
-def _transport(n, log=False):
-    """sum_d u_{x_d} + u^3 (or + log u) = f on [0, 1]^n, u = sum_d sin x_d."""
+def _transport(n, fault=None):
+    """sum_d u_{x_d} + u^3 = f on [0, 1]^n, u = sum_d sin x_d; with fault
+    "log" or "exp", sum_d u_{x_d} + log u = 1 or + exp(u^3) = 1 instead."""
     F = " + ".join(f"u[1,({','.join('1' if e == d else '0' for e in range(n))})]"
                    for d in range(n))
     u0 = f"u[1,({','.join('0' * n)})]"
     u = " + ".join(f"sin(x{d + 1})" for d in range(n))
     du = " + ".join(f"cos(x{d + 1})" for d in range(n))
-    if log:
-        return PdeSystem(n, 1, 1, [f"{F} + log({u0})"], ["1"], [0.0] * n, [1.0] * n)
+    if fault is not None:
+        term = {"log": f"log({u0})", "exp": f"exp({u0}^3)"}[fault]
+        return PdeSystem(n, 1, 1, [f"{F} + {term}"], ["1"], [0.0] * n, [1.0] * n)
     return PdeSystem(n, 1, 1, [f"{F} + {u0}^3"], [f"{du} + ({u})^3"],
                      [0.0] * n, [1.0] * n)
+
+
+def _coupled_transport():
+    """u1' - u2 = 0, u2' + u1^3 = f2 on [0, 1], (u1, u2) = (sin x, cos x): K = 2."""
+    return PdeSystem(1, 2, 1, ["u[1,(1)] - u[2,(0)]", "u[2,(1)] + u[1,(0)]^3"],
+                     ["0", "-sin(x1) + sin(x1)^3"], [0.0], [1.0])
+
+
+def _solution_jet(sys, x0, shift):
+    """The flat jet at x0 of the solution of _transport (K = 1) or
+    _coupled_transport (K = 2), its first derivatives shifted by shift."""
+    u = ([(np.sin(x0).sum(), np.cos(x0))] if sys.K == 1
+         else [(np.sin(x0[0]), np.cos(x0)), (np.cos(x0[0]), -np.sin(x0))])
+    return np.array([v if sum(a) == 0 else dv[a.index(1)] + shift
+                     for v, dv in u for a in sys.mis.alphas])
 
 
 def _taylor_polys(sys, cell, jet):
@@ -385,83 +402,88 @@ def _random_cells(rng, domain, count):
 
 
 def _random_jets(rng, sys, cells, shift, noise, value=None):
-    """Per cell, the flat jet of u = sum sin x_d at the center, its
-    derivatives shifted by `shift`, plus uniform noise; `value` replaces the
-    value."""
+    """Per cell, the flat jet of the solution at the center (see
+    _solution_jet), its first derivatives shifted by `shift`, plus uniform
+    noise; `value` replaces the first component's value."""
     jets = []
     for x0 in _centers(cells):
-        vals = []
-        for a in sys.mis.alphas:
-            if sum(a) == 0:
-                vals.append(np.sin(x0).sum() if value is None else value(rng))
-            else:
-                vals.append(np.cos(x0[a.index(1)]) + shift)
-        jets.append(np.array(vals) + rng.uniform(-noise, noise, len(vals)))
+        jet = _solution_jet(sys, x0, shift)
+        if value is not None:
+            jet[0] = value(rng)
+        jets.append(jet + rng.uniform(-noise, noise, len(jet)))
     return np.array(jets)
 
 
 @pytest.mark.parametrize("n,size", [(1, 65), (2, 17), (3, 9)])
 def test_generation_check_matches_per_cell_reference(n, size):
-    rng = np.random.default_rng(40 + n)
-    sys = _transport(n)
+    # the transport system and, in 1D, the coupled K = 2 one
     dom = GridDomain([0.0] * n, [1.0] * n, (size,) * n)
-    f = sys.rhs_on_lattice(dom)
-    seen = set()
-    for _ in range(12):
-        cells = _random_cells(rng, dom, int(rng.integers(1, 40)))
-        eps = float(rng.uniform(0.05, 1.0))
-        noise = float(rng.uniform(0.0, eps))
-        # refine's form: EQ1 bracket (f - eps, f) and band containment
-        jets = _random_jets(rng, sys, cells, -eps / (2 * n), noise)
-        centre = np.array([np.sin(0.5) * n] + [np.cos(0.5) - eps / (2 * n)] * n)
-        half = float(rng.uniform(0.2, 2.0))
-        band = (centre - half, centre + half)
-        below = [fj - eps for fj in f]
-        rows = tuple(np.tile(b, (len(cells), 1)) for b in band)
-        got = _generation_ok(sys, dom, cells, [(jets, below, f)], band=rows)
-        want = [_reference_cell_ok(sys, dom, c, [(j, below, f)], band)
-                for c, j in zip(cells, jets)]
-        assert got.tolist() == want
-        eq1 = [_reference_cell_ok(sys, dom, c, [(j, below, f)]) for c, j in zip(cells, jets)]
-        seen.update("eq1 split" if not e else "band exit" if not w else "accept"
-                    for e, w in zip(eq1, want))
-        seen.update("empty" for e in _empty_interiors(dom, cells) if e)
-        # global_pair's form: both brackets
-        lo_jets = _random_jets(rng, sys, cells, -eps / (2 * n), noise)
-        hi_jets = _random_jets(rng, sys, cells, eps / (2 * n), noise)
-        above = [fj + eps for fj in f]
-        got = _generation_ok(sys, dom, cells, [(lo_jets, below, f), (hi_jets, f, above)])
-        want = [_reference_cell_ok(sys, dom, c, [(lo, below, f), (hi, f, above)])
-                for c, lo, hi in zip(cells, lo_jets, hi_jets)]
-        assert got.tolist() == want
-        seen.update("pair " + ("accept" if w else "split") for w in want)
-    assert seen >= {"accept", "eq1 split", "band exit", "empty",
-                    "pair accept", "pair split"}
+    for sys in [_transport(n)] + ([_coupled_transport()] if n == 1 else []):
+        rng = np.random.default_rng(40 + n)
+        f = sys.rhs_on_lattice(dom)
+        seen = set()
+        for _ in range(12):
+            cells = _random_cells(rng, dom, int(rng.integers(1, 40)))
+            eps = float(rng.uniform(0.05, 1.0))
+            noise = float(rng.uniform(0.0, eps))
+            # refine's form: EQ1 bracket (f - eps, f) and band containment
+            jets = _random_jets(rng, sys, cells, -eps / (2 * n), noise)
+            centre = _solution_jet(sys, np.full(n, 0.5), -eps / (2 * n))
+            half = float(rng.uniform(0.2, 2.0))
+            band = (centre - half, centre + half)
+            below = [fj - eps for fj in f]
+            rows = tuple(np.tile(b, (len(cells), 1)) for b in band)
+            got = _generation_ok(sys, dom, cells, [(jets, below, f)], band=rows)
+            want = [_reference_cell_ok(sys, dom, c, [(j, below, f)], band)
+                    for c, j in zip(cells, jets)]
+            assert got.tolist() == want
+            eq1 = [_reference_cell_ok(sys, dom, c, [(j, below, f)])
+                   for c, j in zip(cells, jets)]
+            seen.update("eq1 split" if not e else "band exit" if not w else "accept"
+                        for e, w in zip(eq1, want))
+            seen.update("empty" for e in _empty_interiors(dom, cells) if e)
+            # global_pair's form: both brackets
+            lo_jets = _random_jets(rng, sys, cells, -eps / (2 * n), noise)
+            hi_jets = _random_jets(rng, sys, cells, eps / (2 * n), noise)
+            above = [fj + eps for fj in f]
+            got = _generation_ok(sys, dom, cells, [(lo_jets, below, f), (hi_jets, f, above)])
+            want = [_reference_cell_ok(sys, dom, c, [(lo, below, f), (hi, f, above)])
+                    for c, lo, hi in zip(cells, lo_jets, hi_jets)]
+            assert got.tolist() == want
+            seen.update("pair " + ("accept" if w else "split") for w in want)
+        assert seen >= {"accept", "eq1 split", "band exit", "empty",
+                        "pair accept", "pair split"}, sys.K
 
 
 @pytest.mark.parametrize("n,size", [(1, 65), (2, 17), (3, 9)])
 def test_generation_check_fails_cells_where_log_faults(n, size):
-    # u crosses zero inside some cells: log(u) faults on part of them only
-    rng = np.random.default_rng(70 + n)
-    sys = _transport(n, log=True)
+    # u crosses zero inside some cells: log(u) faults on part of them only,
+    # with NaN values; beside it, exp(u^3) overflows to +inf on part of
+    # some cells, where u^3 passes the log of the largest double
     dom = GridDomain([0.0] * n, [1.0] * n, (size,) * n)
-    f = sys.rhs_on_lattice(dom)
-    wide = ([fj - 1e6 for fj in f], [fj + 1e6 for fj in f])
-    partial = accepted = 0
-    for _ in range(12):
-        cells = _random_cells(rng, dom, 30)
-        jets = _random_jets(rng, sys, cells, 0.0, 3.0,
-                            value=lambda r: r.uniform(-0.5, 1.0))
-        got = _generation_ok(sys, dom, cells, [(jets, *wide)])
-        want = [_reference_cell_ok(sys, dom, c, [(j, *wide)]) for c, j in zip(cells, jets)]
-        assert got.tolist() == want
-        for c, j, ok in zip(cells, jets, want):
-            interior = _reference_interior(dom, c)
-            if interior is not None:
-                u = _taylor_polys(sys, c, j)[0].deriv_many((0,) * n, interior[1])
-                partial += bool((u > 0).any() and (u <= 0).any())
-                accepted += ok
-    assert partial and accepted
+    for fault, low, high, faults in (
+            ("log", -0.5, 1.0, lambda u: u <= 0),
+            ("exp", -1.0, 11.0, lambda u: u ** 3 > np.log(np.finfo(float).max))):
+        rng = np.random.default_rng(70 + n)
+        sys = _transport(n, fault)
+        f = sys.rhs_on_lattice(dom)
+        wide = ([fj - 1e6 for fj in f], [fj + 1e6 for fj in f])
+        partial = accepted = 0
+        for _ in range(12):
+            cells = _random_cells(rng, dom, 30)
+            jets = _random_jets(rng, sys, cells, 0.0, 3.0,
+                                value=lambda r: r.uniform(low, high))
+            got = _generation_ok(sys, dom, cells, [(jets, *wide)])
+            want = [_reference_cell_ok(sys, dom, c, [(j, *wide)])
+                    for c, j in zip(cells, jets)]
+            assert got.tolist() == want
+            for c, j, ok in zip(cells, jets, want):
+                interior = _reference_interior(dom, c)
+                if interior is not None:
+                    u = _taylor_polys(sys, c, j)[0].deriv_many((0,) * n, interior[1])
+                    partial += bool(faults(u).any() and not faults(u).all())
+                    accepted += ok
+        assert partial and accepted, fault
 
 
 def _per_generation(solve):
@@ -1238,7 +1260,7 @@ _STREAM_RUNS = {
     "transport2d": (lambda: _transport(2), GridDomain([0.0] * 2, [1.0] * 2, (33, 33)), 1),
     "coupled": (_coupled_k2, GridDomain([0.0], [3.0], (129,)), 1),
     # the jet balls of some anchors reach u <= 0, where log faults
-    "log": (lambda: _transport(1, log=True), GridDomain([0.0], [1.0], (65,)), 1),
+    "log": (lambda: _transport(1, "log"), GridDomain([0.0], [1.0], (65,)), 1),
 }
 
 
@@ -1276,7 +1298,7 @@ def test_run_scheme_fails_at_the_lowest_unsupported_anchor(monkeypatch):
     # loop of earlier versions did, with the same message
     from ordercomplete import solver
 
-    sys2 = _transport(2, log=True)
+    sys2 = _transport(2, "log")
     probed = []
 
     def recorded(*args, **kwargs):
