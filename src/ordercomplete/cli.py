@@ -549,16 +549,16 @@ def verify(result_dir) -> int:
     if cert.get("schema") != _SCHEMA:
         print(f"verify: unsupported schema {cert.get('schema')!r}")
         return 2
+    inconsistency = None
     try:
         code = _verify_inner(out, cert, problems)
-    except (ConstructionError, TilingError, ValueError, OSError, LookupError,
+    except (ConstructionError, ValueError, OSError, LookupError,
             TypeError, MemoryError, OverflowError) as e:
-        print(f"verify: artifact inconsistency: {e}")
-        return 2
-    for p in problems:
+        inconsistency = f"verify: artifact inconsistency: {e}"
+    for p in problems:  # found before an inconsistency too
         print(f"verify: MISMATCH {p}")
-    if problems:
-        print("verify: FAILED")
+    if inconsistency or problems:
+        print(inconsistency or "verify: FAILED")
         return 2
     print(f"verify: all certificates reproduce; verdict {cert['verdict']}")
     return code

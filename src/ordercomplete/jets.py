@@ -12,12 +12,14 @@ rounding at all: differentiation is an index shift, never arithmetic.
 A PiecewisePoly holds one such polynomial per cell and component over a
 tiling of the box, as arrays (cells are (C, 2, n): lower corners, then
 upper corners). Its cell boundaries are the closed nowhere-dense set off
-which the candidate is fixed, so the skeleton belongs to the candidate:
-sampling takes any lattice, marks every point that no cell holds strictly
-inside as skeleton as well (assemble), takes each off-skeleton point's
-value from the one cell holding it strictly inside (_interior_gather), and
-fills the skeleton by the normalize rule from grids. One rule,
-_interior_ranges, answers both questions.
+which the candidate is fixed, so the skeleton belongs to the candidate.
+Whether cells tile the box is answered once, by _check_tiling on the grid
+of cell faces; the lattice only marks and owns. Sampling takes any
+lattice, checks the tiling and marks every point that no cell holds
+strictly inside as skeleton as well (assemble), takes each off-skeleton
+point's value from the one cell holding it strictly inside
+(_interior_gather), and fills the skeleton by the normalize rule from
+grids. One rule, _interior_ranges, answers both lattice questions.
 """
 
 from __future__ import annotations
@@ -164,7 +166,8 @@ class Cell:
 
 
 class TilingError(ValueError):
-    """Cells fail to tile the box: overlap, gap, or grid misfit."""
+    """Cells fail to tile the box: overlap, a cell outside it, a hole, or grid
+    misfit."""
 
 
 def _centers(cells: np.ndarray) -> np.ndarray:
@@ -276,33 +279,18 @@ def _classify_grid(cells: np.ndarray, domain: GridDomain) -> np.ndarray:
     """The skeleton of cells (C, 2, n): the lattice points that no cell
     holds strictly inside.
 
-    A point strictly inside two cells raises TilingError (overlap), and so
-    does a point outside every cell's closed range (gap).
-
-    Along each axis d, with a = domain.axis(d) (strictly increasing) and
-    tol = 1e-9 of the box width, a cell's interior is lo + tol < a < hi - tol
-    (see _interior_ranges) and its closed range lo - tol <= a <= hi + tol,
-    both found by searchsorted. Both are painted for all cells at once (see
-    _paint), so the cost is O(cells * 2^n + lattice points), with no
-    per-cell lattice mask. Which cell owns a point is _interior_gather's
-    question, on the same index ranges.
+    One paint of the interiors of _interior_ranges (see _paint), O(cells *
+    2^n + lattice points); a point strictly inside two cells raises
+    TilingError (overlap), since _interior_gather gives each point one
+    owner. Whether the cells tile the box is _check_tiling's question, and
+    which cell owns a point _interior_gather's, on the same index ranges.
     """
-    start, stop, axes = _interior_ranges(cells, domain)
+    start, stop, _ = _interior_ranges(cells, domain)
     inside = _paint(domain.shape, start, stop)
     clash = inside > 1
     if clash.any():
         idx = tuple(int(v) for v in np.argwhere(clash)[0])
         raise TilingError(f"overlapping cell interiors at lattice point {idx}")
-    tol = _snap_tol(domain)
-    closed_lo = np.empty_like(start)
-    closed_hi = np.empty_like(start)
-    for d, a in enumerate(axes):
-        closed_lo[:, d] = np.searchsorted(a, cells[:, 0, d] - tol[d], "left")
-        closed_hi[:, d] = np.searchsorted(a, cells[:, 1, d] + tol[d], "right")
-    uncovered = _paint(domain.shape, closed_lo, closed_hi) == 0
-    if uncovered.any():
-        idx = tuple(int(v) for v in np.argwhere(uncovered)[0])
-        raise TilingError(f"tiling does not cover lattice point {idx}")
     return inside == 0
 
 
@@ -329,47 +317,53 @@ def _interior_gather(
 
 
 def _check_tiling(cells: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> None:
-    """Volumes of cells (C, 2, n) sum to the box volume and no two cell
-    interiors overlap.
+    """The one test that cells (C, 2, n) tile the box [lo, hi]: every point
+    of the box lies in exactly one cell, up to faces.
 
-    Exact for overlaps that hold no lattice point: the interiors are painted
-    on the grid of distinct face coordinates per axis, where faces closer
-    than 1e-12 of the box width count as one, and any count above 1 is an
-    overlap.
+    The cell interiors are painted once on the grid of distinct face
+    coordinates per axis, the box's own faces included, where faces closer
+    than 1e-12 of the box width count as one. An elementary box painted
+    twice is an overlap, a cell with a face beyond the box's reaches
+    outside it, and an unpainted elementary box in the box is a hole;
+    TilingError names the first failure in that order.
     """
-    clo, chi = cells[:, 0], cells[:, 1]
-    vol = float(np.prod(chi - clo, axis=1).sum())
-    box_vol = float(np.prod(hi - lo))
-    if not math.isclose(vol, box_vol, rel_tol=1e-9):
-        raise TilingError(f"cell volumes sum to {vol}, box volume is {box_vol}")
-    start = np.empty(clo.shape, dtype=int)
-    stop = np.empty(clo.shape, dtype=int)
-    shape = []
+    boxes = np.concatenate([cells, np.stack([lo, hi])[None]])  # the cells, then the box
+    ranges = np.empty(boxes.shape, dtype=int)  # face-grid index of each face
+    edges = []
     for d in range(len(lo)):
-        faces = np.unique(np.concatenate([clo[:, d], chi[:, d]]))
-        # index of each distinct face, counting faces closer than tol as one
-        slot = np.concatenate([[0], np.cumsum(np.diff(faces) > 1e-12 * (hi[d] - lo[d]))])
-        start[:, d] = slot[np.searchsorted(faces, clo[:, d])]
-        stop[:, d] = slot[np.searchsorted(faces, chi[:, d])]
-        shape.append(int(slot[-1]))
-    clash = np.argwhere(_paint(tuple(shape), start, stop) > 1)
+        faces = np.unique(boxes[:, :, d])
+        # faces closer than tol count as one: the first of them stands for all
+        keep = np.concatenate([[True], np.diff(faces) > 1e-12 * (hi[d] - lo[d])])
+        ranges[:, :, d] = (np.cumsum(keep) - 1)[np.searchsorted(faces, boxes[:, :, d])]
+        edges.append(faces[keep])
+    start, stop = ranges[:-1, 0], ranges[:-1, 1]
+    box_start, box_stop = ranges[-1]
+    painted = _paint(tuple(len(e) - 1 for e in edges), start, stop)
+    clash = np.argwhere(painted > 1)
     if clash.size:
         p = clash[0]
         a, b = np.nonzero(np.all((start <= p) & (p < stop), axis=1))[0][:2]
         raise TilingError(f"cells {a} {cells[a].tolist()} and {b} {cells[b].tolist()} "
                           "have overlapping interiors")
+    outside = np.any((start < box_start) | (stop > box_stop), axis=1)
+    if outside.any():
+        a = int(np.argmax(outside))
+        raise TilingError(f"cell {a} {cells[a].tolist()} reaches outside the box")
+    # no cell reaches outside, so the face grid spans the box and no more
+    hole = np.argwhere(painted == 0)
+    if hole.size:
+        corners = np.array([e[i:i + 2] for e, i in zip(edges, hole[0])]).T
+        raise TilingError(f"the cells leave a hole {corners.tolist()} in the box")
 
 
 def assemble(v: PiecewisePoly, domain: GridDomain) -> GridDomain:
     """The domain with every cell-boundary lattice point of v marked as
     skeleton too, on top of what its skeleton already marks.
 
-    The cells must tile the box (volume sum and no overlapping interiors,
-    see _check_tiling); v's cell boundaries are the skeleton of
-    _classify_grid, the lattice points that no cell holds strictly inside.
+    Whether v's cells tile the box is answered once, by _check_tiling on the
+    face grid; the lattice only marks v's cell boundaries, the skeleton of
+    _classify_grid: the lattice points that no cell holds strictly inside.
     """
-    if not len(v.bounds):
-        raise TilingError("no cells supplied")
     if v.space_dim != domain.ndim:
         raise TilingError(f"cells have dimension {v.space_dim}, the box has {domain.ndim}")
     _check_tiling(v.bounds, domain.lo, domain.hi)

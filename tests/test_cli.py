@@ -6,6 +6,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -780,6 +781,54 @@ def test_verify_compares_global_pair_cells(demo_dir, tmp_path, capsys, name, tam
     assert "verify: FAILED" in out
 
 
+def _face_onto_lattice(poly):
+    # the face between the first two cells of the upper file moves to the
+    # nearest point of the demo's lattice (512 points on [0, 3]): the upper
+    # file now marks a skeleton point the lower one does not
+    axis = np.linspace(0.0, 3.0, 512)
+    assert poly["hi"][0] == poly["lo"][1]
+    poly["hi"][0] = poly["lo"][1] = [float(axis[np.argmin(abs(axis - poly["hi"][0][0]))])]
+
+
+def test_verify_keeps_what_it_found_before_an_inconsistency(demo_dir, tmp_path, capsys):
+    copy = _tampered(demo_dir, tmp_path, "global_upper.json", _face_onto_lattice)
+    assert verify(copy) == 2
+    assert capsys.readouterr().out.splitlines() == [
+        "verify: MISMATCH global_pair: the upper polynomial file's cells differ "
+        "from the lower one's",
+        "verify: MISMATCH global_upper.json: cell 0 is not anchored at its center",
+        "verify: MISMATCH global_upper.json: cell 0 has a jet that does not solve its equation",
+        "verify: artifact inconsistency: the lower and upper polynomials mark different "
+        "skeletons",
+    ]
+
+
+def test_verify_rejects_a_j_cell_outside_the_box(demo_dir, tmp_path, capsys):
+    # translating the last J-cell of stage 1 a quarter of its width past the
+    # box's upper end keeps the volume sum and opens a hole as large inside
+    # the box; the tiling check names the cell outside it. (Half a width
+    # would put the cell's center on the box face, where Tiling.index_of
+    # fails first.)
+    copy = tmp_path / "outside"
+    shutil.copytree(demo_dir, copy)
+    cert = json.loads((copy / "certificate.json").read_text())
+    poly = json.loads((copy / "stage1" / "poly.json").read_text())
+    j_cell = cert["stages"][0]["j_cells"][-1][-1]
+    assert j_cell == {"lo": poly["lo"][-1], "hi": poly["hi"][-1]}
+    assert poly["hi"][-1] == cert["problem"]["box_hi"]
+    shift = 0.25 * (poly["hi"][-1][0] - poly["lo"][-1][0])
+    for row in (poly["lo"][-1], poly["hi"][-1], j_cell["lo"], j_cell["hi"]):
+        row[0] += shift
+    (copy / "stage1" / "poly.json").write_text(json.dumps(poly))
+    (copy / "certificate.json").write_text(json.dumps(cert))
+    assert verify(copy) == 2
+    out = capsys.readouterr().out
+    last = len(poly["lo"]) - 1
+    assert f"MISMATCH stage1/poly.json: cell {last} is not anchored at its center" in out
+    assert (f"artifact inconsistency: cell {last} {[poly['lo'][-1], poly['hi'][-1]]} "
+            "reaches outside the box") in out
+
+
 def _double_radii(cert):
     # every derived block that reads the radii is recomputed to match them
     from ordercomplete.checker import band_tolerance, eq3_certificate
@@ -1167,6 +1216,24 @@ def test_verify_fails_when_a_checker_routine_raises(demo_dir, monkeypatch):
     assert _raising_everywhere(monkeypatch, [checker.stage_bands]) == {"stage_bands"}
     with pytest.raises(_Called, match="checker.stage_bands"):
         verify(demo_dir)
+
+
+def test_readme_trusted_base_table_counts_lines():
+    # the README's table of what verify runs states each module's line
+    # count, their total and solver's; all are recounted from the sources
+    text = (SRC.parent / "README.md").read_text()
+    table = text[text.index("What `verify` runs, by module"):]
+    rows = dict(re.findall(r"^\| `(\w+)` \| ([\d,]+) \|", table, re.M))
+
+    def lines(module):
+        return (SRC / "ordercomplete" / f"{module}.py").read_bytes().count(b"\n")
+
+    assert rows and {m: int(k.replace(",", "")) for m, k in rows.items()} == {
+        m: lines(m) for m in rows}
+    total, solver = re.search(r"That is ([\d,]+) lines in \w+ modules; `intervals` and "
+                              r"`solver` \(([\d,]+)\s+lines\)", table).groups()
+    assert int(total.replace(",", "")) == sum(lines(m) for m in rows)
+    assert int(solver.replace(",", "")) == lines("solver")
 
 
 def test_checker_imports_no_solver():

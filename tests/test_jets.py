@@ -1,5 +1,6 @@
 """Multi-index order, Taylor jets, cells, piecewise assembly, serialization."""
 
+import bisect
 import itertools
 import math
 import re
@@ -7,6 +8,7 @@ import re
 import numpy as np
 import pytest
 
+from ordercomplete.checker import tile_domain
 from ordercomplete.grids import GridDomain, is_nowhere_dense, normalize
 from ordercomplete.jets import (
     Cell,
@@ -264,10 +266,29 @@ def test_assemble_rejects_overlap_and_gap():
             fn(_const_polys(mis, [[[0.0], [0.7]], [[0.5], [1.0]]], [0.0, 1.0]), dom)
         with pytest.raises(TilingError):
             fn(_const_polys(mis, [[[0.0], [0.25]], [[0.5], [1.0]]], [0.0, 1.0]), dom)
-        # volumes sum to 1 and the overlap [0.26, 0.3] holds no lattice point
+        # the overlap [0.26, 0.3] holds no lattice point, nor does the hole
+        # [0.5, 0.54]; the overlap is named first
         sliver = [[[0.0], [0.5]], [[0.26], [0.3]], [[0.54], [1.0]]]
         with pytest.raises(TilingError, match="overlapping interiors"):
             fn(_const_polys(mis, sliver, [0.0, 1.0, 2.0]), dom)
+
+
+@pytest.mark.parametrize("cells, shape, message", [
+    ([[[0.0], [0.3]], [[0.31], [1.01]]], (9,), "cell 1 [[0.31], [1.01]]"),
+    ([[[0.0, 0.0], [0.5, 1.0]], [[0.51, 0.0], [1.01, 1.0]]], (9, 9),
+     "cell 1 [[0.51, 0.0], [1.01, 1.0]]"),
+    ([[[-0.01], [0.49]], [[0.5], [1.0]]], (9,), "cell 0 [[-0.01], [0.49]]"),
+], ids=["1d_past_hi", "2d_past_hi", "1d_below_lo"])
+def test_tiling_rejects_a_cell_outside_the_box(cells, shape, message):
+    # a cell reaches outside the box and a hole of the same volume opens
+    # inside it, between two lattice points: the volume sum, the face-grid
+    # overlap test and the lattice cover test all passed these
+    n = len(shape)
+    dom = GridDomain([0.0] * n, [1.0] * n, shape)
+    v = _const_polys(MultiIndexSet(n, 1), cells, [0.0, 1.0])
+    for fn in (assemble, sample_jets):
+        with pytest.raises(TilingError, match=re.escape(f"{message} reaches outside the box")):
+            fn(v, dom)
 
 
 def test_sample_jets_marks_its_own_skeleton():
@@ -295,12 +316,12 @@ def test_empty_cell_list_is_a_tiling_error():
     empty = np.empty((0, 2, 2))
     with pytest.raises(TilingError):
         assemble(_const_polys(MultiIndexSet(2, 1), empty, []), dom)
-    with pytest.raises(TilingError):
-        _classify_grid(empty, dom)
+    with pytest.raises(TilingError, match="hole"):
+        _check_tiling(empty, dom.lo, dom.hi)
     with pytest.raises(TilingError):
         _classify_grid([], dom)
-    with pytest.raises(TilingError):
-        _check_tiling(empty, dom.lo, dom.hi)
+    # no cell holds a point strictly inside: every point is skeleton
+    assert np.array_equal(_classify_grid(empty, dom), np.ones(dom.shape, dtype=bool))
 
 
 # ---------------------------------------------------------------------------
@@ -309,8 +330,9 @@ def test_empty_cell_list_is_a_tiling_error():
 
 def _reference_classify(cells, domain):
     """The per-cell full-lattice mask classifier the index arithmetic
-    replaced; its boundary mask is the face rule: the points within snapping
-    tolerance of a face of some cell whose closed range holds them."""
+    replaced, without its cover test (see _reference_check_tiling); its
+    boundary mask is the face rule: the points within snapping tolerance of
+    a face of some cell whose closed range holds them."""
     n = domain.ndim
     tol = 1e-9 * (domain.hi - domain.lo)
     owner = np.full(domain.shape, -1, dtype=int)
@@ -336,37 +358,48 @@ def _reference_classify(cells, domain):
             raise TilingError("overlapping cell interiors")
         owner[inside] = ci
         boundary |= closed & near_any
-    uncovered = (owner < 0) & ~boundary
-    if uncovered.any():
-        idx = tuple(int(v) for v in np.argwhere(uncovered)[0])
-        raise TilingError(f"tiling does not cover lattice point {idx}")
     owner[boundary] = -1
     return owner, boundary
 
 
 def _reference_check_tiling(cells, lo, hi):
-    """The per-cell volume sum and the pairwise O(cells^2) overlap test the
-    numpy sum and the face-grid painting replaced."""
-    vol = sum(float(np.prod(c[1] - c[0])) for c in cells)
-    box_vol = float(np.prod(hi - lo))
-    if not math.isclose(vol, box_vol, rel_tol=1e-9):
-        raise TilingError(f"cell volumes sum to {vol}, box volume is {box_vol}")
-    for a, b in itertools.combinations(cells, 2):
-        if all(max(a[0, d], b[0, d]) < min(a[1, d], b[1, d]) - 1e-12 * (hi[d] - lo[d])
-               for d in range(a.shape[1])):
-            raise TilingError(f"cells {a} and {b} have overlapping interiors")
+    """Exact cover, plainly: per axis the sorted distinct faces of the cells
+    and the box, a face within 1e-12 of the box width of the one before it
+    merged into that one's group; each face's group is the last group start
+    at or below it. Every elementary box of that grid is counted against
+    every cell: a count above 1 is an overlap, a cell whose faces fall in
+    groups beyond the box's reaches outside it, and a box inside the box
+    with count 0 is a hole."""
+    n = len(lo)
+    starts = []
+    for d in range(n):
+        faces = sorted({*cells[:, :, d].ravel().tolist(), float(lo[d]), float(hi[d])})
+        starts.append([f for f, g in zip(faces, [-math.inf] + faces)
+                       if f - g > 1e-12 * (hi[d] - lo[d])])
+
+    def group(d, f):
+        return bisect.bisect_right(starts[d], f) - 1
+
+    ranges = [[(group(d, c[0, d]), group(d, c[1, d])) for d in range(n)] for c in cells]
+    box = [(group(d, lo[d]), group(d, hi[d])) for d in range(n)]
+    count = {}
+    for p in itertools.product(*(range(len(s) - 1) for s in starts)):
+        count[p] = sum(all(a <= i < b for i, (a, b) in zip(p, r)) for r in ranges)
+    if any(k > 1 for k in count.values()):
+        raise TilingError("overlapping interiors")
+    if any(a < box[d][0] or b > box[d][1] for r in ranges for d, (a, b) in enumerate(r)):
+        raise TilingError("reaches outside the box")
+    if any(k == 0 and all(a <= i < b for i, (a, b) in zip(p, box)) for p, k in count.items()):
+        raise TilingError("hole")
 
 
 def _outcome(fn, *args):
-    """Result arrays, or the kind of TilingError raised (gap messages name
-    the first uncovered point in C order, so they compare in full)."""
+    """Result arrays, or the kind of TilingError raised."""
     try:
         return fn(*args)
     except TilingError as e:
-        msg = str(e)
-        if "overlapping" in msg:
-            return "overlap"
-        return "volume" if "volumes" in msg else msg
+        return next(kind for key, kind in (("overlapping", "overlap"), ("outside", "outside"),
+                                           ("hole", "hole")) if key in str(e))
 
 
 def _random_tiling(rng, n, mutate=True):
@@ -416,9 +449,10 @@ def _gathered_owner(cells, domain):
 
 @pytest.mark.parametrize("n,cases", [(1, 200), (2, 200), (3, 60)])
 def test_classify_grid_matches_mask_reference(n, cases):
-    # _classify_grid raises the reference's errors; its skeleton is the set
-    # of points _interior_gather gives no owner; and on a valid tiling (both
-    # checks pass) that skeleton is the reference's boundary mask and
+    # _check_tiling raises the exact-cover reference's errors; _classify_grid
+    # raises the mask reference's, and its skeleton is the set of points
+    # _interior_gather gives no owner; and on a tiling (_check_tiling
+    # passes) that skeleton is the reference's boundary mask and
     # _interior_gather's owner map the reference's
     rng = np.random.default_rng(1000 + n)
     seen = set()
@@ -437,13 +471,30 @@ def test_classify_grid_matches_mask_reference(n, cases):
                 assert np.array_equal(owner, want[0])
                 seen.add("owners")
         else:
-            assert got == want
-            seen.add("overlap" if want == "overlap" else "gap")
+            assert got == want == "overlap"
+            seen.add("overlap")
         assert _outcome(_check_tiling, cells, dom.lo, dom.hi) == want_tiling
-        seen.add(f"tiling {want_tiling}")
+        seen.add(f"tiling {want_tiling or 'ok'}")
     # the mutations reach every branch of both checks
-    assert seen == {"ok", "owners", "overlap", "gap", "tiling None", "tiling overlap",
-                    "tiling volume"}
+    assert seen == {"ok", "owners", "overlap", "tiling ok", "tiling overlap",
+                    "tiling outside", "tiling hole"}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_exact_cover_accepts_what_run_builds(n):
+    # unmutated random tilings, and I-cells on a box with non-dyadic bounds
+    # refined by random dyadic splits as refine makes them, all tile the box
+    rng = np.random.default_rng(2000 + n)
+    for _ in range(40 if n < 3 else 8):
+        cells, dom = _random_tiling(rng, n, mutate=False)
+        _check_tiling(cells, dom.lo, dom.hi)
+        lo = rng.uniform(-3.0, 3.0, n)
+        dom = GridDomain(lo, lo + rng.uniform(0.5, 2.0, n), (65,) * n)
+        cells = tile_domain(dom).i_cells
+        for _ in range(int(rng.integers(1, 4))):
+            split = rng.random(len(cells)) < 0.3
+            cells = np.concatenate([cells[~split], _children(cells[split])])
+            _check_tiling(cells, dom.lo, dom.hi)
 
 
 def test_skeleton_differs_from_face_rule_only_where_the_tiling_check_fails():
