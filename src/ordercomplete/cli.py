@@ -33,8 +33,8 @@ import numpy as np
 from . import expr as ex
 from .analysis import IntervalSequence, compare_reference, nested_limit_check
 from .grids import GridDomain, OrderInterval
-from .jets import (TilingError, _centers, artifact_json, float_array, read_poly_json,
-                   write_atomic, write_poly_json)
+from .jets import (TilingError, _centers, _check_tiling, artifact_json, float_array,
+                   read_poly_json, write_atomic, write_poly_json)
 from .pde import _R_MIN, PdeSystem, check_assumption_interior
 from .checker import (ConstructionError, _inner_boxes, apeq_certificate, band_tolerance,
                       certified_stage, check_jets, jcell_boxes, scheme_convergence,
@@ -575,11 +575,16 @@ def _verify_inner(out: Path, cert: dict, problems: list[str]) -> int:
     domain = GridDomain(system.box_lo, system.box_hi, config["grid"])
 
     def read_poly(name: str):
-        v = read_poly_json(out / name)
-        found = (v.space_dim, v.components, v.order)
-        if found != (system.n, system.K, system.m):
-            raise ValueError(f"{name} signature (space_dim, components, order): "
-                             f"expected {(system.n, system.K, system.m)}, found {found}")
+        # its structure first: index_of and the certificates see cells that tile
+        try:
+            v = read_poly_json(out / name)
+            found = (v.space_dim, v.components, v.order)
+            if found != (system.n, system.K, system.m):
+                raise ValueError(f"signature (space_dim, components, order): expected "
+                                 f"{(system.n, system.K, system.m)}, found {found}")
+            _check_tiling(v.bounds, domain.lo, domain.hi)
+        except ValueError as e:
+            raise ValueError(f"{name}: {e}") from None
         return v
 
     def check(at: str, held: np.ndarray, what: str) -> None:

@@ -22,6 +22,7 @@ All functions here are pure; none mutates its arguments.
 from __future__ import annotations
 
 import csv
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -111,6 +112,18 @@ class GridDomain:
     def meshes(self) -> list[np.ndarray]:
         """Coordinate arrays of the full lattice, one per axis, grid-shaped."""
         return np.meshgrid(*(self.axis(d) for d in range(self.ndim)), indexing="ij")
+
+    @functools.cached_property
+    def _csv_rows(self) -> list[str | None]:
+        """write_csv's text of this lattice, each row's value left None: [header +
+        row 0's coordinates, None, row 0's flag + row 1's coordinates, ...]."""
+        coords = list(map("".join, itertools.product(
+            *([repr(v) + "," for v in a.tolist()] for a in self._axes))))
+        flags = np.where(self.skeleton.reshape(-1), ",1\r\n", ",0\r\n").tolist()
+        header = "".join(f"x{d + 1}," for d in range(self.ndim)) + "value,skeleton\r\n"
+        rows: list[str | None] = [None] * (2 * len(coords) + 1)
+        rows[::2] = [header + coords[0], *map(str.__add__, flags, coords[1:]), flags[-1]]
+        return rows
 
     def with_skeleton(self, skeleton: np.ndarray) -> "GridDomain":
         return GridDomain(self.lo, self.hi, self.shape, skeleton)
@@ -453,10 +466,11 @@ def quasi_uniform_check(
 # CSV serialization
 
 
-def _format_value(v: float) -> str:
-    if math.isinf(v):
-        return "+inf" if v > 0 else "-inf"
-    return repr(v)
+def _format_values(vals: np.ndarray) -> np.ndarray:
+    """The text of each value, repr's but +inf for inf, in one repr call."""
+    text = np.array(repr(vals.tolist())[1:-1].split(", "), dtype=object)
+    text[vals == _INF] = "+inf"
+    return text
 
 
 def _parse_value(s: str) -> float:
@@ -470,25 +484,18 @@ def _parse_value(s: str) -> float:
 def write_csv(gf: GridFunction, path) -> None:
     """One row per lattice point in C order: coordinates, value, skeleton flag.
 
-    Formatted a column at a time, in the bytes csv.writer gives: fields
-    joined by "," and rows ended by "\r\n" (no field needs quoting). Each
-    distinct value, told apart by its bit pattern so that -0.0 and 0.0 keep
-    their own text, is formatted once and gathered by index; skeleton
-    points copy a neighbour's value, so a file holds few distinct values.
+    The bytes are those csv.writer gives (fields joined by ",", rows ended
+    by "\r\n", no field quoted). The coordinate and flag text is built once
+    per lattice (GridDomain._csv_rows). Each distinct value, told apart by
+    its bit pattern so that -0.0 and 0.0 keep their own text, is formatted
+    once and gathered by index into a copy of it; skeleton points copy a
+    neighbour's value, so a file holds few distinct values.
     """
-    dom = gf.domain
-    n = dom.ndim
-    idx = np.indices(dom.shape).reshape(n, -1)
-    cols = [np.array([repr(v) for v in dom.axis(d).tolist()], dtype=object)[idx[d]].tolist()
-            for d in range(n)]
+    rows = gf.domain._csv_rows.copy()
     bits, where = np.unique(gf.values.reshape(-1).view(np.int64), return_inverse=True)
-    text = np.array([_format_value(v) for v in bits.view(np.float64).tolist()], dtype=object)
-    cols.append(text[where].tolist())
-    cols.append(np.where(dom.skeleton.reshape(-1), "1", "0").tolist())
-    header = [f"x{d + 1}" for d in range(n)] + ["value", "skeleton"]
-    lines = [",".join(header), *map(",".join, zip(*cols))]
+    rows[1::2] = _format_values(bits.view(np.float64))[where].tolist()
     with open(path, "w", newline="") as fh:
-        fh.write("\r\n".join(lines) + "\r\n")
+        fh.write("".join(rows))
 
 
 def read_csv(path) -> GridFunction:

@@ -180,7 +180,7 @@ class PiecewisePoly:
     """Per-cell Taylor polynomials over a tiling of a box, as arrays: the
     cells (C, 2, n) as bounds, and anchors (C, K, n) and coeffs (C, K,
     count) of component k's polynomial on cell c. __post_init__ checks
-    their shapes, that no bound is NaN and that every cell has lo < hi.
+    their shapes, that every bound is finite and that every cell has lo < hi.
     `cells` and `polys` are read-only views for readers outside the
     package, built on first access.
     """
@@ -194,8 +194,8 @@ class PiecewisePoly:
         n, count = self.mis.n, self.mis.count
         if self.bounds.ndim != 3 or self.bounds.shape[1:] != (2, n):
             raise ValueError(f"cell bounds must have shape (cells, 2, {n})")
-        if np.isnan(self.bounds).any():
-            raise ValueError("cell bounds must not be NaN")
+        if not np.isfinite(self.bounds).all():
+            raise ValueError("cell bounds must be finite, not NaN or +-inf")
         empty = np.any(self.bounds[:, 0] >= self.bounds[:, 1], axis=1)
         if empty.any():
             lo, hi = self.bounds[int(np.argmax(empty))].tolist()

@@ -10,6 +10,7 @@ import re
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -175,6 +176,21 @@ def test_run_writes_expected_artifacts(run_dir):
     summary = (run_dir / "summary.txt").read_text()
     assert "verdict: pass" in summary
     assert "EVIDENCE" in summary or "evidence" in summary
+
+
+def test_run_csv_files_match_the_row_loop_reference(run_dir, tmp_path):
+    # every CSV file of the run, all rendered from one domain's cached row
+    # text, has the bytes the csv.writer row loop gives its contents
+    from test_grids import _reference_write_csv
+
+    from ordercomplete.grids import read_csv
+
+    paths = sorted(run_dir.rglob("*.csv"))
+    assert len(paths) == 1 + 2 * 7  # f1, then tv_u1 and d, lo, hi of two tags per stage
+    want = tmp_path / "want.csv"
+    for path in paths:
+        _reference_write_csv(read_csv(path), want)
+        assert path.read_bytes() == want.read_bytes(), path
 
 
 def test_artifacts_are_one_line_of_compact_json(run_dir):
@@ -803,30 +819,53 @@ def test_verify_keeps_what_it_found_before_an_inconsistency(demo_dir, tmp_path, 
     ]
 
 
+def _verify_quietly(run, capsys) -> tuple[int, list[str]]:
+    """verify's exit code and stdout lines, failing on any warning or any
+    stderr output (numpy's cast warnings among them)."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = verify(run)
+    out, err = capsys.readouterr()
+    assert err == ""
+    return code, out.splitlines()
+
+
 def test_verify_rejects_a_j_cell_outside_the_box(demo_dir, tmp_path, capsys):
-    # translating the last J-cell of stage 1 a quarter of its width past the
-    # box's upper end keeps the volume sum and opens a hole as large inside
-    # the box; the tiling check names the cell outside it. (Half a width
-    # would put the cell's center on the box face, where Tiling.index_of
-    # fails first.)
-    copy = tmp_path / "outside"
-    shutil.copytree(demo_dir, copy)
-    cert = json.loads((copy / "certificate.json").read_text())
-    poly = json.loads((copy / "stage1" / "poly.json").read_text())
-    j_cell = cert["stages"][0]["j_cells"][-1][-1]
-    assert j_cell == {"lo": poly["lo"][-1], "hi": poly["hi"][-1]}
-    assert poly["hi"][-1] == cert["problem"]["box_hi"]
-    shift = 0.25 * (poly["hi"][-1][0] - poly["lo"][-1][0])
-    for row in (poly["lo"][-1], poly["hi"][-1], j_cell["lo"], j_cell["hi"]):
-        row[0] += shift
-    (copy / "stage1" / "poly.json").write_text(json.dumps(poly))
-    (copy / "certificate.json").write_text(json.dumps(cert))
-    assert verify(copy) == 2
-    out = capsys.readouterr().out
-    last = len(poly["lo"]) - 1
-    assert f"MISMATCH stage1/poly.json: cell {last} is not anchored at its center" in out
-    assert (f"artifact inconsistency: cell {last} {[poly['lo'][-1], poly['hi'][-1]]} "
-            "reaches outside the box") in out
+    # translating the last J-cell of stage 1 past the box's upper end keeps
+    # the volume sum and opens a hole as large inside the box. The tiling
+    # check runs as the file is read, before any cell check and before
+    # Tiling.index_of, which half a width (the cell's center on the box
+    # face, outside every I-cell) would make fail with numpy's message
+    for fraction in (0.25, 0.5):
+        copy = tmp_path / f"outside{fraction}"
+        shutil.copytree(demo_dir, copy)
+        cert = json.loads((copy / "certificate.json").read_text())
+        poly = json.loads((copy / "stage1" / "poly.json").read_text())
+        j_cell = cert["stages"][0]["j_cells"][-1][-1]
+        assert j_cell == {"lo": poly["lo"][-1], "hi": poly["hi"][-1]}
+        assert poly["hi"][-1] == cert["problem"]["box_hi"]
+        shift = fraction * (poly["hi"][-1][0] - poly["lo"][-1][0])
+        for row in (poly["lo"][-1], poly["hi"][-1], j_cell["lo"], j_cell["hi"]):
+            row[0] += shift
+        (copy / "stage1" / "poly.json").write_text(json.dumps(poly))
+        (copy / "certificate.json").write_text(json.dumps(cert))
+        last = len(poly["lo"]) - 1
+        assert _verify_quietly(copy, capsys) == (2, [
+            f"verify: artifact inconsistency: stage1/poly.json: cell {last} "
+            f"{[poly['lo'][-1], poly['hi'][-1]]} reaches outside the box"])
+
+
+@pytest.mark.parametrize("bound", [np.inf, -np.inf])
+def test_verify_names_the_file_of_an_infinite_face(demo_dir, tmp_path, capsys, bound):
+    # an infinite upper face is rejected as the file is read: it never
+    # reaches Tiling.index_of, whose integer cast of it warns
+    def infinite_face(poly):
+        poly["hi"][-1][0] = bound  # json writes Infinity
+
+    copy = _tampered(demo_dir, tmp_path, "stage1/poly.json", infinite_face)
+    assert _verify_quietly(copy, capsys) == (2, [
+        "verify: artifact inconsistency: stage1/poly.json: cell bounds must be finite, "
+        "not NaN or +-inf"])
 
 
 def _double_radii(cert):

@@ -7,6 +7,7 @@ vectorized implementation must agree with it exactly.
 """
 
 import csv
+import functools
 import itertools
 import math
 
@@ -594,19 +595,54 @@ def test_csv_distinct_values_keep_their_text_and_bits(tmp_path):
 
 
 def test_csv_formats_each_distinct_value_once(tmp_path, monkeypatch):
-    # a guard without timing: per-element formatting would make 4,225 calls
-    calls = []
-    format_value = grids._format_value
+    # a guard without timing: per-element formatting would format 4,225 values
+    formatted = []
+    format_values = grids._format_values
 
-    def counted(v):
-        calls.append(v)
-        return format_value(v)
+    def counted(vals):
+        formatted.extend(vals.tolist())
+        return format_values(vals)
 
-    monkeypatch.setattr(grids, "_format_value", counted)
+    monkeypatch.setattr(grids, "_format_values", counted)
     dom = GridDomain([0.0, 0.0], [1.0, 1.0], (65, 65))
     vals = np.array([0.5, -2.0, 1e-9])[np.arange(dom.skeleton.size) % 3]
     write_csv(GridFunction(dom, vals.reshape(dom.shape)), tmp_path / "u.csv")
-    assert 0 < len(calls) <= 3
+    assert 0 < len(formatted) <= 3
+
+
+def test_csv_builds_the_row_template_once_per_domain(tmp_path, monkeypatch):
+    built = []
+    build = GridDomain.__dict__["_csv_rows"].func
+
+    def counted(dom):
+        built.append(dom)
+        return build(dom)
+
+    rows = functools.cached_property(counted)
+    rows.__set_name__(GridDomain, "_csv_rows")
+    monkeypatch.setattr(GridDomain, "_csv_rows", rows)
+    dom = GridDomain([0.0, 0.0], [1.0, 1.0], (65, 65))
+    write_csv(GridFunction(dom, np.zeros(dom.shape)), tmp_path / "u.csv")
+    write_csv(GridFunction(dom, np.ones(dom.shape)), tmp_path / "v.csv")
+    assert built == [dom]
+
+
+def test_csv_writes_leave_the_shared_template_intact(tmp_path):
+    # f, then g with other values and skeleton infinities, then f again on
+    # one domain: no write may change the cached text the next one copies
+    shape = (9, 7)
+    skel = np.indices(shape).sum(axis=0) % 3 == 0
+    dom = GridDomain([-1.0, 0.5], [1.0, 2.0], shape, skel)
+    on = np.flatnonzero(skel.reshape(-1))
+    f_vals = np.linspace(-3.0, 3.0, skel.size)
+    g_vals = np.full(skel.size, 0.25)
+    g_vals[on] = np.array([np.inf, -np.inf, -0.0, 5e-324])[np.arange(on.size) % 4]
+    f, g = (GridFunction(dom, v.reshape(shape)) for v in (f_vals, g_vals))
+    for k, u in enumerate((f, g, f)):
+        got, want = tmp_path / f"got{k}.csv", tmp_path / f"want{k}.csv"
+        write_csv(u, got)
+        _reference_write_csv(u, want)
+        assert got.read_bytes() == want.read_bytes()
 
 
 def test_axis_is_linspace_and_read_only():

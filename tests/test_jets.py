@@ -192,11 +192,12 @@ def _poly_file(**change):
     ({"hi": [[1.0, 2.0]]}, "hi: expected shape (1, 1), found (1, 2)"),
     ({"hi": [[0.0]]}, "empty extent"),
     ({"lo": [[None]]}, "NaN"),
+    ({"hi": [[math.inf]]}, "must be finite"),
     ({"anchors": [[[0.5, 0.5]]]}, "anchors: expected shape (1, 1, 1), found (1, 1, 2)"),
     ({"coeffs": [[[1.0]]]}, "coeffs: expected shape (1, 1, 2), found (1, 1, 1)"),
     ({"anchors": [[]], "coeffs": [[]]}, "anchors: expected shape (1, 1, 1), found (1, 0)"),
     ({"lo": [[0.0], [0.0, 1.0]]}, "lo: setting an array element with a sequence"),
-], ids=["lo_hi_lengths", "empty_extent", "nan", "anchor_size", "coeff_size", "poly_count",
+], ids=["lo_hi_lengths", "empty_extent", "nan", "inf", "anchor_size", "coeff_size", "poly_count",
         "ragged_rows"])
 def test_poly_from_dict_rejects_malformed_cells(change, message):
     assert poly_from_dict(_poly_file()).cells == [Cell((0.0,), (1.0,))]
