@@ -79,38 +79,12 @@ class Interval:
     def width(self) -> np.ndarray:
         return self.hi - self.lo
 
-    @property
-    def mid(self) -> np.ndarray:
-        if np.isinf(self.lo).any() or np.isinf(self.hi).any():
-            raise ValueError("midpoint of an unbounded interval")
-        return 0.5 * (self.lo + self.hi)
-
     def contains(self, x) -> np.ndarray:
         return (self.lo <= x) & (x <= self.hi)
-
-    def is_point(self) -> np.ndarray:
-        return self.lo == self.hi
 
     @staticmethod
     def point(x) -> "Interval":
         return Interval(x, x)
-
-    # ---- lattice ----
-
-    def hull(self, other: "Interval") -> "Interval":
-        return Interval(np.minimum(self.lo, other.lo), np.maximum(self.hi, other.hi))
-
-    def intersect(self, other: "Interval") -> "Interval | None":
-        """Intersection, or None when it is empty at some element.
-
-        Emptiness is reported explicitly; no operation here ever produces an
-        empty interval silently.
-        """
-        lo = np.maximum(self.lo, other.lo)
-        hi = np.minimum(self.hi, other.hi)
-        if np.any(lo > hi):
-            return None
-        return Interval(lo, hi)
 
     # ---- arithmetic ----
 

@@ -105,9 +105,6 @@ class TaylorPoly:
         self.anchor.setflags(write=False)
         self.coeffs.setflags(write=False)
 
-    def value(self, x) -> float:
-        return float(self.deriv_many((0,) * self.mis.n, np.asarray(x, dtype=float)[None, :])[0])
-
     def deriv_many(self, alpha: tuple[int, ...], points: np.ndarray) -> np.ndarray:
         """D^alpha of the polynomial at each row of points, exactly at the anchor."""
         pts = np.asarray(points, dtype=float)

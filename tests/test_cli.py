@@ -1128,6 +1128,78 @@ def test_verify_exits_2_on_a_structurally_corrupted_certificate(demo_dir, corrup
         assert verify(corrupted_dir) == 2
 
 
+def _tamper_cells(data, poly):
+    """One drawn structural tamper of a polynomial file's cells: a face moved
+    by a drawn amount, an end cell pushed out of the box, a bound set to
+    +-inf or NaN, a cell's lo and hi swapped, or a row dropped, duplicated
+    or swapped with another."""
+    cells, d = len(poly["lo"]), data.draw(st.integers(0, poly["space_dim"] - 1))
+    kind = data.draw(st.sampled_from(["face", "push", "bound", "flip", "drop", "duplicate",
+                                      "swap"]))
+    if kind == "face":
+        # every bound on the face moves, so the cells on both sides keep meeting
+        face = data.draw(st.sampled_from(sorted({row[d] for side in ("lo", "hi")
+                                                 for row in poly[side]})))
+        moved = face + data.draw(st.floats(-4.0, 4.0))
+        for row in poly["lo"] + poly["hi"]:
+            if row[d] == face:
+                row[d] = moved
+    elif kind == "push":
+        c = data.draw(st.sampled_from([0, cells - 1]))
+        shift = data.draw(st.floats(0.0, 4.0)) * (-1.0 if c == 0 else 1.0)
+        for side in ("lo", "hi"):
+            poly[side][c][d] += shift
+    elif kind == "bound":
+        side, c = data.draw(st.sampled_from(["lo", "hi"])), data.draw(st.integers(0, cells - 1))
+        poly[side][c][d] = data.draw(st.sampled_from([np.inf, -np.inf, np.nan]))
+    elif kind == "flip":
+        c = data.draw(st.integers(0, cells - 1))
+        poly["lo"][c], poly["hi"][c] = poly["hi"][c], poly["lo"][c]
+    else:
+        i, j = data.draw(st.integers(0, cells - 1)), data.draw(st.integers(0, cells - 1))
+        for key in ("lo", "hi", "anchors", "coeffs"):  # a row is one cell's entries
+            rows = poly[key]
+            if kind == "drop":
+                del rows[i]
+            elif kind == "duplicate":
+                rows.insert(j, rows[i])
+            else:
+                rows[i], rows[j] = rows[j], rows[i]
+
+
+@pytest.fixture(scope="module")
+def tampered_cells_dir(demo_dir, tmp_path_factory):
+    """A copy of the demo run whose stage-1 polynomial file a test may
+    overwrite."""
+    run = tmp_path_factory.mktemp("tampered_cells") / "run"
+    shutil.copytree(demo_dir, run)
+    return run
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=80)
+@given(data=st.data())
+def test_verify_rejects_every_structural_tamper_of_a_polynomial_file(
+        demo_dir, tampered_cells_dir, data):
+    # exit 2 unless the bounds still equal the originals by value, and every
+    # line verify's own: no traceback, nothing on stderr, no warning
+    name = "stage1/poly.json"
+    original = json.loads((demo_dir / name).read_text())
+    poly = json.loads(json.dumps(original))
+    _tamper_cells(data, poly)
+    (tampered_cells_dir / name).write_text(json.dumps(poly))
+    same = all(np.array_equal(np.array(poly[side], dtype=float), original[side])
+               for side in ("lo", "hi"))
+    out, err = io.StringIO(), io.StringIO()
+    with (warnings.catch_warnings(), contextlib.redirect_stdout(out),
+          contextlib.redirect_stderr(err)):
+        warnings.simplefilter("error")
+        code = verify(tampered_cells_dir)
+    lines = out.getvalue().splitlines()
+    assert code == (0 if same else 2), lines
+    assert lines and all(line.startswith("verify: ") for line in lines), lines
+    assert err.getvalue() == ""
+
+
 def test_verify_rejects_missing_or_foreign_dir(tmp_path, capsys):
     assert verify(tmp_path / "nothing_here") == 2
     assert "cannot read certificate" in capsys.readouterr().out
@@ -1296,22 +1368,23 @@ def test_checker_imports_no_solver():
 # installed entry point
 
 
-def test_package_exports_resolve():
-    # every exported name resolves, the lazily loaded CLI names included,
-    # so a renamed or removed function cannot linger in __all__
-    import ordercomplete
-
-    assert len(set(ordercomplete.__all__)) == len(ordercomplete.__all__)
-    for name in ordercomplete.__all__:
-        assert getattr(ordercomplete, name) is not None, name
-    assert set(ordercomplete.__all__) <= set(dir(ordercomplete))
-
-
 def _child_env():
     # the child finds the package where this test process does, installed
     # or not
     path = os.environ.get("PYTHONPATH")
     return {**os.environ, "PYTHONPATH": str(SRC) + (os.pathsep + path if path else "")}
+
+
+def test_package_root_imports_no_module():
+    # each name has one import path, its home module: the package root
+    # loads none of them, so it can re-export none
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, ordercomplete; "
+         "print(sorted(m for m in sys.modules if m.startswith('ordercomplete.')))"],
+        capture_output=True, text=True, env=_child_env(),
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_console_entry_point(tmp_path):

@@ -81,7 +81,7 @@ def test_taylor_1d_quadratic():
     p = TaylorPoly([0.0], [1.0, 2.0, 6.0], mis)
     # P(x) = 1 + 2x + 3x^2
     for x in (-1.0, 0.0, 0.5, 2.0):
-        assert p.value([x]) == pytest.approx(1.0 + 2.0 * x + 3.0 * x * x, rel=1e-15)
+        assert deriv_eval(p, (0,), [x]) == pytest.approx(1.0 + 2.0 * x + 3.0 * x * x, rel=1e-15)
     assert deriv_eval(p, (2,), [123.0]) == 6.0
     assert deriv_eval(p, (0,), [2.0]) == pytest.approx(17.0)
 
@@ -99,10 +99,12 @@ def test_taylor_2d_plane_fd_oracle():
     mis = MultiIndexSet(2, 1)
     assert mis.alphas == ((0, 0), (0, 1), (1, 0))
     p = TaylorPoly([1.0, 1.0], [0.0, -1.0, 2.0], mis)
-    assert p.value([2.0, 3.0]) == pytest.approx(2.0 - 2.0)
+    assert deriv_eval(p, (0, 0), [2.0, 3.0]) == pytest.approx(2.0 - 2.0)
     h = 1e-6
-    fd_x = (p.value([1.0 + h, 1.0]) - p.value([1.0 - h, 1.0])) / (2 * h)
-    fd_y = (p.value([1.0, 1.0 + h]) - p.value([1.0, 1.0 - h])) / (2 * h)
+    fd_x = (deriv_eval(p, (0, 0), [1.0 + h, 1.0])
+            - deriv_eval(p, (0, 0), [1.0 - h, 1.0])) / (2 * h)
+    fd_y = (deriv_eval(p, (0, 0), [1.0, 1.0 + h])
+            - deriv_eval(p, (0, 0), [1.0, 1.0 - h])) / (2 * h)
     assert fd_x == pytest.approx(2.0, rel=1e-9)
     assert fd_y == pytest.approx(-1.0, rel=1e-9)
     assert deriv_eval(p, (1, 0), [1.0, 1.0]) == 2.0
@@ -117,7 +119,7 @@ def test_deriv_eval_random_cubics_fd_oracle():
         p = TaylorPoly([0.0], coeffs, mis)
         x = float(rng.uniform(-1.5, 1.5))
         h = 1e-2
-        vals = {k: p.value([x + k * h]) for k in (-2, -1, 0, 1, 2)}
+        vals = {k: deriv_eval(p, (0,), [x + k * h]) for k in (-2, -1, 0, 1, 2)}
         # five-point first derivative: truncation vanishes for degree <= 4
         fd1 = (8 * (vals[1] - vals[-1]) - (vals[2] - vals[-2])) / (12 * h)
         fd2 = (vals[1] - 2 * vals[0] + vals[-1]) / (h * h)
