@@ -110,9 +110,6 @@ class IntervalSequence:
     def __len__(self) -> int:
         return len(self.steps)
 
-    def components(self) -> int:
-        return len(self.steps[0])
-
 
 @dataclass(frozen=True)
 class NestedLimitComponent:

@@ -189,18 +189,19 @@ def apeq_certificate(
     sys: PdeSystem, lower: PiecewisePoly, upper: PiecewisePoly, domain: GridDomain,
     eps: float,
 ) -> ApEqCertificate:
-    """ApEq margins of the pair (lower, upper) off their skeleton, from
-    their jets sampled on the lattice of domain (see jets.sample_jets).
-    Raises ValueError when the two mark different skeletons."""
-    u_jets = sample_jets(lower, domain)
-    v_jets = sample_jets(upper, domain)
-    marked = u_jets[0].domain
-    if v_jets[0].domain != marked:
-        raise ValueError("the lower and upper polynomials mark different skeletons")
+    """ApEq margins of the pair (lower, upper) off their shared skeleton,
+    from their jets sampled once on the lattice of domain, as one candidate
+    carrying both coefficient sets (see jets.sample_jets). Raises
+    ValueError when the two have different cells."""
+    if not np.array_equal(lower.bounds, upper.bounds):
+        raise ValueError("global pair: the lower and upper polynomials have different cells")
+    jets = sample_jets(PiecewisePoly(lower.bounds, np.concatenate(
+        [lower.coeffs, upper.coeffs], axis=1), lower.mis), domain)
+    split = lower.components * lower.mis.count
     f = sys.rhs_on_lattice(domain)
-    tu = [g.values for g in apply_operator(sys, u_jets)]
-    tv = [g.values for g in apply_operator(sys, v_jets)]
-    off = ~marked.skeleton
+    tu = [g.values for g in apply_operator(sys, jets[:split])]
+    tv = [g.values for g in apply_operator(sys, jets[split:])]
+    off = ~jets[0].domain.skeleton
     m1 = _min_slack([fj - eps for fj in f], tu, off)
     m2 = _min_slack(tu, f, off)
     m3 = _min_slack(f, tv, off)

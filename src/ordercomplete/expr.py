@@ -325,8 +325,6 @@ class _Parser:
             raise SignatureError(
                 f"multi-index {a} has {len(a)} entries, signature has n={self.n}", line, col
             )
-        if any(e < 0 for e in a):
-            raise SignatureError(f"multi-index {a} has a negative entry", line, col)
         if sum(a) > self.m:
             raise SignatureError(f"multi-index {a} exceeds order m={self.m}", line, col)
         return JetVar(comp, a)

@@ -79,9 +79,6 @@ class Interval:
     def width(self) -> np.ndarray:
         return self.hi - self.lo
 
-    def contains(self, x) -> np.ndarray:
-        return (self.lo <= x) & (x <= self.hi)
-
     @staticmethod
     def point(x) -> "Interval":
         return Interval(x, x)

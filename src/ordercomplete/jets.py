@@ -11,13 +11,13 @@ rounding at all: differentiation is an index shift, never arithmetic.
 
 A PiecewisePoly holds one such polynomial per cell and component over a
 tiling of the box, as arrays (cells are (C, 2, n): lower corners, then
-upper corners). Its cell boundaries are the closed nowhere-dense set off
-which the candidate is fixed, so the skeleton belongs to the candidate.
-Whether cells tile the box is answered once, by _check_tiling on the grid
-of cell faces; the lattice only marks and owns. Sampling takes any
-lattice, checks the tiling and marks every point that no cell holds
-strictly inside as skeleton as well (assemble), takes each off-skeleton
-point's value from the one cell holding it strictly inside
+upper corners), anchored at the cell centers. Its cell boundaries are the
+closed nowhere-dense set off which the candidate is fixed, so the skeleton
+belongs to the candidate. Whether cells tile the box is answered once, by
+_check_tiling on the grid of cell faces; the lattice only marks and owns.
+Sampling takes any lattice, checks the tiling and marks every point that
+no cell holds strictly inside as skeleton as well (assemble), takes each
+off-skeleton point's value from the one cell holding it strictly inside
 (_interior_gather), and fills the skeleton by the normalize rule from
 grids. One rule, _interior_ranges, answers both lattice questions.
 """
@@ -175,15 +175,14 @@ def _centers(cells: np.ndarray) -> np.ndarray:
 @dataclass(eq=False)
 class PiecewisePoly:
     """Per-cell Taylor polynomials over a tiling of a box, as arrays: the
-    cells (C, 2, n) as bounds, and anchors (C, K, n) and coeffs (C, K,
-    count) of component k's polynomial on cell c. __post_init__ checks
-    their shapes, that every bound is finite and that every cell has lo < hi.
-    `cells` and `polys` are read-only views for readers outside the
-    package, built on first access.
+    cells (C, 2, n) as bounds, and coeffs (C, K, count) of component k's
+    polynomial on cell c, anchored at the cell's center (_centers).
+    __post_init__ checks their shapes, that every bound is finite and that
+    every cell has lo < hi. `cells` and `polys` are read-only views for
+    readers outside the package, built on first access.
     """
 
     bounds: np.ndarray
-    anchors: np.ndarray
     coeffs: np.ndarray
     mis: MultiIndexSet
 
@@ -198,9 +197,8 @@ class PiecewisePoly:
             lo, hi = self.bounds[int(np.argmax(empty))].tolist()
             raise ValueError(f"cell has empty extent: lo={tuple(lo)}, hi={tuple(hi)}")
         shape = self.coeffs.shape
-        if (len(shape) != 3 or shape[::2] != (len(self.bounds), count)
-                or self.anchors.shape != shape[:2] + (n,)):
-            raise ValueError("anchor/coefficient sizes must match the multi-index set")
+        if len(shape) != 3 or shape[::2] != (len(self.bounds), count):
+            raise ValueError("coefficient sizes must match the cells and the multi-index set")
 
     @property
     def space_dim(self) -> int:
@@ -221,8 +219,8 @@ class PiecewisePoly:
     @functools.cached_property
     def polys(self) -> list[list[TaylorPoly]]:
         """polys[c][i-1]: component i's polynomial on cell c."""
-        return [[TaylorPoly(a, c, self.mis) for a, c in zip(anchors, coeffs)]
-                for anchors, coeffs in zip(self.anchors, self.coeffs)]
+        return [[TaylorPoly(center, c, self.mis) for c in coeffs]
+                for center, coeffs in zip(_centers(self.bounds), self.coeffs)]
 
 
 def _snap_tol(domain: GridDomain) -> np.ndarray:
@@ -368,17 +366,17 @@ def assemble(v: PiecewisePoly, domain: GridDomain) -> GridDomain:
 
 
 def _gathered_jets(
-    mis: MultiIndexSet, anchors: np.ndarray, coeffs: np.ndarray,
+    mis: MultiIndexSet, centers: np.ndarray, coeffs: np.ndarray,
     own: np.ndarray, pts: np.ndarray,
 ) -> list[np.ndarray]:
     """Every flat jet variable (i, alpha), in flat order (component-major,
-    graded-lex within), at each point, on the polynomials of its own cell:
-    anchors (cells, K, n) and coefficients (cells, K, count) per cell and
-    component, own the cell of each point. Bit-identical to each
+    graded-lex within), at each point, on the polynomials of its own cell,
+    anchored at centers (cells, n), with coefficients (cells, K, count) per
+    cell and component, own the cell of each point. Bit-identical to each
     polynomial's deriv_many."""
+    dx = pts - centers[own]
     out = []
     for i in range(coeffs.shape[1]):
-        dx = pts - anchors[own, i]
         c = coeffs[own, i]
         out.extend(_taylor_sum(mis, a, dx, c) for a in mis.alphas)
     return out
@@ -399,7 +397,7 @@ def sample_jets(v: PiecewisePoly, domain: GridDomain) -> list[GridFunction]:
     _, own, idx, pts = _interior_gather(marked, v.bounds)
     off = ~marked.skeleton[idx]
     return complete(marked, tuple(i[off] for i in idx),
-                    _gathered_jets(v.mis, v.anchors, v.coeffs, own[off], pts[off]))
+                    _gathered_jets(v.mis, _centers(v.bounds), v.coeffs, own[off], pts[off]))
 
 
 # ---------------------------------------------------------------------------
@@ -414,7 +412,7 @@ def artifact_json(obj) -> str:
 
 def poly_to_dict(v: PiecewisePoly) -> dict:
     """The polynomial file of v: its signature, then the cell corners lo and
-    hi (C, n), anchors (C, K, n) and coeffs (C, K, count) as nested lists."""
+    hi (C, n), anchors (C, K, n), the centers, and coeffs (C, K, count)."""
     return {
         "space_dim": v.space_dim,
         "components": v.components,
@@ -422,7 +420,7 @@ def poly_to_dict(v: PiecewisePoly) -> dict:
         "alphas": [list(a) for a in v.mis.alphas],
         "lo": v.bounds[:, 0].tolist(),
         "hi": v.bounds[:, 1].tolist(),
-        "anchors": v.anchors.tolist(),
+        "anchors": np.repeat(_centers(v.bounds)[:, None], v.components, axis=1).tolist(),
         "coeffs": v.coeffs.tolist(),
     }
 
@@ -451,7 +449,11 @@ def poly_from_dict(data: dict) -> PiecewisePoly:
     hi = float_array(data["hi"], (C, n), "hi")
     anchors = float_array(data["anchors"], (C, K, n), "anchors")
     coeffs = float_array(data["coeffs"], (C, K, mis.count), "coeffs")
-    return PiecewisePoly(np.stack([lo, hi], axis=1), anchors, coeffs, mis)
+    v = PiecewisePoly(np.stack([lo, hi], axis=1), coeffs, mis)
+    moved = np.any(anchors != _centers(v.bounds)[:, None], axis=(1, 2))
+    if moved.any():
+        raise ValueError(f"anchors: cell {int(np.argmax(moved))} is not anchored at its center")
+    return v
 
 
 def write_atomic(path, content: str | GridFunction) -> None:

@@ -281,14 +281,13 @@ def check_assumption_interior(
     sys: PdeSystem,
     x,
     trial_box: np.ndarray,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator,
 ) -> AssumptionEvidence:
     """Evidence that f(x) lies in the interior of {F(x, xi) : xi in trial_box}.
 
     Ball containment is probed along the 2K axis directions plus random
     ones; support requires every directional margin to exceed _R_MIN.
     """
-    rng = rng or np.random.default_rng(0)
     box = np.asarray(trial_box, dtype=float)
     if box.shape != (sys.unknown_count, 2):
         raise ValueError("trial box must have shape (M, 2)")
@@ -355,28 +354,27 @@ def check_assumption_open(
     jets,
     delta,
     eps_ball: float,
-    stream: Callable[[int], np.random.Generator] | None = None,
-    target=None,
+    stream: Callable[[int], np.random.Generator],
+    target,
 ) -> list[AssumptionEvidence]:
     """Evidence, row by row, that F maps B_delta(x) x B_eps(jet) onto a
     ball around the target; one verdict per row.
 
     x holds the anchors (rows, n), jets their flat jets (rows, M), delta
-    the point-ball radii (rows,) and target the targets (rows, K), by
-    default f(x); the refinement scheme probes shifted targets
-    f(x) - gamma/(2n). Every seed jet must hit its target closely,
-    |F(x, jet) - t| <= 1e-6, under the array evaluator, the one jet_solve
-    converges under. A verdict's witnessed ball radius (its minimal
-    directional margin) is what the scheme uses as a cell openness radius.
+    the point-ball radii (rows,) and target the targets (rows, K); the
+    refinement scheme probes shifted targets f(x) - gamma/(2n). Every seed
+    jet must hit its target closely, |F(x, jet) - t| <= 1e-6, under the
+    array evaluator, the one jet_solve converges under. A verdict's
+    witnessed ball radius (its minimal directional margin) is what the
+    scheme uses as a cell openness radius.
 
-    Row r draws from stream(r) (default: a stream seeded with 0), in this
-    order: the point ball's samples (a (S, n) standard normal block, then
-    S uniforms), the jet ball's alike, and then, if some of its samples do
-    not fault, its random directions. So a row's verdict depends on its
-    own inputs and stream alone, and is the same in any batch, alone
-    included. The rows' draws are made one row after another; their
-    samples are evaluated, and their margins reduced, _BLOCK_ROWS rows at
-    a time.
+    Row r draws from stream(r), in this order: the point ball's samples
+    (a (S, n) standard normal block, then S uniforms), the jet ball's
+    alike, and then, if some of its samples do not fault, its random
+    directions. So a row's verdict depends on its own inputs and stream
+    alone, and is the same in any batch, alone included. The rows' draws
+    are made one row after another; their samples are evaluated, and their
+    margins reduced, _BLOCK_ROWS rows at a time.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[1] != sys.n:
@@ -389,8 +387,7 @@ def check_assumption_open(
     if delta.shape != (rows,):
         raise ValueError("one point-ball radius per row required")
     coords = list(x.T)
-    target = (np.stack(sys.rhs_on_arrays(coords), axis=1) if target is None
-              else np.asarray(target, dtype=float))
+    target = np.asarray(target, dtype=float)
     if target.shape != (rows, sys.K):
         raise ValueError("target must hold one value per component and row")
     seed_images, faulted = eval_rows(sys, sys.F, coords, jets)
@@ -401,8 +398,7 @@ def check_assumption_open(
     evidence = []
     for lo in range(0, rows, _BLOCK_ROWS):
         block = slice(lo, lo + _BLOCK_ROWS)
-        rngs = [np.random.default_rng(0) if stream is None else stream(r)
-                for r in range(rows)[block]]
+        rngs = [stream(r) for r in range(rows)[block]]
         images, faulted = _ball_images(sys, x[block], jets[block], delta[block],
                                        eps_ball, rngs)
         evidence += _evidence(images, ~faulted, target[block], rngs)

@@ -165,7 +165,7 @@ def jet_solve(
     seed=None,
     constraint_box=None,
     *,
-    stream: Callable[[int], np.random.Generator] | None = None,
+    stream: Callable[[int], np.random.Generator],
 ) -> np.ndarray:
     """Solve F(x0[c], xi) = target[c] for a flat jet xi on every row c at
     once, each optionally inside its box; returns the jets (rows, M).
@@ -179,9 +179,9 @@ def jet_solve(
     half-width _BOX_RADIUS), run as rows of the same Newton loop; among its
     solutions within tolerance (max-norm residual below _TOL_RESIDUAL) the
     minimal-norm one wins, then lexicographic order. The starts of row c
-    draw from stream(c), called only for a row that reaches the multistart
-    (default: a stream seeded with 0). Every row depends on its own inputs
-    alone, so it gives the same jet in any batch, alone included.
+    draw from stream(c), called only for a row that reaches the multistart.
+    Every row depends on its own inputs alone, so it gives the same jet in
+    any batch, alone included.
     Raises NoSolutionError when some row finds no solution.
     """
     x0 = np.asarray(x0, dtype=float)
@@ -212,12 +212,9 @@ def jet_solve(
     if failed.size:
         starts = []
         for c in failed:
-            # the default is built here: naming np.random in the signature
-            # would load numpy.random on `import ordercomplete`
-            rng = stream(int(c)) if stream is not None else np.random.default_rng(0)
             search = box[c] if box is not None else np.stack(
                 [np.full(m, -_BOX_RADIUS), np.full(m, _BOX_RADIUS)], axis=1)
-            starts.append(_lhs_starts(search, _MULTISTARTS, rng))
+            starts.append(_lhs_starts(search, _MULTISTARTS, stream(int(c))))
         owner = np.repeat(failed, _MULTISTARTS)
         sv, sok, sbest = _newton(sys, [c[owner] for c in coords], target[owner],
                                  np.concatenate(starts),
@@ -243,8 +240,7 @@ def jet_solve(
 def _cell_polys(sys: PdeSystem, cells: np.ndarray, jets: np.ndarray) -> PiecewisePoly:
     """The Taylor polynomials of flat jets (C, M), one row per cell of
     cells (C, 2, n), anchored at the cell centers."""
-    anchors = np.repeat(_centers(cells)[:, None], sys.K, axis=1)
-    return PiecewisePoly(cells, anchors, jets.reshape(len(cells), sys.K, -1), sys.mis)
+    return PiecewisePoly(cells, jets.reshape(len(cells), sys.K, -1), sys.mis)
 
 
 def _generation_ok(sys: PdeSystem, domain: GridDomain, cells: np.ndarray,
@@ -262,11 +258,11 @@ def _generation_ok(sys: PdeSystem, domain: GridDomain, cells: np.ndarray,
     if not held.any():
         return ok
     starts = (np.cumsum(counts) - counts)[held]
-    anchors = np.repeat(_centers(cells)[:, None], sys.K, axis=1)
+    centers = _centers(cells)
     coords = _columns(pts)
     good = np.ones(len(starts), dtype=bool)
     for jets, lower, upper in brackets:
-        flat = np.stack(_gathered_jets(sys.mis, anchors, jets.reshape(len(cells), sys.K, -1),
+        flat = np.stack(_gathered_jets(sys.mis, centers, jets.reshape(len(cells), sys.K, -1),
                                        own, pts), axis=1)
         vals, faulted = eval_rows(sys, sys.F, coords, flat)
         # the least slack of lower < F < upper per row, -inf where F faults

@@ -336,17 +336,32 @@ def test_run_exit3_on_numeric_fault(tmp_path, capsys):
      "F1 = (2.412428613329855e+307 - x1) / (-u[1,(0)] / u[1,(1)]^-1)",
      "construction failure: anchor jet unsolvable: no jet solution at x0=(1.5,)"),
     ("K = 1", "K = 0", "spec error: need at least one component, got K = 0"),
+    ("box.lo = 0", "box.lo = zero", "spec error: key 'box.lo': not numbers: 'zero'\n"),
+    ("F1 = u[1,(1)] + u[1,(0)]^3", "F1 = u[1,(1)] + u[1,(0)]^3$",
+     "spec error: key 'F1': unexpected character '$' (line 1, column 22)\n"),
+    ("F1 = u[1,(1)] + u[1,(0)]^3", "F1 = u[1,(1)] + u[1,(0)]^3)",
+     "spec error: key 'F1': trailing input starting at ')' (line 1, column 22)\n"),
+    ("m = 1", "m = -1", "spec error: invalid signature (n=1, K=1, m=-1)\n"),
+    ("F1 = u[1,(1)] + u[1,(0)]^3", "F1 = u[1,(1.5)] + u[1,(0)]^3",
+     "spec error: key 'F1': expected multi-index entry (integer), found '1.5' "
+     "(line 1, column 6)\n"),
+    # a multi-index entry is a digit literal, so no entry is ever negative
+    ("F1 = u[1,(1)] + u[1,(0)]^3", "F1 = u[1,(-1)] + u[1,(0)]^3",
+     "spec error: key 'F1': expected multi-index entry (integer), found '-' "
+     "(line 1, column 6)\n"),
 ], ids=["faulting_exact", "overflowing_exact_derivative", "underflowing_diagonal",
         "infinite_box", "overflowing_probe_mean", "overflowing_residual_norm",
-        "no_components"])
+        "no_components", "word_for_a_bound", "trailing_dollar", "trailing_paren",
+        "negative_order", "fractional_multi_index", "negative_multi_index"])
 def test_run_exit3_on_the_demo_with_one_line_changed(tmp_path, capsys, line, changed, message):
-    # each used to end in a traceback (under warnings as errors for the
-    # overflows): the reference distances evaluate exact once the stages
-    # are built, and difference its values; the box diagonal's norm
-    # underflows to 0, so the I-cells would be of diameter 0; an infinite
-    # box has no lattice; the interior probe's mean image, and the norm of
-    # a Newton residual, overflow; with no component the interior probe
-    # projected onto the axes of R^0
+    # the first seven each used to end in a traceback (under warnings as
+    # errors for the overflows): the reference distances evaluate exact
+    # once the stages are built, and difference its values; the box
+    # diagonal's norm underflows to 0, so the I-cells would be of diameter
+    # 0; an infinite box has no lattice; the interior probe's mean image,
+    # and the norm of a Newton residual, overflow; with no component the
+    # interior probe projected onto the axes of R^0. The spec errors after
+    # them print one line each
     text = (DEMOS / "manufactured_1d.spec").read_text()
     assert line in text
     out = tmp_path / "out"
@@ -739,9 +754,17 @@ def test_verify_rejects_foreign_signature_polynomial(run_dir, tmp_path, capsys, 
     assert "artifact inconsistency" in out and "signature" in out
 
 
+def _recenter(poly):
+    """Every anchor of a polynomial file moved to its cell's center, as run
+    writes them, after a test moved the cell's faces."""
+    poly["anchors"] = [[[0.5 * (a + b) for a, b in zip(lo, hi)]] * poly["components"]
+                       for lo, hi in zip(poly["lo"], poly["hi"])]
+
+
 def test_verify_detects_overlapping_j_cells(run_dir, tmp_path, capsys):
-    # translating a J-cell half its width into its neighbour keeps the volume
-    # sum, so only the overlap test can reject the tiling
+    # translating a J-cell half its width into its neighbour, its anchors
+    # with it, keeps the volume sum, so only the overlap test can reject
+    # the tiling
     copy = tmp_path / "tampered_tiling"
     shutil.copytree(run_dir, copy)
     cert = json.loads((copy / "certificate.json").read_text())
@@ -751,6 +774,7 @@ def test_verify_detects_overlapping_j_cells(run_dir, tmp_path, capsys):
     j_cell = cert["stages"][0]["j_cells"][0][0]
     for row in (poly["lo"][0], poly["hi"][0], j_cell["lo"], j_cell["hi"]):
         row[0] += shift
+    _recenter(poly)
     (copy / "stage1" / "poly.json").write_text(json.dumps(poly))
     (copy / "certificate.json").write_text(json.dumps(cert))
     assert verify(copy) == 2
@@ -778,44 +802,42 @@ def _tampered(run, tmp_path, name, tamper):
 
 
 def _nudge_upper_face(poly):
-    # the face between the first two cells of the upper file moves by far
-    # less than the lattice's snapping tolerance: same skeleton, same samples
+    # the face between the first two cells of the upper file, and their
+    # anchors, move by far less than the lattice's snapping tolerance: same
+    # skeleton, same samples
     assert poly["hi"][0] == poly["lo"][1]
     poly["hi"][0] = poly["lo"][1] = [poly["hi"][0][0] * (1 + 1e-12)]
+    _recenter(poly)
 
 
-@pytest.mark.parametrize("name, tamper, message", [
-    ("global_upper.json", _nudge_upper_face, "global_pair: the upper polynomial file's cells"),
-], ids=["nudged_upper_face"])
-def test_verify_compares_global_pair_cells(demo_dir, tmp_path, capsys, name, tamper, message):
-    # no certificate reads the upper file's cells: verify compares them
-    # exactly with the cells of the lower polynomial file
-    copy = _tampered(demo_dir, tmp_path, name, tamper)
-    assert verify(copy) == 2
-    out = capsys.readouterr().out
-    assert f"MISMATCH {message}" in out
-    assert "verify: FAILED" in out
+@pytest.mark.parametrize("tamper", [_nudge_upper_face], ids=["nudged_upper_face"])
+def test_verify_compares_global_pair_cells(demo_dir, tmp_path, capsys, tamper):
+    # no sample tells the two files apart: the pair's certificate compares
+    # the upper file's cells exactly with the lower file's
+    copy = _tampered(demo_dir, tmp_path, "global_upper.json", tamper)
+    assert _verify_quietly(copy, capsys) == (2, [
+        "verify: artifact inconsistency: global pair: the lower and upper polynomials "
+        "have different cells"])
 
 
 def _face_onto_lattice(poly):
     # the face between the first two cells of the upper file moves to the
-    # nearest point of the demo's lattice (512 points on [0, 3]): the upper
-    # file now marks a skeleton point the lower one does not
+    # nearest point of the demo's lattice (512 points on [0, 3]), and
+    # their anchors with it: the upper file now marks a skeleton point the
+    # lower one does not
     axis = np.linspace(0.0, 3.0, 512)
     assert poly["hi"][0] == poly["lo"][1]
     poly["hi"][0] = poly["lo"][1] = [float(axis[np.argmin(abs(axis - poly["hi"][0][0]))])]
+    _recenter(poly)
 
 
 def test_verify_keeps_what_it_found_before_an_inconsistency(demo_dir, tmp_path, capsys):
     copy = _tampered(demo_dir, tmp_path, "global_upper.json", _face_onto_lattice)
     assert verify(copy) == 2
     assert capsys.readouterr().out.splitlines() == [
-        "verify: MISMATCH global_pair: the upper polynomial file's cells differ "
-        "from the lower one's",
-        "verify: MISMATCH global_upper.json: cell 0 is not anchored at its center",
         "verify: MISMATCH global_upper.json: cell 0 has a jet that does not solve its equation",
-        "verify: artifact inconsistency: the lower and upper polynomials mark different "
-        "skeletons",
+        "verify: artifact inconsistency: global pair: the lower and upper polynomials have "
+        "different cells",
     ]
 
 
@@ -831,8 +853,8 @@ def _verify_quietly(run, capsys) -> tuple[int, list[str]]:
 
 
 def test_verify_rejects_a_j_cell_outside_the_box(demo_dir, tmp_path, capsys):
-    # translating the last J-cell of stage 1 past the box's upper end keeps
-    # the volume sum and opens a hole as large inside the box. The tiling
+    # translating the last J-cell of stage 1 past the box's upper end, its
+    # anchors with it, keeps the volume sum and opens a hole as large inside the box. The tiling
     # check runs as the file is read, before any cell check and before
     # Tiling.index_of, which half a width (the cell's center on the box
     # face, outside every I-cell) would make fail with numpy's message
@@ -847,6 +869,7 @@ def test_verify_rejects_a_j_cell_outside_the_box(demo_dir, tmp_path, capsys):
         shift = fraction * (poly["hi"][-1][0] - poly["lo"][-1][0])
         for row in (poly["lo"][-1], poly["hi"][-1], j_cell["lo"], j_cell["hi"]):
             row[0] += shift
+        _recenter(poly)
         (copy / "stage1" / "poly.json").write_text(json.dumps(poly))
         (copy / "certificate.json").write_text(json.dumps(cert))
         last = len(poly["lo"]) - 1
@@ -866,6 +889,18 @@ def test_verify_names_the_file_of_an_infinite_face(demo_dir, tmp_path, capsys, b
     assert _verify_quietly(copy, capsys) == (2, [
         "verify: artifact inconsistency: stage1/poly.json: cell bounds must be finite, "
         "not NaN or +-inf"])
+
+
+def test_verify_names_the_cell_of_an_off_center_anchor(demo_dir, tmp_path, capsys):
+    # every polynomial is anchored at its cell's center: a file with any
+    # other anchor is rejected as it is read, naming the file and the cell
+    def moved_anchor(poly):
+        poly["anchors"][2][0][0] += 1e-3
+
+    copy = _tampered(demo_dir, tmp_path, "stage1/poly.json", moved_anchor)
+    assert _verify_quietly(copy, capsys) == (2, [
+        "verify: artifact inconsistency: stage1/poly.json: anchors: cell 2 is not anchored "
+        "at its center"])
 
 
 def _double_radii(cert):

@@ -19,6 +19,11 @@ from ordercomplete.intervals import Interval
 SIG111 = (1, 1, 1)
 
 
+def _contains(iv: Interval, x) -> np.ndarray:
+    """Whether each x lies in the closed interval iv, elementwise."""
+    return (iv.lo <= x) & (x <= iv.hi)
+
+
 # ---------------------------------------------------------------------------
 # parsing
 
@@ -301,7 +306,7 @@ def test_interval_square():
 def test_interval_dependency_loss_contains_zero():
     e = ex.parse("u[1,(0)] - u[1,(0)]", SIG111)
     out = ex.eval_interval(e, [Interval.point(0.0)], {(1, (0,)): Interval(0.0, 1.0)})
-    assert out.contains(0.0)
+    assert _contains(out, 0.0)
 
 
 def test_interval_cube_sum_brute_force():
@@ -363,7 +368,7 @@ def test_eval_interval_fault_carries_full_shape_mask():
     assert ei.value.faulted.tolist() == [[False, True, False, True]] * 3
     # the unfaulted elements still carry their enclosures
     assert ei.value.values.lo.shape == (3, 4)
-    assert ei.value.values.contains(np.log([1.5, 1.0, 0.75, 1.0]))[:, ::2].all()
+    assert _contains(ei.value.values, np.log([1.5, 1.0, 0.75, 1.0]))[:, ::2].all()
 
 
 def test_eval_interval_faults_where_a_box_holds_no_real():

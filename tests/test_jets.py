@@ -66,7 +66,7 @@ def test_jet_accessors_and_flat_round_trip():
     v = _cell_polys(sys2, cells, flat)
     assert (v.space_dim, v.components, v.order) == (1, 2, 1)
     assert np.array_equal(v.coeffs.reshape(2, -1), flat)
-    assert np.array_equal(v.anchors, [[[0.25], [0.25]], [[0.75], [0.75]]])
+    assert [[p.anchor.tolist() for p in ps] for ps in v.polys] == [[[0.25]] * 2, [[0.75]] * 2]
     for c, i, alpha in itertools.product(range(2), (1, 2), sys2.mis.alphas):
         k = sys2.flat_vars().index((i, alpha))
         assert deriv_eval(v.polys[c][i - 1], alpha, _centers(cells)[c]) == flat[c, k]
@@ -207,16 +207,28 @@ def test_poly_from_dict_rejects_malformed_cells(change, message):
         poly_from_dict(_poly_file(**change))
 
 
+def test_poly_from_dict_rejects_off_center_anchors():
+    # every component's polynomial is anchored at its cell's center; the
+    # first cell with a stored anchor elsewhere is named
+    data = _poly_file(components=2, lo=[[0.0], [0.5]], hi=[[0.5], [1.0]],
+                      anchors=[[[0.25], [0.25]], [[0.75], [0.5]]],
+                      coeffs=[[[1.0, 2.0]] * 2] * 2)
+    with pytest.raises(ValueError, match=re.escape("anchors: cell 1 is not anchored at its "
+                                                   "center")):
+        poly_from_dict(data)
+    data["anchors"][1][1] = [0.75]
+    assert poly_to_dict(poly_from_dict(data)) == data
+
+
 # ---------------------------------------------------------------------------
 # assembly and sampling
 
 
 def _const_polys(mis, cells, consts):
-    """One constant polynomial per cell of cells (C, 2, n), anchored at 0."""
+    """One constant polynomial per cell of cells (C, 2, n)."""
     coeffs = np.zeros((len(cells), 1, mis.count))
     coeffs[:, 0, 0] = consts
-    return PiecewisePoly(np.asarray(cells, dtype=float), np.zeros((len(cells), 1, mis.n)),
-                         coeffs, mis)
+    return PiecewisePoly(np.asarray(cells, dtype=float), coeffs, mis)
 
 
 def test_assemble_single_cell_boundary_skeleton():
@@ -301,8 +313,7 @@ def test_sample_jets_marks_its_own_skeleton():
     mis = MultiIndexSet(2, 1)
     dom = GridDomain([0.0, 0.0], [1.0, 1.0], (9, 9))
     cells = _children(np.array([[[0.0, 0.0], [1.0, 1.0]]]))
-    v = PiecewisePoly(cells, _centers(cells)[:, None],
-                      np.random.default_rng(5).normal(size=(4, 1, mis.count)), mis)
+    v = PiecewisePoly(cells, np.random.default_rng(5).normal(size=(4, 1, mis.count)), mis)
     marked = assemble(v, dom)
     bare = sample_jets(v, dom)
     assert all(g.domain == marked for g in bare)
@@ -516,7 +527,7 @@ def test_skeleton_differs_from_face_rule_only_where_the_tiling_check_fails():
     assert np.array_equal(skeleton, gathered < 0)
     assert owner[6] == -1 and gathered[6] == 1
     mis = MultiIndexSet(1, 0)
-    v = PiecewisePoly(cells, _centers(cells)[:, None], np.zeros((3, 1, 1)), mis)
+    v = PiecewisePoly(cells, np.zeros((3, 1, 1)), mis)
     with pytest.raises(TilingError, match="overlapping interiors"):
         assemble(v, dom)
 
@@ -544,16 +555,11 @@ def test_gathered_sampling_is_bit_equal_to_per_cell_evaluation():
         mis = MultiIndexSet(n, m)
         for _ in range(3):
             cells, dom = _random_tiling(rng, n, mutate=False)
-            anchors, coeffs = [], []
-            for c in cells:
-                cf = rng.uniform(-5.0, 5.0, (2, mis.count))
-                cf[rng.random((2, mis.count)) < 0.3] = 0.0
-                anchor = _centers(c[None])[0] + rng.uniform(-0.1, 0.1, n)
-                anchors.append([anchor, anchor])
-                coeffs.append(cf)
-            v = PiecewisePoly(cells, np.array(anchors), np.array(coeffs), mis)
-            polys = [[TaylorPoly(a, cf, mis) for a, cf in zip(aa, cc)]
-                     for aa, cc in zip(anchors, coeffs)]
+            coeffs = rng.uniform(-5.0, 5.0, (len(cells), 2, mis.count))
+            coeffs[rng.random(coeffs.shape) < 0.3] = 0.0
+            v = PiecewisePoly(cells, coeffs, mis)
+            polys = [[TaylorPoly(center, cf, mis) for cf in cc]
+                     for center, cc in zip(_centers(cells), coeffs)]
             try:
                 marked = assemble(v, dom)
             except ValueError:  # cells finer than the lattice: dense skeleton
@@ -578,8 +584,7 @@ def test_gathered_sampling_is_bit_equal_to_per_cell_evaluation():
 def test_sample_jets_single_cell_smooth():
     mis = MultiIndexSet(1, 2)
     dom = GridDomain([-1.0], [1.0], (17,))
-    v = PiecewisePoly(np.array([[[-1.0], [1.0]]]), np.zeros((1, 1, 1)),
-                      np.array([[[1.0, 2.0, 6.0]]]), mis)
+    v = PiecewisePoly(np.array([[[-1.0], [1.0]]]), np.array([[[1.0, 2.0, 6.0]]]), mis)
     marked = assemble(v, dom)
     s = sample_jets(v, marked)[0]
     interior = ~marked.skeleton
@@ -597,14 +602,15 @@ def test_poly_json_round_trip(tmp_path):
     dom = GridDomain([0.0, 0.0], [1.0, 1.0], (9, 9))
     cells = _children(np.array([[[0.0, 0.0], [1.0, 1.0]]]))
     rng = np.random.default_rng(71)
-    v = PiecewisePoly(cells, _centers(cells)[:, None], rng.normal(size=(4, 1, mis.count)), mis)
+    v = PiecewisePoly(cells, rng.normal(size=(4, 1, mis.count)), mis)
     assemble(v, dom)
     d = poly_to_dict(v)
     assert d["lo"][1] == [0.0, 0.5] and d["hi"][1] == [0.5, 1.0]
     v2 = poly_from_dict(d)
     assert v2.space_dim == v.space_dim and v2.order == v.order
     assert v2.cells == v.cells == [Cell(tuple(lo), tuple(hi)) for lo, hi in cells.tolist()]
-    for a in ("bounds", "anchors", "coeffs"):
+    assert d["anchors"] == [[c] for c in _centers(cells).tolist()]
+    for a in ("bounds", "coeffs"):
         assert np.array_equal(getattr(v2, a), getattr(v, a))
     for ps1, ps2 in zip(v.polys, v2.polys):
         for p1, p2 in zip(ps1, ps2):

@@ -244,14 +244,14 @@ def test_operator_error_first_order_in_cell_size():
 def test_interior_affine_supported():
     sys1 = PdeSystem(1, 1, 1, ["u[1,(1)]"], ["1"], [0.0], [1.0])
     box = np.array([[-10.0, 10.0]] * sys1.unknown_count)
-    ev = check_assumption_interior(sys1, [0.5], box)
+    ev = check_assumption_interior(sys1, [0.5], box, rng=np.random.default_rng(0))
     assert ev.supported and ev.witnessed_radius > 0.1
 
 
 def test_interior_square_cannot_reach_negative():
     sys1 = PdeSystem(1, 1, 1, ["u[1,(0)]^2"], ["-1"], [0.0], [1.0])
     box = np.array([[-10.0, 10.0]] * sys1.unknown_count)
-    ev = check_assumption_interior(sys1, [0.5], box)
+    ev = check_assumption_interior(sys1, [0.5], box, rng=np.random.default_rng(0))
     assert not ev.supported
 
 
@@ -267,22 +267,20 @@ def test_interior_cubic_supported_at_random_points():
 def test_interior_rejects_bad_box_shape():
     sys1 = _cubic_system()
     with pytest.raises(ValueError):
-        check_assumption_interior(sys1, [0.5], np.zeros((3, 2)))
+        check_assumption_interior(sys1, [0.5], np.zeros((3, 2)), rng=np.random.default_rng(0))
 
 
-def _open_one(sys, x, jet, delta, eps_ball, rng=None, target=None):
+def _open_one(sys, x, jet, delta, eps_ball, rng, target):
     """The openness probe of one anchor: a one-row check_assumption_open
     call, drawing from rng."""
-    return check_assumption_open(
-        sys, [x], [jet], [delta], eps_ball,
-        stream=None if rng is None else (lambda _row: rng),
-        target=None if target is None else [target],
-    )[0]
+    return check_assumption_open(sys, [x], [jet], [delta], eps_ball,
+                                 stream=lambda _row: rng, target=[target])[0]
 
 
 def test_open_cubic_radius_tracks_eps():
     sys1 = _cubic_system()
-    ev = _open_one(sys1, [0.0], [0.0, 1.0], 0.1, 0.5, rng=np.random.default_rng(2))
+    ev = _open_one(sys1, [0.0], [0.0, 1.0], 0.1, 0.5, np.random.default_rng(2),
+                   sys1.rhs_at([0.0]))
     # the xi1 direction is onto, so the ball radius is close to eps
     assert ev.supported
     assert 0.25 < ev.witnessed_radius <= 0.66
@@ -290,7 +288,7 @@ def test_open_cubic_radius_tracks_eps():
 
 def test_open_constant_operator_unsupported():
     sys1 = PdeSystem(1, 1, 1, ["2"], ["2"], [0.0], [1.0])
-    ev = _open_one(sys1, [0.5], np.zeros(2), 0.1, 0.5)
+    ev = _open_one(sys1, [0.5], np.zeros(2), 0.1, 0.5, np.random.default_rng(0), [2.0])
     assert not ev.supported
 
 
@@ -299,19 +297,19 @@ def test_open_duplicated_component_unsupported():
     sys2 = PdeSystem(
         1, 2, 1, ["u[1,(0)]", "u[1,(0)]"], ["0", "0"], [0.0], [1.0]
     )
-    ev = _open_one(sys2, [0.5], np.zeros(4), 0.1, 0.5)
+    ev = _open_one(sys2, [0.5], np.zeros(4), 0.1, 0.5, np.random.default_rng(0), [0.0, 0.0])
     assert not ev.supported
 
 
 def test_open_rejects_bad_seed():
     sys1 = PdeSystem(1, 1, 1, ["u[1,(1)]"], ["1"], [0.0], [1.0])
     with pytest.raises(ValueError, match="seed jet"):
-        _open_one(sys1, [0.5], [0.0, 5.0], 0.1, 0.5)
+        _open_one(sys1, [0.5], [0.0, 5.0], 0.1, 0.5, np.random.default_rng(0), [1.0])
 
 
 def test_open_shifted_target():
     sys1 = PdeSystem(1, 1, 1, ["u[1,(1)]"], ["1"], [0.0], [1.0])
-    ev = _open_one(sys1, [0.5], [0.0, 0.5], 0.1, 0.25, target=[0.5])
+    ev = _open_one(sys1, [0.5], [0.0, 0.5], 0.1, 0.25, np.random.default_rng(0), [0.5])
     assert ev.supported
 
 
@@ -430,7 +428,7 @@ def test_open_batched_matches_per_sample_reference(name, seed):
     jet = np.asarray(jet, dtype=float)
     target = _operator_at(sys1, x, jet)
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    ev = _open_one(sys1, x, jet, 0.1, 0.5, rng=rng, target=target)
+    ev = _open_one(sys1, x, jet, 0.1, 0.5, rng, target)
     ref = _reference_open(sys1, x, jet, 0.1, 0.5, target, ref_rng)
     _assert_same_evidence(ev, ref, rng, ref_rng)
     if name == "log":

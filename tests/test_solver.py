@@ -25,6 +25,7 @@ from ordercomplete.checker import (
     Tiling,
     _band_functions,
     _empty_interiors,
+    apeq_certificate,
     scheme_convergence,
     scheme_verdict,
     stage_certificates,
@@ -71,12 +72,17 @@ def _cubic():
 # jet_solve
 
 
-def _solve_one(sys, x0, target, seed=None, box=None, **kwargs):
+def _rng0(_row):
+    """A multistart stream for any row: a generator seeded with 0."""
+    return np.random.default_rng(0)
+
+
+def _solve_one(sys, x0, target, seed=None, box=None):
     """jet_solve on one row: the flat jet solving F(x0, xi) = target."""
     return jet_solve(sys, np.atleast_2d(x0), np.atleast_2d(target),
                      None if seed is None else np.atleast_2d(seed),
                      None if box is None else np.asarray(box, dtype=float)[None],
-                     **kwargs)[0]
+                     stream=_rng0)[0]
 
 
 def test_jet_solve_affine_minimal_norm():
@@ -131,9 +137,9 @@ def test_jet_solve_input_validation():
     with pytest.raises(ValueError):
         _solve_one(sys1, [0.5], [1.0], box=[[1.0, 0.0], [0.0, 1.0]])
     with pytest.raises(ValueError):
-        jet_solve(sys1, [0.5], [[1.0]])  # x0 is one row per solve
+        jet_solve(sys1, [0.5], [[1.0]], stream=_rng0)  # x0 is one row per solve
     with pytest.raises(ValueError):
-        jet_solve(sys1, [[0.5]], [[1.0]], seed=np.zeros(2))
+        jet_solve(sys1, [[0.5]], [[1.0]], seed=np.zeros(2), stream=_rng0)
 
 
 def _coupled():
@@ -731,6 +737,53 @@ def test_global_pair_eps_below_float_scale():
         global_pair(sys1, dom, 0.0)
 
 
+def test_apeq_certificate_samples_the_pair_once_as_two_samplings_would(monkeypatch):
+    # the pair is sampled as one candidate carrying both coefficient sets:
+    # its jets are those of two sample_jets calls, lower then upper, bit for
+    # bit, and the margins are those of T on each half
+    from ordercomplete import checker
+
+    sys = _coupled_transport()
+    dom = GridDomain([0.0], [1.0], (129,))
+    gp = global_pair(sys, dom, 0.4)
+    assert gp.certificate.passed and len(gp.cells) > 1
+    stacked = []
+
+    def recorded(v, domain):
+        stacked.append(sample_jets(v, domain))
+        return stacked[-1]
+
+    monkeypatch.setattr(checker, "sample_jets", recorded)
+    assert apeq_certificate(sys, gp.lower, gp.upper, dom, 0.4) == gp.certificate
+    (jets,) = stacked
+    apart = sample_jets(gp.lower, dom) + sample_jets(gp.upper, dom)
+    assert len(jets) == len(apart) == 2 * sys.unknown_count
+    for g, h in zip(jets, apart, strict=True):
+        assert g.domain == h.domain and g.values.tobytes() == h.values.tobytes()
+    M = sys.unknown_count
+    tu, tv = ([g.values for g in apply_operator(sys, half)] for half in (apart[:M], apart[M:]))
+    f = sys.rhs_on_lattice(dom)
+    off = ~apart[0].domain.skeleton
+
+    def slack(lower, upper):
+        return min(float(np.min(hi[off] - lo[off])) for lo, hi in zip(lower, upper))
+
+    c = gp.certificate
+    assert (c.lower_gap, c.lower_strict, c.upper_strict, c.upper_gap) == (
+        slack([fj - 0.4 for fj in f], tu), slack(tu, f), slack(f, tv),
+        slack(tv, [fj + 0.4 for fj in f]))
+
+
+def test_apeq_certificate_rejects_a_pair_with_different_cells():
+    sys1 = _affine()
+    dom = GridDomain([0.0], [1.0], (17,))
+    gp = global_pair(sys1, dom, 0.5)
+    halves = _children(gp.cells)
+    upper = _cell_polys(sys1, halves, np.repeat(gp.upper.coeffs.reshape(1, -1), 2, axis=0))
+    with pytest.raises(ValueError, match="the lower and upper polynomials have different cells"):
+        apeq_certificate(sys1, gp.lower, upper, dom, 0.5)
+
+
 # ---------------------------------------------------------------------------
 # refinement scheme
 
@@ -917,7 +970,7 @@ def test_refine_matches_per_i_cell_reference(n, size, per_axis, radius, gamma):
             assert np.array_equal(g, w)
         for key in ("i_jets", "band_lo", "band_hi"):
             assert np.array_equal(getattr(got, key), getattr(want, key)), key
-        for key in ("bounds", "anchors", "coeffs"):
+        for key in ("bounds", "coeffs"):
             assert np.array_equal(getattr(got.v, key), getattr(want.v, key)), key
         assert (got.eq1, got.eq2, got.eq3) == (want.eq1, want.eq2, want.eq3)
     assert sum(map(len, got.j_cells)) > len(tiling.i_cells)  # the stages split
@@ -944,10 +997,10 @@ def test_refine_cell_budget_bounds_whole_stage(monkeypatch):
 def test_each_candidate_classified_once_per_lattice(monkeypatch, tmp_path):
     # sample_jets marks its polynomial's skeleton itself, with the one
     # _classify_grid call of assemble, and no caller marks one first:
-    # global_pair samples its two polynomials, refine its stage polynomial
-    # once and takes the I-cell owners by index arithmetic, and
-    # scheme_convergence moves the stage samples without sampling,
-    # classifying or applying T
+    # global_pair samples its two polynomials once, as one candidate, and
+    # applies T to each; refine samples its stage polynomial once and takes
+    # the I-cell owners by index arithmetic; and scheme_convergence moves
+    # the stage samples without sampling, classifying or applying T
     from ordercomplete import checker, cli, jets, pde, solver
 
     names = ("_classify_grid", "assemble", "sample_jets", "apply_operator")
@@ -971,14 +1024,15 @@ def test_each_candidate_classified_once_per_lattice(monkeypatch, tmp_path):
         counts.update(dict.fromkeys(counts, 0))
         return got
 
-    def per(k):
-        return {"_classify_grid": k, "assemble": k, "sample_jets": k, "apply_operator": k}
+    def per(k, applied=0):
+        return {"_classify_grid": k, "assemble": k, "sample_jets": k,
+                "apply_operator": k + applied}
 
     sys = _transport(1)
     dom = GridDomain([0.0], [1.0], (129,))
     gp = global_pair(sys, dom, 0.4).certificate
     assert gp.passed
-    assert calls() == per(2)
+    assert calls() == per(1, applied=1)
     tiling = _probed(sys, _tiling(dom.lo, dom.hi, 0.25), 0.05,
                      np.full(4, 0.2))
     stages = []
@@ -1000,7 +1054,7 @@ def test_each_candidate_classified_once_per_lattice(monkeypatch, tmp_path):
                      "--out", str(out), "--no-samples"]) == 0
     calls()
     assert cli.verify(out) == 0
-    assert calls() == per(2 + N)
+    assert calls() == per(1 + N, applied=1)
 
 
 def test_one_skeleton_fill_per_sampling(monkeypatch):
@@ -1373,7 +1427,8 @@ def test_probe_memory_is_bounded_by_its_block():
 
     sys2 = _transport(2)
     tiling = tile_domain(GridDomain([0.0] * 2, [1.0] * 2, (33, 33)))
-    jets = jet_solve(sys2, tiling.anchors, _targets(sys2, tiling.anchors, 0.4, 1))
+    jets = jet_solve(sys2, tiling.anchors, _targets(sys2, tiling.anchors, 0.4, 1),
+                     stream=_rng0)
     tracemalloc.start()
     try:
         probed = _probe_rows(sys2, tiling, jets, 0.4, 7, range(256))
@@ -1389,7 +1444,8 @@ def test_stage1_takes_the_probe_jets(res_streams):
     sys1 = _affine()
     assert np.array_equal(res.stages[0].i_jets, res.tiling.jets)
     for a, jet in zip(res.tiling.anchors, res.tiling.jets, strict=True):
-        assert np.array_equal(jet_solve(sys1, [a], _targets(sys1, [a], 0.4, 1))[0], jet)
+        assert np.array_equal(jet_solve(sys1, [a], _targets(sys1, [a], 0.4, 1),
+                                        stream=_rng0)[0], jet)
 
 
 def test_jcell_multistart_depends_only_on_its_own_cell(monkeypatch):
