@@ -33,8 +33,8 @@ import numpy as np
 from . import expr as ex
 from .analysis import IntervalSequence, compare_reference, nested_limit_check
 from .grids import GridDomain, OrderInterval
-from .jets import (TilingError, _centers, _check_tiling, artifact_json, float_array,
-                   read_poly_json, write_atomic, write_poly_json)
+from .jets import (CellsLeaf, TilingError, _centers, _check_tiling, artifact_json,
+                   float_array, read_poly_json, write_atomic, write_poly_json)
 from .pde import _R_MIN, PdeSystem, check_assumption_interior
 from .checker import (ConstructionError, _inner_boxes, apeq_certificate, band_tolerance,
                       certified_stage, check_jets, jcell_boxes, scheme_convergence,
@@ -175,11 +175,6 @@ def _cert_dict(c) -> dict:
         out[f.name] = (x if isinstance(x, bool) or x is None
                        else list(x) if isinstance(x, tuple) else _num(x))
     return out
-
-
-def _cells_list(cells: np.ndarray) -> list[dict]:
-    """Cells (C, 2, n) as `run` writes them: one {"lo", "hi"} dict each."""
-    return [{"lo": lo, "hi": hi} for lo, hi in cells.tolist()]
 
 
 def _stage_file(n: int) -> str:
@@ -326,17 +321,17 @@ def _certificate(config: dict, system: PdeSystem, exact, assumption: dict, gp,
         },
         "assumption": assumption,
         "global_pair": {**_cert_dict(gp), "files": dict(_GLOBAL_FILES)},
-        "tiling": {"i_cells": _cells_list(tiling.i_cells), "radii": tiling.radii.tolist()},
+        "tiling": {"i_cells": CellsLeaf(tiling.i_cells), "radii": tiling.radii},
         "stages": [{
             "n": st.n,
             "file": _stage_file(st.n),
             "eq1": _cert_dict(st.eq1),
             "eq2": _cert_dict(st.eq2),
             "eq3": _cert_dict(st.eq3),
-            "band_lo": st.band_lo.tolist(),
-            "band_hi": st.band_hi.tolist(),
-            "i_jets": st.i_jets.tolist(),
-            "j_cells": [_cells_list(cs) for cs in st.j_cells],
+            "band_lo": st.band_lo,
+            "band_hi": st.band_hi,
+            "i_jets": st.i_jets,
+            "j_cells": CellsLeaf(np.concatenate(st.j_cells), tuple(map(len, st.j_cells))),
         } for st in stages],
         "order_convergence": {
             "operator": [_cert_dict(c) for c in conv.oc_operator],
@@ -484,7 +479,10 @@ def _compare(problems: list[str], at: str, stored, want) -> None:
     """Compare the stored certificate with the recomputed one, both in the
     form `run` writes, exactly: a missing or extra key, or a list of the
     wrong length, raises ValueError (an artifact inconsistency), and a leaf
-    that differs (see _same) is a problem named by its JSON path at."""
+    that differs (see _same) is a problem named by its JSON path at. An
+    array or CellsLeaf of want is compared as its tolist()."""
+    if isinstance(want, (np.ndarray, CellsLeaf)):
+        want = want.tolist()
     if isinstance(want, dict):
         keys = stored.keys() if isinstance(stored, dict) else set()
         if keys != want.keys():

@@ -96,6 +96,9 @@ class GridDomain:
                 raise ValueError("lattice axes must increase strictly; the box is "
                                  "too narrow for the resolution")
             a.setflags(write=False)
+        # write_csv's coordinate text, built once and shared by with_skeleton
+        self._csv_coords = functools.cache(lambda axes=self._axes: tuple(map(
+            "".join, itertools.product(*([repr(v) + "," for v in a.tolist()] for a in axes)))))
 
     @property
     def ndim(self) -> int:
@@ -115,10 +118,9 @@ class GridDomain:
 
     @functools.cached_property
     def _csv_rows(self) -> list[str | None]:
-        """write_csv's text of this lattice, each row's value left None: [header +
+        """write_csv's text of this domain, each row's value left None: [header +
         row 0's coordinates, None, row 0's flag + row 1's coordinates, ...]."""
-        coords = list(map("".join, itertools.product(
-            *([repr(v) + "," for v in a.tolist()] for a in self._axes))))
+        coords = self._csv_coords()
         flags = np.where(self.skeleton.reshape(-1), ",1\r\n", ",0\r\n").tolist()
         header = "".join(f"x{d + 1}," for d in range(self.ndim)) + "value,skeleton\r\n"
         rows: list[str | None] = [None] * (2 * len(coords) + 1)
@@ -126,7 +128,9 @@ class GridDomain:
         return rows
 
     def with_skeleton(self, skeleton: np.ndarray) -> "GridDomain":
-        return GridDomain(self.lo, self.hi, self.shape, skeleton)
+        other = GridDomain(self.lo, self.hi, self.shape, skeleton)
+        other._csv_coords = self._csv_coords
+        return other
 
     def same_lattice(self, other: "GridDomain") -> bool:
         return (
@@ -467,10 +471,20 @@ def quasi_uniform_check(
 
 
 def _format_values(vals: np.ndarray) -> np.ndarray:
-    """The text of each value, repr's but +inf for inf, in one repr call."""
-    text = np.array(repr(vals.tolist())[1:-1].split(", "), dtype=object)
-    text[vals == _INF] = "+inf"
-    return text
+    """The repr text of each value, in one repr call."""
+    return np.array(repr(vals.tolist())[1:-1].split(", "), dtype=object)
+
+
+def _format_distinct(values: np.ndarray, special: dict[str, str]) -> list[str]:
+    """The text of each float64 of values in C order, repr's or special's for
+    a non-finite repr. Each distinct value, told apart by its bits so that
+    -0.0 and 0.0 keep their own text, is formatted once, in one call."""
+    bits, where = np.unique(values.reshape(-1).view(np.int64), return_inverse=True)
+    vals = bits.view(np.float64)
+    text = _format_values(vals)
+    for at in np.flatnonzero(~np.isfinite(vals)):
+        text[at] = special.get(text[at], text[at])
+    return text[where].tolist()
 
 
 def _parse_value(s: str) -> float:
@@ -485,15 +499,13 @@ def write_csv(gf: GridFunction, path) -> None:
     """One row per lattice point in C order: coordinates, value, skeleton flag.
 
     The bytes are those csv.writer gives (fields joined by ",", rows ended
-    by "\r\n", no field quoted). The coordinate and flag text is built once
-    per lattice (GridDomain._csv_rows). Each distinct value, told apart by
-    its bit pattern so that -0.0 and 0.0 keep their own text, is formatted
-    once and gathered by index into a copy of it; skeleton points copy a
+    by "\r\n", no field quoted). The coordinate text is built once per
+    lattice and the flags once per domain (GridDomain._csv_rows); the values'
+    text (_format_distinct) fills a copy of it. Skeleton points copy a
     neighbour's value, so a file holds few distinct values.
     """
     rows = gf.domain._csv_rows.copy()
-    bits, where = np.unique(gf.values.reshape(-1).view(np.int64), return_inverse=True)
-    rows[1::2] = _format_values(bits.view(np.float64))[where].tolist()
+    rows[1::2] = _format_distinct(gf.values, {"inf": "+inf"})
     with open(path, "w", newline="") as fh:
         fh.write("".join(rows))
 

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import GridDomain, GridFunction, complete, write_csv
+from .grids import GridDomain, GridFunction, _format_distinct, complete, write_csv
 
 
 @dataclass(frozen=True)
@@ -404,24 +404,94 @@ def sample_jets(v: PiecewisePoly, domain: GridDomain) -> list[GridFunction]:
 # JSON serialization
 
 
+@dataclass(frozen=True, eq=False)
+class CellsLeaf:
+    """Cells (C, 2, n) at an artifact leaf, one {"hi", "lo"} object each: all
+    in one list, or with counts, one list per group of that many in a row."""
+
+    cells: np.ndarray
+    counts: tuple[int, ...] | None = None
+
+    def tolist(self) -> list:
+        """The leaf as lists and dicts, the form json.loads returns."""
+        cells = [{"lo": lo, "hi": hi} for lo, hi in self.cells.tolist()]
+        ends = list(itertools.accumulate(self.counts or ()))
+        return cells if self.counts is None else [cells[a:b] for a, b in zip([0, *ends], ends)]
+
+    def _seps(self) -> list[str]:
+        """The text around the values of a non-empty leaf, hi then lo by cell."""
+        n = self.cells.shape[2]
+        cell = [","] * (n - 1) + ['],"lo":['] + [","] * (n - 1)  # inside a cell
+        seps, before = [], "["  # before: the text up to the next value
+        for i, k in enumerate((len(self.cells),) if self.counts is None else self.counts):
+            before += "," * (i > 0) + "[]" * (k == 0)
+            if k:
+                seps += [before + '[{"hi":[', *cell, *([']},{"hi":['] + cell) * (k - 1)]
+                before = "]}]"
+        seps.append(before + "]")
+        if self.counts is None:  # one list: no group's brackets
+            seps[0], seps[-1] = seps[0][1:], seps[-1][:-1]
+        return seps
+
+
+def _array_seps(shape: tuple[int, ...]) -> list[str]:
+    """json.dumps's text around the elements of a non-empty array's tolist()."""
+    seps = [","] * (shape[-1] - 1)  # inside an innermost list
+    for k, size in enumerate(reversed(shape[:-1]), start=1):
+        seps += (["]" * k + "," + "[" * k] + seps) * (size - 1)
+    return ["[" * len(shape), *seps, "]" * len(shape)]
+
+
 def artifact_json(obj) -> str:
     """obj as one line of compact JSON with sorted keys, the text of every
-    artifact file; json.dumps, since json.dump never uses the C encoder."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+    artifact file: json.dumps's (whose C encoder json.dump never uses) with
+    each float64 array and CellsLeaf as its tolist(). Their floats are
+    formatted together, each distinct value once (grids._format_distinct),
+    and spliced in; an int or object array is a TypeError, as in json.dumps."""
+    leaves: list[tuple[np.ndarray, list[str]]] = []  # values and their seps
+
+    def leaf(o):
+        values = o.cells[:, ::-1] if isinstance(o, CellsLeaf) else o
+        if not (isinstance(values, np.ndarray) and values.dtype == np.float64):
+            raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+        if values.ndim == 0 or values.size == 0:
+            return o.tolist()
+        leaves.append((values.reshape(-1),
+                       o._seps() if isinstance(o, CellsLeaf) else _array_seps(o.shape)))
+        return marker
+
+    # A leaf leaves the token json.dumps(marker), "\u0000...", after "[", ","
+    # or ":" or at the start, and before ",", "]", "}" or the end. No other
+    # occurrence can overlap it (that needs a "0" before its first quote or
+    # a "\\" after its last), so one piece more than leaves proves there is none.
+    for marker in ("\x00" * 2 ** i for i in itertools.count()):
+        leaves.clear()
+        pieces = json.dumps(obj, sort_keys=True, separators=(",", ":"),
+                            default=leaf).split(json.dumps(marker))
+        if len(pieces) == len(leaves) + 1:
+            break
+    seps = [pieces[0]]
+    for (_, around), piece in zip(leaves, pieces[1:]):
+        seps[-1:] = [seps[-1] + around[0], *around[1:-1], around[-1] + piece]
+    texts = _format_distinct(np.concatenate([v for v, _ in leaves]), {
+        "inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}) if leaves else []
+    parts: list = [None] * (2 * len(texts) + 1)
+    parts[::2], parts[1::2] = seps, texts
+    return "".join(parts) + "\n"
 
 
 def poly_to_dict(v: PiecewisePoly) -> dict:
-    """The polynomial file of v: its signature, then the cell corners lo and
-    hi (C, n), anchors (C, K, n), the centers, and coeffs (C, K, count)."""
+    """The polynomial file of v: its signature, then as arrays the cell corners
+    lo and hi (C, n), anchors (C, K, n), the centers, and coeffs (C, K, count)."""
     return {
         "space_dim": v.space_dim,
         "components": v.components,
         "order": v.order,
         "alphas": [list(a) for a in v.mis.alphas],
-        "lo": v.bounds[:, 0].tolist(),
-        "hi": v.bounds[:, 1].tolist(),
-        "anchors": np.repeat(_centers(v.bounds)[:, None], v.components, axis=1).tolist(),
-        "coeffs": v.coeffs.tolist(),
+        "lo": v.bounds[:, 0],
+        "hi": v.bounds[:, 1],
+        "anchors": np.repeat(_centers(v.bounds)[:, None], v.components, axis=1),
+        "coeffs": v.coeffs,
     }
 
 

@@ -611,6 +611,8 @@ def test_csv_formats_each_distinct_value_once(tmp_path, monkeypatch):
 
 
 def test_csv_builds_the_row_template_once_per_domain(tmp_path, monkeypatch):
+    # the template once per domain, its coordinate text once per lattice:
+    # two domains on one lattice with different skeletons share it
     built = []
     build = GridDomain.__dict__["_csv_rows"].func
 
@@ -622,9 +624,16 @@ def test_csv_builds_the_row_template_once_per_domain(tmp_path, monkeypatch):
     rows.__set_name__(GridDomain, "_csv_rows")
     monkeypatch.setattr(GridDomain, "_csv_rows", rows)
     dom = GridDomain([0.0, 0.0], [1.0, 1.0], (65, 65))
-    write_csv(GridFunction(dom, np.zeros(dom.shape)), tmp_path / "u.csv")
-    write_csv(GridFunction(dom, np.ones(dom.shape)), tmp_path / "v.csv")
-    assert built == [dom]
+    other = dom.with_skeleton(np.indices(dom.shape).sum(axis=0) % 4 == 0)
+    for k, u in enumerate([GridFunction(dom, np.zeros(dom.shape)),
+                           GridFunction(dom, np.ones(dom.shape)),
+                           GridFunction(other, np.full(dom.shape, 0.5))]):
+        got, want = tmp_path / f"got{k}.csv", tmp_path / f"want{k}.csv"
+        write_csv(u, got)
+        _reference_write_csv(u, want)
+        assert got.read_bytes() == want.read_bytes()
+    assert built == [dom, other]
+    assert other._csv_coords.cache_info().misses == 1
 
 
 def test_csv_writes_leave_the_shared_template_intact(tmp_path):

@@ -2,16 +2,21 @@
 
 import bisect
 import itertools
+import json
 import math
 import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from ordercomplete import grids
 from ordercomplete.checker import tile_domain
 from ordercomplete.grids import GridDomain, is_nowhere_dense, normalize
 from ordercomplete.jets import (
     Cell,
+    CellsLeaf,
     MultiIndexSet,
     PiecewisePoly,
     TaylorPoly,
@@ -20,6 +25,7 @@ from ordercomplete.jets import (
     _check_tiling,
     _classify_grid,
     _interior_gather,
+    artifact_json,
     assemble,
     deriv_eval,
     poly_from_dict,
@@ -217,7 +223,7 @@ def test_poly_from_dict_rejects_off_center_anchors():
                                                    "center")):
         poly_from_dict(data)
     data["anchors"][1][1] = [0.75]
-    assert poly_to_dict(poly_from_dict(data)) == data
+    assert json.loads(artifact_json(poly_to_dict(poly_from_dict(data)))) == data
 
 
 # ---------------------------------------------------------------------------
@@ -604,7 +610,7 @@ def test_poly_json_round_trip(tmp_path):
     rng = np.random.default_rng(71)
     v = PiecewisePoly(cells, rng.normal(size=(4, 1, mis.count)), mis)
     assemble(v, dom)
-    d = poly_to_dict(v)
+    d = json.loads(artifact_json(poly_to_dict(v)))
     assert d["lo"][1] == [0.0, 0.5] and d["hi"][1] == [0.5, 1.0]
     v2 = poly_from_dict(d)
     assert v2.space_dim == v.space_dim and v2.order == v.order
@@ -625,3 +631,94 @@ def test_poly_json_round_trip(tmp_path):
         assert np.array_equal(
             v.polys[ci][0].deriv_many((0, 0), pts), v3.polys[ci][0].deriv_many((0, 0), pts)
         )
+
+
+# ---------------------------------------------------------------------------
+# the artifact renderer
+
+# the floats whose text json.dumps writes in a way of its own: signed
+# zeros, non-finite values, the least subnormal, and long and short reprs
+_FLOAT_POOL = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 1e16, 0.1, 1 / 3]
+
+
+_FLOAT_ARRAYS = st.lists(st.integers(0, 4), min_size=1, max_size=3).flatmap(
+    lambda shape: st.lists(st.sampled_from(_FLOAT_POOL), min_size=math.prod(shape),
+                           max_size=math.prod(shape)).map(
+        lambda vals: np.array(vals, dtype=float).reshape(shape)))
+
+
+@st.composite
+def _cells_leaves(draw):
+    n = draw(st.integers(1, 3))
+    counts = draw(st.none() | st.lists(st.integers(0, 3), max_size=4).map(tuple))
+    C = draw(st.integers(0, 4)) if counts is None else sum(counts)
+    vals = draw(st.lists(st.sampled_from(_FLOAT_POOL), min_size=2 * n * C, max_size=2 * n * C))
+    return CellsLeaf(np.array(vals, dtype=float).reshape(C, 2, n), counts)
+
+
+_TEXT = st.text(st.sampled_from(["a", "\x00", '"', "\\", "é", " ", "中"]),
+                max_size=4)
+_DOCS = st.recursive(
+    st.none() | st.booleans() | st.integers(-10**20, 10**20) | _TEXT
+    | st.sampled_from(_FLOAT_POOL) | _FLOAT_ARRAYS | _cells_leaves(),
+    lambda children: st.lists(children, max_size=3) | st.dictionaries(_TEXT, children,
+                                                                      max_size=3),
+    max_leaves=8)
+
+
+def _listed(doc):
+    """doc with every leaf in the list form the renderer must write, built
+    here from the leaf's arrays, not by its tolist."""
+    if isinstance(doc, CellsLeaf):
+        cells = [{"lo": lo, "hi": hi} for lo, hi in doc.cells.tolist()]
+        if doc.counts is None:
+            return cells
+        ends = np.cumsum(doc.counts, dtype=int).tolist()
+        return [cells[a:b] for a, b in zip([0, *ends], ends)]
+    if isinstance(doc, np.ndarray):
+        return doc.tolist()
+    if isinstance(doc, dict):
+        return {k: _listed(v) for k, v in doc.items()}
+    if isinstance(doc, list):
+        return [_listed(v) for v in doc]
+    return doc
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(_DOCS)
+@example({"\x00": [np.zeros((2, 2)), "\x00", ["\x00\x00"]], "a": '"\x00'})
+@example(CellsLeaf(np.ones((2, 2, 1)), (0, 1, 0, 0, 1, 0)))
+def test_artifact_json_writes_what_json_dumps_writes_of_the_lists(doc):
+    # a document string equal to a placeholder, or around one, changes nothing
+    want = json.dumps(_listed(doc), sort_keys=True, separators=(",", ":")) + "\n"
+    assert artifact_json(doc) == want
+
+
+@pytest.mark.parametrize("leaf", [np.arange(3), np.zeros(0, dtype=int), np.ones(2, dtype=bool),
+                                  np.array([1.0, "x"], dtype=object),
+                                  np.ones(2, dtype=np.float32), np.int64(3),
+                                  CellsLeaf(np.zeros((1, 2, 1), dtype=int))],
+                         ids=["int", "empty_int", "bool", "object", "float32", "int_scalar",
+                              "int_cells"])
+def test_artifact_json_rejects_what_json_cannot_hold(leaf):
+    # an array of another dtype is never written as floats
+    with pytest.raises(TypeError, match="is not JSON serializable"):
+        artifact_json({"a": [1, leaf]})
+
+
+def test_artifact_json_formats_each_distinct_value_once(monkeypatch):
+    # a guard without timing: per-element formatting would format 10,000 values
+    formatted = []
+    format_values = grids._format_values
+
+    def counted(vals):
+        formatted.extend(vals.tolist())
+        return format_values(vals)
+
+    monkeypatch.setattr(grids, "_format_values", counted)
+    pool = np.array([0.5, -2.0, 1e-9])
+    cells = CellsLeaf(pool[np.arange(4000) % 3].reshape(1000, 2, 2), (400, 0, 600))
+    doc = {"cells": cells, "array": pool[np.arange(6000) % 3].reshape(2000, 3), "n": 3}
+    assert artifact_json(doc) == json.dumps(_listed(doc), sort_keys=True,
+                                            separators=(",", ":")) + "\n"
+    assert 0 < len(formatted) <= 3
