@@ -74,7 +74,7 @@ def _located(j: int, what: str, faulted: np.ndarray, domain: GridDomain,
 # nested interval sequences
 
 
-@dataclass(eq=False)
+@dataclass(init=False, repr=False, eq=False)
 class IntervalSequence:
     """Per-index tuples of order intervals, nested componentwise off-skeleton."""
 
@@ -111,16 +111,20 @@ class IntervalSequence:
         return len(self.steps)
 
 
-@dataclass(frozen=True)
+@dataclass(repr=False)
 class NestedLimitComponent:
+    """One component's verdict in a NestedLimitReport."""
+
     verdict: str  # "converges" or "empty/slow"
     max_final_width: float
     limit: GridFunction | None
     offending: np.ndarray | None  # lattice mask where final width >= tol
 
 
-@dataclass(frozen=True)
+@dataclass(repr=False)
 class NestedLimitReport:
+    """Result of nested_limit_check: one NestedLimitComponent per component."""
+
     tol: float
     components: tuple[NestedLimitComponent, ...]
 
@@ -207,7 +211,7 @@ def dilation_envelopes(
 # reference comparison
 
 
-@dataclass(frozen=True)
+@dataclass(repr=False)
 class ReferenceReport:
     """Per stage, per flat jet variable: max distance of the reference jets
     to the stage band, off-skeleton. Zero distance = containment."""

@@ -47,7 +47,7 @@ class ConstructionError(RuntimeError):
 # tiling
 
 
-@dataclass(eq=False)
+@dataclass(repr=False, eq=False)
 class Tiling:
     """Level-0 box, its I-cells with anchors, and what the openness probe
     found there: per-cell radii and the stage-1 anchor jets it probed at.
@@ -163,7 +163,7 @@ def check_jets(sys: PdeSystem, points: np.ndarray, jets: np.ndarray, shift: floa
 # certificates
 
 
-@dataclass(frozen=True)
+@dataclass(repr=False)
 class ApEqCertificate:
     """Strict-inequality margins of the global pair, re-verified on the lattice.
 
@@ -213,7 +213,7 @@ def apeq_certificate(
     )
 
 
-@dataclass(frozen=True)
+@dataclass(repr=False)
 class Eq1Certificate:
     """Strict bracket f - gamma/n < T V_n < f, min slack over the lattice."""
 
@@ -222,7 +222,7 @@ class Eq1Certificate:
     upper_slack: float
 
 
-@dataclass(frozen=True)
+@dataclass(repr=False)
 class Eq2Certificate:
     """Strict band nesting and containment of the sampled jets.
 
@@ -239,7 +239,7 @@ class Eq2Certificate:
     inner_upper: float
 
 
-@dataclass(frozen=True)
+@dataclass(repr=False)
 class Eq3Certificate:
     """Band width decay: (mu - lambda) * n / (4 eps_cell) < 1 per I-cell."""
 
@@ -299,8 +299,11 @@ def eq3_certificate(radii, band_lo: np.ndarray, band_hi: np.ndarray,
     )
 
 
-@dataclass(eq=False)
+@dataclass(repr=False, eq=False)
 class RefinementStage:
+    """Stage n of the scheme: V_n, its bands and anchor jets, its J-cells
+    by I-cell, and its EQ1-EQ3 certificates (see certified_stage)."""
+
     n: int
     v: PiecewisePoly
     domain: GridDomain
@@ -405,17 +408,18 @@ def stage_bands(
 
 
 def certified_stage(
-    sys: PdeSystem, domain: GridDomain, tiling: Tiling, v: PiecewisePoly,
+    sys: PdeSystem, domain: GridDomain, tiling: Tiling, v: PiecewisePoly, own: np.ndarray,
     i_jets: np.ndarray, band_lo: np.ndarray, band_hi: np.ndarray,
     prev_bands: tuple[np.ndarray, np.ndarray] | None, n: int, gamma: float,
 ) -> RefinementStage:
-    """Stage n from V_n, its cells listed I-cell by I-cell, its anchor jets
-    and bands, on a tiling with radii: EQ1-EQ3 (stage_certificates) and the
+    """Stage n from V_n, its cells listed I-cell by I-cell, own (the I-cell
+    holding each cell's center, tiling.index_of), its anchor jets and
+    bands, on a tiling with radii: EQ1-EQ3 (stage_certificates) and the
     J-cells split where their I-cell changes. `refine` ends with it, and
     `cli.verify` rebuilds each stored stage with it."""
     (eq1, eq2, eq3), samples = stage_certificates(
         sys, v, domain, tiling.i_cells, tiling.radii, band_lo, band_hi, prev_bands, n, gamma)
-    cuts = (np.flatnonzero(np.diff(tiling.index_of(_centers(v.bounds)))) + 1).tolist()
+    cuts = (np.flatnonzero(np.diff(own)) + 1).tolist()
     return RefinementStage(
         n=n, v=v, domain=samples[0][0].domain, band_lo=band_lo, band_hi=band_hi,
         i_jets=i_jets, j_cells=[v.bounds[a:b] for a, b in zip([0, *cuts], [*cuts, None])],
@@ -436,7 +440,7 @@ def band_tolerance(radii, N: int) -> float:
     return 4.0 * float(np.max(radii)) / int(N)
 
 
-@dataclass(eq=False)
+@dataclass(repr=False, eq=False)
 class SchemeConvergence:
     """Order convergence of stages 1..N, measured on the final lattice."""
 

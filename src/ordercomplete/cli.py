@@ -16,7 +16,7 @@ artifacts alone through `checker`, whose functions `run` uses too, and
 the interior probe, then compares the stored document with the rebuilt
 one whole (`_compare`) and summary.txt with its rendering. Only the
 inputs `_TAKEN_AS_STORED` names are copied from the stored document.
-`verify` reads no CSV file and runs no code of `solver`: it never re-solves.
+`verify` reads no CSV file and never imports `solver`: it never re-solves.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ from .pde import _R_MIN, PdeSystem, check_assumption_interior
 from .checker import (ConstructionError, _inner_boxes, apeq_certificate, band_tolerance,
                       certified_stage, check_jets, jcell_boxes, scheme_convergence,
                       scheme_verdict, stage_bands, tile_domain)
-from .solver import global_pair, run_scheme
 
 _SCHEMA = 2
 
@@ -124,8 +123,10 @@ def load_spec(path) -> tuple[PdeSystem, list[ex.Expr] | None, int | None]:
     return system, exact, grid
 
 
-@dataclass(frozen=True)
+@dataclass(repr=False)
 class RunConfig:
+    """The options of `ordercomplete run`, checked on construction."""
+
     spec: str
     gamma: float
     stages: int
@@ -196,6 +197,9 @@ def run_pipeline(cfg: RunConfig) -> int:
     construction itself failed (including unsupported assumptions) or the
     output directory or an artifact could not be written.
     """
+    # imported here, not with the module, so that `verify` never loads solver
+    from .solver import global_pair, run_scheme
+
     try:
         system, exact, grid_file = load_spec(cfg.spec)
     except (OSError, ValueError) as e:
@@ -634,9 +638,9 @@ def _verify_inner(out: Path, cert: dict, problems: list[str]) -> int:
             problems.append(f"{name} bands: {e}")
             bands = band_lo, band_hi
         v = read_poly(_stage_file(n))
-        check_cells(_stage_file(n), v, shift, jcell_boxes(*bands, prev_bands, n)[
-            tiling.index_of(_centers(v.bounds))])
-        stages.append(certified_stage(system, domain, tiling, v, i_jets, *bands,
+        own = tiling.index_of(_centers(v.bounds))
+        check_cells(_stage_file(n), v, shift, jcell_boxes(*bands, prev_bands, n)[own])
+        stages.append(certified_stage(system, domain, tiling, v, own, i_jets, *bands,
                                       prev_bands, n, gamma))
         prev_bands = band_lo, band_hi
 

@@ -96,68 +96,85 @@ class SignatureError(ParseError):
 # nodes
 
 
-@dataclass(frozen=True)
 class Expr:
+    """A node of a parsed expression tree; the subclasses are its kinds."""
+
     def precedence(self) -> int:
         return _PREC_ATOM
 
 
-@dataclass(frozen=True)
+@dataclass(repr=False)
 class Num(Expr):
+    """A numeric literal, held as a float."""
+
     value: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "value", float(self.value))
+        self.value = float(self.value)
 
 
-@dataclass(frozen=True)
+@dataclass(repr=False)
 class SpaceVar(Expr):
+    """The space variable x_index."""
+
     index: int  # 1-based
 
 
-@dataclass(frozen=True)
+@dataclass(repr=False)
 class JetVar(Expr):
+    """The jet variable u[component, alpha]: D^alpha of one component."""
+
     component: int  # 1-based
     alpha: tuple[int, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(repr=False)
 class Neg(Expr):
+    """Unary minus of its operand."""
+
     operand: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(repr=False)
 class BinOp(Expr):
+    """A binary operation; the subclasses name the operator."""
+
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True)
 class Add(BinOp):
+    """left + right."""
+
     def precedence(self) -> int:
         return _PREC_ADD
 
 
-@dataclass(frozen=True)
 class Sub(BinOp):
+    """left - right."""
+
     def precedence(self) -> int:
         return _PREC_ADD
 
 
-@dataclass(frozen=True)
 class Mul(BinOp):
+    """left * right."""
+
     def precedence(self) -> int:
         return _PREC_MUL
 
 
-@dataclass(frozen=True)
 class Div(BinOp):
+    """left / right."""
+
     def precedence(self) -> int:
         return _PREC_MUL
 
 
-@dataclass(frozen=True)
+@dataclass(repr=False)
 class Pow(Expr):
+    """base ^ exponent, an integer exponent."""
+
     base: Expr
     exponent: int
 
@@ -165,8 +182,10 @@ class Pow(Expr):
         return _PREC_POW
 
 
-@dataclass(frozen=True)
+@dataclass(repr=False)
 class Call(Expr):
+    """One of FUNCTIONS, by name, applied to its argument."""
+
     func: str
     arg: Expr
 

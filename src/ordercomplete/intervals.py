@@ -52,7 +52,7 @@ def _outward(lo, hi, steps: int = 1):
     return lo, hi
 
 
-@dataclass(frozen=True)
+@dataclass(repr=False)
 class Interval:
     """Closed intervals [lo, hi] on the extended real line, elementwise over
     two float64 arrays broadcast to one shape."""
@@ -70,8 +70,7 @@ class Interval:
             k = np.argmax(empty)
             raise ValueError(f"empty constructor range: lo={float(lo.flat[k])!r} > "
                              f"hi={float(hi.flat[k])!r}")
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
+        self.lo, self.hi = lo, hi
 
     # ---- queries ----
 

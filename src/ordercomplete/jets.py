@@ -36,7 +36,7 @@ import numpy as np
 from .grids import GridDomain, GridFunction, _format_distinct, complete, write_csv
 
 
-@dataclass(frozen=True)
+@dataclass(init=False, repr=False, frozen=True)
 class MultiIndexSet:
     """All multi-indices with |alpha| <= m in n variables, graded-lex ordered."""
 
@@ -88,7 +88,7 @@ def _factorial_alpha(alpha: tuple[int, ...]) -> float:
     return float(out)
 
 
-@dataclass(eq=False)
+@dataclass(init=False, repr=False, eq=False)
 class TaylorPoly:
     """Polynomial anchored at x0, stored by its own derivative values there."""
 
@@ -153,7 +153,7 @@ def deriv_eval(p: TaylorPoly, alpha: tuple[int, ...], x) -> float:
 # tiling cells and piecewise assemblies
 
 
-@dataclass(frozen=True)
+@dataclass(repr=False, frozen=True)
 class Cell:
     """One cell [lo, hi] of a PiecewisePoly as tuples of floats: the element
     type of its read-only `cells` view."""
@@ -172,7 +172,7 @@ def _centers(cells: np.ndarray) -> np.ndarray:
     return 0.5 * (cells[:, 0] + cells[:, 1])
 
 
-@dataclass(eq=False)
+@dataclass(repr=False, eq=False)
 class PiecewisePoly:
     """Per-cell Taylor polynomials over a tiling of a box, as arrays: the
     cells (C, 2, n) as bounds, and coeffs (C, K, count) of component k's
@@ -404,7 +404,7 @@ def sample_jets(v: PiecewisePoly, domain: GridDomain) -> list[GridFunction]:
 # JSON serialization
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(repr=False, eq=False)
 class CellsLeaf:
     """Cells (C, 2, n) at an artifact leaf, one {"hi", "lo"} object each: all
     in one list, or with counts, one list per group of that many in a row."""

@@ -22,7 +22,7 @@ from .grids import GridDomain, GridFunction, complete
 from .jets import MultiIndexSet
 
 
-@dataclass(eq=False)
+@dataclass(init=False, repr=False, eq=False)
 class PdeSystem:
     """Signature (n, K, m), K operator bodies F_j, K right-hand sides f_j, box."""
 
@@ -119,7 +119,7 @@ def apply_operator(sys: PdeSystem, jets: list[GridFunction]) -> list[GridFunctio
 # assumption evidence
 
 
-@dataclass(frozen=True)
+@dataclass(repr=False)
 class AssumptionEvidence:
     """Sampling-based verdict of an assumption probe; not a proof."""
 

@@ -337,8 +337,11 @@ def _subdivide(work: np.ndarray, solve, check, domain: GridDomain, *,
 # global approximate pair
 
 
-@dataclass(eq=False)
+@dataclass(repr=False, eq=False)
 class GlobalPairResult:
+    """The pair (U, V) of global_pair on its shared cells, and its ApEq
+    certificate."""
+
     lower: PiecewisePoly
     upper: PiecewisePoly
     certificate: ApEqCertificate
@@ -472,13 +475,16 @@ def refine(
     work = tiling.i_cells if prev is None else np.concatenate(prev.j_cells)
     cells, jets = _subdivide(work, solve, check, domain, stage=n)
     # by I-cell, in order of acceptance
-    order = np.argsort(tiling.index_of(_centers(cells)), kind="stable")
+    own = tiling.index_of(_centers(cells))
+    order = np.argsort(own, kind="stable")
     return certified_stage(sys, domain, tiling, _cell_polys(sys, cells[order], jets[order]),
-                           i_jets, band_lo, band_hi, prev_bands, n, gamma)
+                           own[order], i_jets, band_lo, band_hi, prev_bands, n, gamma)
 
 
-@dataclass(eq=False)
+@dataclass(repr=False, eq=False)
 class SchemeResult(SchemeConvergence):
+    """Outcome of run_scheme: its stages and tiling, and their convergence."""
+
     stages: list[RefinementStage]
     tiling: Tiling
 

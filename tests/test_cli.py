@@ -1399,6 +1399,28 @@ def test_checker_imports_no_solver():
     assert not any(m.split(".")[:2] == ["ordercomplete", "solver"] for m in imported)
 
 
+def test_dataclasses_generate_only_what_is_used():
+    # each method a dataclass generates is an exec when its module loads, and
+    # a docstring it lacks is built from inspect.signature: every dataclass
+    # has a docstring and fields of its own (a subclass without any inherits
+    # its base's methods), no __repr__ (no program prints one), and no
+    # __init__ where the class writes its own
+    for path in sorted((SRC / "ordercomplete").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            deco = next((d for d in getattr(node, "decorator_list", ())
+                         if ast.unparse(d).startswith("dataclass")), None)
+            if deco is None:
+                continue
+            where = f"{path.name}: {node.name}"
+            options = {k.arg: k.value.value for k in getattr(deco, "keywords", ())}
+            assert ast.get_docstring(node), f"{where} has no docstring"
+            assert any(isinstance(b, ast.AnnAssign) for b in node.body), \
+                f"{where} declares no field"
+            assert options.get("repr") is False, f"{where} generates __repr__"
+            if any(getattr(b, "name", None) == "__init__" for b in node.body):
+                assert options.get("init") is False, f"{where} generates an unused __init__"
+
+
 # ---------------------------------------------------------------------------
 # installed entry point
 
@@ -1445,11 +1467,27 @@ def test_console_entry_point(tmp_path):
 def test_cli_import_loads_no_scipy():
     # numpy is the only runtime dependency: a fresh interpreter that imports
     # the CLI has loaded no scipy module, and no numpy.random either, which
-    # the package loads only when it draws (see solver.jet_solve)
+    # the package loads only when it draws (see solver.jet_solve); nor
+    # solver, which only `run` imports
     proc = subprocess.run(
-        [sys.executable, "-c", "import sys, ordercomplete.cli; "
-         "print(sorted(m for m in sys.modules if m.startswith(('scipy', 'numpy.random'))))"],
+        [sys.executable, "-c", "import sys, ordercomplete.cli; print(sorted(m for m in "
+         "sys.modules if m.startswith(('scipy', 'numpy.random', 'ordercomplete.solver'))))"],
         capture_output=True, text=True, env=_child_env(),
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_verify_runs_with_solver_blocked(demo_dir):
+    # `python -m ordercomplete.cli verify` with the construction module
+    # unimportable: verify neither needs nor loads it
+    proc = subprocess.run(
+        [sys.executable, "-c", "import runpy, sys\n"
+         "sys.modules['ordercomplete.solver'] = None\n"
+         "sys.argv[1:] = ['verify', sys.argv[1]]\n"
+         "runpy.run_module('ordercomplete.cli', run_name='__main__', alter_sys=True)\n",
+         str(demo_dir)],
+        capture_output=True, text=True, env=_child_env(),
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "all certificates reproduce; verdict pass" in proc.stdout
