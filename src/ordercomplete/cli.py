@@ -2,13 +2,15 @@
 the global pair, the refinement scheme, and the analysis passes, then emit
 certificates and data files.
 
-Artifacts are deterministic for a fixed config and seed (no timestamps,
-one line of compact JSON with sorted keys and repr floats, see
-jets.artifact_json) and every file is written atomically via a temporary
-sibling and rename. The certificate stores each fact once. The seed feeds
-the interior probe's generator and, through the solver's per-cell streams
-(`solver._stream`), each openness probe and each multistart fallback, so
-no draw depends on the order in which cells are handled.
+Artifacts are deterministic for a fixed config and seed (no timestamps;
+the certificate is one line of compact JSON with sorted keys and repr
+floats, jets.artifact_json, and each polynomial one .npy array of records,
+jets.write_poly_json), and every file is written atomically via a
+temporary sibling and rename. The certificate stores each fact once. The
+seed feeds the interior probe's generator and, through the solver's
+per-cell streams (`solver._stream`), each openness probe and each
+multistart fallback, so no draw depends on the order in which cells are
+handled.
 
 One function builds certificate.json (`_certificate`): `run` calls it on
 what it constructed, and `verify` on what it recomputed from the
@@ -40,7 +42,7 @@ from .checker import (ConstructionError, _inner_boxes, apeq_certificate, band_to
                       certified_stage, check_jets, jcell_boxes, scheme_convergence,
                       scheme_verdict, stage_bands, tile_domain)
 
-_SCHEMA = 2
+_SCHEMA = 3
 
 
 # ---------------------------------------------------------------------------
@@ -180,10 +182,10 @@ def _cert_dict(c) -> dict:
 
 def _stage_file(n: int) -> str:
     """The polynomial file of stage n, relative to the run directory."""
-    return f"stage{n}/poly.json"
+    return f"stage{n}/poly.npy"
 
 
-_GLOBAL_FILES = {"lower": "global_lower.json", "upper": "global_upper.json"}
+_GLOBAL_FILES = {"lower": "global_lower.npy", "upper": "global_upper.npy"}
 
 
 # ---------------------------------------------------------------------------
@@ -479,14 +481,35 @@ def _same(stored, want) -> bool:
     return stored == want
 
 
+def _bool_where_equal(stored: list, want: np.ndarray | CellsLeaf) -> bool:
+    """Whether stored, equal under == to want.tolist() (want a float64 array
+    or a CellsLeaf), holds a bool: only where want holds 0.0, -0.0 or 1.0
+    can it, since True == 1.0 and False == 0.0."""
+    values = want.cells if isinstance(want, CellsLeaf) else want
+    at = np.flatnonzero((values == 0.0) | (values == 1.0)).tolist()
+    if not at:
+        return False
+    depth = values.ndim - 1  # stored as one flat list, in values' order
+    if isinstance(want, CellsLeaf):  # each cell's lo, then its hi
+        cells = stored if want.counts is None else itertools.chain.from_iterable(stored)
+        stored, depth = [c[side] for c in cells for side in ("lo", "hi")], 1
+    for _ in range(depth):
+        stored = list(itertools.chain.from_iterable(stored))
+    return any(type(stored[i]) is bool for i in at)
+
+
 def _compare(problems: list[str], at: str, stored, want) -> None:
     """Compare the stored certificate with the recomputed one, both in the
     form `run` writes, exactly: a missing or extra key, or a list of the
     wrong length, raises ValueError (an artifact inconsistency), and a leaf
     that differs (see _same) is a problem named by its JSON path at. An
-    array or CellsLeaf of want is compared as its tolist()."""
+    array or CellsLeaf of want is compared as its tolist(), whole when it
+    is equal and holds no bool (_bool_where_equal), else leaf by leaf."""
     if isinstance(want, (np.ndarray, CellsLeaf)):
-        want = want.tolist()
+        listed = want.tolist()
+        if stored == listed and not _bool_where_equal(stored, want):
+            return
+        want = listed
     if isinstance(want, dict):
         keys = stored.keys() if isinstance(stored, dict) else set()
         if keys != want.keys():
@@ -533,12 +556,12 @@ def verify(result_dir) -> int:
     that is not), (checker.check_jets) each stage's stored anchor jets and
     the jet of each cell of each polynomial file, and that summary.txt is
     the rebuilt document's. Artifacts of the wrong shape, count or
-    signature, a polynomial file whose anchors are not its cell centers or
-    whose cells do not tile the box, a global pair whose two files have
-    different cells (checker.apeq_certificate), a missing or unreadable
-    file, a missing or extra key, an input of a type or range `run` never
-    writes, a lattice too large to allocate, or a number too large to
-    convert are an inconsistency (exit 2)."""
+    signature, a polynomial file that is not one array of records
+    (jets.read_poly_json) or whose cells do not tile the box, a global pair
+    whose two files have different cells (checker.apeq_certificate), a
+    missing or unreadable file, a missing or extra key, an input of a type
+    or range `run` never writes, a lattice too large to allocate, or a
+    number too large to convert are an inconsistency (exit 2)."""
     out = Path(result_dir)
     problems: list[str] = []
     try:

@@ -13,9 +13,10 @@ A PiecewisePoly holds one such polynomial per cell and component over a
 tiling of the box, as arrays (cells are (C, 2, n): lower corners, then
 upper corners), anchored at the cell centers. Its cell boundaries are the
 closed nowhere-dense set off which the candidate is fixed, so the skeleton
-belongs to the candidate. Whether cells tile the box is answered once, by
-_check_tiling on the grid of cell faces; the lattice only marks and owns.
-Sampling takes any lattice, checks the tiling and marks every point that
+belongs to the candidate. Whether cells tile the box is answered once per
+polynomial, by _check_tiling on the grid of cell faces, where it enters:
+as `verify` reads its file, and as `run`'s subdivision ends. The lattice
+only marks and owns. Sampling takes any lattice, marks every point that
 no cell holds strictly inside as skeleton as well (assemble), takes each
 off-skeleton point's value from the one cell holding it strictly inside
 (_interior_gather), and fills the skeleton by the normalize rule from
@@ -49,8 +50,9 @@ class MultiIndexSet:
             raise ValueError("need at least one space variable")
         if m < 0:
             raise ValueError("order must be non-negative")
-        alphas = sorted(
-            (a for a in itertools.product(range(m + 1), repeat=n) if sum(a) <= m),
+        alphas = sorted(  # each multiset of t <= m variables, as its exponents
+            (tuple(map(c.count, range(n))) for t in range(m + 1)
+             for c in itertools.combinations_with_replacement(range(n), t)),
             key=lambda a: (sum(a), a),
         )
         object.__setattr__(self, "n", n)
@@ -326,8 +328,9 @@ def _check_tiling(cells: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> None:
     ranges = np.empty(boxes.shape, dtype=int)  # face-grid index of each face
     edges = []
     for d in range(len(lo)):
-        faces = np.unique(boxes[:, :, d])
-        # faces closer than tol count as one: the first of them stands for all
+        # sorted, not np.unique, which imports numpy.ma; faces closer than
+        # tol count as one (equal ones too): the first of them stands for all
+        faces = np.sort(boxes[:, :, d], axis=None)
         keep = np.concatenate([[True], np.diff(faces) > 1e-12 * (hi[d] - lo[d])])
         ranges[:, :, d] = (np.cumsum(keep) - 1)[np.searchsorted(faces, boxes[:, :, d])]
         edges.append(faces[keep])
@@ -355,13 +358,11 @@ def assemble(v: PiecewisePoly, domain: GridDomain) -> GridDomain:
     """The domain with every cell-boundary lattice point of v marked as
     skeleton too, on top of what its skeleton already marks.
 
-    Whether v's cells tile the box is answered once, by _check_tiling on the
-    face grid; the lattice only marks v's cell boundaries, the skeleton of
-    _classify_grid: the lattice points that no cell holds strictly inside.
+    v's cells tile the box, checked where v entered (module docstring); the
+    lattice only marks v's cell boundaries, the skeleton of _classify_grid:
+    the lattice points that no cell holds strictly inside (cells of another
+    dimension than the box's are a TilingError there).
     """
-    if v.space_dim != domain.ndim:
-        raise TilingError(f"cells have dimension {v.space_dim}, the box has {domain.ndim}")
-    _check_tiling(v.bounds, domain.lo, domain.hi)
     return domain.with_skeleton(domain.skeleton | _classify_grid(v.bounds, domain))
 
 
@@ -401,7 +402,7 @@ def sample_jets(v: PiecewisePoly, domain: GridDomain) -> list[GridFunction]:
 
 
 # ---------------------------------------------------------------------------
-# JSON serialization
+# artifacts
 
 
 @dataclass(repr=False, eq=False)
@@ -480,21 +481,6 @@ def artifact_json(obj) -> str:
     return "".join(parts) + "\n"
 
 
-def poly_to_dict(v: PiecewisePoly) -> dict:
-    """The polynomial file of v: its signature, then as arrays the cell corners
-    lo and hi (C, n), anchors (C, K, n), the centers, and coeffs (C, K, count)."""
-    return {
-        "space_dim": v.space_dim,
-        "components": v.components,
-        "order": v.order,
-        "alphas": [list(a) for a in v.mis.alphas],
-        "lo": v.bounds[:, 0],
-        "hi": v.bounds[:, 1],
-        "anchors": np.repeat(_centers(v.bounds)[:, None], v.components, axis=1),
-        "coeffs": v.coeffs,
-    }
-
-
 def float_array(stored, shape: tuple[int, ...], name: str) -> np.ndarray:
     """A stored array as floats of the given shape, or a ValueError naming it."""
     try:
@@ -506,42 +492,53 @@ def float_array(stored, shape: tuple[int, ...], name: str) -> np.ndarray:
     return a
 
 
-def poly_from_dict(data: dict) -> PiecewisePoly:
-    n = int(data["space_dim"])
-    K = int(data["components"])
-    m = int(data["order"])
-    mis = MultiIndexSet(n, m)
-    stored = [tuple(a) for a in data["alphas"]]
-    if stored != list(mis.alphas):
-        raise ValueError("multi-index ordering in file does not match graded-lex")
-    C = len(data["lo"])
-    lo = float_array(data["lo"], (C, n), "lo")
-    hi = float_array(data["hi"], (C, n), "hi")
-    anchors = float_array(data["anchors"], (C, K, n), "anchors")
-    coeffs = float_array(data["coeffs"], (C, K, mis.count), "coeffs")
-    v = PiecewisePoly(np.stack([lo, hi], axis=1), coeffs, mis)
-    moved = np.any(anchors != _centers(v.bounds)[:, None], axis=(1, 2))
-    if moved.any():
-        raise ValueError(f"anchors: cell {int(np.argmax(moved))} is not anchored at its center")
-    return v
-
-
-def write_atomic(path, content: str | GridFunction) -> None:
-    """Write content, text or a GridFunction as CSV, to a file beside path,
-    then move it over path."""
+def write_atomic(path, content: str | GridFunction | np.ndarray) -> None:
+    """Write content, text, a GridFunction as CSV or an array as .npy, to a
+    file beside path, then move it over path."""
     tmp = f"{path}.tmp"
     if isinstance(content, GridFunction):
         write_csv(content, tmp)
+    elif isinstance(content, np.ndarray):
+        with open(tmp, "wb") as fh:
+            np.lib.format.write_array(fh, content, allow_pickle=False)
     else:
         with open(tmp, "w") as fh:
             fh.write(content)
     os.replace(tmp, path)
 
 
+def _record_dtype(n: int, K: int, count: int) -> np.dtype:
+    """One cell's record in a polynomial file: its corners lo and hi, then
+    its coefficients (K, count), graded-lex within a component."""
+    return np.dtype([("lo", "<f8", (n,)), ("hi", "<f8", (n,)), ("coeffs", "<f8", (K, count))])
+
+
 def write_poly_json(v: PiecewisePoly, path) -> None:
-    write_atomic(path, artifact_json(poly_to_dict(v)))
+    """v's polynomial file: one .npy array of _record_dtype records, one per
+    cell, with no anchors (each is its cell's center). The name predates the
+    format; ROADMAP item 2 may rename it and read_poly_json."""
+    rec = np.empty(len(v.bounds), _record_dtype(v.space_dim, v.components, v.mis.count))
+    rec["lo"], rec["hi"], rec["coeffs"] = v.bounds[:, 0], v.bounds[:, 1], v.coeffs
+    write_atomic(path, rec)
 
 
 def read_poly_json(path) -> PiecewisePoly:
-    with open(path) as fh:
-        return poly_from_dict(json.load(fh))
+    """The polynomial of a file write_poly_json wrote, or a ValueError. The
+    file holds one 1-D array of records of exactly _record_dtype(n, K,
+    count), count the multi-index count of an order m, and nothing after
+    it; PiecewisePoly checks the bounds. The name predates the format."""
+    with open(path, "rb") as fh:  # not np.load: an empty file or a zip is a ValueError too
+        rec = np.lib.format.read_array(fh, allow_pickle=False)
+        if fh.read(1):
+            raise ValueError("trailing bytes after the array")
+    try:
+        (n,), (K, count) = rec.dtype["lo"].shape, rec.dtype["coeffs"].shape
+    except (KeyError, ValueError):  # no such field, or one of another rank
+        n = K = count = 0
+    m = next(m for m in itertools.count() if math.comb(n + m, n) >= count) if n else 0
+    if not (n and math.comb(n + m, n) == count and rec.dtype == _record_dtype(n, K, count)
+            and rec.ndim == 1):
+        raise ValueError(f"not a 1-D array of polynomial records: shape {rec.shape}, "
+                         f"dtype {rec.dtype}")
+    return PiecewisePoly(np.stack([rec["lo"], rec["hi"]], axis=1),
+                         np.ascontiguousarray(rec["coeffs"]), _multi_index_set(n, m))

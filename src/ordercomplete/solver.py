@@ -29,7 +29,7 @@ from .checker import (_TOL_RESIDUAL, ApEqCertificate, ConstructionError, Refinem
                       _rhs_rows, _row_residuals, apeq_certificate, certified_stage,
                       jcell_boxes, scheme_convergence, stage_bands, tile_domain)
 from .grids import GridDomain
-from .jets import PiecewisePoly, _centers, _gathered_jets, _interior_gather
+from .jets import PiecewisePoly, _centers, _check_tiling, _gathered_jets, _interior_gather
 from .pde import PdeSystem, check_assumption_open, eval_rows
 
 
@@ -393,6 +393,7 @@ def global_pair(
 
     box = np.stack([domain.lo, domain.hi])[None]
     cells, pairs = _subdivide(box, solve, check, domain)
+    _check_tiling(cells, domain.lo, domain.hi)  # the one check; sampling takes it as given
     u_poly = _cell_polys(sys, cells, pairs[:, :m])
     v_poly = _cell_polys(sys, cells, pairs[:, m:])
     cert = apeq_certificate(sys, u_poly, v_poly, domain, eps)
@@ -474,6 +475,7 @@ def refine(
 
     work = tiling.i_cells if prev is None else np.concatenate(prev.j_cells)
     cells, jets = _subdivide(work, solve, check, domain, stage=n)
+    _check_tiling(cells, domain.lo, domain.hi)  # the one check; sampling takes it as given
     # by I-cell, in order of acceptance
     own = tiling.index_of(_centers(cells))
     order = np.argsort(own, kind="stable")

@@ -4,6 +4,7 @@ and independent re-verification."""
 import ast
 import contextlib
 import io
+import itertools
 import json
 import os
 import re
@@ -11,6 +12,7 @@ import shutil
 import subprocess
 import sys
 import warnings
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +30,7 @@ from ordercomplete.cli import (
     verify,
 )
 from ordercomplete.expr import render
+from ordercomplete.jets import _record_dtype
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -156,18 +159,21 @@ def run_dir(tmp_path_factory):
 
 def test_run_writes_expected_artifacts(run_dir):
     for name in ("certificate.json", "summary.txt",
-                 "global_lower.json", "global_upper.json", "f1.csv"):
+                 "global_lower.npy", "global_upper.npy", "f1.csv"):
         assert (run_dir / name).is_file()
     for n in (1, 2):
         sdir = run_dir / f"stage{n}"
-        assert (sdir / "poly.json").is_file()
+        assert (sdir / "poly.npy").is_file()
         assert (sdir / "tv_u1.csv").is_file()
         for tag in ("u1_a0", "u1_a1"):
             for prefix in ("d", "lo", "hi"):
                 assert (sdir / f"{prefix}_{tag}.csv").is_file()
     cert = json.loads((run_dir / "certificate.json").read_text())
     assert cert["verdict"] == "pass"
-    assert cert["schema"] == 2
+    assert cert["schema"] == 3
+    assert cert["global_pair"]["files"] == {"lower": "global_lower.npy",
+                                            "upper": "global_upper.npy"}
+    assert [s["file"] for s in cert["stages"]] == ["stage1/poly.npy", "stage2/poly.npy"]
     assert cert["problem"]["exact"] == ["sin(x1)"]
     assert cert["assumption"]["interior"]["supported"] is True
     assert "not a proof" in cert["assumption"]["note"]
@@ -194,13 +200,22 @@ def test_run_csv_files_match_the_row_loop_reference(run_dir, tmp_path):
 
 
 def test_artifacts_are_one_line_of_compact_json(run_dir):
-    names = ["certificate.json", "global_lower.json", "global_upper.json",
-             "stage1/poly.json", "stage2/poly.json"]
-    for name in names:
-        text = (run_dir / name).read_text()
-        assert text.count("\n") == 1 and text.endswith("\n"), name
-        data = json.loads(text)
-        assert text == json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n", name
+    text = (run_dir / "certificate.json").read_text()
+    assert text.count("\n") == 1 and text.endswith("\n")
+    data = json.loads(text)
+    assert text == json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def test_polynomial_files_are_arrays_of_cell_records(run_dir):
+    # numpy.load reads each polynomial file without pickle: one record per
+    # cell, its corners, then its coefficients (components, multi-indices)
+    for name in ("global_lower.npy", "global_upper.npy", "stage1/poly.npy",
+                 "stage2/poly.npy"):
+        rec = np.load(run_dir / name, allow_pickle=False)
+        assert rec.ndim == 1 and len(rec) > 0, name
+        assert rec.dtype == np.dtype([("lo", "<f8", (1,)), ("hi", "<f8", (1,)),
+                                      ("coeffs", "<f8", (1, 2))]), name
+        assert rec["lo"].min() == 0.0 and rec["hi"].max() == 3.0, name  # the box [0, 3]
 
 
 def test_run_deterministic(run_dir, tmp_path):
@@ -211,10 +226,12 @@ def test_run_deterministic(run_dir, tmp_path):
         "run", str(spec), "--gamma", "0.4", "--stages", "2", "--out", str(out2)
     ])
     assert code == 0
-    assert (out2 / "certificate.json").read_bytes() == \
-        (run_dir / "certificate.json").read_bytes()
-    assert (out2 / "stage1" / "poly.json").read_bytes() == \
-        (run_dir / "stage1" / "poly.json").read_bytes()
+    # the whole directory: the same files, each with the same bytes
+    files = sorted(p.relative_to(run_dir) for p in run_dir.rglob("*") if p.is_file())
+    assert files == sorted(p.relative_to(out2) for p in out2.rglob("*") if p.is_file())
+    assert len(files) == 21  # certificate, summary, f1 and two global and two stage files,
+    for f in files:          # and the poly file, tv_u1 and six band CSV files per stage
+        assert (out2 / f).read_bytes() == (run_dir / f).read_bytes(), f
 
 
 def test_run_no_samples_flag(tmp_path):
@@ -229,7 +246,7 @@ def test_run_no_samples_flag(tmp_path):
     assert (out / "certificate.json").is_file()
     assert not (out / "f1.csv").exists()
     assert not (out / "stage1" / "tv_u1.csv").exists()
-    assert (out / "stage1" / "poly.json").is_file()  # certificates still complete
+    assert (out / "stage1" / "poly.npy").is_file()  # certificates still complete
 
 
 def test_grid_flag_overrides_file(tmp_path):
@@ -466,9 +483,9 @@ def test_verify_detects_tampered_margin(run_dir, tmp_path, capsys):
 def test_verify_detects_tampered_polynomial(run_dir, tmp_path, capsys):
     copy = tmp_path / "tampered_poly"
     shutil.copytree(run_dir, copy)
-    poly = json.loads((copy / "stage1" / "poly.json").read_text())
-    poly["coeffs"][0][0][0] += 0.05
-    (copy / "stage1" / "poly.json").write_text(json.dumps(poly))
+    rec = np.load(copy / "stage1" / "poly.npy")
+    rec["coeffs"][0, 0, 0] += 0.05
+    np.save(copy / "stage1" / "poly.npy", rec)
     assert verify(copy) == 2
     assert "MISMATCH" in capsys.readouterr().out
 
@@ -737,28 +754,27 @@ def test_verify_malformed_certificate_exits_2(run_dir, tmp_path, capsys, tamper)
     assert "artifact inconsistency" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("name", ["stage1/poly.json", "global_upper.json"])
+def _records_of(rec, n, K, count):
+    """Records of another signature: rec's cells, and the first K * count
+    of each cell's coefficients."""
+    out = np.zeros(len(rec), _record_dtype(n, K, count))
+    out["lo"], out["hi"] = rec["lo"][:, :n], rec["hi"][:, :n]
+    out["coeffs"] = rec["coeffs"].reshape(len(rec), -1)[:, :K * count].reshape(-1, K, count)
+    return out
+
+
+@pytest.mark.parametrize("name", ["stage1/poly.npy", "global_upper.npy"])
 def test_verify_rejects_foreign_signature_polynomial(run_dir, tmp_path, capsys, name):
     # K=2, m=0 has as many flat jet variables as the system's K=1, m=1 in
     # one dimension, so only the signature check tells the two apart
     copy = tmp_path / "foreign"
     shutil.copytree(run_dir, copy)
-    poly = json.loads((copy / name).read_text())
-    assert (poly["space_dim"], poly["components"], poly["order"]) == (1, 1, 1)
-    poly.update(components=2, order=0, alphas=[[0]])
-    poly["anchors"] = [2 * a for a in poly["anchors"]]
-    poly["coeffs"] = [[[c] for c in p] for (p,) in poly["coeffs"]]
-    (copy / name).write_text(json.dumps(poly))
-    assert verify(copy) == 2
-    out = capsys.readouterr().out
-    assert "artifact inconsistency" in out and "signature" in out
-
-
-def _recenter(poly):
-    """Every anchor of a polynomial file moved to its cell's center, as run
-    writes them, after a test moved the cell's faces."""
-    poly["anchors"] = [[[0.5 * (a + b) for a, b in zip(lo, hi)]] * poly["components"]
-                       for lo, hi in zip(poly["lo"], poly["hi"])]
+    rec = np.load(copy / name)
+    assert rec.dtype == _record_dtype(1, 1, 2)
+    np.save(copy / name, _records_of(rec, 1, 2, 1))
+    assert _verify_quietly(copy, capsys) == (2, [
+        f"verify: artifact inconsistency: {name}: signature (space_dim, components, order): "
+        "expected (1, 1, 1), found (1, 2, 0)"])
 
 
 def test_verify_detects_overlapping_j_cells(run_dir, tmp_path, capsys):
@@ -768,14 +784,13 @@ def test_verify_detects_overlapping_j_cells(run_dir, tmp_path, capsys):
     copy = tmp_path / "tampered_tiling"
     shutil.copytree(run_dir, copy)
     cert = json.loads((copy / "certificate.json").read_text())
-    poly = json.loads((copy / "stage1" / "poly.json").read_text())
-    shift = 0.5 * (poly["hi"][0][0] - poly["lo"][0][0])
-    assert poly["hi"][0] in poly["lo"][1:]  # a neighbour
+    rec = np.load(copy / "stage1" / "poly.npy")
+    shift = 0.5 * (rec["hi"][0, 0] - rec["lo"][0, 0])
+    assert rec["hi"][0, 0] in rec["lo"][1:, 0]  # a neighbour
     j_cell = cert["stages"][0]["j_cells"][0][0]
-    for row in (poly["lo"][0], poly["hi"][0], j_cell["lo"], j_cell["hi"]):
+    for row in (rec["lo"][0], rec["hi"][0], j_cell["lo"], j_cell["hi"]):
         row[0] += shift
-    _recenter(poly)
-    (copy / "stage1" / "poly.json").write_text(json.dumps(poly))
+    np.save(copy / "stage1" / "poly.npy", rec)
     (copy / "certificate.json").write_text(json.dumps(cert))
     assert verify(copy) == 2
     out = capsys.readouterr().out
@@ -792,50 +807,53 @@ def demo_dir(tmp_path_factory):
 
 
 def _tampered(run, tmp_path, name, tamper):
-    """A copy of a run directory with one JSON artifact changed in place."""
+    """A copy of a run directory with one artifact changed in place: the
+    document of a JSON file, or the records of a polynomial file."""
     copy = tmp_path / "tampered"
     shutil.copytree(run, copy)
-    data = json.loads((copy / name).read_text())
-    tamper(data)
-    (copy / name).write_text(json.dumps(data))
+    if name.endswith(".npy"):
+        rec = np.load(copy / name)
+        tamper(rec)
+        np.save(copy / name, rec)
+    else:
+        data = json.loads((copy / name).read_text())
+        tamper(data)
+        (copy / name).write_text(json.dumps(data))
     return copy
 
 
-def _nudge_upper_face(poly):
-    # the face between the first two cells of the upper file, and their
-    # anchors, move by far less than the lattice's snapping tolerance: same
-    # skeleton, same samples
-    assert poly["hi"][0] == poly["lo"][1]
-    poly["hi"][0] = poly["lo"][1] = [poly["hi"][0][0] * (1 + 1e-12)]
-    _recenter(poly)
+def _nudge_upper_face(rec):
+    # the face between the first two cells of the upper file moves by far
+    # less than the lattice's snapping tolerance: same skeleton, same samples
+    assert rec["hi"][0, 0] == rec["lo"][1, 0]
+    rec["hi"][0, 0] = rec["lo"][1, 0] = rec["hi"][0, 0] * (1 + 1e-12)
 
 
 @pytest.mark.parametrize("tamper", [_nudge_upper_face], ids=["nudged_upper_face"])
 def test_verify_compares_global_pair_cells(demo_dir, tmp_path, capsys, tamper):
     # no sample tells the two files apart: the pair's certificate compares
     # the upper file's cells exactly with the lower file's
-    copy = _tampered(demo_dir, tmp_path, "global_upper.json", tamper)
+    copy = _tampered(demo_dir, tmp_path, "global_upper.npy", tamper)
     assert _verify_quietly(copy, capsys) == (2, [
         "verify: artifact inconsistency: global pair: the lower and upper polynomials "
         "have different cells"])
 
 
-def _face_onto_lattice(poly):
+def _face_onto_lattice(rec):
     # the face between the first two cells of the upper file moves to the
     # nearest point of the demo's lattice (512 points on [0, 3]), and
     # their anchors with it: the upper file now marks a skeleton point the
     # lower one does not
     axis = np.linspace(0.0, 3.0, 512)
-    assert poly["hi"][0] == poly["lo"][1]
-    poly["hi"][0] = poly["lo"][1] = [float(axis[np.argmin(abs(axis - poly["hi"][0][0]))])]
-    _recenter(poly)
+    assert rec["hi"][0, 0] == rec["lo"][1, 0]
+    rec["hi"][0, 0] = rec["lo"][1, 0] = axis[np.argmin(abs(axis - rec["hi"][0, 0]))]
 
 
 def test_verify_keeps_what_it_found_before_an_inconsistency(demo_dir, tmp_path, capsys):
-    copy = _tampered(demo_dir, tmp_path, "global_upper.json", _face_onto_lattice)
+    copy = _tampered(demo_dir, tmp_path, "global_upper.npy", _face_onto_lattice)
     assert verify(copy) == 2
     assert capsys.readouterr().out.splitlines() == [
-        "verify: MISMATCH global_upper.json: cell 0 has a jet that does not solve its equation",
+        "verify: MISMATCH global_upper.npy: cell 0 has a jet that does not solve its equation",
         "verify: artifact inconsistency: global pair: the lower and upper polynomials have "
         "different cells",
     ]
@@ -862,45 +880,103 @@ def test_verify_rejects_a_j_cell_outside_the_box(demo_dir, tmp_path, capsys):
         copy = tmp_path / f"outside{fraction}"
         shutil.copytree(demo_dir, copy)
         cert = json.loads((copy / "certificate.json").read_text())
-        poly = json.loads((copy / "stage1" / "poly.json").read_text())
+        rec = np.load(copy / "stage1" / "poly.npy")
         j_cell = cert["stages"][0]["j_cells"][-1][-1]
-        assert j_cell == {"lo": poly["lo"][-1], "hi": poly["hi"][-1]}
-        assert poly["hi"][-1] == cert["problem"]["box_hi"]
-        shift = fraction * (poly["hi"][-1][0] - poly["lo"][-1][0])
-        for row in (poly["lo"][-1], poly["hi"][-1], j_cell["lo"], j_cell["hi"]):
+        assert j_cell == {"lo": rec["lo"][-1].tolist(), "hi": rec["hi"][-1].tolist()}
+        assert rec["hi"][-1].tolist() == cert["problem"]["box_hi"]
+        shift = fraction * (rec["hi"][-1, 0] - rec["lo"][-1, 0])
+        for row in (rec["lo"][-1], rec["hi"][-1], j_cell["lo"], j_cell["hi"]):
             row[0] += shift
-        _recenter(poly)
-        (copy / "stage1" / "poly.json").write_text(json.dumps(poly))
+        np.save(copy / "stage1" / "poly.npy", rec)
         (copy / "certificate.json").write_text(json.dumps(cert))
-        last = len(poly["lo"]) - 1
         assert _verify_quietly(copy, capsys) == (2, [
-            f"verify: artifact inconsistency: stage1/poly.json: cell {last} "
-            f"{[poly['lo'][-1], poly['hi'][-1]]} reaches outside the box"])
+            f"verify: artifact inconsistency: stage1/poly.npy: cell {len(rec) - 1} "
+            f"{[rec['lo'][-1].tolist(), rec['hi'][-1].tolist()]} reaches outside the box"])
 
 
 @pytest.mark.parametrize("bound", [np.inf, -np.inf])
 def test_verify_names_the_file_of_an_infinite_face(demo_dir, tmp_path, capsys, bound):
     # an infinite upper face is rejected as the file is read: it never
     # reaches Tiling.index_of, whose integer cast of it warns
-    def infinite_face(poly):
-        poly["hi"][-1][0] = bound  # json writes Infinity
+    def infinite_face(rec):
+        rec["hi"][-1, 0] = bound
 
-    copy = _tampered(demo_dir, tmp_path, "stage1/poly.json", infinite_face)
+    copy = _tampered(demo_dir, tmp_path, "stage1/poly.npy", infinite_face)
     assert _verify_quietly(copy, capsys) == (2, [
-        "verify: artifact inconsistency: stage1/poly.json: cell bounds must be finite, "
+        "verify: artifact inconsistency: stage1/poly.npy: cell bounds must be finite, "
         "not NaN or +-inf"])
 
 
-def test_verify_names_the_cell_of_an_off_center_anchor(demo_dir, tmp_path, capsys):
-    # every polynomial is anchored at its cell's center: a file with any
-    # other anchor is rejected as it is read, naming the file and the cell
-    def moved_anchor(poly):
-        poly["anchors"][2][0][0] += 1e-3
+def _npy(rec, allow_pickle=False) -> bytes:
+    """The bytes of a .npy file of an array."""
+    buf = io.BytesIO()
+    np.lib.format.write_array(buf, rec, allow_pickle=allow_pickle)
+    return buf.getvalue()
 
-    copy = _tampered(demo_dir, tmp_path, "stage1/poly.json", moved_anchor)
-    assert _verify_quietly(copy, capsys) == (2, [
-        "verify: artifact inconsistency: stage1/poly.json: anchors: cell 2 is not anchored "
-        "at its center"])
+
+def _zipped(raw: bytes) -> bytes:
+    buf = io.BytesIO()
+    with zipfile.ZipFile(buf, "w") as z:
+        z.writestr("poly.npy", raw)
+    return buf.getvalue()
+
+
+def _retyped(rec, dtype) -> np.ndarray:
+    """rec's values in records of another dtype with the same field shapes."""
+    out = np.zeros(len(rec), dtype)
+    for key in out.dtype.names:
+        out[key] = rec[key if key in rec.dtype.names else "coeffs"]
+    return out
+
+
+def _with_nan_bound(rec) -> np.ndarray:
+    rec = rec.copy()
+    rec["lo"][1, 0] = np.nan
+    return rec
+
+
+_NOT_RECORDS = "not a 1-D array of polynomial records"
+_F8_FIELDS = [("lo", (1,)), ("hi", (1,)), ("coeffs", (1, 2))]
+
+
+@pytest.mark.parametrize("malformed, message", [
+    (lambda raw, rec: b"", "EOF: reading magic string"),
+    (lambda raw, rec: raw[:-8], "Failed to read all data for array"),
+    (lambda raw, rec: _zipped(raw), "the magic string is not correct"),
+    (lambda raw, rec: _npy(np.array([rec], dtype=object), allow_pickle=True),
+     "Object arrays cannot be loaded when allow_pickle=False"),
+    (lambda raw, rec: _npy(_retyped(rec, [(k, "<f4", s) for k, s in _F8_FIELDS])),
+     _NOT_RECORDS),
+    (lambda raw, rec: _npy(_retyped(rec, [(k, ">f8", s) for k, s in _F8_FIELDS])),
+     _NOT_RECORDS),
+    (lambda raw, rec: _npy(_retyped(rec, [(k, "<f8", s) for k, s in _F8_FIELDS]
+                                    + [("anchors", "<f8", (1, 2))])), _NOT_RECORDS),
+    (lambda raw, rec: _npy(_retyped(rec, [("lo", "<f8", (1,)), ("hi", "<f8", (1,)),
+                                          ("coefs", "<f8", (1, 2))])), _NOT_RECORDS),
+    (lambda raw, rec: _npy(_retyped(rec, [("hi", "<f8", (1,)), ("lo", "<f8", (1,)),
+                                          ("coeffs", "<f8", (1, 2))])), _NOT_RECORDS),
+    (lambda raw, rec: _npy(rec.reshape(-1, 1)), _NOT_RECORDS),
+    (lambda raw, rec: raw + b"\0", "trailing bytes after the array"),
+    (lambda raw, rec: _npy(_with_nan_bound(rec)), "cell bounds must be finite"),
+    (lambda raw, rec: _npy(_records_of(rec, 1, 1, 1)),
+     "signature (space_dim, components, order): expected (1, 1, 1), found (1, 1, 0)"),
+    (lambda raw, rec: _npy(np.zeros(0, _record_dtype(60, 1, 61))),
+     "signature (space_dim, components, order): expected (1, 1, 1), found (60, 1, 1)"),
+], ids=["empty", "truncated", "zip", "pickled", "float32", "big_endian", "extra_field",
+        "renamed_field", "field_order", "2d_records", "trailing_bytes", "nan_bound",
+        "foreign_signature", "sixty_dimensions"])
+def test_verify_names_a_malformed_polynomial_file(demo_dir, tmp_path, capsys, malformed,
+                                                  message):
+    # whatever the file holds, verify reads it as exit 2 naming the file:
+    # no traceback, nothing on stderr, no warning
+    name = "stage1/poly.npy"
+    copy = tmp_path / "malformed"
+    shutil.copytree(demo_dir, copy)
+    raw = (copy / name).read_bytes()
+    (copy / name).write_bytes(malformed(raw, np.load(copy / name)))
+    code, lines = _verify_quietly(copy, capsys)
+    assert code == 2 and len(lines) == 1, lines
+    assert lines[0].startswith(f"verify: artifact inconsistency: {name}: {message}"), lines
 
 
 def _double_radii(cert):
@@ -969,6 +1045,35 @@ def test_verify_takes_no_number_for_the_assumption_flag(demo_dir, tmp_path, caps
         in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("run, at, flag, want", [
+    ("demo_dir", ("tiling", "radii", 0), True, 1.0),
+    ("demo_dir", ("tiling", "i_cells", 0, "lo", 0), False, 0.0),
+    ("demo_dir", ("stages", 0, "j_cells", 0, 0, "lo", 0), False, 0.0),
+    ("run_2d", ("stages", 1, "j_cells", -1, -1, "hi", 1), True, 1.0),
+], ids=["radius", "i_cell_face", "first_j_cell_face", "last_j_cell_face"])
+def test_verify_takes_no_bool_for_a_float(request, tmp_path, capsys, run, at, flag, want):
+    # True == 1.0 and False == 0.0: a bool in place of a float that equals
+    # it is a mismatch all the same, in a list of radii and in the cells
+    run = request.getfixturevalue(run)
+    capsys.readouterr()  # what a fixture's run printed
+
+    node, keys = json.loads((run / "certificate.json").read_text()), []
+    for key in at:  # keys: at, with each -1 as the index verify names
+        keys.append(len(node) - 1 if key == -1 else key)
+        node = node[key]
+    assert node == want and type(node) is float
+    path = "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in keys)[1:]
+
+    def to_bool(cert):
+        for key in at[:-1]:
+            cert = cert[key]
+        cert[at[-1]] = flag
+
+    copy = _tampered(run, tmp_path, "certificate.json", to_bool)
+    assert _verify_quietly(copy, capsys) == (2, [
+        f"verify: MISMATCH {path}: stored {flag}, recomputed {want}", "verify: FAILED"])
+
+
 @pytest.mark.parametrize("key", ["lower_slack", "upper_slack"])
 def test_verify_compares_final_stage_slacks_exactly(demo_dir, tmp_path, capsys, key):
     # a relative change of 1e-6: verify recomputes every number bit for bit
@@ -1009,7 +1114,7 @@ def test_verify_recomputes_global_pair_at_gamma(demo_dir, tmp_path, capsys):
 
     cert = json.loads((demo_dir / "certificate.json").read_text())
     system, _, _ = load_spec(DEMOS / "manufactured_1d.spec")
-    u, v = (read_poly_json(demo_dir / f"global_{side}.json") for side in ("lower", "upper"))
+    u, v = (read_poly_json(demo_dir / f"global_{side}.npy") for side in ("lower", "upper"))
     domain = GridDomain(system.box_lo, system.box_hi, cert["config"]["grid"])
     eps = 2.0 * cert["config"]["gamma"]
     gp = apeq_certificate(system, u, v, domain, eps)
@@ -1078,43 +1183,33 @@ def test_verify_rejects_every_changed_derived_leaf(demo_dir, tmp_path, capsys):
     assert accepted == []
     assert (len(paths), len(list(_leaf_paths(cert)))) == (115, 131)
 
-def _first_leaf(node, at=()):
-    """The path of the first leaf under a JSON node, through the first
-    element of every list."""
-    while isinstance(node, list):
-        node, at = node[0], (*at, 0)
-    return at
-
-
-@pytest.mark.parametrize("name", ["global_lower.json", "stage1/poly.json"])
+@pytest.mark.parametrize("name", ["global_lower.npy", "stage1/poly.npy"])
 def test_verify_rejects_every_changed_polynomial_field(demo_dir, tmp_path, capsys, name):
-    # the polynomial files' sweep: each header field (the first multi-index
-    # entry for alphas), the first element of each array and the last
-    # coefficient of the first cell (u'), changed once as in the
-    # certificate sweep, must fail verify
-    poly = json.loads((demo_dir / name).read_text())
+    # the polynomial files' sweep: the first and the last entry along every
+    # axis of each record field (the first and last cell's bounds and
+    # coefficients), changed once as in the certificate sweep, must fail
+    # verify
+    rec = np.load(demo_dir / name)
     run = tmp_path / "sweep"
     shutil.copytree(demo_dir, run)
-    paths = [_first_leaf(value, (key,)) for key, value in poly.items()]
-    paths.append(("coeffs", 0, 0, -1))
+    paths = [(key, *at) for key in rec.dtype.names
+             for at in itertools.product(*({0, k - 1} for k in rec[key].shape))]
     accepted = []
     for at in paths:
-        doc = json.loads(json.dumps(poly))
-        node = doc
-        for key in at[:-1]:
-            node = node[key]
-        node[at[-1]] = _changed(node[at[-1]])
-        (run / name).write_text(json.dumps(doc))
+        doc = rec.copy()
+        doc[at[0]][at[1:]] = _changed(float(doc[at[0]][at[1:]]))
+        np.save(run / name, doc)
         if verify(run) != 2:
             accepted.append(at)
     capsys.readouterr()
-    # but one: the value coefficient is 0.0 in every cell of the demo, where
-    # F's derivative in u vanishes, so at 1e-6 the jet still solves its
-    # cell's equation within the solver's tolerance (F moves by 1e-18) and
-    # every certificate recomputed from it holds. verify, which never
-    # re-solves, takes each jet that solves its equation in its box
-    assert accepted == [("coeffs", 0, 0, 0)]
-    assert len(paths) == 9
+    # but the value coefficients: 0.0 in every cell of the demo, where F's
+    # derivative in u vanishes, so at 1e-6 the jet still solves its cell's
+    # equation within the solver's tolerance (F moves by 1e-18) and every
+    # certificate recomputed from it holds. verify, which never re-solves,
+    # takes each jet that solves its equation in its box
+    last = len(rec) - 1
+    assert accepted == [("coeffs", 0, 0, 0), ("coeffs", last, 0, 0)]
+    assert len(paths) == 8
 
 
 def _node_paths(node, at=()):
@@ -1163,43 +1258,42 @@ def test_verify_exits_2_on_a_structurally_corrupted_certificate(demo_dir, corrup
         assert verify(corrupted_dir) == 2
 
 
-def _tamper_cells(data, poly):
-    """One drawn structural tamper of a polynomial file's cells: a face moved
-    by a drawn amount, an end cell pushed out of the box, a bound set to
-    +-inf or NaN, a cell's lo and hi swapped, or a row dropped, duplicated
-    or swapped with another."""
-    cells, d = len(poly["lo"]), data.draw(st.integers(0, poly["space_dim"] - 1))
+def _tamper_cells(data, rec) -> np.ndarray:
+    """One drawn structural tamper of a polynomial file's records: a face
+    moved by a drawn amount, an end cell pushed out of the box, a bound set
+    to +-inf or NaN, a cell's lo and hi swapped, or a record dropped,
+    duplicated or swapped with another."""
+    rec = rec.copy()
+    cells, d = len(rec), data.draw(st.integers(0, rec["lo"].shape[1] - 1))
     kind = data.draw(st.sampled_from(["face", "push", "bound", "flip", "drop", "duplicate",
                                       "swap"]))
     if kind == "face":
         # every bound on the face moves, so the cells on both sides keep meeting
-        face = data.draw(st.sampled_from(sorted({row[d] for side in ("lo", "hi")
-                                                 for row in poly[side]})))
+        face = data.draw(st.sampled_from(sorted({float(x) for side in ("lo", "hi")
+                                                 for x in rec[side][:, d]})))
         moved = face + data.draw(st.floats(-4.0, 4.0))
-        for row in poly["lo"] + poly["hi"]:
-            if row[d] == face:
-                row[d] = moved
+        for side in ("lo", "hi"):
+            rec[side][rec[side][:, d] == face, d] = moved
     elif kind == "push":
         c = data.draw(st.sampled_from([0, cells - 1]))
         shift = data.draw(st.floats(0.0, 4.0)) * (-1.0 if c == 0 else 1.0)
         for side in ("lo", "hi"):
-            poly[side][c][d] += shift
+            rec[side][c, d] += shift
     elif kind == "bound":
         side, c = data.draw(st.sampled_from(["lo", "hi"])), data.draw(st.integers(0, cells - 1))
-        poly[side][c][d] = data.draw(st.sampled_from([np.inf, -np.inf, np.nan]))
+        rec[side][c, d] = data.draw(st.sampled_from([np.inf, -np.inf, np.nan]))
     elif kind == "flip":
         c = data.draw(st.integers(0, cells - 1))
-        poly["lo"][c], poly["hi"][c] = poly["hi"][c], poly["lo"][c]
-    else:
+        rec["lo"][c], rec["hi"][c] = rec["hi"][c].copy(), rec["lo"][c].copy()
+    else:  # a record is one cell's entries
         i, j = data.draw(st.integers(0, cells - 1)), data.draw(st.integers(0, cells - 1))
-        for key in ("lo", "hi", "anchors", "coeffs"):  # a row is one cell's entries
-            rows = poly[key]
-            if kind == "drop":
-                del rows[i]
-            elif kind == "duplicate":
-                rows.insert(j, rows[i])
-            else:
-                rows[i], rows[j] = rows[j], rows[i]
+        if kind == "drop":
+            rec = np.delete(rec, i)
+        elif kind == "duplicate":
+            rec = np.insert(rec, j, rec[i])
+        else:
+            rec[[i, j]] = rec[[j, i]]
+    return rec
 
 
 @pytest.fixture(scope="module")
@@ -1217,13 +1311,11 @@ def test_verify_rejects_every_structural_tamper_of_a_polynomial_file(
         demo_dir, tampered_cells_dir, data):
     # exit 2 unless the bounds still equal the originals by value, and every
     # line verify's own: no traceback, nothing on stderr, no warning
-    name = "stage1/poly.json"
-    original = json.loads((demo_dir / name).read_text())
-    poly = json.loads(json.dumps(original))
-    _tamper_cells(data, poly)
-    (tampered_cells_dir / name).write_text(json.dumps(poly))
-    same = all(np.array_equal(np.array(poly[side], dtype=float), original[side])
-               for side in ("lo", "hi"))
+    name = "stage1/poly.npy"
+    original = np.load(demo_dir / name)
+    rec = _tamper_cells(data, original)
+    np.save(tampered_cells_dir / name, rec)
+    same = all(np.array_equal(rec[side], original[side]) for side in ("lo", "hi"))
     out, err = io.StringIO(), io.StringIO()
     with (warnings.catch_warnings(), contextlib.redirect_stdout(out),
           contextlib.redirect_stderr(err)):
@@ -1238,7 +1330,7 @@ def test_verify_rejects_every_structural_tamper_of_a_polynomial_file(
 def test_verify_rejects_missing_or_foreign_dir(tmp_path, capsys):
     assert verify(tmp_path / "nothing_here") == 2
     assert "cannot read certificate" in capsys.readouterr().out
-    for schema in (1, 99):
+    for schema in (1, 2, 99):  # 2: the polynomials in JSON files
         (tmp_path / "certificate.json").write_text(f'{{"schema": {schema}}}')
         assert verify(tmp_path) == 2
         assert f"unsupported schema {schema}" in capsys.readouterr().out
@@ -1462,6 +1554,25 @@ def test_console_entry_point(tmp_path):
     )
     assert proc2.returncode == 0, proc2.stdout + proc2.stderr
     assert "RuntimeWarning" not in proc2.stderr
+
+
+def test_run_and_verify_leave_numpy_ma_unloaded(tmp_path):
+    # np.unique imports numpy.ma; neither command, run as
+    # `python -m ordercomplete.cli`, loads it
+    out = tmp_path / "out"
+    for argv in (["run", str(DEMOS / "manufactured_1d.spec"), "--gamma", "0.2", "--stages",
+                  "2", "--out", str(out)], ["verify", str(out)]):
+        proc = subprocess.run(
+            [sys.executable, "-c", "import runpy, sys\n"
+             "sys.argv[1:] = sys.argv[2:]\n"
+             "try:\n"
+             "    runpy.run_module('ordercomplete.cli', run_name='__main__', alter_sys=True)\n"
+             "except SystemExit as e:\n"
+             "    print('exit', e.code, 'numpy.ma' in sys.modules)\n", "-", *argv],
+            capture_output=True, text=True, env=_child_env(),
+        )
+        assert proc.returncode == 0 and proc.stderr == "", proc.stdout + proc.stderr
+        assert proc.stdout.splitlines()[-1] == "exit 0 False", proc.stdout
 
 
 def test_cli_import_loads_no_scipy():

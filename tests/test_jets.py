@@ -25,11 +25,10 @@ from ordercomplete.jets import (
     _check_tiling,
     _classify_grid,
     _interior_gather,
+    _record_dtype,
     artifact_json,
     assemble,
     deriv_eval,
-    poly_from_dict,
-    poly_to_dict,
     read_poly_json,
     sample_jets,
     write_poly_json,
@@ -53,6 +52,16 @@ def test_count_is_binomial():
         for m in (0, 1, 2, 3):
             mis = MultiIndexSet(n, m)
             assert mis.count == math.comb(n + m, m)
+
+
+def test_graded_lex_order_matches_the_filtered_product():
+    # the set is built from its own multi-indices, not by filtering all
+    # (m + 1)^n exponent tuples, so a large n with a small m costs its count
+    for n, m in itertools.product(range(1, 6), range(5)):
+        want = sorted((a for a in itertools.product(range(m + 1), repeat=n) if sum(a) <= m),
+                      key=lambda a: (sum(a), a))
+        assert list(MultiIndexSet(n, m).alphas) == want, (n, m)
+    assert MultiIndexSet(60, 1).count == 61
 
 
 def test_index_lookup_and_membership():
@@ -188,42 +197,31 @@ def test_cell_geometry_and_split():
         assert np.array_equal(_children(cells), want)
 
 
-def _poly_file(**change):
-    """A one-cell K = 1, n = 1, m = 1 polynomial file, with entries changed."""
-    data = {"space_dim": 1, "components": 1, "order": 1, "alphas": [[0], [1]],
-            "lo": [[0.0]], "hi": [[1.0]], "anchors": [[[0.5]]], "coeffs": [[[1.0, 2.0]]]}
-    data.update(change)
-    return data
+def _records(n=1, K=1, count=2, **change) -> np.ndarray:
+    """One cell's polynomial records, [0, 1]^n by default, with fields changed."""
+    rec = np.zeros(1, _record_dtype(n, K, count))
+    rec["hi"] = 1.0
+    for key, value in change.items():
+        rec[key] = value
+    return rec
 
 
-@pytest.mark.parametrize("change, message", [
-    ({"hi": [[1.0, 2.0]]}, "hi: expected shape (1, 1), found (1, 2)"),
-    ({"hi": [[0.0]]}, "empty extent"),
-    ({"lo": [[None]]}, "NaN"),
-    ({"hi": [[math.inf]]}, "must be finite"),
-    ({"anchors": [[[0.5, 0.5]]]}, "anchors: expected shape (1, 1, 1), found (1, 1, 2)"),
-    ({"coeffs": [[[1.0]]]}, "coeffs: expected shape (1, 1, 2), found (1, 1, 1)"),
-    ({"anchors": [[]], "coeffs": [[]]}, "anchors: expected shape (1, 1, 1), found (1, 0)"),
-    ({"lo": [[0.0], [0.0, 1.0]]}, "lo: setting an array element with a sequence"),
-], ids=["lo_hi_lengths", "empty_extent", "nan", "inf", "anchor_size", "coeff_size", "poly_count",
-        "ragged_rows"])
-def test_poly_from_dict_rejects_malformed_cells(change, message):
-    assert poly_from_dict(_poly_file()).cells == [Cell((0.0,), (1.0,))]
+@pytest.mark.parametrize("rec, message", [
+    (np.zeros(1, [("lo", "<f8", (1,)), ("hi", "<f8", (2,)), ("coeffs", "<f8", (1, 2))]),
+     "not a 1-D array of polynomial records"),
+    (_records(hi=0.0), "empty extent"),
+    (_records(lo=np.nan), "NaN"),
+    (_records(hi=np.inf), "must be finite"),
+    (_records(n=2, count=2), "not a 1-D array of polynomial records"),
+], ids=["lo_hi_lengths", "empty_extent", "nan", "inf", "coeff_size"])
+def test_read_poly_json_rejects_malformed_cells(tmp_path, rec, message):
+    # a count of 2 is no multi-index count in two variables (1, 3, 6, ...)
+    path = tmp_path / "poly.npy"
+    np.save(path, _records())
+    assert read_poly_json(path).cells == [Cell((0.0,), (1.0,))]
+    np.save(path, rec)
     with pytest.raises(ValueError, match=re.escape(message)):
-        poly_from_dict(_poly_file(**change))
-
-
-def test_poly_from_dict_rejects_off_center_anchors():
-    # every component's polynomial is anchored at its cell's center; the
-    # first cell with a stored anchor elsewhere is named
-    data = _poly_file(components=2, lo=[[0.0], [0.5]], hi=[[0.5], [1.0]],
-                      anchors=[[[0.25], [0.25]], [[0.75], [0.5]]],
-                      coeffs=[[[1.0, 2.0]] * 2] * 2)
-    with pytest.raises(ValueError, match=re.escape("anchors: cell 1 is not anchored at its "
-                                                   "center")):
-        poly_from_dict(data)
-    data["anchors"][1][1] = [0.75]
-    assert json.loads(artifact_json(poly_to_dict(poly_from_dict(data)))) == data
+        read_poly_json(path)
 
 
 # ---------------------------------------------------------------------------
@@ -278,20 +276,17 @@ def test_assemble_dyadic_2x2_cross():
         assert np.array_equal(s.values, normalize(s).values)
 
 
-def test_assemble_rejects_overlap_and_gap():
-    # sample_jets, given the bare lattice, checks the tiling as assemble does
-    mis = MultiIndexSet(1, 1)
+def test_tiling_rejects_overlap_and_gap():
     dom = GridDomain([0.0], [1.0], (9,))
-    for fn in (assemble, sample_jets):
-        with pytest.raises(TilingError):
-            fn(_const_polys(mis, [[[0.0], [0.7]], [[0.5], [1.0]]], [0.0, 1.0]), dom)
-        with pytest.raises(TilingError):
-            fn(_const_polys(mis, [[[0.0], [0.25]], [[0.5], [1.0]]], [0.0, 1.0]), dom)
-        # the overlap [0.26, 0.3] holds no lattice point, nor does the hole
-        # [0.5, 0.54]; the overlap is named first
-        sliver = [[[0.0], [0.5]], [[0.26], [0.3]], [[0.54], [1.0]]]
-        with pytest.raises(TilingError, match="overlapping interiors"):
-            fn(_const_polys(mis, sliver, [0.0, 1.0, 2.0]), dom)
+    with pytest.raises(TilingError, match="overlapping interiors"):
+        _check_tiling(np.array([[[0.0], [0.7]], [[0.5], [1.0]]]), dom.lo, dom.hi)
+    with pytest.raises(TilingError, match="hole"):
+        _check_tiling(np.array([[[0.0], [0.25]], [[0.5], [1.0]]]), dom.lo, dom.hi)
+    # the overlap [0.26, 0.3] holds no lattice point, nor does the hole
+    # [0.5, 0.54]; the overlap is named first
+    sliver = np.array([[[0.0], [0.5]], [[0.26], [0.3]], [[0.54], [1.0]]])
+    with pytest.raises(TilingError, match="overlapping interiors"):
+        _check_tiling(sliver, dom.lo, dom.hi)
 
 
 @pytest.mark.parametrize("cells, shape, message", [
@@ -306,10 +301,8 @@ def test_tiling_rejects_a_cell_outside_the_box(cells, shape, message):
     # overlap test and the lattice cover test all passed these
     n = len(shape)
     dom = GridDomain([0.0] * n, [1.0] * n, shape)
-    v = _const_polys(MultiIndexSet(n, 1), cells, [0.0, 1.0])
-    for fn in (assemble, sample_jets):
-        with pytest.raises(TilingError, match=re.escape(f"{message} reaches outside the box")):
-            fn(v, dom)
+    with pytest.raises(TilingError, match=re.escape(f"{message} reaches outside the box")):
+        _check_tiling(np.array(cells), dom.lo, dom.hi)
 
 
 def test_sample_jets_marks_its_own_skeleton():
@@ -334,8 +327,6 @@ def test_sample_jets_marks_its_own_skeleton():
 def test_empty_cell_list_is_a_tiling_error():
     dom = GridDomain([0.0, 0.0], [1.0, 1.0], (5, 5))
     empty = np.empty((0, 2, 2))
-    with pytest.raises(TilingError):
-        assemble(_const_polys(MultiIndexSet(2, 1), empty, []), dom)
     with pytest.raises(TilingError, match="hole"):
         _check_tiling(empty, dom.lo, dom.hi)
     with pytest.raises(TilingError):
@@ -521,8 +512,8 @@ def test_skeleton_differs_from_face_rule_only_where_the_tiling_check_fails():
     # the middle cell overlaps the last on (0.75, 0.77), which holds no
     # lattice point, so both classifiers accept: the face rule marks 0.75,
     # the last cell's lower face, although the middle cell holds it
-    # strictly inside; the skeleton leaves it unmarked, and assemble
-    # rejects the overlap before any mark is made
+    # strictly inside; the skeleton leaves it unmarked, and the tiling
+    # check, which runs before any mark is made, rejects the overlap
     cells = np.array([[[0.0], [0.25]], [[0.27], [0.77]], [[0.75], [1.0]]])
     dom = GridDomain([0.0], [1.0], (9,))
     owner, face_rule = _reference_classify(cells, dom)
@@ -532,10 +523,8 @@ def test_skeleton_differs_from_face_rule_only_where_the_tiling_check_fails():
     assert skeleton.tolist() == [True, False, True, False, False, False, False, False, True]
     assert np.array_equal(skeleton, gathered < 0)
     assert owner[6] == -1 and gathered[6] == 1
-    mis = MultiIndexSet(1, 0)
-    v = PiecewisePoly(cells, np.zeros((3, 1, 1)), mis)
     with pytest.raises(TilingError, match="overlapping interiors"):
-        assemble(v, dom)
+        _check_tiling(cells, dom.lo, dom.hi)
 
 
 def _reference_deriv_many(p, alpha, pts):
@@ -604,33 +593,35 @@ def test_sample_jets_single_cell_smooth():
 
 
 def test_poly_json_round_trip(tmp_path):
+    # a polynomial file is one array of records that numpy.load reads as it
+    # is; every bound and coefficient comes back bit for bit
     mis = MultiIndexSet(2, 1)
-    dom = GridDomain([0.0, 0.0], [1.0, 1.0], (9, 9))
     cells = _children(np.array([[[0.0, 0.0], [1.0, 1.0]]]))
     rng = np.random.default_rng(71)
-    v = PiecewisePoly(cells, rng.normal(size=(4, 1, mis.count)), mis)
-    assemble(v, dom)
-    d = json.loads(artifact_json(poly_to_dict(v)))
-    assert d["lo"][1] == [0.0, 0.5] and d["hi"][1] == [0.5, 1.0]
-    v2 = poly_from_dict(d)
-    assert v2.space_dim == v.space_dim and v2.order == v.order
+    v = PiecewisePoly(cells, rng.normal(size=(4, 2, mis.count)), mis)
+    v.coeffs[0, 0, 0] = -0.0
+    path = tmp_path / "v.npy"
+    write_poly_json(v, path)
+    rec = np.load(path)
+    assert rec.dtype == _record_dtype(2, 2, 3) and rec.shape == (4,)
+    assert rec[1]["lo"].tolist() == [0.0, 0.5] and rec[1]["hi"].tolist() == [0.5, 1.0]
+    v2 = read_poly_json(path)
+    assert (v2.space_dim, v2.components, v2.order) == (2, 2, 1) and v2.mis == mis
     assert v2.cells == v.cells == [Cell(tuple(lo), tuple(hi)) for lo, hi in cells.tolist()]
-    assert d["anchors"] == [[c] for c in _centers(cells).tolist()]
     for a in ("bounds", "coeffs"):
-        assert np.array_equal(getattr(v2, a), getattr(v, a))
+        got, want = getattr(v2, a), getattr(v, a)
+        assert got.flags.c_contiguous and np.array_equal(got.view(np.int64), want.view(np.int64))
+    pts = rng.uniform(0, 1, size=(50, 2))
     for ps1, ps2 in zip(v.polys, v2.polys):
         for p1, p2 in zip(ps1, ps2):
-            assert np.array_equal(p1.coeffs, p2.coeffs)
             assert np.array_equal(p1.anchor, p2.anchor)
-    path = tmp_path / "v.json"
-    write_poly_json(v, path)
-    v3 = read_poly_json(path)
-    assert v3.cells == v.cells
-    pts = rng.uniform(0, 1, size=(50, 2))
-    for ci in range(len(v.cells)):
-        assert np.array_equal(
-            v.polys[ci][0].deriv_many((0, 0), pts), v3.polys[ci][0].deriv_many((0, 0), pts)
-        )
+            assert np.array_equal(p1.deriv_many((0, 0), pts), p2.deriv_many((0, 0), pts))
+    # the order follows from the multi-index count alone
+    for n, m in ((1, 0), (1, 4), (3, 2)):
+        w = PiecewisePoly(np.array([[[0.0] * n, [1.0] * n]]),
+                          np.ones((1, 1, MultiIndexSet(n, m).count)), MultiIndexSet(n, m))
+        write_poly_json(w, path)
+        assert read_poly_json(path).order == m
 
 
 # ---------------------------------------------------------------------------

@@ -701,3 +701,22 @@ def test_interior_every_sample_faults():
     assert not ev.supported and ev.margin_min == float("-inf")
     _assert_same_evidence(ev, _reference_interior(sys1, [0.5], box, ref_rng),
                           rng, ref_rng)
+
+
+def test_row_norms_equal_numpy_norm_bit_for_bit():
+    # rows spanning 1e-300 to 1e300, with zero, subnormal, overflowing and
+    # signed-zero rows, in the probe's (rows, width) and (A, S, d) layouts
+    rng = np.random.default_rng(29)
+    for width in range(1, 21):
+        for shape in ((64,), (3, 40)):
+            a = (rng.normal(size=(*shape, width))
+                 * 10.0 ** rng.integers(-300, 301, size=(*shape, width)))
+            rows = a.reshape(-1, width)
+            rows[0], rows[1], rows[2], rows[3] = 0.0, 5e-324, 1e308, -0.0
+            rows[4, 0] = 2.5e-320
+            with np.errstate(over="ignore", under="ignore"):
+                want = np.linalg.norm(a, axis=-1)
+                got = pde._row_norms(a)
+            assert got.shape == want.shape
+            assert np.array_equal(got.view(np.int64), want.view(np.int64)), (width, shape)
+

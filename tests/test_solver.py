@@ -1057,6 +1057,57 @@ def test_each_candidate_classified_once_per_lattice(monkeypatch, tmp_path):
     assert calls() == per(1 + N, applied=1)
 
 
+def test_each_polynomial_tiling_checked_once(monkeypatch, tmp_path):
+    # the tiling of a candidate is checked where it enters, once: in run as
+    # its subdivision ends (the global pair's cells once for both
+    # polynomials), in verify as each file is read; sampling checks none
+    from ordercomplete import cli, jets, solver
+
+    checked = []
+
+    def counted(cells, lo, hi):
+        checked.append(len(cells))
+        return check_tiling(cells, lo, hi)
+
+    check_tiling = jets._check_tiling
+    for module in (jets, solver, cli):
+        monkeypatch.setattr(module, "_check_tiling", counted)
+    spec = tmp_path / "transport.spec"
+    spec.write_text("n = 1\nK = 1\nm = 1\nbox.lo = 0\nbox.hi = 1\ngrid = 129\n"
+                    "F1 = u[1,(1)] + u[1,(0)]^3\nf1 = cos(x1) + sin(x1)^3\n")
+    N = 3
+    out = tmp_path / "out"
+    assert cli.main(["run", str(spec), "--gamma", "0.4", "--stages", str(N),
+                     "--out", str(out), "--no-samples"]) == 0
+    assert len(checked) == 1 + N
+    ran, checked[:] = list(checked), []
+    assert cli.verify(out) == 0
+    assert checked == [ran[0], *ran]  # the global lower and upper files, then the stages
+
+
+@pytest.mark.parametrize("lost", [0, -1], ids=["first", "last"])
+def test_run_rejects_a_candidate_that_does_not_tile(monkeypatch, lost):
+    # sampling takes a candidate's tiling as given, so global_pair and
+    # refine check the cells their subdivision accepts: one that loses a
+    # cell fails them with the hole it leaves
+    from ordercomplete import solver
+
+    def losing(*args, **kwargs):
+        cells, payloads = subdivide(*args, **kwargs)
+        keep = np.arange(len(cells)) != np.arange(len(cells))[lost]
+        return cells[keep], payloads[keep]
+
+    subdivide = solver._subdivide
+    sys = _transport(1)
+    dom = GridDomain([0.0], [1.0], (129,))
+    tiling = _probed(sys, _tiling(dom.lo, dom.hi, 0.25), 0.05, np.full(4, 0.2))
+    monkeypatch.setattr(solver, "_subdivide", losing)
+    with pytest.raises(TilingError, match="leave a hole"):
+        global_pair(sys, dom, 0.4)
+    with pytest.raises(TilingError, match="leave a hole"):
+        refine(sys, dom, tiling, None, 1, 0.05)
+
+
 def test_one_skeleton_fill_per_sampling(monkeypatch):
     # a guard without timing: a fill per field would make M calls in
     # sample_jets and 4M + K in stage_certificates
