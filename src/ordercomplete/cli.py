@@ -42,7 +42,7 @@ from .checker import (ConstructionError, _inner_boxes, apeq_certificate, band_to
                       certified_stage, check_jets, jcell_boxes, scheme_convergence,
                       scheme_verdict, stage_bands, tile_domain)
 
-_SCHEMA = 3
+_SCHEMA = 4
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +182,7 @@ def _cert_dict(c) -> dict:
 
 def _stage_file(n: int) -> str:
     """The polynomial file of stage n, relative to the run directory."""
-    return f"stage{n}/poly.npy"
+    return f"stage{n}.npy"
 
 
 _GLOBAL_FILES = {"lower": "global_lower.npy", "upper": "global_upper.npy"}
@@ -352,28 +352,25 @@ def _certificate(config: dict, system: PdeSystem, exact, assumption: dict, gp,
 
 def _write_artifacts(out: Path, system: PdeSystem, gp, scheme, cert: dict,
                      emit_samples: bool) -> None:
-    """The run directory out, made with its parents, and its files: gp's
-    and each stage's polynomials, the CSV samples if emit_samples, then the
-    certificate and its summary."""
+    """The run directory out, made with its parents, and its files, with no
+    subdirectory: gp's and each stage's polynomials, if emit_samples one
+    CSV file per stage (stageN.csv: T V_n per component, then each jet
+    variable's sample and band) and one of f (f.csv), then the certificate
+    and its summary."""
     out.mkdir(parents=True, exist_ok=True)
     write_poly_json(gp.lower, out / _GLOBAL_FILES["lower"])
     write_poly_json(gp.upper, out / _GLOBAL_FILES["upper"])
     tags = [_var_tag(i, a) for i, a in system.flat_vars()]
     for st, tv, bands, samples in zip(scheme.stages, scheme.tv_by_stage,
                                       scheme.bands_by_stage, scheme.samples_by_stage):
-        sdir = (out / _stage_file(st.n)).parent
-        sdir.mkdir(exist_ok=True)
         write_poly_json(st.v, out / _stage_file(st.n))
         if emit_samples:
-            for j in range(system.K):
-                write_atomic(sdir / f"tv_u{j + 1}.csv", tv[j])
+            columns = {f"tv_u{j + 1}": g for j, g in enumerate(tv)}
             for tag, d, (lo, hi) in zip(tags, samples, bands):
-                write_atomic(sdir / f"d_{tag}.csv", d)
-                write_atomic(sdir / f"lo_{tag}.csv", lo)
-                write_atomic(sdir / f"hi_{tag}.csv", hi)
+                columns.update({f"d_{tag}": d, f"lo_{tag}": lo, f"hi_{tag}": hi})
+            write_atomic(out / f"stage{st.n}.csv", columns)
     if emit_samples:
-        for j in range(system.K):
-            write_atomic(out / f"f{j + 1}.csv", scheme.f_samples[j])
+        write_atomic(out / "f.csv", {f"f{j + 1}": g for j, g in enumerate(scheme.f_samples)})
     write_atomic(out / "certificate.json", artifact_json(cert))
     write_atomic(out / "summary.txt", _summary_text(cert, len(gp.cells)))
 

@@ -25,7 +25,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -116,15 +116,12 @@ class GridDomain:
         return np.meshgrid(*(self.axis(d) for d in range(self.ndim)), indexing="ij")
 
     @functools.cached_property
-    def _csv_rows(self) -> list[str | None]:
-        """write_csv's text of this domain, each row's value left None: [header +
-        row 0's coordinates, None, row 0's flag + row 1's coordinates, ...]."""
+    def _csv_rows(self) -> list[str]:
+        """write_csv's text of this domain between its rows' values: [row 0's
+        coordinates, row 0's flag + row 1's coordinates, ..., the last flag]."""
         coords = self._csv_coords()
         flags = np.where(self.skeleton.reshape(-1), ",1\r\n", ",0\r\n").tolist()
-        header = "".join(f"x{d + 1}," for d in range(self.ndim)) + "value,skeleton\r\n"
-        rows: list[str | None] = [None] * (2 * len(coords) + 1)
-        rows[::2] = [header + coords[0], *map(str.__add__, flags, coords[1:]), flags[-1]]
-        return rows
+        return [coords[0], *map(str.__add__, flags, coords[1:]), flags[-1]]
 
     def with_skeleton(self, skeleton: np.ndarray) -> "GridDomain":
         other = GridDomain(self.lo, self.hi, self.shape, skeleton)
@@ -489,50 +486,82 @@ def _format_distinct(values: np.ndarray, special: dict[str, str]) -> list[str]:
     return text[where].tolist()
 
 
-def _parse_value(s: str) -> float:
-    if s == "+inf":
-        return _INF
-    if s == "-inf":
-        return -_INF
-    return float(s)
+# rows per write: a file is never built as one string
+_CSV_BLOCK = 512
 
 
-def write_csv(gf: GridFunction, path) -> None:
-    """One row per lattice point in C order: coordinates, value, skeleton flag.
+def write_csv(columns: Mapping[str, GridFunction], path) -> None:
+    """One row per lattice point in C order: coordinates, the value of each
+    column (a name to GridFunction mapping, all on one domain, else a
+    ValueError), skeleton flag; write_csv({"value": gf}, path) writes one.
 
     The bytes are those csv.writer gives (fields joined by ",", rows ended
-    by "\r\n", no field quoted). The coordinate text is built once per
-    lattice and the flags once per domain (GridDomain._csv_rows); the values'
-    text (_format_distinct) fills a copy of it. Skeleton points copy a
-    neighbour's value, so a file holds few distinct values.
+    by "\r\n", no field quoted, the names written as they are). The
+    coordinate text is built once per lattice and the flags once per
+    domain (GridDomain._csv_rows); the values' text (_format_distinct, one
+    call per column, so no array of the whole file is made) fills the gaps
+    between them, _CSV_BLOCK rows per write. Skeleton points copy a
+    neighbour's value, so a column holds few distinct values.
     """
-    rows = gf.domain._csv_rows.copy()
-    rows[1::2] = _format_distinct(gf.values, {"inf": "+inf"})
+    gfs = list(columns.values())
+    for g in gfs[1:]:
+        _require_same_domain(gfs[0], g)
+    domain, k = gfs[0].domain, len(gfs)
+    joins = domain._csv_rows
+    texts = [_format_distinct(g.values, {"inf": "+inf"}) for g in gfs]
     with open(path, "w", newline="") as fh:
-        fh.write("".join(rows))
+        fh.write("".join(f"x{d + 1}," for d in range(domain.ndim))
+                 + ",".join(columns) + ",skeleton\r\n")
+        for start in range(0, len(joins) - 1, _CSV_BLOCK):
+            stop = min(start + _CSV_BLOCK, len(joins) - 1)
+            # per row: the text before its first value, then value, ",", value, ...
+            parts = [","] * (2 * k * (stop - start))
+            parts[::2 * k] = joins[start:stop]
+            for j, column in enumerate(texts):
+                parts[2 * j + 1::2 * k] = column[start:stop]
+            fh.write("".join(parts))
+        fh.write(joins[-1])
 
 
-def read_csv(path) -> GridFunction:
+def read_csv(path) -> dict[str, GridFunction]:
+    """The columns of a file write_csv wrote, by name, on one domain, or a
+    ValueError: the header must be x1,...,xn, distinct names, skeleton,
+    every row as wide as it, every flag 0 or 1, and the rows must hold each
+    point of the regular lattice their coordinates span exactly once."""
     import csv  # no `run` or `verify` reads a CSV file
 
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, [])
         rows = list(reader)
-    if len(header) < 3 or header[-2] != "value" or header[-1] != "skeleton":
-        raise ValueError("expected coordinate columns followed by value,skeleton")
-    n = len(header) - 2
-    coords = [[float(r[d]) for d in range(n)] for r in rows]
-    axes = [np.array(sorted({c[d] for c in coords})) for d in range(n)]
-    shape = tuple(len(a) for a in axes)
-    if int(np.prod(shape)) != len(rows):
+    n = next(d for d in itertools.count() if d == len(header) or header[d] != f"x{d + 1}")
+    names = header[n:-1]
+    if not (n and names and header[-1] == "skeleton" and len(set(names)) == len(names)):
+        raise ValueError("expected the header x1,...,xn, then distinct column names, "
+                         "then skeleton")
+    if not rows or any(len(r) != len(header) for r in rows):
+        raise ValueError(f"expected rows of {len(header)} fields")
+    cols = list(zip(*rows))
+    coords = np.array(cols[:n], dtype=float)
+    axes = [np.unique(c) for c in coords]
+    shape = tuple(map(len, axes))
+    if math.prod(shape) != len(rows):
         raise ValueError("rows do not form a full lattice")
-    index_of = [{v: i for i, v in enumerate(a)} for a in axes]
-    values = np.empty(shape)
-    skel = np.zeros(shape, dtype=bool)
-    for r, c in zip(rows, coords):
-        idx = tuple(index_of[d][c[d]] for d in range(n))
-        values[idx] = _parse_value(r[n])
-        skel[idx] = bool(int(r[n + 1]))
-    domain = GridDomain([a[0] for a in axes], [a[-1] for a in axes], shape, skel)
-    return GridFunction(domain, values)
+    at = np.ravel_multi_index([np.searchsorted(a, c) for a, c in zip(axes, coords)], shape)
+    seen = np.zeros(len(rows), dtype=bool)
+    seen[at] = True
+    if not seen.all():
+        raise ValueError("rows must hold each lattice point exactly once")
+    if not set(cols[-1]) <= {"0", "1"}:
+        raise ValueError("skeleton flags must be 0 or 1")
+    skel = np.empty(len(rows), dtype=bool)
+    skel[at] = np.array(cols[-1]) == "1"
+    domain = GridDomain([a[0] for a in axes], [a[-1] for a in axes], shape, skel.reshape(shape))
+    if not all(np.array_equal(a, domain.axis(d)) for d, a in enumerate(axes)):
+        raise ValueError("coordinates are not the regular lattice of their box")
+    out = {}
+    for name, col in zip(names, cols[n:-1]):
+        values = np.empty(len(rows))
+        values[at] = np.array(col, dtype=float)
+        out[name] = GridFunction(domain, values.reshape(shape))
+    return out

@@ -25,6 +25,7 @@ grids. One rule, _interior_ranges, answers both lattice questions.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
 import json
@@ -492,19 +493,25 @@ def float_array(stored, shape: tuple[int, ...], name: str) -> np.ndarray:
     return a
 
 
-def write_atomic(path, content: str | GridFunction | np.ndarray) -> None:
-    """Write content, text, a GridFunction as CSV or an array as .npy, to a
-    file beside path, then move it over path."""
+def write_atomic(path, content: str | dict[str, GridFunction] | np.ndarray) -> None:
+    """Write content, text, named GridFunctions as one CSV file (write_csv)
+    or an array as .npy, to a file beside path, then move it over path. On
+    any failure the file beside path is removed and the error re-raised."""
     tmp = f"{path}.tmp"
-    if isinstance(content, GridFunction):
-        write_csv(content, tmp)
-    elif isinstance(content, np.ndarray):
-        with open(tmp, "wb") as fh:
-            np.lib.format.write_array(fh, content, allow_pickle=False)
-    else:
-        with open(tmp, "w") as fh:
-            fh.write(content)
-    os.replace(tmp, path)
+    try:
+        if isinstance(content, dict):
+            write_csv(content, tmp)
+        elif isinstance(content, np.ndarray):
+            with open(tmp, "wb") as fh:
+                np.lib.format.write_array(fh, content, allow_pickle=False)
+        else:
+            with open(tmp, "w") as fh:
+                fh.write(content)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):  # it may never have been made
+            os.remove(tmp)
+        raise
 
 
 def _record_dtype(n: int, K: int, count: int) -> np.dtype:

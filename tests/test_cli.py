@@ -158,22 +158,22 @@ def run_dir(tmp_path_factory):
 
 
 def test_run_writes_expected_artifacts(run_dir):
-    for name in ("certificate.json", "summary.txt",
-                 "global_lower.npy", "global_upper.npy", "f1.csv"):
-        assert (run_dir / name).is_file()
+    # a flat directory: 2N + 5 files, one CSV file per stage and one of f
+    assert sorted(p.name for p in run_dir.iterdir()) == [
+        "certificate.json", "f.csv", "global_lower.npy", "global_upper.npy",
+        "stage1.csv", "stage1.npy", "stage2.csv", "stage2.npy", "summary.txt"]
+    assert all(p.is_file() for p in run_dir.iterdir())
     for n in (1, 2):
-        sdir = run_dir / f"stage{n}"
-        assert (sdir / "poly.npy").is_file()
-        assert (sdir / "tv_u1.csv").is_file()
-        for tag in ("u1_a0", "u1_a1"):
-            for prefix in ("d", "lo", "hi"):
-                assert (sdir / f"{prefix}_{tag}.csv").is_file()
+        header = (run_dir / f"stage{n}.csv").read_bytes().split(b"\r\n", 1)[0]
+        assert header == (b"x1,tv_u1,d_u1_a0,lo_u1_a0,hi_u1_a0,"
+                          b"d_u1_a1,lo_u1_a1,hi_u1_a1,skeleton")
+    assert (run_dir / "f.csv").read_bytes().startswith(b"x1,f1,skeleton\r\n")
     cert = json.loads((run_dir / "certificate.json").read_text())
     assert cert["verdict"] == "pass"
-    assert cert["schema"] == 3
+    assert cert["schema"] == 4
     assert cert["global_pair"]["files"] == {"lower": "global_lower.npy",
                                             "upper": "global_upper.npy"}
-    assert [s["file"] for s in cert["stages"]] == ["stage1/poly.npy", "stage2/poly.npy"]
+    assert [s["file"] for s in cert["stages"]] == ["stage1.npy", "stage2.npy"]
     assert cert["problem"]["exact"] == ["sin(x1)"]
     assert cert["assumption"]["interior"]["supported"] is True
     assert "not a proof" in cert["assumption"]["note"]
@@ -185,17 +185,19 @@ def test_run_writes_expected_artifacts(run_dir):
 
 
 def test_run_csv_files_match_the_row_loop_reference(run_dir, tmp_path):
-    # every CSV file of the run, all rendered from one domain's cached row
-    # text, has the bytes the csv.writer row loop gives its contents
+    # every CSV file of the run, each rendered from one domain's cached row
+    # text, has the bytes the csv.writer row loop gives its columns
     from test_grids import _reference_write_csv
 
     from ordercomplete.grids import read_csv
 
-    paths = sorted(run_dir.rglob("*.csv"))
-    assert len(paths) == 1 + 2 * 7  # f1, then tv_u1 and d, lo, hi of two tags per stage
+    paths = sorted(run_dir.glob("*.csv"))
+    assert [p.name for p in paths] == ["f.csv", "stage1.csv", "stage2.csv"]
     want = tmp_path / "want.csv"
-    for path in paths:
-        _reference_write_csv(read_csv(path), want)
+    for path, width in zip(paths, (1, 7, 7)):  # f1; tv_u1 and d, lo, hi of two tags
+        columns = read_csv(path)
+        assert len(columns) == width
+        _reference_write_csv(columns, want)
         assert path.read_bytes() == want.read_bytes(), path
 
 
@@ -209,8 +211,7 @@ def test_artifacts_are_one_line_of_compact_json(run_dir):
 def test_polynomial_files_are_arrays_of_cell_records(run_dir):
     # numpy.load reads each polynomial file without pickle: one record per
     # cell, its corners, then its coefficients (components, multi-indices)
-    for name in ("global_lower.npy", "global_upper.npy", "stage1/poly.npy",
-                 "stage2/poly.npy"):
+    for name in ("global_lower.npy", "global_upper.npy", "stage1.npy", "stage2.npy"):
         rec = np.load(run_dir / name, allow_pickle=False)
         assert rec.ndim == 1 and len(rec) > 0, name
         assert rec.dtype == np.dtype([("lo", "<f8", (1,)), ("hi", "<f8", (1,)),
@@ -227,10 +228,10 @@ def test_run_deterministic(run_dir, tmp_path):
     ])
     assert code == 0
     # the whole directory: the same files, each with the same bytes
-    files = sorted(p.relative_to(run_dir) for p in run_dir.rglob("*") if p.is_file())
-    assert files == sorted(p.relative_to(out2) for p in out2.rglob("*") if p.is_file())
-    assert len(files) == 21  # certificate, summary, f1 and two global and two stage files,
-    for f in files:          # and the poly file, tv_u1 and six band CSV files per stage
+    files = sorted(p.relative_to(run_dir) for p in run_dir.rglob("*"))
+    assert files == sorted(p.relative_to(out2) for p in out2.rglob("*"))
+    assert len(files) == 9  # certificate, summary, f.csv, two global polynomial
+    for f in files:         # files, and a polynomial and a CSV file per stage
         assert (out2 / f).read_bytes() == (run_dir / f).read_bytes(), f
 
 
@@ -239,14 +240,15 @@ def test_run_no_samples_flag(tmp_path):
     spec.write_text(GOOD_SPEC)
     out = tmp_path / "lean"
     code = main([
-        "run", str(spec), "--gamma", "0.4", "--stages", "1",
+        "run", str(spec), "--gamma", "0.4", "--stages", "2",
         "--out", str(out), "--no-samples",
     ])
     assert code == 0
-    assert (out / "certificate.json").is_file()
-    assert not (out / "f1.csv").exists()
-    assert not (out / "stage1" / "tv_u1.csv").exists()
-    assert (out / "stage1" / "poly.npy").is_file()  # certificates still complete
+    # the samples run's files but the CSV files: the certificates still complete
+    assert sorted(p.name for p in out.iterdir()) == [
+        "certificate.json", "global_lower.npy", "global_upper.npy", "stage1.npy",
+        "stage2.npy", "summary.txt"]
+    assert all(p.is_file() for p in out.iterdir())
 
 
 def test_grid_flag_overrides_file(tmp_path):
@@ -415,13 +417,26 @@ def test_run_exit3_on_unusable_out_path(tmp_path, capsys):
                      "--out", str(out)]) == 3
         text = capsys.readouterr().out
         assert text.startswith("output error: ") and text.count("\n") == 1
-    # the directory is made, but a stage directory cannot be
+    # the directory is made, but a stage's file cannot be: its name is a
+    # directory
     out = tmp_path / "blocked"
-    out.mkdir()
-    (out / "stage1").write_text("")
+    (out / "stage1.npy").mkdir(parents=True)
     assert main(["run", spec, "--gamma", "0.4", "--stages", "1", "--out", str(out)]) == 3
     assert capsys.readouterr().out.startswith("output error: ")
     assert not (out / "certificate.json").exists()
+
+
+def test_run_leaves_no_temporary_file_when_a_write_fails(tmp_path, capsys):
+    # summary.txt, the last file written, is a directory: its temporary
+    # sibling is written, cannot replace it, and is removed
+    spec = _write(tmp_path, GOOD_SPEC)
+    out = tmp_path / "blocked"
+    (out / "summary.txt").mkdir(parents=True)
+    assert main(["run", spec, "--gamma", "0.4", "--stages", "1", "--out", str(out)]) == 3
+    text = capsys.readouterr().out
+    assert text.startswith("output error: ") and "Is a directory" in text
+    assert list(out.glob("*.tmp")) == []
+    assert (out / "certificate.json").is_file() and (out / "summary.txt").is_dir()
 
 
 def test_run_exit3_on_box_too_narrow_for_grid(tmp_path, capsys):
@@ -483,9 +498,9 @@ def test_verify_detects_tampered_margin(run_dir, tmp_path, capsys):
 def test_verify_detects_tampered_polynomial(run_dir, tmp_path, capsys):
     copy = tmp_path / "tampered_poly"
     shutil.copytree(run_dir, copy)
-    rec = np.load(copy / "stage1" / "poly.npy")
+    rec = np.load(copy / "stage1.npy")
     rec["coeffs"][0, 0, 0] += 0.05
-    np.save(copy / "stage1" / "poly.npy", rec)
+    np.save(copy / "stage1.npy", rec)
     assert verify(copy) == 2
     assert "MISMATCH" in capsys.readouterr().out
 
@@ -763,7 +778,7 @@ def _records_of(rec, n, K, count):
     return out
 
 
-@pytest.mark.parametrize("name", ["stage1/poly.npy", "global_upper.npy"])
+@pytest.mark.parametrize("name", ["stage1.npy", "global_upper.npy"])
 def test_verify_rejects_foreign_signature_polynomial(run_dir, tmp_path, capsys, name):
     # K=2, m=0 has as many flat jet variables as the system's K=1, m=1 in
     # one dimension, so only the signature check tells the two apart
@@ -784,13 +799,13 @@ def test_verify_detects_overlapping_j_cells(run_dir, tmp_path, capsys):
     copy = tmp_path / "tampered_tiling"
     shutil.copytree(run_dir, copy)
     cert = json.loads((copy / "certificate.json").read_text())
-    rec = np.load(copy / "stage1" / "poly.npy")
+    rec = np.load(copy / "stage1.npy")
     shift = 0.5 * (rec["hi"][0, 0] - rec["lo"][0, 0])
     assert rec["hi"][0, 0] in rec["lo"][1:, 0]  # a neighbour
     j_cell = cert["stages"][0]["j_cells"][0][0]
     for row in (rec["lo"][0], rec["hi"][0], j_cell["lo"], j_cell["hi"]):
         row[0] += shift
-    np.save(copy / "stage1" / "poly.npy", rec)
+    np.save(copy / "stage1.npy", rec)
     (copy / "certificate.json").write_text(json.dumps(cert))
     assert verify(copy) == 2
     out = capsys.readouterr().out
@@ -880,17 +895,17 @@ def test_verify_rejects_a_j_cell_outside_the_box(demo_dir, tmp_path, capsys):
         copy = tmp_path / f"outside{fraction}"
         shutil.copytree(demo_dir, copy)
         cert = json.loads((copy / "certificate.json").read_text())
-        rec = np.load(copy / "stage1" / "poly.npy")
+        rec = np.load(copy / "stage1.npy")
         j_cell = cert["stages"][0]["j_cells"][-1][-1]
         assert j_cell == {"lo": rec["lo"][-1].tolist(), "hi": rec["hi"][-1].tolist()}
         assert rec["hi"][-1].tolist() == cert["problem"]["box_hi"]
         shift = fraction * (rec["hi"][-1, 0] - rec["lo"][-1, 0])
         for row in (rec["lo"][-1], rec["hi"][-1], j_cell["lo"], j_cell["hi"]):
             row[0] += shift
-        np.save(copy / "stage1" / "poly.npy", rec)
+        np.save(copy / "stage1.npy", rec)
         (copy / "certificate.json").write_text(json.dumps(cert))
         assert _verify_quietly(copy, capsys) == (2, [
-            f"verify: artifact inconsistency: stage1/poly.npy: cell {len(rec) - 1} "
+            f"verify: artifact inconsistency: stage1.npy: cell {len(rec) - 1} "
             f"{[rec['lo'][-1].tolist(), rec['hi'][-1].tolist()]} reaches outside the box"])
 
 
@@ -901,9 +916,9 @@ def test_verify_names_the_file_of_an_infinite_face(demo_dir, tmp_path, capsys, b
     def infinite_face(rec):
         rec["hi"][-1, 0] = bound
 
-    copy = _tampered(demo_dir, tmp_path, "stage1/poly.npy", infinite_face)
+    copy = _tampered(demo_dir, tmp_path, "stage1.npy", infinite_face)
     assert _verify_quietly(copy, capsys) == (2, [
-        "verify: artifact inconsistency: stage1/poly.npy: cell bounds must be finite, "
+        "verify: artifact inconsistency: stage1.npy: cell bounds must be finite, "
         "not NaN or +-inf"])
 
 
@@ -969,7 +984,7 @@ def test_verify_names_a_malformed_polynomial_file(demo_dir, tmp_path, capsys, ma
                                                   message):
     # whatever the file holds, verify reads it as exit 2 naming the file:
     # no traceback, nothing on stderr, no warning
-    name = "stage1/poly.npy"
+    name = "stage1.npy"
     copy = tmp_path / "malformed"
     shutil.copytree(demo_dir, copy)
     raw = (copy / name).read_bytes()
@@ -1183,7 +1198,7 @@ def test_verify_rejects_every_changed_derived_leaf(demo_dir, tmp_path, capsys):
     assert accepted == []
     assert (len(paths), len(list(_leaf_paths(cert)))) == (115, 131)
 
-@pytest.mark.parametrize("name", ["global_lower.npy", "stage1/poly.npy"])
+@pytest.mark.parametrize("name", ["global_lower.npy", "stage1.npy"])
 def test_verify_rejects_every_changed_polynomial_field(demo_dir, tmp_path, capsys, name):
     # the polynomial files' sweep: the first and the last entry along every
     # axis of each record field (the first and last cell's bounds and
@@ -1311,7 +1326,7 @@ def test_verify_rejects_every_structural_tamper_of_a_polynomial_file(
         demo_dir, tampered_cells_dir, data):
     # exit 2 unless the bounds still equal the originals by value, and every
     # line verify's own: no traceback, nothing on stderr, no warning
-    name = "stage1/poly.npy"
+    name = "stage1.npy"
     original = np.load(demo_dir / name)
     rec = _tamper_cells(data, original)
     np.save(tampered_cells_dir / name, rec)
@@ -1330,7 +1345,8 @@ def test_verify_rejects_every_structural_tamper_of_a_polynomial_file(
 def test_verify_rejects_missing_or_foreign_dir(tmp_path, capsys):
     assert verify(tmp_path / "nothing_here") == 2
     assert "cannot read certificate" in capsys.readouterr().out
-    for schema in (1, 2, 99):  # 2: the polynomials in JSON files
+    # 2: the polynomials in JSON files; 3: a directory and CSV files per stage
+    for schema in (1, 2, 3, 99):
         (tmp_path / "certificate.json").write_text(f'{{"schema": {schema}}}')
         assert verify(tmp_path) == 2
         assert f"unsupported schema {schema}" in capsys.readouterr().out

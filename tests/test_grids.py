@@ -514,8 +514,8 @@ def test_csv_round_trip(tmp_path):
     vals[dom.skeleton] = np.inf  # exercise the infinity encoding
     u = GridFunction(dom, vals)
     p = tmp_path / "u.csv"
-    write_csv(u, p)
-    back = read_csv(p)
+    write_csv({"value": u}, p)
+    back = read_csv(p)["value"]
     assert back.domain == u.domain
     assert np.array_equal(back.values, u.values)
 
@@ -525,23 +525,27 @@ def test_csv_round_trip_exact_floats(tmp_path):
     vals = np.array([0.1, 1 / 3, np.pi, -2.5e-17, 1e300, 7.0, 0.0])
     u = GridFunction(dom, vals)
     p = tmp_path / "v.csv"
-    write_csv(u, p)
-    assert np.array_equal(read_csv(p).values, vals)
+    write_csv({"value": u}, p)
+    assert np.array_equal(read_csv(p)["value"].values, vals)
 
 
-def _reference_write_csv(gf, path):
-    """The csv.writer row loop that whole-column formatting replaced."""
-    n = gf.domain.ndim
-    axes = [np.linspace(gf.domain.lo[d], gf.domain.hi[d], gf.domain.shape[d])
-            for d in range(n)]
+def _reference_write_csv(columns, path):
+    """The csv.writer row loop that whole-column formatting replaced, one
+    value per column (a name to GridFunction mapping on one domain)."""
+    dom = next(iter(columns.values())).domain
+    n = dom.ndim
+    axes = [np.linspace(dom.lo[d], dom.hi[d], dom.shape[d]) for d in range(n)]
+
+    def text(v):
+        return ("+inf" if v > 0 else "-inf") if math.isinf(v) else repr(v)
+
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow([f"x{d + 1}" for d in range(n)] + ["value", "skeleton"])
-        for idx in np.ndindex(gf.domain.shape):
-            v = float(gf.values[idx])
-            value = ("+inf" if v > 0 else "-inf") if math.isinf(v) else repr(v)
+        writer.writerow([f"x{d + 1}" for d in range(n)] + list(columns) + ["skeleton"])
+        for idx in np.ndindex(dom.shape):
             writer.writerow([repr(float(axes[d][idx[d]])) for d in range(n)]
-                            + [value, int(gf.domain.skeleton[idx])])
+                            + [text(float(gf.values[idx])) for gf in columns.values()]
+                            + [int(dom.skeleton[idx])])
 
 
 @pytest.mark.parametrize("ndim", [1, 2, 3])
@@ -565,8 +569,8 @@ def test_csv_bytes_match_csv_writer_reference(tmp_path, ndim):
         flat[on[1::2]] = -np.inf
         u = GridFunction(dom, vals)
         got, want = tmp_path / "got.csv", tmp_path / "want.csv"
-        write_csv(u, got)
-        _reference_write_csv(u, want)
+        write_csv({"value": u}, got)
+        _reference_write_csv({"value": u}, want)
         assert got.read_bytes() == want.read_bytes()
 
 
@@ -586,10 +590,10 @@ def test_csv_distinct_values_keep_their_text_and_bits(tmp_path):
     vals[on] = np.array([np.inf, -np.inf, -0.0, 5e-324])[np.arange(on.size) % 4]
     u = GridFunction(dom, vals.reshape(shape))
     got, want = tmp_path / "got.csv", tmp_path / "want.csv"
-    write_csv(u, got)
-    _reference_write_csv(u, want)
+    write_csv({"value": u}, got)
+    _reference_write_csv({"value": u}, want)
     assert got.read_bytes() == want.read_bytes()
-    back = read_csv(got)
+    back = read_csv(got)["value"]
     assert back.domain == u.domain
     np.testing.assert_array_equal(back.values.view(np.int64), u.values.view(np.int64))
 
@@ -606,7 +610,7 @@ def test_csv_formats_each_distinct_value_once(tmp_path, monkeypatch):
     monkeypatch.setattr(grids, "_format_values", counted)
     dom = GridDomain([0.0, 0.0], [1.0, 1.0], (65, 65))
     vals = np.array([0.5, -2.0, 1e-9])[np.arange(dom.skeleton.size) % 3]
-    write_csv(GridFunction(dom, vals.reshape(dom.shape)), tmp_path / "u.csv")
+    write_csv({"value": GridFunction(dom, vals.reshape(dom.shape))}, tmp_path / "u.csv")
     assert 0 < len(formatted) <= 3
 
 
@@ -629,8 +633,8 @@ def test_csv_builds_the_row_template_once_per_domain(tmp_path, monkeypatch):
                            GridFunction(dom, np.ones(dom.shape)),
                            GridFunction(other, np.full(dom.shape, 0.5))]):
         got, want = tmp_path / f"got{k}.csv", tmp_path / f"want{k}.csv"
-        write_csv(u, got)
-        _reference_write_csv(u, want)
+        write_csv({"value": u}, got)
+        _reference_write_csv({"value": u}, want)
         assert got.read_bytes() == want.read_bytes()
     assert built == [dom, other]
     assert other._csv_coords.cache_info().misses == 1
@@ -649,9 +653,83 @@ def test_csv_writes_leave_the_shared_template_intact(tmp_path):
     f, g = (GridFunction(dom, v.reshape(shape)) for v in (f_vals, g_vals))
     for k, u in enumerate((f, g, f)):
         got, want = tmp_path / f"got{k}.csv", tmp_path / f"want{k}.csv"
-        write_csv(u, got)
-        _reference_write_csv(u, want)
+        write_csv({"value": u}, got)
+        _reference_write_csv({"value": u}, want)
         assert got.read_bytes() == want.read_bytes()
+
+
+def test_csv_columns_fill_one_row_each_across_write_blocks(tmp_path):
+    # several columns on one domain, on lattices of one write block's rows,
+    # one more, and several blocks: the reference's bytes, and read_csv
+    # gives every column back bit for bit, all on one domain
+    rng = np.random.default_rng(45)
+    for shape in [(grids._CSV_BLOCK,), (grids._CSV_BLOCK + 1,), (41, 29)]:
+        skel = np.indices(shape).sum(axis=0) % 3 == 0
+        dom = GridDomain([-1.0] * len(shape), [2.0] * len(shape), shape, skel)
+        columns = {}
+        for name in ("tv_u1", "d_u1_a0", "lo_u1_a0", "hi_u1_a0"):
+            vals = rng.normal(size=shape)
+            vals[skel] = rng.choice([np.inf, -np.inf, -0.0, 5e-324], size=skel.sum())
+            columns[name] = GridFunction(dom, vals)
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        write_csv(columns, got)
+        _reference_write_csv(columns, want)
+        assert got.read_bytes() == want.read_bytes(), shape
+        back = read_csv(got)
+        assert list(back) == list(columns)
+        assert len({id(g.domain) for g in back.values()}) == 1
+        for name, u in columns.items():
+            assert back[name].domain == dom
+            assert back[name].values.tobytes() == u.values.tobytes()
+
+
+def test_write_csv_takes_columns_on_one_domain(tmp_path):
+    dom = GridDomain([0.0], [1.0], (9,))
+    twin = GridDomain([0.0], [1.0], (9,))  # another object, the same domain
+    other = dom.with_skeleton(np.arange(9) % 4 == 1)
+    zeros = np.zeros(9)
+    p = tmp_path / "u.csv"
+    write_csv({"a": GridFunction(dom, zeros), "b": GridFunction(twin, zeros)}, p)
+    assert p.read_bytes().startswith(b"x1,a,b,skeleton\r\n0.0,0.0,0.0,0\r\n")
+    p.unlink()
+    with pytest.raises(ValueError, match="different domains"):
+        write_csv({"a": GridFunction(dom, zeros), "b": GridFunction(other, zeros)}, p)
+    assert not p.exists()
+
+
+def test_read_csv_requires_each_lattice_point_once(tmp_path):
+    # a 3 x 3 file whose row (1.0, 0.5) is a second (1.0, 1.0): still 9
+    # rows, but one point has none, and its value was read from np.empty
+    dom = GridDomain([0.0, 0.0], [1.0, 1.0], (3, 3))
+    p = tmp_path / "u.csv"
+    write_csv({"value": GridFunction(dom, np.arange(9.0).reshape(3, 3))}, p)
+    data = p.read_bytes()
+    assert data.count(b"\r\n1.0,0.5,7.0,0\r\n") == 1
+    p.write_bytes(data.replace(b"\r\n1.0,0.5,", b"\r\n1.0,1.0,"))
+    with pytest.raises(ValueError, match="each lattice point exactly once"):
+        read_csv(p)
+
+
+@pytest.mark.parametrize("text", [
+    "",
+    "x1,value\r\n0.0,1.0\r\n",
+    "x1,skeleton\r\n0.0,0\r\n",
+    "value,skeleton\r\n1.0,0\r\n",
+    "x1,a,a,skeleton\r\n0.0,1.0,1.0,0\r\n0.5,1.0,1.0,0\r\n1.0,1.0,1.0,0\r\n",
+    "x1,a,skeleton\r\n",
+    "x1,a,skeleton\r\n0.0,1.0,0\r\n0.5,1.0\r\n1.0,1.0,0\r\n",
+    "x1,a,skeleton\r\n0.0,1.0,0\r\n0.5,1.0,2\r\n1.0,1.0,0\r\n",
+    "x1,a,skeleton\r\n0.0,1.0,0\r\n0.5,one,0\r\n1.0,1.0,0\r\n",
+    "x1,x2,a,skeleton\r\n0.0,0.0,1.0,0\r\n0.5,0.0,1.0,0\r\n1.0,0.0,1.0,0\r\n",
+    "x1,a,skeleton\r\n0.0,1.0,0\r\n0.25,1.0,0\r\n1.0,1.0,0\r\n",
+], ids=["empty", "no_skeleton", "no_column", "no_coordinate", "repeated_name",
+        "no_rows", "short_row", "flag_2", "not_a_number", "partial_lattice",
+        "uneven_axis"])
+def test_read_csv_rejects_malformed_files(tmp_path, text):
+    p = tmp_path / "u.csv"
+    p.write_bytes(text.encode())
+    with pytest.raises(ValueError):
+        read_csv(p)
 
 
 def test_axis_is_linspace_and_read_only():

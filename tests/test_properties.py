@@ -1,11 +1,11 @@
 """Property tests over the expression grammar: rendering round-trips, and
 the point, array and interval evaluators agree on values and faults. The
 interval evaluator encloses the array values on point boxes and on boxes
-around them. Also the CSV writer: its bytes are those of the csv.writer
-reference, and read_csv gives back every value bit for bit; the
-neighbour box pass gives the bits of the offset loop at every skeleton
-point; normalize is idempotent, and the stacked completion gives each
-layer's normalize; the routines on lattice functions never read a
+around them. Also the CSV writer: for 1 to 14 columns its bytes are those
+of the csv.writer reference, and read_csv gives back every value bit for
+bit; the neighbour box pass gives the bits of the offset loop at every
+skeleton point; normalize is idempotent, and the stacked completion gives
+each layer's normalize; the routines on lattice functions never read a
 skeleton value; and `run` exits 0, 2 or 3 on random 1D and 2D problem
 files, never with a traceback.
 
@@ -232,17 +232,37 @@ def _grid_functions(draw, dims=2, pools=_POOL):
                         vals)
 
 
+@st.composite
+def _csv_columns(draw):
+    """1 to 14 named columns on one domain: a lattice function of
+    _grid_functions, then more on its domain, each with values of its own
+    pool off the skeleton and pool values or +-inf on it."""
+    u = draw(_grid_functions())
+    skel = u.domain.skeleton
+    columns = {"c1": u}
+    for k in range(2, draw(st.integers(1, 14)) + 1):
+        pool = draw(_POOL)
+        picks = draw(hnp.arrays(np.intp, skel.shape, elements=st.integers(0, len(pool) + 1)))
+        vals = np.array([*pool, np.inf, -np.inf])[picks]
+        vals[~skel & np.isinf(vals)] = pool[0]
+        columns[f"c{k}"] = GridFunction(u.domain, vals)
+    return columns
+
+
 @settings(derandomize=True, database=None, deadline=None, max_examples=60)
-@given(_grid_functions())
-def test_csv_bytes_and_bits_round_trip(u):
+@given(_csv_columns())
+def test_csv_bytes_and_bits_round_trip(columns):
     with tempfile.TemporaryDirectory() as d:
         got, want = Path(d) / "got.csv", Path(d) / "want.csv"
-        write_csv(u, got)
-        _reference_write_csv(u, want)
+        write_csv(columns, got)
+        _reference_write_csv(columns, want)
         assert got.read_bytes() == want.read_bytes()
         back = read_csv(got)
-    assert back.domain == u.domain
-    assert back.values.view(np.int64).tolist() == u.values.view(np.int64).tolist()
+    assert list(back) == list(columns)
+    assert len({id(g.domain) for g in back.values()}) == 1
+    for name, u in columns.items():
+        assert back[name].domain == u.domain
+        assert back[name].values.view(np.int64).tolist() == u.values.view(np.int64).tolist()
 
 
 @st.composite
