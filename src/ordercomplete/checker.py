@@ -11,13 +11,14 @@ on the full lattice, off the skeleton each candidate's sampling marks
 pass the bare lattice. `solver.refine` and `cli.verify` build each stage
 through `certified_stage`, which computes EQ1-EQ3 from one sampling of V_n
 (`stage_certificates`) and groups its J-cells by I-cell;
-`scheme_convergence` normalizes those samples onto the last stage's
-skeleton, and `scheme_verdict` gives the verdict and its diagnostics.
+the samples are rows at the off-skeleton points, where V_n is continuous,
+and `scheme_convergence` completes each stage's once on the last stage's
+skeleton by the normalize rule. `scheme_verdict` gives the verdict and
+its diagnostics.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -179,10 +180,9 @@ class ApEqCertificate:
     upper_gap: float
 
 
-def _min_slack(lower, upper, off: np.ndarray) -> float:
-    """min of upper - lower over the components and the points in off."""
-    return min(float(np.min(hi[off] - lo[off]))
-               for lo, hi in zip(lower, upper, strict=True))
+def _min_slack(lower, upper) -> float:
+    """min of upper - lower over the components and their points."""
+    return min(float(np.min(hi - lo)) for lo, hi in zip(lower, upper, strict=True))
 
 
 def apeq_certificate(
@@ -195,17 +195,16 @@ def apeq_certificate(
     ValueError when the two have different cells."""
     if not np.array_equal(lower.bounds, upper.bounds):
         raise ValueError("global pair: the lower and upper polynomials have different cells")
-    jets = sample_jets(PiecewisePoly(lower.bounds, np.concatenate(
+    marked, jets = sample_jets(PiecewisePoly(lower.bounds, np.concatenate(
         [lower.coeffs, upper.coeffs], axis=1), lower.mis), domain)
     split = lower.components * lower.mis.count
-    f = sys.rhs_on_lattice(domain)
-    tu = [g.values for g in apply_operator(sys, jets[:split])]
-    tv = [g.values for g in apply_operator(sys, jets[split:])]
-    off = ~jets[0].domain.skeleton
-    m1 = _min_slack([fj - eps for fj in f], tu, off)
-    m2 = _min_slack(tu, f, off)
-    m3 = _min_slack(f, tv, off)
-    m4 = _min_slack(tv, [fj + eps for fj in f], off)
+    f = np.array([fj[~marked.skeleton] for fj in sys.rhs_on_lattice(marked)])
+    tu = apply_operator(sys, marked, jets[:split])
+    tv = apply_operator(sys, marked, jets[split:])
+    m1 = _min_slack(f - eps, tu)
+    m2 = _min_slack(tu, f)
+    m3 = _min_slack(f, tv)
+    m4 = _min_slack(tv, f + eps)
     return ApEqCertificate(
         eps=float(eps),
         passed=(m1 > 0.0 and m2 > 0.0 and m3 > 0.0 and m4 > 0.0),
@@ -248,33 +247,29 @@ class Eq3Certificate:
 
 
 def eq1_certificate(
-    sys: PdeSystem, tv: list[GridFunction], gamma: float, n: int
+    sys: PdeSystem, domain: GridDomain, tv: np.ndarray, gamma: float, n: int
 ) -> Eq1Certificate:
-    """EQ1 slacks of T V_n (see pde.apply_operator), one GridFunction per
-    component, against f - gamma/n and f off the skeleton."""
-    domain = tv[0].domain
-    f = sys.rhs_on_lattice(domain)
-    tv = [g.values for g in tv]
-    off = ~domain.skeleton
-    lower = _min_slack([fj - gamma / n for fj in f], tv, off)
-    upper = _min_slack(tv, f, off)
+    """EQ1 slacks of T V_n (see pde.apply_operator), one row per component
+    at the off-skeleton points of domain, against f - gamma/n and f."""
+    f = np.array([fj[~domain.skeleton] for fj in sys.rhs_on_lattice(domain)])
+    lower = _min_slack(f - gamma / n, tv)
+    upper = _min_slack(tv, f)
     return Eq1Certificate(passed=(lower > 0.0 and upper > 0.0),
                           lower_slack=lower, upper_slack=upper)
 
 
 def eq2_certificate(
-    jets: list[GridFunction], bands: list[tuple[GridFunction, GridFunction]],
+    jets: np.ndarray, bands: tuple[np.ndarray, np.ndarray],
     band_lo: np.ndarray, band_hi: np.ndarray,
     prev_bands: tuple[np.ndarray, np.ndarray] | None,
 ) -> Eq2Certificate:
     """EQ2: the sampled jets of V_n (see jets.sample_jets) inside bands, the
-    step functions of (band_lo, band_hi) (see _band_functions), off the
-    skeleton, and the bands strictly inside prev_bands, the previous stage's
-    (band_lo, band_hi); None at stage 1 (vacuous)."""
-    sampled = [g.values for g in jets]
-    off = ~jets[0].domain.skeleton
-    inner_lo = _min_slack([lo.values for lo, _ in bands], sampled, off)
-    inner_hi = _min_slack(sampled, [hi.values for _, hi in bands], off)
+    rows (lower, upper) of the step functions of (band_lo, band_hi) at the
+    same points (see _band_functions), and the bands strictly inside
+    prev_bands, the previous stage's (band_lo, band_hi); None at stage 1
+    (vacuous)."""
+    inner_lo = _min_slack(bands[0], jets)
+    inner_hi = _min_slack(jets, bands[1])
     outer_lo = outer_hi = float("inf")
     if prev_bands is not None:
         outer_lo = float(np.min(band_lo - prev_bands[0]))
@@ -314,31 +309,26 @@ class RefinementStage:
     eq1: Eq1Certificate
     eq2: Eq2Certificate
     eq3: Eq3Certificate
-    samples: tuple  # (jets, T V_n, bands) on domain, see stage_certificates
+    samples: tuple  # (domain, jets, T V_n, bands), see stage_certificates
 
 
 def _band_functions(
     band_lo: np.ndarray, band_hi: np.ndarray, domain: GridDomain,
     i_cells: np.ndarray,
-) -> list[tuple[GridFunction, GridFunction]]:
-    """Render a stage's (band_lo, band_hi) as step GridFunctions, one
-    (lower, upper) pair per flat jet variable.
-
-    Each lattice point strictly inside an I-cell takes its band constants,
-    gathered by owner (see jets._interior_gather). I-cell boundary points
-    are a subset of the domain skeleton, so the fill-from-neighbors
-    completion assigns them the min of the adjacent cell constants, which
-    is exactly the normalize rule for step functions; all bands are
-    completed in one stacked call (see grids.complete).
-    """
+) -> tuple[np.ndarray, np.ndarray]:
+    """A stage's (band_lo, band_hi) as the rows (lower, upper), each (M,
+    points), of its step functions at the off-skeleton points of domain in
+    C order: the band constants of the I-cell holding each strictly inside
+    (see jets._interior_gather). I-cell boundary points must be skeleton,
+    else a ValueError, so grids.complete assigns them the min of the
+    adjacent cell constants: the normalize rule for step functions."""
     _, own, idx, _ = _interior_gather(domain, i_cells)
-    unowned = np.ones(domain.shape, dtype=bool)
-    unowned[idx] = False
-    if (unowned & ~domain.skeleton).any():
+    owner = np.full(domain.shape, -1)
+    owner[idx] = own
+    owner = owner[~domain.skeleton]
+    if (owner < 0).any():
         raise ValueError("domain skeleton does not cover the I-cell boundaries")
-    M = band_lo.shape[1]
-    steps = complete(domain, idx, np.concatenate([band_lo[own], band_hi[own]], axis=1).T)
-    return list(zip(steps[:M], steps[M:]))
+    return band_lo[owner].T, band_hi[owner].T
 
 
 def stage_certificates(
@@ -346,15 +336,16 @@ def stage_certificates(
     radii, band_lo: np.ndarray, band_hi: np.ndarray,
     prev_bands: tuple[np.ndarray, np.ndarray] | None, n: int, gamma: float,
 ) -> tuple[tuple[Eq1Certificate, Eq2Certificate, Eq3Certificate], tuple]:
-    """EQ1-EQ3 of stage n and the (jets, tv, bands) of V_n they read, each
-    computed once on the lattice of domain with V_n's cell boundaries
-    marked (see jets.sample_jets and scheme_convergence)."""
-    jets = sample_jets(v, domain)
-    tv = apply_operator(sys, jets)
-    bands = _band_functions(band_lo, band_hi, jets[0].domain, i_cells)
-    return (eq1_certificate(sys, tv, gamma, n),
+    """EQ1-EQ3 of stage n and what they read, each computed once: the
+    lattice of domain with V_n's cell boundaries marked, and the rows of
+    V_n's jets, T V_n and its bands at its off-skeleton points (see
+    jets.sample_jets and scheme_convergence)."""
+    marked, jets = sample_jets(v, domain)
+    tv = apply_operator(sys, marked, jets)
+    bands = _band_functions(band_lo, band_hi, marked, i_cells)
+    return (eq1_certificate(sys, marked, tv, gamma, n),
             eq2_certificate(jets, bands, band_lo, band_hi, prev_bands),
-            eq3_certificate(radii, band_lo, band_hi, n)), (jets, tv, bands)
+            eq3_certificate(radii, band_lo, band_hi, n)), (marked, jets, tv, bands)
 
 
 def _inner_boxes(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -421,7 +412,7 @@ def certified_stage(
         sys, v, domain, tiling.i_cells, tiling.radii, band_lo, band_hi, prev_bands, n, gamma)
     cuts = (np.flatnonzero(np.diff(own)) + 1).tolist()
     return RefinementStage(
-        n=n, v=v, domain=samples[0][0].domain, band_lo=band_lo, band_hi=band_hi,
+        n=n, v=v, domain=samples[0], band_lo=band_lo, band_hi=band_hi,
         i_jets=i_jets, j_cells=[v.bounds[a:b] for a, b in zip([0, *cuts], [*cuts, None])],
         eq1=eq1, eq2=eq2, eq3=eq3, samples=samples,
     )
@@ -467,28 +458,25 @@ def scheme_convergence(
     """Order convergence of T V_n to f (lower bounds f - gamma/n) and of
     the jets of V_n inside their step bands (tolerance band_tolerance), and
     the final sup gap, from each stage's samples (see stage_certificates)
-    moved to the final domain, the last stage's, whose skeleton must contain
-    every stage's, by the normalize rule: V_n is normal, so that is its
-    sampling there. Each earlier stage moves in one stacked completion."""
+    completed on the final domain, the last stage's, whose skeleton must
+    contain every stage's, by the normalize rule: V_n is normal, so that
+    is its sampling there. Each stage is one stacked completion, which
+    reads only the final off-skeleton points of its own."""
     N = len(samples)
-    final_domain = samples[-1][0][0].domain
-    if any((jets[0].domain.skeleton > final_domain.skeleton).any()
-           for jets, _, _ in samples):
+    final_domain = samples[-1][0]
+    if any((marked.skeleton > final_domain.skeleton).any() for marked, *_ in samples):
         raise ValueError("final skeleton does not contain every stage skeleton")
     off = ~final_domain.skeleton
-
-    def carry(jets, tv, bands):
-        gs = [*jets, *tv, *itertools.chain.from_iterable(bands)]
-        if all(g.normalized and g.domain == final_domain for g in gs):  # stage N
-            return list(jets), list(tv), list(bands)
-        out = complete(final_domain, off, [g.values[off] for g in gs])
+    samples_by_stage, tv_by_stage, bands_by_stage = [], [], []
+    for marked, jets, tv, (lo, hi) in samples:
+        out = complete(final_domain, ~marked.skeleton, [*jets, *tv, *lo, *hi])
         m, k = len(jets), len(jets) + len(tv)
-        return out[:m], out[m:k], list(zip(out[k::2], out[k + 1::2]))
+        samples_by_stage.append(out[:m])
+        tv_by_stage.append(out[m:k])
+        bands_by_stage.append(list(zip(out[k:k + m], out[k + m:])))
 
     f_raw = sys.rhs_on_lattice(final_domain)
     f_gfs = [GridFunction(final_domain, arr) for arr in f_raw]
-    samples_by_stage, tv_by_stage, bands_by_stage = map(
-        list, zip(*(carry(*s) for s in samples)))
     tol_tv = gamma / N * (1.0 + 1e-9)
     oc_operator = [
         order_convergence_check(

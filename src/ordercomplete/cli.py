@@ -337,7 +337,7 @@ def _certificate(config: dict, system: PdeSystem, exact, assumption: dict, gp,
             "band_lo": st.band_lo,
             "band_hi": st.band_hi,
             "i_jets": st.i_jets,
-            "j_cells": CellsLeaf(np.concatenate(st.j_cells), tuple(map(len, st.j_cells))),
+            "j_cells": CellsLeaf(st.v.bounds, tuple(map(len, st.j_cells))),
         } for st in stages],
         "order_convergence": {
             "operator": [_cert_dict(c) for c in conv.oc_operator],
@@ -563,7 +563,7 @@ def verify(result_dir) -> int:
     problems: list[str] = []
     try:
         cert = json.loads((out / "certificate.json").read_text())
-    except (OSError, json.JSONDecodeError) as e:
+    except (OSError, json.JSONDecodeError, RecursionError) as e:  # nested too deep
         print(f"verify: cannot read certificate: {e}")
         return 2
     if not isinstance(cert, dict):

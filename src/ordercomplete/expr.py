@@ -13,8 +13,10 @@ The textual grammar (used by problem-spec files and the demos):
             | '-' atom
     func   := 'sin' | 'cos' | 'exp' | 'log' | 'abs' | 'sqrt'
 
-Note that '-' binds at atom level, so "-x1^2" is (-x1)^2; rendering is
-canonical and parse(render(e)) reproduces e node for node. The exceptions
+The nesting of parentheses, calls and '-' and the depth of the tree are
+each bounded by _MAX_DEPTH, 100 levels. Note that '-' binds at atom level,
+so "-x1^2" is (-x1)^2; rendering is canonical and, within that bound,
+parse(render(e)) reproduces e node for node. The exceptions
 are what only derivatives contain: the internal function sign, which
 renders but the grammar does not accept, and negative constants, which
 parse back as Neg of a number.
@@ -224,7 +226,16 @@ def _tokenize(text: str) -> Iterator[tuple[str, str, int, int]]:
     yield "end", "", line, col
 
 
+# the deepest nesting of parentheses, calls and minus signs, and the deepest
+# tree, that parse accepts: the recursive walks over a tree (and over its
+# Jacobian, up to about twice as deep) then stay within Python's stack
+_MAX_DEPTH = 100
+
+
 class _Parser:
+    """Recursive descent; each rule takes the nesting of its text and returns
+    its tree and the tree's depth, a leaf having depth 1."""
+
     def __init__(self, text: str, signature: tuple[int, int, int]):
         self.n, self.K, self.m = signature
         self.tokens = list(_tokenize(text))
@@ -244,33 +255,43 @@ class _Parser:
             raise ParseError(f"expected {value!r}, found {got or 'end of input'!r}", line, col)
         self.advance()
 
+    @staticmethod
+    def bounded(depth: int, line: int, col: int) -> int:
+        """depth, or a ParseError at the token that takes it past _MAX_DEPTH."""
+        if depth > _MAX_DEPTH:
+            raise ParseError(f"expression nested deeper than {_MAX_DEPTH} levels", line, col)
+        return depth
+
     def parse(self) -> Expr:
-        e = self.expr()
+        e, _ = self.expr(0)
         kind, value, line, col = self.peek()
         if kind != "end":
             raise ParseError(f"trailing input starting at {value!r}", line, col)
         return e
 
-    def expr(self) -> Expr:
-        e = self.term()
+    def expr(self, nest: int) -> tuple[Expr, int]:
+        e, depth = self.term(nest)
         while self.peek()[1] in ("+", "-"):
-            op = self.advance()[1]
-            rhs = self.term()
+            _, op, line, col = self.advance()
+            rhs, rdepth = self.term(nest)
             e = Add(e, rhs) if op == "+" else Sub(e, rhs)
-        return e
+            depth = self.bounded(1 + max(depth, rdepth), line, col)
+        return e, depth
 
-    def term(self) -> Expr:
-        e = self.factor()
+    def term(self, nest: int) -> tuple[Expr, int]:
+        e, depth = self.factor(nest)
         while self.peek()[1] in ("*", "/"):
-            op = self.advance()[1]
-            rhs = self.factor()
+            _, op, line, col = self.advance()
+            rhs, rdepth = self.factor(nest)
             e = Mul(e, rhs) if op == "*" else Div(e, rhs)
-        return e
+            depth = self.bounded(1 + max(depth, rdepth), line, col)
+        return e, depth
 
-    def factor(self) -> Expr:
-        base = self.atom()
+    def factor(self, nest: int) -> tuple[Expr, int]:
+        base, depth = self.atom(nest)
         if self.peek()[1] == "^":
-            self.advance()
+            _, _, line, col = self.advance()
+            depth = self.bounded(depth + 1, line, col)
             kind, value, line, col = self.peek()
             neg = False
             if value == "-":
@@ -281,30 +302,31 @@ class _Parser:
                 raise ParseError("exponent must be an integer literal", line, col)
             self.advance()
             k = int(value)
-            return Pow(base, -k if neg else k)
-        return base
+            return Pow(base, -k if neg else k), depth
+        return base, depth
 
-    def atom(self) -> Expr:
+    def atom(self, nest: int) -> tuple[Expr, int]:
         kind, value, line, col = self.peek()
         if value == "-":
             self.advance()
-            return Neg(self.atom())
+            e, depth = self.atom(self.bounded(nest + 1, line, col))
+            return Neg(e), self.bounded(depth + 1, line, col)
         if value == "(":
             self.advance()
-            e = self.expr()
+            e, depth = self.expr(self.bounded(nest + 1, line, col))
             self.expect(")")
-            return e
+            return e, depth
         if kind == "num":
             self.advance()
             v = float(value)
             if not np.isfinite(v):
                 raise ParseError(f"number {value} overflows a double", line, col)
-            return Num(v)
+            return Num(v), 1
         if kind == "name":
-            return self.name_atom()
+            return self.name_atom(nest)
         raise ParseError(f"expected an operand, found {value or 'end of input'!r}", line, col)
 
-    def name_atom(self) -> Expr:
+    def name_atom(self, nest: int) -> tuple[Expr, int]:
         kind, value, line, col = self.advance()
         mo = re.fullmatch(r"([A-Za-z]+)(\d*)", value)
         word, digits = mo.group(1), mo.group(2)
@@ -314,14 +336,14 @@ class _Parser:
                 raise SignatureError(
                     f"space variable x{idx} out of range for n={self.n}", line, col
                 )
-            return SpaceVar(idx)
+            return SpaceVar(idx), 1
         if word == "u" and not digits:
-            return self.jet_atom(line, col)
+            return self.jet_atom(line, col), 1
         if value in FUNCTIONS:
             self.expect("(")
-            arg = self.expr()
+            arg, depth = self.expr(self.bounded(nest + 1, line, col))
             self.expect(")")
-            return Call(value, arg)
+            return Call(value, arg), self.bounded(depth + 1, line, col)
         raise ParseError(f"unknown name {value!r}", line, col)
 
     def jet_atom(self, line: int, col: int) -> Expr:
@@ -357,7 +379,8 @@ class _Parser:
 
 
 def parse(text: str, signature: tuple[int, int, int]) -> Expr:
-    """Parse expression text against a system signature (n, K, m)."""
+    """Parse expression text against a system signature (n, K, m). Text
+    nested deeper than _MAX_DEPTH, or whose tree is deeper, is a ParseError."""
     n, K, m = signature
     if n < 1 or K < 1 or m < 0:
         raise ValueError(f"invalid signature (n={n}, K={K}, m={m})")

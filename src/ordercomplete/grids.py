@@ -336,24 +336,6 @@ def normalize(u: GridFunction) -> GridFunction:
     return GridFunction(u.domain, skeleton_fill(u.domain, u.values), normalized=True)
 
 
-def lattice_sup(u: GridFunction, v: GridFunction) -> GridFunction:
-    """Least normalized function dominating u and v off the skeleton."""
-    _require_same_domain(u, v)
-    return normalize(GridFunction(u.domain, np.maximum(u.values, v.values)))
-
-
-def lattice_inf(u: GridFunction, v: GridFunction) -> GridFunction:
-    _require_same_domain(u, v)
-    return normalize(GridFunction(u.domain, np.minimum(u.values, v.values)))
-
-
-def leq_dense(u: GridFunction, v: GridFunction) -> bool:
-    """u <= v at every unmarked point."""
-    _require_same_domain(u, v)
-    off = ~u.domain.skeleton
-    return bool(np.all(u.values[off] <= v.values[off]))
-
-
 # ---------------------------------------------------------------------------
 # convergence certificates
 

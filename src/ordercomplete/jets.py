@@ -19,8 +19,9 @@ as `verify` reads its file, and as `run`'s subdivision ends. The lattice
 only marks and owns. Sampling takes any lattice, marks every point that
 no cell holds strictly inside as skeleton as well (assemble), takes each
 off-skeleton point's value from the one cell holding it strictly inside
-(_interior_gather), and fills the skeleton by the normalize rule from
-grids. One rule, _interior_ranges, answers both lattice questions.
+(_interior_gather) and returns those values only, where the candidate is
+continuous; grids.complete fills the skeleton by the normalize rule. One
+rule, _interior_ranges, answers both lattice questions.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import GridDomain, GridFunction, _format_distinct, complete, write_csv
+from .grids import GridDomain, GridFunction, _format_distinct, write_csv
 
 
 @dataclass(init=False, repr=False, frozen=True)
@@ -384,22 +385,21 @@ def _gathered_jets(
     return out
 
 
-def sample_jets(v: PiecewisePoly, domain: GridDomain) -> list[GridFunction]:
-    """Sample every flat jet variable of v on the lattice, one GridFunction
-    each in flat order (PdeSystem.flat_vars), on the domain with v's cell
-    boundaries marked as well (see assemble).
+def sample_jets(v: PiecewisePoly, domain: GridDomain) -> tuple[GridDomain, np.ndarray]:
+    """The domain with v's cell boundaries marked as well (see assemble),
+    and every flat jet variable of v (PdeSystem.flat_vars) at its
+    off-skeleton points, where v is continuous: rows (M, points), the
+    points in C order of the lattice, as values[~marked.skeleton].
 
-    Each off-skeleton point is strictly inside one cell (see
-    _interior_gather) and takes that cell's polynomial derivatives,
-    gathered by owner in one pass (see _gathered_jets); skeleton points are
-    filled by the normalize rule, all variables at once (see
-    grids.complete), so the outputs are normalize fixed points.
-    """
+    Each such point is strictly inside one cell (see _interior_gather) and
+    takes that cell's polynomial derivatives, gathered by owner in one
+    pass (see _gathered_jets); grids.complete makes lattice functions of
+    the rows by the normalize rule."""
     marked = assemble(v, domain)
     _, own, idx, pts = _interior_gather(marked, v.bounds)
-    off = ~marked.skeleton[idx]
-    return complete(marked, tuple(i[off] for i in idx),
-                    _gathered_jets(v.mis, _centers(v.bounds), v.coeffs, own[off], pts[off]))
+    off = np.flatnonzero(~marked.skeleton[idx])
+    at = off[np.argsort(np.ravel_multi_index(tuple(i[off] for i in idx), marked.shape))]
+    return marked, np.array(_gathered_jets(v.mis, _centers(v.bounds), v.coeffs, own[at], pts[at]))
 
 
 # ---------------------------------------------------------------------------

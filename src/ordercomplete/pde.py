@@ -2,9 +2,10 @@
 application to piecewise-polynomial candidates.
 
 The operator acts on jets only; applied to a candidate's sampled jets
-(jets.sample_jets), it evaluates F at each off-skeleton point and completes
-across the skeleton by the normalize rule, mirroring the envelope-composed
-extension of the operator to functions with jumps.
+(jets.sample_jets), it evaluates F at each off-skeleton point, where the
+candidate is continuous. Completing the image across the skeleton by the
+normalize rule (grids.complete) mirrors the envelope-composed extension of
+the operator to functions with jumps.
 
 Assumption checks are sampling heuristics. Their verdicts are marked as
 evidence and carry witnessed radii; they are never proofs.
@@ -19,7 +20,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import expr as ex
-from .grids import GridDomain, GridFunction, complete
+from .grids import GridDomain
 from .jets import MultiIndexSet
 
 
@@ -99,21 +100,20 @@ class PdeSystem:
         return list(self._rhs_lattice[key])
 
 
-def apply_operator(sys: PdeSystem, jets: list[GridFunction]) -> list[GridFunction]:
-    """T_j on a candidate's sampled jets, one GridFunction per component.
+def apply_operator(sys: PdeSystem, domain: GridDomain, jets: np.ndarray) -> np.ndarray:
+    """T_j on a candidate's sampled jets, one row per component (K, points).
 
-    jets holds one GridFunction per flat jet variable, in flat order and on
-    one domain (see jets.sample_jets). Each F_j is one array evaluation
-    over the off-skeleton points; skeleton points are completed by the
-    normalize rule, all components at once. Outputs are normalized.
+    domain and jets are what jets.sample_jets returns: one row per flat
+    jet variable, in flat order, at the off-skeleton points of domain in C
+    order. Each F_j is one array evaluation over those points; a fault
+    raises EvalDomainError. The skeleton is left to grids.complete.
     """
     if len(jets) != sys.unknown_count:
         raise ValueError("candidate signature does not match the system")
-    domain = jets[0].domain
     off = ~domain.skeleton
     coords = [m[off] for m in domain.meshes()]
-    values = {var: g.values[off] for var, g in zip(sys.flat_vars(), jets)}
-    return complete(domain, off, [ex.eval_on_arrays(Fj, coords, values) for Fj in sys.F])
+    values = dict(zip(sys.flat_vars(), jets))
+    return np.array([ex.eval_on_arrays(Fj, coords, values) for Fj in sys.F])
 
 
 # ---------------------------------------------------------------------------

@@ -473,7 +473,7 @@ def refine(
         return _generation_ok(sys, domain, jcells, [(jets, below, f)],
                               band=(band_lo[own], band_hi[own]))
 
-    work = tiling.i_cells if prev is None else np.concatenate(prev.j_cells)
+    work = tiling.i_cells if prev is None else prev.v.bounds
     cells, jets = _subdivide(work, solve, check, domain, stage=n)
     _check_tiling(cells, domain.lo, domain.hi)  # the one check; sampling takes it as given
     # by I-cell, in order of acceptance

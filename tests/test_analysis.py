@@ -24,6 +24,7 @@ from ordercomplete.intervals import IntervalDomainError
 from ordercomplete.pde import PdeSystem
 from ordercomplete.checker import _band_functions
 from ordercomplete.solver import run_scheme
+from test_jets import completed
 
 
 def _const_interval(dom, lo, hi):
@@ -266,8 +267,9 @@ def test_nested_limit_on_scheme_bands():
     res = run_scheme(sys1, GridDomain([0.0], [1.0], (65,)), 0.4, 4)
     steps = []
     for s in res.stages:
-        bands = _band_functions(s.band_lo, s.band_hi, s.domain, res.tiling.i_cells)
-        steps.append(tuple(OrderInterval(lo, hi) for lo, hi in bands))
+        lo, hi = _band_functions(s.band_lo, s.band_hi, s.domain, res.tiling.i_cells)
+        bands = completed(s.domain, [*lo, *hi])
+        steps.append(tuple(map(OrderInterval, bands[:len(lo)], bands[len(lo):])))
     seq = IntervalSequence(steps)
     rep = nested_limit_check(seq, tol=1.0)  # final width (15/16) * 4/N
     assert rep.all_converge()

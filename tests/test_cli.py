@@ -368,10 +368,16 @@ def test_run_exit3_on_numeric_fault(tmp_path, capsys):
     ("F1 = u[1,(1)] + u[1,(0)]^3", "F1 = u[1,(-1)] + u[1,(0)]^3",
      "spec error: key 'F1': expected multi-index entry (integer), found '-' "
      "(line 1, column 6)\n"),
+    # these two used to end in a RecursionError traceback (exit 1)
+    ("F1 = u[1,(1)] + u[1,(0)]^3", "F1 = " + "(" * 300 + "u[1,(1)] + u[1,(0)]^3" + ")" * 300,
+     "spec error: key 'F1': expression nested deeper than 100 levels (line 1, column 101)\n"),
+    ("F1 = u[1,(1)] + u[1,(0)]^3", "F1 = u[1,(1)] + u[1,(0)]^3" + " + 0" * 2000,
+     "spec error: key 'F1': expression nested deeper than 100 levels (line 1, column 411)\n"),
 ], ids=["faulting_exact", "overflowing_exact_derivative", "underflowing_diagonal",
         "infinite_box", "overflowing_probe_mean", "overflowing_residual_norm",
         "no_components", "word_for_a_bound", "trailing_dollar", "trailing_paren",
-        "negative_order", "fractional_multi_index", "negative_multi_index"])
+        "negative_order", "fractional_multi_index", "negative_multi_index",
+        "nested_parentheses", "long_sum"])
 def test_run_exit3_on_the_demo_with_one_line_changed(tmp_path, capsys, line, changed, message):
     # the first seven each used to end in a traceback (under warnings as
     # errors for the overflows): the reference distances evaluate exact
@@ -1340,6 +1346,27 @@ def test_verify_rejects_every_structural_tamper_of_a_polynomial_file(
     assert code == (0 if same else 2), lines
     assert lines and all(line.startswith("verify: ") for line in lines), lines
     assert err.getvalue() == ""
+
+
+def test_verify_rejects_too_deep_nesting(demo_dir, tmp_path, capsys):
+    # each used to end in a RecursionError traceback (exit 1): an operator
+    # nested past the parser's bound, and a JSON array nested past what
+    # json.loads decodes, found in a key appended to the document
+    def wrap(cert):
+        cert["problem"]["F"][0] = "(" * 300 + cert["problem"]["F"][0] + ")" * 300
+
+    assert _verify_quietly(_tampered(demo_dir, tmp_path / "F", "certificate.json", wrap),
+                           capsys) == (2, [
+        "verify: artifact inconsistency: expression nested deeper than 100 levels "
+        "(line 1, column 101)"])
+    copy = tmp_path / "deep"
+    shutil.copytree(demo_dir, copy)
+    text = (copy / "certificate.json").read_text().rstrip()
+    depth = 100_000
+    (copy / "certificate.json").write_text(text[:-1] + ',"zz":' + "[" * depth + "]" * depth + "}")
+    code, lines = _verify_quietly(copy, capsys)
+    assert code == 2 and lines == ["verify: cannot read certificate: maximum recursion depth "
+                                   "exceeded while decoding a JSON array from a unicode string"]
 
 
 def test_verify_rejects_missing_or_foreign_dir(tmp_path, capsys):

@@ -68,6 +68,50 @@ def test_parse_error_carries_position():
         ex.parse("x1 + 1e999", SIG111)  # inf has no literal to render back to
 
 
+def test_parse_bounds_nesting_and_tree_depth():
+    # the parser's nesting (parentheses, calls, minus signs) and the tree's
+    # depth, a leaf having depth 1, are each bounded by 100 levels; the
+    # error names the token that goes past the bound
+    for text, col in (("(" * 101 + "x1" + ")" * 101, 101), ("-" * 101 + "x1", 101),
+                      ("sin(" * 101 + "x1" + ")" * 101, 401),
+                      ("x1" + " + 1" * 100, 400), ("x1" + " * 1" * 100, 400),
+                      ("(" * 100 + "x1" + ")" * 100 + "^2" + " + 1" * 99, 598),
+                      ("-" * 100 + "x1", 1)):
+        with pytest.raises(ex.ParseError, match="nested deeper than 100 levels") as ei:
+            ex.parse(text, SIG111)
+        assert (ei.value.line, ei.value.col) == (1, col), text[:20]
+    for text in ("(" * 100 + "x1" + ")" * 100, "-" * 99 + "x1", "sin(" * 99 + "x1" + ")" * 99,
+                 "x1" + " + 1" * 99):
+        ex.parse(text, SIG111)
+
+
+def test_operator_and_jacobian_at_the_depth_bound_build_and_evaluate():
+    # F of tree depth 100, some of nesting 99, and its Jacobian, up to
+    # about twice as deep (196 levels for the chain of quotients), parse,
+    # render, differentiate and evaluate, on numbers and on intervals,
+    # within Python's default stack
+    from ordercomplete.pde import PdeSystem
+
+    u, du = "u[1,(0)]", "u[1,(1)]"
+    bodies = ["1 / (" * 97 + f"{u} + 2" + ")" * 97 + f" + {du}",
+              "sin(" * 98 + u + ")" * 98 + f" + {du}",
+              u + f" * {u}" * 98 + f" + {du}",
+              "(" * 98 + f"{u} + {du}" + " + 1)" * 98]
+    for body in bodies:
+        sys1 = PdeSystem(1, 1, 1, [body], ["0"], [0.0], [1.0])
+        (F,) = sys1.F
+        assert ex.parse(ex.render(F), SIG111) == F
+        jets = {(1, (0,)): np.array([0.25, 0.5]), (1, (1,)): np.array([1.0, 2.0])}
+        boxes = {var: Interval(v, v + 0.01) for var, v in jets.items()}
+        x = [np.array([0.1, 0.2])]
+        for e in [F, *sys1.jet_jacobian()[0]]:
+            values = ex.eval_on_arrays(e, x, jets)
+            assert np.isfinite(values).all()
+            enclosure = ex.eval_interval(e, [Interval(x[0], x[0])], boxes)
+            assert np.all((enclosure.lo <= values) & (values <= enclosure.hi))
+            ex.render(e)
+
+
 def test_precedence_and_unary_minus():
     e = ex.parse("1 + 2 * 3", SIG111)
     assert ex.eval_point(e, [0.0]) == 7.0

@@ -22,9 +22,6 @@ from ordercomplete.grids import (
     baire_upper,
     complete,
     is_nowhere_dense,
-    lattice_inf,
-    lattice_sup,
-    leq_dense,
     normalize,
     order_convergence_check,
     quasi_uniform_check,
@@ -320,53 +317,11 @@ def test_arithmetic_is_off_skeleton_then_normalized():
 # lattice operations
 
 
-def test_lattice_sup_of_self_is_normalize():
-    rng = np.random.default_rng(59)
-    dom = _random_domain(rng, 1)
-    u = GridFunction(dom, rng.normal(size=dom.shape))
-    assert np.array_equal(lattice_sup(u, u).values, normalize(u).values)
-
-
-def test_lattice_sup_of_opposite_steps():
-    dom, j = _step_domain()
-    a = GridFunction(dom, np.where(dom.axis(0) < 0.0, 0.0, 1.0))
-    b = GridFunction(dom, np.where(dom.axis(0) < 0.0, 1.0, 0.0))
-    out = lattice_sup(a, b)
-    assert np.all(out.values == 1.0)
-
-
-def test_lattice_inf_below_sup():
-    rng = np.random.default_rng(61)
-    for _ in range(20):
-        dom = _random_domain(rng, 2)
-        u = GridFunction(dom, rng.normal(size=dom.shape))
-        v = GridFunction(dom, rng.normal(size=dom.shape))
-        assert leq_dense(lattice_inf(u, v), lattice_sup(u, v))
-
-
-def test_leq_dense_ignores_skeleton():
-    dom, j = _step_domain()
-    a_vals = np.where(dom.axis(0) < 0.0, 0.0, 1.0)
-    b_vals = a_vals + 1.0
-    a_vals[j] = 100.0  # junk at the marked point must not matter
-    b_vals[j] = -100.0
-    assert leq_dense(GridFunction(dom, a_vals), GridFunction(dom, b_vals))
-
-
-def test_leq_dense_interior_violation():
-    dom = GridDomain([0.0], [1.0], (9,))
-    x = dom.axis(0)
-    u = GridFunction(dom, x)
-    v = GridFunction(dom, x - 0.01)
-    assert not leq_dense(u, v)
-    assert leq_dense(u, u)
-
-
 def test_domain_mismatch_rejected():
     d1 = GridDomain([0.0], [1.0], (9,))
     d2 = GridDomain([0.0], [2.0], (9,))
     with pytest.raises(ValueError):
-        leq_dense(GridFunction(d1, np.zeros(9)), GridFunction(d2, np.zeros(9)))
+        GridFunction(d1, np.zeros(9)) + GridFunction(d2, np.zeros(9))
 
 
 # ---------------------------------------------------------------------------

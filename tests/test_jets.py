@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from ordercomplete import grids
 from ordercomplete.checker import tile_domain
-from ordercomplete.grids import GridDomain, is_nowhere_dense, normalize
+from ordercomplete.grids import GridDomain, GridFunction, complete, is_nowhere_dense, normalize
 from ordercomplete.jets import (
     Cell,
     CellsLeaf,
@@ -35,6 +35,13 @@ from ordercomplete.jets import (
 )
 from ordercomplete.pde import PdeSystem
 from ordercomplete.solver import _cell_polys, _children
+
+
+def completed(marked: GridDomain, rows) -> list[GridFunction]:
+    """Rows at the off-skeleton points of marked in C order, as
+    jets.sample_jets and pde.apply_operator return them, completed across
+    the skeleton by the normalize rule: one GridFunction per row."""
+    return complete(marked, ~marked.skeleton, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +259,7 @@ def test_assemble_two_cell_step():
     # jump point, plus the outer box boundary
     assert marked.skeleton[4] and marked.skeleton[0] and marked.skeleton[-1]
     assert marked.skeleton.sum() == 3
-    s, d = sample_jets(v, marked)  # (1, (0,)) and (1, (1,))
+    s, d = completed(*sample_jets(v, marked))  # (1, (0,)) and (1, (1,))
     assert s.normalized
     x = marked.axis(0)
     off = ~marked.skeleton
@@ -272,7 +279,7 @@ def test_assemble_dyadic_2x2_cross():
     assert skel[0, :].all() and skel[-1, :].all()
     assert skel[:, 0].all() and skel[:, -1].all()
     assert is_nowhere_dense(skel)
-    for s in sample_jets(v, dom.with_skeleton(skel)):
+    for s in completed(*sample_jets(v, dom.with_skeleton(skel))):
         assert np.array_equal(s.values, normalize(s).values)
 
 
@@ -314,14 +321,15 @@ def test_sample_jets_marks_its_own_skeleton():
     cells = _children(np.array([[[0.0, 0.0], [1.0, 1.0]]]))
     v = PiecewisePoly(cells, np.random.default_rng(5).normal(size=(4, 1, mis.count)), mis)
     marked = assemble(v, dom)
-    bare = sample_jets(v, dom)
-    assert all(g.domain == marked for g in bare)
-    for g, h in zip(bare, sample_jets(v, marked), strict=True):
-        assert h.domain == marked and np.array_equal(g.values, h.values)
+    got, bare = sample_jets(v, dom)
+    assert got == marked and bare.shape == (mis.count, (~marked.skeleton).sum())
+    again, rows = sample_jets(v, marked)
+    assert again == marked and np.array_equal(bare, rows)
     extra = dom.skeleton.copy()
     extra[2, 2] = True
-    (g, *_) = sample_jets(v, dom.with_skeleton(extra))
-    assert np.array_equal(g.domain.skeleton, marked.skeleton | extra)
+    got, rows = sample_jets(v, dom.with_skeleton(extra))
+    assert np.array_equal(got.skeleton, marked.skeleton | extra)
+    assert rows.shape == (mis.count, (~got.skeleton).sum())
 
 
 def test_empty_cell_list_is_a_tiling_error():
@@ -562,7 +570,7 @@ def test_gathered_sampling_is_bit_equal_to_per_cell_evaluation():
             owner, _ = _reference_classify(cells, dom)
             coords = np.stack([g.reshape(-1) for g in marked.meshes()], axis=1)
             flat_owner = owner.reshape(-1)
-            sampled = sample_jets(v, marked)
+            sampled = completed(*sample_jets(v, marked))
             assert len(sampled) == 2 * mis.count
             for k, (i, alpha) in enumerate(itertools.product((1, 2), mis.alphas)):
                 got = sampled[k].values.reshape(-1)
@@ -581,10 +589,10 @@ def test_sample_jets_single_cell_smooth():
     dom = GridDomain([-1.0], [1.0], (17,))
     v = PiecewisePoly(np.array([[[-1.0], [1.0]]]), np.array([[[1.0, 2.0, 6.0]]]), mis)
     marked = assemble(v, dom)
-    s = sample_jets(v, marked)[0]
+    s = sample_jets(v, marked)[1][0]
     interior = ~marked.skeleton
     x = marked.axis(0)
-    assert s.values[interior] == pytest.approx(1.0 + 2.0 * x[interior] + 3.0 * x[interior] ** 2)
+    assert s == pytest.approx(1.0 + 2.0 * x[interior] + 3.0 * x[interior] ** 2)
     assert is_nowhere_dense(marked.skeleton)
 
 

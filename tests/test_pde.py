@@ -24,6 +24,7 @@ from ordercomplete.pde import (
     eval_rows,
 )
 from ordercomplete.solver import _cell_polys
+from test_jets import completed
 
 
 def _intervals(edges):
@@ -154,7 +155,8 @@ def test_apply_single_cell_identity_derivative():
     v = _cell_polys(sys1, np.array([[[0.0], [1.0]]]), np.array([[0.5, 1.0]]))
     dom = GridDomain([0.0], [1.0], (17,))
     marked = assemble(v, dom)
-    (tv,) = apply_operator(sys1, sample_jets(v, marked))
+    at, jets = sample_jets(v, marked)
+    (tv,) = completed(at, apply_operator(sys1, at, jets))
     assert np.all(tv.values == 1.0)
     assert tv.normalized
 
@@ -165,7 +167,8 @@ def test_apply_two_cell_step_uses_normalize_rule():
     v = _cell_polys(sys1, _intervals(np.array([-1.0, 0.0, 1.0])),
                     np.array([[2.0, 0.0], [5.0, 0.0]]))
     marked = assemble(v, dom)
-    (tv,) = apply_operator(sys1, sample_jets(v, marked))
+    at, jets = sample_jets(v, marked)
+    (tv,) = completed(at, apply_operator(sys1, at, jets))
     # oracle: raw step completed by normalize
     raw = np.where(marked.axis(0) < 0.0, 2.0, 5.0)
     want = normalize(GridFunction(marked, raw))
@@ -181,7 +184,8 @@ def test_apply_matches_pointwise_off_skeleton():
     v = _cell_polys(sys1, _intervals(edges), rng.uniform(-1, 1, (3, mis.count)))
     dom = GridDomain([0.0], [3.0], (31,))
     marked = assemble(v, dom)
-    (tv,) = apply_operator(sys1, sample_jets(v, marked))
+    at, jets = sample_jets(v, marked)
+    (tv,) = completed(at, apply_operator(sys1, at, jets))
     x = marked.axis(0)
     owner = np.searchsorted(edges, x, side="right") - 1
     for k in np.flatnonzero(~marked.skeleton):
@@ -205,7 +209,8 @@ def test_apply_evaluates_off_skeleton_only():
     skeleton[1] = True
     dom = marked.with_skeleton(skeleton)
     assert deriv_eval(p, (0,), [0.125]) < 0.0
-    (tv,) = apply_operator(sys1, sample_jets(v, dom))
+    at, jets = sample_jets(v, dom)
+    (tv,) = completed(at, apply_operator(sys1, at, jets))
     assert tv.normalized
     assert tv.values[1] == tv.values[2]
     x = dom.axis(0)
@@ -213,7 +218,7 @@ def test_apply_evaluates_off_skeleton_only():
         jet_here = [p.deriv_many(a, x[k:k + 1, None])[0] for a in mis.alphas]
         assert tv.values[k] == _operator_at(sys1, [x[k]], jet_here)[0]
     with pytest.raises(ValueError, match="signature"):
-        apply_operator(sys1, sample_jets(v, dom)[:1])
+        apply_operator(sys1, at, jets[:1])
 
 
 def _operator_sup_error(k: int) -> float:
@@ -224,7 +229,8 @@ def _operator_sup_error(k: int) -> float:
     v = _cell_polys(sys1, _intervals(edges), np.stack([np.sin(cc), np.cos(cc)], axis=1))
     dom = GridDomain([0.0], [3.0], (8 * k + 1,))
     marked = assemble(v, dom)
-    (tv,) = apply_operator(sys1, sample_jets(v, marked))
+    at, jets = sample_jets(v, marked)
+    (tv,) = completed(at, apply_operator(sys1, at, jets))
     f = sys1.rhs_on_arrays([marked.axis(0)])[0]
     off = ~marked.skeleton
     return float(np.max(np.abs(tv.values[off] - f[off])))

@@ -42,9 +42,6 @@ from ordercomplete.grids import (
     OrderInterval,
     baire_lower,
     baire_upper,
-    lattice_inf,
-    lattice_sup,
-    leq_dense,
     normalize,
     read_csv,
     write_csv,
@@ -382,8 +379,6 @@ def _skeleton_outcomes(u, v, blank):
     out = {
         "arithmetic": (u_x + v_x, u_x - v_x, u_x - u_x, u_x * 0.5, -2.0 * u_x, u_x + 1.5),
         "normalize": normalize(u_x),
-        "lattice": (lattice_sup(u_x, v_x), lattice_inf(u_x, v_x)),
-        "leq_dense": (leq_dense(u_x, v_x), leq_dense(iv.lower, iv.upper)),
         "baire": [g.values[off] for g in (baire_lower(u_x), baire_upper(u_x))],
         "order": [grids.order_convergence_check(
             [shifted(u, 1 / k) for k in steps], [shifted(lo, -1 / k) for k in steps],

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from ordercomplete import expr as ex
-from ordercomplete.grids import GridDomain
+from ordercomplete.grids import GridDomain, complete
 from ordercomplete.jets import (
     TaylorPoly,
     TilingError,
@@ -48,6 +48,7 @@ from ordercomplete.solver import (
     refine,
     run_scheme,
 )
+from test_jets import completed
 
 
 # a passing global pair certificate, for verdicts of schemes run without one
@@ -680,8 +681,8 @@ def test_global_pair_affine_single_cell():
     sys1 = _affine()
     gp = global_pair(sys1, dom, 0.5)
     assert len(gp.cells) == 1
-    (tu,) = apply_operator(sys1, sample_jets(gp.lower, dom))
-    (tv,) = apply_operator(sys1, sample_jets(gp.upper, dom))
+    (tu,), (tv,) = (completed(at, apply_operator(sys1, at, jets))
+                    for at, jets in (sample_jets(gp.lower, dom), sample_jets(gp.upper, dom)))
     assert np.all(tu.values == 0.75)  # 1 - eps/2
     assert np.all(tv.values == 1.25)  # 1 + eps/2
     c = gp.certificate
@@ -696,8 +697,8 @@ def test_global_pair_manufactured_certificate():
     gp = global_pair(sys1, dom, 0.1)
     assert gp.certificate.passed
     # oracle: the four strict inequalities re-checked from scratch
-    (tu,) = apply_operator(sys1, sample_jets(gp.lower, dom))
-    (tv,) = apply_operator(sys1, sample_jets(gp.upper, dom))
+    (tu,), (tv,) = (completed(at, apply_operator(sys1, at, jets))
+                    for at, jets in (sample_jets(gp.lower, dom), sample_jets(gp.upper, dom)))
     x = dom.axis(0)
     f = np.cos(x) + np.sin(x) ** 3
     off = ~tu.domain.skeleton
@@ -755,18 +756,19 @@ def test_apeq_certificate_samples_the_pair_once_as_two_samplings_would(monkeypat
 
     monkeypatch.setattr(checker, "sample_jets", recorded)
     assert apeq_certificate(sys, gp.lower, gp.upper, dom, 0.4) == gp.certificate
-    (jets,) = stacked
-    apart = sample_jets(gp.lower, dom) + sample_jets(gp.upper, dom)
-    assert len(jets) == len(apart) == 2 * sys.unknown_count
-    for g, h in zip(jets, apart, strict=True):
-        assert g.domain == h.domain and g.values.tobytes() == h.values.tobytes()
+    ((marked, jets),) = stacked
+    (lower_at, lower), (upper_at, upper) = sample_jets(gp.lower, dom), sample_jets(gp.upper, dom)
+    assert lower_at == upper_at == marked
+    apart = np.concatenate([lower, upper])
     M = sys.unknown_count
-    tu, tv = ([g.values for g in apply_operator(sys, half)] for half in (apart[:M], apart[M:]))
-    f = sys.rhs_on_lattice(dom)
-    off = ~apart[0].domain.skeleton
+    assert jets.shape == apart.shape == (2 * M, (~marked.skeleton).sum())
+    assert jets.tobytes() == apart.tobytes()
+    tu, tv = (apply_operator(sys, marked, half) for half in (apart[:M], apart[M:]))
+    off = ~marked.skeleton
+    f = [fj[off] for fj in sys.rhs_on_lattice(dom)]
 
     def slack(lower, upper):
-        return min(float(np.min(hi[off] - lo[off])) for lo, hi in zip(lower, upper))
+        return min(float(np.min(hi - lo)) for lo, hi in zip(lower, upper))
 
     c = gp.certificate
     assert (c.lower_gap, c.lower_strict, c.upper_strict, c.upper_gap) == (
@@ -999,7 +1001,7 @@ def test_each_candidate_classified_once_per_lattice(monkeypatch, tmp_path):
     # _classify_grid call of assemble, and no caller marks one first:
     # global_pair samples its two polynomials once, as one candidate, and
     # applies T to each; refine samples its stage polynomial once and takes
-    # the I-cell owners by index arithmetic; and scheme_convergence moves
+    # the I-cell owners by index arithmetic; and scheme_convergence completes
     # the stage samples without sampling, classifying or applying T
     from ordercomplete import checker, cli, jets, pde, solver
 
@@ -1108,10 +1110,13 @@ def test_run_rejects_a_candidate_that_does_not_tile(monkeypatch, lost):
         refine(sys, dom, tiling, None, 1, 0.05)
 
 
-def test_one_skeleton_fill_per_sampling(monkeypatch):
-    # a guard without timing: a fill per field would make M calls in
-    # sample_jets and 4M + K in stage_certificates
-    from ordercomplete import grids
+def test_one_skeleton_fill_per_sampling(monkeypatch, tmp_path):
+    # a fill budget: sampling, the operator image, the step bands and every
+    # certificate read rows off the skeleton and fill nothing, and
+    # scheme_convergence completes each stage once, all its fields in one
+    # stacked fill; so a verify of N stages fills N + 1 times, the one more
+    # being analysis.nested_limit_check's
+    from ordercomplete import cli, grids
 
     calls = []
     fill = grids.skeleton_fill
@@ -1123,19 +1128,30 @@ def test_one_skeleton_fill_per_sampling(monkeypatch):
     monkeypatch.setattr(grids, "skeleton_fill", counted)
     dom = GridDomain([0.0], [1.0], (9,))
     i_cells = np.array([[[0.0], [0.5]], [[0.5], [1.0]]])
-    per_stage = []
     for sys in (_affine(), PdeSystem(1, 2, 2, ["u[1,(2)]", "u[2,(2)]"], ["1", "1"],
                                      [0.0], [1.0])):
         M = sys.unknown_count
         v = _cell_polys(sys, i_cells, np.linspace(0.0, 1.0, 2 * M).reshape(2, M))
-        calls.clear()
-        assert len(sample_jets(v, dom)) == M
-        assert calls == [(M, 9)]
-        calls.clear()
+        marked, rows = sample_jets(v, dom)
+        assert rows.shape == (M, (~marked.skeleton).sum())
         band_lo, band_hi = np.full((2, M), -5.0), np.full((2, M), 5.0)
-        stage_certificates(sys, v, dom, i_cells, np.ones(2), band_lo, band_hi, None, 1, 0.4)
-        per_stage.append(len(calls))
-    assert per_stage == [3, 3]  # the jets, T V_n and the bands
+        _, samples = stage_certificates(sys, v, dom, i_cells, np.ones(2), band_lo, band_hi,
+                                        None, 1, 0.4)
+        apeq_certificate(sys, v, v, dom, 0.4)
+        assert calls == []
+        scheme_convergence(sys, [samples] * 2, np.ones(2), 0.4)
+        assert calls == [(3 * M + sys.K, 9)] * 2  # the jets, T V_n and the bands
+        calls.clear()
+    spec = tmp_path / "transport.spec"
+    spec.write_text("n = 1\nK = 1\nm = 1\nbox.lo = 0\nbox.hi = 1\ngrid = 129\n"
+                    "F1 = u[1,(1)] + u[1,(0)]^3\nf1 = cos(x1) + sin(x1)^3\n")
+    N = 3
+    out = tmp_path / "out"
+    assert cli.main(["run", str(spec), "--gamma", "0.4", "--stages", str(N),
+                     "--out", str(out), "--no-samples"]) == 0
+    calls.clear()
+    assert cli.verify(out) == 0
+    assert len(calls) == N + 1
 
 
 @pytest.fixture(scope="module")
@@ -1151,7 +1167,8 @@ def test_scheme_affine_closed_forms():
     for s in res.stages:
         assert s.eq1.passed and s.eq2.passed and s.eq3.passed
         # stage operator image is the constant 1 - gamma/(2n) off skeleton
-        (tv,) = apply_operator(sys1, sample_jets(s.v, s.domain))
+        at, jets = sample_jets(s.v, s.domain)
+        (tv,) = completed(at, apply_operator(sys1, at, jets))
         want = 1.0 - 0.4 / (2 * s.n)
         off = ~s.domain.skeleton
         assert np.max(np.abs(tv.values[off] - want)) <= 4 * math.ulp(1.0)
@@ -1265,18 +1282,20 @@ def test_eq2_rejects_skeleton_missing_i_cell_face():
 ], ids=["cubic_1d", "sin_1d", "exp_2d"])
 def test_scheme_moved_samples_match_final_lattice_resampling(sys, size, gamma, N):
     # reference: V_n sampled on the final lattice, T applied there and the
-    # bands rendered there; the samples each stage took on its own lattice,
-    # moved there, equal them bit for bit, sign bits included
+    # bands rendered there, completed there from the final off-skeleton
+    # rows; the samples each stage took on its own lattice, completed on
+    # the final one, equal them bit for bit, sign bits included
     res = run_scheme(sys, GridDomain(sys.box_lo, sys.box_hi, (size,) * sys.n), gamma, N)
     final = res.stages[-1].domain
     assert any((s.domain.skeleton != final.skeleton).any() for s in res.stages)
     for s, jets, tv, bands in zip(res.stages, res.samples_by_stage, res.tv_by_stage,
                                   res.bands_by_stage, strict=True):
-        want_jets = sample_jets(s.v, final)
-        want_bands = _band_functions(s.band_lo, s.band_hi, final, res.tiling.i_cells)
+        marked, want_jets = sample_jets(s.v, final)
+        assert marked == final
+        lo, hi = _band_functions(s.band_lo, s.band_hi, final, res.tiling.i_cells)
         got = jets + tv + [g for pair in bands for g in pair]
-        want = (want_jets + apply_operator(sys, want_jets)
-                + [g for pair in want_bands for g in pair])
+        want = completed(final, [*want_jets, *apply_operator(sys, final, want_jets),
+                                 *(row for pair in zip(lo, hi) for row in pair)])
         assert len(got) == len(want)
         for g, w in zip(got, want):
             assert g.domain == final and g.normalized
@@ -1294,17 +1313,30 @@ def test_scheme_convergence_rejects_stage_skeleton_outside_final(res_cubic2):
         scheme_convergence(_cubic(), [last.samples, first.samples], res.tiling.radii, 0.4)
 
 
-def test_scheme_convergence_keeps_final_stage_samples(res_cubic2):
-    # stage N's samples already live, normalized, on the final lattice, so
-    # scheme_convergence hands them on as they are; earlier stages are moved
+def test_scheme_convergence_completes_each_stage_once(res_cubic2, monkeypatch):
+    # every stage, stage N too, is completed once and in the same way: one
+    # stacked completion on the final domain of all its rows, scattered at
+    # its own off-skeleton points
+    from ordercomplete import checker
+
     res = res_cubic2
-    jets, tv, bands = res.stages[-1].samples
-    assert all(g is h for g, h in zip(res.samples_by_stage[-1], jets, strict=True))
-    assert all(g is h for g, h in zip(res.tv_by_stage[-1], tv, strict=True))
-    assert all(g is h for got, want in zip(res.bands_by_stage[-1], bands, strict=True)
-               for g, h in zip(got, want, strict=True))
-    assert all(g is not h for g, h in zip(res.samples_by_stage[0],
-                                          res.stages[0].samples[0], strict=True))
+    seen = []
+
+    def recorded(domain, where, rows):
+        seen.append((domain, where, len(rows)))
+        return complete(domain, where, rows)
+
+    monkeypatch.setattr(checker, "complete", recorded)
+    conv = scheme_convergence(_cubic(), [s.samples for s in res.stages], res.tiling.radii, 0.4)
+    final = res.stages[-1].domain
+    M = _cubic().unknown_count
+    assert len(seen) == len(res.stages)
+    for (domain, where, count), s in zip(seen, res.stages):
+        assert domain is final and count == 3 * M + 1
+        assert np.array_equal(where, ~s.domain.skeleton)
+    for got, want in zip(conv.samples_by_stage[-1] + conv.tv_by_stage[-1],
+                         res.samples_by_stage[-1] + res.tv_by_stage[-1], strict=True):
+        assert got == want and got.normalized
 
 
 def test_scheme_band_nesting_strict(res_cubic2):
