@@ -42,7 +42,7 @@ from .checker import (ConstructionError, _inner_boxes, apeq_certificate, band_to
                       certified_stage, check_jets, jcell_boxes, scheme_convergence,
                       scheme_verdict, stage_bands, tile_domain)
 
-_SCHEMA = 4
+_SCHEMA = 5
 
 
 # ---------------------------------------------------------------------------

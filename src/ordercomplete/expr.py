@@ -14,8 +14,9 @@ The textual grammar (used by problem-spec files and the demos):
     func   := 'sin' | 'cos' | 'exp' | 'log' | 'abs' | 'sqrt'
 
 The nesting of parentheses, calls and '-' and the depth of the tree are
-each bounded by _MAX_DEPTH, 100 levels. Note that '-' binds at atom level,
-so "-x1^2" is (-x1)^2; rendering is canonical and, within that bound,
+each bounded by _MAX_DEPTH, 100 levels, and an exponent's magnitude by
+_MAX_EXPONENT, 2^53. Note that '-' binds at atom level,
+so "-x1^2" is (-x1)^2; rendering is canonical and, within these bounds,
 parse(render(e)) reproduces e node for node. The exceptions
 are what only derivatives contain: the internal function sign, which
 renders but the grammar does not accept, and negative constants, which
@@ -48,6 +49,7 @@ from .intervals import (
     cos_interval,
     div_interval,
     exp_interval,
+    int_pow,
     log_interval,
     sin_interval,
     sqrt_interval,
@@ -231,6 +233,10 @@ def _tokenize(text: str) -> Iterator[tuple[str, str, int, int]]:
 # Jacobian, up to about twice as deep) then stay within Python's stack
 _MAX_DEPTH = 100
 
+# the largest exponent magnitude that parse accepts: float(k), in the
+# Jacobian's factor k, is exact, and int_pow's chain is at most 106 products
+_MAX_EXPONENT = 1 << 53
+
 
 class _Parser:
     """Recursive descent; each rule takes the nesting of its text and returns
@@ -300,8 +306,11 @@ class _Parser:
                 kind, value, line, col = self.peek()
             if kind != "num" or any(c in value for c in ".eE"):
                 raise ParseError("exponent must be an integer literal", line, col)
+            digits = value.lstrip("0") or "0"
+            if len(digits) > len(str(_MAX_EXPONENT)) or int(digits) > _MAX_EXPONENT:
+                raise ParseError(f"exponent beyond 2^53 = {_MAX_EXPONENT}", line, col)
             self.advance()
-            k = int(value)
+            k = int(digits)
             return Pow(base, -k if neg else k), depth
         return base, depth
 
@@ -591,11 +600,11 @@ def _array_div(a, b):
 
 
 def _array_pow(b, k):
-    b = np.asarray(b)  # numpy power: no OverflowError
+    b = np.asarray(b)  # numpy arithmetic: no OverflowError
     if k > 0:
-        return b**k, False
+        return int_pow(b, k), False
     # inf^k = 1 or 0 for k <= 0 (nan^0 too) absorbs a fault
-    return b**k, ~np.isfinite(b) | ((b == 0.0) & (k < 0))
+    return int_pow(b, k), ~np.isfinite(b) | ((b == 0.0) & (k < 0))
 
 
 # + - * on numbers, arrays and intervals alike

@@ -9,8 +9,11 @@ permitted; missing a real image point is a bug.
 
 Steps, checked against a 60-digit mpmath oracle in the tests: one for
 + - * /, x**2 (numpy's x*x) and sqrt, which IEEE 754 rounds correctly; two
-for numpy's exp, log, sin and cos and for x**k with |k| >= 3, which are
-not proven correctly rounded. Endpoints are extended reals.
+for numpy's exp, log, sin and cos and for numpy's x**k with k >= 3, which
+are not proven correctly rounded. x**k with k >= 3 is those endpoints
+unioned with int_pow's chain at the endpoints, so it also encloses the
+array evaluator's value; k <= -1 is the reciprocal of x**|k|. Endpoints
+are extended reals.
 
 The operations with a restricted domain (div_interval, pow_int, sqrt_interval
 and log_interval) do not raise: each returns its result and a boolean mask
@@ -123,7 +126,29 @@ class Interval:
         lo, hi = _outward(base.lo**k, base.hi**k, 1 if k == 2 else 2)
         # x**k maps an exactly-zero endpoint to exactly zero; no nudge needed
         lo, hi = np.where(base.lo == 0.0, 0.0, lo), np.where(base.hi == 0.0, 0.0, hi)
+        if k > 2:
+            # int_pow, which the array evaluator computes, rounds monotonically
+            # in the base, so its endpoint values bound it inside
+            lo, hi = np.minimum(lo, int_pow(base.lo, k)), np.maximum(hi, int_pow(base.hi, k))
         return Interval(lo, hi), False
+
+
+def int_pow(b, k: int):
+    """b**k for an integer k, elementwise, with the same bits on every IEEE
+    host: numpy's ** for k in -1..2 (a reciprocal, ones, a copy, square, all
+    correctly rounded), else one fixed chain of products, square-and-multiply
+    over the bits of |k| from the top, and its reciprocal for k <= -2.
+    numpy's power itself takes other code paths on other CPUs.
+    """
+    if -1 <= k <= 2:
+        return b**k
+    r = b * b  # the chain's first square, a fresh array the rest works in
+    for i, bit in enumerate(bin(abs(k))[3:]):
+        if i:
+            r *= r
+        if bit == "1":
+            r *= b
+    return 1.0 / r if k < 0 else r
 
 
 @np.errstate(all="ignore")

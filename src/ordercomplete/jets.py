@@ -37,6 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grids import GridDomain, GridFunction, _format_distinct, write_csv
+from .intervals import int_pow
 
 
 @dataclass(init=False, repr=False, frozen=True)
@@ -141,7 +142,7 @@ def _taylor_sum(
         mono = np.ones(dx.shape[0])
         for d, g in enumerate(gamma):
             if g:
-                mono = mono * dx[:, d] ** g
+                mono = mono * int_pow(dx[:, d], g)
         term = (coeffs[..., k] / _factorial_alpha(gamma)) * mono
         np.add(out, term, out=out, where=nonzero[..., k])
     return out

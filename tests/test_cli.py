@@ -6,6 +6,7 @@ import contextlib
 import io
 import itertools
 import json
+import math
 import os
 import re
 import shutil
@@ -170,7 +171,7 @@ def test_run_writes_expected_artifacts(run_dir):
     assert (run_dir / "f.csv").read_bytes().startswith(b"x1,f1,skeleton\r\n")
     cert = json.loads((run_dir / "certificate.json").read_text())
     assert cert["verdict"] == "pass"
-    assert cert["schema"] == 4
+    assert cert["schema"] == 5
     assert cert["global_pair"]["files"] == {"lower": "global_lower.npy",
                                             "upper": "global_upper.npy"}
     assert [s["file"] for s in cert["stages"]] == ["stage1.npy", "stage2.npy"]
@@ -373,11 +374,14 @@ def test_run_exit3_on_numeric_fault(tmp_path, capsys):
      "spec error: key 'F1': expression nested deeper than 100 levels (line 1, column 101)\n"),
     ("F1 = u[1,(1)] + u[1,(0)]^3", "F1 = u[1,(1)] + u[1,(0)]^3" + " + 0" * 2000,
      "spec error: key 'F1': expression nested deeper than 100 levels (line 1, column 411)\n"),
+    # used to end in an OverflowError traceback (exit 1) from numpy's power
+    ("F1 = u[1,(1)] + u[1,(0)]^3", "F1 = u[1,(1)] + u[1,(0)]^1" + "0" * 400,
+     "spec error: key 'F1': exponent beyond 2^53 = 9007199254740992 (line 1, column 21)\n"),
 ], ids=["faulting_exact", "overflowing_exact_derivative", "underflowing_diagonal",
         "infinite_box", "overflowing_probe_mean", "overflowing_residual_norm",
         "no_components", "word_for_a_bound", "trailing_dollar", "trailing_paren",
         "negative_order", "fractional_multi_index", "negative_multi_index",
-        "nested_parentheses", "long_sum"])
+        "nested_parentheses", "long_sum", "huge_exponent"])
 def test_run_exit3_on_the_demo_with_one_line_changed(tmp_path, capsys, line, changed, message):
     # the first seven each used to end in a traceback (under warnings as
     # errors for the overflows): the reference distances evaluate exact
@@ -1348,6 +1352,18 @@ def test_verify_rejects_every_structural_tamper_of_a_polynomial_file(
     assert err.getvalue() == ""
 
 
+def test_verify_rejects_an_exponent_beyond_the_bound(demo_dir, tmp_path, capsys):
+    # used to exit 2 with "artifact inconsistency: int too large to convert
+    # to float", from numpy's power; now the parser names the literal
+    def huge(cert):
+        cert["problem"]["F"][0] = cert["problem"]["F"][0].replace("^3", "^1" + "0" * 400)
+
+    assert _verify_quietly(_tampered(demo_dir, tmp_path, "certificate.json", huge),
+                           capsys) == (2, [
+        "verify: artifact inconsistency: exponent beyond 2^53 = 9007199254740992 "
+        "(line 1, column 21)"])
+
+
 def test_verify_rejects_too_deep_nesting(demo_dir, tmp_path, capsys):
     # each used to end in a RecursionError traceback (exit 1): an operator
     # nested past the parser's bound, and a JSON array nested past what
@@ -1369,7 +1385,7 @@ def test_verify_rejects_too_deep_nesting(demo_dir, tmp_path, capsys):
                                    "exceeded while decoding a JSON array from a unicode string"]
 
 
-def test_verify_rejects_missing_or_foreign_dir(tmp_path, capsys):
+def test_verify_rejects_missing_or_foreign_dir(demo_dir, tmp_path, capsys):
     assert verify(tmp_path / "nothing_here") == 2
     assert "cannot read certificate" in capsys.readouterr().out
     # 2: the polynomials in JSON files; 3: a directory and CSV files per stage
@@ -1377,6 +1393,13 @@ def test_verify_rejects_missing_or_foreign_dir(tmp_path, capsys):
         (tmp_path / "certificate.json").write_text(f'{{"schema": {schema}}}')
         assert verify(tmp_path) == 2
         assert f"unsupported schema {schema}" in capsys.readouterr().out
+    # 4: the same layout, but its values took numpy's dispatch-dependent
+    # powers; one line, not a list of MISMATCH lines
+    def schema4(cert):
+        cert["schema"] = 4
+
+    assert _verify_quietly(_tampered(demo_dir, tmp_path / "four", "certificate.json", schema4),
+                           capsys) == (2, ["verify: unsupported schema 4"])
 
 
 # ---------------------------------------------------------------------------
@@ -1511,8 +1534,8 @@ def test_readme_trusted_base_table_counts_lines():
 
     assert rows and {m: int(k.replace(",", "")) for m, k in rows.items()} == {
         m: lines(m) for m in rows}
-    total, solver = re.search(r"That is ([\d,]+) lines in \w+ modules; `intervals` and "
-                              r"`solver` \(([\d,]+)\s+lines\)", table).groups()
+    total, solver = re.search(r"That is ([\d,]+) lines in \w+ modules; `solver` "
+                              r"\(([\d,]+)\s+lines\)", table).groups()
     assert int(total.replace(",", "")) == sum(lines(m) for m in rows)
     assert int(solver.replace(",", "")) == lines("solver")
 
@@ -1645,3 +1668,174 @@ def test_verify_runs_with_solver_blocked(demo_dir):
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "all certificates reproduce; verdict pass" in proc.stdout
+
+
+# ---------------------------------------------------------------------------
+# one verdict across numpy's dispatch levels
+#
+# NPY_DISABLE_CPU_FEATURES, read once as numpy loads, makes a process use
+# numpy's AVX2 loops on a host with AVX-512. On a host without AVX-512 both
+# processes of each test below dispatch alike, so the tests have no power
+# there (numpy reports the features it cannot disable with an ImportWarning,
+# which Python ignores by default); they are not skipped.
+
+_AVX2_ONLY = {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}
+
+# the first pde2d_coarse problem of perfbench's workload seed 17, and a
+# third-order polynomial problem, whose samples take _taylor_sum's cube
+_DISPATCH_SPECS = {
+    "pde2d_coarse_p00_seed17": ("""\
+n = 2
+K = 1
+m = 1
+box.lo = 0 0
+box.hi = 1 1
+grid = 33
+F1 = u[1,(1,0)] + u[1,(0,1)] + u[1,(0,0)]^3
+f1 = 0.995*0.997*cos(0.997*x1 + 0.019) + 0.998*1.004*cos(1.004*x2 + 0.012) + \
+(0.995*sin(0.997*x1 + 0.019) + 0.998*sin(1.004*x2 + 0.012))^3
+exact1 = 0.995*sin(0.997*x1 + 0.019) + 0.998*sin(1.004*x2 + 0.012)
+""", "870007314"),
+    "third_order_polynomial": ("""\
+n = 1
+K = 1
+m = 3
+box.lo = 0
+box.hi = 1
+grid = 256
+F1 = u[1,(3)] + u[1,(0)]
+f1 = 2.4*x1 + 0.1*x1^4
+exact1 = 0.1*x1^4
+""", "17"),
+}
+
+
+def _cli_child(argv, avx2_only):
+    env = {k: v for k, v in _child_env().items() if k != "NPY_DISABLE_CPU_FEATURES"}
+    return subprocess.run([sys.executable, "-m", "ordercomplete.cli", *argv],
+                          capture_output=True, text=True,
+                          env={**env, **(_AVX2_ONLY if avx2_only else {})})
+
+
+@pytest.mark.parametrize("name", sorted(_DISPATCH_SPECS))
+def test_run_on_one_dispatch_level_verifies_on_the_other(tmp_path, name):
+    # run under AVX2 loops and verify under the host's own, then the
+    # reverse: every certificate reproduces bit for bit. Before every
+    # integer power went through one fixed chain of products, both specs
+    # failed with exit 2 in both directions on an AVX-512 host (MISMATCH
+    # lines on stored minima that differed in their last ulps)
+    text, seed = _DISPATCH_SPECS[name]
+    spec = _write(tmp_path, text)
+    for avx2_only in (True, False):
+        out = tmp_path / f"out_{avx2_only}"
+        proc = _cli_child(["run", spec, "--gamma", "0.2", "--stages", "3", "--seed", seed,
+                           "--no-samples", "--out", str(out)], avx2_only)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        proc = _cli_child(["verify", str(out)], not avx2_only)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert "all certificates reproduce; verdict pass" in proc.stdout
+
+
+def _reference_pow(b: float, k: int) -> float:
+    """b**k by square-and-multiply over the bits of |k| from the top, in
+    Python floats (IEEE products); 1 / that for k <= -2."""
+    if k == 0:
+        return 1.0
+    n = abs(k)
+    half = _reference_pow(b, n // 2) if n > 1 else None
+    r = b if n == 1 else half * half * b if n % 2 else half * half
+    if k > 0:
+        return r
+    return 1.0 / r if r != 0.0 else math.copysign(math.inf, r)
+
+
+_CHAIN_KS = (*range(-12, 13), 31, -31, 64, 1000, 2000, -2001)
+
+_CHAIN_CHILD = """\
+import hashlib, sys
+import numpy as np
+from ordercomplete.intervals import int_pow
+from ordercomplete.jets import MultiIndexSet, _taylor_sum
+b = np.frombuffer(sys.stdin.buffer.read())
+with np.errstate(all="ignore"):
+    powers = np.stack([int_pow(b, k) for k in {ks}])
+    # the Taylor sum of a cubic alone: 0 + (6 / 3!) dx^3 = 0 + dx^3
+    taylor = _taylor_sum(MultiIndexSet(1, 3), (0,), b[:, None], np.array([0.0, 0, 0, 6]))
+print(hashlib.sha256(powers.tobytes()).hexdigest(), hashlib.sha256(taylor.tobytes()).hexdigest())
+"""
+
+
+def test_int_pow_is_the_reference_chain_on_every_dispatch_level():
+    # int_pow, and _taylor_sum's cube through it, equal a pure-Python chain
+    # of IEEE products bit for bit, in a child at each dispatch level;
+    # numpy's own b**3 differed from b*b*b on about 3% of such bases under
+    # AVX-512
+    import hashlib
+
+    rng = np.random.default_rng(29)
+    b = np.concatenate([rng.uniform(-3.0, 3.0, 600), rng.uniform(-1e-307, 1e-307, 50),
+                        5e-324 * rng.integers(-9, 10, 50), [0.0, -0.0, 1e200, -1e-200]])
+    reference = np.array([[_reference_pow(float(x), k) for x in b] for k in _CHAIN_KS])
+    expect = (hashlib.sha256(reference.tobytes()).hexdigest(),
+              hashlib.sha256((0.0 + reference[_CHAIN_KS.index(3)]).tobytes()).hexdigest())
+    for avx2_only in (True, False):
+        env = {k: v for k, v in _child_env().items() if k != "NPY_DISABLE_CPU_FEATURES"}
+        proc = subprocess.run(
+            [sys.executable, "-c", _CHAIN_CHILD.format(ks=_CHAIN_KS)], input=b.tobytes(),
+            capture_output=True, env={**env, **(_AVX2_ONLY if avx2_only else {})})
+        assert proc.returncode == 0, proc.stderr.decode()
+        assert tuple(proc.stdout.decode().split()) == expect, avx2_only
+
+
+def test_array_pow_faults_where_it_did_with_numpy_power():
+    # the fault masks of x**k on the special bases are those of numpy's
+    # power, which _array_pow used before: none for k > 0, a non-finite base
+    # for k = 0, and a zero one too for k < 0; so are the values, bit for bit
+    # (numpy's power is exact on these bases)
+    from ordercomplete.expr import _array_pow
+
+    b = np.array([np.inf, -np.inf, np.nan, 0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.0, 1.5])
+    special = ~np.isfinite(b)
+    for k in range(-3, 6):
+        with np.errstate(all="ignore"):
+            value, faulted = _array_pow(b, k)
+            want = b**k
+        assert value.tobytes() == want.tobytes(), k
+        expected = False if k > 0 else special | ((b == 0.0) & (k < 0))
+        assert np.array_equal(faulted, expected), k
+
+
+# every array power in the package that does not go through intervals.int_pow,
+# by module and source text, and why it may stay dispatch-dependent
+_POWER_ALLOWLIST = {
+    ("intervals", "b**k"): "int_pow itself for k in -1..2: numpy's reciprocal, ones, "
+                           "copy and square, all correctly rounded",
+    ("intervals", "base.lo**k"): "pow_int's outward-stepped endpoints, unioned with int_pow",
+    ("intervals", "base.hi**k"): "pow_int's outward-stepped endpoints, unioned with int_pow",
+    ("jets", "2 ** i"): "a Python int, the length of a marker string",
+    ("solver", "2 ** gen.shape[2]"): "a Python int, the corner count of a cell",
+    ("pde", "uniforms ** (1.0 / d)"): "the probe's radii, which verify takes as stored "
+                                      "(ROADMAP item 31)",
+}
+
+
+def test_every_array_power_is_int_pow_or_allowed():
+    # numpy's power takes another code path on another CPU, so a run
+    # directory verifies everywhere only if every power in what verify
+    # recomputes is int_pow's chain: a new ** or np.power, np.float_power or
+    # math.pow call in src/ordercomplete fails here, named by file and line
+    found = {}
+    for path in sorted((SRC / "ordercomplete").glob("*.py")):
+        source = path.read_text()
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+                pass
+            elif not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                      and ast.unparse(node.func) in ("np.power", "np.float_power", "math.pow",
+                                                     "numpy.power", "numpy.float_power")):
+                continue
+            found.setdefault((path.stem, ast.get_source_segment(source, node)),
+                             f"{path.name}:{node.lineno}")
+    unlisted = {key: where for key, where in found.items() if key not in _POWER_ALLOWLIST}
+    assert not unlisted, unlisted
+    assert set(found) == set(_POWER_ALLOWLIST), set(_POWER_ALLOWLIST) - set(found)

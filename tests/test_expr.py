@@ -83,6 +83,17 @@ def test_parse_bounds_nesting_and_tree_depth():
     for text in ("(" * 100 + "x1" + ")" * 100, "-" * 99 + "x1", "sin(" * 99 + "x1" + ")" * 99,
                  "x1" + " + 1" * 99):
         ex.parse(text, SIG111)
+    # an exponent's magnitude is bounded by 2^53, so float(k) is exact and
+    # int_pow's chain at most 106 products; the error names the literal
+    for text, col in (("x1^9007199254740993", 4), ("x1^-9007199254740993", 5),
+                      ("x1^1" + "0" * 400, 4), ("x1^-1" + "0" * 5000, 5)):
+        with pytest.raises(ex.ParseError, match=r"exponent beyond 2\^53 = 9007199254740992") as ei:
+            ex.parse(text, SIG111)
+        assert (ei.value.line, ei.value.col) == (1, col), text[:20]
+    for text, k in (("x1^9007199254740992", 2**53), ("x1^-9007199254740992", -2**53),
+                    ("x1^" + "0" * 400 + "7", 7)):
+        assert ex.parse(text, SIG111).exponent == k
+    assert ex.eval_point(ex.parse("x1^-9007199254740992", SIG111), np.array([-1.0])) == 1.0
 
 
 def test_operator_and_jacobian_at_the_depth_bound_build_and_evaluate():

@@ -20,6 +20,7 @@ from ordercomplete.intervals import (
     cos_interval,
     div_interval,
     exp_interval,
+    int_pow,
     log_interval,
     sin_interval,
     sqrt_interval,
@@ -241,6 +242,41 @@ def test_oracle_pow_int_negative_and_straddling(k):
     for lo, hi in cases:
         iv = Interval(lo, hi)
         _assert_encloses(_unfaulted(iv.pow_int(k)), node, _points(iv, rng))
+
+
+def _bases_near_the_edges(k, rng, count):
+    """Mixed-sign bases, subnormal ones, and bases where |b|^|k| nears the
+    double range's ends (overflow, the smallest normal, the smallest
+    subnormal), each of random sign."""
+    n = max(abs(k), 1)
+    edges = 2.0 ** (np.array([1023.9, -1022.0, -1074.0]) / n)
+    near = edges[rng.integers(0, 3, count)] * (1.0 + rng.uniform(-0.05, 0.05, count) / n)
+    sign = rng.choice([-1.0, 1.0], count)
+    return np.concatenate([rng.uniform(-3.0, 3.0, count), rng.uniform(-1e-307, 1e-307, count),
+                           _TINY * rng.integers(-9, 10, count), sign * near])
+
+
+@pytest.mark.parametrize("k", [*range(-12, 13), 31, -31, 64, -64, 1000, 2000, -2001])
+def test_pow_int_encloses_the_array_evaluators_chain(k):
+    # eval_interval encloses eval_point: every value int_pow (the array
+    # evaluator's x**k) takes at a finite b in [lo, hi] where the array
+    # evaluator does not fault (b = 0 for k < 0) lies in pow_int(k); numpy's
+    # own ** endpoints stepped outward miss it from k = 5 on. Point
+    # intervals, and narrow ones of relative width 2^-40 or of a few
+    # subnormal steps around the same bases
+    rng = np.random.default_rng(2 * abs(k) + (k < 0))
+    b = _bases_near_the_edges(k, rng, 5000)
+    half = np.maximum(np.abs(b) * 2.0**-41, _TINY * rng.integers(0, 4, b.size))
+    for lo, hi in ((b, b), (b - half, b + half)):
+        out, faulted = Interval(lo, hi).pow_int(k)
+        xs = np.concatenate([lo[:, None], hi[:, None],
+                             np.clip(lo[:, None] + rng.uniform(0.0, 1.0, (lo.size, 4))
+                                     * (hi - lo)[:, None], lo[:, None], hi[:, None])], axis=1)
+        with np.errstate(all="ignore"):
+            got = int_pow(xs, k)
+        inside = (out.lo[:, None] <= got) & (got <= out.hi[:, None]) | (xs == 0.0) & (k < 0)
+        missed = ~inside.all(axis=1) & ~np.asarray(faulted)
+        assert not missed.any(), (k, lo[missed][:3], hi[missed][:3])
 
 
 _UNARY_HARD = {
