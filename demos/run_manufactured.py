@@ -32,7 +32,7 @@ for s in res.stages:
     print(f"  stage {s.n}: eq1 slack ({s.eq1.lower_slack:.4f}, "
           f"{s.eq1.upper_slack:.4f}), eq3 ratio {s.eq3.max_ratio:.4f}")
 
-rep = compare_reference(system, exact, res.bands_by_stage)
+rep = compare_reference(system, exact, res.domain, res.bands_by_stage)
 print("\ndistance of the exact solution's jets to each stage band:")
 for s, d in zip(res.stages, rep.distances):
     worst = max(d.values())

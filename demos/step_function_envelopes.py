@@ -35,11 +35,10 @@ print("value at the jump: raw", u.values[16], "lower", lo.values[16],
 print("normalize is idempotent:", np.array_equal(
     normalize(fixed).values, fixed.values))
 
-seq = envelope_sequence(fixed, 8)
-rep = nested_limit_check(seq, tol=0.3)
+rep = nested_limit_check(dom, envelope_sequence(fixed, 8), tol=0.3)
 print("\nsandwich widths 2/n shrink below 0.3:", rep.all_converge())
 
-uppers = [s[0].upper for s in seq.steps]
+uppers = [fixed + 1.0 / n for n in range(1, 9)]
 q = quasi_uniform_check(uppers, fixed, eps=0.5)
 print("first index with envelope gap < 0.5, by lattice point:")
 print(" ", q.n_map.tolist())

@@ -5,6 +5,11 @@ solution.
 The pushforward replaces exact pointwise extrema of F over a jet box with
 the rigorous outer enclosure from interval arithmetic: wider, never
 narrower, which is all the containment claims need.
+
+The nested limit check and the reference comparison read bands as rows at
+the off-skeleton points of a domain, as the certificates of `checker` do;
+of their outputs only the limit candidates are completed across the
+skeleton, by the normalize rule.
 """
 
 from __future__ import annotations
@@ -74,43 +79,6 @@ def _located(j: int, what: str, faulted: np.ndarray, domain: GridDomain,
 # nested interval sequences
 
 
-@dataclass(init=False, repr=False, eq=False)
-class IntervalSequence:
-    """Per-index tuples of order intervals, nested componentwise off-skeleton."""
-
-    steps: list[tuple[OrderInterval, ...]]
-
-    def __init__(self, steps: Sequence[Sequence[OrderInterval]]):
-        self.steps = [tuple(s) for s in steps]
-        if not self.steps:
-            raise ValueError("sequence must be non-empty")
-        width = len(self.steps[0])
-        dom = self.steps[0][0].lower.domain
-        for s in self.steps:
-            if len(s) != width:
-                raise ValueError("all steps must have the same number of components")
-            for iv in s:
-                if iv.lower.domain != dom:
-                    raise ValueError("all intervals must share one domain")
-        off = ~dom.skeleton
-        for n in range(len(self.steps) - 1):
-            for c in range(width):
-                cur, nxt = self.steps[n][c], self.steps[n + 1][c]
-                if np.any(nxt.lower.values[off] < cur.lower.values[off]) or np.any(
-                    nxt.upper.values[off] > cur.upper.values[off]
-                ):
-                    raise ValueError(
-                        f"nestedness violated at step {n}, component {c}"
-                    )
-
-    @property
-    def domain(self) -> GridDomain:
-        return self.steps[0][0].lower.domain
-
-    def __len__(self) -> int:
-        return len(self.steps)
-
-
 @dataclass(repr=False)
 class NestedLimitComponent:
     """One component's verdict in a NestedLimitReport."""
@@ -132,30 +100,44 @@ class NestedLimitReport:
         return all(c.verdict == "converges" for c in self.components)
 
 
-def nested_limit_check(seq: IntervalSequence, tol: float) -> NestedLimitReport:
+def nested_limit_check(
+    domain: GridDomain, steps: Sequence[tuple[np.ndarray, np.ndarray]], tol: float,
+) -> NestedLimitReport:
     """Per component: do the interval widths shrink below tol off-skeleton?
 
-    Convergent components report the midpoint of the final interval as the
-    limit candidate, all completed in one call; the rest report the subgrid
-    still above tol.
+    steps holds one (lower, upper) pair of (components, points) arrays per
+    step, rows at the off-skeleton points of domain in C order, with lower
+    <= upper and each step inside the one before. Convergent components
+    report the midpoint of the final interval as the limit candidate, all
+    completed in one call; the rest report the subgrid still above tol.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
-    dom = seq.domain
-    off = ~dom.skeleton
-    finals = seq.steps[-1]
-    # off the skeleton only, where the values are finite
-    widths = [iv.upper.values[off] - iv.lower.values[off] for iv in finals]
+    if not steps:
+        raise ValueError("sequence must be non-empty")
+    width = len(steps[0][0])
+    for lo, hi in steps:
+        if len(lo) != width or len(hi) != width:
+            raise ValueError("all steps must have the same number of components")
+        if not np.all(lo <= hi):
+            raise ValueError("order interval bounds cross off-skeleton")
+    for n, ((lo, hi), (lo_next, hi_next)) in enumerate(zip(steps, steps[1:])):
+        for c in range(width):
+            if np.any(lo_next[c] < lo[c]) or np.any(hi_next[c] > hi[c]):
+                raise ValueError(f"nestedness violated at step {n}, component {c}")
+    off = ~domain.skeleton
+    lower, upper = steps[-1]
+    widths = upper - lower
     max_ws = [float(np.max(w)) if w.size else 0.0 for w in widths]
     conv = [c for c, w in enumerate(max_ws) if w < tol]
-    limits = dict(zip(conv, complete(dom, off, [
-        0.5 * (finals[c].lower.values[off] + finals[c].upper.values[off]) for c in conv])))
+    limits = dict(zip(conv, complete(domain, off, [
+        0.5 * (lower[c] + upper[c]) for c in conv])))
     out = []
     for c, w in enumerate(max_ws):
         if c in limits:
             out.append(NestedLimitComponent("converges", w, limits[c], None))
         else:
-            offending = np.zeros(dom.shape, dtype=bool)
+            offending = np.zeros(domain.shape, dtype=bool)
             offending[off] = widths[c] >= tol
             out.append(NestedLimitComponent("empty/slow", w, None, offending))
     return NestedLimitReport(tol=float(tol), components=tuple(out))
@@ -165,12 +147,14 @@ def nested_limit_check(seq: IntervalSequence, tol: float) -> NestedLimitReport:
 # envelope sequences
 
 
-def envelope_sequence(u: GridFunction, count: int) -> IntervalSequence:
-    """The normalized sandwich u -/+ 1/n for n = 1..count, as order intervals."""
+def envelope_sequence(u: GridFunction, count: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The normalized sandwich u -/+ 1/n for n = 1..count, as steps of
+    nested_limit_check: one (lower, upper) pair per step, each one row at
+    the off-skeleton points of u's domain."""
     if count < 1:
         raise ValueError("count must be at least 1")
-    return IntervalSequence([(OrderInterval(u + (-1.0 / n), u + 1.0 / n),)
-                             for n in range(1, count + 1)])
+    row = u.values[~u.domain.skeleton][None]
+    return [(row + (-1.0 / n), row + 1.0 / n) for n in range(1, count + 1)]
 
 
 def dilation_envelopes(
@@ -230,43 +214,41 @@ def _fd_derivative(values: np.ndarray, alpha: tuple[int, ...],
 
 
 def compare_reference(
-    sys: PdeSystem, u_star: Sequence,
-    bands_by_stage: Sequence[Sequence[tuple[GridFunction, GridFunction]]],
+    sys: PdeSystem, u_star: Sequence, domain: GridDomain,
+    bands_by_stage: Sequence[tuple[np.ndarray, np.ndarray]],
 ) -> ReferenceReport:
     """Distance of a reference solution's lattice jets to every stage band.
 
     u_star holds one expression per component (string or parsed), in x
     only; derivatives are taken by second-order finite differences on the
-    lattice. bands_by_stage holds, per stage, one (lower, upper) pair per
-    flat jet variable, all on the final stage's domain (see
+    lattice of domain. bands_by_stage holds, per stage, a (lower, upper)
+    pair of arrays with one row per flat jet variable at the off-skeleton
+    points of domain, the final stage's (see
     SchemeConvergence.bands_by_stage), where the distances are measured.
     Raises EvalDomainError where u_star faults or its differences overflow.
     """
-    dom = bands_by_stage[0][0][0].domain
     exprs = [ex.parse(e, (sys.n, sys.K, 0)) if isinstance(e, str) else e for e in u_star]
     if len(exprs) != sys.K:
         raise ValueError(f"expected {sys.K} reference expressions, got {len(exprs)}")
     for e in exprs:
         if ex.has_jet_vars(e):
             raise ValueError("reference expressions must not use jet variables")
-    flat = [m.reshape(-1) for m in dom.meshes()]
-    u_vals = [ex.eval_on_arrays(e, flat).reshape(dom.shape) for e in exprs]
+    flat = [m.reshape(-1) for m in domain.meshes()]
+    u_vals = [ex.eval_on_arrays(e, flat).reshape(domain.shape) for e in exprs]
     fv = sys.flat_vars()
     with np.errstate(over="ignore", invalid="ignore"):
-        ref = {(i, a): _fd_derivative(u_vals[i - 1], a, dom.spacing) for i, a in fv}
+        ref = {(i, a): _fd_derivative(u_vals[i - 1], a, domain.spacing) for i, a in fv}
     if not all(np.isfinite(d).all() for d in ref.values()):
         raise ex.EvalDomainError("the reference solution's finite differences overflow")
-    off = ~dom.skeleton
+    off = ~domain.skeleton
     per_stage = []
     overall = 0.0
-    for bands in bands_by_stage:
+    for lower, upper in bands_by_stage:
         dists = {}
         for k, v in enumerate(fv):
-            lo = bands[k][0].values[off]
-            hi = bands[k][1].values[off]
             vals = ref[v][off]
-            below = np.maximum(lo - vals, 0.0)
-            above = np.maximum(vals - hi, 0.0)
+            below = np.maximum(lower[k] - vals, 0.0)
+            above = np.maximum(vals - upper[k], 0.0)
             dists[v] = float(np.max(np.maximum(below, above)))
             overall = max(overall, dists[v])
         per_stage.append(dists)

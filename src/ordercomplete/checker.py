@@ -12,9 +12,9 @@ pass the bare lattice. `solver.refine` and `cli.verify` build each stage
 through `certified_stage`, which computes EQ1-EQ3 from one sampling of V_n
 (`stage_certificates`) and groups its J-cells by I-cell;
 the samples are rows at the off-skeleton points, where V_n is continuous,
-and `scheme_convergence` completes each stage's once on the last stage's
-skeleton by the normalize rule. `scheme_verdict` gives the verdict and
-its diagnostics.
+and `scheme_convergence` gathers each stage's at the last stage's. Nothing
+here completes a function across a skeleton. `scheme_verdict` gives the
+verdict and its diagnostics.
 """
 
 from __future__ import annotations
@@ -23,8 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import (GridDomain, GridFunction, OrderConvergenceCertificate, complete,
-                    order_convergence_check)
+from .grids import GridDomain, OrderConvergenceCertificate, order_convergence_check
 from .jets import (PiecewisePoly, TilingError, _centers, _interior_gather, _interior_ranges,
                    sample_jets)
 from .pde import PdeSystem, apply_operator, eval_rows
@@ -433,19 +432,20 @@ def band_tolerance(radii, N: int) -> float:
 
 @dataclass(repr=False, eq=False)
 class SchemeConvergence:
-    """Order convergence of stages 1..N, measured on the final lattice."""
+    """Order convergence of stages 1..N, measured at the off-skeleton
+    points of the final domain."""
 
     gamma: float
     N: int
-    f_samples: list[GridFunction]  # f, one GridFunction per component
+    domain: GridDomain  # the final marked domain, the last stage's
     oc_operator: list[OrderConvergenceCertificate]  # one per component
     oc_bands: dict[tuple[int, tuple[int, ...]], OrderConvergenceCertificate]
-    # per stage, on the final lattice: T V_n, one GridFunction per component;
-    # the step bands, one (lower, upper) pair per flat jet variable; and the
-    # sampled jets of V_n, one GridFunction per flat jet variable
-    tv_by_stage: list[list[GridFunction]]
-    bands_by_stage: list[list[tuple[GridFunction, GridFunction]]]
-    samples_by_stage: list[list[GridFunction]]
+    # per stage, rows at the off-skeleton points of domain in C order: T V_n
+    # (K, points); the step bands, a (lower, upper) pair of (M, points)
+    # arrays; and the sampled jets of V_n (M, points)
+    tv_by_stage: list[np.ndarray]
+    bands_by_stage: list[tuple[np.ndarray, np.ndarray]]
+    samples_by_stage: list[np.ndarray]
     final_sup_gap: float
 
 
@@ -458,51 +458,42 @@ def scheme_convergence(
     """Order convergence of T V_n to f (lower bounds f - gamma/n) and of
     the jets of V_n inside their step bands (tolerance band_tolerance), and
     the final sup gap, from each stage's samples (see stage_certificates)
-    completed on the final domain, the last stage's, whose skeleton must
-    contain every stage's, by the normalize rule: V_n is normal, so that
-    is its sampling there. Each stage is one stacked completion, which
-    reads only the final off-skeleton points of its own."""
+    gathered at the off-skeleton points of the final domain, the last
+    stage's. Its skeleton must contain every stage's, so those points are
+    among each stage's, in the same C order, and V_n is continuous there."""
     N = len(samples)
-    final_domain = samples[-1][0]
-    if any((marked.skeleton > final_domain.skeleton).any() for marked, *_ in samples):
+    final = samples[-1][0]
+    if any((marked.skeleton > final.skeleton).any() for marked, *_ in samples):
         raise ValueError("final skeleton does not contain every stage skeleton")
-    off = ~final_domain.skeleton
+    off = ~final.skeleton
     samples_by_stage, tv_by_stage, bands_by_stage = [], [], []
     for marked, jets, tv, (lo, hi) in samples:
-        out = complete(final_domain, ~marked.skeleton, [*jets, *tv, *lo, *hi])
-        m, k = len(jets), len(jets) + len(tv)
-        samples_by_stage.append(out[:m])
-        tv_by_stage.append(out[m:k])
-        bands_by_stage.append(list(zip(out[k:k + m], out[k + m:])))
+        keep = off[~marked.skeleton]
+        samples_by_stage.append(jets[:, keep])
+        tv_by_stage.append(tv[:, keep])
+        bands_by_stage.append((lo[:, keep], hi[:, keep]))
 
-    f_raw = sys.rhs_on_lattice(final_domain)
-    f_gfs = [GridFunction(final_domain, arr) for arr in f_raw]
+    f = np.array([fj[off] for fj in sys.rhs_on_lattice(final)])
     tol_tv = gamma / N * (1.0 + 1e-9)
     oc_operator = [
-        order_convergence_check(
-            [tv[j] for tv in tv_by_stage],
-            [GridFunction(final_domain, f_raw[j] - gamma / n) for n in range(1, N + 1)],
-            [f_gfs[j]] * N, f_gfs[j], tol=tol_tv,
-        )
+        order_convergence_check([tv[j] for tv in tv_by_stage],
+                                [f[j] - gamma / n for n in range(1, N + 1)],
+                                [f[j]] * N, f[j], tol=tol_tv)
         for j in range(sys.K)
     ]
-    fv = sys.flat_vars()
     band_tol = band_tolerance(radii, N)
     oc_bands = {}
-    for k, var in enumerate(fv):
+    for k, var in enumerate(sys.flat_vars()):
         seq = [jets[k] for jets in samples_by_stage]
-        lams = [bg[k][0] for bg in bands_by_stage]
-        mus = [bg[k][1] for bg in bands_by_stage]
-        oc_bands[var] = order_convergence_check(seq, lams, mus, seq[-1], tol=band_tol)
-    final_sup_gap = max(
-        float(np.max(np.abs(tv_by_stage[-1][j].values[off] - f_raw[j][off])))
-        for j in range(sys.K)
-    )
+        oc_bands[var] = order_convergence_check(
+            seq, [lo[k] for lo, _ in bands_by_stage], [hi[k] for _, hi in bands_by_stage],
+            seq[-1], tol=band_tol)
     return SchemeConvergence(
-        gamma=float(gamma), N=N, f_samples=f_gfs,
+        gamma=float(gamma), N=N, domain=final,
         oc_operator=oc_operator, oc_bands=oc_bands,
         tv_by_stage=tv_by_stage, bands_by_stage=bands_by_stage,
-        samples_by_stage=samples_by_stage, final_sup_gap=final_sup_gap,
+        samples_by_stage=samples_by_stage,
+        final_sup_gap=float(np.max(np.abs(tv_by_stage[-1] - f))),
     )
 
 

@@ -33,8 +33,8 @@ from pathlib import Path
 import numpy as np
 
 from . import expr as ex
-from .analysis import IntervalSequence, compare_reference, nested_limit_check
-from .grids import GridDomain, OrderInterval
+from .analysis import compare_reference, nested_limit_check
+from .grids import GridDomain, GridFunction, complete
 from .jets import (CellsLeaf, TilingError, _centers, _check_tiling, artifact_json,
                    float_array, read_poly_json, write_atomic, write_poly_json)
 from .pde import _R_MIN, PdeSystem, check_assumption_interior
@@ -274,14 +274,13 @@ def _assumption(system: PdeSystem, seed: int, checked: bool) -> dict:
     return block
 
 
-def _analysis(system: PdeSystem, exact, bands_by_stage) -> dict:
-    """The analysis block (diagnostic; never gates the verdict): the nested
-    limit of the stage bands and their distances to the exact solutions."""
+def _analysis(system: PdeSystem, exact, conv) -> dict:
+    """The analysis block (diagnostic; never gates the verdict) of conv, a
+    SchemeConvergence: the nested limit of the stage bands and their
+    distances to the exact solutions."""
     fv = system.flat_vars()
-    steps = [tuple(OrderInterval(lo, hi) for lo, hi in bands)
-             for bands in bands_by_stage]
     try:
-        nested = nested_limit_check(IntervalSequence(steps), tol=1e-3)
+        nested = nested_limit_check(conv.domain, conv.bands_by_stage, tol=1e-3)
         nested_block: dict = {
             "tol": nested.tol,
             "components": [
@@ -295,7 +294,7 @@ def _analysis(system: PdeSystem, exact, bands_by_stage) -> dict:
         nested_block = {"error": str(e)}
     reference_block = None
     if exact is not None:
-        ref = compare_reference(system, exact, bands_by_stage)
+        ref = compare_reference(system, exact, conv.domain, conv.bands_by_stage)
         reference_block = {
             "max_distance": float(ref.max_distance),
             "per_stage": [
@@ -344,7 +343,7 @@ def _certificate(config: dict, system: PdeSystem, exact, assumption: dict, gp,
             "bands": {_var_tag(i, a): _cert_dict(c) for (i, a), c in conv.oc_bands.items()},
             "final_sup_gap": float(conv.final_sup_gap),
         },
-        "analysis": _analysis(system, exact, conv.bands_by_stage),
+        "analysis": _analysis(system, exact, conv),
         "verdict": "pass" if verdict else "fail",
         "diagnostics": diagnostics,
     }
@@ -360,17 +359,21 @@ def _write_artifacts(out: Path, system: PdeSystem, gp, scheme, cert: dict,
     out.mkdir(parents=True, exist_ok=True)
     write_poly_json(gp.lower, out / _GLOBAL_FILES["lower"])
     write_poly_json(gp.upper, out / _GLOBAL_FILES["upper"])
-    tags = [_var_tag(i, a) for i, a in system.flat_vars()]
-    for st, tv, bands, samples in zip(scheme.stages, scheme.tv_by_stage,
-                                      scheme.bands_by_stage, scheme.samples_by_stage):
+    final = scheme.domain
+    names = [f"tv_u{j + 1}" for j in range(system.K)] + [
+        f"{kind}_{_var_tag(i, a)}" for i, a in system.flat_vars() for kind in ("d", "lo", "hi")]
+    for st in scheme.stages:
         write_poly_json(st.v, out / _stage_file(st.n))
         if emit_samples:
-            columns = {f"tv_u{j + 1}": g for j, g in enumerate(tv)}
-            for tag, d, (lo, hi) in zip(tags, samples, bands):
-                columns.update({f"d_{tag}": d, f"lo_{tag}": lo, f"hi_{tag}": hi})
-            write_atomic(out / f"stage{st.n}.csv", columns)
+            # V_n is normal, so its completion by the normalize rule is its
+            # sampling on the final lattice (see checker.scheme_convergence)
+            marked, jets, tv, (lo, hi) = st.samples
+            rows = [*tv, *itertools.chain.from_iterable(zip(jets, lo, hi))]
+            write_atomic(out / f"stage{st.n}.csv",
+                         dict(zip(names, complete(final, ~marked.skeleton, rows))))
     if emit_samples:
-        write_atomic(out / "f.csv", {f"f{j + 1}": g for j, g in enumerate(scheme.f_samples)})
+        write_atomic(out / "f.csv", {f"f{j + 1}": GridFunction(final, a)
+                                     for j, a in enumerate(system.rhs_on_lattice(final))})
     write_atomic(out / "certificate.json", artifact_json(cert))
     write_atomic(out / "summary.txt", _summary_text(cert, len(gp.cells)))
 

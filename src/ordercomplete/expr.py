@@ -340,7 +340,7 @@ class _Parser:
         mo = re.fullmatch(r"([A-Za-z]+)(\d*)", value)
         word, digits = mo.group(1), mo.group(2)
         if word == "x" and digits:
-            idx = int(digits)
+            idx = self.index(digits, "space variable x", "n", self.n, line, col)
             if not 1 <= idx <= self.n:
                 raise SignatureError(
                     f"space variable x{idx} out of range for n={self.n}", line, col
@@ -357,13 +357,13 @@ class _Parser:
 
     def jet_atom(self, line: int, col: int) -> Expr:
         self.expect("[")
-        comp = self.int_token("component index")
+        comp = self.int_token("component index", "K", self.K)
         self.expect(",")
         self.expect("(")
-        alpha = [self.int_token("multi-index entry")]
+        alpha = [self.int_token("multi-index entry", "m", self.m)]
         while self.peek()[1] == ",":
             self.advance()
-            alpha.append(self.int_token("multi-index entry"))
+            alpha.append(self.int_token("multi-index entry", "m", self.m))
         self.expect(")")
         self.expect("]")
         a = tuple(alpha)
@@ -379,12 +379,25 @@ class _Parser:
             raise SignatureError(f"multi-index {a} exceeds order m={self.m}", line, col)
         return JetVar(comp, a)
 
-    def int_token(self, what: str) -> int:
+    def int_token(self, what: str, name: str, bound: int) -> int:
+        """An integer literal, bounded by the signature's name = bound (see
+        index)."""
         kind, value, line, col = self.peek()
         if kind != "num" or any(c in value for c in ".eE"):
             raise ParseError(f"expected {what} (integer), found {value!r}", line, col)
         self.advance()
-        return int(value)
+        return self.index(value, what, name, bound, line, col)
+
+    @staticmethod
+    def index(digits: str, what: str, name: str, bound: int, line: int, col: int) -> int:
+        """int(digits), or a SignatureError at (line, col) when digits has
+        more digits than bound: it is out of range, and int() of a long
+        literal exceeds Python's limit on digits, as an exponent's would."""
+        digits = digits.lstrip("0") or "0"
+        if len(digits) > len(str(bound)):
+            raise SignatureError(
+                f"{what} of {len(digits)} digits out of range for {name}={bound}", line, col)
+        return int(digits)
 
 
 def parse(text: str, signature: tuple[int, int, int]) -> Expr:

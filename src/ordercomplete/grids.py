@@ -356,33 +356,32 @@ class OrderConvergenceCertificate:
 
 
 def order_convergence_check(
-    seq: Sequence[GridFunction],
-    lambdas: Sequence[GridFunction],
-    mus: Sequence[GridFunction],
-    u: GridFunction,
+    seq: Sequence[np.ndarray],
+    lambdas: Sequence[np.ndarray],
+    mus: Sequence[np.ndarray],
+    u: np.ndarray,
     tol: float,
 ) -> OrderConvergenceCertificate:
     """Certify monotone bracketing and terminal gap of an order-convergent triple.
 
-    Checks, exactly and off-skeleton, for every n:
+    Every array holds one function's values at the same points, the
+    off-skeleton points of one lattice. Checks, exactly, for every n:
     lambda_n <= lambda_{n+1} <= u_{n+1} <= mu_{n+1} <= mu_n, then measures
     the terminal gaps max(u - lambda_N) and max(mu_N - u). Passes when the
     chain holds and both gaps are below tol.
     """
     if not (len(seq) == len(lambdas) == len(mus)) or not seq:
         raise ValueError("sequences must be non-empty and of equal length")
-    for g in itertools.chain(seq, lambdas, mus, (u,)):
-        if g.domain != u.domain:
-            raise ValueError("all grid functions must share one domain")
-    off = ~u.domain.skeleton
+    if any(np.shape(a) != np.shape(u) for a in itertools.chain(seq, lambdas, mus)):
+        raise ValueError("all arrays must hold values at the same points")
     chain_ok = True
     first_violation: tuple[int, str, float] | None = None
     for n in range(len(seq) - 1):
         legs = (
-            lambdas[n + 1].values[off] - lambdas[n].values[off],
-            seq[n + 1].values[off] - lambdas[n + 1].values[off],
-            mus[n + 1].values[off] - seq[n + 1].values[off],
-            mus[n].values[off] - mus[n + 1].values[off],
+            lambdas[n + 1] - lambdas[n],
+            seq[n + 1] - lambdas[n + 1],
+            mus[n + 1] - seq[n + 1],
+            mus[n] - mus[n + 1],
         )
         for leg_name, diff in zip(_CHAIN_LEGS, legs):
             worst = float(diff.min()) if diff.size else 0.0
@@ -390,8 +389,8 @@ def order_convergence_check(
                 chain_ok = False
                 if first_violation is None:
                     first_violation = (n, leg_name, worst)
-    sup_gap = float(np.max(u.values[off] - lambdas[-1].values[off]))
-    inf_gap = float(np.max(mus[-1].values[off] - u.values[off]))
+    sup_gap = float(np.max(u - lambdas[-1]))
+    inf_gap = float(np.max(mus[-1] - u))
     passed = chain_ok and sup_gap < tol and inf_gap < tol
     return OrderConvergenceCertificate(
         chain_ok=chain_ok,

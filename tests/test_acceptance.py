@@ -275,11 +275,11 @@ def test_criterion_5c_exact_jet_containment(scheme512):
         [0.0], [3.0],
     )
     res0 = run_scheme(sys0, GridDomain([0.0], [3.0], (512,)), 0.2, 5)
-    rep0 = compare_reference(sys0, ["sin(x1)"], res0.bands_by_stage)
+    rep0 = compare_reference(sys0, ["sin(x1)"], res0.domain, res0.bands_by_stage)
     per_stage = [max(d.values()) for d in rep0.distances]
     res, _ = scheme512
-    cubic_stage1 = max(
-        compare_reference(_cubic(), ["sin(x1)"], res.bands_by_stage).distances[0].values())
+    cubic_stage1 = max(compare_reference(_cubic(), ["sin(x1)"], res.domain,
+                                         res.bands_by_stage).distances[0].values())
     ok = len(per_stage) == 5 and rep0.max_distance == 0.0 and cubic_stage1 == 0.0
     _report("5c", ok,
             "order-0 per-stage distances "

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from ordercomplete.analysis import (
-    IntervalSequence,
     compare_reference,
     dilation_envelopes,
     envelope_sequence,
@@ -207,11 +206,19 @@ def test_pushforward_arity_checked():
 # nested sequences
 
 
+def _rows(dom, *values):
+    """One (lower, upper) step of nested_limit_check, one component per
+    (lo, hi) of values, constant at the off-skeleton points of dom."""
+    size = int((~dom.skeleton).sum())
+    lo, hi = (np.array([np.full(size, float(v[k])) for v in values]) for k in (0, 1))
+    return lo, hi
+
+
 def test_nested_limit_converges_to_midpoint():
     dom = GridDomain([0.0], [1.0], (17,))
     u = normalize(GridFunction(dom, np.sin(dom.axis(0))))
-    seq = envelope_sequence(u, 5)  # final width 2/5
-    rep = nested_limit_check(seq, tol=0.5)
+    steps = envelope_sequence(u, 5)  # final width 2/5
+    rep = nested_limit_check(dom, steps, tol=0.5)
     assert rep.all_converge()
     (comp,) = rep.components
     assert comp.max_final_width == pytest.approx(0.4)
@@ -220,63 +227,64 @@ def test_nested_limit_converges_to_midpoint():
 
 def test_nested_limit_flags_constant_width():
     dom = GridDomain([0.0], [1.0], (17,))
-    u = normalize(GridFunction(dom, np.zeros(dom.shape)))
-    step = (_const_interval(dom, -0.5, 0.5),)
-    rep = nested_limit_check(IntervalSequence([step, step, step]), tol=0.5)
+    step = _rows(dom, (-0.5, 0.5))
+    rep = nested_limit_check(dom, [step, step, step], tol=0.5)
     (comp,) = rep.components
     assert comp.verdict == "empty/slow"
     assert comp.limit is None
     assert np.array_equal(comp.offending, ~dom.skeleton)
 
 
-def test_nested_limit_never_subtracts_skeleton_values():
-    # +inf on the skeleton: a width taken there would be inf - inf
+def test_nested_limit_completes_only_the_limit():
+    # the rows hold no skeleton point; the limit candidate alone is
+    # completed there, by the normalize rule
     skeleton = np.zeros(9, dtype=bool)
     skeleton[4] = True
     dom = GridDomain([0.0], [1.0], (9,), skeleton)
-    vals = np.arange(9.0)
-    vals[4] = np.inf
-    u = GridFunction(dom, vals)
-    (comp,) = nested_limit_check(IntervalSequence([(OrderInterval(u, u),)]), 1e-3).components
+    row = np.delete(np.arange(9.0), 4)[None]
+    (comp,) = nested_limit_check(dom, [(row, row)], 1e-3).components
     assert comp.verdict == "converges" and comp.max_final_width == 0.0
     assert comp.limit.values.tolist() == [0.0, 1.0, 2.0, 3.0, 3.0, 5.0, 6.0, 7.0, 8.0]
-    (comp,) = nested_limit_check(IntervalSequence([(OrderInterval(u, u + 1.0),)]),
-                                 1e-3).components
+    assert comp.limit.domain is dom and comp.limit.normalized
+    (comp,) = nested_limit_check(dom, [(row, row + 1.0)], 1e-3).components
     assert comp.verdict == "empty/slow" and comp.max_final_width == 1.0
     assert np.array_equal(comp.offending, ~skeleton)
 
 
 def test_nested_limit_rejects_bad_inputs():
+    # each check the order intervals and their sequence used to make
     dom = GridDomain([0.0], [1.0], (17,))
-    grow = [
-        (_const_interval(dom, -1.0, 1.0),),
-        (_const_interval(dom, -2.0, 2.0),),
-    ]
-    with pytest.raises(ValueError, match="step 0"):
-        IntervalSequence(grow)
-    ok = IntervalSequence([(_const_interval(dom, 0.0, 1.0),)])
-    with pytest.raises(ValueError):
-        nested_limit_check(ok, tol=0.0)
-    with pytest.raises(ValueError):
-        IntervalSequence([])
+    with pytest.raises(ValueError, match="step 0, component 1"):
+        nested_limit_check(dom, [_rows(dom, (0.0, 1.0), (-1.0, 1.0)),
+                                 _rows(dom, (0.0, 1.0), (-2.0, 2.0))], tol=1.0)
+    with pytest.raises(ValueError, match="tol must be positive"):
+        nested_limit_check(dom, [_rows(dom, (0.0, 1.0))], tol=0.0)
+    with pytest.raises(ValueError, match="non-empty"):
+        nested_limit_check(dom, [], tol=1.0)
+    with pytest.raises(ValueError, match="bounds cross"):
+        nested_limit_check(dom, [_rows(dom, (0.0, 1.0)), _rows(dom, (0.75, 0.25))], tol=1.0)
+    with pytest.raises(ValueError, match="same number of components"):
+        nested_limit_check(dom, [_rows(dom, (0.0, 1.0), (0.0, 1.0)), _rows(dom, (0.0, 1.0))],
+                           tol=1.0)
 
 
 def test_nested_limit_on_scheme_bands():
-    # band sequences from a real run, one order interval per jet variable
+    # band sequences from a real run, one row per jet variable, on each
+    # stage's own lattice: stage 4's skeleton holds every earlier one's
     sys1 = PdeSystem(1, 1, 1, ["u[1,(1)]"], ["1"], [0.0], [1.0])
     res = run_scheme(sys1, GridDomain([0.0], [1.0], (65,)), 0.4, 4)
-    steps = []
-    for s in res.stages:
-        lo, hi = _band_functions(s.band_lo, s.band_hi, s.domain, res.tiling.i_cells)
-        bands = completed(s.domain, [*lo, *hi])
-        steps.append(tuple(map(OrderInterval, bands[:len(lo)], bands[len(lo):])))
-    seq = IntervalSequence(steps)
-    rep = nested_limit_check(seq, tol=1.0)  # final width (15/16) * 4/N
+    final = res.stages[-1].domain
+    steps = [_band_functions(s.band_lo, s.band_hi, final, res.tiling.i_cells)
+             for s in res.stages]
+    rep = nested_limit_check(final, steps, tol=1.0)  # final width (15/16) * 4/N
     assert rep.all_converge()
     # the derivative-slot limit candidate tracks the stage-N jet value
     lim = rep.components[1].limit
-    off = ~res.stages[-1].domain.skeleton
+    off = ~final.skeleton
     assert np.max(np.abs(lim.values[off] - 0.95)) < 0.1
+    # the rows scheme_convergence gathers are these
+    for got, want in zip(res.bands_by_stage, steps, strict=True):
+        assert all(np.array_equal(g, w) for g, w in zip(got, want, strict=True))
 
 
 def test_envelope_sequence_sandwich():
@@ -284,16 +292,14 @@ def test_envelope_sequence_sandwich():
     rng = np.random.default_rng(13)
     x = dom.axis(0)
     u = normalize(GridFunction(dom, np.where(x < 0.5, *rng.uniform(-1, 1, 2))))
-    seq = envelope_sequence(u, 6)
-    off = ~dom.skeleton
-    for k in range(len(seq) - 1):
-        lo_k, hi_k = seq.steps[k][0].lower, seq.steps[k][0].upper
-        lo_n, hi_n = seq.steps[k + 1][0].lower, seq.steps[k + 1][0].upper
-        assert np.all(lo_k.values[off] <= lo_n.values[off])
-        assert np.all(lo_n.values[off] <= u.values[off])
-        assert np.all(u.values[off] <= hi_n.values[off])
-        assert np.all(hi_n.values[off] <= hi_k.values[off])
-    assert nested_limit_check(seq, tol=0.5).all_converge()
+    steps = envelope_sequence(u, 6)
+    row = u.values[~dom.skeleton]
+    for (lo_k, hi_k), (lo_n, hi_n) in zip(steps, steps[1:]):
+        assert np.all(lo_k <= lo_n)
+        assert np.all(lo_n <= row)
+        assert np.all(row <= hi_n)
+        assert np.all(hi_n <= hi_k)
+    assert nested_limit_check(dom, steps, tol=0.5).all_converge()
 
 
 # ---------------------------------------------------------------------------
@@ -421,7 +427,8 @@ def test_dilation_envelopes_validation():
 def test_compare_reference_affine_single_stage_exact():
     sys1 = PdeSystem(1, 1, 1, ["u[1,(1)]"], ["1"], [0.0], [1.0])
     res = run_scheme(sys1, GridDomain([0.0], [1.0], (65,)), 0.4, 1)
-    rep = compare_reference(sys1, ["0.8 * x1"], res.bands_by_stage)  # slope 1 - gamma/2
+    # slope 1 - gamma/2
+    rep = compare_reference(sys1, ["0.8 * x1"], res.domain, res.bands_by_stage)
     assert rep.max_distance == 0.0
     assert all(d == 0.0 for d in rep.distances[0].values())
 
@@ -429,7 +436,7 @@ def test_compare_reference_affine_single_stage_exact():
 def test_compare_reference_negative_control():
     sys1 = PdeSystem(1, 1, 1, ["u[1,(1)]"], ["1"], [0.0], [1.0])
     res = run_scheme(sys1, GridDomain([0.0], [1.0], (65,)), 0.4, 2)
-    rep = compare_reference(sys1, ["cos(x1)"], res.bands_by_stage)
+    rep = compare_reference(sys1, ["cos(x1)"], res.domain, res.bands_by_stage)
     assert rep.max_distance > 0.1
     assert rep.max_distance == max(max(d.values()) for d in rep.distances)
 
@@ -439,7 +446,7 @@ def test_compare_reference_stage_one_bands_contain_manufactured():
         1, 1, 1, ["u[1,(1)] + u[1,(0)]^3"], ["cos(x1) + sin(x1)^3"], [0.0], [3.0]
     )
     res = run_scheme(sys1, GridDomain([0.0], [3.0], (129,)), 0.4, 1)
-    rep = compare_reference(sys1, ["sin(x1)"], res.bands_by_stage)
+    rep = compare_reference(sys1, ["sin(x1)"], res.domain, res.bands_by_stage)
     assert all(d == 0.0 for d in rep.distances[0].values())
 
 
@@ -447,6 +454,6 @@ def test_compare_reference_validates_inputs():
     sys1 = PdeSystem(1, 1, 1, ["u[1,(1)]"], ["1"], [0.0], [1.0])
     res = run_scheme(sys1, GridDomain([0.0], [1.0], (65,)), 0.4, 1)
     with pytest.raises(ValueError):
-        compare_reference(sys1, ["x1", "x1"], res.bands_by_stage)
+        compare_reference(sys1, ["x1", "x1"], res.domain, res.bands_by_stage)
     with pytest.raises(ValueError):
-        compare_reference(sys1, ["u[1,(0)]"], res.bands_by_stage)
+        compare_reference(sys1, ["u[1,(0)]"], res.domain, res.bands_by_stage)

@@ -377,11 +377,15 @@ def test_run_exit3_on_numeric_fault(tmp_path, capsys):
     # used to end in an OverflowError traceback (exit 1) from numpy's power
     ("F1 = u[1,(1)] + u[1,(0)]^3", "F1 = u[1,(1)] + u[1,(0)]^1" + "0" * 400,
      "spec error: key 'F1': exponent beyond 2^53 = 9007199254740992 (line 1, column 21)\n"),
+    # used to end in an unlocated error from int() past Python's digit limit
+    ("F1 = u[1,(1)] + u[1,(0)]^3", "F1 = u[1,(1" + "0" * 5000 + ")] + u[1,(0)]^3",
+     "spec error: key 'F1': multi-index entry of 5001 digits out of range for m=1 "
+     "(line 1, column 6)\n"),
 ], ids=["faulting_exact", "overflowing_exact_derivative", "underflowing_diagonal",
         "infinite_box", "overflowing_probe_mean", "overflowing_residual_norm",
         "no_components", "word_for_a_bound", "trailing_dollar", "trailing_paren",
         "negative_order", "fractional_multi_index", "negative_multi_index",
-        "nested_parentheses", "long_sum", "huge_exponent"])
+        "nested_parentheses", "long_sum", "huge_exponent", "huge_multi_index"])
 def test_run_exit3_on_the_demo_with_one_line_changed(tmp_path, capsys, line, changed, message):
     # the first seven each used to end in a traceback (under warnings as
     # errors for the overflows): the reference distances evaluate exact
@@ -1555,6 +1559,17 @@ def test_checker_imports_no_solver():
             imported.update([base, *(f"{base}.{a.name}" for a in node.names)])
     assert "ordercomplete.pde" in imported
     assert not any(m.split(".")[:2] == ["ordercomplete", "solver"] for m in imported)
+
+
+def test_checker_completes_nothing():
+    # the certificates read rows at the off-skeleton points: checker.py
+    # imports nothing that completes a function across a skeleton, nor the
+    # GridFunction such a completion makes
+    tree = ast.parse((SRC / "ordercomplete" / "checker.py").read_text())
+    names = {a.asname or a.name for node in ast.walk(tree)
+             if isinstance(node, (ast.Import, ast.ImportFrom)) for a in node.names}
+    assert "GridDomain" in names
+    assert not names & {"complete", "skeleton_fill", "normalize", "GridFunction"}
 
 
 def test_dataclasses_generate_only_what_is_used():

@@ -94,6 +94,17 @@ def test_parse_bounds_nesting_and_tree_depth():
                     ("x1^" + "0" * 400 + "7", 7)):
         assert ex.parse(text, SIG111).exponent == k
     assert ex.eval_point(ex.parse("x1^-9007199254740992", SIG111), np.array([-1.0])) == 1.0
+    # an index literal with more digits than its bound is out of range, so
+    # never converted: int() of one past Python's digit limit would raise
+    # an unlocated error; the error names the literal
+    for text, col, what in (("u[1,(1" + "0" * 5000 + ")]", 6, "multi-index entry of 5001"),
+                            ("u[" + "1" * 5000 + ",(1)]", 3, "component index of 5000"),
+                            ("x" + "1" * 5000, 1, "space variable x of 5000")):
+        with pytest.raises(ex.SignatureError, match=f"{what} digits out of range") as ei:
+            ex.parse(text, SIG111)
+        assert (ei.value.line, ei.value.col) == (1, col), text[:20]
+    assert ex.parse("u[" + "0" * 5000 + "1,(" + "0" * 5000 + ")]", SIG111).alpha == (0,)
+    assert ex.parse("x" + "0" * 5000 + "1", SIG111).index == 1
 
 
 def test_operator_and_jacobian_at_the_depth_bound_build_and_evaluate():

@@ -371,12 +371,11 @@ def _const(dom, c):
 
 
 def test_order_convergence_shrinking_brackets():
-    dom = GridDomain([0.0], [1.0], (33,))
-    u = GridFunction(dom, np.cos(dom.axis(0)))
+    u = np.cos(GridDomain([0.0], [1.0], (33,)).axis(0))
     N = 6
     seq = [u] * N
-    lams = [GridFunction(dom, u.values - 1.0 / n) for n in range(1, N + 1)]
-    mus = [GridFunction(dom, u.values + 1.0 / n) for n in range(1, N + 1)]
+    lams = [u - 1.0 / n for n in range(1, N + 1)]
+    mus = [u + 1.0 / n for n in range(1, N + 1)]
     cert = order_convergence_check(seq, lams, mus, u, tol=1.0 / N + 1e-12)
     assert cert.passed and cert.chain_ok
     assert cert.sup_gap == pytest.approx(1.0 / N)
@@ -386,10 +385,9 @@ def test_order_convergence_shrinking_brackets():
 
 
 def test_order_convergence_flags_first_violation():
-    dom = GridDomain([0.0], [1.0], (9,))
-    u = _const(dom, 0.0)
-    lams = [_const(dom, -1.0), _const(dom, -0.5), _const(dom, -0.75)]
-    mus = [_const(dom, 1.0), _const(dom, 0.5), _const(dom, 0.25)]
+    u = np.zeros(9)
+    lams = [u - 1.0, u - 0.5, u - 0.75]
+    mus = [u + 1.0, u + 0.5, u + 0.25]
     cert = order_convergence_check([u, u, u], lams, mus, u, tol=2.0)
     assert not cert.chain_ok and not cert.passed
     n, leg, worst = cert.first_violation
@@ -397,10 +395,12 @@ def test_order_convergence_flags_first_violation():
 
 
 def test_order_convergence_length_mismatch():
-    dom = GridDomain([0.0], [1.0], (9,))
-    u = _const(dom, 0.0)
-    with pytest.raises(ValueError):
+    u = np.zeros(9)
+    with pytest.raises(ValueError, match="equal length"):
         order_convergence_check([u], [u, u], [u], u, tol=1.0)
+    # rows at other points, as of another skeleton
+    with pytest.raises(ValueError, match="same points"):
+        order_convergence_check([u], [u[1:]], [u], u, tol=1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,6 @@ from hypothesis.extra import numpy as hnp
 from ordercomplete import expr as ex
 from ordercomplete import grids
 from ordercomplete.analysis import (
-    IntervalSequence,
     dilation_envelopes,
     envelope_sequence,
     interval_pushforward,
@@ -360,9 +359,10 @@ def _bits(x):
 
 def _skeleton_outcomes(u, v, blank):
     """What the routines on GridFunctions give on u, v and functions made
-    from their values, every input passed through blank; baire_lower,
-    baire_upper and dilation_envelopes by their values off the skeleton,
-    where the skeleton's own values are not read, the rest whole."""
+    from their values, every input passed through blank, and those on rows
+    on the functions' rows off the skeleton; baire_lower, baire_upper and
+    dilation_envelopes by their values off the skeleton, where the
+    skeleton's own values are not read, the rest whole."""
     dom = u.domain
     off = ~dom.skeleton
     lo = GridFunction(dom, np.minimum(u.values, v.values))
@@ -371,23 +371,25 @@ def _skeleton_outcomes(u, v, blank):
     def shifted(g, c):
         return blank(GridFunction(dom, g.values + c))
 
+    def row(g, c):
+        return shifted(g, c).values[off]
+
     steps = range(1, 4)
     iv = OrderInterval(blank(lo), blank(hi))
-    nested = IntervalSequence([(OrderInterval(shifted(lo, -1 / k), shifted(hi, 1 / k)),)
-                               for k in steps])
+    nested = [(row(lo, -1 / k)[None], row(hi, 1 / k)[None]) for k in steps]
     u_x, v_x = blank(u), blank(v)
     out = {
         "arithmetic": (u_x + v_x, u_x - v_x, u_x - u_x, u_x * 0.5, -2.0 * u_x, u_x + 1.5),
         "normalize": normalize(u_x),
         "baire": [g.values[off] for g in (baire_lower(u_x), baire_upper(u_x))],
         "order": [grids.order_convergence_check(
-            [shifted(u, 1 / k) for k in steps], [shifted(lo, -1 / k) for k in steps],
-            [shifted(hi, sign / k) for k in steps], u_x, 0.75) for sign in (1, -1)],
+            [row(u, 1 / k) for k in steps], [row(lo, -1 / k) for k in steps],
+            [row(hi, sign / k) for k in steps], u_x.values[off], 0.75) for sign in (1, -1)],
         "quasi_uniform": grids.quasi_uniform_check([shifted(hi, 1 / k) for k in steps],
                                                    u_x, 0.6),
-        "nested_limit": [nested_limit_check(nested, tol) for tol in (1.0, 3e3)],
+        "nested_limit": [nested_limit_check(dom, nested, tol) for tol in (1.0, 3e3)],
         "dilation": [g.values[off] for g in dilation_envelopes(u_x, 3, 0.5)],
-        "envelopes": envelope_sequence(u_x, 3).steps,
+        "envelopes": envelope_sequence(u_x, 3),
     }
     n = dom.ndim
     value, slope = (f"u[1,({','.join(str(int(d == i)) for d in range(n))})]"

@@ -1111,11 +1111,11 @@ def test_run_rejects_a_candidate_that_does_not_tile(monkeypatch, lost):
 
 
 def test_one_skeleton_fill_per_sampling(monkeypatch, tmp_path):
-    # a fill budget: sampling, the operator image, the step bands and every
-    # certificate read rows off the skeleton and fill nothing, and
-    # scheme_convergence completes each stage once, all its fields in one
-    # stacked fill; so a verify of N stages fills N + 1 times, the one more
-    # being analysis.nested_limit_check's
+    # a fill budget: sampling, the operator image, the step bands, every
+    # certificate and scheme_convergence read rows off the skeleton and
+    # fill nothing; analysis.nested_limit_check completes its limits in one
+    # stacked fill, and a run with samples completes each stage once, all
+    # its fields in one stacked fill, for its CSV file
     from ordercomplete import cli, grids
 
     calls = []
@@ -1138,20 +1138,22 @@ def test_one_skeleton_fill_per_sampling(monkeypatch, tmp_path):
         _, samples = stage_certificates(sys, v, dom, i_cells, np.ones(2), band_lo, band_hi,
                                         None, 1, 0.4)
         apeq_certificate(sys, v, v, dom, 0.4)
-        assert calls == []
         scheme_convergence(sys, [samples] * 2, np.ones(2), 0.4)
-        assert calls == [(3 * M + sys.K, 9)] * 2  # the jets, T V_n and the bands
-        calls.clear()
+        assert calls == []
     spec = tmp_path / "transport.spec"
     spec.write_text("n = 1\nK = 1\nm = 1\nbox.lo = 0\nbox.hi = 1\ngrid = 129\n"
                     "F1 = u[1,(1)] + u[1,(0)]^3\nf1 = cos(x1) + sin(x1)^3\n")
     N = 3
-    out = tmp_path / "out"
-    assert cli.main(["run", str(spec), "--gamma", "0.4", "--stages", str(N),
-                     "--out", str(out), "--no-samples"]) == 0
+    args = ["run", str(spec), "--gamma", "0.4", "--stages", str(N), "--out"]
+    # no band converges to 1e-3: the nested limit completes no layer
+    assert cli.main([*args, str(tmp_path / "bare"), "--no-samples"]) == 0
+    assert calls == [(0, 129)]
     calls.clear()
-    assert cli.verify(out) == 0
-    assert len(calls) == N + 1
+    assert cli.verify(tmp_path / "bare") == 0
+    assert calls == [(0, 129)]
+    calls.clear()
+    assert cli.main([*args, str(tmp_path / "full")]) == 0
+    assert sorted(calls) == [(0, 129)] + [(3 * 2 + 1, 129)] * N  # 3 M + K rows, M = 2
 
 
 @pytest.fixture(scope="module")
@@ -1282,24 +1284,22 @@ def test_eq2_rejects_skeleton_missing_i_cell_face():
 ], ids=["cubic_1d", "sin_1d", "exp_2d"])
 def test_scheme_moved_samples_match_final_lattice_resampling(sys, size, gamma, N):
     # reference: V_n sampled on the final lattice, T applied there and the
-    # bands rendered there, completed there from the final off-skeleton
-    # rows; the samples each stage took on its own lattice, completed on
-    # the final one, equal them bit for bit, sign bits included
+    # bands rendered there, rows at the final off-skeleton points; the rows
+    # each stage took on its own lattice, gathered at those points, equal
+    # them bit for bit, sign bits included
     res = run_scheme(sys, GridDomain(sys.box_lo, sys.box_hi, (size,) * sys.n), gamma, N)
     final = res.stages[-1].domain
+    assert res.domain is final
     assert any((s.domain.skeleton != final.skeleton).any() for s in res.stages)
     for s, jets, tv, bands in zip(res.stages, res.samples_by_stage, res.tv_by_stage,
                                   res.bands_by_stage, strict=True):
         marked, want_jets = sample_jets(s.v, final)
         assert marked == final
-        lo, hi = _band_functions(s.band_lo, s.band_hi, final, res.tiling.i_cells)
-        got = jets + tv + [g for pair in bands for g in pair]
-        want = completed(final, [*want_jets, *apply_operator(sys, final, want_jets),
-                                 *(row for pair in zip(lo, hi) for row in pair)])
-        assert len(got) == len(want)
-        for g, w in zip(got, want):
-            assert g.domain == final and g.normalized
-            assert np.array_equal(g.values.view(np.int64), w.values.view(np.int64))
+        want = (want_jets, apply_operator(sys, final, want_jets),
+                *_band_functions(s.band_lo, s.band_hi, final, res.tiling.i_cells))
+        for g, w in zip((jets, tv, *bands), want, strict=True):
+            assert g.shape == w.shape == (len(w), (~final.skeleton).sum())
+            assert np.array_equal(g.view(np.int64), w.view(np.int64))
 
 
 def test_scheme_convergence_rejects_stage_skeleton_outside_final(res_cubic2):
@@ -1313,11 +1313,12 @@ def test_scheme_convergence_rejects_stage_skeleton_outside_final(res_cubic2):
         scheme_convergence(_cubic(), [last.samples, first.samples], res.tiling.radii, 0.4)
 
 
-def test_scheme_convergence_completes_each_stage_once(res_cubic2, monkeypatch):
-    # every stage, stage N too, is completed once and in the same way: one
-    # stacked completion on the final domain of all its rows, scattered at
-    # its own off-skeleton points
-    from ordercomplete import checker
+def test_write_artifacts_completes_each_stage_once(res_cubic2, monkeypatch, tmp_path):
+    # the one completion of stage data left: the CSV writer completes every
+    # stage, stage N too, once and in the same way, one stacked completion
+    # on the final domain of all its rows, scattered at its own off-skeleton
+    # points; without samples it completes none
+    from ordercomplete import cli
 
     res = res_cubic2
     seen = []
@@ -1326,17 +1327,18 @@ def test_scheme_convergence_completes_each_stage_once(res_cubic2, monkeypatch):
         seen.append((domain, where, len(rows)))
         return complete(domain, where, rows)
 
-    monkeypatch.setattr(checker, "complete", recorded)
-    conv = scheme_convergence(_cubic(), [s.samples for s in res.stages], res.tiling.radii, 0.4)
-    final = res.stages[-1].domain
-    M = _cubic().unknown_count
+    monkeypatch.setattr(cli, "complete", recorded)
+    monkeypatch.setattr(cli, "write_atomic", lambda path, content: None)
+    monkeypatch.setattr(cli, "_summary_text", lambda cert, global_cells: "")
+    gp = global_pair(_cubic(), GridDomain([0.0], [3.0], (129,)), 0.4)
+    cli._write_artifacts(tmp_path / "bare", _cubic(), gp, res, {}, False)
+    assert seen == []
+    cli._write_artifacts(tmp_path / "full", _cubic(), gp, res, {}, True)
+    M, K = _cubic().unknown_count, _cubic().K
     assert len(seen) == len(res.stages)
     for (domain, where, count), s in zip(seen, res.stages):
-        assert domain is final and count == 3 * M + 1
+        assert domain is res.domain and count == 3 * M + K
         assert np.array_equal(where, ~s.domain.skeleton)
-    for got, want in zip(conv.samples_by_stage[-1] + conv.tv_by_stage[-1],
-                         res.samples_by_stage[-1] + res.tv_by_stage[-1], strict=True):
-        assert got == want and got.normalized
 
 
 def test_scheme_band_nesting_strict(res_cubic2):
