@@ -469,9 +469,11 @@ def scheme_convergence(
     samples_by_stage, tv_by_stage, bands_by_stage = [], [], []
     for marked, jets, tv, (lo, hi) in samples:
         keep = off[~marked.skeleton]
-        samples_by_stage.append(jets[:, keep])
-        tv_by_stage.append(tv[:, keep])
-        bands_by_stage.append((lo[:, keep], hi[:, keep]))
+        if not keep.all():  # else the stage's rows are the final ones, taken as they are
+            jets, tv, lo, hi = jets[:, keep], tv[:, keep], lo[:, keep], hi[:, keep]
+        samples_by_stage.append(jets)
+        tv_by_stage.append(tv)
+        bands_by_stage.append((lo, hi))
 
     f = np.array([fj[off] for fj in sys.rhs_on_lattice(final)])
     tol_tv = gamma / N * (1.0 + 1e-9)

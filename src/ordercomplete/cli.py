@@ -566,7 +566,8 @@ def verify(result_dir) -> int:
     problems: list[str] = []
     try:
         cert = json.loads((out / "certificate.json").read_text())
-    except (OSError, json.JSONDecodeError, RecursionError) as e:  # nested too deep
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError,
+            RecursionError) as e:  # nested too deep
         print(f"verify: cannot read certificate: {e}")
         return 2
     if not isinstance(cert, dict):

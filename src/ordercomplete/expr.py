@@ -22,16 +22,18 @@ are what only derivatives contain: the internal function sign, which
 renders but the grammar does not accept, and negative constants, which
 parse back as Neg of a number.
 
-Expressions are immutable. One tree walk evaluates them, with one table of
-operations per backend: elementwise numpy evaluation over coordinate
-arrays, and the natural interval extension with outward rounding,
-elementwise over arrays of intervals. Each node may fault (log or sqrt
-outside its domain, division by zero, a zero base with a negative
-exponent; for numbers, also a value that is not finite, overflow
-included), and the walk ORs the nodes' fault masks up to the root, so an
-evaluation faults on the union of them. Point evaluation is the array
-evaluator on one-element arrays, so points and arrays give the same bits
-and fault on the same inputs by construction.
+Expressions are immutable. Each is compiled once per backend, on its first
+evaluation, into a program of nested closures, one per node, over that
+backend's table of operations: elementwise numpy evaluation over
+coordinate arrays, and the natural interval extension with outward
+rounding, elementwise over arrays of intervals. The program is kept on the
+expression's root node. Each node may fault (log or sqrt outside its
+domain, division by zero, a zero base with a negative exponent; for
+numbers, also a value that is not finite, overflow included), and each
+closure ORs its children's fault masks with its own, so an evaluation
+faults on the union of them. Point evaluation is the array evaluator on
+one-element arrays, so points and arrays give the same bits and fault on
+the same inputs by construction.
 """
 
 from __future__ import annotations
@@ -486,7 +488,8 @@ def has_jet_vars(e: Expr) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# evaluation: one tree walk, one table of operations per backend
+# evaluation: each expression compiled once per backend into a program of
+# nested closures, one per node, over that backend's table of operations
 
 
 def eval_point(
@@ -525,8 +528,7 @@ def eval_on_arrays(
     if jets is not None:
         jets = {var: np.asarray(v, dtype=float) for var, v in jets.items()}
     with np.errstate(all="ignore"):
-        val, faulted = _walk(e, x, jets, _ARRAY_OPS)
-        faulted = _or(faulted, ~np.isfinite(val))
+        val, faulted = eval_masked(e, x, jets)
     shape = np.broadcast_shapes(*(v.shape for v in [*x, *(jets or {}).values()]))
     out = np.asarray(val, dtype=float)
     if out.shape != shape:
@@ -539,6 +541,17 @@ def eval_on_arrays(
             faulted=faulted, values=out,
         )
     return out
+
+
+def eval_masked(e: Expr, x: Sequence[np.ndarray], jets) -> tuple:
+    """The values of e over float arrays x and jets (a mapping, or None)
+    and the mask of the elements that fault, both of the shape the
+    operations give, which may be less than the broadcast shape; what
+    eval_on_arrays computes before it checks the mask, for a caller that
+    reads the mask itself and ignores floating-point errors (np.errstate).
+    Missing jet values raise EvalDomainError without a mask."""
+    val, faulted = _program(e, "array")(x, jets)
+    return val, _or(faulted, ~np.isfinite(val))
 
 
 def eval_interval(
@@ -555,7 +568,7 @@ def eval_interval(
     no real ([inf, inf] or [-inf, -inf]); if any does, EvalDomainError
     carries the union of the faulted masks over all nodes and the enclosures.
     """
-    out, faulted = _walk(e, x, jets, _INTERVAL_OPS)
+    out, faulted = _program(e, "interval")(x, jets)
     shape = np.broadcast_shapes(*(v.lo.shape for v in [*x, *(jets or {}).values()]))
     out = Interval(np.broadcast_to(out.lo, shape), np.broadcast_to(out.hi, shape))
     if faulted is not False and faulted.any():
@@ -571,33 +584,71 @@ def _or(a, b):
     return b if a is False else a if b is False else a | b
 
 
-def _walk(e: Expr, x, jets, ops):
-    """The value of e under the operations ops, and the union of the fault
-    masks of all its nodes (False where no node can fault)."""
+def _program(e: Expr, backend: str):
+    """e's program under a backend's operations, "array" or "interval",
+    built on its first use and kept on e for e's lifetime, outside the
+    dataclass fields that == and render read."""
+    try:
+        return e.__dict__["_programs"][backend]
+    except KeyError:
+        programs = e.__dict__.setdefault("_programs", {})
+        programs[backend] = program = _build(e, _OPS[backend])
+        return program
+
+
+def _build(e: Expr, ops):
+    """The program of e under the operations ops: a function of the
+    coordinates x and the jet mapping (or None) that returns e's value and
+    the union of the fault masks of all its nodes (False where no node can
+    fault). Each node is one closure, which applies the node's operation to
+    its children's values, left before right."""
     if isinstance(e, Num):
-        return ops[Num](e.value), False
+        const = ops[Num](e.value)
+        return lambda x, jets: (const, False)
+    var = ops["var"]
     if isinstance(e, SpaceVar):
-        return ops["var"](x[e.index - 1])
+        axis = e.index - 1
+        return lambda x, jets: var(x[axis])
     if isinstance(e, JetVar):
-        if jets is None:
-            raise EvalDomainError(f"no jet values supplied for {render(e)!r}")
-        return ops["var"](jets[(e.component, e.alpha)])
+        key, text = (e.component, e.alpha), render(e)
+
+        def jet(x, jets):
+            if jets is None:
+                raise EvalDomainError(f"no jet values supplied for {text!r}")
+            return var(jets[key])
+        return jet
     if isinstance(e, Neg):
-        val, faulted = _walk(e.operand, x, jets, ops)
-        return -val, faulted
+        operand = _build(e.operand, ops)
+
+        def neg(x, jets):
+            val, faulted = operand(x, jets)
+            return -val, faulted
+        return neg
     if isinstance(e, BinOp):
-        left, left_faulted = _walk(e.left, x, jets, ops)
-        right, right_faulted = _walk(e.right, x, jets, ops)
-        val, faulted = ops[type(e)](left, right)
-        return val, _or(_or(left_faulted, right_faulted), faulted)
+        left, right, op = _build(e.left, ops), _build(e.right, ops), ops[type(e)]
+
+        def binop(x, jets):
+            a, a_faulted = left(x, jets)
+            b, b_faulted = right(x, jets)
+            val, faulted = op(a, b)
+            return val, _or(_or(a_faulted, b_faulted), faulted)
+        return binop
     if isinstance(e, Pow):
-        base, base_faulted = _walk(e.base, x, jets, ops)
-        val, faulted = ops[Pow](base, e.exponent)
-        return val, _or(base_faulted, faulted)
+        base, k, op = _build(e.base, ops), e.exponent, ops[Pow]
+
+        def power(x, jets):
+            b, b_faulted = base(x, jets)
+            val, faulted = op(b, k)
+            return val, _or(b_faulted, faulted)
+        return power
     if isinstance(e, Call):
-        arg, arg_faulted = _walk(e.arg, x, jets, ops)
-        val, faulted = ops[e.func](arg)
-        return val, _or(arg_faulted, faulted)
+        arg, op = _build(e.arg, ops), ops[e.func]
+
+        def call(x, jets):
+            a, a_faulted = arg(x, jets)
+            val, faulted = op(a)
+            return val, _or(a_faulted, faulted)
+        return call
     raise TypeError(f"unknown node {type(e).__name__}")
 
 
@@ -667,6 +718,8 @@ _INTERVAL_OPS = {
     "log": log_interval,
     "sqrt": sqrt_interval,
 }
+
+_OPS = {"array": _ARRAY_OPS, "interval": _INTERVAL_OPS}
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,8 @@ import itertools
 import json
 import math
 import os
+import tokenize
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -534,9 +536,17 @@ def read_poly_json(path) -> PiecewisePoly:
     """The polynomial of a file write_poly_json wrote, or a ValueError. The
     file holds one 1-D array of records of exactly _record_dtype(n, K,
     count), count the multi-index count of an order m, and nothing after
-    it; PiecewisePoly checks the bounds. The name predates the format."""
+    it; PiecewisePoly checks the bounds. A header that numpy's parser
+    rejects with another error, or reads only through its filter for
+    Python 2 headers, which warns, is malformed too. The name predates the
+    format."""
     with open(path, "rb") as fh:  # not np.load: an empty file or a zip is a ValueError too
-        rec = np.lib.format.read_array(fh, allow_pickle=False)
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", UserWarning)
+                rec = np.lib.format.read_array(fh, allow_pickle=False)
+        except (tokenize.TokenError, SyntaxError, UserWarning) as e:
+            raise ValueError(f"malformed .npy header: {type(e).__name__}: {e}") from None
         if fh.read(1):
             raise ValueError("trailing bytes after the array")
     try:

@@ -136,26 +136,23 @@ class AssumptionEvidence:
 def eval_rows(sys: PdeSystem, exprs: Sequence[ex.Expr], x: Sequence,
               vecs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Expressions of the space and jet variables on rows, one array
-    evaluation per expression.
+    evaluation per expression, all under one np.errstate.
 
     x holds the space coordinates, one entry per axis (a scalar or one
     value per row); vecs holds one flat jet per row, handed on as one
     contiguous column per jet variable. Returns the values (rows,
     len(exprs)) and the rows on which some expression faults, where the
     values mean nothing. These are the rows on which eval_point raises, by
-    construction: it runs this same array evaluation on one row.
+    construction: it runs each expression's same array program on one row.
     """
-    jets = dict(zip(sys.flat_vars(), np.ascontiguousarray(vecs.T)))
+    x = [np.asarray(c, dtype=float) for c in x]
+    jets = dict(zip(sys.flat_vars(), np.ascontiguousarray(vecs.T, dtype=float)))
     values = np.empty((vecs.shape[0], len(exprs)))
     faulted = np.zeros(vecs.shape[0], dtype=bool)
-    for j, e in enumerate(exprs):
-        try:
-            values[:, j] = ex.eval_on_arrays(e, list(x), jets)
-        except ex.EvalDomainError as err:
-            if err.faulted is None:
-                raise
-            values[:, j] = err.values
-            faulted |= err.faulted
+    with np.errstate(all="ignore"):
+        for j, e in enumerate(exprs):
+            values[:, j], bad = ex.eval_masked(e, x, jets)
+            faulted |= bad
     return values, faulted
 
 

@@ -1008,6 +1008,88 @@ def test_verify_names_a_malformed_polynomial_file(demo_dir, tmp_path, capsys, ma
     assert lines[0].startswith(f"verify: artifact inconsistency: {name}: {message}"), lines
 
 
+@pytest.fixture(scope="module")
+def seeded_demo_dir(tmp_path_factory):
+    out = tmp_path_factory.mktemp("seeded_demo") / "out"
+    assert main(["run", str(DEMOS / "manufactured_1d.spec"), "--gamma", "0.2",
+                 "--stages", "3", "--seed", "5", "--out", str(out)]) == 0
+    return out
+
+
+def _byte_edit(raw: bytes, rng: np.random.Generator) -> bytes:
+    """raw with one seeded edit: a bit flip, a truncation, an inserted
+    token or a deleted run of bytes."""
+    at = int(rng.integers(len(raw) + 1))
+    kind = int(rng.integers(4))
+    if kind == 0 and at < len(raw):
+        return raw[:at] + bytes([raw[at] ^ (1 << int(rng.integers(8)))]) + raw[at + 1:]
+    if kind == 1:
+        return raw[:at]
+    if kind == 2:
+        tokens = [b"{", b"}", b"[", b"]", b",", b":", b'"', b"-", b"0", b"1e999", b"nan",
+                  b"\xff", b" ", b"\n", b"L", b"'"]
+        return raw[:at] + tokens[int(rng.integers(len(tokens)))] + raw[at:]
+    return raw[:at] + raw[at + 1 + int(rng.integers(16)):]
+
+
+def test_verify_exits_0_or_2_on_single_byte_edits(seeded_demo_dir, tmp_path, capsys):
+    # 200 seeded edits spread over every file of the demo's run directory:
+    # each verify returns a documented code and raises nothing, also under
+    # the suite's warnings as errors
+    copy = tmp_path / "edited"
+    shutil.copytree(seeded_demo_dir, copy)
+    files = sorted(p for p in copy.iterdir() if p.is_file())
+    originals = {p: p.read_bytes() for p in files}
+    rng = np.random.default_rng(7)
+    codes = []
+    for trial in range(200):
+        path = files[trial % len(files)]
+        path.write_bytes(_byte_edit(originals[path], rng))
+        try:
+            codes.append(main(["verify", str(copy)]))
+        finally:
+            path.write_bytes(originals[path])
+        assert codes[-1] in (0, 2), (path.name, trial)
+    capsys.readouterr()
+    assert 2 in codes
+
+
+def _replace_header_brace(raw: bytes) -> bytes:
+    # the closing brace of the header dict, which numpy's parser then meets
+    # as an unterminated statement (tokenize.TokenError)
+    end = raw.index(b"}")
+    return raw[:end] + b" " + raw[end + 1:]
+
+
+def _python2_header(raw: bytes) -> bytes:
+    # a shape written as Python 2 wrote a long, "(5L,)": numpy reads it only
+    # through its header filter, which warns
+    head_len = int.from_bytes(raw[8:10], "little")
+    header = raw[10:10 + head_len]
+    shape = header[header.index(b"(") + 1:header.index(b",)")]
+    new = header.replace(b"(" + shape + b",)", b"(" + shape + b"L,)", 1)
+    assert new[-2:] == b" \n"
+    new = new[:-2] + b"\n"
+    return raw[:10] + new + raw[10 + head_len:]
+
+
+@pytest.mark.parametrize("name, edit, message", [
+    ("global_lower.npy", _replace_header_brace,
+     "verify: artifact inconsistency: global_lower.npy: malformed .npy header: TokenError"),
+    ("global_lower.npy", _python2_header,
+     "verify: artifact inconsistency: global_lower.npy: malformed .npy header: UserWarning"),
+    ("certificate.json", lambda raw: raw[:10] + b"\xff" + raw[11:],
+     "verify: cannot read certificate: 'utf-8' codec can't decode byte 0xff"),
+], ids=["npy_header_brace", "npy_python2_header", "certificate_not_utf8"])
+def test_verify_exits_2_on_unparsable_bytes(seeded_demo_dir, tmp_path, capsys, name, edit,
+                                            message):
+    copy = tmp_path / "edited"
+    shutil.copytree(seeded_demo_dir, copy)
+    (copy / name).write_bytes(edit((copy / name).read_bytes()))
+    code, lines = _verify_quietly(copy, capsys)
+    assert code == 2 and len(lines) == 1 and lines[0].startswith(message), lines
+
+
 def _double_radii(cert):
     # every derived block that reads the radii is recomputed to match them
     from ordercomplete.checker import band_tolerance, eq3_certificate

@@ -58,7 +58,7 @@ def _jet_vars(n):
     return [ex.JetVar(1, a) for a in alphas]
 
 
-def _trees(n, funcs, jets=True):
+def _trees(n, funcs, jets=True, exponents=st.integers(-5, 5)):
     # number literals are finite and non-negative; a sign comes from Neg
     leaves = st.one_of(
         st.builds(ex.Num, st.floats(min_value=0.0, allow_infinity=False)),
@@ -70,7 +70,7 @@ def _trees(n, funcs, jets=True):
         return st.one_of(
             st.builds(ex.Neg, sub),
             *(st.builds(op, sub, sub) for op in (ex.Add, ex.Sub, ex.Mul, ex.Div)),
-            st.builds(ex.Pow, sub, st.integers(-5, 5)),
+            st.builds(ex.Pow, sub, exponents),
             st.builds(ex.Call, st.sampled_from(funcs), sub),
         )
 
@@ -83,7 +83,7 @@ _GRAMMAR = {n: _trees(n, list(ex.FUNCTIONS)) for n in (1, 2)}
 _EVALUATED = {n: _trees(n, [*ex.FUNCTIONS, "sign"]) for n in (1, 2)}
 
 
-def _cases(values):
+def _cases(values, trees=_EVALUATED):
     """A tree over every function the evaluators know, sign included, and
     its inputs: 1 to 6 elements of each coordinate and jet variable."""
 
@@ -93,9 +93,105 @@ def _cases(values):
                                    for v, a in zip(_jet_vars(n), cols[n:], strict=True)}
 
     return st.one_of(*(
-        st.builds(split, st.just(n), _EVALUATED[n],
+        st.builds(split, st.just(n), trees[n],
                   st.lists(st.tuples(*[values] * (2 * n + 1)), min_size=1, max_size=6))
         for n in (1, 2)))
+
+
+def _walk(e, x, jets, ops):
+    """The reference tree walk the compiled programs replace: the value of
+    e under the operations ops, and the union of the fault masks of all its
+    nodes (False where no node can fault)."""
+    if isinstance(e, ex.Num):
+        return ops[ex.Num](e.value), False
+    if isinstance(e, ex.SpaceVar):
+        return ops["var"](x[e.index - 1])
+    if isinstance(e, ex.JetVar):
+        if jets is None:
+            raise ex.EvalDomainError(f"no jet values supplied for {ex.render(e)!r}")
+        return ops["var"](jets[(e.component, e.alpha)])
+    if isinstance(e, ex.Neg):
+        val, faulted = _walk(e.operand, x, jets, ops)
+        return -val, faulted
+    if isinstance(e, ex.BinOp):
+        left, left_faulted = _walk(e.left, x, jets, ops)
+        right, right_faulted = _walk(e.right, x, jets, ops)
+        val, faulted = ops[type(e)](left, right)
+        return val, ex._or(ex._or(left_faulted, right_faulted), faulted)
+    if isinstance(e, ex.Pow):
+        base, base_faulted = _walk(e.base, x, jets, ops)
+        val, faulted = ops[ex.Pow](base, e.exponent)
+        return val, ex._or(base_faulted, faulted)
+    if isinstance(e, ex.Call):
+        arg, arg_faulted = _walk(e.arg, x, jets, ops)
+        val, faulted = ops[e.func](arg)
+        return val, ex._or(arg_faulted, faulted)
+    raise TypeError(f"unknown node {type(e).__name__}")
+
+
+# trees over every function, sign included, with exponents also far from
+# 0, each side of int_pow's chain, and inputs of every kind: zeros, non-
+# positive logarithm arguments, overflow, inf and NaN
+_WIDE = {n: _trees(n, [*ex.FUNCTIONS, "sign"], exponents=st.one_of(
+    st.integers(-5, 5), st.sampled_from([-1001, -64, 63, 1000, 2**53 - 1, -2**53])))
+    for n in (1, 2)}
+
+
+def _bits_at(a, shape):
+    return np.broadcast_to(np.asarray(a, dtype=float), shape).view(np.int64)
+
+
+def _mask_at(m, shape):
+    return np.broadcast_to(np.asarray(m, dtype=bool), shape)
+
+
+@_SETTINGS
+@given(_cases(st.one_of(st.floats(), st.sampled_from([0.0, -0.0, -1.0, 1e308, -1e308])),
+              _WIDE))
+def test_compiled_programs_give_the_reference_walk_bit_for_bit(case):
+    # every subtree, on both backends: the array values and masks, and the
+    # interval endpoints and masks, equal those of the reference walk
+    tree, x, jets = case
+    shape = np.broadcast_shapes(*(a.shape for a in [*x, *jets.values()]))
+    # point boxes of the coordinates, [inf, inf] among them, and jet boxes
+    # reaching to 1; a box holds no NaN
+    real = {k: np.where(np.isnan(a), 0.0, a) for k, a in enumerate([*x, *jets.values()])}
+    boxes = ([Interval.point(real[k]) for k in range(len(x))],
+             {v: Interval(np.minimum(real[k], 1.0), np.maximum(real[k], 1.0))
+              for k, v in enumerate(jets, start=len(x))})
+    for e in _subtrees(tree):
+        with np.errstate(all="ignore"):
+            got, want = ex._program(e, "array")(x, jets), _walk(e, x, jets, ex._ARRAY_OPS)
+        assert np.array_equal(_bits_at(got[0], shape), _bits_at(want[0], shape)), ex.render(e)
+        assert np.array_equal(_mask_at(got[1], shape), _mask_at(want[1], shape)), ex.render(e)
+        got, want = (ex._program(e, "interval")(*boxes),
+                     _walk(e, *boxes, ex._INTERVAL_OPS))
+        for end in ("lo", "hi"):
+            assert np.array_equal(_bits_at(getattr(got[0], end), shape),
+                                  _bits_at(getattr(want[0], end), shape)), ex.render(e)
+        assert np.array_equal(_mask_at(got[1], shape), _mask_at(want[1], shape)), ex.render(e)
+
+
+def test_a_program_is_built_once_and_leaves_equality_and_rendering_alone(monkeypatch):
+    e = ex.parse("u[1,(1)] + u[1,(0)]^3 - log(x1) / 2", (1, 1, 1))
+    twin = ex.parse(ex.render(e), (1, 1, 1))
+    built = []
+    real = ex._build
+    monkeypatch.setattr(ex, "_build", lambda *a: built.append(a[1]) or real(*a))
+    jets = {(1, (0,)): np.array([0.5, 2.0]), (1, (1,)): np.array([1.0, -1.0])}
+    boxes = {v: Interval.point(a) for v, a in jets.items()}
+    counts = []
+    for _ in range(3):
+        ex.eval_on_arrays(e, [np.array([1.0, 2.0])], jets)
+        ex.eval_point(e, [1.0], {v: 1.0 for v in jets})
+        ex.eval_interval(e, [Interval.point(np.array([1.0, 2.0]))], boxes)
+        counts.append(len(built))
+    # one closure per node and backend, all built on the first evaluation
+    nodes = len(list(_subtrees(e)))
+    assert counts == [2 * nodes] * 3
+    assert built.count(ex._ARRAY_OPS) == built.count(ex._INTERVAL_OPS) == nodes
+    assert e == twin and ex.render(e) == ex.render(twin)
+    assert ex.parse(ex.render(e), (1, 1, 1)) == e
 
 
 def _eval_arrays(e, x, jets):
